@@ -19,7 +19,7 @@ from .enewick import enewick_to_reeb, reeb_to_network, write_enewick
 from .errors import IncompatibleShape, ReebError
 from .generator import GeneratorSpec, random_graph
 from .isomorphism import brute_force_iso, labelled_iso, reeb_iso
-from .phylo import network_distance
+from .phylo import hausdorff_distance, network_distance, network_factors
 from .serialize import dump_text, load_text, to_dot
 
 
@@ -173,29 +173,28 @@ def cmd_dist(args) -> int:
         if not files:
             print(f"error: no graph files in {directory}", file=sys.stderr)
             return 2
-        loaded = []
-        for f in files:
-            graph, embedded = _load_graph(str(f), None)
-            loaded.append((f.name, graph, embedded))
+        loaded = [(f.name, *_load_graph(str(f), None)) for f in files]
+        # Every file is decomposed once, in name order, before anything is
+        # written: a bad file exits 2 with no partial CSV, and the error
+        # reported is the first bad file's.
+        nets = []
+        for _, graph, ranks in loaded:
+            net = network_factors(graph, ranks=ranks, time_mode=args.time_mode)
+            nets.append(((net.taxa, net.betti), net.vectors))
+        cells = [["0"] * len(nets) for _ in nets]
+        for i, (shape_a, vectors_a) in enumerate(nets):
+            for j in range(i + 1, len(nets)):
+                shape_b, vectors_b = nets[j]
+                if shape_a != shape_b:
+                    value = "NA"
+                else:
+                    d = hausdorff_distance(vectors_a, vectors_b, p, digits=args.digits)
+                    value = format_level(d)
+                cells[i][j] = cells[j][i] = value
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow([""] + [name for name, _, _ in loaded])
-        for name_a, ga, ra in loaded:
-            row = [name_a]
-            for name_b, gb, rb in loaded:
-                try:
-                    d = network_distance(
-                        ga,
-                        gb,
-                        p=p,
-                        digits=args.digits,
-                        ranks_a=ra,
-                        ranks_b=rb,
-                        time_mode=args.time_mode,
-                    )
-                    row.append(format_level(d))
-                except IncompatibleShape:
-                    row.append("NA")
-            writer.writerow(row)
+        for (name, _, _), row in zip(loaded, cells):
+            writer.writerow([name, *row])
         return 0
     graph_a, embedded_a = _load_graph(args.a, args.format)
     graph_b, embedded_b = _load_graph(args.b, args.format)
@@ -355,3 +354,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

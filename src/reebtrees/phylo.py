@@ -7,6 +7,13 @@ lowest common ancestor, with each taxon's own stamp on the diagonal.
 Distances between vectors stay exact for the 1- and sup-norms; other p-norms
 return a certified decimal approximation.  Whole networks are compared by the
 Hausdorff distance between the vector sets of their tree factors.
+
+The Hausdorff kernel works on integers: both sets are multiplied by the
+least common multiple of their entries' denominators and stripped of
+duplicate vectors, each directed distance stops scanning for a vector's
+nearest neighbour once that vector cannot raise the maximum (the exact early
+break of Taha & Hanbury, IEEE TPAMI 2015), and the scale is divided out once
+at the end.  The lp distance is its case of two singletons.
 """
 
 from __future__ import annotations
@@ -14,10 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import repeat
+from operator import sub
 from typing import Mapping, Sequence
 
 from .core import RESERVED_VERTEX_PREFIX, ReebGraph
-from .dag import build_dag_view
+from .dag import DagView, build_dag_view
 from .decomposition import Factor, decompose
 from .errors import (
     DimensionMismatch,
@@ -194,32 +204,98 @@ def _entries_of(u: "CopheneticVector | Entries") -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in u)
 
 
-def _diffs(u, v) -> list[Fraction]:
-    eu, ev = _entries_of(u), _entries_of(v)
-    if len(eu) != len(ev):
-        raise DimensionMismatch(f"vector lengths differ: {len(eu)} vs {len(ev)}")
-    return [abs(x - y) for x, y in zip(eu, ev)]
-
-
 def _is_inf(p) -> bool:
     return p == math.inf or (isinstance(p, str) and p.lower() in ("inf", "infinity"))
 
 
+def _exponent(p) -> int | None:
+    """The norm's exponent, or None for the sup norm.
+
+    Accepts inf, "inf" and "infinity" in any case, or a whole number p >= 1
+    (a string of digits too); anything else raises ValueError.
+    """
+    if _is_inf(p):
+        return None
+    try:
+        q = int(p)
+    except (TypeError, ValueError, OverflowError):
+        q = 0
+    if q < 1 or (not isinstance(p, str) and q != p):
+        raise ValueError(f"p must be at least 1: a whole number or inf, not {p!r}")
+    return q
+
+
+def _check_lengths(rows_a: list[tuple], rows_b: list[tuple]) -> None:
+    """Raise for the first pair, row by row, whose lengths differ."""
+    n = len(rows_a[0])
+    for v in rows_b:
+        if len(v) != n:
+            raise DimensionMismatch(f"vector lengths differ: {n} vs {len(v)}")
+    for u in rows_a:
+        if len(u) != n:
+            raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {n}")
+
+
+def _scaled(rows: list[tuple[Fraction, ...]], scale: int) -> set[tuple[int, ...]]:
+    """The distinct vectors among ``rows``, multiplied by ``scale``; every
+    entry's denominator divides it, so the entries become integers."""
+    return {tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows}
+
+
+def _cost(q: int | None):
+    """Pairwise cost on integer vectors: the sup or 1-norm of the
+    difference, or for q >= 2 the sum of the q-th powers (the root waits)."""
+    if q is None:
+        return lambda u, v: max(map(abs, map(sub, u, v)), default=0)
+    if q == 1:
+        return lambda u, v: sum(map(abs, map(sub, u, v)))
+    return lambda u, v: sum(map(pow, map(abs, map(sub, u, v)), repeat(q)))
+
+
+def _directed(a: set, b: set, cost, worst: int) -> int:
+    """max(worst, max over u in a of min over v in b of cost(u, v)).
+
+    The scan of ``b`` for ``u`` stops as soon as its running minimum is at
+    or below the maximum so far, since ``u`` can no longer raise it; a ``u``
+    that is also in ``b`` is skipped outright (Taha & Hanbury 2015).
+    """
+    for u in a:
+        if u in b:
+            continue
+        best = math.inf
+        for v in b:
+            c = cost(u, v)
+            if c < best:
+                best = c
+                if best <= worst:
+                    break
+        else:
+            worst = best
+    return worst
+
+
+def _hausdorff(set_a: Sequence, set_b: Sequence, p, digits: int) -> Fraction:
+    q = _exponent(p)
+    rows_a = [_entries_of(u) for u in set_a]
+    rows_b = [_entries_of(v) for v in set_b]
+    _check_lengths(rows_a, rows_b)
+    scale = math.lcm(*{x.denominator for rows in (rows_a, rows_b) for row in rows for x in row})
+    a, b = _scaled(rows_a, scale), _scaled(rows_b, scale)
+    cost = _cost(q)
+    raw = _directed(b, a, cost, _directed(a, b, cost, 0))
+    if q is None or q == 1:
+        return Fraction(raw, scale)
+    return nth_root_fraction(Fraction(raw, scale**q), q, digits)
+
+
 def lp_distance(u, v, p=1, *, digits: int = 12) -> Fraction:
-    """Distance between two vectors.
+    """Distance between two vectors: the Hausdorff distance between the
+    singletons {u} and {v}.
 
     p=1 and p=inf are exact.  Integer p >= 2 goes through one certified root
     extraction, so the result is within 10**-digits of the true value.
     """
-    diffs = _diffs(u, v)
-    if _is_inf(p):
-        return max(diffs, default=Fraction(0))
-    p = int(p)
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    if p == 1:
-        return sum(diffs, Fraction(0))
-    return nth_root_fraction(sum(d**p for d in diffs), p, digits)
+    return _hausdorff([u], [v], p, digits)
 
 
 def hausdorff_distance(
@@ -227,30 +303,60 @@ def hausdorff_distance(
 ) -> Fraction:
     """Hausdorff distance between two finite vector sets.
 
+    Exact throughout: both sets are multiplied by the least common multiple
+    of all their entries' denominators, so every pairwise cost is computed
+    on integers, and duplicate vectors are dropped, since the distance sees
+    only sets.  Each directed distance uses the exact early break of Taha &
+    Hanbury (IEEE TPAMI 2015): the scan for a vector's nearest neighbour
+    stops once it cannot raise the maximum found so far.  The scale is
+    divided out once at the end.
+
     For integer p >= 2 the max/min structure runs on exact p-th power sums
     and the root is taken once at the very end, so the certified error bound
     applies to the final number, not to every pairwise term.
     """
     if not set_a or not set_b:
         raise EmptySet("hausdorff distance needs two nonempty collections")
-    finite_root = not _is_inf(p) and int(p) >= 2
+    return _hausdorff(set_a, set_b, p, digits)
 
-    def cost(u, v) -> Fraction:
-        diffs = _diffs(u, v)
-        if _is_inf(p):
-            return max(diffs, default=Fraction(0))
-        q = int(p)
-        if q == 1:
-            return sum(diffs, Fraction(0))
-        return sum(d**q for d in diffs)
 
-    table = [[cost(u, v) for v in set_b] for u in set_a]
-    from_a = max(min(row) for row in table)
-    from_b = max(min(table[i][j] for i in range(len(set_a))) for j in range(len(set_b)))
-    raw = max(from_a, from_b)
-    if finite_root:
-        return nth_root_fraction(raw, int(p), digits)
-    return raw
+@dataclass(frozen=True)
+class NetworkFactors:
+    """A network's taxon count and cycle rank, and the cophenetic vectors of
+    its tree factors.
+
+    The vectors are computed when first read, so two networks' shapes can be
+    compared before either is decomposed.
+    """
+
+    view: DagView
+    taxa: int
+    ranks: Mapping[str, int] | None
+    time_mode: str
+
+    @property
+    def betti(self) -> int:
+        return self.view.betti
+
+    @cached_property
+    def vectors(self) -> tuple[CopheneticVector, ...]:
+        return tuple(
+            cophenetic_vector(f, ranks=self.ranks, time_mode=self.time_mode)
+            for f in decompose(self.view).factors
+        )
+
+
+def network_factors(
+    graph: ReebGraph,
+    *,
+    ranks: Mapping[str, int] | None = None,
+    time_mode: str = "f",
+) -> NetworkFactors:
+    """Classify ``graph`` (a multi-source graph raises ReticulationConflict
+    here) and count its taxa; its factor vectors follow on first use."""
+    view = build_dag_view(graph)
+    taxa = sum(1 for v in graph.vertex_ids() if graph.outdeg(v) == 0)
+    return NetworkFactors(view, taxa, ranks, time_mode)
 
 
 def network_distance(
@@ -270,20 +376,10 @@ def network_distance(
     rank; anything else raises IncompatibleShape, since their vectors would
     not even share a dimension.
     """
-    va = build_dag_view(a)
-    vb = build_dag_view(b)
-    taxa_a = sum(1 for v in a.vertex_ids() if a.outdeg(v) == 0)
-    taxa_b = sum(1 for v in b.vertex_ids() if b.outdeg(v) == 0)
-    if taxa_a != taxa_b:
-        raise IncompatibleShape(f"taxon counts differ: {taxa_a} vs {taxa_b}")
-    if va.betti != vb.betti:
-        raise IncompatibleShape(f"cycle ranks differ: {va.betti} vs {vb.betti}")
-    dec_a = decompose(va)
-    dec_b = decompose(vb)
-    vecs_a = [
-        cophenetic_vector(f, ranks=ranks_a, time_mode=time_mode) for f in dec_a.factors
-    ]
-    vecs_b = [
-        cophenetic_vector(f, ranks=ranks_b, time_mode=time_mode) for f in dec_b.factors
-    ]
-    return hausdorff_distance(vecs_a, vecs_b, p, digits=digits)
+    na = network_factors(a, ranks=ranks_a, time_mode=time_mode)
+    nb = network_factors(b, ranks=ranks_b, time_mode=time_mode)
+    if na.taxa != nb.taxa:
+        raise IncompatibleShape(f"taxon counts differ: {na.taxa} vs {nb.taxa}")
+    if na.betti != nb.betti:
+        raise IncompatibleShape(f"cycle ranks differ: {na.betti} vs {nb.betti}")
+    return hausdorff_distance(na.vectors, nb.vectors, p, digits=digits)

@@ -1,26 +1,36 @@
 """End-to-end checks of the command line front end.
 
-Every test drives main() directly with an argv list and inspects captured
-output, so no subprocesses are involved.
+Every test but the ``python -m`` entry-point checks drives main() directly
+with an argv list and inspects captured output.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import reebtrees
 from reebtrees import (
     GeneratorSpec,
+    IncompatibleShape,
     dump_text,
+    format_level,
     load_text,
     make_graph,
+    network_distance,
     random_graph,
     to_dot,
 )
 from reebtrees.cli import main
+
+from conftest import corpus
 
 DATA = Path(__file__).parent / "data"
 
@@ -244,6 +254,60 @@ class TestDist:
         assert rows[2] == "b.json,10,0,NA"
         assert rows[3] == "c.json,NA,NA,0"
 
+    def test_matrix_cells_match_network_distance(self, capsys, tmp_path):
+        # Two shapes of max_indeg=3 networks, one s=0 tree sharing a taxon
+        # count with the first shape, and seeded leaf ranks in every file.
+        rng = random.Random(11)
+        graphs = [
+            *corpus([(4, 3, 5), (5, 2, 4)], range(3), max_indeg=3),
+            *corpus([(4, 0, 4)], [0], max_indeg=3),
+        ]
+        for k, g in enumerate(graphs):
+            leaves = [v for v in g.vertex_ids() if g.outdeg(v) == 0]
+            ranks = dict(zip(leaves, rng.sample(range(1, len(leaves) + 1), len(leaves))))
+            write_graph(tmp_path, f"n{k}.json", g, leaf_ranks=ranks)
+        assert main(["dist", "--matrix", str(tmp_path), "--p", "2", "--time-mode=-f"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+        names = sorted(f.name for f in tmp_path.iterdir())
+        assert rows[0] == [""] + names
+        loaded = [load_text((tmp_path / name).read_text()) for name in names]
+        na = 0
+        for (ga, ra), row in zip(loaded, rows[1:]):
+            for (gb, rb), cell in zip(loaded, row[1:]):
+                try:
+                    d = network_distance(
+                        ga, gb, p=2, ranks_a=ra, ranks_b=rb, time_mode="-f"
+                    )
+                except IncompatibleShape:
+                    assert cell == "NA"
+                    na += 1
+                else:
+                    assert cell == format_level(d)
+        assert 0 < na < len(names) ** 2
+
+    def test_matrix_decomposes_each_file_once(self, capsys, tmp_path, monkeypatch, net_a, net_b):
+        self.fixture_files(tmp_path, net_a, net_b)
+        write_graph(tmp_path, "c.json", three_leaf_tree())
+        write_graph(tmp_path, "d.json", net_a, leaf_ranks={"l1": 2, "l2": 1})
+        calls = []
+        original = reebtrees.phylo.decompose
+
+        def counting(view):
+            calls.append(view)
+            return original(view)
+
+        monkeypatch.setattr(reebtrees.phylo, "decompose", counting)
+        assert main(["dist", "--matrix", str(tmp_path)]) == 0
+        assert len(calls) == 4
+
+    def test_matrix_bad_file_prints_no_csv(self, capsys, tmp_path, net_a, twin_peaks):
+        write_graph(tmp_path, "a.json", net_a)
+        write_graph(tmp_path, "b.json", twin_peaks)
+        assert main(["dist", "--matrix", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: cycle-rank mismatch" in captured.err
+
     def test_empty_matrix_dir(self, capsys, tmp_path):
         empty = tmp_path / "none"
         empty.mkdir()
@@ -298,6 +362,20 @@ class TestConvert:
 
 
 class TestPlumbing:
+    @pytest.mark.parametrize("module", ["reebtrees", "reebtrees.cli"])
+    def test_python_dash_m(self, tmp_path, cycle_graph, module):
+        path = write_graph(tmp_path, "g.json", cycle_graph)
+        src = str(Path(reebtrees.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        )}
+        done = subprocess.run(
+            [sys.executable, "-m", module, "betti", path],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "euler: 1\nmerges: 1\nagree: yes\n"
+
     def test_stdin_dash(self, capsys, monkeypatch, cycle_graph):
         monkeypatch.setattr("sys.stdin", io.StringIO(dump_text(cycle_graph)))
         assert main(["validate", "-"]) == 0

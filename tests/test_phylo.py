@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from reebtrees import (
@@ -233,7 +234,80 @@ class TestLpDistance:
             assert duv > 0
 
 
+def reference_hausdorff(set_a, set_b, p):
+    """The full-table Hausdorff distance the integer kernel replaced: every
+    pairwise cost as a Fraction, then max of row and column minima."""
+
+    def cost(u, v):
+        u, v = [F(x) for x in u], [F(x) for x in v]
+        if len(u) != len(v):
+            raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
+        diffs = [abs(x - y) for x, y in zip(u, v)]
+        if p == "inf":
+            return max(diffs, default=F(0))
+        if p == 1:
+            return sum(diffs, F(0))
+        return sum(d**p for d in diffs)
+
+    table = [[cost(u, v) for v in set_b] for u in set_a]
+    from_a = max(min(row) for row in table)
+    from_b = max(min(table[i][j] for i in range(len(set_a))) for j in range(len(set_b)))
+    raw = max(from_a, from_b)
+    return raw if p in (1, "inf") else nth_root_fraction(raw, p, 12)
+
+
+@st.composite
+def vector_set_pairs(draw):
+    """Two vector sets of one dimension (possibly 0), drawn partly from a
+    shared pool so that duplicates occur within and across the sets."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    entry = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+    vector = st.lists(entry, min_size=n, max_size=n)
+    pool = draw(st.lists(vector, min_size=1, max_size=4))
+    members = st.lists(st.sampled_from(pool) | vector, min_size=1, max_size=7)
+    return draw(members), draw(members)
+
+
 class TestHausdorff:
+    @seed(20261018)
+    @settings(max_examples=200, deadline=None)
+    @given(sets=vector_set_pairs(), p=st.sampled_from([1, 2, 3, "inf"]))
+    def test_matches_full_table(self, sets, p):
+        a, b = sets
+        d = hausdorff_distance(a, b, p)
+        assert type(d) is F
+        assert d == reference_hausdorff(a, b, p)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([[1, 2]], [[1, 2], [1, 2, 3]]),
+            ([[1, 2, 3], [1, 2]], [[1, 2, 3]]),
+            ([[1]], [[1, 2], [3]]),
+        ],
+    )
+    def test_length_mismatch(self, a, b):
+        with pytest.raises(DimensionMismatch, match="vector lengths differ") as info:
+            hausdorff_distance(a, b)
+        with pytest.raises(DimensionMismatch) as expected:
+            reference_hausdorff(a, b, 1)
+        assert str(info.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "p", [0, -1, 1.5, "0", "1.5", "x", float("nan"), -math.inf], ids=repr
+    )
+    def test_bad_p_rejected_by_both(self, p):
+        with pytest.raises(ValueError, match="p must be at least 1"):
+            hausdorff_distance([[1, 2]], [[5, 7]], p)
+        with pytest.raises(ValueError, match="p must be at least 1"):
+            lp_distance([1, 2], [5, 7], p)
+
+    def test_whole_number_p_of_any_type(self):
+        for p in (2, 2.0, F(2), "2"):
+            assert hausdorff_distance([[0, 0]], [[3, 4]], p) == F(5)
+        for p in ("INF", "Infinity", math.inf):
+            assert lp_distance([0, 0], [3, 4], p) == F(4)
+
     def test_empty_side_rejected(self):
         with pytest.raises(EmptySet, match="needs two nonempty collections"):
             hausdorff_distance([], [[F(1)]])
