@@ -10,6 +10,8 @@ read and write the supported text formats; generator produces seeded random
 instances.
 """
 
+import types
+
 from .core import (
     EdgeSequence,
     LevelPoset,
@@ -105,88 +107,8 @@ from .serialize import dump_text, from_jsonable, load_text, to_dot, to_jsonable
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadLevelSet",
-    "CanonicalForm",
-    "CopheneticVector",
-    "CutChoice",
-    "DagView",
-    "Decomposition",
-    "DimensionMismatch",
-    "EdgeSequence",
-    "EmptySet",
-    "Factor",
-    "GeneratorSpec",
-    "HybridArityError",
-    "IncompatibleShape",
-    "InfeasibleSpec",
-    "InvalidChoice",
-    "LabelMismatch",
-    "LeafOrdering",
-    "LevelPoset",
-    "MissingLabels",
-    "MorphismWitness",
-    "NewickSyntaxError",
-    "NotATree",
-    "NotRooted",
-    "OrderConflict",
-    "PhyloNetwork",
-    "PositionedError",
-    "ReebError",
-    "ReebGraph",
-    "RESERVED_VERTEX_PREFIX",
-    "ReticulationConflict",
-    "SchemaError",
-    "SizeLimitExceeded",
-    "TimeInconsistency",
-    "UnbalancedParens",
-    "VertexClass",
-    "VertexKind",
-    "apply_choice",
-    "as_level",
-    "betti_euler",
-    "betti_reticulation",
-    "brute_force_iso",
-    "build_dag_view",
-    "canonical_form",
-    "classify_all",
-    "classify_vertex",
-    "common_refinement",
-    "cophenetic_vector",
-    "cut_options",
-    "decompose",
-    "decomposition_invariant",
-    "dump_text",
-    "edge_sequence",
-    "enewick_to_reeb",
-    "enumerate_choices",
-    "factor_count",
-    "format_level",
-    "from_jsonable",
-    "glue_back",
-    "hausdorff_distance",
-    "is_valid",
-    "labelled_iso",
-    "leaf_order",
-    "load_text",
-    "lp_distance",
-    "make_choice",
-    "make_graph",
-    "minimize_critical_set",
-    "network_distance",
-    "network_to_reeb",
-    "nth_root_fraction",
-    "parse_enewick",
-    "parse_level",
-    "random_graph",
-    "reeb_iso",
-    "reeb_to_network",
-    "refine_to_levels",
-    "same_edge_structure",
-    "source_vertices",
-    "to_dot",
-    "to_jsonable",
-    "validate",
-    "verify_witness",
-    "write_enewick",
-]
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

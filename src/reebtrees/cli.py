@@ -19,7 +19,7 @@ from .enewick import enewick_to_reeb, reeb_to_network, write_enewick
 from .errors import IncompatibleShape, ReebError
 from .generator import GeneratorSpec, random_graph
 from .isomorphism import brute_force_iso, labelled_iso, reeb_iso
-from .phylo import hausdorff_distance, network_distance, network_factors
+from .phylo import _exponent, hausdorff_distance, network_distance, network_factors
 from .serialize import dump_text, load_text, to_dot
 
 
@@ -65,15 +65,6 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
-
-
-def _parse_p(raw: str):
-    if raw.lower() in ("inf", "infinity"):
-        return "inf"
-    value = int(raw)
-    if value < 1:
-        raise ValueError("p must be at least 1 or inf")
-    return value
 
 
 def cmd_validate(args) -> int:
@@ -163,7 +154,8 @@ def cmd_iso(args) -> int:
 
 
 def cmd_dist(args) -> int:
-    p = _parse_p(args.p)
+    p = args.p
+    _exponent(p)  # a bad --p fails before any file is read
     if args.matrix:
         directory = Path(args.matrix)
         files = sorted(

@@ -84,29 +84,28 @@ class LevelPoset:
         for lo, hi in self.covers:
             succ.setdefault(lo, set()).add(hi)
         reach: dict[str, frozenset[str]] = {}
-        state: dict[str, int] = {}
         cyclic = False
-
-        def visit(x: str) -> frozenset[str]:
-            nonlocal cyclic
-            if state.get(x) == 2:
-                return reach[x]
-            if state.get(x) == 1:
-                cyclic = True
-                return frozenset()
-            state[x] = 1
-            acc: set[str] = set()
-            for y in succ.get(x, ()):
-                acc.add(y)
-                acc |= visit(y)
-            state[x] = 2
-            reach[x] = frozenset(acc)
-            return reach[x]
-
-        for x in list(succ):
-            visit(x)
-        if any(x in reach.get(x, frozenset()) for x in succ):
-            cyclic = True
+        # Depth-first with an explicit stack; an edge back onto the current
+        # path is a cycle.
+        for root in succ:
+            if root in reach:
+                continue
+            on_path = {root}
+            stack = [(root, iter(succ[root]))]
+            while stack:
+                x, todo = stack[-1]
+                for y in todo:
+                    if y in on_path:
+                        cyclic = True
+                    elif y not in reach:
+                        on_path.add(y)
+                        stack.append((y, iter(succ.get(y, ()))))
+                        break
+                else:
+                    stack.pop()
+                    on_path.discard(x)
+                    kids = succ.get(x, ())
+                    reach[x] = frozenset(kids).union(*(reach.get(y, ()) for y in kids))
         return reach, cyclic
 
     @property

@@ -235,35 +235,13 @@ def _resolve(top: _Occ) -> PhyloNetwork:
         declared[node] = by_tag[tag][0].pos
 
     times: dict[str, Fraction] = {}
-    first_pos: dict[str, tuple[int, int]] = {}
     edges: list[tuple[str, str]] = []
     for occ in occs:
         node = node_of[id(occ)]
         times[node] = occ.time
-        first_pos.setdefault(node, occ.pos)
         for child, _length, _lpos in occ.children:
             edges.append((node, node_of[id(child)]))
-
-    # A cycle can only arise through hybrid merging; report it as a time
-    # problem since no positive-length schedule can realize it.
-    indeg: dict[str, int] = {v: 0 for v in times}
-    for _p, c in edges:
-        indeg[c] += 1
-    queue = sorted(v for v, d in indeg.items() if d == 0)
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for p, c in edges:
-            if p == v:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-    if seen != len(times):
-        cyclic = sorted(v for v, d in indeg.items() if d > 0)
-        raise TimeInconsistency(
-            f"ancestry cycle through {cyclic[0]!r}", *first_pos[cyclic[0]]
-        )
+    # No ancestry cycle can form: lengths are positive and hybrid copies share one time.
     return PhyloNetwork(root=node_of[id(top)], times=times, edges=tuple(edges))
 
 

@@ -1,12 +1,14 @@
 """Isomorphism decisions for leveled graphs.
 
-Three routes live here.  canonical_form fingerprints a leveled tree together
-with its level orders, exactly: equal fingerprints mean a level- and
-order-preserving bijection exists.  reeb_iso decides isomorphism of whole
-graphs by decomposing both sides into trees and comparing fingerprint
-multisets, falling back to search when the decomposition route is closed.
-brute_force_iso is that search: a plain backtracking matcher usable as an
-independent oracle on anything small.
+canonical_form fingerprints a leveled tree together with its level orders,
+exactly: equal fingerprints mean a level- and order-preserving bijection
+exists.  reeb_iso and brute_force_iso decide isomorphism of whole graphs.
+Both start with one shared prefilter, which refines the pair to common levels
+and compares colour multisets per level and per gap.  reeb_iso then takes the
+fingerprint route (decompose both sides into trees, compare fingerprint
+multisets) or, when that route is closed, the oracle route: brute_force_iso,
+a plain backtracking matcher usable as an independent oracle on anything
+small.
 """
 
 from __future__ import annotations
@@ -14,12 +16,12 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .core import LevelPoset, ReebGraph, common_refinement
-from .dag import build_dag_view
+from .dag import DagView, build_dag_view
 from .decomposition import decompose
 from .errors import (
     LabelMismatch,
@@ -47,14 +49,67 @@ def _strict_pairs(poset: LevelPoset) -> list[tuple[str, str]]:
     return [(x, y) for x in sorted(poset.elements) for y in sorted(poset.strictly_above(x))]
 
 
-def _closure_counts(posets: Sequence[LevelPoset]) -> tuple[dict[str, int], dict[str, int]]:
-    below: dict[str, int] = defaultdict(int)
-    above: dict[str, int] = defaultdict(int)
-    for poset in posets:
-        for x, y in _strict_pairs(poset):
-            above[x] += 1
-            below[y] += 1
-    return below, above
+def _colours(
+    graph: ReebGraph, tags: Mapping[str, int] | None, use_labels: bool
+) -> tuple[dict[str, tuple], dict[str, tuple]]:
+    """Vertex and edge colours, which every isomorphism preserves: (indegree,
+    outdegree, elements below, elements above, sink tag) for a vertex and
+    (elements below, elements above, label or "") for an edge.  Below and
+    above count the generated order; the tag is -1 off sinks and untagged."""
+    tags = tags or {}
+    # Degrees straight from the maps: canonical_form runs this on every
+    # factor, and the graph's cached adjacency would be built and kept for each.
+    indeg: dict[str, int] = {}
+    outdeg: dict[str, int] = {}
+    for down, up in zip(graph.down_maps, graph.up_maps):
+        for e, v in down.items():
+            indeg[v] = indeg.get(v, 0) + 1
+            outdeg[up[e]] = outdeg.get(up[e], 0) + 1
+    vertex: dict[str, tuple] = {}
+    edge: dict[str, tuple] = {}
+    for vs, poset in zip(graph.vertex_sets, graph.vertex_orders):
+        above = {x: poset.strictly_above(x) for x in poset.elements} if poset.covers else {}
+        below = Counter(y for ups in above.values() for y in ups) if above else {}
+        for v in vs:
+            out = outdeg.get(v, 0)
+            tag = tags.get(v, -1) if out == 0 else -1
+            vertex[v] = (indeg.get(v, 0), out, below.get(v, 0), len(above.get(v, ())), tag)
+    for i, (es, poset) in enumerate(zip(graph.edge_sets, graph.edge_orders)):
+        above = {x: poset.strictly_above(x) for x in poset.elements} if poset.covers else {}
+        below = Counter(y for ups in above.values() for y in ups) if above else {}
+        labels = graph.gap_labels(i) if use_labels else None
+        for e in es:
+            edge[e] = (below.get(e, 0), len(above.get(e, ())), labels[e] if labels else "")
+    return vertex, edge
+
+
+def _prefilter(
+    a: ReebGraph,
+    b: ReebGraph,
+    tags_a: Mapping[str, int] | None,
+    tags_b: Mapping[str, int] | None,
+    use_labels: bool = False,
+) -> tuple[ReebGraph, ReebGraph, tuple, tuple] | None:
+    """Check level range, refine, then compare per-level and per-gap counts
+    and colour multisets.  Returns (ra, rb, colours_a, colours_b), or None
+    when the pair cannot be isomorphic.  ``use_labels`` needs full labellings
+    on both sides (MissingLabels, raised once the counts agree)."""
+    if (a.levels[0], a.levels[-1]) != (b.levels[0], b.levels[-1]):
+        return None
+    ra, rb = common_refinement(a, b)
+    sets_a = (ra.vertex_sets, ra.edge_sets)
+    sets_b = (rb.vertex_sets, rb.edge_sets)
+    if [list(map(len, s)) for s in sets_a] != [list(map(len, s)) for s in sets_b]:
+        return None
+    if use_labels and not (ra.has_full_labels and rb.has_full_labels):
+        raise MissingLabels("use_labels requires full labellings on both sides")
+    ca = _colours(ra, tags_a, use_labels)
+    cb = _colours(rb, tags_b, use_labels)
+    for col_a, col_b, per_a, per_b in zip(ca, cb, sets_a, sets_b):
+        for xs, ys in zip(per_a, per_b):
+            if sorted(col_a[x] for x in xs) != sorted(col_b[y] for y in ys):
+                return None
+    return ra, rb, ca, cb
 
 
 @dataclass(frozen=True, order=True)
@@ -112,23 +167,19 @@ def canonical_form(
     if len(seen) != n_v:
         raise NotATree("underlying graph is not connected")
 
-    v_below, v_above = _closure_counts(graph.vertex_orders)
-    e_below, e_above = _closure_counts(graph.edge_orders)
     vertex_pairs = [p for poset in graph.vertex_orders for p in _strict_pairs(poset)]
     edge_pairs = [p for poset in graph.edge_orders for p in _strict_pairs(poset)]
     involved_v = {x for p in vertex_pairs for x in p}
     involved_e = {x for p in edge_pairs for x in p}
-    ranks = dict(leaf_ranks) if leaf_ranks else {}
 
+    # Integer-only codes (level numerator and denominator, closure counts,
+    # rank) keep the tuple comparisons below cheap.
+    vcol, ecol = _colours(graph, leaf_ranks, False)
     vc: dict[str, tuple[int, int, int, int, int]] = {}
     for v in adj:
         lvl = graph.levels[graph.vertex_level[v]]
-        rank = ranks.get(v, -1) if graph.outdeg(v) == 0 else -1
-        vc[v] = (lvl.numerator, lvl.denominator, v_below.get(v, 0), v_above.get(v, 0), rank)
-    ec: dict[str, tuple[int, int]] = {}
-    for es in graph.edge_sets:
-        for e in es:
-            ec[e] = (e_below.get(e, 0), e_above.get(e, 0))
+        vc[v] = (lvl.numerator, lvl.denominator, *vcol[v][2:])
+    ec = {e: c[:2] for e, c in ecol.items()}
 
     # Tree center by iterative leaf peeling; one or two vertices survive.
     deg = {v: len(adj[v]) for v in adj}
@@ -244,26 +295,20 @@ def canonical_form(
 
 
 def decomposition_invariant(
-    graph: ReebGraph,
+    graph: ReebGraph | DagView,
     *,
     leaf_ranks: Mapping[str, int] | None = None,
     budget: int | None = None,
 ) -> tuple[CanonicalForm, ...]:
     """Sorted multiset of factor fingerprints; a complete isomorphism
-    invariant for single-source graphs with trivial level orders."""
+    invariant for single-source graphs with trivial level orders.  Accepts an
+    already built view, as decompose does."""
     dec = decompose(graph)
     return tuple(
         sorted(
             canonical_form(f.graph, leaf_ranks=leaf_ranks, budget=budget)
             for f in dec.factors
         )
-    )
-
-
-def _degree_profile(graph: ReebGraph) -> tuple[tuple[tuple[int, int], ...], ...]:
-    return tuple(
-        tuple(sorted((graph.indeg(v), graph.outdeg(v)) for v in vs))
-        for vs in graph.vertex_sets
     )
 
 
@@ -277,19 +322,17 @@ def reeb_iso(
 ) -> bool:
     """Decide whether two leveled graphs are isomorphic.
 
-    Both graphs are refined to a common level set first.  When both sides
-    classify cleanly and carry trivial orders, the decision compares sorted
-    factor fingerprints; otherwise it falls back to the backtracking oracle.
-    Optional leaf ranks constrain the bijection to respect the given integer
-    on bottom vertices (unranked ones must map to unranked ones).
+    The shared prefilter refines both graphs to a common level set and
+    compares colour multisets.  When both sides then classify cleanly and
+    carry trivial orders, the decision compares sorted factor fingerprints;
+    otherwise it falls back to the backtracking oracle.  Optional leaf ranks
+    constrain the bijection to respect the given integer on bottom vertices
+    (unranked ones must map to unranked ones).
     """
-    if (a.levels[0], a.levels[-1]) != (b.levels[0], b.levels[-1]):
+    pre = _prefilter(a, b, leaf_ranks_a, leaf_ranks_b)
+    if pre is None:
         return False
-    ra, rb = common_refinement(a, b)
-    if tuple(len(vs) for vs in ra.vertex_sets) != tuple(len(vs) for vs in rb.vertex_sets):
-        return False
-    if tuple(len(es) for es in ra.edge_sets) != tuple(len(es) for es in rb.edge_sets):
-        return False
+    ra, rb = pre[:2]
 
     def fallback() -> bool:
         return brute_force_iso(
@@ -312,13 +355,9 @@ def reeb_iso(
         return False
     if va is None or vb is None:
         return fallback()
-    if len(va.leaves) != len(vb.leaves):
-        return False
-    if _degree_profile(ra) != _degree_profile(rb):
-        return False
     try:
-        inv_a = decomposition_invariant(ra, leaf_ranks=leaf_ranks_a, budget=budget)
-        inv_b = decomposition_invariant(rb, leaf_ranks=leaf_ranks_b, budget=budget)
+        inv_a = decomposition_invariant(va, leaf_ranks=leaf_ranks_a, budget=budget)
+        inv_b = decomposition_invariant(vb, leaf_ranks=leaf_ranks_b, budget=budget)
     except OrderConflict:
         return fallback()
     return inv_a == inv_b
@@ -467,54 +506,11 @@ def brute_force_iso(
     ``use_labels`` is set.  ``vertex_tags_*`` add an integer color on bottom
     vertices, matching the leaf-rank convention used elsewhere.
     """
-    if (a.levels[0], a.levels[-1]) != (b.levels[0], b.levels[-1]):
+    pre = _prefilter(a, b, vertex_tags_a, vertex_tags_b, use_labels)
+    if pre is None:
         return False
-    ra, rb = common_refinement(a, b)
+    ra, rb, (vinv_a, einv_a), (vinv_b, einv_b) = pre
     k = ra.level_count
-    if tuple(len(vs) for vs in ra.vertex_sets) != tuple(len(vs) for vs in rb.vertex_sets):
-        return False
-    if tuple(len(es) for es in ra.edge_sets) != tuple(len(es) for es in rb.edge_sets):
-        return False
-    if use_labels and not (ra.has_full_labels and rb.has_full_labels):
-        raise MissingLabels("use_labels requires full labellings on both sides")
-
-    tags_a = dict(vertex_tags_a or {})
-    tags_b = dict(vertex_tags_b or {})
-    av_below, av_above = _closure_counts(ra.vertex_orders)
-    bv_below, bv_above = _closure_counts(rb.vertex_orders)
-    ae_below, ae_above = _closure_counts(ra.edge_orders)
-    be_below, be_above = _closure_counts(rb.edge_orders)
-
-    def vinv(g, tags, below, above, v):
-        tag = tags.get(v, -1) if g.outdeg(v) == 0 else -1
-        return (g.indeg(v), g.outdeg(v), below.get(v, 0), above.get(v, 0), tag)
-
-    def einv(g, below, above, i, e):
-        lab = g.gap_labels(i)[e] if use_labels else ""
-        return (below.get(e, 0), above.get(e, 0), lab)
-
-    vinv_a = {v: vinv(ra, tags_a, av_below, av_above, v) for v in ra.vertex_level}
-    vinv_b = {v: vinv(rb, tags_b, bv_below, bv_above, v) for v in rb.vertex_level}
-    einv_a = {
-        e: einv(ra, ae_below, ae_above, i, e)
-        for i in range(ra.gap_count)
-        for e in ra.edge_sets[i]
-    }
-    einv_b = {
-        e: einv(rb, be_below, be_above, i, e)
-        for i in range(rb.gap_count)
-        for e in rb.edge_sets[i]
-    }
-    for i in range(k):
-        if sorted(vinv_a[v] for v in ra.vertex_sets[i]) != sorted(
-            vinv_b[v] for v in rb.vertex_sets[i]
-        ):
-            return False
-    for i in range(ra.gap_count):
-        if sorted(einv_a[e] for e in ra.edge_sets[i]) != sorted(
-            einv_b[e] for e in rb.edge_sets[i]
-        ):
-            return False
 
     nodes_left = [_budget(budget)]
     vmap: dict[str, str] = {}

@@ -400,7 +400,8 @@ class TestPlumbing:
             main([])
         assert info.value.code == 64
 
-    def test_bad_p_value(self, capsys, tmp_path, net_a):
+    @pytest.mark.parametrize("p", ["0", "-1", "1.5", "x"])
+    def test_bad_p_value(self, capsys, tmp_path, net_a, p):
         a = write_graph(tmp_path, "a.json", net_a)
-        assert main(["dist", a, a, "--p", "0"]) == 2
+        assert main(["dist", a, a, "--p", p]) == 2
         assert "p must be at least 1" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import types
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reebtrees
 from reebtrees import (
     BadLevelSet,
     LevelPoset,
@@ -140,6 +142,26 @@ def test_validate_reports_order_cycle():
         edge_covers=[[]],
     )
     assert "non-poset vertex order at index 0 (cycle in covers)" in validate(g)
+
+
+def _long_chain(n: int, back_cover: bool = False):
+    """n bottom vertices chained in one level order, all under one top."""
+    vs = [f"v{i}" for i in range(n)]
+    covers = list(zip(vs, vs[1:])) + ([(vs[-1], vs[0])] if back_cover else [])
+    return make_graph(
+        [0, 1],
+        [vs, ["top"]],
+        [[(f"e{i}", v, "top") for i, v in enumerate(vs)]],
+        vertex_covers=[covers, []],
+    )
+
+
+def test_validate_long_order_chain():
+    # Deeper than the interpreter's recursion limit.
+    assert validate(_long_chain(3000)) == []
+    assert "non-poset vertex order at index 0 (cycle in covers)" in validate(
+        _long_chain(3000, back_cover=True)
+    )
 
 
 def test_validate_reports_non_monotone_attachment():
@@ -302,3 +324,9 @@ def test_edge_structure_detects_difference():
     a = make_graph([0, 1], [["a"], ["b"]], [[("e", "a", "b")]])
     b = make_graph([0, 1], [["a"], ["b"]], [[("e", "a", "b"), ("f", "a", "b")]])
     assert not same_edge_structure(a, b)
+
+
+def test_public_names():
+    for name in reebtrees.__all__:
+        assert not isinstance(getattr(reebtrees, name), types.ModuleType), name
+    assert {"reeb_iso", "hausdorff_distance"} <= set(reebtrees.__all__)

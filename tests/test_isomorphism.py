@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from reebtrees import (
+    GeneratorSpec,
     LabelMismatch,
     MissingLabels,
     MorphismWitness,
@@ -16,6 +19,7 @@ from reebtrees import (
     decomposition_invariant,
     labelled_iso,
     make_graph,
+    random_graph,
     reeb_iso,
     refine_to_levels,
     verify_witness,
@@ -217,6 +221,52 @@ class TestReebIso:
             assert brute_force_iso(g, rename_graph(g)) is True
             h = graphs[(i + 1) % len(graphs)]
             assert reeb_iso(g, h) == brute_force_iso(g, h)
+
+    def test_agrees_with_search_on_ranked_pairs(self):
+        """Ranked pairs with merges of in-degree up to 3: renamed copies with
+        ranks carried over or drawn afresh, and cross pairs unranked or
+        against an empty rank table."""
+        shapes = [
+            (2, 1, 3, 2),
+            (3, 2, 4, 2),
+            (3, 2, 3, 3),
+            (4, 3, 5, 3),
+            (2, 2, 3, 3),
+            (3, 1, 4, 2),
+        ]
+        graphs = [
+            random_graph(
+                GeneratorSpec(seed=seed, n_leaves=n, betti=s, levels=lv, max_indeg=d)
+            )
+            for seed in range(60)
+            for n, s, lv, d in shapes
+        ]
+        rng = random.Random(6)
+
+        def sink_ranks(g):
+            sinks = [v for v in g.vertex_ids() if g.outdeg(v) == 0]
+            ranks = list(range(len(sinks)))
+            rng.shuffle(ranks)
+            return dict(zip(sinks, ranks))
+
+        positive = 0
+        for i, g in enumerate(graphs):
+            ranks = sink_ranks(g)
+            copy = rename_graph(g)
+            carried = {"z" + v[::-1]: r for v, r in ranks.items()}  # rename_graph's ids
+            h = graphs[(i + 1) % len(graphs)]
+            pairs = [
+                (g, copy, ranks, carried),
+                (g, copy, ranks, sink_ranks(copy)),
+                (g, h, None, None),
+                (g, h, ranks, {}),
+            ]
+            for a, b, ranks_a, ranks_b in pairs:
+                want = brute_force_iso(a, b, vertex_tags_a=ranks_a, vertex_tags_b=ranks_b)
+                got = reeb_iso(a, b, leaf_ranks_a=ranks_a, leaf_ranks_b=ranks_b)
+                assert got == want, (i, ranks_a, ranks_b)
+                positive += want
+        assert (len(graphs), positive) == (360, 468)
 
 
 class TestLabelled:
