@@ -99,31 +99,8 @@ def _parse_length(cur: _Cursor) -> tuple[Fraction, tuple[int, int]]:
     return Fraction("".join(digits)), pos
 
 
-def _parse_subtree(cur: _Cursor) -> _Occ:
-    cur.skip_ws()
-    pos = cur.pos()
-    children: list[tuple[_Occ, Fraction, tuple[int, int]]] = []
-    if cur.peek() == "(":
-        cur.advance()
-        while True:
-            child = _parse_subtree(cur)
-            cur.skip_ws()
-            if cur.peek() != ":":
-                raise NewickSyntaxError("missing branch length", *cur.pos())
-            cur.advance()
-            length, lpos = _parse_length(cur)
-            children.append((child, length, lpos))
-            cur.skip_ws()
-            ch = cur.peek()
-            if ch == ",":
-                cur.advance()
-                continue
-            if ch == ")":
-                cur.advance()
-                break
-            if ch == "":
-                raise UnbalancedParens("unclosed parenthesis", *cur.pos())
-            raise NewickSyntaxError(f"expected ',' or ')', found {ch!r}", *cur.pos())
+def _parse_node_end(cur: _Cursor, pos: tuple[int, int], children: list) -> _Occ:
+    """The name and hybrid tag after a node's children, if any."""
     cur.skip_ws()
     name = _parse_name(cur)
     tag = None
@@ -142,6 +119,44 @@ def _parse_subtree(cur: _Cursor) -> _Occ:
     if not children and not name and tag is None:
         raise NewickSyntaxError("empty subtree", *pos)
     return _Occ(pos=pos, name=name or None, tag=tag, children=children)
+
+
+def _parse_subtree(cur: _Cursor) -> _Occ:
+    """One subtree, read with an explicit stack of open parentheses, so the
+    nesting depth is bounded by memory only."""
+    open_nodes: list[tuple[tuple[int, int], list]] = []
+    while True:
+        cur.skip_ws()
+        pos = cur.pos()
+        if cur.peek() == "(":
+            cur.advance()
+            open_nodes.append((pos, []))
+            continue
+        occ = _parse_node_end(cur, pos, [])
+        # Attach the finished node to its parent, closing parents as ')' come.
+        while open_nodes:
+            cur.skip_ws()
+            if cur.peek() != ":":
+                raise NewickSyntaxError("missing branch length", *cur.pos())
+            cur.advance()
+            length, lpos = _parse_length(cur)
+            ppos, siblings = open_nodes[-1]
+            siblings.append((occ, length, lpos))
+            cur.skip_ws()
+            ch = cur.peek()
+            if ch == ",":
+                cur.advance()
+                break
+            if ch == ")":
+                cur.advance()
+                open_nodes.pop()
+                occ = _parse_node_end(cur, ppos, siblings)
+                continue
+            if ch == "":
+                raise UnbalancedParens("unclosed parenthesis", *cur.pos())
+            raise NewickSyntaxError(f"expected ',' or ')', found {ch!r}", *cur.pos())
+        else:
+            return occ
 
 
 def parse_enewick(text: str) -> PhyloNetwork:
@@ -357,19 +372,32 @@ def write_enewick(net: PhyloNetwork) -> str:
             raise ValueError(f"length {x} has no finite decimal form")
         return text
 
+    # Pre-order with an explicit stack of (kind, x, parent): a "node" x, a
+    # "text" x, or the "length" of branch parent -> x, formatted after x.
     defined: set[str] = set()
-
-    def emit(v: str) -> str:
+    out: list[str] = []
+    stack: list[tuple[str, str, str]] = [("node", net.root, "")]
+    while stack:
+        kind, v, parent = stack.pop()
+        if kind == "text":
+            out.append(v)
+            continue
+        if kind == "length":
+            out.append(":" + fmt_length(net.times[v] - net.times[parent]))
+            continue
         tag = f"#H{tag_of[v]}" if v in tag_of else ""
         if tag and v in defined:
-            return safe[v] + tag
+            out.append(safe[v] + tag)
+            continue
         defined.add(v)
         if not children[v]:
-            return safe[v] + tag
-        parts = [
-            f"{emit(c)}:{fmt_length(net.times[c] - net.times[v])}"
-            for c in children[v]
-        ]
-        return "(" + ",".join(parts) + ")" + safe[v] + tag
-
-    return emit(net.root) + ";"
+            out.append(safe[v] + tag)
+            continue
+        out.append("(")
+        stack.append(("text", ")" + safe[v] + tag, ""))
+        for k, c in enumerate(reversed(children[v])):
+            if k:
+                stack.append(("text", ",", ""))
+            stack.append(("length", c, v))
+            stack.append(("node", c, ""))
+    return "".join(out) + ";"

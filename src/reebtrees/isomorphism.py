@@ -325,7 +325,8 @@ def reeb_iso(
     The shared prefilter refines both graphs to a common level set and
     compares colour multisets.  When both sides then classify cleanly and
     carry trivial orders, the decision compares sorted factor fingerprints;
-    otherwise it falls back to the backtracking oracle.  Optional leaf ranks
+    otherwise it falls back to the backtracking oracle, which searches the
+    prefiltered pair without filtering it again.  Optional leaf ranks
     constrain the bijection to respect the given integer on bottom vertices
     (unranked ones must map to unranked ones).
     """
@@ -335,13 +336,7 @@ def reeb_iso(
     ra, rb = pre[:2]
 
     def fallback() -> bool:
-        return brute_force_iso(
-            ra,
-            rb,
-            vertex_tags_a=leaf_ranks_a,
-            vertex_tags_b=leaf_ranks_b,
-            budget=budget,
-        )
+        return brute_force_iso(ra, rb, budget=budget, _pre=pre)
 
     try:
         va = build_dag_view(ra)
@@ -494,6 +489,7 @@ def brute_force_iso(
     vertex_tags_a: Mapping[str, int] | None = None,
     vertex_tags_b: Mapping[str, int] | None = None,
     budget: int | None = None,
+    _pre: tuple[ReebGraph, ReebGraph, tuple, tuple] | None = None,
 ) -> bool:
     """Backtracking isomorphism search.  Correct on every input it finishes;
     raises SizeLimitExceeded once the node budget runs out (default from
@@ -504,11 +500,17 @@ def brute_force_iso(
     endpoint.  Order relations are compared incrementally against everything
     already placed on the same level or gap; labels constrain edges only when
     ``use_labels`` is set.  ``vertex_tags_*`` add an integer color on bottom
-    vertices, matching the leaf-rank convention used elsewhere.
+    vertices, matching the leaf-rank convention used elsewhere.  ``_pre`` is
+    the prefilter's result for this very pair and its tags, when the caller
+    (reeb_iso's fallback) already has it.
     """
-    pre = _prefilter(a, b, vertex_tags_a, vertex_tags_b, use_labels)
-    if pre is None:
-        return False
+    pre = _prefilter(a, b, vertex_tags_a, vertex_tags_b, use_labels) if _pre is None else _pre
+    return pre is not None and _search(pre, budget)
+
+
+def _search(pre: tuple[ReebGraph, ReebGraph, tuple, tuple], budget: int | None) -> bool:
+    """brute_force_iso's backtracking on a pair that passed ``_prefilter``,
+    whose result ``pre`` is: the refined pair and both sides' colours."""
     ra, rb, (vinv_a, einv_a), (vinv_b, einv_b) = pre
     k = ra.level_count
 

@@ -8,22 +8,30 @@ Distances between vectors stay exact for the 1- and sup-norms; other p-norms
 return a certified decimal approximation.  Whole networks are compared by the
 Hausdorff distance between the vector sets of their tree factors.
 
-The Hausdorff kernel works on integers: both sets are multiplied by the
-least common multiple of their entries' denominators and stripped of
-duplicate vectors, each directed distance stops scanning for a vector's
-nearest neighbour once that vector cannot raise the maximum (the exact early
-break of Taha & Hanbury, IEEE TPAMI 2015), and the scale is divided out once
-at the end.  The lp distance is its case of two singletons.
+A vector is built top-down in O(taxa^2) slice work and O(vertices)
+interpreted steps, which matches its size: each child gets a copy of its
+parent's row of stamps against every taxon, filled in where the parent is
+the lowest common ancestor.  Stamps are computed once per level, also in
+integer form (times the LCM of their denominators), so every vector carries
+an exact integer copy of its entries.
+
+The Hausdorff kernel works on those integers: both sets are brought to the
+least common multiple of their vectors' scales and stripped of duplicate
+vectors, each directed distance stops scanning for a vector's nearest
+neighbour once that vector cannot raise the maximum (the exact early break
+of Taha & Hanbury, IEEE TPAMI 2015), and the scale is divided out once at
+the end.  Plain sequences are converted once per call.  The lp distance is
+its case of two singletons.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from operator import sub
+from operator import itemgetter, mul, sub
 from typing import Mapping, Sequence
 
 from .core import RESERVED_VERTEX_PREFIX, ReebGraph
@@ -100,6 +108,11 @@ class CopheneticVector:
     leaves: tuple[str, ...]
     entries: tuple[Fraction, ...]
     time_mode: str
+    # (scale, ints): the entries times the LCM of their denominators, set by
+    # cophenetic_vector and read by the Hausdorff kernel; None otherwise.
+    _integer: tuple[int, tuple[int, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def entry(self, i: int, j: int) -> Fraction:
         if i > j:
@@ -120,6 +133,16 @@ def cophenetic_vector(
     ``time_mode`` controls the reported numbers only: "f" stamps with the
     level value itself, "-f" with its negation (useful when levels encode a
     countdown to the present, so that stamps read as ages again).
+
+    One depth-first pass numbers the taxa so that every vertex covers a
+    contiguous range of them.  A top-down pass then hands each child a copy
+    of its parent's row, with the parent's range outside the child's filled
+    by the parent's stamp; at a taxon the row holds its stamp against every
+    taxon, and is reordered into ``leaf_order`` by one ``itemgetter``.  That
+    is O(taxa^2) work inside slice copies and O(vertices) interpreted steps.
+    Stamps are taken once per level, in Fraction and in integer form (times
+    the LCM of the denominators of the levels that occur as stamps), so the
+    vector's integer form for the Hausdorff kernel comes out of the same pass.
     """
     if time_mode not in ("f", "-f"):
         raise ValueError(f"time_mode must be 'f' or '-f', not {time_mode!r}")
@@ -131,36 +154,75 @@ def cophenetic_vector(
     if len(sources) != 1:
         raise NotRooted(f"{len(sources)} source vertices, expected exactly 1")
 
-    def parent(v: str) -> str | None:
-        es = graph.above_edges.get(v, ())
-        if not es:
-            return None
-        e = es[0]
-        return graph.up_maps[graph.edge_gap[e]][e]
+    leaves = leaf_order(source, ranks=ranks).leaves
+    n = len(leaves)
+    level_of = graph.vertex_level
+    children = {
+        v: [graph.down_maps[graph.edge_gap[e]][e] for e in es]
+        for v, es in graph.below_edges.items()
+    }
 
-    def chain(v: str) -> list[str]:
-        out = [v]
-        while (p := parent(out[-1])) is not None:
-            out.append(p)
-        return out
+    # Pre-order numbers the taxa; then each vertex covers [lo, hi) of them.
+    root = sources[0]
+    lo: dict[str, int] = {}
+    order: list[str] = []
+    stack = [root]
+    taken = 0
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        lo[v] = taken
+        if v in children:
+            stack.extend(reversed(children[v]))
+        else:
+            taken += 1
+    hi: dict[str, int] = {}
+    for v in reversed(order):
+        hi[v] = hi[children[v][-1]] if v in children else lo[v] + 1
 
-    def stamp(v: str) -> Fraction:
-        value = graph.levels[graph.vertex_level[v]]
-        return value if time_mode == "f" else -value
+    # One stamp per level; only taxa and branching vertices stamp a pair.
+    stamp_levels = {level_of[v] for v in leaves}
+    stamp_levels.update(level_of[v] for v, kids in children.items() if len(kids) > 1)
+    values = [x if time_mode == "f" else -x for x in graph.levels]
+    scale = math.lcm(*(values[i].denominator for i in stamp_levels))
+    ints = {i: values[i].numerator * (scale // values[i].denominator) for i in stamp_levels}
 
-    ordering = leaf_order(source, ranks=ranks)
-    leaves = ordering.leaves
-    chains = {v: chain(v) for v in leaves}
-    entries: list[Fraction] = []
-    for i, li in enumerate(leaves):
-        pos = {v: idx for idx, v in enumerate(chains[li])}
-        for j in range(i, len(leaves)):
-            if i == j:
-                entries.append(stamp(li))
-                continue
-            lca = next(v for v in chains[leaves[j]] if v in pos)
-            entries.append(stamp(lca))
-    return CopheneticVector(leaves=leaves, entries=tuple(entries), time_mode=time_mode)
+    # A row holds, at each taxon position outside the vertex's range, the
+    # stamp of the lowest common ancestor; the last child takes the row over.
+    # (itemgetter of a single index returns the item, not a 1-tuple.)
+    pick = itemgetter(*(lo[v] for v in leaves)) if n > 1 else tuple
+    rank = {v: i for i, v in enumerate(leaves)}
+    out: list[int] = [0] * (n * (n + 1) // 2)
+    todo: list[tuple[str, list[int]]] = [(root, [0] * n)]
+    while todo:
+        v, row = todo.pop()
+        s = ints.get(level_of[v])
+        kids = children.get(v)
+        if kids is None:
+            row[lo[v]] = s
+            i = rank[v]
+            start = i * n - i * (i - 1) // 2
+            out[start:start + n - i] = pick(row)[i:]
+            continue
+        a, b = lo[v], hi[v]
+        *first, last = kids
+        for c in first:
+            r = row.copy()
+            r[a:lo[c]] = [s] * (lo[c] - a)
+            r[hi[c]:b] = [s] * (b - hi[c])
+            todo.append((c, r))
+        # The last child's range ends where v's does.
+        row[a:lo[last]] = [s] * (lo[last] - a)
+        todo.append((last, row))
+
+    scaled = tuple(out)
+    del out
+    stamp = {ints[i]: values[i] for i in stamp_levels}
+    vec = CopheneticVector(
+        leaves=leaves, entries=tuple(map(stamp.__getitem__, scaled)), time_mode=time_mode
+    )
+    object.__setattr__(vec, "_integer", (scale, scaled))
+    return vec
 
 
 def _iroot(x: int, p: int) -> int:
@@ -198,10 +260,18 @@ def nth_root_fraction(value: Fraction, p: int, digits: int) -> Fraction:
 Entries = Sequence[Fraction]
 
 
-def _entries_of(u: "CopheneticVector | Entries") -> tuple[Fraction, ...]:
+def _integer_form(u: "CopheneticVector | Entries") -> tuple[int, tuple[int, ...]]:
+    """(scale, ints): the vector times the LCM of its entries' denominators.
+    A vector from cophenetic_vector carries it; anything else is read as
+    Fractions and converted here."""
     if isinstance(u, CopheneticVector):
-        return u.entries
-    return tuple(Fraction(x) for x in u)
+        if u._integer is not None:
+            return u._integer
+        entries = u.entries
+    else:
+        entries = tuple(Fraction(x) for x in u)
+    scale = math.lcm(*{x.denominator for x in entries})
+    return scale, tuple(x.numerator * (scale // x.denominator) for x in entries)
 
 
 def _is_inf(p) -> bool:
@@ -236,10 +306,14 @@ def _check_lengths(rows_a: list[tuple], rows_b: list[tuple]) -> None:
             raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {n}")
 
 
-def _scaled(rows: list[tuple[Fraction, ...]], scale: int) -> set[tuple[int, ...]]:
-    """The distinct vectors among ``rows``, multiplied by ``scale``; every
-    entry's denominator divides it, so the entries become integers."""
-    return {tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows}
+def _rescaled(forms: list[tuple[int, tuple[int, ...]]], scale: int) -> set[tuple[int, ...]]:
+    """The distinct vectors among ``forms``, each brought to the common
+    ``scale``, a multiple of its own."""
+    out = set()
+    for own, row in forms:
+        k = scale // own
+        out.add(row if k == 1 else tuple(map(mul, row, repeat(k))))
+    return out
 
 
 def _cost(q: int | None):
@@ -276,11 +350,11 @@ def _directed(a: set, b: set, cost, worst: int) -> int:
 
 def _hausdorff(set_a: Sequence, set_b: Sequence, p, digits: int) -> Fraction:
     q = _exponent(p)
-    rows_a = [_entries_of(u) for u in set_a]
-    rows_b = [_entries_of(v) for v in set_b]
-    _check_lengths(rows_a, rows_b)
-    scale = math.lcm(*{x.denominator for rows in (rows_a, rows_b) for row in rows for x in row})
-    a, b = _scaled(rows_a, scale), _scaled(rows_b, scale)
+    forms_a = [_integer_form(u) for u in set_a]
+    forms_b = [_integer_form(v) for v in set_b]
+    _check_lengths([row for _, row in forms_a], [row for _, row in forms_b])
+    scale = math.lcm(*{own for own, _ in forms_a + forms_b})
+    a, b = _rescaled(forms_a, scale), _rescaled(forms_b, scale)
     cost = _cost(q)
     raw = _directed(b, a, cost, _directed(a, b, cost, 0))
     if q is None or q == 1:
@@ -306,7 +380,8 @@ def hausdorff_distance(
     Exact throughout: both sets are multiplied by the least common multiple
     of all their entries' denominators, so every pairwise cost is computed
     on integers, and duplicate vectors are dropped, since the distance sees
-    only sets.  Each directed distance uses the exact early break of Taha &
+    only sets.  Vectors from cophenetic_vector arrive with their integer
+    form; other sequences are converted once per call.  Each directed distance uses the exact early break of Taha &
     Hanbury (IEEE TPAMI 2015): the scan for a vector's nearest neighbour
     stops once it cannot raise the maximum found so far.  The scale is
     divided out once at the end.

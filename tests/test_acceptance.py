@@ -2,13 +2,17 @@
 
 Each test prints a single "criterion N: PASS (...)" line on success (visible
 with -s or -rA); a failing criterion shows up as a plain pytest failure.
-Timed criteria measure wall-clock time on the spot.
+Timed criteria measure wall-clock time on the spot.  Deep and long eNewick
+inputs are checked beside criterion 10, without any time bound.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -33,9 +37,11 @@ from reebtrees import (
     lp_distance,
     make_graph,
     network_distance,
+    network_to_reeb,
     parse_enewick,
     random_graph,
     reeb_iso,
+    reeb_to_network,
     validate,
     write_enewick,
 )
@@ -345,3 +351,91 @@ def test_criterion_10_parser_round_trip_and_fuzz():
             crashes.append((repr(s), repr(exc)))
     assert not crashes, crashes[:5]
     note(10, "50-file fixed point, 10000 fuzz inputs, no crashes")
+
+
+def deep_caterpillar(depth: int) -> str:
+    """``depth`` nested parentheses: (((t0:1,t1:0.5)i1:1,t2:0.5)i2:1,...)."""
+    text = "t0"
+    for k in range(1, depth + 1):
+        text = f"({text}:1,t{k}:0.5)i{k}"
+    return text + ";"
+
+
+def long_comb(taxa: int) -> str:
+    """One root over ``taxa`` leaves, names in the order the writer uses."""
+    lengths = ("1", "1.5", "2")
+    return "(" + ",".join(f"t{k:04d}:{lengths[k % 3]}" for k in range(taxa)) + ")r;"
+
+
+def test_deep_and_long_round_trip():
+    for text, taxa in ((deep_caterpillar(2000), 2001), (long_comb(2000), 2000)):
+        net = parse_enewick(text)
+        assert write_enewick(net) == text
+        graph = network_to_reeb(net)
+        assert validate(graph) == []
+        again = network_to_reeb(parse_enewick(write_enewick(reeb_to_network(graph))))
+        assert again == graph
+        assert len(cophenetic_vector(graph).entries) == taxa * (taxa + 1) // 2
+
+
+def test_deep_and_long_damage_gives_positioned_errors():
+    rng = random.Random(20261018)
+    for text in (deep_caterpillar(2000), long_comb(2000)):
+        for cut in rng.sample(range(len(text)), 8):
+            with pytest.raises(PositionedError) as info:
+                parse_enewick(text[:cut])
+            assert info.value.line >= 1 and info.value.col >= 1
+        for _ in range(8):
+            at = rng.randrange(len(text) + 1)
+            damaged = text[:at] + rng.choice("(),:;#H.x ") + text[at:]
+            try:
+                parse_enewick(damaged)
+            except PositionedError as exc:
+                assert exc.line >= 1 and exc.col >= 1
+
+
+def test_deep_caterpillar_validates_on_the_command_line(tmp_path):
+    path = tmp_path / "deep.enwk"
+    path.write_text(deep_caterpillar(2000) + "\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    done = subprocess.run(
+        [sys.executable, "-m", "reebtrees", "validate", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
+
+
+def chain_lca_stamp(graph, x: str, y: str) -> Fraction:
+    """Level of the lowest common ancestor of two taxa, by ancestor chains."""
+
+    def chain(v: str) -> list[str]:
+        out = [v]
+        while graph.above_edges.get(out[-1]):
+            e = graph.above_edges[out[-1]][0]
+            out.append(graph.up_maps[graph.edge_gap[e]][e])
+        return out
+
+    above_x = set(chain(x))
+    lca = next(v for v in chain(y) if v in above_x)
+    return graph.levels[graph.vertex_level[lca]]
+
+
+def test_long_caterpillar_vector_spot_checks():
+    rng = random.Random(1500)
+    n = 1500
+    text = "t0"
+    for k in range(1, n):
+        text = f"({text}:{rng.choice(('0.5', '1', '2.25'))},t{k}:{rng.choice(('0.5', '3'))})i{k}"
+    graph = network_to_reeb(parse_enewick(text + ";"))
+    perm = rng.sample(range(n), n)
+    ranks = {f"t{k}": perm[k] for k in range(n)}
+    vec = cophenetic_vector(graph, ranks=ranks)
+    assert len(vec.entries) == n * (n + 1) // 2
+    pairs = [(0, 0), (0, n - 1), (n - 1, n - 1)]
+    pairs += [tuple(sorted(rng.sample(range(n), 2))) for _ in range(20)]
+    for i, j in pairs:
+        assert vec.entry(i, j) == chain_lca_stamp(graph, vec.leaves[i], vec.leaves[j])

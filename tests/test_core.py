@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import types
 from dataclasses import replace
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -324,6 +328,29 @@ def test_edge_structure_detects_difference():
     a = make_graph([0, 1], [["a"], ["b"]], [[("e", "a", "b")]])
     b = make_graph([0, 1], [["a"], ["b"]], [[("e", "a", "b"), ("f", "a", "b")]])
     assert not same_edge_structure(a, b)
+
+
+def test_runtime_imports_only_stdlib():
+    # -S keeps the site hooks (.pth files) of this interpreter from loading
+    # their own modules; installed packages stay importable through the
+    # site-packages paths, so an optional third-party import would show.
+    src = str(Path(reebtrees.__file__).resolve().parents[1])
+    code = (
+        "import site, sys\n"
+        "sys.path += site.getsitepackages()\n"
+        "import reebtrees, reebtrees.cli\n"
+        "print('\\n'.join(sorted({m.split('.')[0] for m in sys.modules})))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "reebtrees" in loaded
+    foreign = loaded - set(sys.stdlib_module_names) - {"reebtrees", "__main__"}
+    assert not foreign, sorted(foreign)
 
 
 def test_public_names():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,21 +12,28 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from reebtrees import (
+    CopheneticVector,
     DimensionMismatch,
     EmptySet,
+    GeneratorSpec,
     IncompatibleShape,
+    InfeasibleSpec,
     NotATree,
     NotRooted,
     build_dag_view,
     cophenetic_vector,
     decompose,
+    enewick_to_reeb,
     hausdorff_distance,
     leaf_order,
     lp_distance,
     make_graph,
     network_distance,
     nth_root_fraction,
+    random_graph,
 )
+from reebtrees.core import ReebGraph
+from reebtrees.decomposition import Factor
 
 F = Fraction
 
@@ -152,6 +161,187 @@ class TestCopheneticVector:
         )
         with pytest.raises(NotRooted, match="2 source vertices, expected exactly 1"):
             cophenetic_vector(g)
+
+
+def reference_cophenetic_vector(
+    source: ReebGraph | Factor,
+    *,
+    ranks=None,
+    time_mode: str = "f",
+) -> CopheneticVector:
+    """The chain/LCA construction the top-down pass replaced: for every pair
+    of taxa, walk one taxon's ancestor chain until it meets the other's."""
+    if time_mode not in ("f", "-f"):
+        raise ValueError(f"time_mode must be 'f' or '-f', not {time_mode!r}")
+    graph = source.graph if isinstance(source, Factor) else source
+    for v in graph.vertex_level:
+        if graph.indeg(v) > 1:
+            raise NotATree(f"vertex {v!r} has {graph.indeg(v)} edges arriving from above")
+    sources = [v for v in graph.vertex_ids() if graph.indeg(v) == 0]
+    if len(sources) != 1:
+        raise NotRooted(f"{len(sources)} source vertices, expected exactly 1")
+
+    def parent(v: str) -> str | None:
+        es = graph.above_edges.get(v, ())
+        if not es:
+            return None
+        e = es[0]
+        return graph.up_maps[graph.edge_gap[e]][e]
+
+    def chain(v: str) -> list[str]:
+        out = [v]
+        while (p := parent(out[-1])) is not None:
+            out.append(p)
+        return out
+
+    def stamp(v: str) -> Fraction:
+        value = graph.levels[graph.vertex_level[v]]
+        return value if time_mode == "f" else -value
+
+    ordering = leaf_order(source, ranks=ranks)
+    leaves = ordering.leaves
+    chains = {v: chain(v) for v in leaves}
+    entries: list[Fraction] = []
+    for i, li in enumerate(leaves):
+        pos = {v: idx for idx, v in enumerate(chains[li])}
+        for j in range(i, len(leaves)):
+            if i == j:
+                entries.append(stamp(li))
+                continue
+            lca = next(v for v in chains[leaves[j]] if v in pos)
+            entries.append(stamp(lca))
+    return CopheneticVector(leaves=leaves, entries=tuple(entries), time_mode=time_mode)
+
+
+def random_enewick_tree(rng: random.Random, shape: str, n: int, lengths) -> str:
+    """A seeded eNewick tree over taxa t0..t{n-1}.  "random" joins two to
+    four subtrees at a time (multifurcations); mixed lengths make branches
+    span several levels, so the embedding has pass-through vertices."""
+    subtrees = [f"t{k}" for k in rng.sample(range(n), n)]
+    counter = 0
+
+    def join(parts):
+        nonlocal counter
+        counter += 1
+        inner = ",".join(f"{p}:{rng.choice(lengths)}" for p in parts)
+        return f"({inner})i{counter}"
+
+    if shape == "caterpillar":
+        node = subtrees[0]
+        for leaf in subtrees[1:]:
+            node = join([node, leaf])
+        return node + ";"
+    while len(subtrees) > 1:
+        if shape == "balanced":
+            subtrees = [join(subtrees[k:k + 2]) if k + 1 < len(subtrees) else subtrees[k]
+                        for k in range(0, len(subtrees), 2)]
+        else:
+            k = min(rng.randint(2, 4), len(subtrees))
+            picked = rng.sample(range(len(subtrees)), k)
+            parts = [subtrees[i] for i in picked]
+            subtrees = [t for i, t in enumerate(subtrees) if i not in picked]
+            subtrees.append(join(parts))
+    return subtrees[0] + ";"
+
+
+DECIMAL_LENGTHS = ("0.25", "0.5", "1", "1.5", "2.75")
+WHOLE_LENGTHS = ("1", "2", "3")
+
+
+def seeded_trees():
+    """(graph, ranks) over caterpillar, balanced and random shapes, with
+    decimal and whole lengths, ranked and unranked."""
+    rng = random.Random(20261018)
+    out = []
+    for shape in ("caterpillar", "balanced", "random"):
+        for k in range(8):
+            n = rng.randint(2, 40)
+            lengths = DECIMAL_LENGTHS if k % 2 else WHOLE_LENGTHS
+            graph = enewick_to_reeb(random_enewick_tree(rng, shape, n, lengths))
+            perm = rng.sample(range(n), n)
+            ranks = {f"t{i}": perm[i] for i in range(n)} if k % 3 else None
+            out.append((graph, ranks))
+    # Hand-written: a multifurcation with unary stretches, and one taxon.
+    out.append((enewick_to_reeb("(a:1,b:2.5,c:1.5,(d:1,e:3,f:0.5)g:1,(h:4)u:0.5)r;"), None))
+    out.append((enewick_to_reeb("(t0:1.5)r;"), None))
+    return out
+
+
+def seeded_factors():
+    """(factor, ranks) of generator graphs with in-degree-3 merges, whose
+    factors carry cut leaves; ranks cover the original taxa only."""
+    out = []
+    for seed in range(12):
+        for n, s, levels in ((2, 2, 3), (3, 2, 4), (4, 3, 5), (3, 4, 5)):
+            try:
+                g = random_graph(GeneratorSpec(seed=seed, n_leaves=n, betti=s, levels=levels, max_indeg=3))
+            except InfeasibleSpec:
+                continue
+            taxa = sorted(v for v in g.vertex_ids() if g.outdeg(v) == 0)
+            ranks = {v: -i for i, v in enumerate(taxa)} if seed % 2 else None
+            out.extend((f, ranks) for f in decompose(build_dag_view(g)).factors)
+    return out
+
+
+class TestTopDownMatchesReference:
+    @pytest.mark.parametrize("time_mode", ["f", "-f"])
+    def test_trees(self, time_mode):
+        for graph, ranks in seeded_trees():
+            got = cophenetic_vector(graph, ranks=ranks, time_mode=time_mode)
+            assert got == reference_cophenetic_vector(graph, ranks=ranks, time_mode=time_mode)
+
+    @pytest.mark.parametrize("time_mode", ["f", "-f"])
+    def test_generator_factors(self, time_mode):
+        factors = seeded_factors()
+        assert len(factors) >= 200
+        assert any(any(x.startswith("cut:") for x in leaf_order(f).leaves) for f, _ in factors)
+        for factor, ranks in factors:
+            got = cophenetic_vector(factor, ranks=ranks, time_mode=time_mode)
+            assert got == reference_cophenetic_vector(factor, ranks=ranks, time_mode=time_mode)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, "inf"])
+    def test_distances_see_entries_only(self, p):
+        # Same taxon count, one side with quarter lengths and one with whole
+        # lengths, so the two vectors' own scales differ.
+        rng = random.Random(7)
+        for n in (2, 9, 23):
+            trees = [
+                enewick_to_reeb(random_enewick_tree(rng, shape, n, lengths))
+                for shape, lengths in (("random", DECIMAL_LENGTHS), ("balanced", WHOLE_LENGTHS),
+                                       ("caterpillar", DECIMAL_LENGTHS))
+            ]
+            vecs = [cophenetic_vector(t, time_mode=m) for t in trees for m in ("f", "-f")]
+            plain = [v.entries for v in vecs]
+            assert lp_distance(vecs[0], vecs[2], p) == lp_distance(plain[0], plain[2], p)
+            assert lp_distance(vecs[1], plain[4], p) == lp_distance(plain[1], plain[4], p)
+            d = hausdorff_distance(vecs[:3], vecs[3:], p)
+            assert type(d) is F
+            assert d == hausdorff_distance(plain[:3], plain[3:], p)
+            assert d == hausdorff_distance(vecs[:3], plain[3:], p)
+            assert d == reference_hausdorff(plain[:3], plain[3:], p)
+        factors = [f for f, _ in seeded_factors()]
+        by_size: dict[int, list] = {}
+        for f in factors:
+            by_size.setdefault(len(leaf_order(f).leaves), []).append(cophenetic_vector(f))
+        for group in by_size.values():
+            half = max(1, len(group) // 2)
+            a, b = group[:half], group[half:] or group[:1]
+            assert hausdorff_distance(a, b, p) == hausdorff_distance(
+                [v.entries for v in a], [v.entries for v in b], p
+            )
+
+    def test_equality_hash_and_repr_ignore_integer_form(self):
+        graph, ranks = seeded_trees()[5]
+        one = cophenetic_vector(graph, ranks=ranks)
+        two = cophenetic_vector(graph, ranks=ranks)
+        bare = CopheneticVector(leaves=one.leaves, entries=one.entries, time_mode=one.time_mode)
+        assert one == two == bare
+        assert hash(one) == hash(two) == hash(bare)
+        assert repr(one) == repr(bare)
+        assert "_integer" not in repr(one)
+        # A replaced vector keeps no integer form from its original.
+        shifted = dataclasses.replace(one, entries=tuple(x + F(1, 3) for x in one.entries))
+        assert lp_distance(one, shifted, 1) == F(len(one.entries), 3)
 
 
 class TestNthRoot:
