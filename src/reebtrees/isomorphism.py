@@ -2,32 +2,37 @@
 
 canonical_form fingerprints a leveled tree together with its level orders,
 exactly: equal fingerprints mean a level- and order-preserving bijection
-exists.  reeb_iso and brute_force_iso decide isomorphism of whole graphs.
-Both start with one shared prefilter, which refines the pair to common levels
-and compares colour multisets per level and per gap.  reeb_iso then takes the
-fingerprint route (decompose both sides into trees, compare fingerprint
-multisets) or, when that route is closed, the oracle route: brute_force_iso,
-a plain backtracking matcher usable as an independent oracle on anything
-small.
+exists.  It roots the tree at its source, builds integer subtree codes depth
+by depth, refines them by the order relations and individualises vertices
+where ties remain.
+
+reeb_iso and brute_force_iso decide isomorphism of whole graphs.  Both start
+with one shared prefilter, which refines the pair to common levels and
+compares colour multisets per level and per gap.  reeb_iso then takes the
+fingerprint route or, when that route is closed (several sources, or level
+orders), the oracle route: brute_force_iso, a plain backtracking matcher
+usable as an independent oracle on anything small.  The fingerprint route
+rests on the paper's glue-back argument: one factor of a, with its (merge
+vertex, cut leaf) covers, matches some factor of b exactly when a and b are
+isomorphic.  It fingerprints a's first factor once, then builds b's factors
+one at a time, skipping those a shared colour refinement of the pair rules
+out, and stops at the first match, from which it builds a witness.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import os
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .core import LevelPoset, ReebGraph, common_refinement
 from .dag import DagView, build_dag_view
-from .decomposition import decompose
+from .decomposition import CutChoice, apply_choice, decompose, enumerate_choices
 from .errors import (
     LabelMismatch,
     MissingLabels,
     NotATree,
-    OrderConflict,
     ReticulationConflict,
     SizeLimitExceeded,
 )
@@ -57,8 +62,8 @@ def _colours(
     (elements below, elements above, label or "") for an edge.  Below and
     above count the generated order; the tag is -1 off sinks and untagged."""
     tags = tags or {}
-    # Degrees straight from the maps: canonical_form runs this on every
-    # factor, and the graph's cached adjacency would be built and kept for each.
+    # Degrees straight from the maps, without building the graph's cached
+    # adjacency.
     indeg: dict[str, int] = {}
     outdeg: dict[str, int] = {}
     for down, up in zip(graph.down_maps, graph.up_maps):
@@ -117,6 +122,185 @@ class CanonicalForm:
     """Opaque, totally ordered fingerprint of a leveled tree with orders."""
 
     data: bytes
+    # Vertex ids in the canonical numbering the fingerprint is read from;
+    # reeb_iso pairs two of them into a witness.
+    _vertices: tuple[str, ...] = field(default=(), init=False, repr=False, compare=False)
+
+
+class _RootedTree:
+    """A tree rooted at one vertex and numbered breadth-first, so parents
+    precede children and every depth is one contiguous index range.  Index i
+    stands for its vertex and, below the root, for the edge to its parent."""
+
+    def __init__(self, root, adj, level, tag, vertex_pairs, edge_pairs):
+        ids = [root]
+        parent = [-1]
+        index = {root: 0}
+        edge_node: dict[str, int] = {}
+        self.bounds = bounds = [0, 1]
+        lo = 0
+        while True:
+            hi = len(ids)
+            for i in range(lo, hi):
+                for w, e in adj[ids[i]]:
+                    if w not in index:
+                        index[w] = edge_node[e] = len(ids)
+                        ids.append(w)
+                        parent.append(i)
+            if len(ids) == hi:
+                break
+            bounds.append(len(ids))
+            lo = hi
+        self.ids, self.parent, self.n = ids, parent, len(ids)
+        self.children: list[list[int]] = [[] for _ in ids]
+        for i in range(1, self.n):
+            self.children[parent[i]].append(i)
+        # Partners are (kind, index): 0 below / 1 above a vertex, 2 below /
+        # 3 above an edge, in the generated orders.
+        self.partners: list[list[tuple[int, int]]] = [[] for _ in ids]
+        self.vertex_pairs = [(index[x], index[y]) for x, y in vertex_pairs]
+        self.edge_pairs = [(edge_node[e], edge_node[f]) for e, f in edge_pairs]
+        for kind, pairs in ((0, self.vertex_pairs), (2, self.edge_pairs)):
+            for i, j in pairs:
+                self.partners[i].append((kind, j))
+                self.partners[j].append((kind + 1, i))
+        self.level = [level[v] for v in ids]
+        self.tag = [tag(v) for v in ids]
+        # A vertex is involved when it or a descendant carries a relation;
+        # lone when the relations sit on it (or its parent edge) alone.
+        involved = [bool(p) for p in self.partners]
+        self.lone = list(involved)
+        for i in range(self.n - 1, 0, -1):
+            if involved[i]:
+                involved[parent[i]] = True
+                self.lone[parent[i]] = False
+        self.involved = [i for i in range(self.n) if involved[i]]
+        self.base = []
+        for lvl, t, ps in zip(self.level, self.tag, self.partners):
+            counts = [0, 0, 0, 0]
+            for kind, _ in ps:
+                counts[kind] += 1
+            self.base.append((lvl, t, *counts))
+
+    def _up(self, col: list) -> list[int]:
+        """Subtree codes, deepest depth first, interned per depth."""
+        sub = [0] * self.n
+        code = 0
+        b, children = self.bounds, self.children
+        for d in range(len(b) - 2, -1, -1):
+            lo, hi = b[d], b[d + 1]
+            sigs = [
+                (col[i], tuple(sorted([sub[c] for c in children[i]]))) for i in range(lo, hi)
+            ]
+            rank = {s: k for k, s in enumerate(sorted(set(sigs)), code)}
+            code += len(rank)
+            sub[lo:hi] = [rank[s] for s in sigs]
+        return sub
+
+    def _down(self, sub: list[int]) -> tuple[list[int], int]:
+        """Codes of the root paths: equal exactly for vertices that an
+        automorphism of the rooted, coloured tree exchanges.  Also returns
+        how many there are."""
+        ctx = [0] * self.n
+        code = 1
+        b, parent = self.bounds, self.parent
+        for d in range(1, len(b) - 1):
+            lo, hi = b[d], b[d + 1]
+            sigs = [(ctx[parent[i]], sub[i]) for i in range(lo, hi)]
+            rank = {s: k for k, s in enumerate(sorted(set(sigs)), code)}
+            code += len(rank)
+            ctx[lo:hi] = [rank[s] for s in sigs]
+        return ctx, code
+
+    def refine(self, col: list) -> list[int]:
+        """Alternate tree codes with the colours of relation partners until
+        no cell splits."""
+        while True:
+            sub = self._up(col)
+            if not self.involved:
+                return sub  # siblings with equal codes are then interchangeable
+            ctx, cells = self._down(sub)
+            sigs = [
+                (c, tuple(sorted([(kind, ctx[j]) for kind, j in ps])))
+                for c, ps in zip(ctx, self.partners)
+            ]
+            rank = {s: k for k, s in enumerate(sorted(set(sigs)))}
+            col = [rank[s] for s in sigs]
+            if len(rank) == cells:
+                return col
+
+    def target(self, col: list[int]) -> list[int] | None:
+        """One member per twin class of the first cell of involved vertices
+        that holds more than one class; None when no such cell is left.
+        Twins are lone siblings with the same relation partners: exchanging
+        them is an automorphism, so either gives the same result."""
+        cells: dict[int, list[int]] = {}
+        for i in self.involved:
+            cells.setdefault(col[i], []).append(i)
+        for c in sorted(cells):
+            members = cells[c]
+            if len(members) < 2:
+                continue
+            reps: dict[object, int] = {}
+            for i in members:
+                key = (self.parent[i], frozenset(self.partners[i])) if self.lone[i] else i
+                reps.setdefault(key, i)
+            if len(reps) > 1:
+                return list(reps.values())
+        return None
+
+    def certificate(self, col: list[int]) -> tuple[tuple[int, ...], list[int]]:
+        """The tree read in pre-order with children sorted by colour: level,
+        rank and parent number of every vertex, then the numbered vertex and
+        edge order pairs.  Also the visiting order."""
+        order: list[int] = []
+        num = [0] * self.n
+        stack = [0]
+        children = self.children
+        while stack:
+            i = stack.pop()
+            num[i] = len(order)
+            order.append(i)
+            if children[i]:
+                stack.extend(sorted(children[i], key=col.__getitem__, reverse=True))
+        flat: list[int] = []
+        for i in order:
+            flat += (self.level[i], self.tag[i], num[self.parent[i]] if i else -1)
+        for pairs in (self.vertex_pairs, self.edge_pairs):
+            flat.append(len(pairs))
+            for x, y in sorted((num[i], num[j]) for i, j in pairs):
+                flat += (x, y)
+        return tuple(flat), order
+
+
+def _centres(adj: Mapping[str, list[tuple[str, str]]], n_v: int) -> list[str]:
+    """The one or two centre vertices of a tree, by leaf peeling."""
+    start = next(iter(adj))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w, _ in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) != n_v:
+        raise NotATree("underlying graph is not connected")
+    deg = {v: len(adj[v]) for v in adj}
+    removed: set[str] = set()
+    layer = [v for v in adj if deg[v] <= 1]
+    remaining = n_v
+    while remaining > 2:
+        nxt = []
+        for v in layer:
+            removed.add(v)
+            remaining -= 1
+            for w, _ in adj[v]:
+                if w not in removed:
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        nxt.append(w)
+        layer = nxt
+    return sorted(v for v in adj if v not in removed)
 
 
 def canonical_form(
@@ -134,164 +318,81 @@ def canonical_form(
     sensitive to leaf identity; unranked leaves take -1.  Edge labels are
     deliberately ignored.
 
-    The core is a bottom-up code over the tree rooted at its center, with
-    explicit order relations appended under a canonical numbering.  When
-    sibling subtrees tie and contain order-involved elements, all their
-    arrangements are tried and the smallest serialization wins; the number of
-    arrangements is capped by ``budget``.
+    The tree is rooted at its unique source, or, when it has several, at its
+    centre (at each of two centres, keeping the least result).  Subtree codes
+    are built bottom-up one depth at a time and interned to small integers,
+    so nothing nests and nothing recurses; order relations then refine them
+    by colour refinement.  Where vertices carrying relations still tie, one
+    member of the first tied cell is individualised at a time and the least
+    result is kept; siblings with equal codes and the same relation partners
+    are interchangeable and never branched on.  Every individualisation
+    counts against ``budget`` (default REEB_SEARCH_BUDGET, else 10**7), and
+    SizeLimitExceeded is raised once it is spent.  The fingerprint lists the
+    level values, then each vertex's level, rank and parent in the canonical
+    numbering, then the numbered order pairs.  These bytes differ from those
+    of releases that read a nested code from the tree's centre and broke
+    ties by trying permutations; compare fingerprints made by one version.
     """
     n_v = sum(len(vs) for vs in graph.vertex_sets)
     n_e = sum(len(es) for es in graph.edge_sets)
     if n_e != n_v - 1:
         raise NotATree(f"{n_e} edges on {n_v} vertices")
 
-    adj: dict[str, list[tuple[str, str]]] = {
-        v: [] for vs in graph.vertex_sets for v in vs
-    }
-    for i in range(graph.gap_count):
-        for e in graph.edge_sets[i]:
-            d = graph.down_maps[i][e]
-            u = graph.up_maps[i][e]
-            adj[d].append((e, u))
-            adj[u].append((e, d))
+    level = {v: i for i, vs in enumerate(graph.vertex_sets) for v in vs}
+    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in level}
+    non_sources: set[str] = set()
+    non_sinks: set[str] = set()
+    for down, up in zip(graph.down_maps, graph.up_maps):
+        for e, d in down.items():
+            u = up[e]
+            adj[d].append((u, e))
+            adj[u].append((d, e))
+            non_sources.add(d)
+            non_sinks.add(u)
+    sources = [v for v in adj if v not in non_sources]
+    roots = sources if len(sources) == 1 else _centres(adj, n_v)
 
-    start = next(iter(adj))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for e, w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != n_v:
-        raise NotATree("underlying graph is not connected")
+    ranks = leaf_ranks or {}
 
-    vertex_pairs = [p for poset in graph.vertex_orders for p in _strict_pairs(poset)]
-    edge_pairs = [p for poset in graph.edge_orders for p in _strict_pairs(poset)]
-    involved_v = {x for p in vertex_pairs for x in p}
-    involved_e = {x for p in edge_pairs for x in p}
+    def tag(v: str) -> int:
+        return -1 if v in non_sinks else ranks.get(v, -1)
 
-    # Integer-only codes (level numerator and denominator, closure counts,
-    # rank) keep the tuple comparisons below cheap.
-    vcol, ecol = _colours(graph, leaf_ranks, False)
-    vc: dict[str, tuple[int, int, int, int, int]] = {}
-    for v in adj:
-        lvl = graph.levels[graph.vertex_level[v]]
-        vc[v] = (lvl.numerator, lvl.denominator, *vcol[v][2:])
-    ec = {e: c[:2] for e, c in ecol.items()}
-
-    # Tree center by iterative leaf peeling; one or two vertices survive.
-    deg = {v: len(adj[v]) for v in adj}
-    removed: set[str] = set()
-    layer = sorted(v for v in adj if deg[v] <= 1)
-    remaining = n_v
-    while remaining > 2:
-        nxt = []
-        for v in layer:
-            removed.add(v)
-            remaining -= 1
-            for e, w in adj[v]:
-                if w in removed:
-                    continue
-                deg[w] -= 1
-                if deg[w] == 1:
-                    nxt.append(w)
-        layer = sorted(nxt)
-    centers = sorted(v for v in adj if v not in removed)
+    vertex_pairs = [p for poset in graph.vertex_orders if poset.covers for p in _strict_pairs(poset)]
+    edge_pairs = [p for poset in graph.edge_orders if poset.covers for p in _strict_pairs(poset)]
 
     budget_value = _budget(budget)
-    candidates = []
-    total_candidates = 0
-    for root in centers:
-        visited = {root}
-        children: dict[str, list[tuple[str, str]]] = {v: [] for v in adj}
-        order = [root]
-        stack = [root]
+    branches = 0
+    best = None
+    for root in roots:
+        tree = _RootedTree(root, adj, level, tag, vertex_pairs, edge_pairs)
+        if tree.n != n_v:
+            raise NotATree("underlying graph is not connected")
+        stack = [tree.base]
         while stack:
-            v = stack.pop()
-            for e, w in sorted(adj[v]):
-                if w in visited:
-                    continue
-                visited.add(w)
-                children[v].append((e, w))
-                order.append(w)
-                stack.append(w)
-
-        code: dict[str, tuple] = {}
-        subflag: dict[str, bool] = {}
-        for v in reversed(order):
-            kids = sorted((ec[e], code[w]) for e, w in children[v])
-            code[v] = (vc[v], tuple(kids))
-            subflag[v] = v in involved_v or any(
-                e in involved_e or subflag[w] for e, w in children[v]
-            )
-
-        def block_flagged(member: tuple[str, str]) -> bool:
-            e, w = member
-            return e in involved_e or subflag[w]
-
-        options_by_vertex: dict[str, list[list[tuple[str, str]]]] = {}
-        root_count = 1
-        for v in order:
-            kids = children[v]
-            if not kids:
-                options_by_vertex[v] = [[]]
+            col = tree.refine(stack.pop())
+            cell = tree.target(col)
+            if cell is None:
+                cert, order = tree.certificate(col)
+                if best is None or cert < best[0]:
+                    best = (cert, [tree.ids[i] for i in order])
                 continue
-            groups: dict[tuple, list[tuple[str, str]]] = {}
-            for e, w in kids:
-                groups.setdefault((ec[e], code[w]), []).append((e, w))
-            group_options: list[list[list[tuple[str, str]]]] = []
-            for key in sorted(groups):
-                members = sorted(groups[key])
-                flagged = [m for m in members if block_flagged(m)]
-                plain = [m for m in members if not block_flagged(m)]
-                if len(flagged) > 1:
-                    root_count *= math.factorial(len(flagged))
-                    if total_candidates + root_count > budget_value:
-                        raise SizeLimitExceeded(
-                            f"canonical arrangement count exceeds budget {budget_value}"
-                        )
-                    perms = [list(p) + plain for p in itertools.permutations(flagged)]
-                else:
-                    perms = [flagged + plain]
-                group_options.append(perms)
-            options_by_vertex[v] = [
-                [m for part in combo for m in part]
-                for combo in itertools.product(*group_options)
-            ]
-        total_candidates += root_count
+            branches += len(cell)
+            if branches > budget_value:
+                raise SizeLimitExceeded(
+                    f"canonical search branches exceed budget {budget_value}"
+                )
+            for i in cell:
+                split = [2 * c + 1 for c in col]
+                split[i] -= 1
+                stack.append(split)
 
-        def numbered_pairs(arrangement: Mapping[str, list[tuple[str, str]]]):
-            num: dict[str, int] = {}
-            counter = 0
-            walk: list[tuple[str, str]] = [("v", root)]
-            while walk:
-                kind, x = walk.pop()
-                num[x] = counter
-                counter += 1
-                if kind == "v":
-                    for e, w in reversed(arrangement[x]):
-                        walk.append(("v", w))
-                        walk.append(("e", e))
-            vp = tuple(sorted((num[x], num[y]) for x, y in vertex_pairs))
-            ep = tuple(sorted((num[x], num[y]) for x, y in edge_pairs))
-            return (vp, ep)
-
-        choice_vertices = [v for v in order if len(options_by_vertex[v]) > 1]
-        best = None
-        for combo in itertools.product(
-            *(options_by_vertex[v] for v in choice_vertices)
-        ):
-            arrangement = {v: opts[0] for v, opts in options_by_vertex.items()}
-            arrangement.update(zip(choice_vertices, combo))
-            pairs = numbered_pairs(arrangement)
-            if best is None or pairs < best:
-                best = pairs
-        candidates.append((code[root], best))
-
-    final = min(candidates)
-    return CanonicalForm(data=repr(final).encode("ascii"))
+    cert, vertices = best
+    header = [len(graph.levels)]
+    for lv in graph.levels:
+        header += (lv.numerator, lv.denominator)
+    form = CanonicalForm(data=",".join(map(str, header + list(cert))).encode("ascii"))
+    object.__setattr__(form, "_vertices", tuple(vertices))
+    return form
 
 
 def decomposition_invariant(
@@ -302,7 +403,11 @@ def decomposition_invariant(
 ) -> tuple[CanonicalForm, ...]:
     """Sorted multiset of factor fingerprints; a complete isomorphism
     invariant for single-source graphs with trivial level orders.  Accepts an
-    already built view, as decompose does."""
+    already built view, as decompose does.  It fingerprints every factor;
+    reeb_iso does not call it, since one factor of a checked against b's
+    factors decides (see _factor_match).  Its fingerprints differ in bytes
+    from those of releases before the source-rooted codes (see
+    canonical_form)."""
     dec = decompose(graph)
     return tuple(
         sorted(
@@ -310,6 +415,125 @@ def decomposition_invariant(
             for f in dec.factors
         )
     )
+
+
+def _has_orders(graph: ReebGraph) -> bool:
+    return any(p.covers for p in graph.vertex_orders) or any(
+        p.covers for p in graph.edge_orders
+    )
+
+
+def _glued_witness(
+    ra: ReebGraph,
+    rb: ReebGraph,
+    fa: ReebGraph,
+    fb: ReebGraph,
+    form_a: CanonicalForm,
+    form_b: CanonicalForm,
+) -> MorphismWitness:
+    """Pair two matching factors' canonical numberings into an isomorphism
+    of the graphs they were cut from: the cut leaves drop out, and each edge
+    goes where its lower endpoint goes."""
+    vmap = dict(zip(form_a._vertices, form_b._vertices))
+    edge_above = {v: e for down in fb.down_maps for e, v in down.items()}
+    return MorphismWitness(
+        source=ra,
+        target=rb,
+        vertex_maps=tuple({v: vmap[v] for v in vs} for vs in ra.vertex_sets),
+        edge_maps=tuple(
+            {e: edge_above[vmap[v]] for e, v in down.items()} for down in fa.down_maps
+        ),
+    )
+
+
+def _stable_colours(
+    pre: tuple[ReebGraph, ReebGraph, tuple, tuple]
+) -> tuple[dict[str, int], dict[str, int]] | None:
+    """Colour refinement of a prefiltered pair, one palette for both sides.
+
+    Starting from the prefilter's vertex colours, sweeps run up the levels,
+    each vertex taking the colours of its neighbours one level down, then
+    down the levels with the neighbours one level up, until a round splits
+    no class.  Every isomorphism preserves the result, so None is returned
+    when some level's colour counts differ between the sides; otherwise the
+    vertex colours of both sides."""
+    graphs = pre[:2]
+    cols = [dict(vertex) for vertex, _ in pre[2:]]
+    lower: list[dict[str, list[str]]] = [{}, {}]
+    upper: list[dict[str, list[str]]] = [{}, {}]
+    for g, below, above in zip(graphs, lower, upper):
+        for down, up in zip(g.down_maps, g.up_maps):
+            for e, d in down.items():
+                below.setdefault(up[e], []).append(d)
+                above.setdefault(d, []).append(up[e])
+    k = graphs[0].level_count
+    classes = -1
+    while True:
+        total = 0
+        for sweep, near in ((range(k), lower), (range(k - 1, -1, -1), upper)):
+            for i in sweep:
+                sigs = [
+                    {
+                        v: (col[v], tuple(sorted([col[w] for w in nb.get(v, ())])))
+                        for v in g.vertex_sets[i]
+                    }
+                    for g, col, nb in zip(graphs, cols, near)
+                ]
+                rank = {c: n for n, c in enumerate(sorted({*sigs[0].values(), *sigs[1].values()}))}
+                for col, sig in zip(cols, sigs):
+                    for v, c in sig.items():
+                        col[v] = rank[c]
+                total += len(rank)
+        if total == classes:
+            break
+        classes = total
+    for vs_a, vs_b in zip(graphs[0].vertex_sets, graphs[1].vertex_sets):
+        if Counter(cols[0][v] for v in vs_a) != Counter(cols[1][v] for v in vs_b):
+            return None
+    return cols[0], cols[1]
+
+
+def _factor_match(
+    pre: tuple[ReebGraph, ReebGraph, tuple, tuple],
+    va: DagView,
+    vb: DagView,
+    leaf_ranks_a: Mapping[str, int] | None,
+    leaf_ranks_b: Mapping[str, int] | None,
+    budget: int | None,
+) -> MorphismWitness | None:
+    """The fingerprint route on a prefiltered, single-source, order-free
+    pair (``pre`` is the prefilter's result, ``va`` and ``vb`` its views).
+
+    Glue-back: a level-, cover- and rank-preserving bijection between one
+    factor of a and one factor of b extends to an isomorphism of a and b,
+    and an isomorphism maps every factor of a onto a factor of b, keeping
+    the colours of each kept edge's endpoints.  So a's first factor is
+    fingerprinted once, and b's factors whose kept edges join the same
+    colours are built and fingerprinted one at a time until one matches.
+    Returns the witness over the refined pair, or None when no factor of b
+    matches."""
+    colours = _stable_colours(pre)
+    if colours is None:
+        return None
+    col_a, col_b = colours
+
+    def kept(graph: ReebGraph, col: Mapping[str, int], choice: CutChoice) -> list:
+        ups = graph.up_maps
+        level = graph.vertex_level
+        return sorted((col[v], col[ups[level[v]][e]]) for v, e in choice.kept)
+
+    choice_a = next(enumerate_choices(va))
+    kept_a = kept(va.graph, col_a, choice_a)
+    fa = apply_choice(va, choice_a).graph
+    form_a = canonical_form(fa, leaf_ranks=leaf_ranks_a, budget=budget)
+    for choice in enumerate_choices(vb):
+        if kept(vb.graph, col_b, choice) != kept_a:
+            continue
+        fb = apply_choice(vb, choice).graph
+        form_b = canonical_form(fb, leaf_ranks=leaf_ranks_b, budget=budget)
+        if form_b == form_a:
+            return _glued_witness(va.graph, vb.graph, fa, fb, form_a, form_b)
+    return None
 
 
 def reeb_iso(
@@ -323,21 +547,22 @@ def reeb_iso(
     """Decide whether two leveled graphs are isomorphic.
 
     The shared prefilter refines both graphs to a common level set and
-    compares colour multisets.  When both sides then classify cleanly and
-    carry trivial orders, the decision compares sorted factor fingerprints;
-    otherwise it falls back to the backtracking oracle, which searches the
-    prefiltered pair without filtering it again.  Optional leaf ranks
-    constrain the bijection to respect the given integer on bottom vertices
-    (unranked ones must map to unranked ones).
+    compares colour multisets.  When both sides then have a single source
+    and trivial orders, the fingerprint route decides (see _factor_match):
+    the pair's colours are refined further, a's first factor is
+    fingerprinted, and b's factors that the colours allow are fingerprinted
+    one at a time until one matches; a match yields a witness.  So a
+    decision builds at most 1 + (number of factors of b) fingerprints, and 2
+    when the first allowed factor of b matches.  Otherwise the decision
+    falls back to the backtracking oracle, which searches the prefiltered
+    pair without filtering it again.
+    Optional leaf ranks constrain the bijection to respect the given integer
+    on bottom vertices (unranked ones must map to unranked ones).
     """
     pre = _prefilter(a, b, leaf_ranks_a, leaf_ranks_b)
     if pre is None:
         return False
     ra, rb = pre[:2]
-
-    def fallback() -> bool:
-        return brute_force_iso(ra, rb, budget=budget, _pre=pre)
-
     try:
         va = build_dag_view(ra)
     except ReticulationConflict:
@@ -348,14 +573,9 @@ def reeb_iso(
         vb = None
     if (va is None) != (vb is None):
         return False
-    if va is None or vb is None:
-        return fallback()
-    try:
-        inv_a = decomposition_invariant(va, leaf_ranks=leaf_ranks_a, budget=budget)
-        inv_b = decomposition_invariant(vb, leaf_ranks=leaf_ranks_b, budget=budget)
-    except OrderConflict:
-        return fallback()
-    return inv_a == inv_b
+    if va is None or vb is None or _has_orders(ra) or _has_orders(rb):
+        return brute_force_iso(ra, rb, budget=budget, _pre=pre)
+    return _factor_match(pre, va, vb, leaf_ranks_a, leaf_ranks_b, budget) is not None
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Each test prints a single "criterion N: PASS (...)" line on success (visible
 with -s or -rA); a failing criterion shows up as a plain pytest failure.
 Timed criteria measure wall-clock time on the spot.  Deep and long eNewick
-inputs are checked beside criterion 10, without any time bound.
+inputs are checked beside criterion 10 (parsing, writing, vectors and
+isomorphism), without any time bound.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from reebtrees import (
     betti_reticulation,
     brute_force_iso,
     build_dag_view,
+    canonical_form,
     cophenetic_vector,
     decompose,
     enumerate_choices,
@@ -407,6 +409,29 @@ def test_deep_caterpillar_validates_on_the_command_line(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ok\n"
+
+
+def test_deep_caterpillar_isomorphism():
+    graph = network_to_reeb(parse_enewick(deep_caterpillar(2000)))
+    copy = rename_graph(graph)
+    assert canonical_form(graph) == canonical_form(copy)
+    assert reeb_iso(graph, copy) is True
+
+
+def test_deep_caterpillar_iso_on_the_command_line(tmp_path):
+    paths = [tmp_path / name for name in ("a.enwk", "b.enwk")]
+    for path in paths:
+        path.write_text(deep_caterpillar(2000) + "\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    done = subprocess.run(
+        [sys.executable, "-m", "reebtrees", "iso", *map(str, paths)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "isomorphic\n"
 
 
 def chain_lca_stamp(graph, x: str, y: str) -> Fraction:

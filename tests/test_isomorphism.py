@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -22,8 +23,10 @@ from reebtrees import (
     random_graph,
     reeb_iso,
     refine_to_levels,
+    validate,
     verify_witness,
 )
+from reebtrees import isomorphism
 from conftest import SAFE_SHAPES, corpus, rename_graph
 
 
@@ -118,6 +121,18 @@ class TestCanonicalForm:
         with pytest.raises(SizeLimitExceeded):
             canonical_form(g, budget=4)
         assert canonical_form(g) == canonical_form(rename_graph(g))
+
+    def test_twins_take_no_branches(self):
+        """The cut leaves of a bouquet's factor hang from one vertex with the
+        same partner: exchanging them is an automorphism, so no budget is
+        spent on them."""
+        d = 8
+        g = make_graph([0, 1], [["r"], ["u"]], [[(f"e{i}", "r", "u") for i in range(d)]])
+        (factor, *_) = decompose(g).factors
+        assert len(factor.detached) == d - 1
+        assert canonical_form(factor.graph, budget=0) == canonical_form(
+            rename_graph(factor.graph), budget=0
+        )
 
     def test_factor_multiset_invariant(self, cycle_graph):
         inv = decomposition_invariant(cycle_graph)
@@ -415,3 +430,264 @@ def test_decomposition_invariant_separates(cycle_graph):
     forms = {canonical_form(f.graph) for f in dec.factors}
     # The two factors of this graph happen to be non-isomorphic trees.
     assert len(forms) == 2
+
+
+def chain_with_bigons(levels, s):
+    """A path over ``levels`` levels with a doubled edge in each of its first
+    s gaps; every factor is isomorphic to every other."""
+    edges = []
+    for i in range(levels - 1):
+        gap = [(f"c{i}", f"v{i}", f"v{i + 1}")]
+        if i < s:
+            gap.append((f"p{i}", f"v{i}", f"v{i + 1}"))
+        edges.append(gap)
+    return make_graph(list(range(levels)), [[f"v{i}"] for i in range(levels)], edges)
+
+
+class TestRoute:
+    """Which route reeb_iso takes, seen through the functions it calls."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"canonical_form": 0, "brute_force_iso": 0, "build_dag_view": 0}
+        for name in counts:
+            original = getattr(isomorphism, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(isomorphism, name, counting)
+        return counts
+
+    def test_level_count_mismatch_builds_nothing(self, calls, cycle_graph):
+        wider = make_graph(
+            [0, 1, 2, 3],
+            [["l2", "l3", "l4", "l5"], ["r", "l1"], ["a", "b"], ["w"]],
+            [
+                [("e1", "l2", "r"), ("e2", "l3", "r"), ("e3", "l4", "r"), ("e0", "l5", "r")],
+                [("e5", "r", "a"), ("e6", "r", "b"), ("e4", "l1", "b")],
+                [("e7", "a", "w"), ("e8", "b", "w")],
+            ],
+        )
+        assert not reeb_iso(cycle_graph, wider)
+        assert calls == {"canonical_form": 0, "brute_force_iso": 0, "build_dag_view": 0}
+
+    def test_colour_mismatch_builds_nothing(self, calls):
+        # Equal counts on every level and gap: two branches meet at the top
+        # in one tree, while in the other both bottom edges meet at one
+        # vertex and the second vertex of level 1 is a sink.
+        late = make_graph(
+            [0, 1, 2],
+            [["x", "y"], ["m", "n"], ["t"]],
+            [
+                [("e1", "x", "m"), ("e2", "y", "n")],
+                [("f1", "m", "t"), ("f2", "n", "t")],
+            ],
+        )
+        early = make_graph(
+            [0, 1, 2],
+            [["x", "y"], ["m", "n"], ["t"]],
+            [
+                [("e1", "x", "m"), ("e2", "y", "m")],
+                [("f1", "m", "t"), ("f2", "n", "t")],
+            ],
+        )
+        assert validate(late) == validate(early) == []
+        assert not reeb_iso(late, early)
+        assert calls == {"canonical_form": 0, "brute_force_iso": 0, "build_dag_view": 0}
+
+    def test_renamed_chain_fingerprints_two_factors(self, calls):
+        g = chain_with_bigons(40, 6)
+        assert reeb_iso(g, rename_graph(g))
+        assert calls == {"canonical_form": 2, "brute_force_iso": 0, "build_dag_view": 2}
+
+    def test_multi_source_pair_takes_the_oracle(self, calls, twin_peaks):
+        assert reeb_iso(twin_peaks, rename_graph(twin_peaks))
+        assert calls["canonical_form"] == 0
+        assert calls["brute_force_iso"] == 1
+
+
+def swap_lower_ends(g, rng):
+    """Exchange the lower endpoints of two edges of one gap; every degree
+    stays the same.  None when no tried swap gives a valid graph."""
+    gaps = [i for i in range(g.gap_count) if len(g.edge_sets[i]) >= 2]
+    for _ in range(30):
+        i = rng.choice(gaps)
+        e, f = rng.sample(sorted(g.edge_sets[i]), 2)
+        down = dict(g.down_maps[i])
+        if down[e] == down[f] or g.up_maps[i][e] == g.up_maps[i][f]:
+            continue
+        down[e], down[f] = down[f], down[e]
+        h = dataclasses.replace(
+            g, down_maps=g.down_maps[:i] + (down,) + g.down_maps[i + 1 :]
+        )
+        if not validate(h):
+            return h
+    return None
+
+
+def test_reeb_iso_matches_oracle_with_witnesses(monkeypatch):
+    """Generator graphs with merges of in-degree 2 and 3 and at most 16
+    vertices, against renamed copies (ranks carried over, drawn afresh, or
+    none) and renamed degree-preserving swaps.  Every positive answer of the
+    fingerprint route carries a witness that verifies."""
+    witnesses = []
+    original = isomorphism._factor_match
+
+    def recording(*args):
+        witnesses.append(original(*args))
+        return witnesses[-1]
+
+    monkeypatch.setattr(isomorphism, "_factor_match", recording)
+    shapes = [(2, 2, 3, 3), (3, 2, 4, 3), (3, 3, 4, 3), (4, 3, 5, 3), (3, 4, 5, 3), (2, 3, 4, 3), (4, 2, 4, 2)]
+    rng = random.Random(2026)
+    pairs = positive = verified = 0
+    for seed in range(90):
+        for n, s, lv, d in shapes:
+            g = random_graph(GeneratorSpec(seed=seed, n_leaves=n, betti=s, levels=lv, max_indeg=d))
+            if sum(map(len, g.vertex_sets)) > 16:
+                continue
+            sinks = [v for v in g.vertex_ids() if g.outdeg(v) == 0]
+            ranks = {v: rng.randrange(len(sinks)) for v in sinks}
+            carried = {"z" + v[::-1]: r for v, r in ranks.items()}  # rename_graph's ids
+            fresh = {v: rng.randrange(len(sinks)) for v in carried}
+            copy = rename_graph(g)
+            cases = [(copy, None, None), (copy, ranks, carried), (copy, ranks, fresh)]
+            swapped = swap_lower_ends(g, rng)
+            if swapped is not None:
+                cases += [(rename_graph(swapped), None, None), (rename_graph(swapped), ranks, carried)]
+            for b, ranks_a, ranks_b in cases:
+                witnesses.clear()
+                want = brute_force_iso(g, b, vertex_tags_a=ranks_a, vertex_tags_b=ranks_b)
+                assert reeb_iso(g, b, leaf_ranks_a=ranks_a, leaf_ranks_b=ranks_b) == want
+                if witnesses:
+                    (witness,) = witnesses
+                    assert (witness is not None) == want
+                    if want:
+                        assert verify_witness(witness)
+                        verified += 1
+                pairs += 1
+                positive += want
+    assert (pairs, positive, verified) == (2884, 1576, 1576)
+
+
+def random_tree_pair(rng):
+    """Two leveled trees of one shape under unrelated ids, with random
+    strict orders on every level and gap and random sink ranks.  The second
+    keeps the first's orders and ranks, or draws either afresh."""
+    n = rng.randint(2, 10)
+    level = {0: 0}
+    links = []
+    for v in range(1, n):
+        u = rng.randrange(v)
+        level[v] = level[u] + rng.choice((-1, 1))
+        links.append((u, v))
+    low = min(level.values())
+    level = {v: x - low for v, x in level.items()}
+    k = max(level.values()) + 1
+    gap_of = [min(level[u], level[v]) for u, v in links]
+    density = rng.choice((0.0, 0.25, 0.5, 1.0))
+
+    def orders():
+        def chains(items):
+            items = list(items)
+            rng.shuffle(items)
+            return [(x, y) for i, x in enumerate(items) for y in items[i + 1 :] if rng.random() < density]
+
+        vertex = [chains(v for v in level if level[v] == i) for i in range(k)]
+        edge = [chains(j for j in range(len(links)) if gap_of[j] == i) for i in range(k - 1)]
+        return vertex, edge
+
+    def build(vertex_order, edge_order):
+        vid = {v: f"v{x}" for v, x in zip(level, rng.sample(range(100), n))}
+        eid = {j: f"e{x}" for j, x in zip(range(len(links)), rng.sample(range(100), len(links)))}
+        gaps = [[] for _ in range(k - 1)]
+        for j, (u, v) in enumerate(links):
+            lo, hi = (u, v) if level[u] < level[v] else (v, u)
+            gaps[gap_of[j]].append((eid[j], vid[lo], vid[hi]))
+        g = make_graph(
+            list(range(k)),
+            [[vid[v] for v in level if level[v] == i] for i in range(k)],
+            gaps,
+            vertex_covers=[[(vid[x], vid[y]) for x, y in pairs] for pairs in vertex_order],
+            edge_covers=[[(eid[x], eid[y]) for x, y in pairs] for pairs in edge_order],
+        )
+        return g, vid
+
+    ranked = rng.random() < 0.5
+    non_sinks = {u if level[u] > level[v] else v for u, v in links}
+    sinks = [v for v in level if v not in non_sinks]
+    ranks = {v: rng.randrange(3) for v in sinks}
+    first = orders()
+    a, vid_a = build(*first)
+    b, vid_b = build(*(first if rng.random() < 0.4 else orders()))
+    if not ranked:
+        return a, b, None, None
+    other = ranks if rng.random() < 0.6 else {v: rng.randrange(3) for v in sinks}
+    return a, b, {vid_a[v]: r for v, r in ranks.items()}, {vid_b[v]: r for v, r in other.items()}
+
+
+def crown_star_pair(rng):
+    """A root over 2m leaves whose order joins each lower leaf to r upper
+    ones (a union of r matchings, split between vertex and edge orders), and
+    a second such star: regular orders like these leave colour refinement
+    with tied cells, so only individualisation tells them apart."""
+    m = rng.randint(2, 5)
+    r = rng.randint(1, min(3, m))
+
+    def relations():
+        out = set()
+        for _ in range(r):
+            hi = rng.sample(range(m, 2 * m), m)
+            out.update(zip(range(m), hi))
+        return sorted(out)
+
+    def star(rel, tag):
+        leaves = [f"{tag}{i}" for i in range(2 * m)]
+        vertex, edge = [], []
+        for x, y in rel:
+            if rng.random() < 0.5:
+                vertex.append((leaves[x], leaves[y]))
+            else:
+                edge.append((f"{tag}e{x}", f"{tag}e{y}"))
+        return make_graph(
+            [0, 1],
+            [leaves, ["top"]],
+            [[(f"{tag}e{i}", leaf, "top") for i, leaf in enumerate(leaves)]],
+            vertex_covers=[vertex, []],
+            edge_covers=[edge],
+        )
+
+    rel = relations()
+    if rng.random() < 0.5:
+        lo, hi = rng.sample(range(m), m), rng.sample(range(m, 2 * m), m)
+        perm = dict(zip(range(m), lo)) | dict(zip(range(m, 2 * m), hi))
+        other = [(perm[x], perm[y]) for x, y in rel]
+    else:
+        other = relations()
+    return star(rel, "p"), star(other, "q"), None, None
+
+
+def test_canonical_form_matches_oracle_on_ordered_trees(monkeypatch):
+    """Equal fingerprints exactly when the oracle finds a level-, order- and
+    rank-preserving bijection, on random small trees with random vertex and
+    edge orders and on regular crown stars, where ties survive refinement."""
+    branched = []
+    target = isomorphism._RootedTree.target
+
+    def watching(self, col):
+        cell = target(self, col)
+        branched.append(cell is not None)
+        return cell
+
+    monkeypatch.setattr(isomorphism._RootedTree, "target", watching)
+    rng = random.Random(500)
+    outcomes = []
+    for i in range(700):
+        a, b, ranks_a, ranks_b = (crown_star_pair if i % 4 == 3 else random_tree_pair)(rng)
+        want = brute_force_iso(a, b, vertex_tags_a=ranks_a, vertex_tags_b=ranks_b)
+        got = canonical_form(a, leaf_ranks=ranks_a) == canonical_form(b, leaf_ranks=ranks_b)
+        assert got == want, i
+        outcomes.append(want)
+    assert (outcomes.count(True), outcomes.count(False), sum(branched)) == (326, 374, 788)
