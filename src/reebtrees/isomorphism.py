@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .core import LevelPoset, ReebGraph, common_refinement
 from .dag import DagView, build_dag_view
@@ -132,7 +132,15 @@ class _RootedTree:
     precede children and every depth is one contiguous index range.  Index i
     stands for its vertex and, below the root, for the edge to its parent."""
 
-    def __init__(self, root, adj, level, tag, vertex_pairs, edge_pairs):
+    def __init__(
+        self,
+        root: str,
+        adj: Mapping[str, list[tuple[str, str]]],
+        level: Mapping[str, int],
+        tag: Callable[[str], int],
+        vertex_pairs: list[tuple[str, str]],
+        edge_pairs: list[tuple[str, str]],
+    ) -> None:
         ids = [root]
         parent = [-1]
         index = {root: 0}
@@ -357,8 +365,8 @@ def canonical_form(
     def tag(v: str) -> int:
         return -1 if v in non_sinks else ranks.get(v, -1)
 
-    vertex_pairs = [p for poset in graph.vertex_orders if poset.covers for p in _strict_pairs(poset)]
-    edge_pairs = [p for poset in graph.edge_orders if poset.covers for p in _strict_pairs(poset)]
+    vertex_pairs = [p for o in graph.vertex_orders if o.covers for p in _strict_pairs(o)]
+    edge_pairs = [p for o in graph.edge_orders if o.covers for p in _strict_pairs(o)]
 
     budget_value = _budget(budget)
     branches = 0
@@ -414,12 +422,6 @@ def decomposition_invariant(
             canonical_form(f.graph, leaf_ranks=leaf_ranks, budget=budget)
             for f in dec.factors
         )
-    )
-
-
-def _has_orders(graph: ReebGraph) -> bool:
-    return any(p.covers for p in graph.vertex_orders) or any(
-        p.covers for p in graph.edge_orders
     )
 
 
@@ -555,9 +557,9 @@ def reeb_iso(
     decision builds at most 1 + (number of factors of b) fingerprints, and 2
     when the first allowed factor of b matches.  Otherwise the decision
     falls back to the backtracking oracle, which searches the prefiltered
-    pair without filtering it again.
-    Optional leaf ranks constrain the bijection to respect the given integer
-    on bottom vertices (unranked ones must map to unranked ones).
+    pair without filtering it again.  Optional leaf ranks constrain the
+    bijection to respect the given integer on bottom vertices (unranked ones
+    must map to unranked ones).
     """
     pre = _prefilter(a, b, leaf_ranks_a, leaf_ranks_b)
     if pre is None:
@@ -573,7 +575,8 @@ def reeb_iso(
         vb = None
     if (va is None) != (vb is None):
         return False
-    if va is None or vb is None or _has_orders(ra) or _has_orders(rb):
+    ordered = any(p.covers for g in pre[:2] for p in (*g.vertex_orders, *g.edge_orders))
+    if va is None or vb is None or ordered:
         return brute_force_iso(ra, rb, budget=budget, _pre=pre)
     return _factor_match(pre, va, vb, leaf_ranks_a, leaf_ranks_b, budget) is not None
 

@@ -39,6 +39,19 @@ def rename_graph(graph: ReebGraph, tag: str = "z") -> ReebGraph:
     )
 
 
+def chain_with_bigons(levels: int, s: int) -> ReebGraph:
+    """A path over ``levels`` levels with a doubled edge in each of its first
+    s gaps; every factor is isomorphic to every other."""
+    vertices = [[f"v{i}"] for i in range(levels)]
+    edges = []
+    for i in range(levels - 1):
+        gap = [(f"c{i}", f"v{i}", f"v{i + 1}")]
+        if i < s:
+            gap.append((f"p{i}", f"v{i}", f"v{i + 1}"))
+        edges.append(gap)
+    return make_graph(list(range(levels)), vertices, edges)
+
+
 # Shapes (n_leaves, betti, levels) the seeded generator accepts for any seed:
 # it can host at most (levels - 1) + (n_leaves - 1) merge vertices.
 SAFE_SHAPES = [

@@ -48,7 +48,7 @@ from reebtrees import (
     write_enewick,
 )
 
-from conftest import SAFE_SHAPES, rename_graph
+from conftest import SAFE_SHAPES, chain_with_bigons, rename_graph
 
 CORPUS_DIR = Path(__file__).parent / "data" / "newick_corpus"
 
@@ -232,17 +232,6 @@ def test_criterion_06_decision_procedure_matches_oracle():
     seconds = time.perf_counter() - start
     assert seconds < 60.0
     note(6, f"{agreements} pairs, full agreement, {seconds:.1f} s")
-
-
-def chain_with_bigons(levels, s):
-    vertices = [[f"v{i}"] for i in range(levels)]
-    edges = []
-    for i in range(levels - 1):
-        gap = [(f"c{i}", f"v{i}", f"v{i + 1}")]
-        if i < s:
-            gap.append((f"p{i}", f"v{i}", f"v{i + 1}"))
-        edges.append(gap)
-    return make_graph(list(range(levels)), vertices, edges)
 
 
 def _work(g):

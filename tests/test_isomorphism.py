@@ -27,7 +27,7 @@ from reebtrees import (
     verify_witness,
 )
 from reebtrees import isomorphism
-from conftest import SAFE_SHAPES, corpus, rename_graph
+from conftest import SAFE_SHAPES, chain_with_bigons, corpus, rename_graph
 
 
 def small_tree(**kwargs):
@@ -432,18 +432,6 @@ def test_decomposition_invariant_separates(cycle_graph):
     assert len(forms) == 2
 
 
-def chain_with_bigons(levels, s):
-    """A path over ``levels`` levels with a doubled edge in each of its first
-    s gaps; every factor is isomorphic to every other."""
-    edges = []
-    for i in range(levels - 1):
-        gap = [(f"c{i}", f"v{i}", f"v{i + 1}")]
-        if i < s:
-            gap.append((f"p{i}", f"v{i}", f"v{i + 1}"))
-        edges.append(gap)
-    return make_graph(list(range(levels)), [[f"v{i}"] for i in range(levels)], edges)
-
-
 class TestRoute:
     """Which route reeb_iso takes, seen through the functions it calls."""
 
@@ -540,7 +528,15 @@ def test_reeb_iso_matches_oracle_with_witnesses(monkeypatch):
         return witnesses[-1]
 
     monkeypatch.setattr(isomorphism, "_factor_match", recording)
-    shapes = [(2, 2, 3, 3), (3, 2, 4, 3), (3, 3, 4, 3), (4, 3, 5, 3), (3, 4, 5, 3), (2, 3, 4, 3), (4, 2, 4, 2)]
+    shapes = [
+        (2, 2, 3, 3),
+        (3, 2, 4, 3),
+        (3, 3, 4, 3),
+        (4, 3, 5, 3),
+        (3, 4, 5, 3),
+        (2, 3, 4, 3),
+        (4, 2, 4, 2),
+    ]
     rng = random.Random(2026)
     pairs = positive = verified = 0
     for seed in range(90):
@@ -556,7 +552,8 @@ def test_reeb_iso_matches_oracle_with_witnesses(monkeypatch):
             cases = [(copy, None, None), (copy, ranks, carried), (copy, ranks, fresh)]
             swapped = swap_lower_ends(g, rng)
             if swapped is not None:
-                cases += [(rename_graph(swapped), None, None), (rename_graph(swapped), ranks, carried)]
+                other = rename_graph(swapped)
+                cases += [(other, None, None), (other, ranks, carried)]
             for b, ranks_a, ranks_b in cases:
                 witnesses.clear()
                 want = brute_force_iso(g, b, vertex_tags_a=ranks_a, vertex_tags_b=ranks_b)
@@ -593,7 +590,12 @@ def random_tree_pair(rng):
         def chains(items):
             items = list(items)
             rng.shuffle(items)
-            return [(x, y) for i, x in enumerate(items) for y in items[i + 1 :] if rng.random() < density]
+            return [
+                (x, y)
+                for i, x in enumerate(items)
+                for y in items[i + 1 :]
+                if rng.random() < density
+            ]
 
         vertex = [chains(v for v in level if level[v] == i) for i in range(k)]
         edge = [chains(j for j in range(len(links)) if gap_of[j] == i) for i in range(k - 1)]
