@@ -13,14 +13,14 @@ import sys
 from pathlib import Path
 
 from .core import format_level, minimize_critical_set, validate
-from .dag import betti_euler, betti_reticulation, build_dag_view, classify_all
-from .decomposition import apply_choice, decompose, enumerate_choices, factor_count
+from .dag import betti_euler, betti_reticulation, build_dag_view
+from .decomposition import apply_choice, enumerate_choices, factor_count
 from .enewick import enewick_to_reeb, reeb_to_network, write_enewick
 from .errors import IncompatibleShape, ReebError
 from .generator import GeneratorSpec, random_graph
 from .isomorphism import brute_force_iso, labelled_iso, reeb_iso
-from .phylo import _exponent, hausdorff_distance, network_distance, network_factors
-from .serialize import dump_text, load_text, to_dot
+from .phylo import _check_norm, hausdorff_distance, network_distance, network_factors
+from .serialize import _check_ranks, dump_text, load_text, to_dot
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,10 +54,7 @@ def _load_ranks(path: str | None, embedded):
         return embedded
     import json
 
-    data = json.loads(_read_text(path))
-    if not isinstance(data, dict):
-        raise ValueError("rank file must hold a JSON object of id: integer")
-    return {str(k): int(v) for k, v in data.items()}
+    return _check_ranks(json.loads(_read_text(path)), "")
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -90,8 +87,7 @@ def cmd_betti(args) -> int:
 
 def cmd_classify(args) -> int:
     graph, _ = _load_graph(args.graph, args.format)
-    build_dag_view(graph)
-    for c in classify_all(graph):
+    for c in build_dag_view(graph).classes:
         level = format_level(graph.levels[c.level_index])
         tail = "\tleaf" if c.is_leaf else ""
         print(
@@ -155,7 +151,7 @@ def cmd_iso(args) -> int:
 
 def cmd_dist(args) -> int:
     p = args.p
-    _exponent(p)  # a bad --p fails before any file is read
+    _check_norm(p, args.digits)  # a bad --p or --digits fails before any file is read
     if args.matrix:
         directory = Path(args.matrix)
         files = sorted(

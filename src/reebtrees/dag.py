@@ -80,16 +80,20 @@ def source_vertices(graph: ReebGraph) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class DagView:
-    """Classification summary of a leveled graph.
+    """A single-source leveled graph and its cycle rank.
 
     Only graphs whose two cycle-rank computations agree get a view; that
     condition is equivalent to having exactly one source vertex, and it is the
-    precondition for the tree-decomposition machinery downstream.
+    precondition for the tree-decomposition machinery downstream.  The vertex
+    classes, merge vertices, leaves and root are computed when first read.
     """
 
     graph: ReebGraph
-    classes: tuple[VertexClass, ...]
     betti: int
+
+    @cached_property
+    def classes(self) -> tuple[VertexClass, ...]:
+        return classify_all(self.graph)
 
     @cached_property
     def by_vertex(self) -> dict[str, VertexClass]:
@@ -97,7 +101,10 @@ class DagView:
 
     @cached_property
     def reticulations(self) -> tuple[VertexClass, ...]:
-        return tuple(c for c in self.classes if c.kind is VertexKind.RETICULATION)
+        """Merge vertices, ordered by (level index, id)."""
+        g = self.graph
+        merges = sorted((i, v) for v, i in g.vertex_level.items() if g.indeg(v) > 1)
+        return tuple(classify_vertex(g, v) for _, v in merges)
 
     @cached_property
     def leaves(self) -> tuple[VertexClass, ...]:
@@ -113,7 +120,7 @@ def classify_all(graph: ReebGraph) -> tuple[VertexClass, ...]:
 
 
 def build_dag_view(graph: ReebGraph) -> DagView:
-    """Classify every vertex and cross-check the two Betti computations.
+    """Cross-check the two Betti computations; classify nothing yet.
 
     When the counts disagree the graph has multiple sources (several local
     maxima of the level function), the decomposition theory does not apply,
@@ -127,4 +134,4 @@ def build_dag_view(graph: ReebGraph) -> DagView:
             f"cycle-rank mismatch: euler count {b_euler} vs merge count {b_retic} "
             f"({len(sources)} source vertices: {', '.join(sources)})"
         )
-    return DagView(graph=graph, classes=classify_all(graph), betti=b_euler)
+    return DagView(graph=graph, betti=b_euler)

@@ -7,13 +7,18 @@ remember their origin, so gluing is exact and id-for-id.
 
 Every factor has n + s leaves, where n is the number of sinks of the graph and
 s = sum(d - 1) over its merge vertices: each detached edge adds one cut leaf.
+
+A factor differs from its graph only on the levels of its merge vertices.
+Those levels get a new vertex set, down map and order; every other level's,
+and every gap's edges, up map and order, are the graph's own objects, so
+the up to 2^s factors of a graph share everything the cuts leave alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterator, Mapping
 
@@ -70,10 +75,7 @@ def cut_options(view: DagView) -> tuple[tuple[str, tuple[str, ...]], ...]:
 
     Merge vertices are ordered by (level index, id); candidate edges by id.
     """
-    retics = sorted(view.reticulations, key=lambda c: (c.level_index, c.vertex))
-    return tuple(
-        (c.vertex, tuple(sorted(view.graph.above_edges[c.vertex]))) for c in retics
-    )
+    return tuple((c.vertex, view.graph.above_edges[c.vertex]) for c in view.reticulations)
 
 
 def factor_count(view: DagView) -> int:
@@ -122,47 +124,45 @@ def _require_trivial_orders(graph: ReebGraph) -> None:
 def apply_choice(view: DagView, choice: CutChoice) -> Factor:
     """Detach every non-kept arriving edge onto a fresh leaf at the merge
     vertex's level, recording (kept leaf below merge vertex) in that level's
-    order."""
+    order.
+
+    Only the levels that receive a cut leaf get a new vertex set, down map
+    and order; every other level of the factor is the network's own object.
+    """
     graph = view.graph
     options = dict(cut_options(view))
     if set(choice.kept_map) != set(options):
         raise InvalidChoice("choice does not cover exactly the merge vertices")
-    vsets = [set(vs) for vs in graph.vertex_sets]
-    downs = [dict(m) for m in graph.down_maps]
-    covers: list[set[tuple[str, str]]] = [set(p.covers) for p in graph.vertex_orders]
-    reattach: list[tuple[str, str]] = []
+    vsets = list(graph.vertex_sets)
+    downs = list(graph.down_maps)
+    orders = list(graph.vertex_orders)
+    # Level -> (merge vertex, detached edge) pairs cut there.
+    cuts: dict[int, list[tuple[str, str]]] = {}
     for retic, keep_edge in choice.kept:
         if keep_edge not in options[retic]:
             raise InvalidChoice(f"edge {keep_edge!r} does not arrive at {retic!r}")
-        lvl = graph.vertex_level[retic]
-        for e in options[retic]:
-            if e == keep_edge:
-                continue
-            cut_v = RESERVED_VERTEX_PREFIX + e
+        pairs = cuts.setdefault(graph.vertex_level[retic], [])
+        pairs.extend((retic, e) for e in options[retic] if e != keep_edge)
+    for lvl, pairs in cuts.items():
+        leaves = {e: RESERVED_VERTEX_PREFIX + e for _, e in pairs}
+        for cut_v in leaves.values():
             if cut_v in vsets[lvl]:
                 raise ValueError(f"cut vertex id {cut_v!r} already present")
-            vsets[lvl].add(cut_v)
-            downs[lvl][e] = cut_v
-            covers[lvl].add((retic, cut_v))
-            reattach.append((e, retic))
-    fgraph = ReebGraph(
-        levels=graph.levels,
-        vertex_sets=tuple(frozenset(s) for s in vsets),
-        edge_sets=graph.edge_sets,
-        down_maps=tuple(downs),
-        up_maps=graph.up_maps,
-        vertex_orders=tuple(
-            LevelPoset(frozenset(vsets[i]), frozenset(covers[i]))
-            for i in range(len(vsets))
-        ),
-        edge_orders=graph.edge_orders,
-        edge_labels=graph.edge_labels,
+        vsets[lvl] = vsets[lvl].union(leaves.values())
+        downs[lvl] = {**downs[lvl], **leaves}
+        orders[lvl] = LevelPoset(
+            vsets[lvl],
+            orders[lvl].covers.union((retic, leaves[e]) for retic, e in pairs),
+        )
+    fgraph = replace(
+        graph, vertex_sets=tuple(vsets), down_maps=tuple(downs), vertex_orders=tuple(orders)
     )
+    reattach = sorted((e, retic) for pairs in cuts.values() for retic, e in pairs)
     return Factor(
         graph=fgraph,
         choice=choice,
         detached=frozenset(e for e, _ in reattach),
-        reattach=tuple(sorted(reattach)),
+        reattach=tuple(reattach),
     )
 
 
@@ -182,34 +182,24 @@ def decompose(source: ReebGraph | DagView) -> Decomposition:
 def glue_back(factor: Factor) -> ReebGraph:
     """Reverse the cuts: drop the cut leaves and point every detached edge at
     its recorded merge vertex again.  Output is exactly the graph the factor
-    came from."""
+    came from; levels without a cut leaf are the factor's own objects."""
     g = factor.graph
-    vsets = [set(vs) for vs in g.vertex_sets]
-    downs = [dict(m) for m in g.down_maps]
+    # Gap -> {detached edge: merge vertex} for the edges cut there.
+    back: dict[int, dict[str, str]] = {}
     for e, retic in factor.reattach:
         gap = g.edge_gap[e]
-        cut_v = downs[gap][e]
-        if not cut_v.startswith(RESERVED_VERTEX_PREFIX):
+        if not g.down_maps[gap][e].startswith(RESERVED_VERTEX_PREFIX):
             raise ValueError(f"edge {e!r} is not attached to a cut vertex")
-        downs[gap][e] = retic
-        vsets[gap].discard(cut_v)
-    vertex_orders = tuple(
-        LevelPoset(
-            frozenset(vsets[i]),
-            frozenset(
-                (a, b) for a, b in g.vertex_orders[i].covers
-                if a in vsets[i] and b in vsets[i]
-            ),
+        back.setdefault(gap, {})[e] = retic
+    vsets = list(g.vertex_sets)
+    downs = list(g.down_maps)
+    orders = list(g.vertex_orders)
+    for i, edges in back.items():
+        vsets[i] = vs = vsets[i].difference(downs[i][e] for e in edges)
+        downs[i] = {**downs[i], **edges}
+        orders[i] = LevelPoset(
+            vs, frozenset((a, b) for a, b in orders[i].covers if a in vs and b in vs)
         )
-        for i in range(len(vsets))
-    )
-    return ReebGraph(
-        levels=g.levels,
-        vertex_sets=tuple(frozenset(s) for s in vsets),
-        edge_sets=g.edge_sets,
-        down_maps=tuple(downs),
-        up_maps=g.up_maps,
-        vertex_orders=vertex_orders,
-        edge_orders=g.edge_orders,
-        edge_labels=g.edge_labels,
+    return replace(
+        g, vertex_sets=tuple(vsets), down_maps=tuple(downs), vertex_orders=tuple(orders)
     )

@@ -62,23 +62,15 @@ def _colours(
     (elements below, elements above, label or "") for an edge.  Below and
     above count the generated order; the tag is -1 off sinks and untagged."""
     tags = tags or {}
-    # Degrees straight from the maps, without building the graph's cached
-    # adjacency.
-    indeg: dict[str, int] = {}
-    outdeg: dict[str, int] = {}
-    for down, up in zip(graph.down_maps, graph.up_maps):
-        for e, v in down.items():
-            indeg[v] = indeg.get(v, 0) + 1
-            outdeg[up[e]] = outdeg.get(up[e], 0) + 1
     vertex: dict[str, tuple] = {}
     edge: dict[str, tuple] = {}
     for vs, poset in zip(graph.vertex_sets, graph.vertex_orders):
         above = {x: poset.strictly_above(x) for x in poset.elements} if poset.covers else {}
         below = Counter(y for ups in above.values() for y in ups) if above else {}
         for v in vs:
-            out = outdeg.get(v, 0)
+            out = graph.outdeg(v)
             tag = tags.get(v, -1) if out == 0 else -1
-            vertex[v] = (indeg.get(v, 0), out, below.get(v, 0), len(above.get(v, ())), tag)
+            vertex[v] = (graph.indeg(v), out, below.get(v, 0), len(above.get(v, ())), tag)
     for i, (es, poset) in enumerate(zip(graph.edge_sets, graph.edge_orders)):
         above = {x: poset.strictly_above(x) for x in poset.elements} if poset.covers else {}
         below = Counter(y for ups in above.values() for y in ups) if above else {}
@@ -346,24 +338,21 @@ def canonical_form(
     if n_e != n_v - 1:
         raise NotATree(f"{n_e} edges on {n_v} vertices")
 
-    level = {v: i for i, vs in enumerate(graph.vertex_sets) for v in vs}
-    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in level}
-    non_sources: set[str] = set()
-    non_sinks: set[str] = set()
-    for down, up in zip(graph.down_maps, graph.up_maps):
-        for e, d in down.items():
-            u = up[e]
-            adj[d].append((u, e))
-            adj[u].append((d, e))
-            non_sources.add(d)
-            non_sinks.add(u)
-    sources = [v for v in adj if v not in non_sources]
+    level = graph.vertex_level
+    above, below, gap = graph.above_edges, graph.below_edges, graph.edge_gap
+    downs, ups = graph.down_maps, graph.up_maps
+    adj = {
+        v: [(downs[gap[e]][e], e) for e in below.get(v, ())]
+        + [(ups[gap[e]][e], e) for e in above.get(v, ())]
+        for v in level
+    }
+    sources = [v for v in level if v not in above]
     roots = sources if len(sources) == 1 else _centres(adj, n_v)
 
     ranks = leaf_ranks or {}
 
     def tag(v: str) -> int:
-        return -1 if v in non_sinks else ranks.get(v, -1)
+        return -1 if v in below else ranks.get(v, -1)
 
     vertex_pairs = [p for o in graph.vertex_orders if o.covers for p in _strict_pairs(o)]
     edge_pairs = [p for o in graph.edge_orders if o.covers for p in _strict_pairs(o)]
@@ -437,13 +426,13 @@ def _glued_witness(
     of the graphs they were cut from: the cut leaves drop out, and each edge
     goes where its lower endpoint goes."""
     vmap = dict(zip(form_a._vertices, form_b._vertices))
-    edge_above = {v: e for down in fb.down_maps for e, v in down.items()}
+    above = fb.above_edges
     return MorphismWitness(
         source=ra,
         target=rb,
         vertex_maps=tuple({v: vmap[v] for v in vs} for vs in ra.vertex_sets),
         edge_maps=tuple(
-            {e: edge_above[vmap[v]] for e, v in down.items()} for down in fa.down_maps
+            {e: above[vmap[v]][0] for e, v in down.items()} for down in fa.down_maps
         ),
     )
 
@@ -461,31 +450,28 @@ def _stable_colours(
     vertex colours of both sides."""
     graphs = pre[:2]
     cols = [dict(vertex) for vertex, _ in pre[2:]]
-    lower: list[dict[str, list[str]]] = [{}, {}]
-    upper: list[dict[str, list[str]]] = [{}, {}]
-    for g, below, above in zip(graphs, lower, upper):
-        for down, up in zip(g.down_maps, g.up_maps):
-            for e, d in down.items():
-                below.setdefault(up[e], []).append(d)
-                above.setdefault(d, []).append(up[e])
     k = graphs[0].level_count
+
+    def sweep(i: int, lower: bool) -> int:
+        """Recolour level i on both sides; return its number of classes."""
+        sigs = []
+        for g, col in zip(graphs, cols):
+            edges, ends = (g.below_edges, g.down_maps) if lower else (g.above_edges, g.up_maps)
+            gap = g.edge_gap
+            sigs.append({
+                v: (col[v], tuple(sorted([col[ends[gap[e]][e]] for e in edges.get(v, ())])))
+                for v in g.vertex_sets[i]
+            })
+        rank = {c: n for n, c in enumerate(sorted({*sigs[0].values(), *sigs[1].values()}))}
+        for col, sig in zip(cols, sigs):
+            for v, c in sig.items():
+                col[v] = rank[c]
+        return len(rank)
+
     classes = -1
     while True:
-        total = 0
-        for sweep, near in ((range(k), lower), (range(k - 1, -1, -1), upper)):
-            for i in sweep:
-                sigs = [
-                    {
-                        v: (col[v], tuple(sorted([col[w] for w in nb.get(v, ())])))
-                        for v in g.vertex_sets[i]
-                    }
-                    for g, col, nb in zip(graphs, cols, near)
-                ]
-                rank = {c: n for n, c in enumerate(sorted({*sigs[0].values(), *sigs[1].values()}))}
-                for col, sig in zip(cols, sigs):
-                    for v, c in sig.items():
-                        col[v] = rank[c]
-                total += len(rank)
+        total = sum(sweep(i, True) for i in range(k))
+        total += sum(sweep(i, False) for i in range(k - 1, -1, -1))
         if total == classes:
             break
         classes = total
@@ -733,7 +719,10 @@ def brute_force_iso(
 
 def _search(pre: tuple[ReebGraph, ReebGraph, tuple, tuple], budget: int | None) -> bool:
     """brute_force_iso's backtracking on a pair that passed ``_prefilter``,
-    whose result ``pre`` is: the refined pair and both sides' colours."""
+    whose result ``pre`` is: the refined pair and both sides' colours.
+
+    The search keeps its choice points on an explicit stack, one per placed
+    vertex or edge, so no input depth reaches Python's recursion limit."""
     ra, rb, (vinv_a, einv_a), (vinv_b, einv_b) = pre
     k = ra.level_count
 
@@ -783,6 +772,33 @@ def _search(pre: tuple[ReebGraph, ReebGraph, tuple, tuple], budget: int | None) 
         used_v.discard(vmap.pop(x))
         placed_v[i].pop()
 
+    def place_edge(i: int, e: str, e2: str) -> bool | None:
+        """Map e to e2 and, when still free, e's upper end to e2's.  None when
+        e2 does not fit; otherwise whether the upper end was placed here."""
+        if e2 in used_e or einv_a[e] != einv_b[e2]:
+            return None
+        if rb.down_maps[i][e2] != vmap[ra.down_maps[i][e]]:
+            return None
+        if not edge_order_ok(i, e, e2):
+            return None
+        u, u2 = ra.up_maps[i][e], rb.up_maps[i][e2]
+        forced = u not in vmap
+        if forced:
+            if not place_vertex(i + 1, u, u2):
+                return None
+        elif vmap[u] != u2:
+            return None
+        emap[e] = e2
+        used_e.add(e2)
+        placed_e[i].append(e)
+        return forced
+
+    def unplace_edge(i: int, e: str, forced: bool) -> None:
+        placed_e[i].pop()
+        used_e.discard(emap.pop(e))
+        if forced:
+            unplace_vertex(i + 1, ra.up_maps[i][e])
+
     def final_check() -> bool:
         for i in range(k):
             if not _orders_equivalent(ra.vertex_orders[i], rb.vertex_orders[i], vmap):
@@ -792,68 +808,48 @@ def _search(pre: tuple[ReebGraph, ReebGraph, tuple, tuple], budget: int | None) 
                 return False
         return True
 
-    slots: list[tuple[str, int]] = []
-    for i in range(k):
-        slots.append(("V", i))
-        if i < k - 1:
-            slots.append(("E", i))
+    # Slot 2i places the vertices of level i and slot 2i + 1 the edges of
+    # gap i, so each placed edge pins its upper end before that level's turn.
+    def choice_point(start: int) -> list | None:
+        """[slot, element, candidates, placement] for the first element still
+        unmapped from slot ``start`` on; None once everything is mapped."""
+        for si in range(start, 2 * k - 1):
+            mine, theirs, done = (
+                (ra.vertex_sets, rb.vertex_sets, vmap)
+                if si % 2 == 0
+                else (ra.edge_sets, rb.edge_sets, emap)
+            )
+            x = next((x for x in sorted(mine[si // 2]) if x not in done), None)
+            if x is not None:
+                return [si, x, iter(sorted(theirs[si // 2])), None]
+        return None
 
-    def run_slot(si: int) -> bool:
-        if si == len(slots):
-            return final_check()
-        kind, i = slots[si]
-        if kind == "V":
-            return fill_vertices(i, si)
-        return fill_edges(i, si)
-
-    def fill_vertices(i: int, si: int) -> bool:
-        pend = [x for x in sorted(ra.vertex_sets[i]) if x not in vmap]
-        if not pend:
-            return run_slot(si + 1)
-        x = pend[0]
-        for y in sorted(rb.vertex_sets[i]):
-            spend()
-            if not place_vertex(i, x, y):
-                continue
-            if fill_vertices(i, si):
-                return True
-            unplace_vertex(i, x)
-        return False
-
-    def fill_edges(i: int, si: int) -> bool:
-        pend = [e for e in sorted(ra.edge_sets[i]) if e not in emap]
-        if not pend:
-            return run_slot(si + 1)
-        e = pend[0]
-        want_down = vmap[ra.down_maps[i][e]]
-        u = ra.up_maps[i][e]
-        for e2 in sorted(rb.edge_sets[i]):
-            spend()
-            if e2 in used_e or einv_a[e] != einv_b[e2]:
-                continue
-            if rb.down_maps[i][e2] != want_down:
-                continue
-            if not edge_order_ok(i, e, e2):
-                continue
-            u2 = rb.up_maps[i][e2]
-            forced = False
-            if u in vmap:
-                if vmap[u] != u2:
-                    continue
+    top = choice_point(0)
+    if top is None:
+        return final_check()
+    stack = [top]
+    while stack:
+        top = stack[-1]
+        si, x, candidates, placed = top
+        i, is_vertex = si // 2, si % 2 == 0
+        if placed is not None:
+            if is_vertex:
+                unplace_vertex(i, x)
             else:
-                if not place_vertex(i + 1, u, u2):
-                    continue
-                forced = True
-            emap[e] = e2
-            used_e.add(e2)
-            placed_e[i].append(e)
-            if fill_edges(i, si):
-                return True
-            placed_e[i].pop()
-            used_e.discard(e2)
-            del emap[e]
-            if forced:
-                unplace_vertex(i + 1, u)
-        return False
-
-    return run_slot(0)
+                unplace_edge(i, x, placed)
+            top[3] = None
+        for y in candidates:
+            spend()
+            placed = (place_vertex(i, x, y) or None) if is_vertex else place_edge(i, x, y)
+            if placed is not None:
+                break
+        else:
+            stack.pop()
+            continue
+        top[3] = placed
+        nxt = choice_point(si)
+        if nxt is not None:
+            stack.append(nxt)
+        elif final_check():
+            return True
+    return False

@@ -73,7 +73,7 @@ def leaf_order(
     """
     graph = _graph_of(source)
     ranks = dict(ranks or {})
-    sinks = [v for v in graph.vertex_ids() if graph.outdeg(v) == 0]
+    sinks = [v for v in graph.vertex_ids() if v not in graph.below_edges]
     originals = [v for v in sinks if not v.startswith(RESERVED_VERTEX_PREFIX)]
     cuts = [v for v in sinks if v.startswith(RESERVED_VERTEX_PREFIX)]
 
@@ -147,16 +147,16 @@ def cophenetic_vector(
     if time_mode not in ("f", "-f"):
         raise ValueError(f"time_mode must be 'f' or '-f', not {time_mode!r}")
     graph = _graph_of(source)
-    for v in graph.vertex_level:
-        if graph.indeg(v) > 1:
-            raise NotATree(f"vertex {v!r} has {graph.indeg(v)} edges arriving from above")
-    sources = [v for v in graph.vertex_ids() if graph.indeg(v) == 0]
+    level_of, above = graph.vertex_level, graph.above_edges
+    for v, es in above.items():
+        if len(es) > 1:
+            raise NotATree(f"vertex {v!r} has {len(es)} edges arriving from above")
+    sources = [v for v in level_of if v not in above]
     if len(sources) != 1:
         raise NotRooted(f"{len(sources)} source vertices, expected exactly 1")
 
     leaves = leaf_order(source, ranks=ranks).leaves
     n = len(leaves)
-    level_of = graph.vertex_level
     children = {
         v: [graph.down_maps[graph.edge_gap[e]][e] for e in es]
         for v, es in graph.below_edges.items()
@@ -278,12 +278,15 @@ def _is_inf(p) -> bool:
     return p == math.inf or (isinstance(p, str) and p.lower() in ("inf", "infinity"))
 
 
-def _exponent(p) -> int | None:
+def _check_norm(p, digits: int) -> int | None:
     """The norm's exponent, or None for the sup norm.
 
     Accepts inf, "inf" and "infinity" in any case, or a whole number p >= 1
-    (a string of digits too); anything else raises ValueError.
+    (a string of digits too), and digits >= 0, the certified error being
+    10**-digits; anything else raises ValueError.
     """
+    if digits < 0:
+        raise ValueError(f"digits must be at least 0, not {digits!r}")
     if _is_inf(p):
         return None
     try:
@@ -349,7 +352,7 @@ def _directed(a: set, b: set, cost, worst: int) -> int:
 
 
 def _hausdorff(set_a: Sequence, set_b: Sequence, p, digits: int) -> Fraction:
-    q = _exponent(p)
+    q = _check_norm(p, digits)
     forms_a = [_integer_form(u) for u in set_a]
     forms_b = [_integer_form(v) for v in set_b]
     _check_lengths([row for _, row in forms_a], [row for _, row in forms_b])
@@ -430,7 +433,7 @@ def network_factors(
     """Classify ``graph`` (a multi-source graph raises ReticulationConflict
     here) and count its taxa; its factor vectors follow on first use."""
     view = build_dag_view(graph)
-    taxa = sum(1 for v in graph.vertex_ids() if graph.outdeg(v) == 0)
+    taxa = sum(1 for v in graph.vertex_level if v not in graph.below_edges)
     return NetworkFactors(view, taxa, ranks, time_mode)
 
 

@@ -95,6 +95,18 @@ def _check_pairs(value: Any, pointer: str) -> list[tuple[str, str]]:
     return out
 
 
+def _check_ranks(value: Any, pointer: str) -> dict[str, int]:
+    """A leaf rank table: an object mapping ids to integers (not booleans)."""
+    _want(isinstance(value, dict), "expected an object", pointer)
+    for key, rank in value.items():
+        _want(
+            isinstance(rank, int) and not isinstance(rank, bool),
+            "rank must be an integer",
+            f"{pointer}/{key}",
+        )
+    return dict(value)
+
+
 def from_jsonable(doc: Any) -> tuple[ReebGraph, dict[str, int] | None]:
     """Rebuild a graph (and its optional leaf rank table) from parsed JSON.
     Shape problems raise SchemaError pointing at the offending node; semantic
@@ -176,16 +188,7 @@ def from_jsonable(doc: Any) -> tuple[ReebGraph, dict[str, int] | None]:
 
     leaf_ranks = None
     if "leaf_ranks" in doc and doc["leaf_ranks"] is not None:
-        raw_ranks = doc["leaf_ranks"]
-        _want(isinstance(raw_ranks, dict), "expected an object", "/leaf_ranks")
-        leaf_ranks = {}
-        for key, value in raw_ranks.items():
-            _want(
-                isinstance(value, int) and not isinstance(value, bool),
-                "rank must be an integer",
-                f"/leaf_ranks/{key}",
-            )
-            leaf_ranks[key] = value
+        leaf_ranks = _check_ranks(doc["leaf_ranks"], "/leaf_ranks")
 
     try:
         graph = make_graph(

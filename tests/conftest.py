@@ -52,6 +52,19 @@ def chain_with_bigons(levels: int, s: int) -> ReebGraph:
     return make_graph(list(range(levels)), vertices, edges)
 
 
+def deep_ordered_path(levels: int):
+    """A path over ``levels`` levels whose bottom level holds two leaves
+    with one vertex cover between them; the cover sends reeb_iso to the
+    oracle."""
+    return make_graph(
+        list(range(levels)),
+        [["x", "y"]] + [[f"v{i}"] for i in range(1, levels)],
+        [[("a", "x", "v1"), ("b", "y", "v1")]]
+        + [[(f"e{i}", f"v{i}", f"v{i + 1}")] for i in range(1, levels - 1)],
+        vertex_covers=[[("x", "y")]] + [[] for _ in range(1, levels)],
+    )
+
+
 # Shapes (n_leaves, betti, levels) the seeded generator accepts for any seed:
 # it can host at most (levels - 1) + (n_leaves - 1) merge vertices.
 SAFE_SHAPES = [

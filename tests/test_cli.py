@@ -30,7 +30,7 @@ from reebtrees import (
 )
 from reebtrees.cli import main
 
-from conftest import corpus
+from conftest import corpus, deep_ordered_path, rename_graph
 
 DATA = Path(__file__).parent / "data"
 
@@ -108,6 +108,22 @@ class TestClassify:
         path = write_graph(tmp_path, "g.json", twin_peaks)
         assert main(["classify", path]) == 2
         assert "cycle-rank mismatch" in capsys.readouterr().err
+
+    def test_classifies_each_vertex_once(self, capsys, tmp_path, monkeypatch):
+        graph = random_graph(GeneratorSpec(seed=3, n_leaves=5, betti=4, levels=5, max_indeg=3))
+        path = write_graph(tmp_path, "g.json", graph)
+        calls = []
+        original = reebtrees.dag.classify_vertex
+
+        def counting(graph, v):
+            calls.append(v)
+            return original(graph, v)
+
+        monkeypatch.setattr(reebtrees.dag, "classify_vertex", counting)
+        assert main(["classify", path]) == 0
+        vertices = sorted(graph.vertex_level)
+        assert sorted(calls) == vertices
+        assert len(capsys.readouterr().out.splitlines()) == len(vertices)
 
 
 class TestMinimize:
@@ -215,6 +231,35 @@ class TestIso:
         rb = tmp_path / "rb.json"
         rb.write_text(json.dumps({"xl1": 1, "xl2": 2}))
         assert main(["iso", a, b, "--ranks-a", str(ra), "--ranks-b", str(rb)]) == 0
+
+    def test_deep_ordered_path_takes_the_oracle(self, tmp_path):
+        # The vertex cover sends the decision to the backtracking search,
+        # which must not run out of Python stack on 600 levels.
+        graph = deep_ordered_path(600)
+        a = write_graph(tmp_path, "a.json", graph)
+        b = write_graph(tmp_path, "b.json", rename_graph(graph))
+        src = str(Path(reebtrees.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        )}
+        done = subprocess.run(
+            [sys.executable, "-m", "reebtrees", "iso", a, b],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "isomorphic\n"
+
+    @pytest.mark.parametrize("rank", ["null", "1.5", "true", '"x"'])
+    def test_bad_rank_file(self, capsys, tmp_path, net_a, net_b, rank):
+        a = write_graph(tmp_path, "a.json", net_a)
+        b = write_graph(tmp_path, "b.json", net_b)
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"l1": {rank}, "l2": 2}}')
+        for argv in (["iso", a, b, "--ranks-a", str(bad)], ["dist", b, a, "--ranks-b", str(bad)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: /l1: rank must be an integer\n"
 
 
 class TestDist:
@@ -405,3 +450,12 @@ class TestPlumbing:
         a = write_graph(tmp_path, "a.json", net_a)
         assert main(["dist", a, a, "--p", p]) == 2
         assert "p must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("files", [["a.json", "a.json"], ["--matrix", "."]])
+    def test_negative_digits(self, capsys, tmp_path, monkeypatch, net_a, files):
+        write_graph(tmp_path, "a.json", net_a)
+        monkeypatch.chdir(tmp_path)
+        assert main(["dist", *files, "--p", "2", "--digits", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: digits must be at least 0, not -5\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 
 import pytest
@@ -174,3 +175,32 @@ def test_choices_cover_option_product():
     assert factor_count(view) == 4
     kept_sets = {c.kept for c in enumerate_choices(view)}
     assert len(kept_sets) == 4
+
+
+def test_factors_share_untouched_levels():
+    # Only a level holding a merge vertex gets a new vertex set, down map and
+    # order in a factor; every other level, and every gap's edges, up map and
+    # order, is the network's own object, and the network stays as it was.
+    for seed in range(8):
+        for n, s, lv in ((4, 4, 5), (3, 3, 4), (5, 5, 6), (6, 3, 5)):
+            g = random_graph(
+                GeneratorSpec(seed=seed, n_leaves=n, betti=s, levels=lv, max_indeg=3)
+            )
+            before = copy.deepcopy(g)
+            view = build_dag_view(g)
+            cut_levels = {c.level_index for c in view.reticulations}
+            for f in decompose(view).factors:
+                fg = f.graph
+                assert validate(fg, allow_cut_ids=True) == []
+                for name in ("levels", "edge_sets", "up_maps", "edge_orders", "edge_labels"):
+                    assert getattr(fg, name) is getattr(g, name)
+                for i in range(g.level_count):
+                    shared = [
+                        fg.vertex_sets[i] is g.vertex_sets[i],
+                        fg.vertex_orders[i] is g.vertex_orders[i],
+                    ]
+                    if i < g.gap_count:
+                        shared.append(fg.down_maps[i] is g.down_maps[i])
+                    assert shared == [i not in cut_levels] * len(shared)
+                assert glue_back(f) == g
+            assert g == before

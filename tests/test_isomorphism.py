@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections import defaultdict
 
 import pytest
 
 from reebtrees import (
     GeneratorSpec,
     LabelMismatch,
+    LevelPoset,
     MissingLabels,
     MorphismWitness,
     NotATree,
+    ReebGraph,
     SizeLimitExceeded,
     brute_force_iso,
     canonical_form,
@@ -27,7 +30,7 @@ from reebtrees import (
     verify_witness,
 )
 from reebtrees import isomorphism
-from conftest import SAFE_SHAPES, chain_with_bigons, corpus, rename_graph
+from conftest import SAFE_SHAPES, chain_with_bigons, corpus, deep_ordered_path, rename_graph
 
 
 def small_tree(**kwargs):
@@ -693,3 +696,180 @@ def test_canonical_form_matches_oracle_on_ordered_trees(monkeypatch):
         assert got == want, i
         outcomes.append(want)
     assert (outcomes.count(True), outcomes.count(False), sum(branched)) == (326, 374, 788)
+
+
+def test_deep_ordered_path_takes_the_oracle_without_recursing():
+    g = deep_ordered_path(600)
+    assert validate(g) == []
+    assert reeb_iso(g, rename_graph(g))
+    assert brute_force_iso(g, rename_graph(g))
+    twisted = dataclasses.replace(
+        g, vertex_orders=(LevelPoset(g.vertex_sets[0], frozenset({("y", "x")})),) + g.vertex_orders[1:]
+    )
+    assert reeb_iso(g, twisted)  # x and y swap places
+    unordered = dataclasses.replace(
+        g, vertex_orders=(LevelPoset.trivial(g.vertex_sets[0]),) + g.vertex_orders[1:]
+    )
+    assert not reeb_iso(g, unordered)
+
+
+def search_outcome(search, pre, budget):
+    try:
+        return search(pre, budget)
+    except SizeLimitExceeded as exc:
+        return str(exc)
+
+
+def test_search_matches_the_recursive_search():
+    """The explicit-stack search gives the recursive one's answer, and runs
+    out of budget exactly where it did, on generator pairs, ordered random
+    trees and crown stars."""
+    rng = random.Random(77)
+    pairs = []
+    for g in corpus(SAFE_SHAPES[:6], range(4), max_indeg=3):
+        pairs.append((g, rename_graph(g), None, None))
+        swapped = swap_lower_ends(g, rng)
+        if swapped is not None:
+            pairs.append((g, rename_graph(swapped), None, None))
+    for i in range(120):
+        pairs.append((crown_star_pair if i % 4 == 3 else random_tree_pair)(rng))
+    outcomes = []
+    for a, b, tags_a, tags_b in pairs:
+        pre = isomorphism._prefilter(a, b, tags_a, tags_b)
+        if pre is None:
+            continue
+        for budget in (1, 4, 16, 64, 256, None):
+            want = search_outcome(reference_search, pre, budget)
+            assert search_outcome(isomorphism._search, pre, budget) == want
+            outcomes.append(want)
+    limits = sum(isinstance(x, str) for x in outcomes)
+    assert (outcomes.count(True), outcomes.count(False), limits) == (336, 23, 211)
+
+
+def reference_search(pre: tuple[ReebGraph, ReebGraph, tuple, tuple], budget: int | None) -> bool:
+    """The recursive backtracking that the explicit-stack search replaced,
+    kept verbatim but for the module-qualified helpers: one Python frame per
+    placed vertex and edge."""
+    ra, rb, (vinv_a, einv_a), (vinv_b, einv_b) = pre
+    k = ra.level_count
+
+    nodes_left = [isomorphism._budget(budget)]
+    vmap: dict[str, str] = {}
+    emap: dict[str, str] = {}
+    used_v: set[str] = set()
+    used_e: set[str] = set()
+    placed_v: dict[int, list[str]] = defaultdict(list)
+    placed_e: dict[int, list[str]] = defaultdict(list)
+
+    def rel(poset: LevelPoset, x: str, y: str) -> tuple[bool, bool]:
+        return (poset.leq(x, y), poset.leq(y, x))
+
+    def vertex_order_ok(i: int, x: str, y: str) -> bool:
+        pa, pb = ra.vertex_orders[i], rb.vertex_orders[i]
+        for x2 in placed_v[i]:
+            if rel(pa, x, x2) != rel(pb, y, vmap[x2]):
+                return False
+        return True
+
+    def edge_order_ok(i: int, e: str, e2: str) -> bool:
+        pa, pb = ra.edge_orders[i], rb.edge_orders[i]
+        for e3 in placed_e[i]:
+            if rel(pa, e, e3) != rel(pb, e2, emap[e3]):
+                return False
+        return True
+
+    def spend() -> None:
+        nodes_left[0] -= 1
+        if nodes_left[0] < 0:
+            raise SizeLimitExceeded(
+                f"isomorphism search budget of {isomorphism._budget(budget)} nodes exhausted"
+            )
+
+    def place_vertex(i: int, x: str, y: str) -> bool:
+        if vinv_a[x] != vinv_b[y] or y in used_v:
+            return False
+        if not vertex_order_ok(i, x, y):
+            return False
+        vmap[x] = y
+        used_v.add(y)
+        placed_v[i].append(x)
+        return True
+
+    def unplace_vertex(i: int, x: str) -> None:
+        used_v.discard(vmap.pop(x))
+        placed_v[i].pop()
+
+    def final_check() -> bool:
+        for i in range(k):
+            if not isomorphism._orders_equivalent(ra.vertex_orders[i], rb.vertex_orders[i], vmap):
+                return False
+        for i in range(ra.gap_count):
+            if not isomorphism._orders_equivalent(ra.edge_orders[i], rb.edge_orders[i], emap):
+                return False
+        return True
+
+    slots: list[tuple[str, int]] = []
+    for i in range(k):
+        slots.append(("V", i))
+        if i < k - 1:
+            slots.append(("E", i))
+
+    def run_slot(si: int) -> bool:
+        if si == len(slots):
+            return final_check()
+        kind, i = slots[si]
+        if kind == "V":
+            return fill_vertices(i, si)
+        return fill_edges(i, si)
+
+    def fill_vertices(i: int, si: int) -> bool:
+        pend = [x for x in sorted(ra.vertex_sets[i]) if x not in vmap]
+        if not pend:
+            return run_slot(si + 1)
+        x = pend[0]
+        for y in sorted(rb.vertex_sets[i]):
+            spend()
+            if not place_vertex(i, x, y):
+                continue
+            if fill_vertices(i, si):
+                return True
+            unplace_vertex(i, x)
+        return False
+
+    def fill_edges(i: int, si: int) -> bool:
+        pend = [e for e in sorted(ra.edge_sets[i]) if e not in emap]
+        if not pend:
+            return run_slot(si + 1)
+        e = pend[0]
+        want_down = vmap[ra.down_maps[i][e]]
+        u = ra.up_maps[i][e]
+        for e2 in sorted(rb.edge_sets[i]):
+            spend()
+            if e2 in used_e or einv_a[e] != einv_b[e2]:
+                continue
+            if rb.down_maps[i][e2] != want_down:
+                continue
+            if not edge_order_ok(i, e, e2):
+                continue
+            u2 = rb.up_maps[i][e2]
+            forced = False
+            if u in vmap:
+                if vmap[u] != u2:
+                    continue
+            else:
+                if not place_vertex(i + 1, u, u2):
+                    continue
+                forced = True
+            emap[e] = e2
+            used_e.add(e2)
+            placed_e[i].append(e)
+            if fill_edges(i, si):
+                return True
+            placed_e[i].pop()
+            used_e.discard(e2)
+            del emap[e]
+            if forced:
+                unplace_vertex(i + 1, u)
+        return False
+
+    return run_slot(0)

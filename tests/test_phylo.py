@@ -492,6 +492,14 @@ class TestHausdorff:
         with pytest.raises(ValueError, match="p must be at least 1"):
             lp_distance([1, 2], [5, 7], p)
 
+    @pytest.mark.parametrize("p", [1, 2, math.inf], ids=repr)
+    def test_negative_digits_rejected_by_both(self, p):
+        with pytest.raises(ValueError, match="digits must be at least 0, not -5"):
+            hausdorff_distance([[1, 2]], [[5, 7]], p, digits=-5)
+        with pytest.raises(ValueError, match="digits must be at least 0, not -5"):
+            lp_distance([1, 2], [5, 7], p, digits=-5)
+        assert lp_distance([0, 0], [3, 4], p, digits=0) == {1: 7, 2: 5, math.inf: 4}[p]
+
     def test_whole_number_p_of_any_type(self):
         for p in (2, 2.0, F(2), "2"):
             assert hausdorff_distance([[0, 0]], [[3, 4]], p) == F(5)
