@@ -237,14 +237,12 @@ def make_graph(
     for i, gap in enumerate(edges):
         dn: dict[str, str] = {}
         up: dict[str, str] = {}
-        count = 0
         for eid, lo, hi in gap:
             eid = str(eid)
             if eid in dn:
                 raise ValueError(f"duplicate edge id {eid!r} in gap {i}")
             dn[eid] = str(lo)
             up[eid] = str(hi)
-            count += 1
         esets.append(frozenset(dn))
         downs.append(dn)
         ups.append(up)

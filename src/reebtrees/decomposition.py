@@ -127,7 +127,8 @@ def apply_choice(view: DagView, choice: CutChoice) -> Factor:
     order.
 
     Only the levels that receive a cut leaf get a new vertex set, down map
-    and order; every other level of the factor is the network's own object.
+    and order; every other level of the factor is the network's own object,
+    and a graph with no merge vertex is its factor's graph itself.
     """
     graph = view.graph
     options = dict(cut_options(view))
@@ -154,7 +155,8 @@ def apply_choice(view: DagView, choice: CutChoice) -> Factor:
             vsets[lvl],
             orders[lvl].covers.union((retic, leaves[e]) for retic, e in pairs),
         )
-    fgraph = replace(
+    # A tree has nothing to cut and is its own single factor.
+    fgraph = graph if not cuts else replace(
         graph, vertex_sets=tuple(vsets), down_maps=tuple(downs), vertex_orders=tuple(orders)
     )
     reattach = sorted((e, retic) for pairs in cuts.values() for retic, e in pairs)

@@ -3,10 +3,12 @@
 The accepted grammar is the classic parenthesized tree with mandatory branch
 lengths, where a node carrying ``#H<digits>`` may occur several times and all
 its occurrences denote one network node.  At most one occurrence may carry
-children (the defining site); lengths are unsigned decimals.  Parsing tracks
-line and column so every rejection points at its cause.  Times are exact:
-the root sits at time zero and each branch adds its length, and all copies of
-a hybrid node must land on exactly the same time.
+children (the defining site); lengths are unsigned ASCII decimals and tags
+ASCII digits.  The reader matches anchored patterns at integer offsets into
+the text and keeps offsets, not lines and columns; only a rejection converts
+its offset to the line and column of its cause.  Times are exact: the root
+sits at time zero and each branch adds its length, and all copies of a
+hybrid node must land on exactly the same time.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .core import ReebGraph, format_level, make_graph
+from .core import ReebGraph, _is_regular, format_level, make_graph
 from .dag import build_dag_view
 from .errors import (
     HybridArityError,
@@ -38,152 +40,113 @@ class PhyloNetwork:
     edges: tuple[tuple[str, str], ...]
 
 
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.i = 0
-        self.line = 1
-        self.col = 1
+# White space, then a node's name and its "#H" hybrid tag; the name may be
+# empty, and the groups after "#" are empty where the tag breaks off.
+_LABEL = re.compile(rf"[ \t\r\n]*({NAME_CHARS.pattern}*)(?:#(H?)([0-9]*))?")
+# White space, ':', white space, an unsigned decimal, white space and the
+# character after it; a group is empty where the input breaks off, and a
+# decimal that breaks off after its '.' ends in '.'.
+_BRANCH = re.compile(
+    r"[ \t\r\n]*(:?)[ \t\r\n]*((?:[0-9]+(?:\.[0-9]*)?)?)[ \t\r\n]*(.?)"
+)
+_SPACE = re.compile(r"[ \t\r\n]*")
 
-    def pos(self) -> tuple[int, int]:
-        return (self.line, self.col)
 
-    def peek(self) -> str:
-        return self.text[self.i] if self.i < len(self.text) else ""
-
-    def advance(self) -> str:
-        ch = self.text[self.i]
-        self.i += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def skip_ws(self) -> None:
-        while self.peek() in (" ", "\t", "\r", "\n") and self.peek():
-            self.advance()
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """Line and column, both counted from 1, of ``offset`` in ``text``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 @dataclass
 class _Occ:
-    pos: tuple[int, int]
+    pos: int
     name: str | None = None
     tag: str | None = None
-    children: list[tuple["_Occ", Fraction, tuple[int, int]]] = field(default_factory=list)
+    children: list[tuple["_Occ", Fraction, int]] = field(default_factory=list)
     time: Fraction = Fraction(0)
 
 
-def _parse_name(cur: _Cursor) -> str:
-    out = []
-    while cur.peek() and NAME_CHARS.match(cur.peek()):
-        out.append(cur.advance())
-    return "".join(out)
+def _parse_label(text: str, i: int, pos: int, children: list) -> tuple[_Occ, int]:
+    """The name and hybrid tag at offset ``i``, after a node's children if
+    any, for the node that starts at offset ``pos``."""
+    m = _LABEL.match(text, i)
+    name, h, tag = m.groups()
+    if h == "":
+        raise NewickSyntaxError("expected 'H' after '#'", *_position(text, m.start(2)))
+    if tag == "":
+        raise NewickSyntaxError(
+            "expected digits after '#H'", *_position(text, m.start(3))
+        )
+    if not (children or name or tag):
+        raise NewickSyntaxError("empty subtree", *_position(text, pos))
+    return _Occ(pos=pos, name=name or None, tag=tag, children=children), m.end()
 
 
-def _parse_length(cur: _Cursor) -> tuple[Fraction, tuple[int, int]]:
-    cur.skip_ws()
-    pos = cur.pos()
-    digits = []
-    while cur.peek().isdigit():
-        digits.append(cur.advance())
-    if not digits:
-        raise NewickSyntaxError("invalid branch length", *pos)
-    if cur.peek() == ".":
-        digits.append(cur.advance())
-        if not cur.peek().isdigit():
-            raise NewickSyntaxError("invalid branch length", *pos)
-        while cur.peek().isdigit():
-            digits.append(cur.advance())
-    return Fraction("".join(digits)), pos
-
-
-def _parse_node_end(cur: _Cursor, pos: tuple[int, int], children: list) -> _Occ:
-    """The name and hybrid tag after a node's children, if any."""
-    cur.skip_ws()
-    name = _parse_name(cur)
-    tag = None
-    if cur.peek() == "#":
-        cur.advance()
-        if cur.peek() != "H":
-            raise NewickSyntaxError("expected 'H' after '#'", *cur.pos())
-        cur.advance()
-        tpos = cur.pos()
-        digits = []
-        while cur.peek().isdigit():
-            digits.append(cur.advance())
-        if not digits:
-            raise NewickSyntaxError("expected digits after '#H'", *tpos)
-        tag = "".join(digits)
-    if not children and not name and tag is None:
-        raise NewickSyntaxError("empty subtree", *pos)
-    return _Occ(pos=pos, name=name or None, tag=tag, children=children)
-
-
-def _parse_subtree(cur: _Cursor) -> _Occ:
-    """One subtree, read with an explicit stack of open parentheses, so the
-    nesting depth is bounded by memory only."""
-    open_nodes: list[tuple[tuple[int, int], list]] = []
+def _parse_subtree(text: str, i: int) -> tuple[_Occ, int]:
+    """The subtree at offset ``i`` and the offset after it, read with an
+    explicit stack of open parentheses, so the nesting depth is bounded by
+    memory only."""
+    open_nodes: list[tuple[int, list]] = []
     while True:
-        cur.skip_ws()
-        pos = cur.pos()
-        if cur.peek() == "(":
-            cur.advance()
-            open_nodes.append((pos, []))
+        i = _SPACE.match(text, i).end()
+        if text.startswith("(", i):
+            open_nodes.append((i, []))
+            i += 1
             continue
-        occ = _parse_node_end(cur, pos, [])
+        occ, i = _parse_label(text, i, i, [])
         # Attach the finished node to its parent, closing parents as ')' come.
         while open_nodes:
-            cur.skip_ws()
-            if cur.peek() != ":":
-                raise NewickSyntaxError("missing branch length", *cur.pos())
-            cur.advance()
-            length, lpos = _parse_length(cur)
+            m = _BRANCH.match(text, i)
+            colon, length, ch = m.groups()
+            if not colon:
+                raise NewickSyntaxError(
+                    "missing branch length", *_position(text, m.start(1))
+                )
+            if not length or length[-1] == ".":
+                raise NewickSyntaxError(
+                    "invalid branch length", *_position(text, m.start(2))
+                )
             ppos, siblings = open_nodes[-1]
-            siblings.append((occ, length, lpos))
-            cur.skip_ws()
-            ch = cur.peek()
+            siblings.append((occ, Fraction(length), m.start(2)))
+            i = m.end()
             if ch == ",":
-                cur.advance()
                 break
             if ch == ")":
-                cur.advance()
                 open_nodes.pop()
-                occ = _parse_node_end(cur, ppos, siblings)
+                occ, i = _parse_label(text, i, ppos, siblings)
                 continue
             if ch == "":
-                raise UnbalancedParens("unclosed parenthesis", *cur.pos())
-            raise NewickSyntaxError(f"expected ',' or ')', found {ch!r}", *cur.pos())
+                raise UnbalancedParens("unclosed parenthesis", *_position(text, i))
+            raise NewickSyntaxError(
+                f"expected ',' or ')', found {ch!r}", *_position(text, m.start(3))
+            )
         else:
-            return occ
+            return occ, i
 
 
 def parse_enewick(text: str) -> PhyloNetwork:
     """Parse one network string.  Raises positioned errors on bad syntax,
     unmatched parentheses, single-use hybrid tags, nonpositive lengths, or
     inconsistent hybrid times."""
-    cur = _Cursor(text)
-    cur.skip_ws()
-    if cur.peek() == "":
-        raise NewickSyntaxError("empty input", *cur.pos())
-    top = _parse_subtree(cur)
-    cur.skip_ws()
-    ch = cur.peek()
+    i = _SPACE.match(text).end()
+    if i == len(text):
+        raise NewickSyntaxError("empty input", *_position(text, i))
+    top, i = _parse_subtree(text, i)
+    i = _SPACE.match(text, i).end()
+    ch = text[i:i + 1]
     if ch == ")":
-        raise UnbalancedParens("unmatched closing parenthesis", *cur.pos())
+        raise UnbalancedParens("unmatched closing parenthesis", *_position(text, i))
+    if ch == "":
+        raise NewickSyntaxError("expected ';' at end of input", *_position(text, i))
     if ch != ";":
-        if ch == "":
-            raise NewickSyntaxError("expected ';' at end of input", *cur.pos())
-        raise NewickSyntaxError(f"expected ';', found {ch!r}", *cur.pos())
-    cur.advance()
-    cur.skip_ws()
-    if cur.peek() != "":
-        raise NewickSyntaxError("trailing characters after ';'", *cur.pos())
-    return _resolve(top)
+        raise NewickSyntaxError(f"expected ';', found {ch!r}", *_position(text, i))
+    i = _SPACE.match(text, i + 1).end()
+    if i != len(text):
+        raise NewickSyntaxError("trailing characters after ';'", *_position(text, i))
+    return _resolve(top, text)
 
 
-def _resolve(top: _Occ) -> PhyloNetwork:
+def _resolve(top: _Occ, text: str) -> PhyloNetwork:
     occs: list[_Occ] = []
     stack = [top]
     top.time = Fraction(0)
@@ -192,7 +155,9 @@ def _resolve(top: _Occ) -> PhyloNetwork:
         occs.append(occ)
         for child, length, lpos in occ.children:
             if length <= 0:
-                raise TimeInconsistency("branch length must be positive", *lpos)
+                raise TimeInconsistency(
+                    "branch length must be positive", *_position(text, lpos)
+                )
             child.time = occ.time + length
             stack.append(child)
 
@@ -207,31 +172,32 @@ def _resolve(top: _Occ) -> PhyloNetwork:
         group = by_tag[tag]
         if len(group) == 1:
             raise HybridArityError(
-                f"hybrid tag #H{tag} appears only once", *group[0].pos
+                f"hybrid tag #H{tag} appears only once", *_position(text, group[0].pos)
             )
         defs = [o for o in group if o.children]
         if len(defs) > 1:
             raise NewickSyntaxError(
-                f"hybrid #H{tag} defined more than once", *defs[1].pos
+                f"hybrid #H{tag} defined more than once", *_position(text, defs[1].pos)
             )
         names = sorted({o.name for o in group if o.name})
         if len(names) > 1:
             raise NewickSyntaxError(
                 f"conflicting names for hybrid #H{tag}: {', '.join(names)}",
-                *group[0].pos,
+                *_position(text, group[0].pos),
             )
         t0 = group[0].time
         for o in group[1:]:
             if o.time != t0:
                 raise TimeInconsistency(
-                    f"hybrid #H{tag} occurs at times {t0} and {o.time}", *o.pos
+                    f"hybrid #H{tag} occurs at times {t0} and {o.time}",
+                    *_position(text, o.pos),
                 )
         hybrid_id[tag] = names[0] if names else f"#H{tag}"
         for o in group:
             node_of[id(o)] = hybrid_id[tag]
 
     counter = 0
-    declared: dict[str, tuple[int, int]] = {}
+    declared: set[str] = set()
     for occ in occs:
         if occ.tag is not None:
             continue
@@ -242,12 +208,16 @@ def _resolve(top: _Occ) -> PhyloNetwork:
             counter += 1
         node_of[id(occ)] = node
         if node in declared:
-            raise NewickSyntaxError(f"duplicate node name {node!r}", *occ.pos)
-        declared[node] = occ.pos
+            raise NewickSyntaxError(
+                f"duplicate node name {node!r}", *_position(text, occ.pos)
+            )
+        declared.add(node)
     for tag, node in hybrid_id.items():
         if node in declared:
-            raise NewickSyntaxError(f"duplicate node name {node!r}", *by_tag[tag][0].pos)
-        declared[node] = by_tag[tag][0].pos
+            raise NewickSyntaxError(
+                f"duplicate node name {node!r}", *_position(text, by_tag[tag][0].pos)
+            )
+        declared.add(node)
 
     times: dict[str, Fraction] = {}
     edges: list[tuple[str, str]] = []
@@ -313,16 +283,13 @@ def reeb_to_network(graph: ReebGraph) -> PhyloNetwork:
     root = view.root
     f_root = graph.levels[graph.vertex_level[root]]
 
-    def regular(v: str) -> bool:
-        return graph.indeg(v) == 1 and graph.outdeg(v) == 1
-
-    nodes = [v for v in graph.vertex_ids() if not regular(v)]
+    nodes = [v for v in graph.vertex_ids() if not _is_regular(graph, v)]
     times = {v: f_root - graph.levels[graph.vertex_level[v]] for v in nodes}
     edges: list[tuple[str, str]] = []
     for c in nodes:
         for e in graph.above_edges.get(c, ()):
             w = graph.up_maps[graph.edge_gap[e]][e]
-            while regular(w):
+            while _is_regular(graph, w):
                 e2 = graph.above_edges[w][0]
                 w = graph.up_maps[graph.edge_gap[e2]][e2]
             edges.append((w, c))

@@ -659,28 +659,13 @@ def labelled_iso(a: ReebGraph, b: ReebGraph) -> MorphismWitness | None:
             raise LabelMismatch(f"label sets differ at gap {i}")
         edge_maps.append({la[lab]: lb[lab] for lab in la})
 
-    vertex_map: dict[str, str] = {}
-
-    def assign(x: str, y: str) -> bool:
-        if x in vertex_map:
-            return vertex_map[x] == y
-        vertex_map[x] = y
-        return True
-
-    for i in range(ra.gap_count):
-        for e, e2 in edge_maps[i].items():
-            if not assign(ra.down_maps[i][e], rb.down_maps[i][e2]):
-                return None
-            if not assign(ra.up_maps[i][e], rb.up_maps[i][e2]):
-                return None
-    vertex_maps: list[dict[str, str]] = []
-    for i in range(ra.level_count):
-        vm = {v: vertex_map[v] for v in ra.vertex_sets[i] if v in vertex_map}
-        if set(vm) != ra.vertex_sets[i]:
-            return None
-        if set(vm.values()) != rb.vertex_sets[i] or len(set(vm.values())) != len(vm):
-            return None
-        vertex_maps.append(vm)
+    # Each edge forces its endpoints' images; a vertex forced two ways, or
+    # not at all, fails verify_witness's endpoint or bijection check.
+    vertex_maps: list[dict[str, str]] = [{} for _ in range(ra.level_count)]
+    for i, em in enumerate(edge_maps):
+        for e, e2 in em.items():
+            vertex_maps[i][ra.down_maps[i][e]] = rb.down_maps[i][e2]
+            vertex_maps[i + 1][ra.up_maps[i][e]] = rb.up_maps[i][e2]
     witness = MorphismWitness(
         source=ra,
         target=rb,

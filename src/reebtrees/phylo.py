@@ -82,16 +82,16 @@ def leaf_order(
             return (0, ranks[v], "")
         return (1, graph.vertex_level[v], v)
 
-    reattach = source.reattach_map if isinstance(source, Factor) else {}
+    # Each cut leaf's merge vertex: the one its level's order puts above it.
+    merge_of = {
+        b: a
+        for level in {graph.vertex_level[v] for v in cuts}
+        for a, b in graph.vertex_orders[level].covers
+    }
 
     def cut_key(v: str):
         edge = v[len(RESERVED_VERTEX_PREFIX):]
-        retic = reattach.get(edge)
-        if retic is None:
-            for a, b in graph.vertex_orders[graph.vertex_level[v]].covers:
-                if b == v:
-                    retic = a
-                    break
+        retic = merge_of.get(v)
         if retic is None:
             return (graph.vertex_level[v], "", edge)
         return (graph.vertex_level[retic], retic, edge)
@@ -384,10 +384,10 @@ def hausdorff_distance(
     of all their entries' denominators, so every pairwise cost is computed
     on integers, and duplicate vectors are dropped, since the distance sees
     only sets.  Vectors from cophenetic_vector arrive with their integer
-    form; other sequences are converted once per call.  Each directed distance uses the exact early break of Taha &
-    Hanbury (IEEE TPAMI 2015): the scan for a vector's nearest neighbour
-    stops once it cannot raise the maximum found so far.  The scale is
-    divided out once at the end.
+    form; other sequences are converted once per call.  Each directed
+    distance uses the exact early break of Taha & Hanbury (IEEE TPAMI 2015):
+    the scan for a vector's nearest neighbour stops once it cannot raise the
+    maximum found so far.  The scale is divided out once at the end.
 
     For integer p >= 2 the max/min structure runs on exact p-th power sums
     and the root is taken once at the very end, so the certified error bound

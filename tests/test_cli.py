@@ -83,6 +83,13 @@ class TestValidate:
         assert main(["validate", "--allow-cut-ids", path]) == 0
 
 
+    def test_non_ascii_digit_is_a_positioned_error(self, capsys, tmp_path):
+        path = tmp_path / "net.enwk"
+        path.write_text("(A:\u00b2)r;\n", encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        assert "line 1, col 4: invalid branch length" in capsys.readouterr().err
+
+
 class TestBetti:
     def test_agreeing_counts(self, capsys, tmp_path, cycle_graph):
         path = write_graph(tmp_path, "g.json", cycle_graph)

@@ -204,3 +204,12 @@ def test_factors_share_untouched_levels():
                     assert shared == [i not in cut_levels] * len(shared)
                 assert glue_back(f) == g
             assert g == before
+
+
+def test_a_tree_is_its_own_factor():
+    for seed in range(4):
+        tree = random_graph(GeneratorSpec(seed=seed, n_leaves=5, betti=0, levels=4))
+        (factor,) = decompose(tree).factors
+        assert factor.graph is tree
+        assert factor.detached == frozenset() and factor.reattach == ()
+        assert glue_back(factor) == tree

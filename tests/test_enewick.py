@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from reebtrees import (
     betti_euler,
     betti_reticulation,
     build_dag_view,
+    enewick,
     enewick_to_reeb,
     network_to_reeb,
     parse_enewick,
@@ -24,6 +27,9 @@ from reebtrees import (
     reeb_to_network,
     write_enewick,
 )
+from reebtrees.enewick import NAME_CHARS
+
+from test_acceptance import deep_caterpillar, long_comb
 
 F = Fraction
 
@@ -167,6 +173,19 @@ class TestParseErrors:
     def test_duplicate_plain_name(self):
         expect(NewickSyntaxError, "(A:1,A:2)r;", "duplicate node name 'A'", 1, 2)
 
+    @pytest.mark.parametrize(
+        "text, message, col",
+        [
+            ("(A:\u00b2)r;", "invalid branch length", 4),
+            ("(A:\u0661)r;", "invalid branch length", 4),
+            ("(A:1.\u0661)r;", "invalid branch length", 4),
+            ("(A#H\u00b2:1,B#H\u00b2:1)r;", "expected digits after '#H'", 5),
+            ("(A#H\u0661:1,B#H\u0661:1)r;", "expected digits after '#H'", 5),
+        ],
+    )
+    def test_only_ascii_digits(self, text, message, col):
+        expect(NewickSyntaxError, text, message, 1, col)
+
 
 class TestWrite:
     def test_children_sorted_and_fixed_point(self):
@@ -279,3 +298,317 @@ class TestContraction:
     def test_multiple_sources_rejected(self, twin_peaks):
         with pytest.raises(ReticulationConflict):
             reeb_to_network(twin_peaks)
+
+
+# The reader as it was before it read by offsets, kept verbatim (apart from
+# the entry point's name) as the reference for the differential tests below.
+
+
+class _Cursor:
+    def __init__(self, text: str):
+        self.text = text
+        self.i = 0
+        self.line = 1
+        self.col = 1
+
+    def pos(self) -> tuple[int, int]:
+        return (self.line, self.col)
+
+    def peek(self) -> str:
+        return self.text[self.i] if self.i < len(self.text) else ""
+
+    def advance(self) -> str:
+        ch = self.text[self.i]
+        self.i += 1
+        if ch == "\n":
+            self.line += 1
+            self.col = 1
+        else:
+            self.col += 1
+        return ch
+
+    def skip_ws(self) -> None:
+        while self.peek() in (" ", "\t", "\r", "\n") and self.peek():
+            self.advance()
+
+
+@dataclass
+class _Occ:
+    pos: tuple[int, int]
+    name: str | None = None
+    tag: str | None = None
+    children: list[tuple["_Occ", Fraction, tuple[int, int]]] = field(default_factory=list)
+    time: Fraction = Fraction(0)
+
+
+def _parse_name(cur: _Cursor) -> str:
+    out = []
+    while cur.peek() and NAME_CHARS.match(cur.peek()):
+        out.append(cur.advance())
+    return "".join(out)
+
+
+def _parse_length(cur: _Cursor) -> tuple[Fraction, tuple[int, int]]:
+    cur.skip_ws()
+    pos = cur.pos()
+    digits = []
+    while cur.peek().isdigit():
+        digits.append(cur.advance())
+    if not digits:
+        raise NewickSyntaxError("invalid branch length", *pos)
+    if cur.peek() == ".":
+        digits.append(cur.advance())
+        if not cur.peek().isdigit():
+            raise NewickSyntaxError("invalid branch length", *pos)
+        while cur.peek().isdigit():
+            digits.append(cur.advance())
+    return Fraction("".join(digits)), pos
+
+
+def _parse_node_end(cur: _Cursor, pos: tuple[int, int], children: list) -> _Occ:
+    """The name and hybrid tag after a node's children, if any."""
+    cur.skip_ws()
+    name = _parse_name(cur)
+    tag = None
+    if cur.peek() == "#":
+        cur.advance()
+        if cur.peek() != "H":
+            raise NewickSyntaxError("expected 'H' after '#'", *cur.pos())
+        cur.advance()
+        tpos = cur.pos()
+        digits = []
+        while cur.peek().isdigit():
+            digits.append(cur.advance())
+        if not digits:
+            raise NewickSyntaxError("expected digits after '#H'", *tpos)
+        tag = "".join(digits)
+    if not children and not name and tag is None:
+        raise NewickSyntaxError("empty subtree", *pos)
+    return _Occ(pos=pos, name=name or None, tag=tag, children=children)
+
+
+def _parse_subtree(cur: _Cursor) -> _Occ:
+    """One subtree, read with an explicit stack of open parentheses, so the
+    nesting depth is bounded by memory only."""
+    open_nodes: list[tuple[tuple[int, int], list]] = []
+    while True:
+        cur.skip_ws()
+        pos = cur.pos()
+        if cur.peek() == "(":
+            cur.advance()
+            open_nodes.append((pos, []))
+            continue
+        occ = _parse_node_end(cur, pos, [])
+        # Attach the finished node to its parent, closing parents as ')' come.
+        while open_nodes:
+            cur.skip_ws()
+            if cur.peek() != ":":
+                raise NewickSyntaxError("missing branch length", *cur.pos())
+            cur.advance()
+            length, lpos = _parse_length(cur)
+            ppos, siblings = open_nodes[-1]
+            siblings.append((occ, length, lpos))
+            cur.skip_ws()
+            ch = cur.peek()
+            if ch == ",":
+                cur.advance()
+                break
+            if ch == ")":
+                cur.advance()
+                open_nodes.pop()
+                occ = _parse_node_end(cur, ppos, siblings)
+                continue
+            if ch == "":
+                raise UnbalancedParens("unclosed parenthesis", *cur.pos())
+            raise NewickSyntaxError(f"expected ',' or ')', found {ch!r}", *cur.pos())
+        else:
+            return occ
+
+
+def reference_parse_enewick(text: str) -> PhyloNetwork:
+    """Parse one network string.  Raises positioned errors on bad syntax,
+    unmatched parentheses, single-use hybrid tags, nonpositive lengths, or
+    inconsistent hybrid times."""
+    cur = _Cursor(text)
+    cur.skip_ws()
+    if cur.peek() == "":
+        raise NewickSyntaxError("empty input", *cur.pos())
+    top = _parse_subtree(cur)
+    cur.skip_ws()
+    ch = cur.peek()
+    if ch == ")":
+        raise UnbalancedParens("unmatched closing parenthesis", *cur.pos())
+    if ch != ";":
+        if ch == "":
+            raise NewickSyntaxError("expected ';' at end of input", *cur.pos())
+        raise NewickSyntaxError(f"expected ';', found {ch!r}", *cur.pos())
+    cur.advance()
+    cur.skip_ws()
+    if cur.peek() != "":
+        raise NewickSyntaxError("trailing characters after ';'", *cur.pos())
+    return _resolve(top)
+
+
+def _resolve(top: _Occ) -> PhyloNetwork:
+    occs: list[_Occ] = []
+    stack = [top]
+    top.time = Fraction(0)
+    while stack:
+        occ = stack.pop()
+        occs.append(occ)
+        for child, length, lpos in occ.children:
+            if length <= 0:
+                raise TimeInconsistency("branch length must be positive", *lpos)
+            child.time = occ.time + length
+            stack.append(child)
+
+    by_tag: dict[str, list[_Occ]] = {}
+    for occ in occs:
+        if occ.tag is not None:
+            by_tag.setdefault(occ.tag, []).append(occ)
+
+    node_of: dict[int, str] = {}
+    hybrid_id: dict[str, str] = {}
+    for tag in sorted(by_tag):
+        group = by_tag[tag]
+        if len(group) == 1:
+            raise HybridArityError(
+                f"hybrid tag #H{tag} appears only once", *group[0].pos
+            )
+        defs = [o for o in group if o.children]
+        if len(defs) > 1:
+            raise NewickSyntaxError(
+                f"hybrid #H{tag} defined more than once", *defs[1].pos
+            )
+        names = sorted({o.name for o in group if o.name})
+        if len(names) > 1:
+            raise NewickSyntaxError(
+                f"conflicting names for hybrid #H{tag}: {', '.join(names)}",
+                *group[0].pos,
+            )
+        t0 = group[0].time
+        for o in group[1:]:
+            if o.time != t0:
+                raise TimeInconsistency(
+                    f"hybrid #H{tag} occurs at times {t0} and {o.time}", *o.pos
+                )
+        hybrid_id[tag] = names[0] if names else f"#H{tag}"
+        for o in group:
+            node_of[id(o)] = hybrid_id[tag]
+
+    counter = 0
+    declared: dict[str, tuple[int, int]] = {}
+    for occ in occs:
+        if occ.tag is not None:
+            continue
+        if occ.name:
+            node = occ.name
+        else:
+            node = f"@n{counter}"
+            counter += 1
+        node_of[id(occ)] = node
+        if node in declared:
+            raise NewickSyntaxError(f"duplicate node name {node!r}", *occ.pos)
+        declared[node] = occ.pos
+    for tag, node in hybrid_id.items():
+        if node in declared:
+            raise NewickSyntaxError(f"duplicate node name {node!r}", *by_tag[tag][0].pos)
+        declared[node] = by_tag[tag][0].pos
+
+    times: dict[str, Fraction] = {}
+    edges: list[tuple[str, str]] = []
+    for occ in occs:
+        node = node_of[id(occ)]
+        times[node] = occ.time
+        for child, _length, _lpos in occ.children:
+            edges.append((node, node_of[id(child)]))
+    # No ancestry cycle can form: lengths are positive and hybrid copies share one time.
+    return PhyloNetwork(root=node_of[id(top)], times=times, edges=tuple(edges))
+
+
+def outcome(parse, text):
+    """The parsed network, or the class, message, line and column raised."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+
+
+def assert_same_outcomes(texts):
+    for text in texts:
+        # Non-ASCII digits are the one intended change: lengths and tags
+        # take ASCII digits only.
+        if any(ch.isdigit() and not ch.isascii() for ch in text):
+            continue
+        assert outcome(parse_enewick, text) == outcome(reference_parse_enewick, text), text
+
+
+def fuzz_strings(seed, alphabet, count=10_000):
+    """Criterion 10's fuzz inputs: random strings over ``alphabet`` and
+    damaged corpus files, alternating."""
+    rng = random.Random(seed)
+    corpus_texts = [p.read_text().strip() for p in sorted(CORPUS.glob("*.enwk"))]
+    for i in range(count):
+        if i % 2 == 0:
+            yield "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 50)))
+            continue
+        s = list(rng.choice(corpus_texts))
+        for _ in range(rng.randrange(1, 4)):
+            op = rng.randrange(3)
+            pos = rng.randrange(len(s) + 1) if s else 0
+            if op == 0 and s:
+                s[min(pos, len(s) - 1)] = rng.choice(alphabet)
+            elif op == 1:
+                s.insert(pos, rng.choice(alphabet))
+            elif s:
+                del s[min(pos, len(s) - 1)]
+        yield "".join(s)
+
+
+FUZZ_ALPHABET = list("()#H:;,.0123456789ABxyz_- \n\t@[]")
+
+
+class TestMatchesReference:
+    def test_corpus(self):
+        files = sorted(CORPUS.glob("*.enwk"))
+        assert len(files) == 50
+        assert_same_outcomes(p.read_text() for p in files)
+
+    def test_criterion_10_fuzz(self):
+        assert_same_outcomes(fuzz_strings(987654321, FUZZ_ALPHABET))
+
+    def test_fuzz_with_carriage_returns(self):
+        assert_same_outcomes(fuzz_strings(20261018, FUZZ_ALPHABET + ["\r"]))
+
+    def test_deep_and_long_and_their_damage(self):
+        rng = random.Random(4242)
+        for text in (deep_caterpillar(2000), long_comb(2000)):
+            variants = [text, text.replace(",", ",\r\n")]
+            variants += [text[:cut] for cut in rng.sample(range(len(text)), 17)]
+            for _ in range(17):
+                at = rng.randrange(len(text) + 1)
+                variants.append(text[:at] + rng.choice("(),:;#H.x0 \n\r") + text[at:])
+            for _ in range(17):
+                at = rng.randrange(len(text))
+                variants.append(text[:at] + text[at + 1:])
+            assert_same_outcomes(variants)
+
+
+def test_positions_are_computed_only_for_rejections(monkeypatch):
+    calls = []
+    position = enewick._position
+
+    def spy(text, offset):
+        calls.append(offset)
+        return position(text, offset)
+
+    monkeypatch.setattr(enewick, "_position", spy)
+    comb = long_comb(2000).replace(",", ",\n")
+    assert len(parse_enewick(comb).times) == 2001
+    assert calls == []
+    # A syntax error, then one raised after the whole text is read.
+    for text, where in ((comb[:-3], (2000, 10)), (comb.replace("t0001", "t0000"), (1, 2))):
+        with pytest.raises(NewickSyntaxError) as info:
+            parse_enewick(text)
+        assert (info.value.line, info.value.col) == where
+    assert len(calls) == 2

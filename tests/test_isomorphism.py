@@ -334,6 +334,29 @@ class TestLabelled:
         )
         assert labelled_iso(a, skew) is None
 
+    def test_conflicting_forced_vertex_map_returns_none(self):
+        # The labels send x to p and y to q, and so their common parent c to
+        # both m and n.
+        a = make_graph(
+            [0, 1, 2],
+            [["x", "y"], ["c", "d"], ["top"]],
+            [
+                [("e1", "x", "c"), ("e2", "y", "c")],
+                [("g1", "c", "top"), ("g2", "d", "top")],
+            ],
+            labels=[{"e1": "L", "e2": "R"}, {"g1": "S", "g2": "T"}],
+        )
+        b = make_graph(
+            [0, 1, 2],
+            [["p", "q"], ["m", "n"], ["top"]],
+            [
+                [("u1", "p", "m"), ("u2", "q", "n")],
+                [("w1", "m", "top"), ("w2", "n", "top")],
+            ],
+            labels=[{"u1": "L", "u2": "R"}, {"w1": "S", "w2": "T"}],
+        )
+        assert labelled_iso(a, b) is None
+
     def test_refinement_relabels_consistently(self):
         coarse = make_graph(
             [0, 2],
