@@ -35,11 +35,13 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+_ENWK_SUFFIXES = (".enwk", ".nwk", ".newick")
+
+
 def _sniff(path: str) -> str:
     if path == "-":
         return "json"
-    suffix = Path(path).suffix.lower()
-    return "enwk" if suffix in (".enwk", ".nwk", ".newick") else "json"
+    return "enwk" if Path(path).suffix.lower() in _ENWK_SUFFIXES else "json"
 
 
 def _load_graph(path: str, fmt: str | None):
@@ -154,8 +156,9 @@ def cmd_dist(args) -> int:
     _check_norm(p, args.digits)  # a bad --p or --digits fails before any file is read
     if args.matrix:
         directory = Path(args.matrix)
+        suffixes = (".json", *_ENWK_SUFFIXES)
         files = sorted(
-            [*directory.glob("*.json"), *directory.glob("*.enwk")],
+            (f for f in directory.glob("*") if f.suffix.lower() in suffixes and f.is_file()),
             key=lambda f: f.name,
         )
         if not files:

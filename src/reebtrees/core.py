@@ -9,9 +9,11 @@ covering relations.  Everything is immutable after construction.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BadLevelSet, OrderConflict
@@ -493,87 +495,6 @@ def minimize_critical_set(graph: ReebGraph) -> ReebGraph:
     )
 
 
-def _split_gap_id(edge: str, part: str) -> str:
-    return f"{edge}.{part}"
-
-
-def _insert_level(graph: ReebGraph, value: Fraction) -> ReebGraph:
-    """Insert one level strictly inside an existing gap, splitting every
-    crossing edge in two around a fresh regular vertex."""
-    gap = None
-    for i in range(graph.gap_count):
-        if graph.levels[i] < value < graph.levels[i + 1]:
-            gap = i
-            break
-    if gap is None:
-        raise BadLevelSet(f"level {format_level(value)} does not fall inside a gap")
-
-    crossing = sorted(graph.edge_sets[gap])
-    mid_name = {e: f"{e}@{format_level(value)}" for e in crossing}
-    lo_name = {e: _split_gap_id(e, "lo") for e in crossing}
-    hi_name = {e: _split_gap_id(e, "hi") for e in crossing}
-
-    existing = set(graph.vertex_level) | set(graph.edge_gap)
-    for fresh in list(mid_name.values()) + list(lo_name.values()) + list(hi_name.values()):
-        if fresh in existing:
-            raise ValueError(f"refinement id collision on {fresh!r}")
-
-    levels = list(graph.levels)
-    levels.insert(gap + 1, value)
-    vsets = list(graph.vertex_sets)
-    vsets.insert(gap + 1, frozenset(mid_name.values()))
-    vorders = list(graph.vertex_orders)
-    mid_covers = frozenset(
-        (mid_name[lo], mid_name[hi]) for lo, hi in graph.edge_orders[gap].covers
-    )
-    vorders.insert(gap + 1, LevelPoset(frozenset(mid_name.values()), mid_covers))
-
-    lo_triples = [(lo_name[e], graph.down_maps[gap][e], mid_name[e]) for e in crossing]
-    hi_triples = [(hi_name[e], mid_name[e], graph.up_maps[gap][e]) for e in crossing]
-
-    def rebuild_gap(triples):
-        dn = {ei: d for ei, d, _ in triples}
-        up = {ei: u for ei, _, u in triples}
-        return frozenset(dn), dn, up
-
-    esets = list(graph.edge_sets)
-    downs = list(graph.down_maps)
-    ups = list(graph.up_maps)
-    eorders = list(graph.edge_orders)
-    labels = list(graph.edge_labels) if graph.edge_labels is not None else None
-
-    lo_set, lo_dn, lo_up = rebuild_gap(lo_triples)
-    hi_set, hi_dn, hi_up = rebuild_gap(hi_triples)
-    esets[gap : gap + 1] = [lo_set, hi_set]
-    downs[gap : gap + 1] = [lo_dn, hi_dn]
-    ups[gap : gap + 1] = [lo_up, hi_up]
-    old_covers = graph.edge_orders[gap].covers
-    eorders[gap : gap + 1] = [
-        LevelPoset(lo_set, frozenset((lo_name[a], lo_name[b]) for a, b in old_covers)),
-        LevelPoset(hi_set, frozenset((hi_name[a], hi_name[b]) for a, b in old_covers)),
-    ]
-    if labels is not None:
-        old = labels[gap]
-        if old is None:
-            labels[gap : gap + 1] = [None, None]
-        else:
-            labels[gap : gap + 1] = [
-                {lo_name[e]: f"{old[e]}.lo" for e in crossing},
-                {hi_name[e]: f"{old[e]}.hi" for e in crossing},
-            ]
-
-    return ReebGraph(
-        levels=tuple(levels),
-        vertex_sets=tuple(vsets),
-        edge_sets=tuple(esets),
-        down_maps=tuple(downs),
-        up_maps=tuple(ups),
-        vertex_orders=tuple(vorders),
-        edge_orders=tuple(eorders),
-        edge_labels=tuple(labels) if labels is not None else None,
-    )
-
-
 def refine_to_levels(
     graph: ReebGraph, new_levels: Sequence[Fraction | int | str]
 ) -> ReebGraph:
@@ -581,8 +502,13 @@ def refine_to_levels(
 
     ``new_levels`` must contain every current level, and inserted values must
     fall strictly inside the current range; otherwise BadLevelSet is raised.
-    Split edges take ".lo"/".hi" id and label suffixes, and orders are
-    inherited segment-wise.
+    An edge ``e`` of a gap that receives new values x < y < ... is cut into
+    segments ``e.lo``, ``e.hi.lo``, ... up to ``e.hi...hi``, joined by fresh
+    regular vertices ``e@x``, ``e.hi@y``, ...; its label takes the same
+    suffixes, and every new gap and level inherits the gap's covers, renamed.
+    A fresh id already in use raises ValueError.  One pass over the gaps
+    builds the result, so the cost is proportional to the refined graph; a
+    call that inserts nothing returns ``graph`` itself.
     """
     target = sorted({as_level(x) for x in new_levels})
     current = set(graph.levels)
@@ -594,17 +520,82 @@ def refine_to_levels(
         )
     if target[0] != graph.levels[0] or target[-1] != graph.levels[-1]:
         raise BadLevelSet("inserted levels must fall strictly inside the level range")
-    out = graph
-    for value in target:
-        if value not in current:
-            out = _insert_level(out, value)
-    return out
+    # Inserted values, largest first, so that pop() yields them in order.
+    pending = [x for x in reversed(target) if x not in current]
+    if not pending:
+        return graph
+
+    # Ids in use, counted: a split frees its segment's old name.
+    live = Counter(chain(*graph.vertex_sets, *graph.edge_sets))
+    level_rows = zip(graph.levels, graph.vertex_sets, graph.vertex_orders)
+    levels = [next(level_rows)]
+    gaps = []
+
+    def renamed(covers, names):
+        return frozenset((names[a], names[b]) for a, b in covers)
+
+    def segment(seg, bottom, top, covers, label, suffix):
+        es = frozenset(seg.values())
+        return (
+            es,
+            {seg[e]: bottom[e] for e in seg},
+            {seg[e]: top[e] for e in seg},
+            LevelPoset(es, renamed(covers, seg)),
+            label and {seg[e]: label[e] + suffix for e in seg},
+        )
+
+    gap_rows = zip(
+        graph.edge_sets, graph.down_maps, graph.up_maps, graph.edge_orders,
+        graph.edge_labels or (None,) * graph.gap_count,
+    )
+    for gap, level in zip(gap_rows, level_rows):
+        if not pending or pending[-1] > level[0]:
+            gaps.append(gap)
+        else:
+            # Keyed by the gap's own edges: the current top segment's name,
+            # its bottom vertex and its label.
+            edges, bottom, up, order, label = gap
+            names = {e: e for e in edges}
+            while pending and pending[-1] < level[0]:
+                value = pending.pop()
+                at = format_level(value)
+                by_name = sorted(names, key=names.__getitem__)
+                mid = {e: f"{names[e]}@{at}" for e in by_name}
+                lo = {e: names[e] + ".lo" for e in by_name}
+                hi = {e: names[e] + ".hi" for e in by_name}
+                fresh = [*mid.values(), *lo.values(), *hi.values()]
+                for x in fresh:
+                    if live[x]:
+                        raise ValueError(f"refinement id collision on {x!r}")
+                live.subtract(names.values())
+                live.update(fresh)
+                gaps.append(segment(lo, bottom, mid, order.covers, label, ".lo"))
+                vs = frozenset(mid.values())
+                levels.append((value, vs, LevelPoset(vs, renamed(order.covers, mid))))
+                names, bottom = hi, mid
+                label = label and {e: label[e] + ".hi" for e in names}
+            gaps.append(segment(names, bottom, up, order.covers, label, ""))
+        levels.append(level)
+    levels, vsets, vorders = zip(*levels)
+    esets, downs, ups, eorders, labels = zip(*gaps)
+    return ReebGraph(
+        levels=levels,
+        vertex_sets=vsets,
+        edge_sets=esets,
+        down_maps=downs,
+        up_maps=ups,
+        vertex_orders=vorders,
+        edge_orders=eorders,
+        edge_labels=labels if graph.edge_labels is not None else None,
+    )
 
 
 def common_refinement(a: ReebGraph, b: ReebGraph) -> tuple[ReebGraph, ReebGraph]:
     """Refine both graphs to the union of their level sets."""
     if (a.levels[0], a.levels[-1]) != (b.levels[0], b.levels[-1]):
         raise BadLevelSet("graphs span different level ranges")
+    if a.levels == b.levels:
+        return a, b
     union = sorted(set(a.levels) | set(b.levels))
     return refine_to_levels(a, union), refine_to_levels(b, union)
 

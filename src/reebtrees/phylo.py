@@ -115,9 +115,11 @@ class CopheneticVector:
     )
 
     def entry(self, i: int, j: int) -> Fraction:
+        m = len(self.leaves)
+        if not (0 <= i < m and 0 <= j < m):
+            raise IndexError(f"entry ({i}, {j}) outside {m} leaves")
         if i > j:
             i, j = j, i
-        m = len(self.leaves)
         offset = i * m - i * (i - 1) // 2 + (j - i)
         return self.entries[offset]
 

@@ -360,6 +360,23 @@ class TestDist:
         assert captured.out == ""
         assert "error: cycle-rank mismatch" in captured.err
 
+    def test_matrix_takes_every_suffix_pair_mode_reads(self, capsys, tmp_path):
+        texts = {
+            "a.nwk": "((A:1,B:1):1,C:2);",
+            "b.newick": "((A:1,C:1):1,B:2);",
+            "c.ENWK": "((B:1,C:1):1,A:2);",
+            "notes.txt": "((A:1,B:1):1,C:2);",
+        }
+        for name, text in texts.items():
+            (tmp_path / name).write_text(text)
+        (tmp_path / "d.json").mkdir()
+        assert main(["dist", "--matrix", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+        assert [row[0] for row in rows] == ["", "a.nwk", "b.newick", "c.ENWK"]
+        assert all(len(row) == 4 for row in rows)
+        assert main(["dist", str(tmp_path / "a.nwk"), str(tmp_path / "b.newick")]) == 0
+        assert capsys.readouterr().out == rows[1][2] + "\n"
+
     def test_empty_matrix_dir(self, capsys, tmp_path):
         empty = tmp_path / "none"
         empty.mkdir()

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 import types
+from collections import Counter
 from dataclasses import replace
+from math import gcd
 from pathlib import Path
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import given
@@ -17,16 +21,21 @@ from hypothesis import strategies as st
 import reebtrees
 from reebtrees import (
     BadLevelSet,
+    GeneratorSpec,
+    InfeasibleSpec,
     LevelPoset,
     OrderConflict,
+    ReebGraph,
     as_level,
     common_refinement,
+    dump_text,
     edge_sequence,
     format_level,
     is_valid,
     make_graph,
     minimize_critical_set,
     parse_level,
+    random_graph,
     refine_to_levels,
     same_edge_structure,
     validate,
@@ -328,6 +337,305 @@ def test_edge_structure_detects_difference():
     a = make_graph([0, 1], [["a"], ["b"]], [[("e", "a", "b")]])
     b = make_graph([0, 1], [["a"], ["b"]], [[("e", "a", "b"), ("f", "a", "b")]])
     assert not same_edge_structure(a, b)
+
+
+# The one-pass refinement must match, id for id and message for message, the
+# level-at-a-time insertion it replaced; below is that code, kept verbatim
+# apart from the entry point's name.
+
+
+def _split_gap_id(edge: str, part: str) -> str:
+    return f"{edge}.{part}"
+
+
+def _insert_level(graph: ReebGraph, value: Fraction) -> ReebGraph:
+    """Insert one level strictly inside an existing gap, splitting every
+    crossing edge in two around a fresh regular vertex."""
+    gap = None
+    for i in range(graph.gap_count):
+        if graph.levels[i] < value < graph.levels[i + 1]:
+            gap = i
+            break
+    if gap is None:
+        raise BadLevelSet(f"level {format_level(value)} does not fall inside a gap")
+
+    crossing = sorted(graph.edge_sets[gap])
+    mid_name = {e: f"{e}@{format_level(value)}" for e in crossing}
+    lo_name = {e: _split_gap_id(e, "lo") for e in crossing}
+    hi_name = {e: _split_gap_id(e, "hi") for e in crossing}
+
+    existing = set(graph.vertex_level) | set(graph.edge_gap)
+    for fresh in list(mid_name.values()) + list(lo_name.values()) + list(hi_name.values()):
+        if fresh in existing:
+            raise ValueError(f"refinement id collision on {fresh!r}")
+
+    levels = list(graph.levels)
+    levels.insert(gap + 1, value)
+    vsets = list(graph.vertex_sets)
+    vsets.insert(gap + 1, frozenset(mid_name.values()))
+    vorders = list(graph.vertex_orders)
+    mid_covers = frozenset(
+        (mid_name[lo], mid_name[hi]) for lo, hi in graph.edge_orders[gap].covers
+    )
+    vorders.insert(gap + 1, LevelPoset(frozenset(mid_name.values()), mid_covers))
+
+    lo_triples = [(lo_name[e], graph.down_maps[gap][e], mid_name[e]) for e in crossing]
+    hi_triples = [(hi_name[e], mid_name[e], graph.up_maps[gap][e]) for e in crossing]
+
+    def rebuild_gap(triples):
+        dn = {ei: d for ei, d, _ in triples}
+        up = {ei: u for ei, _, u in triples}
+        return frozenset(dn), dn, up
+
+    esets = list(graph.edge_sets)
+    downs = list(graph.down_maps)
+    ups = list(graph.up_maps)
+    eorders = list(graph.edge_orders)
+    labels = list(graph.edge_labels) if graph.edge_labels is not None else None
+
+    lo_set, lo_dn, lo_up = rebuild_gap(lo_triples)
+    hi_set, hi_dn, hi_up = rebuild_gap(hi_triples)
+    esets[gap : gap + 1] = [lo_set, hi_set]
+    downs[gap : gap + 1] = [lo_dn, hi_dn]
+    ups[gap : gap + 1] = [lo_up, hi_up]
+    old_covers = graph.edge_orders[gap].covers
+    eorders[gap : gap + 1] = [
+        LevelPoset(lo_set, frozenset((lo_name[a], lo_name[b]) for a, b in old_covers)),
+        LevelPoset(hi_set, frozenset((hi_name[a], hi_name[b]) for a, b in old_covers)),
+    ]
+    if labels is not None:
+        old = labels[gap]
+        if old is None:
+            labels[gap : gap + 1] = [None, None]
+        else:
+            labels[gap : gap + 1] = [
+                {lo_name[e]: f"{old[e]}.lo" for e in crossing},
+                {hi_name[e]: f"{old[e]}.hi" for e in crossing},
+            ]
+
+    return ReebGraph(
+        levels=tuple(levels),
+        vertex_sets=tuple(vsets),
+        edge_sets=tuple(esets),
+        down_maps=tuple(downs),
+        up_maps=tuple(ups),
+        vertex_orders=tuple(vorders),
+        edge_orders=tuple(eorders),
+        edge_labels=tuple(labels) if labels is not None else None,
+    )
+
+
+def reference_refine_to_levels(
+    graph: ReebGraph, new_levels: Sequence[Fraction | int | str]
+) -> ReebGraph:
+    """Return an equivalent graph over a finer level set.
+
+    ``new_levels`` must contain every current level, and inserted values must
+    fall strictly inside the current range; otherwise BadLevelSet is raised.
+    Split edges take ".lo"/".hi" id and label suffixes, and orders are
+    inherited segment-wise.
+    """
+    target = sorted({as_level(x) for x in new_levels})
+    current = set(graph.levels)
+    if not current <= set(target):
+        missing = sorted(current - set(target))
+        raise BadLevelSet(
+            "new level set must contain the current one; missing "
+            + ", ".join(format_level(x) for x in missing)
+        )
+    if target[0] != graph.levels[0] or target[-1] != graph.levels[-1]:
+        raise BadLevelSet("inserted levels must fall strictly inside the level range")
+    out = graph
+    for value in target:
+        if value not in current:
+            out = _insert_level(out, value)
+    return out
+
+
+def renamed(graph: ReebGraph, names: dict[str, str]) -> ReebGraph:
+    """``graph`` with the ids in ``names`` replaced, everywhere they occur."""
+
+    def m(x: str) -> str:
+        return names.get(x, x)
+
+    def poset(p: LevelPoset) -> LevelPoset:
+        return LevelPoset(
+            frozenset(map(m, p.elements)), frozenset((m(a), m(b)) for a, b in p.covers)
+        )
+
+    labels = graph.edge_labels and tuple(
+        d and {m(e): lab for e, lab in d.items()} for d in graph.edge_labels
+    )
+    return ReebGraph(
+        levels=graph.levels,
+        vertex_sets=tuple(frozenset(map(m, vs)) for vs in graph.vertex_sets),
+        edge_sets=tuple(frozenset(map(m, es)) for es in graph.edge_sets),
+        down_maps=tuple({m(e): m(v) for e, v in d.items()} for d in graph.down_maps),
+        up_maps=tuple({m(e): m(v) for e, v in d.items()} for d in graph.up_maps),
+        vertex_orders=tuple(map(poset, graph.vertex_orders)),
+        edge_orders=tuple(map(poset, graph.edge_orders)),
+        edge_labels=labels,
+    )
+
+
+def random_pairs(rng: random.Random, ids) -> frozenset[tuple[str, str]]:
+    ids = sorted(ids)
+    pairs = ((a, b) for i, a in enumerate(ids) for b in ids[i + 1 :])
+    return frozenset(p for p in pairs if rng.random() < 0.3)
+
+
+FRACTIONS = [Fraction(n, d) for d in (2, 3, 4, 5, 8) for n in range(1, d) if gcd(n, d) == 1]
+SUFFIXES = (".lo", ".hi", ".hi.lo", ".hi.hi", ".lo.hi", "@1/2", "@0.5", "@1/3", ".hi@0.75")
+
+
+def decorated(graph: ReebGraph, rng: random.Random) -> ReebGraph:
+    """Covers, full or partly-None labels, and a few ids renamed to what a
+    refinement could name a fresh id (collisions, or names it frees first)."""
+    graph = replace(
+        graph,
+        vertex_orders=tuple(
+            LevelPoset(vs, random_pairs(rng, vs)) for vs in graph.vertex_sets
+        ),
+        edge_orders=tuple(LevelPoset(es, random_pairs(rng, es)) for es in graph.edge_sets),
+    )
+    mode = rng.randrange(3)
+    if mode:
+        graph = replace(graph, edge_labels=tuple(
+            None if mode == 2 and rng.random() < 0.4 else {e: "L" + e for e in es}
+            for es in graph.edge_sets
+        ))
+    ids = [*graph.vertex_level, *graph.edge_gap]
+    names: dict[str, str] = {}
+    for _ in range(rng.randrange(3)):
+        target = rng.choice(ids)
+        name = rng.choice(list(graph.edge_gap)) + rng.choice(SUFFIXES)
+        if target not in names and name not in ids and name not in names.values():
+            names[target] = name
+    return renamed(graph, names)
+
+
+def random_levels(graph: ReebGraph, rng: random.Random) -> list:
+    """Every current level, as int, str or Fraction, and 0-3 values per gap
+    (halves, thirds and so on, often shared across gaps); now and then one
+    current level dropped or a value outside the range."""
+    out: list = []
+    for i, x in enumerate(graph.levels):
+        out.append(rng.choice([int(x), str(x), format_level(x), x]))
+        if i + 1 < graph.level_count:
+            for f in rng.sample(FRACTIONS, rng.randrange(4)):
+                y = x + f
+                out.append(rng.choice([y, str(y), format_level(y)]))
+    if rng.random() < 0.05:
+        out.remove(out[0] if rng.random() < 0.5 else rng.choice(out))
+    if rng.random() < 0.05:
+        out.append(rng.choice([-1, graph.levels[-1] + 1]))
+    rng.shuffle(out)
+    return out
+
+
+def outcome(refine, graph: ReebGraph, levels):
+    try:
+        out = refine(graph, levels)
+    except Exception as exc:
+        return type(exc), str(exc)
+    covers = [p.covers for p in (*out.vertex_orders, *out.edge_orders)]
+    return out, dump_text(out), covers, out is graph
+
+
+def crafted_cases():
+    """Hand-built collisions and freed names."""
+    half = ["0", "1/2", "1"]
+    two = ["0", "0.25", "1/2", "1"]
+
+    def gap(*edges, top=("t",)):
+        return make_graph([0, 1], [["b"], list(top)], [[(e, "b", "t") for e in edges]])
+
+    yield gap("other", "other.hi"), half  # the first .hi is taken
+    yield gap("other", top=("t", "other@1/2")), half  # 1/2 is written 0.5
+    yield gap("other", top=("t", "other@0.5")), half
+    yield gap("other", top=("t", "other@1/3")), ["0", "1/3", "1"]
+    yield gap("x", "x.hi.lo"), two  # x.hi.lo is split before x.hi.lo is made
+    yield gap("x", "x.hi.lo"), half
+    yield gap("x", "x.lo"), half
+    yield gap("x", "x.hi.hi"), two
+    yield gap("x", "x.hi@1/2"), two
+    yield gap("x", "x.hi@0.5"), ["0", "0.25", "0.5", "1"]
+    # Across gaps: a.lo is freed by the split of gap 0 before gap 1 names it.
+    chain = make_graph(
+        [0, 1, 2], [["b"], ["m"], ["t"]], [[("a.lo", "b", "m")], [("a", "m", "t")]]
+    )
+    yield chain, ["0", "1/2", "1", "3/2", "2"]
+    yield chain, ["0", "1", "3/2", "2"]
+    flipped = make_graph(
+        [0, 1, 2], [["b"], ["m"], ["t"]], [[("a", "b", "m")], [("a.lo", "m", "t")]]
+    )
+    yield flipped, ["0", "1/2", "1", "3/2", "2"]
+    yield flipped, ["0", "1", "3/2", "2"]
+
+
+def refinement_cases():
+    yield from crafted_cases()
+    rng = random.Random(20261018)
+    for seed in range(400):
+        spec = GeneratorSpec(
+            seed=seed,
+            n_leaves=rng.randint(2, 4),
+            betti=rng.randint(0, 3),
+            levels=rng.randint(2, 5),
+            max_indeg=rng.choice([2, 3]),
+        )
+        try:
+            graph = decorated(random_graph(spec), rng)
+        except InfeasibleSpec:
+            continue
+        for _ in range(5):
+            yield graph, random_levels(graph, rng)
+
+
+class TestRefineMatchesReference:
+    def test_seeded_and_crafted_cases(self):
+        kinds = Counter()
+        for graph, levels in refinement_cases():
+            got = outcome(refine_to_levels, graph, levels)
+            assert got == outcome(reference_refine_to_levels, graph, levels), (graph, levels)
+            kinds[got[0].__name__ if isinstance(got[0], type) else "graph"] += 1
+        assert sum(kinds.values()) > 1500, kinds
+        assert min(kinds["graph"], kinds["BadLevelSet"], kinds["ValueError"]) >= 20, kinds
+
+    def test_freed_names_are_legal(self):
+        g = make_graph([0, 1], [["b"], ["t"]], [[("x", "b", "t"), ("x.hi.lo", "b", "t")]])
+        out = refine_to_levels(g, [0, "1/4", "1/2", 1])
+        assert out.edge_sets[1] == {"x.hi.lo", "x.hi.lo.hi.lo"}
+        assert validate(out) == []
+        taken = make_graph([0, 1], [["b"], ["t"]], [[("x", "b", "t"), ("x.lo", "b", "t")]])
+        with pytest.raises(ValueError, match=r"collision on 'x\.lo'"):
+            refine_to_levels(taken, [0, "1/2", 1])
+
+
+class TestRefineWork:
+    def test_one_graph_for_many_levels(self, cycle_graph, monkeypatch):
+        built = []
+        init = ReebGraph.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ReebGraph, "__init__", counting)
+        fine = refine_to_levels(cycle_graph, [0, "1/4", "1/2", 1, "4/3", "5/3", 2, "5/2", 3])
+        assert len(fine.levels) == 9
+        assert len(built) == 1 and built[0] is fine
+
+    def test_equal_levels_are_returned_untouched(self, cycle_graph, monkeypatch):
+        other = replace(cycle_graph, edge_labels=None)
+        assert refine_to_levels(cycle_graph, [3, 2, 1, 0]) is cycle_graph
+
+        def refuse(*args):
+            raise AssertionError("refined a pair with equal levels")
+
+        monkeypatch.setattr(reebtrees.core, "refine_to_levels", refuse)
+        ra, rb = common_refinement(cycle_graph, other)
+        assert ra is cycle_graph and rb is other
 
 
 def test_runtime_imports_only_stdlib():

@@ -140,6 +140,14 @@ class TestCopheneticVector:
         assert vec.entry(0, 1) == vec.entries[1]
         assert vec.entry(1, 2) == vec.entries[4]
 
+    def test_entry_outside_the_leaves_raises(self):
+        vec = cophenetic_vector(enewick_to_reeb("((A:1,B:1):1,C:2);"))
+        assert len(vec.leaves) == 3
+        for i, j in ((0, 3), (3, 0), (-1, 0), (0, -1), (3, 3)):
+            with pytest.raises(IndexError, match=f"entry \\({i}, {j}\\) outside 3 leaves"):
+                vec.entry(i, j)
+        assert vec.entry(2, 0) == vec.entries[2]
+
     def test_diagonal_is_leaf_stamp(self):
         vec = cophenetic_vector(three_leaf_tree())
         assert [vec.entry(i, i) for i in range(3)] == [F(0), F(0), F(0)]
