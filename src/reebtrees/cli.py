@@ -132,6 +132,12 @@ def cmd_decompose(args) -> int:
 def cmd_iso(args) -> int:
     graph_a, embedded_a = _load_graph(args.a, args.format)
     graph_b, embedded_b = _load_graph(args.b, args.format)
+    # Factor files written by decompose --out-dir carry cut ids and compare.
+    for path, graph in ((args.a, graph_a), (args.b, graph_b)):
+        problems = validate(graph, allow_cut_ids=True)
+        if problems:
+            print(f"error: {path}: {problems[0]}", file=sys.stderr)
+            return 2
     if args.labelled:
         if args.oracle:
             same = brute_force_iso(graph_a, graph_b, use_labels=True)

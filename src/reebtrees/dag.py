@@ -80,12 +80,15 @@ def source_vertices(graph: ReebGraph) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class DagView:
-    """A single-source leveled graph and its cycle rank.
+    """A leveled graph and its cycle rank.
 
-    Only graphs whose two cycle-rank computations agree get a view; that
-    condition is equivalent to having exactly one source vertex, and it is the
-    precondition for the tree-decomposition machinery downstream.  The vertex
-    classes, merge vertices, leaves and root are computed when first read.
+    build_dag_view gives a view only to graphs whose two cycle-rank
+    computations agree, which is equivalent to having exactly one source
+    vertex; decompose, classify and the distances rely on that.  reeb_iso
+    builds its views directly, with the Euler count, also for graphs with
+    several sources: cutting every merge down to one arriving edge leaves a
+    forest with one tree per source.  The vertex classes, merge vertices,
+    leaves and root are computed when first read.
     """
 
     graph: ReebGraph

@@ -1,22 +1,22 @@
 """Isomorphism decisions for leveled graphs.
 
-canonical_form fingerprints a leveled tree together with its level orders,
-exactly: equal fingerprints mean a level- and order-preserving bijection
-exists.  It roots the tree at its source, builds integer subtree codes depth
-by depth, refines them by the order relations and individualises vertices
-where ties remain.
+canonical_form fingerprints a leveled tree, or a forest with one tree per
+source, together with its level orders, exactly: equal fingerprints mean a
+level- and order-preserving bijection exists.  It roots the tree at its
+source, builds integer subtree codes depth by depth, refines them by the
+order relations and individualises vertices where ties remain.
 
 reeb_iso and brute_force_iso decide isomorphism of whole graphs.  Both start
 with one shared prefilter, which refines the pair to common levels and
-compares colour multisets per level and per gap.  reeb_iso then takes the
-fingerprint route or, when that route is closed (several sources, or level
-orders), the oracle route: brute_force_iso, a plain backtracking matcher
-usable as an independent oracle on anything small.  The fingerprint route
-rests on the paper's glue-back argument: one factor of a, with its (merge
-vertex, cut leaf) covers, matches some factor of b exactly when a and b are
-isomorphic.  It fingerprints a's first factor once, then builds b's factors
-one at a time, skipping those a shared colour refinement of the pair rules
-out, and stops at the first match, from which it builds a witness.
+compares colour multisets per level and per gap.  reeb_iso then always takes
+the fingerprint route, which rests on the paper's glue-back argument: one
+factor of a, with its (merge vertex, cut leaf) covers and its cut leaves
+tagged, matches some factor of b exactly when a and b are isomorphic.  It
+fingerprints a's first factor once, then builds b's factors one at a time,
+skipping those a shared colour refinement of the pair rules out, and stops
+at the first match, from which it builds a witness.  brute_force_iso is a
+plain backtracking matcher, kept as an independent oracle on anything
+small.
 """
 
 from __future__ import annotations
@@ -27,15 +27,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .core import LevelPoset, ReebGraph, common_refinement
-from .dag import DagView, build_dag_view
+from .dag import DagView, betti_euler
 from .decomposition import CutChoice, apply_choice, decompose, enumerate_choices
-from .errors import (
-    LabelMismatch,
-    MissingLabels,
-    NotATree,
-    ReticulationConflict,
-    SizeLimitExceeded,
-)
+from .errors import LabelMismatch, MissingLabels, NotATree, SizeLimitExceeded
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
@@ -80,6 +74,25 @@ def _colours(
     return vertex, edge
 
 
+def _refined_counts(graph: ReebGraph, levels: list) -> tuple[list[int], list[int]]:
+    """Per-level vertex and per-gap edge counts of ``graph`` refined to
+    ``levels`` (a superset of its own, same range), read off the graph
+    itself: every piece of a gap keeps the gap's edge count, and an inserted
+    level has as many vertices as its gap has edges."""
+    own = {lv: len(vs) for lv, vs in zip(graph.levels, graph.vertex_sets)}
+    edges = [len(es) for es in graph.edge_sets]
+    per_level: list[int] = []
+    per_gap: list[int] = []
+    gap = -1
+    for lv in levels[:-1]:
+        if lv in own:
+            gap += 1
+        per_level.append(own.get(lv, edges[gap]))
+        per_gap.append(edges[gap])
+    per_level.append(own[levels[-1]])
+    return per_level, per_gap
+
+
 def _prefilter(
     a: ReebGraph,
     b: ReebGraph,
@@ -93,6 +106,10 @@ def _prefilter(
     on both sides (MissingLabels, raised once the counts agree)."""
     if (a.levels[0], a.levels[-1]) != (b.levels[0], b.levels[-1]):
         return None
+    if a.levels != b.levels:
+        union = sorted(set(a.levels) | set(b.levels))
+        if _refined_counts(a, union) != _refined_counts(b, union):
+            return None
     ra, rb = common_refinement(a, b)
     sets_a = (ra.vertex_sets, ra.edge_sets)
     sets_b = (rb.vertex_sets, rb.edge_sets)
@@ -309,7 +326,7 @@ def canonical_form(
     leaf_ranks: Mapping[str, int] | None = None,
     budget: int | None = None,
 ) -> CanonicalForm:
-    """Exact fingerprint of a leveled tree.
+    """Exact fingerprint of a leveled tree, or of a forest (see below).
 
     Two trees receive equal fingerprints precisely when some bijection of
     vertices and edges preserves levels, attachments, and the generated level
@@ -319,7 +336,11 @@ def canonical_form(
     deliberately ignored.
 
     The tree is rooted at its unique source, or, when it has several, at its
-    centre (at each of two centres, keeping the least result).  Subtree codes
+    centre (at each of two centres, keeping the least result).  A forest in
+    which every vertex has at most one arriving edge, with several sources
+    and so one tree per source, is also accepted: its sources hang under one
+    virtual root a level above the top, which the numbering leaves out.
+    Anything else raises NotATree.  Subtree codes
     are built bottom-up one depth at a time and interned to small integers,
     so nothing nests and nothing recurses; order relations then refine them
     by colour refinement.  Where vertices carrying relations still tie, one
@@ -335,19 +356,28 @@ def canonical_form(
     """
     n_v = sum(len(vs) for vs in graph.vertex_sets)
     n_e = sum(len(es) for es in graph.edge_sets)
-    if n_e != n_v - 1:
-        raise NotATree(f"{n_e} edges on {n_v} vertices")
-
     level = graph.vertex_level
     above, below, gap = graph.above_edges, graph.below_edges, graph.edge_gap
+    sources = [v for v in level if v not in above]
+    # A forest with one arriving edge per vertex has one source per tree.
+    forest = len(sources) > 1 and all(len(es) == 1 for es in above.values())
+    if n_e != n_v - 1 and not forest:
+        raise NotATree(f"{n_e} edges on {n_v} vertices")
+
     downs, ups = graph.down_maps, graph.up_maps
     adj = {
         v: [(downs[gap[e]][e], e) for e in below.get(v, ())]
         + [(ups[gap[e]][e], e) for e in above.get(v, ())]
         for v in level
     }
-    sources = [v for v in level if v not in above]
-    roots = sources if len(sources) == 1 else _centres(adj, n_v)
+    if forest:
+        # A virtual root (None, never a vertex id) one level above the top
+        # holds the trees together; it is left out of the numbering.
+        adj[None] = [(v, None) for v in sources]
+        level = {**level, None: len(graph.levels)}
+        roots = [None]
+    else:
+        roots = sources if len(sources) == 1 else _centres(adj, n_v)
 
     ranks = leaf_ranks or {}
 
@@ -362,7 +392,7 @@ def canonical_form(
     best = None
     for root in roots:
         tree = _RootedTree(root, adj, level, tag, vertex_pairs, edge_pairs)
-        if tree.n != n_v:
+        if tree.n != n_v + forest:
             raise NotATree("underlying graph is not connected")
         stack = [tree.base]
         while stack:
@@ -388,7 +418,7 @@ def canonical_form(
     for lv in graph.levels:
         header += (lv.numerator, lv.denominator)
     form = CanonicalForm(data=",".join(map(str, header + list(cert))).encode("ascii"))
-    object.__setattr__(form, "_vertices", tuple(vertices))
+    object.__setattr__(form, "_vertices", tuple(vertices[forest:]))
     return form
 
 
@@ -445,15 +475,17 @@ def _stable_colours(
     Starting from the prefilter's vertex colours, sweeps run up the levels,
     each vertex taking the colours of its neighbours one level down, then
     down the levels with the neighbours one level up, until a round splits
-    no class.  Every isomorphism preserves the result, so None is returned
-    when some level's colour counts differ between the sides; otherwise the
-    vertex colours of both sides."""
+    no class; the order of sweeps does not change the stable partition.
+    Every isomorphism preserves the colours after each sweep, so None is
+    returned as soon as a swept level's colour counts differ between the
+    sides; otherwise the vertex colours of both sides."""
     graphs = pre[:2]
     cols = [dict(vertex) for vertex, _ in pre[2:]]
     k = graphs[0].level_count
 
-    def sweep(i: int, lower: bool) -> int:
-        """Recolour level i on both sides; return its number of classes."""
+    def sweep(i: int, lower: bool) -> int | None:
+        """Recolour level i on both sides; return its number of classes, or
+        None when the two sides' colour counts there differ."""
         sigs = []
         for g, col in zip(graphs, cols):
             edges, ends = (g.below_edges, g.down_maps) if lower else (g.above_edges, g.up_maps)
@@ -466,18 +498,29 @@ def _stable_colours(
         for col, sig in zip(cols, sigs):
             for v, c in sig.items():
                 col[v] = rank[c]
-        return len(rank)
+        count_a, count_b = (sorted(map(rank.__getitem__, sig.values())) for sig in sigs)
+        return len(rank) if count_a == count_b else None
 
-    classes = -1
-    while True:
-        total = sum(sweep(i, True) for i in range(k))
-        total += sum(sweep(i, False) for i in range(k - 1, -1, -1))
-        if total == classes:
-            break
-        classes = total
-    for vs_a, vs_b in zip(graphs[0].vertex_sets, graphs[1].vertex_sets):
-        if Counter(cols[0][v] for v in vs_a) != Counter(cols[1][v] for v in vs_b):
-            return None
+    # A sweep's partition depends only on the partitions of its level and of
+    # the neighbouring level it reads, and refinement only adds classes, so
+    # a sweep whose two class counts are unchanged since it last ran is
+    # skipped; the colours are stable once a round runs no sweep that splits.
+    order = [(i, True) for i in range(k)] + [(i, False) for i in range(k - 1, -1, -1)]
+    classes = [0] * (k + 1)  # per level; the extra entry stands for "no level"
+    swept: dict[tuple[int, bool], tuple[int, int]] = {}
+    changed = True
+    while changed:
+        changed = False
+        for i, lower in order:
+            j = i - 1 if lower else i + 1
+            if swept.get((i, lower)) == (classes[i], classes[j]):
+                continue
+            n = sweep(i, lower)
+            if n is None:
+                return None
+            changed |= n != classes[i]
+            classes[i] = n
+            swept[(i, lower)] = (n, classes[j])
     return cols[0], cols[1]
 
 
@@ -489,36 +532,44 @@ def _factor_match(
     leaf_ranks_b: Mapping[str, int] | None,
     budget: int | None,
 ) -> MorphismWitness | None:
-    """The fingerprint route on a prefiltered, single-source, order-free
-    pair (``pre`` is the prefilter's result, ``va`` and ``vb`` its views).
+    """The fingerprint route on a prefiltered pair (``pre`` is the
+    prefilter's result, ``va`` and ``vb`` views of its two graphs).
 
     Glue-back: a level-, cover- and rank-preserving bijection between one
-    factor of a and one factor of b extends to an isomorphism of a and b,
-    and an isomorphism maps every factor of a onto a factor of b, keeping
-    the colours of each kept edge's endpoints.  So a's first factor is
-    fingerprinted once, and b's factors whose kept edges join the same
-    colours are built and fingerprinted one at a time until one matches.
-    Returns the witness over the refined pair, or None when no factor of b
-    matches."""
+    factor of a and one factor of b that sends cut leaves to cut leaves
+    extends to an isomorphism of a and b, and an isomorphism maps every
+    factor of a onto a factor of b, keeping the colours of each kept edge's
+    endpoints.  Every factor keeps the input's level orders, and its cut
+    leaves carry one rank below every rank of either side, so an input cover
+    from a merge vertex to a sink cannot stand in for a cut.  A graph with
+    several sources has forests for factors, one tree per source.  So a's
+    first factor is fingerprinted once, and b's factors whose kept edges
+    join the same colours are built and fingerprinted one at a time until
+    one matches.  Returns the witness over the refined pair, or None when no
+    factor of b matches."""
     colours = _stable_colours(pre)
     if colours is None:
         return None
     col_a, col_b = colours
+    cut_rank = min([-1, *(leaf_ranks_a or {}).values(), *(leaf_ranks_b or {}).values()]) - 1
 
     def kept(graph: ReebGraph, col: Mapping[str, int], choice: CutChoice) -> list:
         ups = graph.up_maps
         level = graph.vertex_level
         return sorted((col[v], col[ups[level[v]][e]]) for v, e in choice.kept)
 
+    def form(view: DagView, choice: CutChoice, ranks: Mapping[str, int] | None):
+        factor = apply_choice(view, choice)
+        tags = {**(ranks or {}), **dict.fromkeys(factor.cut_vertices, cut_rank)}
+        return factor.graph, canonical_form(factor.graph, leaf_ranks=tags, budget=budget)
+
     choice_a = next(enumerate_choices(va))
     kept_a = kept(va.graph, col_a, choice_a)
-    fa = apply_choice(va, choice_a).graph
-    form_a = canonical_form(fa, leaf_ranks=leaf_ranks_a, budget=budget)
+    fa, form_a = form(va, choice_a, leaf_ranks_a)
     for choice in enumerate_choices(vb):
         if kept(vb.graph, col_b, choice) != kept_a:
             continue
-        fb = apply_choice(vb, choice).graph
-        form_b = canonical_form(fb, leaf_ranks=leaf_ranks_b, budget=budget)
+        fb, form_b = form(vb, choice, leaf_ranks_b)
         if form_b == form_a:
             return _glued_witness(va.graph, vb.graph, fa, fb, form_a, form_b)
     return None
@@ -535,35 +586,21 @@ def reeb_iso(
     """Decide whether two leveled graphs are isomorphic.
 
     The shared prefilter refines both graphs to a common level set and
-    compares colour multisets.  When both sides then have a single source
-    and trivial orders, the fingerprint route decides (see _factor_match):
-    the pair's colours are refined further, a's first factor is
+    compares colour multisets.  The fingerprint route then decides (see
+    _factor_match), on every input: single-source or not, with level orders
+    or without.  The pair's colours are refined further, a's first factor is
     fingerprinted, and b's factors that the colours allow are fingerprinted
     one at a time until one matches; a match yields a witness.  So a
     decision builds at most 1 + (number of factors of b) fingerprints, and 2
-    when the first allowed factor of b matches.  Otherwise the decision
-    falls back to the backtracking oracle, which searches the prefiltered
-    pair without filtering it again.  Optional leaf ranks constrain the
-    bijection to respect the given integer on bottom vertices (unranked ones
-    must map to unranked ones).
+    when the first allowed factor of b matches.  Optional leaf ranks
+    constrain the bijection to respect the given integer on bottom vertices
+    (unranked ones must map to unranked ones).  ``budget`` bounds the
+    fingerprints' tie-breaking (see canonical_form).
     """
     pre = _prefilter(a, b, leaf_ranks_a, leaf_ranks_b)
     if pre is None:
         return False
-    ra, rb = pre[:2]
-    try:
-        va = build_dag_view(ra)
-    except ReticulationConflict:
-        va = None
-    try:
-        vb = build_dag_view(rb)
-    except ReticulationConflict:
-        vb = None
-    if (va is None) != (vb is None):
-        return False
-    ordered = any(p.covers for g in pre[:2] for p in (*g.vertex_orders, *g.edge_orders))
-    if va is None or vb is None or ordered:
-        return brute_force_iso(ra, rb, budget=budget, _pre=pre)
+    va, vb = (DagView(g, betti_euler(g)) for g in pre[:2])
     return _factor_match(pre, va, vb, leaf_ranks_a, leaf_ranks_b, budget) is not None
 
 
@@ -683,7 +720,6 @@ def brute_force_iso(
     vertex_tags_a: Mapping[str, int] | None = None,
     vertex_tags_b: Mapping[str, int] | None = None,
     budget: int | None = None,
-    _pre: tuple[ReebGraph, ReebGraph, tuple, tuple] | None = None,
 ) -> bool:
     """Backtracking isomorphism search.  Correct on every input it finishes;
     raises SizeLimitExceeded once the node budget runs out (default from
@@ -694,11 +730,9 @@ def brute_force_iso(
     endpoint.  Order relations are compared incrementally against everything
     already placed on the same level or gap; labels constrain edges only when
     ``use_labels`` is set.  ``vertex_tags_*`` add an integer color on bottom
-    vertices, matching the leaf-rank convention used elsewhere.  ``_pre`` is
-    the prefilter's result for this very pair and its tags, when the caller
-    (reeb_iso's fallback) already has it.
+    vertices, matching the leaf-rank convention used elsewhere.
     """
-    pre = _prefilter(a, b, vertex_tags_a, vertex_tags_b, use_labels) if _pre is None else _pre
+    pre = _prefilter(a, b, vertex_tags_a, vertex_tags_b, use_labels)
     return pre is not None and _search(pre, budget)
 
 

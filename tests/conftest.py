@@ -54,8 +54,8 @@ def chain_with_bigons(levels: int, s: int) -> ReebGraph:
 
 def deep_ordered_path(levels: int):
     """A path over ``levels`` levels whose bottom level holds two leaves
-    with one vertex cover between them; the cover sends reeb_iso to the
-    oracle."""
+    with one vertex cover between them; the path is its own factor, so
+    reeb_iso fingerprints it whole, cover included."""
     return make_graph(
         list(range(levels)),
         [["x", "y"]] + [[f"v{i}"] for i in range(1, levels)],

@@ -6,6 +6,7 @@ with an argv list and inspects captured output.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
@@ -240,8 +241,8 @@ class TestIso:
         assert main(["iso", a, b, "--ranks-a", str(ra), "--ranks-b", str(rb)]) == 0
 
     def test_deep_ordered_path_takes_the_oracle(self, tmp_path):
-        # The vertex cover sends the decision to the backtracking search,
-        # which must not run out of Python stack on 600 levels.
+        # The vertex cover stays in the path's one factor, whose fingerprint
+        # must not run out of Python stack on 600 levels.
         graph = deep_ordered_path(600)
         a = write_graph(tmp_path, "a.json", graph)
         b = write_graph(tmp_path, "b.json", rename_graph(graph))
@@ -255,6 +256,40 @@ class TestIso:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == "isomorphic\n"
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["--oracle"], ["--labelled"]], ids=["plain", "oracle", "labelled"]
+    )
+    def test_invalid_graph_is_an_input_error(self, capsys, tmp_path, flags):
+        good = make_graph(
+            [0, 1, 2],
+            [["x", "y"], ["m"], ["t"]],
+            [[("e", "x", "m"), ("f", "y", "m")], [("g", "m", "t")]],
+            labels=[{"e": "L", "f": "R"}, {"g": "S"}],
+        )
+        bad = dataclasses.replace(
+            good, down_maps=({"e": "x", "f": "q"},) + good.down_maps[1:]
+        )
+        a = write_graph(tmp_path, "a.json", good)
+        b = write_graph(tmp_path, "b.json", bad)
+        for argv in ([a, b], [b, b]):
+            assert main(["iso", *flags, *argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: {b}: dangling down_map target 'q' for edge 'f' "
+                "(expected a vertex at level 0)\n"
+            )
+
+    def test_factor_files_compare(self, capsys, tmp_path, cycle_graph):
+        out = tmp_path / "factors"
+        graph = write_graph(tmp_path, "g.json", cycle_graph)
+        assert main(["decompose", graph, "--out-dir", str(out)]) == 0
+        first, second = sorted(str(f) for f in out.glob("*.json"))
+        capsys.readouterr()
+        assert main(["iso", first, first]) == 0
+        assert main(["iso", first, second]) == 1
+        assert capsys.readouterr().out == "isomorphic\nnot isomorphic\n"
 
     @pytest.mark.parametrize("rank", ["null", "1.5", "true", '"x"'])
     def test_bad_rank_file(self, capsys, tmp_path, net_a, net_b, rank):

@@ -9,6 +9,7 @@ from collections import defaultdict
 import pytest
 
 from reebtrees import (
+    DagView,
     GeneratorSpec,
     LabelMismatch,
     LevelPoset,
@@ -17,10 +18,13 @@ from reebtrees import (
     NotATree,
     ReebGraph,
     SizeLimitExceeded,
+    apply_choice,
+    betti_euler,
     brute_force_iso,
     canonical_form,
     decompose,
     decomposition_invariant,
+    enumerate_choices,
     labelled_iso,
     make_graph,
     random_graph,
@@ -463,7 +467,7 @@ class TestRoute:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"canonical_form": 0, "brute_force_iso": 0, "build_dag_view": 0}
+        counts = {"canonical_form": 0, "brute_force_iso": 0, "apply_choice": 0}
         for name in counts:
             original = getattr(isomorphism, name)
 
@@ -485,7 +489,7 @@ class TestRoute:
             ],
         )
         assert not reeb_iso(cycle_graph, wider)
-        assert calls == {"canonical_form": 0, "brute_force_iso": 0, "build_dag_view": 0}
+        assert calls == {"canonical_form": 0, "brute_force_iso": 0, "apply_choice": 0}
 
     def test_colour_mismatch_builds_nothing(self, calls):
         # Equal counts on every level and gap: two branches meet at the top
@@ -509,17 +513,17 @@ class TestRoute:
         )
         assert validate(late) == validate(early) == []
         assert not reeb_iso(late, early)
-        assert calls == {"canonical_form": 0, "brute_force_iso": 0, "build_dag_view": 0}
+        assert calls == {"canonical_form": 0, "brute_force_iso": 0, "apply_choice": 0}
 
     def test_renamed_chain_fingerprints_two_factors(self, calls):
         g = chain_with_bigons(40, 6)
         assert reeb_iso(g, rename_graph(g))
-        assert calls == {"canonical_form": 2, "brute_force_iso": 0, "build_dag_view": 2}
+        assert calls == {"canonical_form": 2, "brute_force_iso": 0, "apply_choice": 2}
 
     def test_multi_source_pair_takes_the_oracle(self, calls, twin_peaks):
         assert reeb_iso(twin_peaks, rename_graph(twin_peaks))
-        assert calls["canonical_form"] == 0
-        assert calls["brute_force_iso"] == 1
+        assert calls["canonical_form"] == 2
+        assert calls["brute_force_iso"] == 0
 
 
 def swap_lower_ends(g, rng):
@@ -734,6 +738,264 @@ def test_deep_ordered_path_takes_the_oracle_without_recursing():
         g, vertex_orders=(LevelPoset.trivial(g.vertex_sets[0]),) + g.vertex_orders[1:]
     )
     assert not reeb_iso(g, unordered)
+
+
+def random_covers(g, rng):
+    """``g`` with fresh random vertex covers on every level, and those random
+    edge covers that are monotone under the down and up maps."""
+    density = rng.choice((0.2, 0.5, 1.0))
+
+    def chain(items):
+        items = sorted(items)
+        rng.shuffle(items)
+        return [
+            (x, y) for i, x in enumerate(items) for y in items[i + 1 :] if rng.random() < density
+        ]
+
+    vertex = tuple(LevelPoset(vs, frozenset(chain(vs))) for vs in g.vertex_sets)
+    edge = []
+    for i, es in enumerate(g.edge_sets):
+        down, up = g.down_maps[i], g.up_maps[i]
+        monotone = [
+            (e, f)
+            for e, f in chain(es)
+            if vertex[i].leq(down[e], down[f]) and vertex[i + 1].leq(up[e], up[f])
+        ]
+        edge.append(LevelPoset(es, frozenset(monotone)))
+    return dataclasses.replace(g, vertex_orders=vertex, edge_orders=tuple(edge))
+
+
+def add_sources(g, rng, count):
+    """``g`` with ``count`` new source vertices, each joined to one vertex of
+    the level below it; the two cycle-rank counts then disagree."""
+    vsets, esets = list(g.vertex_sets), list(g.edge_sets)
+    downs, ups = list(g.down_maps), list(g.up_maps)
+    vorders, eorders = list(g.vertex_orders), list(g.edge_orders)
+    for j in range(count):
+        i = rng.randrange(1, g.level_count)
+        src, e = f"src{j}", f"esrc{j}"
+        vsets[i] = vsets[i] | {src}
+        esets[i - 1] = esets[i - 1] | {e}
+        downs[i - 1] = {**downs[i - 1], e: rng.choice(sorted(vsets[i - 1]))}
+        ups[i - 1] = {**ups[i - 1], e: src}
+        vorders[i] = LevelPoset(vsets[i], vorders[i].covers)
+        eorders[i - 1] = LevelPoset(esets[i - 1], eorders[i - 1].covers)
+    return dataclasses.replace(
+        g,
+        vertex_sets=tuple(vsets),
+        edge_sets=tuple(esets),
+        down_maps=tuple(downs),
+        up_maps=tuple(ups),
+        vertex_orders=tuple(vorders),
+        edge_orders=tuple(eorders),
+    )
+
+
+def renamed_ranks(ranks):
+    """``ranks`` on rename_graph's ids."""
+    return None if ranks is None else {"z" + v[::-1]: r for v, r in ranks.items()}
+
+
+def test_reeb_iso_matches_oracle_on_ordered_and_multi_source_pairs(monkeypatch):
+    """Generator graphs (s = 0..3, merges of in-degree 2 and 3) with random
+    vertex and edge covers, with one or two extra sources, or with both;
+    sinks ranked on every other graph.  Partners are renamed copies, copies
+    with covers drawn afresh, and degree-preserving swaps.  The answer is
+    the oracle's, the oracle is never consulted, and every positive answer
+    carries a witness that verifies."""
+    witnesses = []
+    original = isomorphism._factor_match
+
+    def recording(*args):
+        witnesses.append(original(*args))
+        return witnesses[-1]
+
+    oracle_calls = []
+    oracle = isomorphism.brute_force_iso
+
+    def counting(*args, **kwargs):
+        oracle_calls.append(args)
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(isomorphism, "_factor_match", recording)
+    monkeypatch.setattr(isomorphism, "brute_force_iso", counting)
+    shapes = [
+        (2, 0, 3, 2),
+        (3, 0, 4, 2),
+        (2, 1, 3, 2),
+        (3, 2, 4, 3),
+        (3, 3, 4, 3),
+        (4, 2, 4, 2),
+        (2, 3, 4, 3),
+    ]
+    rng = random.Random(1212)
+    pairs = positive = verified = matched = 0
+    for seed in range(18):
+        for n, s, lv, d in shapes:
+            spec = GeneratorSpec(seed=seed, n_leaves=n, betti=s, levels=lv, max_indeg=d)
+            base = random_graph(spec)
+            if sum(map(len, base.vertex_sets)) > 14:
+                continue
+            for kind in ("covers", "sources", "both"):
+                plain = base if kind == "covers" else add_sources(base, rng, rng.randint(1, 2))
+                g = plain if kind == "sources" else random_covers(plain, rng)
+                assert validate(g) == []
+                ranks = None
+                if seed % 2:
+                    ranks = {v: rng.randrange(-2, 2) for v in g.vertex_ids() if g.outdeg(v) == 0}
+                partners = [g]
+                if kind != "sources":
+                    partners.append(random_covers(plain, rng))
+                swapped = swap_lower_ends(g, rng)
+                if swapped is not None:
+                    partners.append(swapped)
+                for partner in partners:
+                    b = rename_graph(partner)
+                    ranks_b = renamed_ranks(ranks)
+                    witnesses.clear()
+                    want = brute_force_iso(g, b, vertex_tags_a=ranks, vertex_tags_b=ranks_b)
+                    got = reeb_iso(g, b, leaf_ranks_a=ranks, leaf_ranks_b=ranks_b)
+                    assert got == want, (seed, n, s, kind)
+                    if witnesses:
+                        (witness,) = witnesses
+                        assert (witness is not None) == want
+                        if want:
+                            assert verify_witness(witness)
+                            verified += 1
+                        matched += 1
+                    pairs += 1
+                    positive += want
+    assert oracle_calls == []
+    assert (pairs, positive, verified, matched) == (900, 442, 442, 657)
+
+
+def swap_forest(g, rng):
+    """Exchange the lower endpoints of two edges of one gap, with no check of
+    connectivity: a forest with trivial edge orders stays a forest with one
+    arriving edge per vertex.  None when no gap offers such a pair."""
+    for _ in range(30):
+        i = rng.randrange(g.gap_count)
+        if len(g.edge_sets[i]) < 2:
+            continue
+        e, f = rng.sample(sorted(g.edge_sets[i]), 2)
+        down = dict(g.down_maps[i])
+        if down[e] == down[f] or g.up_maps[i][e] == g.up_maps[i][f]:
+            continue
+        down[e], down[f] = down[f], down[e]
+        return dataclasses.replace(g, down_maps=g.down_maps[:i] + (down,) + g.down_maps[i + 1 :])
+    return None
+
+
+def test_forest_fingerprints_match_oracle():
+    """Factors of graphs with several sources are forests.  Their
+    fingerprints, with cut leaves tagged, are equal exactly when the oracle
+    finds an isomorphism with the same tags: against renamed copies of every
+    factor of the graph, and against swaps."""
+    rng = random.Random(31)
+    outcomes = []
+    for seed in range(25):
+        for n, s, lv, d in [(2, 1, 3, 2), (3, 2, 4, 3), (3, 2, 3, 2), (4, 3, 5, 3)]:
+            spec = GeneratorSpec(seed=seed, n_leaves=n, betti=s, levels=lv, max_indeg=d)
+            g = add_sources(random_graph(spec), rng, rng.randint(1, 2))
+            view = DagView(g, betti_euler(g))
+            factors = [apply_choice(view, c) for c in enumerate_choices(view)][:4]
+            renamed = [
+                (rename_graph(h.graph), renamed_ranks(dict.fromkeys(h.cut_vertices, -2)))
+                for h in factors
+            ]
+            for f in factors:
+                tags = dict.fromkeys(f.cut_vertices, -2)
+                partners = list(renamed)
+                swapped = swap_forest(f.graph, rng)
+                if swapped is not None:
+                    partners.append((swapped, tags))
+                form = canonical_form(f.graph, leaf_ranks=tags)
+                for h, tags_h in partners:
+                    want = brute_force_iso(f.graph, h, vertex_tags_a=tags, vertex_tags_b=tags_h)
+                    assert (canonical_form(h, leaf_ranks=tags_h) == form) == want
+                    outcomes.append(want)
+    assert (outcomes.count(True), outcomes.count(False)) == (928, 1048)
+
+
+def cherries(k, cover):
+    """A root over k cherries on three levels, with one vertex cover between
+    two of the 2k leaves."""
+    return make_graph(
+        [0, 1, 2],
+        [[f"{s}{i}" for i in range(k) for s in "xy"], [f"c{i}" for i in range(k)], ["r"]],
+        [
+            [(f"{s}e{i}", f"{s}{i}", f"c{i}") for i in range(k) for s in "xy"],
+            [(f"f{i}", f"c{i}", "r") for i in range(k)],
+        ],
+        vertex_covers=[[cover], [], []],
+    )
+
+
+@pytest.mark.parametrize("k", [4, 6, 50, 200])
+def test_ordered_cherries_need_no_search(k):
+    """A cover inside a cherry is told from one across two cherries, and
+    matched with one inside another cherry, within a budget of 100."""
+    inside = cherries(k, ("x0", "y0"))
+    assert not reeb_iso(inside, cherries(k, ("y0", "x1")), budget=100)
+    assert reeb_iso(inside, cherries(k, ("x1", "y1")), budget=100)
+
+
+def test_cut_leaves_match_only_cut_leaves(monkeypatch):
+    """In a, merge vertex m's cut leaf sits above t in m's cover (m, t); in b
+    the edge from q to t is a real edge.  With colour refinement switched
+    off, only the cut leaves' tag keeps the input cover (m, t) from passing
+    for a cut."""
+    def graph(edges):
+        return make_graph(
+            [0, 1, 2],
+            [["m", "t", "u"], ["k", "p", "q"], ["root"]],
+            [
+                [(f"{lo}{hi}{i}", lo, hi) for i, (lo, hi) in enumerate(edges)],
+                [(f"f{x}", x, "root") for x in "kpq"],
+            ],
+            vertex_covers=[[("m", "t")], [], []],
+        )
+
+    a = graph([("m", "k"), ("m", "q"), ("t", "p"), ("u", "p")])
+    b = graph([("m", "k"), ("m", "p"), ("t", "q"), ("u", "p")])
+    assert validate(a) == validate(b) == []
+    assert not brute_force_iso(a, b)
+    monkeypatch.setattr(
+        isomorphism,
+        "_stable_colours",
+        lambda pre: tuple(dict.fromkeys(g.vertex_level, 0) for g in pre[:2]),
+    )
+    assert not reeb_iso(a, b)
+
+
+def test_refined_count_mismatch_refines_nothing(monkeypatch):
+    """On different level sets the refined counts are read off the coarse
+    graphs: here a keeps one edge over the level that b inserts into its
+    two-edge gap, so nothing is refined."""
+    calls = []
+    refine = isomorphism.common_refinement
+
+    def counting(*args):
+        calls.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(isomorphism, "common_refinement", counting)
+    a = make_graph(
+        [0, 1, 3],
+        [["x", "y"], ["m"], ["t"]],
+        [[("e", "x", "m"), ("f", "y", "m")], [("g", "m", "t")]],
+    )
+    b = make_graph(
+        [0, 2, 3],
+        [["x", "y"], ["m"], ["t"]],
+        [[("e", "x", "m"), ("f", "y", "m")], [("g", "m", "t")]],
+    )
+    assert not reeb_iso(a, b)
+    assert calls == []
+    assert not brute_force_iso(a, b)
+    assert calls == []
+    assert reeb_iso(a, refine_to_levels(a, [0, 1, 2, 3]))
+    assert len(calls) == 1
 
 
 def search_outcome(search, pre, budget):
