@@ -81,14 +81,18 @@ class LevelPoset:
         return not self.covers
 
     @cached_property
-    def _closure(self) -> tuple[dict[str, frozenset[str]], bool]:
+    def _successors(self) -> dict[str, set[str]]:
         succ: dict[str, set[str]] = {}
         for lo, hi in self.covers:
             succ.setdefault(lo, set()).add(hi)
+        return succ
+
+    @cached_property
+    def _closure(self) -> dict[str, frozenset[str]]:
+        succ = self._successors
         reach: dict[str, frozenset[str]] = {}
-        cyclic = False
         # Depth-first with an explicit stack; an edge back onto the current
-        # path is a cycle.
+        # path (a cycle) is not followed.
         for root in succ:
             if root in reach:
                 continue
@@ -97,9 +101,7 @@ class LevelPoset:
             while stack:
                 x, todo = stack[-1]
                 for y in todo:
-                    if y in on_path:
-                        cyclic = True
-                    elif y not in reach:
+                    if y not in on_path and y not in reach:
                         on_path.add(y)
                         stack.append((y, iter(succ.get(y, ()))))
                         break
@@ -108,17 +110,31 @@ class LevelPoset:
                     on_path.discard(x)
                     kids = succ.get(x, ())
                     reach[x] = frozenset(kids).union(*(reach.get(y, ()) for y in kids))
-        return reach, cyclic
+        return reach
 
-    @property
+    @cached_property
     def has_cycle(self) -> bool:
-        return self._closure[1]
+        """Kahn's sort over the covers: a cycle leaves elements unsorted."""
+        succ = self._successors
+        waiting: dict[str, int] = {}
+        for _, hi in self.covers:
+            waiting[hi] = waiting.get(hi, 0) + 1
+        ready = [x for x in succ if x not in waiting]
+        done = 0
+        while ready:
+            x = ready.pop()
+            done += 1
+            for y in succ.get(x, ()):
+                waiting[y] -= 1
+                if not waiting[y]:
+                    ready.append(y)
+        return done < len(succ.keys() | waiting.keys())
 
     def leq(self, a: str, b: str) -> bool:
-        return a == b or b in self._closure[0].get(a, frozenset())
+        return a == b or b in self._closure.get(a, frozenset())
 
     def strictly_above(self, a: str) -> frozenset[str]:
-        return self._closure[0].get(a, frozenset())
+        return self._closure.get(a, frozenset())
 
 
 @dataclass(frozen=True)

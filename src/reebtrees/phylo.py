@@ -15,6 +15,13 @@ the lowest common ancestor.  Stamps are computed once per level, also in
 integer form (times the LCM of their denominators), so every vector carries
 an exact integer copy of its entries.
 
+A network's factor vectors come from that same walk, run once per cut
+choice over tables built once per network, with no factor graph: the
+children of every vertex, the sorted original taxa, every candidate cut
+leaf sorted once, and the stamps.  A factor differs from its network only
+in that each detached edge ends at its own cut leaf, and every factor has
+the same stamp levels.
+
 The Hausdorff kernel works on those integers: both sets are brought to the
 least common multiple of their vectors' scales and stripped of duplicate
 vectors, each directed distance stops scanning for a vector's nearest
@@ -36,7 +43,12 @@ from typing import Mapping, Sequence
 
 from .core import RESERVED_VERTEX_PREFIX, ReebGraph
 from .dag import DagView, build_dag_view
-from .decomposition import Factor, decompose
+from .decomposition import (
+    Factor,
+    _require_trivial_orders,
+    cut_options,
+    enumerate_choices,
+)
 from .errors import (
     DimensionMismatch,
     EmptySet,
@@ -72,32 +84,42 @@ def leaf_order(
     agree on positions.
     """
     graph = _graph_of(source)
-    ranks = dict(ranks or {})
     sinks = [v for v in graph.vertex_ids() if v not in graph.below_edges]
-    originals = [v for v in sinks if not v.startswith(RESERVED_VERTEX_PREFIX)]
-    cuts = [v for v in sinks if v.startswith(RESERVED_VERTEX_PREFIX)]
+    # Each cut leaf's merge vertex: the one its level's order puts above it.
+    merge_of = {
+        b: a
+        for level in {graph.vertex_level[v] for v in sinks if v.startswith(RESERVED_VERTEX_PREFIX)}
+        for a, b in graph.vertex_orders[level].covers
+    }
+    originals, cuts = _sorted_taxa(sinks, ranks, graph.vertex_level, merge_of)
+    return LeafOrdering(leaves=(*originals, *cuts))
+
+
+def _sorted_taxa(
+    sinks: Sequence[str],
+    ranks: Mapping[str, int] | None,
+    level_of: Mapping[str, int],
+    merge_of: Mapping[str, str],
+) -> tuple[list[str], list[str]]:
+    """The originals and the cut leaves among ``sinks``, each sorted in
+    leaf_order's order; ``merge_of`` sends a cut leaf to its merge vertex."""
+    ranks = ranks or {}
 
     def original_key(v: str):
         if v in ranks:
             return (0, ranks[v], "")
-        return (1, graph.vertex_level[v], v)
-
-    # Each cut leaf's merge vertex: the one its level's order puts above it.
-    merge_of = {
-        b: a
-        for level in {graph.vertex_level[v] for v in cuts}
-        for a, b in graph.vertex_orders[level].covers
-    }
+        return (1, level_of[v], v)
 
     def cut_key(v: str):
         edge = v[len(RESERVED_VERTEX_PREFIX):]
         retic = merge_of.get(v)
         if retic is None:
-            return (graph.vertex_level[v], "", edge)
-        return (graph.vertex_level[retic], retic, edge)
+            return (level_of[v], "", edge)
+        return (level_of[retic], retic, edge)
 
-    ordered = sorted(originals, key=original_key) + sorted(cuts, key=cut_key)
-    return LeafOrdering(leaves=tuple(ordered))
+    originals = [v for v in sinks if not v.startswith(RESERVED_VERTEX_PREFIX)]
+    cuts = [v for v in sinks if v.startswith(RESERVED_VERTEX_PREFIX)]
+    return sorted(originals, key=original_key), sorted(cuts, key=cut_key)
 
 
 @dataclass(frozen=True)
@@ -146,26 +168,64 @@ def cophenetic_vector(
     the LCM of the denominators of the levels that occur as stamps), so the
     vector's integer form for the Hausdorff kernel comes out of the same pass.
     """
-    if time_mode not in ("f", "-f"):
-        raise ValueError(f"time_mode must be 'f' or '-f', not {time_mode!r}")
+    _check_time_mode(time_mode)
     graph = _graph_of(source)
-    level_of, above = graph.vertex_level, graph.above_edges
-    for v, es in above.items():
+    for v, es in graph.above_edges.items():
         if len(es) > 1:
             raise NotATree(f"vertex {v!r} has {len(es)} edges arriving from above")
-    sources = [v for v in level_of if v not in above]
+    root = _root(graph)
+    leaves = leaf_order(source, ranks=ranks).leaves
+    children = _children(graph)
+    # Only taxa and branching vertices stamp a pair.
+    stampers = [*leaves, *(v for v, kids in children.items() if len(kids) > 1)]
+    scale, stamp, back = _stamps(graph.levels, graph.vertex_level, stampers, time_mode)
+    return _vector(leaves, _walk(root, children, leaves, stamp), scale, back, time_mode)
+
+
+def _check_time_mode(time_mode: str) -> None:
+    if time_mode not in ("f", "-f"):
+        raise ValueError(f"time_mode must be 'f' or '-f', not {time_mode!r}")
+
+
+def _root(graph: ReebGraph) -> str:
+    sources = [v for v in graph.vertex_level if v not in graph.above_edges]
     if len(sources) != 1:
         raise NotRooted(f"{len(sources)} source vertices, expected exactly 1")
+    return sources[0]
 
-    leaves = leaf_order(source, ranks=ranks).leaves
+
+def _children(graph: ReebGraph) -> dict[str, list[str]]:
+    """Vertex -> the lower ends of its edges into the gap below, in edge
+    order; taxa have no entry."""
+    down = {e: v for dn in graph.down_maps for e, v in dn.items()}
+    return {v: [down[e] for e in es] for v, es in graph.below_edges.items()}
+
+
+def _stamps(
+    levels: Sequence[Fraction], level_of: Mapping[str, int], stampers, time_mode: str
+) -> tuple[int, dict[str, int], dict[int, Fraction]]:
+    """(scale, stamp, back): the LCM of the denominators of the stampers'
+    levels, each stamper's integer stamp at that scale, and each integer
+    stamp's Fraction.  One stamp per level."""
+    used = {level_of[v] for v in stampers}
+    values = {i: levels[i] if time_mode == "f" else -levels[i] for i in used}
+    scale = math.lcm(*(x.denominator for x in values.values()))
+    ints = {i: x.numerator * (scale // x.denominator) for i, x in values.items()}
+    stamp = {v: ints[level_of[v]] for v in stampers}
+    return scale, stamp, {ints[i]: x for i, x in values.items()}
+
+
+def _walk(
+    root: str,
+    children: Mapping[str, Sequence[str]],
+    leaves: Sequence[str],
+    stamp: Mapping[str, int],
+) -> tuple[int, ...]:
+    """The integer upper triangle of the tree below ``root`` over ``leaves``,
+    its taxa in comparison order; ``stamp`` holds the integer stamp of every
+    taxon and branching vertex."""
     n = len(leaves)
-    children = {
-        v: [graph.down_maps[graph.edge_gap[e]][e] for e in es]
-        for v, es in graph.below_edges.items()
-    }
-
     # Pre-order numbers the taxa; then each vertex covers [lo, hi) of them.
-    root = sources[0]
     lo: dict[str, int] = {}
     order: list[str] = []
     stack = [root]
@@ -182,13 +242,6 @@ def cophenetic_vector(
     for v in reversed(order):
         hi[v] = hi[children[v][-1]] if v in children else lo[v] + 1
 
-    # One stamp per level; only taxa and branching vertices stamp a pair.
-    stamp_levels = {level_of[v] for v in leaves}
-    stamp_levels.update(level_of[v] for v, kids in children.items() if len(kids) > 1)
-    values = [x if time_mode == "f" else -x for x in graph.levels]
-    scale = math.lcm(*(values[i].denominator for i in stamp_levels))
-    ints = {i: values[i].numerator * (scale // values[i].denominator) for i in stamp_levels}
-
     # A row holds, at each taxon position outside the vertex's range, the
     # stamp of the lowest common ancestor; the last child takes the row over.
     # (itemgetter of a single index returns the item, not a 1-tuple.)
@@ -198,7 +251,7 @@ def cophenetic_vector(
     todo: list[tuple[str, list[int]]] = [(root, [0] * n)]
     while todo:
         v, row = todo.pop()
-        s = ints.get(level_of[v])
+        s = stamp.get(v)
         kids = children.get(v)
         if kids is None:
             row[lo[v]] = s
@@ -216,12 +269,18 @@ def cophenetic_vector(
         # The last child's range ends where v's does.
         row[a:lo[last]] = [s] * (lo[last] - a)
         todo.append((last, row))
+    return tuple(out)
 
-    scaled = tuple(out)
-    del out
-    stamp = {ints[i]: values[i] for i in stamp_levels}
+
+def _vector(
+    leaves: tuple[str, ...],
+    scaled: tuple[int, ...],
+    scale: int,
+    back: Mapping[int, Fraction],
+    time_mode: str,
+) -> CopheneticVector:
     vec = CopheneticVector(
-        leaves=leaves, entries=tuple(map(stamp.__getitem__, scaled)), time_mode=time_mode
+        leaves=leaves, entries=tuple(map(back.__getitem__, scaled)), time_mode=time_mode
     )
     object.__setattr__(vec, "_integer", (scale, scaled))
     return vec
@@ -403,10 +462,19 @@ def hausdorff_distance(
 @dataclass(frozen=True)
 class NetworkFactors:
     """A network's taxon count and cycle rank, and the cophenetic vectors of
-    its tree factors.
+    its tree factors, in ``enumerate_choices`` order.
 
     The vectors are computed when first read, so two networks' shapes can be
-    compared before either is decomposed.
+    compared before any vector is built.  They equal ``cophenetic_vector``
+    of each factor of ``decompose(view)``, but no factor graph is built: a
+    factor differs from its network only in that each detached edge ends at
+    its cut leaf ``cut:<edge>``.  Once per network come the checks
+    ``decompose`` makes, the children table, the sorted original taxa,
+    every candidate cut leaf sorted once, and the stamps, which every factor
+    shares (each merge leaves a cut leaf at its level in every factor, and
+    no cut changes an out-degree).  Once per choice come the factor's cut
+    leaves, filtered out of the sorted candidates, the children of the
+    detached edges' upper ends, and the row walk ``cophenetic_vector`` runs.
     """
 
     view: DagView
@@ -420,10 +488,69 @@ class NetworkFactors:
 
     @cached_property
     def vectors(self) -> tuple[CopheneticVector, ...]:
-        return tuple(
-            cophenetic_vector(f, ranks=self.ranks, time_mode=self.time_mode)
-            for f in decompose(self.view).factors
-        )
+        return _factor_vectors(self.view, self.ranks, self.time_mode)
+
+
+def _factor_vectors(
+    view: DagView, ranks: Mapping[str, int] | None, time_mode: str
+) -> tuple[CopheneticVector, ...]:
+    """``cophenetic_vector`` of every factor of ``decompose(view)``, in its
+    order, raising what that would raise first."""
+    graph = view.graph
+    _require_trivial_orders(graph)
+    options = cut_options(view)
+    _require_free_cut_ids(view, options)
+    _check_time_mode(time_mode)
+    root = _root(graph)
+
+    # Every cut leaf any factor has: one per arriving edge of every merge.
+    merge_of = {RESERVED_VERTEX_PREFIX + e: m for m, edges in options for e in edges}
+    level_of = {**graph.vertex_level, **{c: graph.vertex_level[m] for c, m in merge_of.items()}}
+    sinks = [v for v in graph.vertex_ids() if v not in graph.below_edges]
+    originals, cuts = _sorted_taxa([*sinks, *merge_of], ranks, level_of, merge_of)
+    # Cut leaf -> (upper end of its edge, the edge's place among that end's children).
+    slot = {}
+    for _, edges in options:
+        for e in edges:
+            v = graph.up_maps[graph.edge_gap[e]][e]
+            slot[RESERVED_VERTEX_PREFIX + e] = (v, graph.below_edges[v].index(e))
+    children = _children(graph)
+    stampers = [*originals, *cuts, *(v for v, kids in children.items() if len(kids) > 1)]
+    scale, stamp, back = _stamps(graph.levels, level_of, stampers, time_mode)
+
+    vectors = []
+    for choice in enumerate_choices(view):
+        kept = {RESERVED_VERTEX_PREFIX + e for _, e in choice.kept}
+        leaves = (*originals, *(c for c in cuts if c not in kept))
+        kids = dict(children)
+        for c, (v, i) in slot.items():
+            if c not in kept:
+                if kids[v] is children[v]:
+                    kids[v] = children[v].copy()
+                kids[v][i] = c
+        vectors.append(_vector(leaves, _walk(root, kids, leaves, stamp), scale, back, time_mode))
+    return tuple(vectors)
+
+
+def _require_free_cut_ids(view: DagView, options: Sequence[tuple[str, Sequence[str]]]) -> None:
+    """Raise apply_choice's error for the first choice, in order, whose cut
+    leaf id a merge level already holds."""
+    graph = view.graph
+    level_of = graph.vertex_level
+    taken = {
+        e
+        for m, edges in options
+        for e in edges
+        if RESERVED_VERTEX_PREFIX + e in graph.vertex_sets[level_of[m]]
+    }
+    if not taken:
+        return
+    for choice in enumerate_choices(view):
+        for (_, keep), (_, edges) in zip(choice.kept, options):
+            for e in edges:
+                if e != keep and e in taken:
+                    cut_v = RESERVED_VERTEX_PREFIX + e
+                    raise ValueError(f"cut vertex id {cut_v!r} already present")
 
 
 def network_factors(

@@ -376,16 +376,18 @@ class TestDist:
         self.fixture_files(tmp_path, net_a, net_b)
         write_graph(tmp_path, "c.json", three_leaf_tree())
         write_graph(tmp_path, "d.json", net_a, leaf_ranks={"l1": 2, "l2": 1})
+        # The factor vectors of a network are built in one call per network.
         calls = []
-        original = reebtrees.phylo.decompose
+        original = reebtrees.phylo._factor_vectors
 
-        def counting(view):
+        def counting(view, ranks, time_mode):
             calls.append(view)
-            return original(view)
+            return original(view, ranks, time_mode)
 
-        monkeypatch.setattr(reebtrees.phylo, "decompose", counting)
+        monkeypatch.setattr(reebtrees.phylo, "_factor_vectors", counting)
         assert main(["dist", "--matrix", str(tmp_path)]) == 0
         assert len(calls) == 4
+        assert len({id(view) for view in calls}) == 4
 
     def test_matrix_bad_file_prints_no_csv(self, capsys, tmp_path, net_a, twin_peaks):
         write_graph(tmp_path, "a.json", net_a)
@@ -394,6 +396,35 @@ class TestDist:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: cycle-rank mismatch" in captured.err
+
+    @pytest.mark.parametrize(
+        "covers, message",
+        [
+            (None, "error: cut vertex id 'cut:e2' already present"),
+            ([[("cut:e2", "r")], [], []], "error: decomposition needs trivial orders; "
+             "vertex relations at level 0"),
+        ],
+    )
+    def test_matrix_undecomposable_file_prints_no_csv(
+        self, capsys, tmp_path, net_a, covers, message
+    ):
+        # b.json's merge level already holds the id of a cut leaf, or orders it.
+        write_graph(tmp_path, "a.json", net_a)
+        clash = make_graph(
+            [0, 1, 2],
+            [["r", "cut:e2"], ["a", "b"], ["t"]],
+            [
+                [("e1", "r", "a"), ("e2", "r", "b"), ("e3", "cut:e2", "a")],
+                [("g1", "a", "t"), ("g2", "b", "t")],
+            ],
+            vertex_covers=covers,
+        )
+        write_graph(tmp_path, "b.json", clash)
+        write_graph(tmp_path, "c.json", net_a)
+        assert main(["dist", "--matrix", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
 
     def test_matrix_takes_every_suffix_pair_mode_reads(self, capsys, tmp_path):
         texts = {

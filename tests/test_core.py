@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import types
 from collections import Counter
 from dataclasses import replace
@@ -83,6 +84,17 @@ class TestLevelPoset:
     def test_cycle_detection(self):
         p = LevelPoset(frozenset("ab"), frozenset([("a", "b"), ("b", "a")]))
         assert p.has_cycle
+
+    def test_cycle_beside_acyclic_parts(self):
+        # A cycle beside acyclic parts, below them, and a loop on one element.
+        for covers in (
+            [("a", "b"), ("b", "a"), ("c", "d"), ("e", "f")],
+            [("c", "a"), ("a", "b"), ("b", "a"), ("b", "d")],
+            [("c", "c"), ("c", "d")],
+        ):
+            assert LevelPoset(frozenset("abcdef"), frozenset(covers)).has_cycle
+        dag = frozenset([("a", "b"), ("c", "b"), ("b", "d")])
+        assert not LevelPoset(frozenset("abcd"), dag).has_cycle
 
 
 def test_make_graph_shape_errors():
@@ -170,11 +182,17 @@ def _long_chain(n: int, back_cover: bool = False):
 
 
 def test_validate_long_order_chain():
-    # Deeper than the interpreter's recursion limit.
-    assert validate(_long_chain(3000)) == []
-    assert "non-poset vertex order at index 0 (cycle in covers)" in validate(
-        _long_chain(3000, back_cover=True)
-    )
+    # Deeper than the interpreter's recursion limit.  Finding a cycle needs
+    # no transitive closure, which would take O(n^2) memory on a chain.
+    chain, cyclic = _long_chain(3000), _long_chain(3000, back_cover=True)
+    tracemalloc.start()
+    try:
+        assert validate(chain) == []
+        assert "non-poset vertex order at index 0 (cycle in covers)" in validate(cyclic)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_validate_reports_non_monotone_attachment():

@@ -18,8 +18,10 @@ from reebtrees import (
     GeneratorSpec,
     IncompatibleShape,
     InfeasibleSpec,
+    LevelPoset,
     NotATree,
     NotRooted,
+    OrderConflict,
     build_dag_view,
     cophenetic_vector,
     decompose,
@@ -33,7 +35,11 @@ from reebtrees import (
     random_graph,
 )
 from reebtrees.core import ReebGraph
+from reebtrees.dag import DagView, betti_euler
 from reebtrees.decomposition import Factor
+from reebtrees.phylo import NetworkFactors, network_factors
+
+from conftest import SAFE_SHAPES, chain_with_bigons, corpus
 
 F = Fraction
 
@@ -350,6 +356,142 @@ class TestTopDownMatchesReference:
         # A replaced vector keeps no integer form from its original.
         shifted = dataclasses.replace(one, entries=tuple(x + F(1, 3) for x in one.entries))
         assert lp_distance(one, shifted, 1) == F(len(one.entries), 3)
+
+
+def factor_route(view, ranks, time_mode):
+    """The per-factor reference: a ReebGraph per factor, each with its own
+    leaf order and walk."""
+    return tuple(
+        cophenetic_vector(f, ranks=ranks, time_mode=time_mode) for f in decompose(view).factors
+    )
+
+
+def assert_factor_route(graph, ranks, time_mode):
+    got = network_factors(graph, ranks=ranks, time_mode=time_mode).vectors
+    want = factor_route(build_dag_view(graph), ranks, time_mode)
+    assert got == want
+    assert [v._integer for v in got] == [v._integer for v in want]
+    assert all(v._integer is not None for v in got)
+
+
+def prefixed_sinks_network():
+    """A merge vertex r, itself a taxon, on level 0 beside the prefixed sink
+    cut:q, and a second prefixed sink cut:z on level 1; the cut leaves the
+    merge makes, cut:e1 and cut:e2, sort among them by the keys leaf_order
+    uses."""
+    return make_graph(
+        [0, 1, 2],
+        [["r", "cut:q", "a0"], ["a", "b", "cut:z"], ["t"]],
+        [
+            [("e1", "r", "a"), ("e2", "r", "b"), ("e3", "cut:q", "a"), ("e4", "a0", "b")],
+            [("g1", "a", "t"), ("g2", "b", "t"), ("g3", "cut:z", "t")],
+        ],
+    )
+
+
+def clashing_network(edge: str):
+    """A merge vertex r on level 0 whose arriving edges are e1 and e2, and a
+    sink on level 0 that already bears the cut leaf id of ``edge``."""
+    return make_graph(
+        [0, 1, 2],
+        [["r", f"cut:{edge}"], ["a", "b"], ["t"]],
+        [
+            [("e1", "r", "a"), ("e2", "r", "b"), ("e3", f"cut:{edge}", "a")],
+            [("g1", "a", "t"), ("g2", "b", "t")],
+        ],
+    )
+
+
+def ordered(graph, vertex_level=None, edge_gap=None):
+    """``graph`` with one cover between the first two elements of a level or
+    a gap."""
+    if vertex_level is not None:
+        vs = sorted(graph.vertex_sets[vertex_level])
+        orders = list(graph.vertex_orders)
+        orders[vertex_level] = LevelPoset(
+            graph.vertex_sets[vertex_level], frozenset({(vs[0], vs[1])})
+        )
+        return dataclasses.replace(graph, vertex_orders=tuple(orders))
+    es = sorted(graph.edge_sets[edge_gap])
+    orders = list(graph.edge_orders)
+    orders[edge_gap] = LevelPoset(graph.edge_sets[edge_gap], frozenset({(es[0], es[1])}))
+    return dataclasses.replace(graph, edge_orders=tuple(orders))
+
+
+class TestNetworkVectorsMatchFactorRoute:
+    """network_factors reads every factor's vector off the network; the
+    vectors, their order and integer forms equal those of decompose's
+    factors, one cophenetic_vector each."""
+
+    @pytest.mark.parametrize("time_mode", ["f", "-f"])
+    def test_generator_networks(self, time_mode):
+        shapes = [(SAFE_SHAPES, 2), ([(2, 2, 3), (3, 2, 4), (4, 3, 5), (3, 4, 5)], 3)]
+        cases = 0
+        for seed in range(6):
+            for group, max_indeg in shapes:
+                for g in corpus(group, [seed], max_indeg):
+                    taxa = sorted(v for v in g.vertex_ids() if g.outdeg(v) == 0)
+                    full = {v: (7 * i) % 5 - 2 for i, v in enumerate(taxa)}
+                    partial = dict(list(full.items())[::2])
+                    for ranks in (full, partial, None):
+                        assert_factor_route(g, ranks, time_mode)
+                        cases += 1
+        assert cases == 6 * 3 * (len(SAFE_SHAPES) + 4)
+
+    @pytest.mark.parametrize("time_mode", ["f", "-f"])
+    @pytest.mark.parametrize("s", range(7))
+    def test_chain_with_bigons(self, s, time_mode):
+        assert_factor_route(chain_with_bigons(12, s), None, time_mode)
+
+    @pytest.mark.parametrize("time_mode", ["f", "-f"])
+    def test_dated_example(self, net_a, net_b, ranks_a, ranks_b, time_mode):
+        assert_factor_route(net_a, ranks_a, time_mode)
+        assert_factor_route(net_b, ranks_b, time_mode)
+        assert_factor_route(net_a, None, time_mode)
+
+    @pytest.mark.parametrize("time_mode", ["f", "-f"])
+    def test_sinks_that_carry_the_cut_prefix(self, time_mode):
+        g = prefixed_sinks_network()
+        vectors = network_factors(g, time_mode=time_mode).vectors
+        assert [v.leaves for v in vectors] == [
+            ("a0", "r", "cut:q", "cut:e2", "cut:z"),
+            ("a0", "r", "cut:q", "cut:e1", "cut:z"),
+        ]
+        assert_factor_route(g, None, time_mode)
+        assert_factor_route(g, {"a0": 3}, time_mode)
+
+
+class TestNetworkVectorsRaiseLikeDecompose:
+    @pytest.mark.parametrize("where", [{"vertex_level": 0}, {"edge_gap": 0}])
+    def test_order_conflict(self, cycle_graph, where):
+        g = ordered(cycle_graph, **where)
+        with pytest.raises(OrderConflict) as want:
+            decompose(build_dag_view(g))
+        with pytest.raises(OrderConflict) as got:
+            network_factors(g).vectors
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("edge", ["e1", "e2"])
+    def test_cut_id_already_on_the_merge_level(self, edge):
+        # The first choice keeps e1, so a clash on e1 shows in the second.
+        g = clashing_network(edge)
+        with pytest.raises(ValueError) as want:
+            decompose(build_dag_view(g))
+        with pytest.raises(ValueError) as got:
+            network_factors(g).vectors
+        assert str(got.value) == str(want.value) == f"cut vertex id 'cut:{edge}' already present"
+
+    def test_bad_time_mode(self, net_a):
+        with pytest.raises(ValueError, match="time_mode must be 'f' or '-f', not 'g'"):
+            network_factors(net_a, time_mode="g").vectors
+
+    def test_two_roots(self, twin_peaks):
+        view = DagView(twin_peaks, betti_euler(twin_peaks))
+        with pytest.raises(NotRooted) as want:
+            factor_route(view, None, "f")
+        with pytest.raises(NotRooted) as got:
+            NetworkFactors(view, 1, None, "f").vectors
+        assert str(got.value) == str(want.value) == "2 source vertices, expected exactly 1"
 
 
 class TestNthRoot:
