@@ -533,15 +533,15 @@ def _factor_vectors(
 
 
 def _require_free_cut_ids(view: DagView, options: Sequence[tuple[str, Sequence[str]]]) -> None:
-    """Raise apply_choice's error for the first choice, in order, whose cut
-    leaf id a merge level already holds."""
-    graph = view.graph
-    level_of = graph.vertex_level
+    """Raise apply_choice's error for the first choice, in order, that
+    detaches an edge whose cut leaf id the network already holds.
+    apply_choice looks on the merge level only; an id held on another level
+    would leave the factor with one vertex on two levels."""
     taken = {
         e
-        for m, edges in options
+        for _, edges in options
         for e in edges
-        if RESERVED_VERTEX_PREFIX + e in graph.vertex_sets[level_of[m]]
+        if RESERVED_VERTEX_PREFIX + e in view.graph.vertex_level
     }
     if not taken:
         return

@@ -481,6 +481,21 @@ class TestNetworkVectorsRaiseLikeDecompose:
             network_factors(g).vectors
         assert str(got.value) == str(want.value) == f"cut vertex id 'cut:{edge}' already present"
 
+    def test_cut_id_on_another_level(self):
+        # decompose accepts it and builds a factor with cut:e1 on two levels,
+        # on which cophenetic_vector raised NotATree.
+        g = make_graph(
+            [0, 1, 2, 3],
+            [["r"], ["a", "b", "cut:e1"], ["c"], ["t"]],
+            [
+                [("e1", "r", "a"), ("e2", "r", "b")],
+                [("g1", "a", "c"), ("g2", "b", "c"), ("g3", "cut:e1", "t")],
+                [("h1", "c", "t")],
+            ],
+        )
+        with pytest.raises(ValueError, match="cut vertex id 'cut:e1' already present"):
+            network_factors(g).vectors
+
     def test_bad_time_mode(self, net_a):
         with pytest.raises(ValueError, match="time_mode must be 'f' or '-f', not 'g'"):
             network_factors(net_a, time_mode="g").vectors
