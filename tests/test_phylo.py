@@ -482,8 +482,8 @@ class TestNetworkVectorsRaiseLikeDecompose:
         assert str(got.value) == str(want.value) == f"cut vertex id 'cut:{edge}' already present"
 
     def test_cut_id_on_another_level(self):
-        # decompose accepts it and builds a factor with cut:e1 on two levels,
-        # on which cophenetic_vector raised NotATree.
+        # decompose accepts it, and builds a factor with cut:e1 on two levels
+        # on which cophenetic_vector raises NotATree.
         g = make_graph(
             [0, 1, 2, 3],
             [["r"], ["a", "b", "cut:e1"], ["c"], ["t"]],
