@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from functools import cache
 from pathlib import Path
 
 from .core import format_level, minimize_critical_set, validate
@@ -237,6 +238,7 @@ def cmd_convert(args) -> int:
     return 0
 
 
+@cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="reebtrees",

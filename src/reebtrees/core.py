@@ -88,47 +88,39 @@ class LevelPoset:
         return succ
 
     @cached_property
-    def _closure(self) -> dict[str, frozenset[str]]:
-        succ = self._successors
-        reach: dict[str, frozenset[str]] = {}
-        # Depth-first with an explicit stack; an edge back onto the current
-        # path (a cycle) is not followed.
-        for root in succ:
-            if root in reach:
-                continue
-            on_path = {root}
-            stack = [(root, iter(succ[root]))]
-            while stack:
-                x, todo = stack[-1]
-                for y in todo:
-                    if y not in on_path and y not in reach:
-                        on_path.add(y)
-                        stack.append((y, iter(succ.get(y, ()))))
-                        break
-                else:
-                    stack.pop()
-                    on_path.discard(x)
-                    kids = succ.get(x, ())
-                    reach[x] = frozenset(kids).union(*(reach.get(y, ()) for y in kids))
-        return reach
-
-    @cached_property
-    def has_cycle(self) -> bool:
-        """Kahn's sort over the covers: a cycle leaves elements unsorted."""
+    def _sorted(self) -> list[str]:
+        """Kahn's sort over the covers, lower ends first.  A cycle leaves its
+        elements, and every element above one of them, unsorted."""
         succ = self._successors
         waiting: dict[str, int] = {}
         for _, hi in self.covers:
             waiting[hi] = waiting.get(hi, 0) + 1
         ready = [x for x in succ if x not in waiting]
-        done = 0
+        order = []
         while ready:
             x = ready.pop()
-            done += 1
+            order.append(x)
             for y in succ.get(x, ()):
                 waiting[y] -= 1
                 if not waiting[y]:
                     ready.append(y)
-        return done < len(succ.keys() | waiting.keys())
+        return order
+
+    @cached_property
+    def _closure(self) -> dict[str, frozenset[str]]:
+        """Strict upper sets, built in reverse sorted order; an unsorted
+        element gets none."""
+        succ = self._successors
+        reach: dict[str, frozenset[str]] = {}
+        for x in reversed(self._sorted):
+            kids = succ.get(x, ())
+            reach[x] = frozenset(kids).union(*(reach.get(y, ()) for y in kids))
+        return reach
+
+    @cached_property
+    def has_cycle(self) -> bool:
+        """A cycle leaves elements of the covers unsorted."""
+        return len(self._sorted) < len({x for cover in self.covers for x in cover})
 
     def leq(self, a: str, b: str) -> bool:
         return a == b or b in self._closure.get(a, frozenset())
@@ -373,15 +365,16 @@ def validate(graph: ReebGraph, *, allow_cut_ids: bool = False) -> list[str]:
         check_order(poset, graph.edge_sets[i], "edge", i)
 
     for i in range(graph.gap_count):
-        eo = graph.edge_orders[i]
-        if eo.has_cycle:
+        eo, below, above = graph.edge_orders[i], *graph.vertex_orders[i:i + 2]
+        # A cycle at either end leaves no order for a map to respect.
+        if eo.has_cycle or below.has_cycle or above.has_cycle:
             continue
         for lo, hi in sorted(eo.covers):
             dn = graph.down_maps[i]
             up = graph.up_maps[i]
-            if lo in dn and hi in dn and not graph.vertex_orders[i].leq(dn[lo], dn[hi]):
+            if lo in dn and hi in dn and not below.leq(dn[lo], dn[hi]):
                 report.append(f"non-monotone down_map at gap {i}: cover ({lo!r}, {hi!r})")
-            if lo in up and hi in up and not graph.vertex_orders[i + 1].leq(up[lo], up[hi]):
+            if lo in up and hi in up and not above.leq(up[lo], up[hi]):
                 report.append(f"non-monotone up_map at gap {i}: cover ({lo!r}, {hi!r})")
 
     if graph.edge_labels is not None:

@@ -3,7 +3,9 @@
 Every vertex where d >= 2 edges arrive from above contributes a factor of d to
 the decomposition: each factor keeps exactly one arriving edge attached and
 detaches the rest onto fresh leaf vertices at the same level.  Detached edges
-remember their origin, so gluing is exact and id-for-id.
+remember their origin, so gluing is exact and id-for-id.  The leaf that edge
+``e`` is detached onto is named ``cut:<e>``, an id that must be new to the
+whole network: ``apply_choice`` and the factor vectors check it alike.
 
 Every factor has n + s leaves, where n is the number of sinks of the graph and
 s = sum(d - 1) over its merge vertices: each detached edge adds one cut leaf.
@@ -20,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import RESERVED_VERTEX_PREFIX, LevelPoset, ReebGraph
 from .dag import DagView, build_dag_view
@@ -121,10 +123,24 @@ def _require_trivial_orders(graph: ReebGraph) -> None:
             )
 
 
+def _detached(
+    graph: ReebGraph, options: Iterable[tuple[str, Sequence[str]]], choice: CutChoice
+) -> list[tuple[str, str]]:
+    """The (merge vertex, detached edge) pairs of ``choice``, in option order.
+    Raises if the network holds a detached edge's cut leaf id on any level."""
+    pairs = [(v, e) for v, edges in options for e in edges if e != choice.kept_map[v]]
+    for _, e in pairs:
+        if RESERVED_VERTEX_PREFIX + e in graph.vertex_level:
+            raise ValueError(f"cut vertex id {RESERVED_VERTEX_PREFIX + e!r} already present")
+    return pairs
+
+
 def apply_choice(view: DagView, choice: CutChoice) -> Factor:
-    """Detach every non-kept arriving edge onto a fresh leaf at the merge
-    vertex's level, recording (kept leaf below merge vertex) in that level's
-    order.
+    """Detach every non-kept arriving edge onto a fresh leaf ``cut:<edge>`` at
+    the merge vertex's level, recording (kept leaf below merge vertex) in
+    that level's order.  A cut leaf's id must be new to the whole network:
+    a choice that detaches an edge whose cut leaf id the network already
+    holds, on any level, raises ValueError.
 
     Only the levels that receive a cut leaf get a new vertex set, down map
     and order; every other level of the factor is the network's own object,
@@ -142,13 +158,10 @@ def apply_choice(view: DagView, choice: CutChoice) -> Factor:
     for retic, keep_edge in choice.kept:
         if keep_edge not in options[retic]:
             raise InvalidChoice(f"edge {keep_edge!r} does not arrive at {retic!r}")
-        pairs = cuts.setdefault(graph.vertex_level[retic], [])
-        pairs.extend((retic, e) for e in options[retic] if e != keep_edge)
+    for retic, e in _detached(graph, options.items(), choice):
+        cuts.setdefault(graph.vertex_level[retic], []).append((retic, e))
     for lvl, pairs in cuts.items():
         leaves = {e: RESERVED_VERTEX_PREFIX + e for _, e in pairs}
-        for cut_v in leaves.values():
-            if cut_v in vsets[lvl]:
-                raise ValueError(f"cut vertex id {cut_v!r} already present")
         vsets[lvl] = vsets[lvl].union(leaves.values())
         downs[lvl] = {**downs[lvl], **leaves}
         orders[lvl] = LevelPoset(

@@ -45,6 +45,7 @@ from .core import RESERVED_VERTEX_PREFIX, ReebGraph
 from .dag import DagView, build_dag_view
 from .decomposition import (
     Factor,
+    _detached,
     _require_trivial_orders,
     cut_options,
     enumerate_choices,
@@ -499,7 +500,7 @@ def _factor_vectors(
     graph = view.graph
     _require_trivial_orders(graph)
     options = cut_options(view)
-    _require_free_cut_ids(view, options)
+    detached = [_detached(graph, options, c) for c in enumerate_choices(view)]
     _check_time_mode(time_mode)
     root = _root(graph)
 
@@ -519,38 +520,18 @@ def _factor_vectors(
     scale, stamp, back = _stamps(graph.levels, level_of, stampers, time_mode)
 
     vectors = []
-    for choice in enumerate_choices(view):
-        kept = {RESERVED_VERTEX_PREFIX + e for _, e in choice.kept}
-        leaves = (*originals, *(c for c in cuts if c not in kept))
+    for pairs in detached:
+        cut = {RESERVED_VERTEX_PREFIX + e for _, e in pairs}
+        # A network sink may carry the prefix too; it is in every factor.
+        leaves = (*originals, *(c for c in cuts if c in cut or c not in merge_of))
         kids = dict(children)
-        for c, (v, i) in slot.items():
-            if c not in kept:
-                if kids[v] is children[v]:
-                    kids[v] = children[v].copy()
-                kids[v][i] = c
+        for c in cut:
+            v, i = slot[c]
+            if kids[v] is children[v]:
+                kids[v] = children[v].copy()
+            kids[v][i] = c
         vectors.append(_vector(leaves, _walk(root, kids, leaves, stamp), scale, back, time_mode))
     return tuple(vectors)
-
-
-def _require_free_cut_ids(view: DagView, options: Sequence[tuple[str, Sequence[str]]]) -> None:
-    """Raise apply_choice's error for the first choice, in order, that
-    detaches an edge whose cut leaf id the network already holds.
-    apply_choice looks on the merge level only; an id held on another level
-    would leave the factor with one vertex on two levels."""
-    taken = {
-        e
-        for _, edges in options
-        for e in edges
-        if RESERVED_VERTEX_PREFIX + e in view.graph.vertex_level
-    }
-    if not taken:
-        return
-    for choice in enumerate_choices(view):
-        for (_, keep), (_, edges) in zip(choice.kept, options):
-            for e in edges:
-                if e != keep and e in taken:
-                    cut_v = RESERVED_VERTEX_PREFIX + e
-                    raise ValueError(f"cut vertex id {cut_v!r} already present")
 
 
 def network_factors(

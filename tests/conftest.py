@@ -65,6 +65,21 @@ def deep_ordered_path(levels: int):
     )
 
 
+def cut_id_clash(edge: str = "e2") -> ReebGraph:
+    """A merge vertex r on level 0 whose arriving edges are e1 and e2, and a
+    taxon on level 1 that already bears the cut leaf id of ``edge``.  The
+    first cut choice keeps e1, so a clash on e2 shows at once and one on e1
+    after a first factor."""
+    return make_graph(
+        [0, 1, 2],
+        [["r"], ["a", "b", f"cut:{edge}"], ["t"]],
+        [
+            [("e1", "r", "a"), ("e2", "r", "b")],
+            [("g1", "a", "t"), ("g2", "b", "t"), ("g3", f"cut:{edge}", "t")],
+        ],
+    )
+
+
 # Shapes (n_leaves, betti, levels) the seeded generator accepts for any seed:
 # it can host at most (levels - 1) + (n_leaves - 1) merge vertices.
 SAFE_SHAPES = [

@@ -31,7 +31,7 @@ from reebtrees import (
 )
 from reebtrees.cli import main
 
-from conftest import corpus, deep_ordered_path, rename_graph
+from conftest import corpus, cut_id_clash, deep_ordered_path, rename_graph
 
 DATA = Path(__file__).parent / "data"
 
@@ -189,6 +189,19 @@ class TestDecompose:
         graph, _ = load_text((target / "factor_0000.json").read_text())
         assert main(["validate", "--allow-cut-ids", str(target / "factor_0000.json")]) == 0
 
+    @pytest.mark.parametrize("edge, written", [("e1", 1), ("e2", 0)])
+    def test_cut_id_held_off_the_merge_level(self, capsys, tmp_path, edge, written):
+        # The first choice that detaches ``edge`` exits 2; every factor
+        # file written before it is a valid tree.
+        path = write_graph(tmp_path, "g.json", cut_id_clash(edge))
+        target = tmp_path / "factors"
+        assert main(["decompose", path, "--out-dir", str(target)]) == 2
+        assert capsys.readouterr().err == f"error: cut vertex id 'cut:{edge}' already present\n"
+        files = sorted(target.iterdir())
+        assert len(files) == written
+        for f in files:
+            assert main(["validate", "--allow-cut-ids", str(f)]) == 0
+
     def test_factor_cap(self, capsys, tmp_path, cycle_graph):
         path = write_graph(tmp_path, "g.json", cycle_graph)
         assert main(["decompose", path, "--max-factors", "1"]) == 2
@@ -280,6 +293,15 @@ class TestIso:
                 f"error: {b}: dangling down_map target 'q' for edge 'f' "
                 "(expected a vertex at level 0)\n"
             )
+
+    def test_cut_id_held_off_the_merge_level(self, capsys, tmp_path):
+        g = cut_id_clash("e2")
+        a = write_graph(tmp_path, "a.json", g)
+        b = write_graph(tmp_path, "b.json", rename_graph(g))
+        assert main(["iso", a, b]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cut vertex id 'cut:e2' already present\n"
 
     def test_factor_files_compare(self, capsys, tmp_path, cycle_graph):
         out = tmp_path / "factors"
@@ -510,6 +532,30 @@ class TestPlumbing:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == "euler: 1\nmerges: 1\nagree: yes\n"
+
+    def test_calls_in_one_process_see_only_their_own_arguments(
+        self, capsys, tmp_path, net_a, net_b
+    ):
+        # main builds its parser once per process; no flag, default or exit
+        # code carries over from one call to the next.
+        prefixed = make_graph(
+            [0, 1], [["cut:x", "a"], ["t"]], [[("e", "cut:x", "t"), ("f", "a", "t")]]
+        )
+        g = write_graph(tmp_path, "g.json", prefixed)
+        a = write_graph(tmp_path, "a.json", net_a, leaf_ranks={"l1": 1, "l2": 2})
+        b = write_graph(tmp_path, "b.json", net_b, leaf_ranks={"xl1": 2, "xl2": 1})
+        calls = [
+            (["validate", "--allow-cut-ids", g], 0, "ok\n"),
+            (["dist", a, b, "--p", "inf", "--time-mode=-f"], 0, "3\n"),
+            (["validate", g], 1, "reserved id prefix 'cut:' on 'cut:x'\n"),
+            (["dist", a, b, "--time-mode=-f"], 0, "10\n"),
+            (["decompose", a, "--max-factors", "1"], 2, ""),
+            (["decompose", a], 0, "factors: 2\n"),
+        ]
+        for argv, code, out in calls:
+            assert main(argv) == code, argv
+            assert capsys.readouterr().out.startswith(out), argv
+        assert reebtrees.cli._build_parser() is reebtrees.cli._build_parser()
 
     def test_stdin_dash(self, capsys, monkeypatch, cycle_graph):
         monkeypatch.setattr("sys.stdin", io.StringIO(dump_text(cycle_graph)))

@@ -24,7 +24,7 @@ from reebtrees import (
     random_graph,
     validate,
 )
-from conftest import SAFE_SHAPES, corpus
+from conftest import SAFE_SHAPES, corpus, cut_id_clash
 
 
 def test_cut_options_single_merge(cycle_graph):
@@ -69,6 +69,21 @@ def test_apply_choice_details(cycle_graph):
     assert validate(g, allow_cut_ids=True) == []
     assert validate(g) != []
     assert betti_euler(g) == 0
+
+
+@pytest.mark.parametrize("edge", ["e1", "e2"])
+def test_cut_id_held_off_the_merge_level(edge):
+    # Only the choice that detaches ``edge`` clashes with the network's
+    # cut:<edge> on level 1; the choice that keeps it yields a valid tree.
+    g = cut_id_clash(edge)
+    view = build_dag_view(g)
+    with pytest.raises(ValueError, match=f"^cut vertex id 'cut:{edge}' already present$"):
+        apply_choice(view, make_choice(view, {"r": "e1" if edge == "e2" else "e2"}))
+    factor = apply_choice(view, make_choice(view, {"r": edge}))
+    assert validate(factor.graph, allow_cut_ids=True) == []
+    assert glue_back(factor) == g
+    with pytest.raises(ValueError, match=f"^cut vertex id 'cut:{edge}' already present$"):
+        decompose(view)
 
 
 def test_decomposition_factors(cycle_graph):

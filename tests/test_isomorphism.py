@@ -34,7 +34,14 @@ from reebtrees import (
     verify_witness,
 )
 from reebtrees import isomorphism
-from conftest import SAFE_SHAPES, chain_with_bigons, corpus, deep_ordered_path, rename_graph
+from conftest import (
+    SAFE_SHAPES,
+    chain_with_bigons,
+    corpus,
+    cut_id_clash,
+    deep_ordered_path,
+    rename_graph,
+)
 
 
 def small_tree(**kwargs):
@@ -152,6 +159,18 @@ class TestReebIso:
         for g in (cycle_graph, triple_edge):
             assert reeb_iso(g, g)
             assert reeb_iso(g, rename_graph(g))
+
+    def test_cut_id_held_off_the_merge_level(self):
+        # The first factor detaches e2 onto cut:e2, an id the network holds
+        # on level 1: the clash is named, whichever side holds it, not a
+        # broken tree.
+        g = cut_id_clash("e2")
+        for a, b in ((g, rename_graph(g)), (rename_graph(g), g)):
+            with pytest.raises(ValueError, match="^cut vertex id 'cut:e2' already present$"):
+                reeb_iso(a, b)
+        # A clash on e1 spares the first factor, whose match decides.
+        g = cut_id_clash("e1")
+        assert reeb_iso(g, rename_graph(g)) and reeb_iso(rename_graph(g), g)
 
     def test_range_mismatch_is_not_iso(self, cycle_graph):
         other = make_graph([0, 1], [["a"], ["b"]], [[("e", "a", "b")]])

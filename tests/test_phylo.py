@@ -36,7 +36,7 @@ from reebtrees import (
 )
 from reebtrees.core import ReebGraph
 from reebtrees.dag import DagView, betti_euler
-from reebtrees.decomposition import Factor
+from reebtrees.decomposition import Factor, cut_options
 from reebtrees.phylo import NetworkFactors, network_factors
 
 from conftest import SAFE_SHAPES, chain_with_bigons, corpus
@@ -402,6 +402,21 @@ def clashing_network(edge: str):
     )
 
 
+def renamed_vertices(graph, names):
+    """``graph`` with the vertices in ``names`` renamed."""
+    def f(v):
+        return names.get(v, v)
+
+    return make_graph(
+        graph.levels,
+        [[f(v) for v in vs] for vs in graph.vertex_sets],
+        [
+            [(e, f(graph.down_maps[i][e]), f(graph.up_maps[i][e])) for e in sorted(es)]
+            for i, es in enumerate(graph.edge_sets)
+        ],
+    )
+
+
 def ordered(graph, vertex_level=None, edge_gap=None):
     """``graph`` with one cover between the first two elements of a level or
     a gap."""
@@ -482,8 +497,8 @@ class TestNetworkVectorsRaiseLikeDecompose:
         assert str(got.value) == str(want.value) == f"cut vertex id 'cut:{edge}' already present"
 
     def test_cut_id_on_another_level(self):
-        # decompose accepts it, and builds a factor with cut:e1 on two levels
-        # on which cophenetic_vector raises NotATree.
+        # Without the check, the second factor would hold cut:e1 on levels
+        # 0 and 1, and cophenetic_vector would raise NotATree on it.
         g = make_graph(
             [0, 1, 2, 3],
             [["r"], ["a", "b", "cut:e1"], ["c"], ["t"]],
@@ -493,8 +508,41 @@ class TestNetworkVectorsRaiseLikeDecompose:
                 [("h1", "c", "t")],
             ],
         )
-        with pytest.raises(ValueError, match="cut vertex id 'cut:e1' already present"):
+        with pytest.raises(ValueError) as want:
+            decompose(build_dag_view(g))
+        with pytest.raises(ValueError) as got:
             network_factors(g).vectors
+        assert str(got.value) == str(want.value) == "cut vertex id 'cut:e1' already present"
+
+    def test_cut_ids_on_every_level(self):
+        # Generator networks with one or two vertices renamed to cut leaf
+        # ids, on their merge's level or another; the first choice that
+        # detaches a held id raises, in decompose and in the vectors alike.
+        rng = random.Random(15)
+        shapes = [(SAFE_SHAPES, 2), ([(2, 2, 3), (3, 2, 4), (4, 3, 5), (3, 4, 5)], 3)]
+        seen = {True: 0, False: 0}
+        networks = 0
+        for seed in range(21):
+            for group, max_indeg in shapes:
+                for g in corpus([sh for sh in group if sh[1]], [seed], max_indeg):
+                    options = cut_options(build_dag_view(g))
+                    level = {e: g.vertex_level[m] for m, edges in options for e in edges}
+                    names = dict(zip(
+                        rng.sample(sorted(g.vertex_level), rng.randint(1, 2)),
+                        (f"cut:{e}" for e in rng.sample(sorted(level), 2)),
+                    ))
+                    for v, cut in names.items():
+                        seen[g.vertex_level[v] == level[cut[4:]]] += 1
+                    h = renamed_vertices(g, names)
+                    with pytest.raises(ValueError) as want:
+                        decompose(build_dag_view(h))
+                    with pytest.raises(ValueError) as got:
+                        network_factors(h).vectors
+                    assert str(got.value) == str(want.value)
+                    assert str(got.value).startswith("cut vertex id 'cut:")
+                    networks += 1
+        assert networks == 210
+        assert min(seen.values()) >= 100, seen
 
     def test_bad_time_mode(self, net_a):
         with pytest.raises(ValueError, match="time_mode must be 'f' or '-f', not 'g'"):
