@@ -15,7 +15,12 @@ from pathlib import Path
 
 from .core import format_level, minimize_critical_set, validate
 from .dag import betti_euler, betti_reticulation, build_dag_view
-from .decomposition import apply_choice, enumerate_choices, factor_count
+from .decomposition import (
+    _require_trivial_orders,
+    apply_choice,
+    enumerate_choices,
+    factor_count,
+)
 from .enewick import enewick_to_reeb, reeb_to_network, write_enewick
 from .errors import IncompatibleShape, ReebError
 from .generator import GeneratorSpec, random_graph
@@ -108,6 +113,7 @@ def cmd_minimize(args) -> int:
 def cmd_decompose(args) -> int:
     graph, _ = _load_graph(args.graph, args.format)
     view = build_dag_view(graph)
+    _require_trivial_orders(graph)  # the library decompose's rule
     total = factor_count(view)
     if total > args.max_factors:
         print(
@@ -229,6 +235,10 @@ def cmd_generate(args) -> int:
 
 def cmd_convert(args) -> int:
     graph, ranks = _load_graph(args.graph, args.format)
+    problems = validate(graph, allow_cut_ids=True)
+    if problems:
+        print(f"error: {args.graph}: {problems[0]}", file=sys.stderr)
+        return 2
     if args.to == "json":
         _write_out(dump_text(graph, leaf_ranks=ranks), args.out)
     elif args.to == "dot":

@@ -120,6 +120,8 @@ class LevelPoset:
     @cached_property
     def has_cycle(self) -> bool:
         """A cycle leaves elements of the covers unsorted."""
+        if not self.covers:
+            return False
         return len(self._sorted) < len({x for cover in self.covers for x in cover})
 
     def leq(self, a: str, b: str) -> bool:
@@ -337,20 +339,20 @@ def validate(graph: ReebGraph, *, allow_cut_ids: bool = False) -> list[str]:
             ("down_map", graph.down_maps[i], graph.vertex_sets[i], i),
             ("up_map", graph.up_maps[i], graph.vertex_sets[i + 1], i + 1),
         ):
-            if set(mp) != es:
+            if mp.keys() != es:
                 report.append(f"{name} domain mismatch at gap {i}")
-            for e in sorted(es):
-                if e not in mp:
-                    continue
-                if mp[e] not in targets:
-                    report.append(
-                        f"dangling {name} target {mp[e]!r} for edge {e!r} "
-                        f"(expected a vertex at level {lvl})"
-                    )
+            dangling = [e for e in es if e in mp and mp[e] not in targets]
+            for e in sorted(dangling):
+                report.append(
+                    f"dangling {name} target {mp[e]!r} for edge {e!r} "
+                    f"(expected a vertex at level {lvl})"
+                )
 
     def check_order(poset: LevelPoset, carrier: frozenset[str], what: str, i: int):
         if poset.elements != carrier:
             report.append(f"{what} order elements mismatch at index {i}")
+        if not poset.covers:
+            return
         for lo, hi in sorted(poset.covers):
             if lo not in carrier or hi not in carrier:
                 report.append(
@@ -367,7 +369,7 @@ def validate(graph: ReebGraph, *, allow_cut_ids: bool = False) -> list[str]:
     for i in range(graph.gap_count):
         eo, below, above = graph.edge_orders[i], *graph.vertex_orders[i:i + 2]
         # A cycle at either end leaves no order for a map to respect.
-        if eo.has_cycle or below.has_cycle or above.has_cycle:
+        if not eo.covers or eo.has_cycle or below.has_cycle or above.has_cycle:
             continue
         for lo, hi in sorted(eo.covers):
             dn = graph.down_maps[i]
@@ -389,34 +391,29 @@ def validate(graph: ReebGraph, *, allow_cut_ids: bool = False) -> list[str]:
                 if len(set(m.values())) != len(m):
                     report.append(f"non-bijective labels at gap {i}")
 
-    # Connectivity over the incidence structure, using only well-formed links.
-    parent: dict[str, str] = {}
+    # Connectivity over the incidence structure, using only well-formed links:
+    # a union-find over one integer per id (an id used as both vertex and
+    # edge is one node), merging components as links join them.
+    index = {x: n for n, x in enumerate(dict.fromkeys(chain(seen_v, seen_e)))}
+    parent = list(range(len(index)))
 
-    def find(x: str) -> str:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
 
-    def union(a: str, b: str):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    ids = set(seen_v) | set(seen_e)
-    for x in ids:
-        find(x)
-    for i in range(graph.gap_count):
-        for e in graph.edge_sets[i]:
-            d = graph.down_maps[i].get(e)
-            u = graph.up_maps[i].get(e)
-            if d in seen_v:
-                union(e, d)
-            if u in seen_v:
-                union(e, u)
-    components = {find(x) for x in ids}
-    if len(components) > 1:
-        report.append(f"disconnected graph ({len(components)} components)")
+    components = len(index)
+    for dn, up, es in zip(graph.down_maps, graph.up_maps, graph.edge_sets):
+        for e in es:
+            for end in (dn.get(e), up.get(e)):
+                if end in seen_v:
+                    ra, rb = find(index[e]), find(index[end])
+                    if ra != rb:
+                        parent[ra] = rb
+                        components -= 1
+    if components > 1:
+        report.append(f"disconnected graph ({components} components)")
     return report
 
 

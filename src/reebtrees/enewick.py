@@ -8,11 +8,15 @@ ASCII digits.  The reader matches anchored patterns at integer offsets into
 the text and keeps offsets, not lines and columns; only a rejection converts
 its offset to the line and column of its cause.  Times are exact: the root
 sits at time zero and each branch adds its length, and all copies of a
-hybrid node must land on exactly the same time.
+hybrid node must land on exactly the same time.  Lengths are read as
+integers over one power-of-ten scale per text, ``10**d`` where ``d`` is the
+most fraction digits any length has, and times are summed and compared as
+such integers; each distinct time becomes one ``Fraction`` at the end.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,8 +66,9 @@ class _Occ:
     pos: int
     name: str | None = None
     tag: str | None = None
-    children: list[tuple["_Occ", Fraction, int]] = field(default_factory=list)
-    time: Fraction = Fraction(0)
+    # (child, branch length as written, offset of the length)
+    children: list[tuple["_Occ", str, int]] = field(default_factory=list)
+    time: int = 0  # in units of the text's scale
 
 
 def _parse_label(text: str, i: int, pos: int, children: list) -> tuple[_Occ, int]:
@@ -107,7 +112,7 @@ def _parse_subtree(text: str, i: int) -> tuple[_Occ, int]:
                     "invalid branch length", *_position(text, m.start(2))
                 )
             ppos, siblings = open_nodes[-1]
-            siblings.append((occ, Fraction(length), m.start(2)))
+            siblings.append((occ, length, m.start(2)))
             i = m.end()
             if ch == ",":
                 break
@@ -148,18 +153,30 @@ def parse_enewick(text: str) -> PhyloNetwork:
 
 def _resolve(top: _Occ, text: str) -> PhyloNetwork:
     occs: list[_Occ] = []
+    written: set[str] = set()
     stack = [top]
-    top.time = Fraction(0)
     while stack:
         occ = stack.pop()
         occs.append(occ)
+        for child, length, _lpos in occ.children:
+            written.add(length)
+            stack.append(child)
+    # One scale for the whole text: every length becomes an integer count of
+    # 10**-digits, where digits is the most fraction digits of any length.
+    digits = max((len(x) - x.find(".") - 1 for x in written if "." in x), default=0)
+    scaled = {}
+    for x in written:
+        whole, _, frac = x.partition(".")
+        scaled[x] = int(whole + frac.ljust(digits, "0"))
+    scale = 10**digits
+    for occ in occs:
         for child, length, lpos in occ.children:
-            if length <= 0:
+            n = scaled[length]
+            if n <= 0:
                 raise TimeInconsistency(
                     "branch length must be positive", *_position(text, lpos)
                 )
-            child.time = occ.time + length
-            stack.append(child)
+            child.time = occ.time + n
 
     by_tag: dict[str, list[_Occ]] = {}
     for occ in occs:
@@ -189,7 +206,8 @@ def _resolve(top: _Occ, text: str) -> PhyloNetwork:
         for o in group[1:]:
             if o.time != t0:
                 raise TimeInconsistency(
-                    f"hybrid #H{tag} occurs at times {t0} and {o.time}",
+                    f"hybrid #H{tag} occurs at times {Fraction(t0, scale)} "
+                    f"and {Fraction(o.time, scale)}",
                     *_position(text, o.pos),
                 )
         hybrid_id[tag] = names[0] if names else f"#H{tag}"
@@ -219,11 +237,16 @@ def _resolve(top: _Occ, text: str) -> PhyloNetwork:
             )
         declared.add(node)
 
+    # One Fraction per distinct time, shared by every node at that time.
+    at: dict[int, Fraction] = {}
     times: dict[str, Fraction] = {}
     edges: list[tuple[str, str]] = []
     for occ in occs:
         node = node_of[id(occ)]
-        times[node] = occ.time
+        t = at.get(occ.time)
+        if t is None:
+            t = at[occ.time] = Fraction(occ.time, scale)
+        times[node] = t
         for child, _length, _lpos in occ.children:
             edges.append((node, node_of[id(child)]))
     # No ancestry cycle can form: lengths are positive and hybrid copies share one time.
@@ -234,15 +257,21 @@ def network_to_reeb(net: PhyloNetwork) -> ReebGraph:
     """Embed a network as a leveled graph with the level function set to the
     negated time, so the root is the unique vertex at the top level.  A branch
     spanning several levels is subdivided by pass-through vertices."""
-    f_values = {v: -t for v, t in net.times.items()}
-    levels = sorted(set(f_values.values()))
-    if len(levels) < 2:
+    # Nodes grouped by time, each time hashed once per node; the distinct
+    # times are sorted as integers over their least common denominator.
+    at: dict[Fraction, list[str]] = {}
+    for v, t in net.times.items():
+        at.setdefault(t, []).append(v)
+    if len(at) < 2:
         raise ValueError("need at least two distinct time values to build levels")
-    index = {x: i for i, x in enumerate(levels)}
-
-    vertices: list[set[str]] = [set() for _ in levels]
-    for v, f in f_values.items():
-        vertices[index[f]].add(v)
+    scale = math.lcm(*(t.denominator for t in at))
+    by_level = sorted(
+        at.items(), key=lambda kv: kv[0].numerator * (scale // kv[0].denominator), reverse=True
+    )
+    levels = [-t for t, _ in by_level]
+    vertices = [vs for _, vs in by_level]
+    level_of = {v: i for i, vs in enumerate(vertices) for v in vs}
+    names = [format_level(x) for x in levels]
     gaps: list[list[tuple[str, str, str]]] = [[] for _ in range(len(levels) - 1)]
 
     pair_seen: dict[tuple[str, str], int] = {}
@@ -250,24 +279,17 @@ def network_to_reeb(net: PhyloNetwork) -> ReebGraph:
         n = pair_seen.get((parent, child), 0)
         pair_seen[(parent, child)] = n + 1
         base = f"{child}<{parent}" if n == 0 else f"{child}<{parent}~{n}"
-        lo = index[f_values[child]]
-        hi = index[f_values[parent]]
+        lo = level_of[child]
+        hi = level_of[parent]
         if hi <= lo:
             raise ValueError(f"edge {parent!r} -> {child!r} does not go down in level")
-        if hi == lo + 1:
-            gaps[lo].append((base, child, parent))
-            continue
         prev = child
-        for g in range(lo, hi):
-            upper = (
-                parent
-                if g + 1 == hi
-                else f"{base}@{format_level(levels[g + 1])}"
-            )
-            if g + 1 != hi:
-                vertices[g + 1].add(upper)
+        for g in range(lo, hi - 1):
+            upper = f"{base}@{names[g + 1]}"
+            vertices[g + 1].append(upper)
             gaps[g].append((f"{base}:{g}", prev, upper))
             prev = upper
+        gaps[hi - 1].append((base if hi == lo + 1 else f"{base}:{hi - 1}", prev, parent))
     return make_graph(levels, [sorted(vs) for vs in vertices], gaps)
 
 
@@ -284,7 +306,8 @@ def reeb_to_network(graph: ReebGraph) -> PhyloNetwork:
     f_root = graph.levels[graph.vertex_level[root]]
 
     nodes = [v for v in graph.vertex_ids() if not _is_regular(graph, v)]
-    times = {v: f_root - graph.levels[graph.vertex_level[v]] for v in nodes}
+    level_time = [f_root - x for x in graph.levels]
+    times = {v: level_time[graph.vertex_level[v]] for v in nodes}
     edges: list[tuple[str, str]] = []
     for c in nodes:
         for e in graph.above_edges.get(c, ()):

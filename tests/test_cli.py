@@ -21,6 +21,8 @@ import reebtrees
 from reebtrees import (
     GeneratorSpec,
     IncompatibleShape,
+    OrderConflict,
+    decompose,
     dump_text,
     format_level,
     load_text,
@@ -28,6 +30,7 @@ from reebtrees import (
     network_distance,
     random_graph,
     to_dot,
+    validate,
 )
 from reebtrees.cli import main
 
@@ -206,6 +209,29 @@ class TestDecompose:
         path = write_graph(tmp_path, "g.json", cycle_graph)
         assert main(["decompose", path, "--max-factors", "1"]) == 2
         assert "2 factors exceed the cap of 1" in capsys.readouterr().err
+
+    def test_level_orders_refused_as_by_the_library(self, capsys, tmp_path):
+        # Merge r beside sink x on level 0, with the cover (r, x).
+        g = make_graph(
+            [0, 1, 2],
+            [["r", "x"], ["a", "b"], ["t"]],
+            [
+                [("e1", "r", "a"), ("e2", "r", "b"), ("e3", "x", "a")],
+                [("g1", "a", "t"), ("g2", "b", "t")],
+            ],
+            vertex_covers=[[("r", "x")], [], []],
+        )
+        assert validate(g) == []
+        message = "decomposition needs trivial orders; vertex relations at level 0"
+        with pytest.raises(OrderConflict, match=message):
+            decompose(g)
+        path = write_graph(tmp_path, "g.json", g)
+        target = tmp_path / "factors"
+        assert main(["decompose", path, "--out-dir", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not target.exists()
 
 
 class TestIso:
@@ -516,6 +542,31 @@ class TestConvert:
         path = write_graph(tmp_path, "g.json", cycle_graph)
         assert main(["convert", path, "--to", "json"]) == 0
         assert capsys.readouterr().out == dump_text(cycle_graph)
+
+    @pytest.mark.parametrize("to", ["json", "enwk", "dot"])
+    def test_invalid_input_is_refused(self, capsys, tmp_path, to):
+        # The up map sends edge f to zz, which no level holds.
+        g = make_graph(
+            [0, 1], [["a", "b"], ["t"]], [[("e", "a", "t"), ("f", "b", "zz")]]
+        )
+        path = write_graph(tmp_path, "g.json", g)
+        assert main(["convert", path, "--to", to]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: dangling up_map target 'zz' for edge 'f' "
+            "(expected a vertex at level 1)\n"
+        )
+
+    def test_factor_files_convert(self, capsys, tmp_path, cycle_graph):
+        # Cut ids are allowed, as for iso: factor files are valid inputs.
+        out = tmp_path / "factors"
+        graph = write_graph(tmp_path, "g.json", cycle_graph)
+        assert main(["decompose", graph, "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        first = out / "factor_0000.json"
+        assert main(["convert", str(first), "--to", "json"]) == 0
+        assert capsys.readouterr().out == first.read_text()
 
 
 class TestPlumbing:

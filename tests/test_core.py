@@ -259,6 +259,79 @@ def test_validate_reports_disconnection():
     assert "disconnected graph (2 components)" in validate(g)
 
 
+def reference_component_count(graph: ReebGraph) -> int:
+    """validate's union-find over ids as it was before the linear sweep."""
+    seen_v, seen_e = graph.vertex_level, graph.edge_gap
+    parent: dict[str, str] = {}
+
+    def find(x: str) -> str:
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a: str, b: str):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    ids = set(seen_v) | set(seen_e)
+    for x in ids:
+        find(x)
+    for i in range(graph.gap_count):
+        for e in graph.edge_sets[i]:
+            d = graph.down_maps[i].get(e)
+            u = graph.up_maps[i].get(e)
+            if d in seen_v:
+                union(e, d)
+            if u in seen_v:
+                union(e, u)
+    return len({find(x) for x in ids})
+
+
+def pieces_graph(rng: random.Random, pieces: int) -> ReebGraph:
+    """``pieces`` connected three-level pieces side by side, plus links that
+    dangle at one end, edge ids equal to another piece's vertex ids and
+    vertex ids repeated on another level."""
+    vertices: list[list[str]] = [[], [], []]
+    gaps: list[list[tuple[str, str, str]]] = [[], []]
+    for p in range(pieces):
+        ids = [[f"p{p}v{i}{j}" for j in range(rng.randint(1, 3))] for i in range(3)]
+        for i in range(3):
+            vertices[i] += ids[i]
+        # Every vertex hangs on the first vertex of a neighbouring level.
+        for i in range(2):
+            lower, upper = ids[i], ids[i + 1]
+            links = [(v, upper[0]) for v in lower] + [(lower[0], v) for v in upper[1:]]
+            for j, (lo, hi) in enumerate(links):
+                gaps[i].append((f"p{p}e{i}{j}", lo, hi))
+            if rng.random() < 0.3:
+                dangling = (rng.choice(lower), "zz") if rng.random() < 0.5 else ("zz", upper[0])
+                gaps[i].append((f"p{p}d{i}", *dangling))
+    everything = [v for level in vertices for v in level]
+    for i in range(2):
+        if rng.random() < 0.2:
+            gaps[i].append((rng.choice(everything), rng.choice(vertices[i]), "zz"))
+    if rng.random() < 0.2:
+        vertices[rng.randrange(3)].append(rng.choice(everything))
+    return make_graph([0, 1, 2], vertices, gaps)
+
+
+def test_component_count_matches_union_find():
+    rng = random.Random(616)
+    counts: Counter = Counter()
+    for _ in range(400):
+        g = pieces_graph(rng, rng.randint(1, 4))
+        n = reference_component_count(g)
+        counts[n] += 1
+        report = validate(g)
+        expected = [f"disconnected graph ({n} components)"] if n > 1 else []
+        assert [x for x in report if x.startswith("disconnected")] == expected
+        counts["shared id"] += any("as both vertex and edge" in x for x in report)
+        counts["dangling"] += any(x.startswith("dangling") for x in report)
+    assert all(counts[key] >= 50 for key in (1, 2, 3, 4, "shared id", "dangling")), counts
+
+
 class TestMinimize:
     def test_noop_when_every_level_matters(self, cycle_graph):
         assert minimize_critical_set(cycle_graph) is cycle_graph

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+import dataclasses
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +23,8 @@ from reebtrees import (
     build_dag_view,
     enewick,
     enewick_to_reeb,
+    format_level,
+    make_graph,
     network_to_reeb,
     parse_enewick,
     reeb_iso,
@@ -612,3 +616,203 @@ def test_positions_are_computed_only_for_rejections(monkeypatch):
             parse_enewick(text)
         assert (info.value.line, info.value.col) == where
     assert len(calls) == 2
+
+
+MIXED_DECIMALS = [
+    "(A:1,B:0.5,C:2.125,D:007.50)r;",
+    "((A:0.5,B:1)x:2.125,C:007.50)r;",
+    "(A:1.0,B:1.000,C:01)r;",
+    # A zero length after fractional ones, in each spelling.
+    "(A:0.5,B:2.125,C:0)r;",
+    "(A:0.5,(B:2.125,C:0.000)x:1)r;",
+    "((A:007.50,B:0.0)x:0.25,C:1)r;",
+    # Hybrid copies that agree in different spellings...
+    "((C:1)#H1:1.5,(#H1:1.50,B:2)y:0.000001)r;",
+    "(((C:0.5)#H1:2)x:1,#H1:3.000)r;",
+    "(#H1:007.50,(C:1)#H1:7.5)r;",
+    # ...and ones whose times differ only in the last digit.
+    "((C:1)#H1:1.125,#H1:1.126)r;",
+    "(((C:1)#H1:0.5)x:0.5,#H1:1.001)r;",
+    "((C:1)#H1:2,#H1:2.0000000000000000000001)r;",
+    "((C:0.25)#H1:1,(#H1:0.9,#H2:1)y:0.1,(D:1)#H2:1.1)r;",
+]
+
+
+def _decimal(ticks: int, digits: int, rng: random.Random) -> str:
+    """``ticks / 10**digits`` as a decimal, spelled with or without leading
+    zeros, trailing zeros and a fraction part where the value allows."""
+    whole, frac = divmod(ticks, 10**digits)
+    text = "0" * rng.randrange(2) + str(whole)
+    frac_text = str(frac).rjust(digits, "0") if digits else ""
+    if rng.random() < 0.5:
+        frac_text = frac_text.rstrip("0")
+    frac_text += "0" * rng.randrange(2)
+    return f"{text}.{frac_text}" if frac_text else text
+
+
+def dated_network_text(rng: random.Random) -> str:
+    """A random dated network: a tree of up to 12 nodes, lengths of 0 to 3
+    fraction digits, and up to 3 hybrids with extra parents that are often
+    the defining parent (parallel edges).  A few lengths are zeroed or moved
+    by one in their last digit, so every time error of the reader shows."""
+    digits = rng.randrange(4)
+    unit = 10**digits
+    times = [0]
+    parent = [None]
+    for k in range(1, rng.randrange(2, 13)):
+        p = rng.randrange(k)
+        parent.append(p)
+        times.append(times[p] + rng.randint(1, 3 * unit))
+    extra: dict[int, list[int]] = {}  # hybrid -> its extra parents
+    for h in rng.sample(range(1, len(times)), min(len(times) - 1, rng.randrange(4))):
+        earlier = [p for p in range(len(times)) if times[p] < times[h]]
+        for _ in range(rng.randint(1, 2)):
+            p = parent[h] if rng.random() < 0.3 else rng.choice(earlier)
+            extra.setdefault(p, []).append(h)
+    tag = {h: str(j + 1) for j, h in enumerate(sorted({h for hs in extra.values() for h in hs}))}
+    kids: dict[int, list[int]] = {}
+    for k in range(1, len(times)):
+        kids.setdefault(parent[k], []).append(k)
+
+    def length(p: int, c: int) -> str:
+        ticks = times[c] - times[p]
+        roll = rng.random()
+        if roll < 0.02:
+            ticks = 0
+        elif roll < 0.05:
+            ticks += rng.choice((-1, 1)) if ticks > 1 else 1
+        return _decimal(ticks, digits, rng)
+
+    def name(k: int, defining: bool) -> str:
+        label = f"n{k}" if (defining or rng.random() < 0.3) and rng.random() < 0.7 else ""
+        return label + (f"#H{tag[k]}" if k in tag else "")
+
+    out: list[str] = []
+    stack: list = [("node", 0)]
+    while stack:
+        kind, item = stack.pop()
+        if kind == "text":
+            out.append(item)
+            continue
+        children = [(c, True) for c in kids.get(item, ())]
+        children += [(h, False) for h in extra.get(item, ())]
+        rng.shuffle(children)
+        if not children:
+            out.append(f"n{item}" + (f"#H{tag[item]}" if item in tag else ""))
+            continue
+        out.append("(")
+        stack.append(("text", ")" + name(item, True)))
+        for j, (c, defining) in enumerate(reversed(children)):
+            if j:
+                stack.append(("text", ","))
+            stack.append(("text", ":" + length(item, c)))
+            if defining:
+                stack.append(("node", c))
+            else:
+                stack.append(("text", "#H" + tag[c]))
+    return "".join(out) + ";"
+
+
+def dated_texts(seed: int, count: int) -> list[str]:
+    rng = random.Random(seed)
+    return [dated_network_text(rng) for _ in range(count)]
+
+
+class TestIntegerTimesMatchReference:
+    def test_mixed_decimal_counts(self):
+        for text in MIXED_DECIMALS:
+            assert outcome(parse_enewick, text) == outcome(reference_parse_enewick, text)
+        assert parse_enewick(MIXED_DECIMALS[0]).times["D"] == F(15, 2)
+        with pytest.raises(TimeInconsistency, match="occurs at times 563/500 and 9/8"):
+            parse_enewick("((C:1)#H1:1.125,#H1:1.126)r;")
+
+    def test_seeded_dated_networks(self):
+        texts = dated_texts(20261018, 600)
+        outcomes = [outcome(reference_parse_enewick, t) for t in texts]
+        for text, expected in zip(texts, outcomes):
+            assert outcome(parse_enewick, text) == expected, text
+        # The sample covers every time error and plenty of hybrids.
+        errors = Counter(
+            "zero" if "positive" in o[1] else "hybrid" if "occurs at" in o[1] else o[0]
+            for o in outcomes
+            if isinstance(o, tuple)
+        )
+        assert errors["zero"] >= 20 and errors["hybrid"] >= 20, errors
+        nets = [o for o in outcomes if isinstance(o, PhyloNetwork)]
+        assert sum(len(set(n.edges)) < len(n.edges) for n in nets) >= 30
+        assert sum(max(Counter(c for _, c in n.edges).values()) > 1 for n in nets) >= 100
+
+
+# network_to_reeb as it was before it sorted times as integers, kept verbatim
+# (apart from its name) as the reference for the differential below.
+def reference_network_to_reeb(net: PhyloNetwork):
+    f_values = {v: -t for v, t in net.times.items()}
+    levels = sorted(set(f_values.values()))
+    if len(levels) < 2:
+        raise ValueError("need at least two distinct time values to build levels")
+    index = {x: i for i, x in enumerate(levels)}
+
+    vertices: list[set[str]] = [set() for _ in levels]
+    for v, f in f_values.items():
+        vertices[index[f]].add(v)
+    gaps: list[list[tuple[str, str, str]]] = [[] for _ in range(len(levels) - 1)]
+
+    pair_seen: dict[tuple[str, str], int] = {}
+    for parent, child in net.edges:
+        n = pair_seen.get((parent, child), 0)
+        pair_seen[(parent, child)] = n + 1
+        base = f"{child}<{parent}" if n == 0 else f"{child}<{parent}~{n}"
+        lo = index[f_values[child]]
+        hi = index[f_values[parent]]
+        if hi <= lo:
+            raise ValueError(f"edge {parent!r} -> {child!r} does not go down in level")
+        if hi == lo + 1:
+            gaps[lo].append((base, child, parent))
+            continue
+        prev = child
+        for g in range(lo, hi):
+            upper = (
+                parent
+                if g + 1 == hi
+                else f"{base}@{format_level(levels[g + 1])}"
+            )
+            if g + 1 != hi:
+                vertices[g + 1].add(upper)
+            gaps[g].append((f"{base}:{g}", prev, upper))
+            prev = upper
+    return make_graph(levels, [sorted(vs) for vs in vertices], gaps)
+
+
+class TestEmbeddingMatchesReference:
+    def assert_same(self, nets):
+        for net in nets:
+            assert outcome(network_to_reeb, net) == outcome(reference_network_to_reeb, net)
+
+    def test_seeded_dated_networks(self):
+        outcomes = [outcome(parse_enewick, text) for text in dated_texts(7, 600)]
+        nets = [o for o in outcomes if isinstance(o, PhyloNetwork)]
+        assert len(nets) >= 300
+        assert sum(len(set(n.edges)) < len(n.edges) for n in nets) >= 100
+        self.assert_same(nets)
+
+    def test_corpus_and_thirds(self):
+        # Times in thirds and sevenths give levels without a decimal form.
+        nets = [parse_enewick(p.read_text()) for p in sorted(CORPUS.glob("*.enwk"))]
+        nets += [
+            dataclasses.replace(n, times={v: t / 3 + F(1, 7) for v, t in n.times.items()})
+            for n in nets
+        ]
+        self.assert_same(nets)
+
+    def test_degenerate_networks(self):
+        self.assert_same([
+            PhyloNetwork(root="A", times={"A": F(0)}, edges=()),
+            PhyloNetwork(root="r", times={"r": F(0), "c": F(-1)}, edges=(("r", "c"),)),
+            PhyloNetwork(root="r", times={"r": F(0), "c": F(0)}, edges=(("r", "c"),)),
+            # A node named like a pass-through vertex shares its id.
+            PhyloNetwork(
+                root="r",
+                times={"r": F(0), "x": F(1), "c": F(2), "c<r@-1": F(1)},
+                edges=(("r", "c"), ("r", "x"), ("x", "c<r@-1")),
+            ),
+        ])
