@@ -13,20 +13,16 @@ instances.
 import types
 
 from .core import (
-    EdgeSequence,
     LevelPoset,
     ReebGraph,
     RESERVED_VERTEX_PREFIX,
     as_level,
     common_refinement,
-    edge_sequence,
     format_level,
-    is_valid,
     make_graph,
     minimize_critical_set,
     parse_level,
     refine_to_levels,
-    same_edge_structure,
     validate,
 )
 from .dag import (
@@ -36,7 +32,6 @@ from .dag import (
     betti_euler,
     betti_reticulation,
     build_dag_view,
-    classify_all,
     classify_vertex,
     source_vertices,
 )
@@ -95,7 +90,6 @@ from .isomorphism import (
 )
 from .phylo import (
     CopheneticVector,
-    LeafOrdering,
     cophenetic_vector,
     hausdorff_distance,
     leaf_order,

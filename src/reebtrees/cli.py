@@ -57,6 +57,16 @@ def _load_graph(path: str, fmt: str | None):
     return load_text(text)
 
 
+def _load_valid(path: str, fmt: str | None):
+    """_load_graph, then validate with cut ids allowed, so that factor files
+    written by decompose --out-dir load; raises on the first violation."""
+    graph, ranks = _load_graph(path, fmt)
+    problems = validate(graph, allow_cut_ids=True)
+    if problems:
+        raise ValueError(f"{path}: {problems[0]}")
+    return graph, ranks
+
+
 def _load_ranks(path: str | None, embedded):
     if path is None:
         return embedded
@@ -137,14 +147,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    graph_a, embedded_a = _load_graph(args.a, args.format)
-    graph_b, embedded_b = _load_graph(args.b, args.format)
-    # Factor files written by decompose --out-dir carry cut ids and compare.
-    for path, graph in ((args.a, graph_a), (args.b, graph_b)):
-        problems = validate(graph, allow_cut_ids=True)
-        if problems:
-            print(f"error: {path}: {problems[0]}", file=sys.stderr)
-            return 2
+    graph_a, embedded_a = _load_valid(args.a, args.format)
+    graph_b, embedded_b = _load_valid(args.b, args.format)
     if args.labelled:
         if args.oracle:
             same = brute_force_iso(graph_a, graph_b, use_labels=True)
@@ -234,11 +238,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    graph, ranks = _load_graph(args.graph, args.format)
-    problems = validate(graph, allow_cut_ids=True)
-    if problems:
-        print(f"error: {args.graph}: {problems[0]}", file=sys.stderr)
-        return 2
+    graph, ranks = _load_valid(args.graph, args.format)
     if args.to == "json":
         _write_out(dump_text(graph, leaf_ranks=ranks), args.out)
     elif args.to == "dot":

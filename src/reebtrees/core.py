@@ -205,10 +205,6 @@ class ReebGraph:
         for vs in self.vertex_sets:
             yield from sorted(vs)
 
-    def edge_ids(self) -> Iterator[str]:
-        for es in self.edge_sets:
-            yield from sorted(es)
-
     @property
     def has_full_labels(self) -> bool:
         return self.edge_labels is not None and all(
@@ -417,10 +413,6 @@ def validate(graph: ReebGraph, *, allow_cut_ids: bool = False) -> list[str]:
     return report
 
 
-def is_valid(graph: ReebGraph, *, allow_cut_ids: bool = False) -> bool:
-    return not validate(graph, allow_cut_ids=allow_cut_ids)
-
-
 def _is_regular(graph: ReebGraph, v: str) -> bool:
     return graph.indeg(v) == 1 and graph.outdeg(v) == 1
 
@@ -596,6 +588,30 @@ def refine_to_levels(
     )
 
 
+def _refined_counts(
+    graph: ReebGraph, levels: Sequence[Fraction]
+) -> tuple[list[int], list[int]]:
+    """Per-level vertex and per-gap edge counts of ``refine_to_levels(graph,
+    levels)`` (``levels`` sorted, a superset of the graph's own over the same
+    range), read off the graph itself: every piece of a gap keeps the gap's
+    edge count, and an inserted level has as many vertices as its gap has
+    edges.  One merge walk over both level sequences, which compares levels
+    and never hashes them."""
+    own, vsets, esets = graph.levels, graph.vertex_sets, graph.edge_sets
+    per_level: list[int] = []
+    per_gap: list[int] = []
+    i = 0  # the graph's next level; the current gap is i - 1
+    for lv in levels[:-1]:
+        if lv == own[i]:
+            per_level.append(len(vsets[i]))
+            i += 1
+        else:
+            per_level.append(len(esets[i - 1]))
+        per_gap.append(len(esets[i - 1]))
+    per_level.append(len(vsets[-1]))
+    return per_level, per_gap
+
+
 def common_refinement(a: ReebGraph, b: ReebGraph) -> tuple[ReebGraph, ReebGraph]:
     """Refine both graphs to the union of their level sets."""
     if (a.levels[0], a.levels[-1]) != (b.levels[0], b.levels[-1]):
@@ -604,28 +620,3 @@ def common_refinement(a: ReebGraph, b: ReebGraph) -> tuple[ReebGraph, ReebGraph]
         return a, b
     union = sorted(set(a.levels) | set(b.levels))
     return refine_to_levels(a, union), refine_to_levels(b, union)
-
-
-@dataclass(frozen=True)
-class EdgeSequence:
-    """Per-gap edge cardinalities over a level set."""
-
-    levels: tuple[Fraction, ...]
-    cardinalities: tuple[int, ...]
-
-
-def edge_sequence(graph: ReebGraph) -> EdgeSequence:
-    return EdgeSequence(
-        levels=graph.levels,
-        cardinalities=tuple(len(es) for es in graph.edge_sets),
-    )
-
-
-def same_edge_structure(a: ReebGraph, b: ReebGraph) -> bool:
-    """Decide whether the two graphs have equal per-gap edge counts after
-    refinement to a common level set.  Graphs over disjoint or shifted ranges
-    are simply structurally different (False, not an error)."""
-    if (a.levels[0], a.levels[-1]) != (b.levels[0], b.levels[-1]):
-        return False
-    ra, rb = common_refinement(a, b)
-    return edge_sequence(ra).cardinalities == edge_sequence(rb).cardinalities

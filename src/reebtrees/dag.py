@@ -64,13 +64,10 @@ def betti_euler(graph: ReebGraph) -> int:
 
 def betti_reticulation(graph: ReebGraph) -> int:
     """First Betti number by merge count: the sum of (indegree - 1) over all
-    vertices with indegree at least 2."""
-    total = 0
-    for v in graph.vertex_level:
-        d = graph.indeg(v)
-        if d >= 2:
-            total += d - 1
-    return total
+    vertices with indegree at least 2.  Edges sent to an id that is no
+    vertex count for nothing."""
+    level = graph.vertex_level
+    return sum(len(es) - 1 for v, es in graph.above_edges.items() if v in level)
 
 
 def source_vertices(graph: ReebGraph) -> tuple[str, ...]:
@@ -96,11 +93,7 @@ class DagView:
 
     @cached_property
     def classes(self) -> tuple[VertexClass, ...]:
-        return classify_all(self.graph)
-
-    @cached_property
-    def by_vertex(self) -> dict[str, VertexClass]:
-        return {c.vertex: c for c in self.classes}
+        return tuple(classify_vertex(self.graph, v) for v in self.graph.vertex_ids())
 
     @cached_property
     def reticulations(self) -> tuple[VertexClass, ...]:
@@ -116,10 +109,6 @@ class DagView:
     @cached_property
     def root(self) -> str:
         return next(v for v in self.graph.vertex_ids() if self.graph.indeg(v) == 0)
-
-
-def classify_all(graph: ReebGraph) -> tuple[VertexClass, ...]:
-    return tuple(classify_vertex(graph, v) for v in graph.vertex_ids())
 
 
 def build_dag_view(graph: ReebGraph) -> DagView:

@@ -54,10 +54,6 @@ class Factor:
     reattach: tuple[tuple[str, str], ...]
 
     @cached_property
-    def reattach_map(self) -> dict[str, str]:
-        return dict(self.reattach)
-
-    @cached_property
     def cut_vertices(self) -> tuple[str, ...]:
         return tuple(sorted(RESERVED_VERTEX_PREFIX + e for e in self.detached))
 
@@ -66,10 +62,6 @@ class Factor:
 class Decomposition:
     view: DagView
     factors: tuple[Factor, ...]
-
-    @property
-    def factor_count(self) -> int:
-        return len(self.factors)
 
 
 def cut_options(view: DagView) -> tuple[tuple[str, tuple[str, ...]], ...]:

@@ -26,7 +26,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .core import LevelPoset, ReebGraph, common_refinement
+from .core import LevelPoset, ReebGraph, _refined_counts, common_refinement
 from .dag import DagView, betti_euler
 from .decomposition import CutChoice, apply_choice, decompose, enumerate_choices
 from .errors import LabelMismatch, MissingLabels, NotATree, SizeLimitExceeded
@@ -74,25 +74,6 @@ def _colours(
     return vertex, edge
 
 
-def _refined_counts(graph: ReebGraph, levels: list) -> tuple[list[int], list[int]]:
-    """Per-level vertex and per-gap edge counts of ``graph`` refined to
-    ``levels`` (a superset of its own, same range), read off the graph
-    itself: every piece of a gap keeps the gap's edge count, and an inserted
-    level has as many vertices as its gap has edges."""
-    own = {lv: len(vs) for lv, vs in zip(graph.levels, graph.vertex_sets)}
-    edges = [len(es) for es in graph.edge_sets]
-    per_level: list[int] = []
-    per_gap: list[int] = []
-    gap = -1
-    for lv in levels[:-1]:
-        if lv in own:
-            gap += 1
-        per_level.append(own.get(lv, edges[gap]))
-        per_gap.append(edges[gap])
-    per_level.append(own[levels[-1]])
-    return per_level, per_gap
-
-
 def _prefilter(
     a: ReebGraph,
     b: ReebGraph,
@@ -100,21 +81,19 @@ def _prefilter(
     tags_b: Mapping[str, int] | None,
     use_labels: bool = False,
 ) -> tuple[ReebGraph, ReebGraph, tuple, tuple] | None:
-    """Check level range, refine, then compare per-level and per-gap counts
-    and colour multisets.  Returns (ra, rb, colours_a, colours_b), or None
-    when the pair cannot be isomorphic.  ``use_labels`` needs full labellings
-    on both sides (MissingLabels, raised once the counts agree)."""
+    """Check level range, compare the per-level and per-gap counts of the
+    refined pair (read off the coarse graphs), then refine and compare colour
+    multisets.  Returns (ra, rb, colours_a, colours_b), or None when the pair
+    cannot be isomorphic.  ``use_labels`` needs full labellings on both sides
+    (MissingLabels, raised once the counts agree)."""
     if (a.levels[0], a.levels[-1]) != (b.levels[0], b.levels[-1]):
         return None
-    if a.levels != b.levels:
-        union = sorted(set(a.levels) | set(b.levels))
-        if _refined_counts(a, union) != _refined_counts(b, union):
-            return None
+    union = a.levels if a.levels == b.levels else sorted(set(a.levels) | set(b.levels))
+    if _refined_counts(a, union) != _refined_counts(b, union):
+        return None
     ra, rb = common_refinement(a, b)
     sets_a = (ra.vertex_sets, ra.edge_sets)
     sets_b = (rb.vertex_sets, rb.edge_sets)
-    if [list(map(len, s)) for s in sets_a] != [list(map(len, s)) for s in sets_b]:
-        return None
     if use_labels and not (ra.has_full_labels and rb.has_full_labels):
         raise MissingLabels("use_labels requires full labellings on both sides")
     ca = _colours(ra, tags_a, use_labels)

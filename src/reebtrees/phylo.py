@@ -59,25 +59,15 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class LeafOrdering:
-    """Taxa in comparison order: ranked originals first (by rank), then
-    unranked originals, then cut leaves."""
-
-    leaves: tuple[str, ...]
-
-    def index(self, leaf: str) -> int:
-        return self.leaves.index(leaf)
-
-
 def _graph_of(source: ReebGraph | Factor) -> ReebGraph:
     return source.graph if isinstance(source, Factor) else source
 
 
 def leaf_order(
     source: ReebGraph | Factor, *, ranks: Mapping[str, int] | None = None
-) -> LeafOrdering:
-    """Deterministic taxon order.
+) -> tuple[str, ...]:
+    """Taxa in comparison order: ranked originals first (by rank), then
+    unranked originals, then cut leaves.
 
     Originals sort by caller-supplied rank when present, otherwise by (level,
     id).  Cut leaves introduced by decomposition sort by the merge vertex they
@@ -93,7 +83,7 @@ def leaf_order(
         for a, b in graph.vertex_orders[level].covers
     }
     originals, cuts = _sorted_taxa(sinks, ranks, graph.vertex_level, merge_of)
-    return LeafOrdering(leaves=(*originals, *cuts))
+    return (*originals, *cuts)
 
 
 def _sorted_taxa(
@@ -175,7 +165,7 @@ def cophenetic_vector(
         if len(es) > 1:
             raise NotATree(f"vertex {v!r} has {len(es)} edges arriving from above")
     root = _root(graph)
-    leaves = leaf_order(source, ranks=ranks).leaves
+    leaves = leaf_order(source, ranks=ranks)
     children = _children(graph)
     # Only taxa and branching vertices stamp a pair.
     stampers = [*leaves, *(v for v, kids in children.items() if len(kids) > 1)]

@@ -311,7 +311,9 @@ class TestIso:
         )
         a = write_graph(tmp_path, "a.json", good)
         b = write_graph(tmp_path, "b.json", bad)
-        for argv in ([a, b], [b, b]):
+        # Each input is validated as it is read, so an invalid first input
+        # is reported before a missing second one.
+        for argv in ([a, b], [b, b], [b, str(tmp_path / "missing.json")]):
             assert main(["iso", *flags, *argv]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""

@@ -30,18 +30,18 @@ from reebtrees import (
     as_level,
     common_refinement,
     dump_text,
-    edge_sequence,
     format_level,
-    is_valid,
     load_text,
     make_graph,
     minimize_critical_set,
     parse_level,
     random_graph,
     refine_to_levels,
-    same_edge_structure,
     validate,
 )
+
+from reebtrees.core import _refined_counts
+from reebtrees.isomorphism import _prefilter
 
 from conftest import rename_graph
 
@@ -115,7 +115,6 @@ def test_make_graph_shape_errors():
 
 def test_valid_fixture(cycle_graph):
     assert validate(cycle_graph) == []
-    assert is_valid(cycle_graph)
 
 
 def test_degree_bookkeeping(cycle_graph):
@@ -421,7 +420,36 @@ class TestRefine:
         assert validate(fine) == []
         back = minimize_critical_set(fine)
         assert back.levels == cycle_graph.levels
-        assert edge_sequence(back).cardinalities == edge_sequence(cycle_graph).cardinalities
+        assert [len(es) for es in back.edge_sets] == [len(es) for es in cycle_graph.edge_sets]
+
+
+def counts(graph: ReebGraph) -> tuple[list[int], list[int]]:
+    """Per-level vertex and per-gap edge counts."""
+    return [len(vs) for vs in graph.vertex_sets], [len(es) for es in graph.edge_sets]
+
+
+def edge_structure_cases(cycle_graph):
+    """Pairs over one range whose refined counts agree, then pairs whose
+    counts differ."""
+    agree = [
+        (
+            refine_to_levels(cycle_graph, [0, 1, "3/2", 2, 3]),
+            refine_to_levels(cycle_graph, [0, "1/2", 1, 2, 3]),
+        ),
+        (cycle_graph, rename_graph(cycle_graph)),
+    ]
+    differ = [
+        (
+            make_graph([0, 1], [["a"], ["b"]], [[("e", "a", "b")]]),
+            make_graph([0, 1], [["a"], ["b"]], [[("e", "a", "b"), ("f", "a", "b")]]),
+        ),
+        (cycle_graph, make_graph([0, 3], [["a"], ["b"]], [[("e", "a", "b")]])),
+    ]
+    return agree, differ
+
+
+def union_levels(a: ReebGraph, b: ReebGraph) -> list:
+    return sorted(set(a.levels) | set(b.levels))
 
 
 def test_common_refinement_and_edge_structure(cycle_graph):
@@ -429,21 +457,52 @@ def test_common_refinement_and_edge_structure(cycle_graph):
     b = refine_to_levels(cycle_graph, [0, "1/2", 1, 2, 3])
     ra, rb = common_refinement(a, b)
     assert ra.levels == rb.levels == (0, Fraction(1, 2), 1, Fraction(3, 2), 2, 3)
-    assert same_edge_structure(a, b)
-    assert edge_sequence(ra).cardinalities == edge_sequence(rb).cardinalities
+    union = union_levels(a, b)
+    assert _refined_counts(a, union) == _refined_counts(b, union) == counts(ra) == counts(rb)
 
 
 def test_edge_structure_range_mismatch(cycle_graph):
     shifted = make_graph([0, 1], [["a"], ["b"]], [[("e", "a", "b")]])
-    assert not same_edge_structure(cycle_graph, shifted)
+    assert _prefilter(cycle_graph, shifted, None, None) is None
     with pytest.raises(BadLevelSet):
         common_refinement(cycle_graph, shifted)
 
 
-def test_edge_structure_detects_difference():
-    a = make_graph([0, 1], [["a"], ["b"]], [[("e", "a", "b")]])
-    b = make_graph([0, 1], [["a"], ["b"]], [[("e", "a", "b"), ("f", "a", "b")]])
-    assert not same_edge_structure(a, b)
+def test_edge_structure_detects_difference(cycle_graph):
+    for a, b in edge_structure_cases(cycle_graph)[1]:
+        union = union_levels(a, b)
+        assert _refined_counts(a, union) != _refined_counts(b, union)
+        assert _prefilter(a, b, None, None) is None
+
+
+def test_refined_counts_match_refinement(cycle_graph):
+    # The counts _prefilter compares, read off the coarse graph, against
+    # the graph refine_to_levels builds.
+    agree, differ = edge_structure_cases(cycle_graph)
+    cases = [(g, union_levels(a, b)) for a, b in agree + differ for g in (a, b)]
+    rng = random.Random(20261019)
+    for seed in range(320):
+        spec = GeneratorSpec(
+            seed=seed,
+            n_leaves=rng.randint(2, 4),
+            betti=rng.randint(0, 3),
+            levels=rng.randint(2, 5),
+            max_indeg=rng.choice([2, 3]),
+        )
+        try:
+            graph = random_graph(spec)
+        except InfeasibleSpec:
+            continue
+        inserted = set()
+        for _ in range(rng.randrange(4)):
+            i = rng.randrange(graph.gap_count)
+            lo, hi = graph.levels[i:i + 2]
+            inserted.add(lo + rng.choice(FRACTIONS) * (hi - lo))
+        cases.append((graph, sorted({*graph.levels, *inserted})))
+    assert len(cases) >= 300 + 8
+    assert {len(levels) - g.level_count for g, levels in cases} == {0, 1, 2, 3}
+    for graph, levels in cases:
+        assert _refined_counts(graph, levels) == counts(refine_to_levels(graph, levels))
 
 
 # The one-pass refinement must match, id for id and message for message, the

@@ -63,7 +63,23 @@ def test_view_summary(cycle_graph):
     assert view.root == "w"
     assert [c.vertex for c in view.reticulations] == ["r"]
     assert sorted(c.vertex for c in view.leaves) == ["l1", "l2", "l3", "l4"]
-    assert view.by_vertex["a"].kind is VertexKind.REGULAR
+    assert [c.vertex for c in view.classes] == list(cycle_graph.vertex_ids())
+    assert [c.kind for c in view.classes if c.vertex == "a"] == [VertexKind.REGULAR]
+
+
+def test_betti_ignores_missing_down_targets():
+    # Edges e2 and e3 end at "ghost", which is no vertex; validate reports
+    # them, and the merge count leaves them out.
+    from reebtrees import make_graph, validate
+
+    g = make_graph(
+        [0, 1, 2],
+        [["x"], ["m"], ["t"]],
+        [[("e1", "x", "m"), ("e2", "ghost", "m"), ("e3", "ghost", "m")], [("f", "m", "t")]],
+    )
+    assert any("ghost" in line for line in validate(g))
+    assert g.above_edges["ghost"] == ("e2", "e3")
+    assert betti_reticulation(g) == 0
 
 
 def test_multiple_sources_rejected(twin_peaks):

@@ -65,26 +65,26 @@ def three_leaf_tree():
 
 class TestLeafOrder:
     def test_unranked_by_level_then_id(self, cycle_graph):
-        assert leaf_order(cycle_graph).leaves == ("l2", "l3", "l4", "l1")
+        assert leaf_order(cycle_graph) == ("l2", "l3", "l4", "l1")
 
     def test_ranks_come_first(self, cycle_graph):
         order = leaf_order(cycle_graph, ranks={"l1": 1, "l2": 2})
-        assert order.leaves == ("l1", "l2", "l3", "l4")
+        assert order == ("l1", "l2", "l3", "l4")
         assert order.index("l2") == 1
 
     def test_rank_values_not_positions(self, cycle_graph):
         # Ranks only need to be comparable, not contiguous.
         order = leaf_order(cycle_graph, ranks={"l4": -5, "l3": 100})
-        assert order.leaves == ("l4", "l3", "l2", "l1")
+        assert order == ("l4", "l3", "l2", "l1")
 
     def test_factors_agree_on_cut_positions(self, net_a, ranks_a):
         dec = decompose(build_dag_view(net_a))
         orders = [leaf_order(f, ranks=ranks_a) for f in dec.factors]
-        assert orders[0].leaves == ("l1", "l2", "cut:mr")
-        assert orders[1].leaves == ("l1", "l2", "cut:br")
+        assert orders[0] == ("l1", "l2", "cut:mr")
+        assert orders[1] == ("l1", "l2", "cut:br")
         # Same slot for the cut leaf in every factor.
         for o in orders:
-            assert o.leaves[:2] == ("l1", "l2")
+            assert o[:2] == ("l1", "l2")
 
     def test_cover_path_matches_factor_path(self, net_a, ranks_a):
         # Passing the bare graph loses the reattachment table, but the cover
@@ -92,7 +92,7 @@ class TestLeafOrder:
         factor = decompose(build_dag_view(net_a)).factors[0]
         via_factor = leaf_order(factor, ranks=ranks_a)
         via_graph = leaf_order(factor.graph, ranks=ranks_a)
-        assert via_factor.leaves == via_graph.leaves
+        assert via_factor == via_graph
 
     def test_cut_leaf_without_provenance(self):
         # A hand-built graph may use the reserved prefix with no cover at
@@ -102,7 +102,7 @@ class TestLeafOrder:
             [["cut:q", "a"], ["t"]],
             [[("e", "cut:q", "t"), ("f", "a", "t")]],
         )
-        assert leaf_order(g).leaves == ("a", "cut:q")
+        assert leaf_order(g) == ("a", "cut:q")
 
 
 class TestCopheneticVector:
@@ -212,8 +212,7 @@ def reference_cophenetic_vector(
         value = graph.levels[graph.vertex_level[v]]
         return value if time_mode == "f" else -value
 
-    ordering = leaf_order(source, ranks=ranks)
-    leaves = ordering.leaves
+    leaves = leaf_order(source, ranks=ranks)
     chains = {v: chain(v) for v in leaves}
     entries: list[Fraction] = []
     for i, li in enumerate(leaves):
@@ -308,7 +307,7 @@ class TestTopDownMatchesReference:
     def test_generator_factors(self, time_mode):
         factors = seeded_factors()
         assert len(factors) >= 200
-        assert any(any(x.startswith("cut:") for x in leaf_order(f).leaves) for f, _ in factors)
+        assert any(any(x.startswith("cut:") for x in leaf_order(f)) for f, _ in factors)
         for factor, ranks in factors:
             got = cophenetic_vector(factor, ranks=ranks, time_mode=time_mode)
             assert got == reference_cophenetic_vector(factor, ranks=ranks, time_mode=time_mode)
@@ -336,7 +335,7 @@ class TestTopDownMatchesReference:
         factors = [f for f, _ in seeded_factors()]
         by_size: dict[int, list] = {}
         for f in factors:
-            by_size.setdefault(len(leaf_order(f).leaves), []).append(cophenetic_vector(f))
+            by_size.setdefault(len(leaf_order(f)), []).append(cophenetic_vector(f))
         for group in by_size.values():
             half = max(1, len(group) // 2)
             a, b = group[:half], group[half:] or group[:1]
