@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BadLevelSet, OrderConflict
@@ -215,6 +216,93 @@ class ReebGraph:
         if self.edge_labels is None:
             return None
         return self.edge_labels[i]
+
+    @cached_property
+    def _skeleton(self) -> _Skeleton:
+        return _Skeleton.of(self)
+
+
+@dataclass(frozen=True)
+class _Skeleton:
+    """A graph's critical vertices joined by long edges.
+
+    A vertex is critical when it is not regular (one edge arriving from
+    above, one leaving below), carries a level-order relation, or ends an
+    edge that carries one; so sources and sinks are critical.  A long edge
+    is a maximal path through non-critical vertices, named by its lowest
+    edge: the edge arriving at its lower end, which is also the id a cut
+    of that edge puts on its leaf.  An edge that carries a relation is a
+    long edge on its own.
+
+    ``levels`` holds the values of the levels with a critical vertex,
+    increasing, and ``graph_level`` their indices in the graph;
+    ``vertex_level`` sends a critical vertex to an index into ``levels``.
+    ``down`` and ``up`` send every critical vertex to its (lower end, long
+    edge) and (upper end, long edge) pairs, sorted by long edge; ``chains``
+    sends a long edge to its edge ids, lowest first.
+    """
+
+    levels: tuple[Fraction, ...]
+    graph_level: tuple[int, ...]
+    vertex_level: dict[str, int]
+    down: dict[str, tuple[tuple[str, str], ...]]
+    up: dict[str, tuple[tuple[str, str], ...]]
+    chains: dict[str, list[str]]
+
+    @staticmethod
+    def of(graph: ReebGraph) -> _Skeleton:
+        """Regular vertices are the ends met once among the edges' lower ends
+        and once among their upper ends.  Then one pass over the gaps from
+        the bottom: a long edge starts at an edge whose lower end is critical
+        and is carried up through non-critical vertices."""
+        related = {x for o in graph.vertex_orders for cover in o.covers for x in cover}
+        for dn, up, o in zip(graph.down_maps, graph.up_maps, graph.edge_orders):
+            related.update(end for cover in o.covers for e in cover for end in (dn[e], up[e]))
+        regular = _once(chain.from_iterable(dn.values() for dn in graph.down_maps))
+        regular &= _once(chain.from_iterable(up.values() for up in graph.up_maps))
+        regular -= related
+        graph_level: list[int] = []
+        vertex_level: dict[str, int] = {}
+        for i, vs in enumerate(graph.vertex_sets):
+            crit = vs - regular
+            if crit:
+                vertex_level.update(dict.fromkeys(crit, len(graph_level)))
+                graph_level.append(i)
+        down: dict[str, list[tuple[str, str]]] = {v: [] for v in vertex_level}
+        up: dict[str, list[tuple[str, str]]] = {v: [] for v in vertex_level}
+        chains: dict[str, list[str]] = {}
+        lower: dict[str, str] = {}
+        through: dict[str, str] = {}  # non-critical vertex -> long edge below it
+        for dn, upm in zip(graph.down_maps, graph.up_maps):
+            for e, d in dn.items():
+                # A critical lower end is in no entry of ``through``.
+                long_edge = through.pop(d, e)
+                if long_edge == e:
+                    chains[e] = [e]
+                    lower[e] = d
+                else:
+                    chains[long_edge].append(e)
+                u = upm[e]
+                if u in vertex_level:
+                    down[u].append((lower[long_edge], long_edge))
+                    up[lower[long_edge]].append((u, long_edge))
+                else:
+                    through[u] = long_edge
+        return _Skeleton(
+            levels=tuple(graph.levels[i] for i in graph_level),
+            graph_level=tuple(graph_level),
+            vertex_level=vertex_level,
+            down={v: tuple(sorted(ps, key=itemgetter(1))) for v, ps in down.items()},
+            up={v: tuple(sorted(ps, key=itemgetter(1))) for v, ps in up.items()},
+            chains=chains,
+        )
+
+
+def _once(ends: Iterable[str]) -> set[str]:
+    """The ids that occur exactly once among ``ends``."""
+    seen: set[str] = set()
+    again = {x for x in ends if x in seen or seen.add(x)}  # add() returns None
+    return seen - again
 
 
 def make_graph(

@@ -78,7 +78,11 @@ def factor_count(view: DagView) -> int:
 
 def enumerate_choices(view: DagView) -> Iterator[CutChoice]:
     """All cut choices in lexicographic order over the option table."""
-    options = cut_options(view)
+    return _choices(cut_options(view))
+
+
+def _choices(options: Sequence[tuple[str, Sequence[str]]]) -> Iterator[CutChoice]:
+    """The cut choices of an option table, in lexicographic order."""
     vertices = tuple(v for v, _ in options)
     for picked in itertools.product(*(edges for _, edges in options)):
         yield CutChoice(kept=tuple(zip(vertices, picked)))

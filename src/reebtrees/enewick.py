@@ -354,12 +354,22 @@ def write_enewick(net: PhyloNetwork) -> str:
         taken.add(candidate)
         safe[v] = candidate
 
-    def fmt_length(x: Fraction) -> str:
-        if x <= 0:
-            raise ValueError("branch lengths must be positive")
-        text = format_level(x)
-        if "/" in text:
-            raise ValueError(f"length {x} has no finite decimal form")
+    # Lengths as integer differences of times over one scale, the least
+    # common denominator of the times; each distinct length is formatted once.
+    scale = math.lcm(*{t.denominator for t in net.times.values()})
+    ticks = {v: t.numerator * (scale // t.denominator) for v, t in net.times.items()}
+    branch: dict[int, str] = {}
+
+    def fmt_length(n: int) -> str:
+        text = branch.get(n)
+        if text is None:
+            if n <= 0:
+                raise ValueError("branch lengths must be positive")
+            x = Fraction(n, scale)
+            text = format_level(x)
+            if "/" in text:
+                raise ValueError(f"length {x} has no finite decimal form")
+            branch[n] = text = ":" + text
         return text
 
     # Pre-order with an explicit stack of (kind, x, parent): a "node" x, a
@@ -373,7 +383,7 @@ def write_enewick(net: PhyloNetwork) -> str:
             out.append(v)
             continue
         if kind == "length":
-            out.append(":" + fmt_length(net.times[v] - net.times[parent]))
+            out.append(fmt_length(ticks[v] - ticks[parent]))
             continue
         tag = f"#H{tag_of[v]}" if v in tag_of else ""
         if tag and v in defined:

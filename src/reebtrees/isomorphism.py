@@ -2,33 +2,48 @@
 
 canonical_form fingerprints a leveled tree, or a forest with one tree per
 source, together with its level orders, exactly: equal fingerprints mean a
-level- and order-preserving bijection exists.  It roots the tree at its
-source, builds integer subtree codes depth by depth, refines them by the
-order relations and individualises vertices where ties remain.
+level- and order-preserving bijection exists.  It reads the tree's critical
+skeleton (see core._Skeleton), roots it at its source, builds integer
+subtree codes depth by depth, refines them by the order relations and
+individualises vertices where ties remain.
 
-reeb_iso and brute_force_iso decide isomorphism of whole graphs.  Both start
-with one shared prefilter, which refines the pair to common levels and
-compares colour multisets per level and per gap.  reeb_iso then always takes
-the fingerprint route, which rests on the paper's glue-back argument: one
-factor of a, with its (merge vertex, cut leaf) covers and its cut leaves
-tagged, matches some factor of b exactly when a and b are isomorphic.  It
-fingerprints a's first factor once, then builds b's factors one at a time,
-skipping those a shared colour refinement of the pair rules out, and stops
-at the first match, from which it builds a witness.  brute_force_iso is a
-plain backtracking matcher, kept as an independent oracle on anything
-small.
+reeb_iso decides isomorphism of whole graphs on their skeletons: critical
+vertices (sources, sinks, non-regular vertices and those that carry an
+order relation or end an edge that does) joined by long edges.  An
+isomorphism of the pair refined to common levels maps critical vertices to
+critical vertices and long edges to long edges, and is fixed by what it does
+there, so nothing is refined and no pass-through vertex is read.  Its
+prefilter compares the level range, the critical vertices and long edges
+keyed by level values, and their colours.  The fingerprint route then rests
+on the paper's glue-back argument: one factor of a, with its (merge vertex,
+cut leaf) covers and its cut leaves tagged, matches some factor of b exactly
+when a and b are isomorphic.  A factor is a view of the skeleton, with each
+detached long edge ending at its cut leaf; no factor graph is built.  a's
+first factor is fingerprinted once, then b's factors, skipping those a shared
+colour refinement of the pair rules out, until the first match.  Fingerprints
+of views list the skeleton's level values only, so their bytes differ from
+those of the factors' graphs.  brute_force_iso is a plain backtracking
+matcher on the refined pair, kept as an independent oracle on anything small.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import LevelPoset, ReebGraph, _refined_counts, common_refinement
-from .dag import DagView, betti_euler
-from .decomposition import CutChoice, apply_choice, decompose, enumerate_choices
+from .core import (
+    RESERVED_VERTEX_PREFIX,
+    LevelPoset,
+    ReebGraph,
+    _refined_counts,
+    common_refinement,
+    refine_to_levels,
+)
+from .dag import DagView
+from .decomposition import CutChoice, _choices, _detached, decompose
 from .errors import LabelMismatch, MissingLabels, NotATree, SizeLimitExceeded
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
@@ -48,6 +63,18 @@ def _strict_pairs(poset: LevelPoset) -> list[tuple[str, str]]:
     return [(x, y) for x in sorted(poset.elements) for y in sorted(poset.strictly_above(x))]
 
 
+def _order_counts(orders: Iterable[LevelPoset]) -> dict[str, tuple[int, int]]:
+    """(elements below, elements above) in the generated order, for every
+    element of a nontrivial order."""
+    out: dict[str, tuple[int, int]] = {}
+    for poset in orders:
+        if poset.covers:
+            above = {x: poset.strictly_above(x) for x in poset.elements}
+            below = Counter(y for ups in above.values() for y in ups)
+            out.update((x, (below[x], len(ups))) for x, ups in above.items())
+    return out
+
+
 def _colours(
     graph: ReebGraph, tags: Mapping[str, int] | None, use_labels: bool
 ) -> tuple[dict[str, tuple], dict[str, tuple]]:
@@ -56,21 +83,19 @@ def _colours(
     (elements below, elements above, label or "") for an edge.  Below and
     above count the generated order; the tag is -1 off sinks and untagged."""
     tags = tags or {}
+    vertex_rel = _order_counts(graph.vertex_orders)
+    edge_rel = _order_counts(graph.edge_orders)
     vertex: dict[str, tuple] = {}
     edge: dict[str, tuple] = {}
-    for vs, poset in zip(graph.vertex_sets, graph.vertex_orders):
-        above = {x: poset.strictly_above(x) for x in poset.elements} if poset.covers else {}
-        below = Counter(y for ups in above.values() for y in ups) if above else {}
+    for vs in graph.vertex_sets:
         for v in vs:
             out = graph.outdeg(v)
             tag = tags.get(v, -1) if out == 0 else -1
-            vertex[v] = (graph.indeg(v), out, below.get(v, 0), len(above.get(v, ())), tag)
-    for i, (es, poset) in enumerate(zip(graph.edge_sets, graph.edge_orders)):
-        above = {x: poset.strictly_above(x) for x in poset.elements} if poset.covers else {}
-        below = Counter(y for ups in above.values() for y in ups) if above else {}
+            vertex[v] = (graph.indeg(v), out, *vertex_rel.get(v, (0, 0)), tag)
+    for i, es in enumerate(graph.edge_sets):
         labels = graph.gap_labels(i) if use_labels else None
         for e in es:
-            edge[e] = (below.get(e, 0), len(above.get(e, ())), labels[e] if labels else "")
+            edge[e] = (*edge_rel.get(e, (0, 0)), labels[e] if labels else "")
     return vertex, edge
 
 
@@ -81,17 +106,20 @@ def _prefilter(
     tags_b: Mapping[str, int] | None,
     use_labels: bool = False,
 ) -> tuple[ReebGraph, ReebGraph, tuple, tuple] | None:
-    """Check level range, compare the per-level and per-gap counts of the
-    refined pair (read off the coarse graphs), then refine and compare colour
-    multisets.  Returns (ra, rb, colours_a, colours_b), or None when the pair
-    cannot be isomorphic.  ``use_labels`` needs full labellings on both sides
-    (MissingLabels, raised once the counts agree)."""
+    """brute_force_iso's prefilter.  Check level range, compare the
+    per-level and per-gap counts of the refined pair (read off the coarse
+    graphs), then refine both to the one sorted union of their levels and
+    compare colour multisets.  Returns (ra, rb, colours_a, colours_b), or
+    None when the pair cannot be isomorphic.  ``use_labels`` needs full
+    labellings on both sides (MissingLabels, raised once the counts agree)."""
     if (a.levels[0], a.levels[-1]) != (b.levels[0], b.levels[-1]):
         return None
     union = a.levels if a.levels == b.levels else sorted(set(a.levels) | set(b.levels))
     if _refined_counts(a, union) != _refined_counts(b, union):
         return None
-    ra, rb = common_refinement(a, b)
+    ra, rb = a, b
+    if union is not a.levels:
+        ra, rb = refine_to_levels(a, union), refine_to_levels(b, union)
     sets_a = (ra.vertex_sets, ra.edge_sets)
     sets_b = (rb.vertex_sets, rb.edge_sets)
     if use_labels and not (ra.has_full_labels and rb.has_full_labels):
@@ -105,6 +133,61 @@ def _prefilter(
     return ra, rb, ca, cb
 
 
+def _skeleton_prefilter(
+    a: ReebGraph,
+    b: ReebGraph,
+    tags_a: Mapping[str, int] | None,
+    tags_b: Mapping[str, int] | None,
+) -> tuple[ReebGraph, ReebGraph, dict[str, tuple], dict[str, tuple]] | None:
+    """reeb_iso's prefilter, on the two skeletons.  Checks the level range,
+    then compares the critical vertices per level value, the long edges
+    keyed by the values of their ends (and their edge-order counts), and the
+    critical vertices' colours: (skeleton level, indegree, outdegree,
+    elements below, elements above, sink tag).  Returns (a, b, colours_a,
+    colours_b), or None when the pair cannot be isomorphic.
+
+    Refinement copies an edge's order onto every level it inserts into the
+    edge's gap, as a vertex order, so those levels hold critical vertices;
+    a pair on different level sets whose edge orders are not all trivial is
+    refined to the union of its levels first, and returned refined."""
+    if (a.levels[0], a.levels[-1]) != (b.levels[0], b.levels[-1]):
+        return None
+    if any(o.covers for g in (a, b) for o in g.edge_orders) and a.levels != b.levels:
+        union = sorted(set(a.levels) | set(b.levels))
+        a, b = refine_to_levels(a, union), refine_to_levels(b, union)
+    sa, sb = a._skeleton, b._skeleton
+    if sa.levels != sb.levels:
+        return None
+    if Counter(sa.vertex_level.values()) != Counter(sb.vertex_level.values()):
+        return None
+
+    def long_edges(graph: ReebGraph) -> list[tuple[int, ...]]:
+        sk = graph._skeleton
+        rel, lvl = _order_counts(graph.edge_orders), sk.vertex_level
+        return sorted(
+            (lvl[u], lvl[w], *rel.get(e, (0, 0))) for u, ds in sk.down.items() for w, e in ds
+        )
+
+    if long_edges(a) != long_edges(b):
+        return None
+
+    def colours(graph: ReebGraph, tags: Mapping[str, int] | None) -> dict[str, tuple]:
+        sk, tags = graph._skeleton, tags or {}
+        rel = _order_counts(graph.vertex_orders)
+        return {
+            v: (
+                i, len(sk.up[v]), len(sk.down[v]), *rel.get(v, (0, 0)),
+                -1 if sk.down[v] else tags.get(v, -1),
+            )
+            for v, i in sk.vertex_level.items()
+        }
+
+    ca, cb = colours(a, tags_a), colours(b, tags_b)
+    if sorted(ca.values()) != sorted(cb.values()):
+        return None
+    return a, b, ca, cb
+
+
 @dataclass(frozen=True, order=True)
 class CanonicalForm:
     """Opaque, totally ordered fingerprint of a leveled tree with orders."""
@@ -113,6 +196,64 @@ class CanonicalForm:
     # Vertex ids in the canonical numbering the fingerprint is read from;
     # reeb_iso pairs two of them into a witness.
     _vertices: tuple[str, ...] = field(default=(), init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class _FactorView:
+    """A tree or forest as canonical_form reads it, built on a skeleton (see
+    core._Skeleton) and never as a graph.  A factor of a network is the
+    network's skeleton with each detached long edge ending at its cut leaf
+    ``cut:<edge>`` on the merge vertex's level, and (merge vertex, cut leaf)
+    in that level's order, as apply_choice makes them.
+
+    ``level`` numbers each vertex's level, an index into ``levels``, the
+    values the fingerprint lists; ``down`` and ``up`` give each vertex's
+    (neighbour, long edge) pairs below and above it; the pairs are those of
+    the generated vertex and edge orders."""
+
+    levels: tuple[Fraction, ...]
+    level: Mapping[str, int]
+    down: Mapping[str, Sequence[tuple[str, str]]]
+    up: Mapping[str, Sequence[tuple[str, str]]]
+    vertex_pairs: Sequence[tuple[str, str]]
+    edge_pairs: Sequence[tuple[str, str]]
+
+
+def _skeleton_view(
+    graph: ReebGraph, levels: Sequence[Fraction], level: Mapping[str, int]
+) -> _FactorView:
+    """The graph's skeleton as a view with nothing cut, its levels numbered
+    by ``level`` into ``levels``."""
+    sk = graph._skeleton
+
+    def pairs(orders: Iterable[LevelPoset]) -> list[tuple[str, str]]:
+        return [p for o in orders if o.covers for p in _strict_pairs(o)]
+
+    return _FactorView(
+        tuple(levels), level, sk.down, sk.up, pairs(graph.vertex_orders), pairs(graph.edge_orders)
+    )
+
+
+def _cut(view: _FactorView, graph: ReebGraph, detached: Sequence[tuple[str, str]]) -> _FactorView:
+    """``view`` of ``graph``'s skeleton with each detached (merge vertex,
+    long edge) ending at the edge's cut leaf; only the lists of the ends
+    that change are new."""
+    if not detached:
+        return view
+    sk = graph._skeleton
+    level, down, up = dict(view.level), dict(view.down), dict(view.up)
+    vertex_pairs = list(view.vertex_pairs)
+    for m, e in detached:
+        cut = RESERVED_VERTEX_PREFIX + e
+        (u,) = [w for w, f in up[m] if f == e]
+        up[m] = tuple(p for p in up[m] if p[1] != e)
+        down[u] = tuple((cut, f) if f == e else (w, f) for w, f in down[u])
+        level[cut], down[cut], up[cut] = level[m], (), ((u, e),)
+        # The cover (m, cut) puts the cut leaf above m and above all below m.
+        order = graph.vertex_orders[sk.graph_level[sk.vertex_level[m]]]
+        below = [x for x in order.elements if m in order.strictly_above(x)] if order.covers else []
+        vertex_pairs += [(x, cut) for x in (m, *below)]
+    return replace(view, level=level, down=down, up=up, vertex_pairs=vertex_pairs)
 
 
 class _RootedTree:
@@ -300,7 +441,7 @@ def _centres(adj: Mapping[str, list[tuple[str, str]]], n_v: int) -> list[str]:
 
 
 def canonical_form(
-    graph: ReebGraph,
+    source: ReebGraph | _FactorView,
     *,
     leaf_ranks: Mapping[str, int] | None = None,
     budget: int | None = None,
@@ -312,66 +453,71 @@ def canonical_form(
     orders in both directions.  ``leaf_ranks`` optionally colors bottom
     vertices (out-degree zero) with an integer, making the fingerprint
     sensitive to leaf identity; unranked leaves take -1.  Edge labels are
-    deliberately ignored.
+    deliberately ignored.  Accepts a graph, or a factor view that reeb_iso
+    builds on a skeleton, as decompose accepts a graph or a view.
 
-    The tree is rooted at its unique source, or, when it has several, at its
-    centre (at each of two centres, keeping the least result).  A forest in
-    which every vertex has at most one arriving edge, with several sources
-    and so one tree per source, is also accepted: its sources hang under one
-    virtual root a level above the top, which the numbering leaves out.
-    Anything else raises NotATree.  Subtree codes
-    are built bottom-up one depth at a time and interned to small integers,
-    so nothing nests and nothing recurses; order relations then refine them
-    by colour refinement.  Where vertices carrying relations still tie, one
+    The tree is read as its skeleton: a bijection of critical vertices and
+    long edges that keeps levels fixes the rest.  It is rooted at its unique
+    source, or, when it has several, at its centre (at each of two centres,
+    keeping the least result).  A forest in which every vertex has at most
+    one arriving edge, with several sources and so one tree per source, is
+    also accepted: its sources hang under one virtual root a level above the
+    top, which the numbering leaves out.  Anything else raises NotATree.
+    Subtree codes are built bottom-up one depth at a time and interned to
+    small integers, so nothing nests and nothing recurses; order relations
+    then refine them by colour refinement.  Where vertices carrying relations still tie, one
     member of the first tied cell is individualised at a time and the least
     result is kept; siblings with equal codes and the same relation partners
     are interchangeable and never branched on.  Every individualisation
     counts against ``budget`` (default REEB_SEARCH_BUDGET, else 10**7), and
     SizeLimitExceeded is raised once it is spent.  The fingerprint lists the
-    level values, then each vertex's level, rank and parent in the canonical
-    numbering, then the numbered order pairs.  These bytes differ from those
-    of releases that read a nested code from the tree's centre and broke
-    ties by trying permutations; compare fingerprints made by one version.
+    level values (a graph's levels; a view's own), then each critical
+    vertex's level, rank and parent in the canonical numbering, then the
+    numbered order pairs.  These bytes differ from those of releases that
+    numbered every vertex, pass-through ones included, and of releases that
+    read a nested code from the tree's centre and broke ties by trying
+    permutations; compare fingerprints made by one version.
     """
-    n_v = sum(len(vs) for vs in graph.vertex_sets)
-    n_e = sum(len(es) for es in graph.edge_sets)
-    level = graph.vertex_level
-    above, below, gap = graph.above_edges, graph.below_edges, graph.edge_gap
-    sources = [v for v in level if v not in above]
+    if isinstance(source, ReebGraph):
+        sk = source._skeleton
+        view = _skeleton_view(
+            source, source.levels, {v: sk.graph_level[i] for v, i in sk.vertex_level.items()}
+        )
+        n_v = sum(len(vs) for vs in source.vertex_sets)
+        n_e = sum(len(es) for es in source.edge_sets)
+    else:
+        view = source
+        n_v, n_e = len(view.level), sum(len(es) for es in view.up.values())
+    # A non-critical vertex and the edge below it merge into one long edge,
+    # so a graph and its skeleton have the same edges minus vertices.
+    level, down, up = view.level, view.down, view.up
+    sources = [v for v in level if not up[v]]
     # A forest with one arriving edge per vertex has one source per tree.
-    forest = len(sources) > 1 and all(len(es) == 1 for es in above.values())
+    forest = len(sources) > 1 and all(len(es) <= 1 for es in up.values())
     if n_e != n_v - 1 and not forest:
         raise NotATree(f"{n_e} edges on {n_v} vertices")
 
-    downs, ups = graph.down_maps, graph.up_maps
-    adj = {
-        v: [(downs[gap[e]][e], e) for e in below.get(v, ())]
-        + [(ups[gap[e]][e], e) for e in above.get(v, ())]
-        for v in level
-    }
+    adj = {v: [*down[v], *up[v]] for v in level}
     if forest:
         # A virtual root (None, never a vertex id) one level above the top
         # holds the trees together; it is left out of the numbering.
         adj[None] = [(v, None) for v in sources]
-        level = {**level, None: len(graph.levels)}
+        level = {**level, None: len(view.levels)}
         roots = [None]
     else:
-        roots = sources if len(sources) == 1 else _centres(adj, n_v)
+        roots = sources if len(sources) == 1 else _centres(adj, len(level))
 
     ranks = leaf_ranks or {}
 
     def tag(v: str) -> int:
-        return -1 if v in below else ranks.get(v, -1)
-
-    vertex_pairs = [p for o in graph.vertex_orders if o.covers for p in _strict_pairs(o)]
-    edge_pairs = [p for o in graph.edge_orders if o.covers for p in _strict_pairs(o)]
+        return -1 if down.get(v) else ranks.get(v, -1)
 
     budget_value = _budget(budget)
     branches = 0
     best = None
     for root in roots:
-        tree = _RootedTree(root, adj, level, tag, vertex_pairs, edge_pairs)
-        if tree.n != n_v + forest:
+        tree = _RootedTree(root, adj, level, tag, view.vertex_pairs, view.edge_pairs)
+        if tree.n != len(view.level) + forest:
             raise NotATree("underlying graph is not connected")
         stack = [tree.base]
         while stack:
@@ -393,8 +539,8 @@ def canonical_form(
                 stack.append(split)
 
     cert, vertices = best
-    header = [len(graph.levels)]
-    for lv in graph.levels:
+    header = [len(view.levels)]
+    for lv in view.levels:
         header += (lv.numerator, lv.denominator)
     form = CanonicalForm(data=",".join(map(str, header + list(cert))).encode("ascii"))
     object.__setattr__(form, "_vertices", tuple(vertices[forest:]))
@@ -423,96 +569,85 @@ def decomposition_invariant(
     )
 
 
-def _glued_witness(
-    ra: ReebGraph,
-    rb: ReebGraph,
-    fa: ReebGraph,
-    fb: ReebGraph,
-    form_a: CanonicalForm,
-    form_b: CanonicalForm,
-) -> MorphismWitness:
-    """Pair two matching factors' canonical numberings into an isomorphism
-    of the graphs they were cut from: the cut leaves drop out, and each edge
-    goes where its lower endpoint goes."""
-    vmap = dict(zip(form_a._vertices, form_b._vertices))
-    above = fb.above_edges
-    return MorphismWitness(
-        source=ra,
-        target=rb,
-        vertex_maps=tuple({v: vmap[v] for v in vs} for vs in ra.vertex_sets),
-        edge_maps=tuple(
-            {e: above[vmap[v]][0] for e, v in down.items()} for down in fa.down_maps
-        ),
-    )
-
-
 def _stable_colours(
-    pre: tuple[ReebGraph, ReebGraph, tuple, tuple]
-) -> tuple[dict[str, int], dict[str, int]] | None:
-    """Colour refinement of a prefiltered pair, one palette for both sides.
+    pre: tuple[ReebGraph, ReebGraph, dict[str, tuple], dict[str, tuple]]
+) -> tuple[dict[str, object], dict[str, object]] | None:
+    """Colour refinement of a prefiltered pair's skeletons, one palette for
+    both sides.
 
-    Starting from the prefilter's vertex colours, sweeps run up the levels,
-    each vertex taking the colours of its neighbours one level down, then
-    down the levels with the neighbours one level up, until a round splits
-    no class; the order of sweeps does not change the stable partition.
-    Every isomorphism preserves the colours after each sweep, so None is
-    returned as soon as a swept level's colour counts differ between the
-    sides; otherwise the vertex colours of both sides."""
-    graphs = pre[:2]
-    cols = [dict(vertex) for vertex, _ in pre[2:]]
-    k = graphs[0].level_count
+    Starting from the prefilter's colours, sweeps run up the skeleton's
+    levels, each critical vertex taking the colours of the lower ends of its
+    long edges, then down the levels with the upper ends, until a round
+    splits no class; the order of sweeps does not change the stable
+    partition.  Every isomorphism preserves the colours after each sweep, so
+    None is returned as soon as a swept level's colour counts differ between
+    the sides; otherwise the colours of both sides' critical vertices."""
+    skeletons = [g._skeleton for g in pre[:2]]
+    cols: list[dict[str, object]] = [dict(c) for c in pre[2:]]
+    k = len(skeletons[0].levels)
+    rows = []  # per side, the critical vertices of each skeleton level
+    for sk in skeletons:
+        row: list[list[str]] = [[] for _ in range(k)]
+        for v, i in sk.vertex_level.items():
+            row[i].append(v)
+        rows.append(row)
 
     def sweep(i: int, lower: bool) -> int | None:
         """Recolour level i on both sides; return its number of classes, or
-        None when the two sides' colour counts there differ."""
+        None when the two sides' colour counts there differ.  A colour is
+        (level, class), so colours of different levels never meet."""
         sigs = []
-        for g, col in zip(graphs, cols):
-            edges, ends = (g.below_edges, g.down_maps) if lower else (g.above_edges, g.up_maps)
-            gap = g.edge_gap
-            sigs.append({
-                v: (col[v], tuple(sorted([col[ends[gap[e]][e]] for e in edges.get(v, ())])))
-                for v in g.vertex_sets[i]
-            })
-        rank = {c: n for n, c in enumerate(sorted({*sigs[0].values(), *sigs[1].values()}))}
+        for sk, col, row in zip(skeletons, cols, rows):
+            ends = sk.down if lower else sk.up
+            sigs.append({v: (col[v], tuple(sorted([col[w] for w, _ in ends[v]]))) for v in row[i]})
+        rank = {c: (i, n) for n, c in enumerate(sorted({*sigs[0].values(), *sigs[1].values()}))}
         for col, sig in zip(cols, sigs):
             for v, c in sig.items():
                 col[v] = rank[c]
         count_a, count_b = (sorted(map(rank.__getitem__, sig.values())) for sig in sigs)
         return len(rank) if count_a == count_b else None
 
-    # A sweep's partition depends only on the partitions of its level and of
-    # the neighbouring level it reads, and refinement only adds classes, so
-    # a sweep whose two class counts are unchanged since it last ran is
-    # skipped; the colours are stable once a round runs no sweep that splits.
+    # A sweep reads its own level and the levels on one side of it, and
+    # refinement only adds classes, so a sweep is skipped when no level it
+    # reads has split since it last ran (its own split at that run needs no
+    # second run); the colours are stable once a round splits no level.
     order = [(i, True) for i in range(k)] + [(i, False) for i in range(k - 1, -1, -1)]
-    classes = [0] * (k + 1)  # per level; the extra entry stands for "no level"
-    swept: dict[tuple[int, bool], tuple[int, int]] = {}
-    changed = True
-    while changed:
-        changed = False
+    classes = [0] * k
+    split = [0] * k  # when each level last gained classes
+    ran: dict[tuple[int, bool], int] = {}
+    clock = 0
+    while True:
+        start = clock
         for i, lower in order:
-            j = i - 1 if lower else i + 1
-            if swept.get((i, lower)) == (classes[i], classes[j]):
+            if ran.get((i, lower), -1) >= max(split[: i + 1] if lower else split[i:]):
                 continue
+            clock += 1
             n = sweep(i, lower)
             if n is None:
                 return None
-            changed |= n != classes[i]
-            classes[i] = n
-            swept[(i, lower)] = (n, classes[j])
-    return cols[0], cols[1]
+            ran[i, lower] = clock
+            if n != classes[i]:
+                classes[i], split[i] = n, clock
+        if max(split) <= start:
+            return cols[0], cols[1]
+
+
+def _cut_options(graph: ReebGraph) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """cut_options read off the skeleton: per merge vertex, by (level, id),
+    the long edges arriving at it, named by their edges arriving there."""
+    sk = graph._skeleton
+    merges = sorted((sk.vertex_level[v], v) for v, ups in sk.up.items() if len(ups) > 1)
+    return tuple((v, tuple(e for _, e in sk.up[v])) for _, v in merges)
 
 
 def _factor_match(
-    pre: tuple[ReebGraph, ReebGraph, tuple, tuple],
-    va: DagView,
-    vb: DagView,
+    pre: tuple[ReebGraph, ReebGraph, dict[str, tuple], dict[str, tuple]],
     leaf_ranks_a: Mapping[str, int] | None,
     leaf_ranks_b: Mapping[str, int] | None,
     budget: int | None,
-) -> MorphismWitness | None:
-    """The fingerprint route on a prefiltered pair (``pre`` is the
-    prefilter's result, ``va`` and ``vb`` views of its two graphs).
+) -> tuple[_FactorView, _FactorView, CanonicalForm, CanonicalForm] | None:
+    """The fingerprint route on a pair ``pre`` that passed
+    _skeleton_prefilter.
 
     Glue-back: a level-, cover- and rank-preserving bijection between one
     factor of a and one factor of b that sends cut leaves to cut leaves
@@ -523,35 +658,82 @@ def _factor_match(
     from a merge vertex to a sink cannot stand in for a cut.  A graph with
     several sources has forests for factors, one tree per source.  So a's
     first factor is fingerprinted once, and b's factors whose kept edges
-    join the same colours are built and fingerprinted one at a time until
-    one matches.  Returns the witness over the refined pair, or None when no
-    factor of b matches."""
+    join the same colours are fingerprinted one at a time until one matches.
+    Factors are views of the skeletons (see _FactorView), numbered by the
+    skeleton levels the two sides share.  Returns the two matching views
+    and their fingerprints, or None when no factor of b matches."""
     colours = _stable_colours(pre)
     if colours is None:
         return None
-    col_a, col_b = colours
     cut_rank = min([-1, *(leaf_ranks_a or {}).values(), *(leaf_ranks_b or {}).values()]) - 1
 
-    def kept(graph: ReebGraph, col: Mapping[str, int], choice: CutChoice) -> list:
-        ups = graph.up_maps
-        level = graph.vertex_level
-        return sorted((col[v], col[ups[level[v]][e]]) for v, e in choice.kept)
+    def joins(graph: ReebGraph, col: Mapping[str, object], options) -> dict:
+        """(merge vertex, arriving long edge) -> the colours of its ends."""
+        up = graph._skeleton.up
+        return {(v, e): (col[v], col[u]) for v, _ in options for u, e in up[v]}
 
-    def form(view: DagView, choice: CutChoice, ranks: Mapping[str, int] | None):
-        factor = apply_choice(view, choice)
-        tags = {**(ranks or {}), **dict.fromkeys(factor.cut_vertices, cut_rank)}
-        return factor.graph, canonical_form(factor.graph, leaf_ranks=tags, budget=budget)
+    def form(graph: ReebGraph, whole: _FactorView, options, choice: CutChoice, ranks):
+        detached = _detached(graph, options, choice)
+        view = _cut(whole, graph, detached)
+        cuts = {RESERVED_VERTEX_PREFIX + e: cut_rank for _, e in detached}
+        return view, canonical_form(view, leaf_ranks={**(ranks or {}), **cuts}, budget=budget)
 
-    choice_a = next(enumerate_choices(va))
-    kept_a = kept(va.graph, col_a, choice_a)
-    fa, form_a = form(va, choice_a, leaf_ranks_a)
-    for choice in enumerate_choices(vb):
-        if kept(vb.graph, col_b, choice) != kept_a:
-            continue
-        fb, form_b = form(vb, choice, leaf_ranks_b)
-        if form_b == form_a:
-            return _glued_witness(va.graph, vb.graph, fa, fb, form_a, form_b)
+    a, b = pre[:2]
+    whole_a, whole_b = (
+        _skeleton_view(g, g._skeleton.levels, g._skeleton.vertex_level) for g in pre[:2]
+    )
+    options_a, options_b = _cut_options(a), _cut_options(b)
+    choice_a = next(_choices(options_a))
+    kept_a = sorted(map(joins(a, colours[0], options_a).__getitem__, choice_a.kept))
+    view_a, form_a = form(a, whole_a, options_a, choice_a, leaf_ranks_a)
+    # b keeps only edges whose ends' colours a kept edge joins.
+    join_b, pairs_a = joins(b, colours[1], options_b), set(kept_a)
+    allowed = [(v, [e for e in es if join_b[v, e] in pairs_a]) for v, es in options_b]
+    for choice in _choices(allowed):
+        if sorted(map(join_b.__getitem__, choice.kept)) == kept_a:
+            view_b, form_b = form(b, whole_b, options_b, choice, leaf_ranks_b)
+            if form_b == form_a:
+                return view_a, view_b, form_a, form_b
     return None
+
+
+def _witness(
+    pre: tuple[ReebGraph, ReebGraph, dict[str, tuple], dict[str, tuple]],
+    match: tuple[_FactorView, _FactorView, CanonicalForm, CanonicalForm],
+) -> MorphismWitness:
+    """Expand a match of _factor_match on ``pre`` into an isomorphism of the
+    pair refined to common levels, level by level along each long edge.
+
+    The two canonical numberings pair the critical vertices and cut leaves.
+    In a factor each vertex has at most one long edge arriving from above,
+    so each long edge goes where its lower end goes; that pairs the edges
+    that carry an order relation, whose ids refinement keeps.  Long edges
+    with no relation and the same ends are interchangeable, so those are
+    paired by their ends."""
+    view_a, view_b, form_a, form_b = match
+    vmap = dict(zip(form_a._vertices, form_b._vertices))
+    emap = {e: view_b.up[vmap[w]][0][1] for w, ups in view_a.up.items() for _, e in ups}
+    ra, rb = common_refinement(*pre[:2])
+    sa, sb = ra._skeleton, rb._skeleton
+    related = [{e for o in g.edge_orders for cover in o.covers for e in cover} for g in (ra, rb)]
+    spare: dict[tuple[str, str], list[str]] = defaultdict(list)
+    for w, ups in sb.up.items():
+        for u, f in ups:
+            if f not in related[1]:
+                spare[u, w].append(f)
+    vertex_maps: list[dict[str, str]] = [{} for _ in ra.levels]
+    edge_maps: list[dict[str, str]] = [{} for _ in ra.edge_sets]
+    for v, i in sa.vertex_level.items():
+        vertex_maps[sa.graph_level[i]][v] = vmap[v]
+    for w, ups in sa.up.items():
+        gap = sa.graph_level[sa.vertex_level[w]]
+        for u, e in ups:
+            f = emap[e] if e in related[0] else spare[vmap[u], vmap[w]].pop()
+            for j, (x, y) in enumerate(zip(sa.chains[e], sb.chains[f])):
+                edge_maps[gap + j][x] = y
+                if j:
+                    vertex_maps[gap + j][ra.down_maps[gap + j][x]] = rb.down_maps[gap + j][y]
+    return MorphismWitness(ra, rb, tuple(vertex_maps), tuple(edge_maps))
 
 
 def reeb_iso(
@@ -562,25 +744,26 @@ def reeb_iso(
     leaf_ranks_b: Mapping[str, int] | None = None,
     budget: int | None = None,
 ) -> bool:
-    """Decide whether two leveled graphs are isomorphic.
+    """Decide whether two leveled graphs are isomorphic once refined to a
+    common level set.
 
-    The shared prefilter refines both graphs to a common level set and
-    compares colour multisets.  The fingerprint route then decides (see
-    _factor_match), on every input: single-source or not, with level orders
-    or without.  The pair's colours are refined further, a's first factor is
-    fingerprinted, and b's factors that the colours allow are fingerprinted
-    one at a time until one matches; a match yields a witness.  So a
-    decision builds at most 1 + (number of factors of b) fingerprints, and 2
-    when the first allowed factor of b matches.  Optional leaf ranks
-    constrain the bijection to respect the given integer on bottom vertices
-    (unranked ones must map to unranked ones).  ``budget`` bounds the
-    fingerprints' tie-breaking (see canonical_form).
+    Both graphs are read as their cached skeletons (critical vertices and
+    long edges; see core._Skeleton), so nothing is refined and the cost
+    follows the critical vertices, not the levels.  The skeleton prefilter
+    compares level range, critical vertices and long edges by level value,
+    and colours.  The fingerprint route then decides (see _factor_match), on
+    every input: single-source or not, with level orders or without.  The
+    pair's colours are refined further, a's first factor is fingerprinted,
+    and b's factors that the colours allow are fingerprinted one at a time
+    until one matches.  So a decision builds at most 1 + (number of factors
+    of b) fingerprints, and 2 when the first allowed factor of b matches; it
+    builds no factor graph and no witness.  Optional leaf ranks constrain
+    the bijection to respect the given integer on bottom vertices (unranked
+    ones must map to unranked ones).  ``budget`` bounds the fingerprints'
+    tie-breaking (see canonical_form).
     """
-    pre = _prefilter(a, b, leaf_ranks_a, leaf_ranks_b)
-    if pre is None:
-        return False
-    va, vb = (DagView(g, betti_euler(g)) for g in pre[:2])
-    return _factor_match(pre, va, vb, leaf_ranks_a, leaf_ranks_b, budget) is not None
+    pre = _skeleton_prefilter(a, b, leaf_ranks_a, leaf_ranks_b)
+    return pre is not None and _factor_match(pre, leaf_ranks_a, leaf_ranks_b, budget) is not None
 
 
 @dataclass(frozen=True)

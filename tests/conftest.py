@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from reebtrees import GeneratorSpec, LevelPoset, ReebGraph, make_graph, random_graph
+from reebtrees import (
+    GeneratorSpec,
+    LevelPoset,
+    ReebGraph,
+    make_graph,
+    network_to_reeb,
+    parse_enewick,
+    random_graph,
+)
 
 
 def rename_graph(graph: ReebGraph, tag: str = "z") -> ReebGraph:
@@ -50,6 +58,28 @@ def chain_with_bigons(levels: int, s: int) -> ReebGraph:
             gap.append((f"p{i}", f"v{i}", f"v{i + 1}"))
         edges.append(gap)
     return make_graph(list(range(levels)), vertices, edges)
+
+
+def dated_caterpillar(taxa: int, moved: int | None = None) -> ReebGraph:
+    """A caterpillar over ``taxa`` taxa at one time: internal node k at time
+    k, with taxon t<k> and internal node k + 1 below it, down to a cherry.
+    Every lineage has a pass-through vertex on every level it crosses, so
+    the graph has taxa * (taxa + 1) / 2 vertices, of which 2 * taxa - 1 are
+    critical.  ``moved`` puts that internal node half a unit later."""
+    last = taxa - 2
+    leaf = 2 * last + 2  # times in half units
+
+    def half(k: int) -> int:
+        return 2 * k + (k == moved)
+
+    def length(k: int, below: int) -> str:
+        d = below - half(k)
+        return f"{d // 2}.5" if d % 2 else str(d // 2)
+
+    text = f"(t{last}:{length(last, leaf)},t{last + 1}:{length(last, leaf)})i{last}"
+    for k in range(last - 1, -1, -1):
+        text = f"({text}:{length(k, half(k + 1))},t{k}:{length(k, leaf)})i{k}"
+    return network_to_reeb(parse_enewick(text + ";"))
 
 
 def deep_ordered_path(levels: int):

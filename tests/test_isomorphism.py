@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from collections import defaultdict
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,7 @@ from reebtrees import (
     MissingLabels,
     MorphismWitness,
     NotATree,
+    OrderConflict,
     ReebGraph,
     SizeLimitExceeded,
     apply_choice,
@@ -27,18 +29,20 @@ from reebtrees import (
     enumerate_choices,
     labelled_iso,
     make_graph,
+    minimize_critical_set,
     random_graph,
     reeb_iso,
     refine_to_levels,
     validate,
     verify_witness,
 )
-from reebtrees import isomorphism
+from reebtrees import decomposition, isomorphism
 from conftest import (
     SAFE_SHAPES,
     chain_with_bigons,
     corpus,
     cut_id_clash,
+    dated_caterpillar,
     deep_ordered_path,
     rename_graph,
 )
@@ -488,13 +492,14 @@ class TestRoute:
     def calls(self, monkeypatch):
         counts = {"canonical_form": 0, "brute_force_iso": 0, "apply_choice": 0}
         for name in counts:
-            original = getattr(isomorphism, name)
+            module = decomposition if name == "apply_choice" else isomorphism
+            original = getattr(module, name)
 
             def counting(*args, _name=name, _original=original, **kwargs):
                 counts[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(isomorphism, name, counting)
+            monkeypatch.setattr(module, name, counting)
         return counts
 
     def test_level_count_mismatch_builds_nothing(self, calls, cycle_graph):
@@ -537,7 +542,7 @@ class TestRoute:
     def test_renamed_chain_fingerprints_two_factors(self, calls):
         g = chain_with_bigons(40, 6)
         assert reeb_iso(g, rename_graph(g))
-        assert calls == {"canonical_form": 2, "brute_force_iso": 0, "apply_choice": 2}
+        assert calls == {"canonical_form": 2, "brute_force_iso": 0, "apply_choice": 0}
 
     def test_multi_source_pair_takes_the_oracle(self, calls, twin_peaks):
         assert reeb_iso(twin_peaks, rename_graph(twin_peaks))
@@ -573,8 +578,9 @@ def test_reeb_iso_matches_oracle_with_witnesses(monkeypatch):
     original = isomorphism._factor_match
 
     def recording(*args):
-        witnesses.append(original(*args))
-        return witnesses[-1]
+        match = original(*args)
+        witnesses.append(match and isomorphism._witness(args[0], match))
+        return match
 
     monkeypatch.setattr(isomorphism, "_factor_match", recording)
     shapes = [
@@ -826,8 +832,9 @@ def test_reeb_iso_matches_oracle_on_ordered_and_multi_source_pairs(monkeypatch):
     original = isomorphism._factor_match
 
     def recording(*args):
-        witnesses.append(original(*args))
-        return witnesses[-1]
+        match = original(*args)
+        witnesses.append(match and isomorphism._witness(args[0], match))
+        return match
 
     oracle_calls = []
     oracle = isomorphism.brute_force_iso
@@ -885,7 +892,136 @@ def test_reeb_iso_matches_oracle_on_ordered_and_multi_source_pairs(monkeypatch):
                     pairs += 1
                     positive += want
     assert oracle_calls == []
-    assert (pairs, positive, verified, matched) == (900, 442, 442, 657)
+    # The skeleton prefilter compares long edges by the levels of both ends,
+    # so 18 swaps that the per-gap counts passed never reach the factors.
+    assert (pairs, positive, verified, matched) == (900, 442, 442, 639)
+
+
+def retarget_lower_end(g, rng):
+    """Move the lower end of one edge to another vertex of its level.  None
+    when no tried move gives a valid graph."""
+    for _ in range(30):
+        i = rng.randrange(g.gap_count)
+        e = rng.choice(sorted(g.edge_sets[i]))
+        others = sorted(g.vertex_sets[i] - {g.down_maps[i][e]})
+        if not others:
+            continue
+        down = {**g.down_maps[i], e: rng.choice(others)}
+        h = dataclasses.replace(g, down_maps=g.down_maps[:i] + (down,) + g.down_maps[i + 1 :])
+        if not validate(h):
+            return h
+    return None
+
+
+def moved_level(g, rng):
+    """``g`` with one interior level moved to another value strictly between
+    its neighbours."""
+    i = rng.randrange(1, g.level_count - 1)
+    lo, hi = g.levels[i - 1], g.levels[i + 1]
+    values = [lo + (hi - lo) * Fraction(k, 8) for k in range(1, 8)]
+    value = rng.choice([x for x in values if x != g.levels[i]])
+    return dataclasses.replace(g, levels=g.levels[:i] + (value,) + g.levels[i + 1 :])
+
+
+def coarsened_or_refined(g, rng):
+    """``g`` minimized, on three draws in ten when its orders allow it;
+    otherwise ``g`` refined at one to three new values inside its range."""
+    if rng.random() < 0.3:
+        try:
+            return minimize_critical_set(g)
+        except OrderConflict:
+            pass
+    lo, hi = g.levels[0], g.levels[-1]
+    values = set(g.levels)
+    count = g.level_count + rng.randint(1, 3)
+    while len(values) < count:
+        values.add(lo + (hi - lo) * Fraction(rng.randrange(1, 32), 32))
+    return refine_to_levels(g, sorted(values))
+
+
+def test_skeleton_decision_matches_oracle_across_level_sets(monkeypatch):
+    """reeb_iso decides on skeletons, so it never refines its inputs.
+    Generator graphs with merges of in-degree 2 and 3, graphs with extra
+    sources, and graphs with random vertex and edge orders, sinks ranked on
+    every third; partners are renamed copies, degree-preserving swaps,
+    retargeted edges and copies with one interior level moved, and one side
+    or the other is refined at one to three new levels or minimized.  The
+    answer is the oracle's on every pair, and every positive answer expands
+    into a witness over the refined pair that verifies."""
+    witnesses = []
+    original = isomorphism._factor_match
+
+    def recording(*args):
+        match = original(*args)
+        witnesses.append(match and isomorphism._witness(args[0], match))
+        return match
+
+    monkeypatch.setattr(isomorphism, "_factor_match", recording)
+    shapes = [(2, 1, 3, 2), (3, 2, 4, 2), (3, 2, 4, 3), (2, 3, 4, 3), (4, 2, 4, 3), (3, 3, 4, 2)]
+    # Levels to spare leave regular-only levels for minimization to splice.
+    shapes += [(2, 1, 5, 2), (2, 2, 6, 2), (3, 2, 6, 3)]
+    rng = random.Random(1919)
+    pairs = positive = verified = 0
+    for seed in range(16):
+        for n, s, lv, d in shapes:
+            spec = GeneratorSpec(seed=seed, n_leaves=n, betti=s, levels=lv, max_indeg=d)
+            base = random_graph(spec)
+            if sum(map(len, base.vertex_sets)) > 14:
+                continue
+            for kind in ("plain", "sources", "covers"):
+                g = {
+                    "plain": base,
+                    "sources": add_sources(base, rng, rng.randint(1, 2)),
+                    "covers": random_covers(base, rng),
+                }[kind]
+                ranks = None
+                if seed % 3 == 0:
+                    ranks = {v: rng.randrange(-1, 2) for v in g.vertex_ids() if g.outdeg(v) == 0}
+                partners = [g, swap_lower_ends(g, rng), retarget_lower_end(g, rng)]
+                partners.append(moved_level(g, rng))
+                for partner in filter(None, partners):
+                    a, b = g, rename_graph(partner)
+                    if rng.random() < 0.5:
+                        b = coarsened_or_refined(b, rng)
+                    else:
+                        a = coarsened_or_refined(a, rng)
+                    ranks_b = renamed_ranks(ranks)
+                    witnesses.clear()
+                    want = brute_force_iso(a, b, vertex_tags_a=ranks, vertex_tags_b=ranks_b)
+                    got = reeb_iso(a, b, leaf_ranks_a=ranks, leaf_ranks_b=ranks_b)
+                    assert got == want, (seed, n, s, kind)
+                    if want:
+                        (witness,) = witnesses
+                        assert verify_witness(witness)
+                        assert witness.source.levels == tuple(sorted({*a.levels, *b.levels}))
+                        verified += 1
+                    pairs += 1
+                    positive += want
+    assert (pairs, positive, verified) == (1577, 570, 570)
+
+
+def test_dated_caterpillar_decides_on_its_critical_vertices(monkeypatch):
+    """400 taxa at one time under a caterpillar: 80,200 vertices, one per
+    lineage and level, of which 2 * 400 - 1 are critical.  reeb_iso's two
+    fingerprints number the critical vertices alone, and a copy with one
+    internal node moved half a unit is told apart before any fingerprint."""
+    taxa = 400
+    g = dated_caterpillar(taxa)
+    assert sum(map(len, g.vertex_sets)) == taxa * (taxa + 1) // 2
+    assert len(g._skeleton.vertex_level) == 2 * taxa - 1
+    forms = []
+    original = isomorphism.canonical_form
+
+    def recording(*args, **kwargs):
+        forms.append(original(*args, **kwargs))
+        return forms[-1]
+
+    monkeypatch.setattr(isomorphism, "canonical_form", recording)
+    assert reeb_iso(g, rename_graph(g)) is True
+    assert [len(form._vertices) for form in forms] == [2 * taxa - 1] * 2
+    forms.clear()
+    assert reeb_iso(g, rename_graph(dated_caterpillar(taxa, moved=taxa // 2))) is False
+    assert forms == []
 
 
 def swap_forest(g, rng):
@@ -990,7 +1126,8 @@ def test_cut_leaves_match_only_cut_leaves(monkeypatch):
 def test_refined_count_mismatch_refines_nothing(monkeypatch):
     """On different level sets the refined counts are read off the coarse
     graphs: here a keeps one edge over the level that b inserts into its
-    two-edge gap, so nothing is refined."""
+    two-edge gap, so nothing is refined.  reeb_iso refines nothing at all:
+    it compares skeletons."""
     calls = []
     refine = isomorphism.common_refinement
 
@@ -1014,7 +1151,7 @@ def test_refined_count_mismatch_refines_nothing(monkeypatch):
     assert not brute_force_iso(a, b)
     assert calls == []
     assert reeb_iso(a, refine_to_levels(a, [0, 1, 2, 3]))
-    assert len(calls) == 1
+    assert calls == []
 
 
 def search_outcome(search, pre, budget):
