@@ -131,6 +131,30 @@ def _detached(
     return pairs
 
 
+def _check_cut_ids(graph: ReebGraph, options: Sequence[tuple[str, Sequence[str]]]) -> None:
+    """Raise what ``_detached`` raises for the first choice, in enumeration
+    order, that detaches an edge whose cut leaf id the network holds; one
+    lookup per arriving edge.
+
+    The first choice keeps every merge's first edge and detaches the rest,
+    so a held id on any other edge shows there.  Failing that, the first
+    clashing choice keeps the first edge everywhere but at the last merge
+    whose first edge is held, which keeps its second.
+    """
+    held = [
+        (j, i) for j, (_, edges) in enumerate(options)
+        for i, e in enumerate(edges) if RESERVED_VERTEX_PREFIX + e in graph.vertex_level
+    ]
+    if not held:
+        return
+    picked = [0] * len(options)
+    if all(i == 0 for _, i in held):
+        picked[held[-1][0]] = 1
+    _detached(graph, options, CutChoice(
+        kept=tuple((v, edges[i]) for (v, edges), i in zip(options, picked))
+    ))
+
+
 def apply_choice(view: DagView, choice: CutChoice) -> Factor:
     """Detach every non-kept arriving edge onto a fresh leaf ``cut:<edge>`` at
     the merge vertex's level, recording (kept leaf below merge vertex) in

@@ -15,12 +15,17 @@ the lowest common ancestor.  Stamps are computed once per level, also in
 integer form (times the LCM of their denominators), so every vector carries
 an exact integer copy of its entries.
 
-A network's factor vectors come from that same walk, run once per cut
-choice over tables built once per network, with no factor graph: the
-children of every vertex, the sorted original taxa, every candidate cut
-leaf sorted once, and the stamps.  A factor differs from its network only
-in that each detached edge ends at its own cut leaf, and every factor has
-the same stamp levels.
+A network's factor vectors need no factor graph: a factor differs from its
+network only in that each detached edge ends at its own cut leaf, and every
+factor has the same stamp levels.  The walk runs once, for the first cut
+choice, over tables built once per network, and keeps full rows.  The other
+choices follow in reflected mixed-radix Gray-code order (Knuth, TAOCP
+7.2.1.1), so each moves one merge's kept edge e to its neighbour e' in the
+merge's sorted edge list.  Then the merge's subtree S moves under the upper
+end of e', and the cut leaf c under that of e; c keeps its place in the
+taxon order.  Stamps within S and between S and c stay, and against every
+other taxon S takes c's old stamps and c the old stamps of S.  So a factor
+after the first costs O(|S| * taxa) list updates and one packing.
 
 The Hausdorff kernel works on those integers: both sets are brought to the
 least common multiple of their vectors' scales and stripped of duplicate
@@ -37,18 +42,17 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
-from operator import itemgetter, mul, sub
-from typing import Mapping, Sequence
+from itertools import chain, repeat
+from operator import getitem, itemgetter, mul, sub
+from typing import Iterator, Mapping, Sequence
 
 from .core import RESERVED_VERTEX_PREFIX, ReebGraph
 from .dag import DagView, build_dag_view
 from .decomposition import (
     Factor,
-    _detached,
+    _check_cut_ids,
     _require_trivial_orders,
     cut_options,
-    enumerate_choices,
 )
 from .errors import (
     DimensionMismatch,
@@ -187,8 +191,16 @@ def _root(graph: ReebGraph) -> str:
 
 def _children(graph: ReebGraph) -> dict[str, list[str]]:
     """Vertex -> the lower ends of its edges into the gap below, in edge
-    order; taxa have no entry."""
+    order; taxa have no entry.  An edge id used in two gaps raises
+    ValueError, since the table would join them, possibly into a cycle."""
     down = {e: v for dn in graph.down_maps for e, v in dn.items()}
+    if len(down) < sum(map(len, graph.down_maps)):
+        gap_of: dict[str, int] = {}
+        for i, dn in enumerate(graph.down_maps):
+            for e in sorted(dn):
+                if e in gap_of:
+                    raise ValueError(f"duplicate edge id {e!r} at gaps {gap_of[e]} and {i}")
+                gap_of[e] = i
     return {v: [down[e] for e in es] for v, es in graph.below_edges.items()}
 
 
@@ -206,15 +218,16 @@ def _stamps(
     return scale, stamp, {ints[i]: x for i, x in values.items()}
 
 
-def _walk(
+def _rows(
     root: str,
     children: Mapping[str, Sequence[str]],
     leaves: Sequence[str],
     stamp: Mapping[str, int],
-) -> tuple[int, ...]:
-    """The integer upper triangle of the tree below ``root`` over ``leaves``,
-    its taxa in comparison order; ``stamp`` holds the integer stamp of every
-    taxon and branching vertex."""
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The row walk: (i, row) for every taxon of the tree below ``root``,
+    where ``i`` is its place in ``leaves`` (the comparison order) and
+    ``row`` its integer stamps against every taxon in that order; ``stamp``
+    holds the integer stamp of every taxon and branching vertex."""
     n = len(leaves)
     # Pre-order numbers the taxa; then each vertex covers [lo, hi) of them.
     lo: dict[str, int] = {}
@@ -238,7 +251,6 @@ def _walk(
     # (itemgetter of a single index returns the item, not a 1-tuple.)
     pick = itemgetter(*(lo[v] for v in leaves)) if n > 1 else tuple
     rank = {v: i for i, v in enumerate(leaves)}
-    out: list[int] = [0] * (n * (n + 1) // 2)
     todo: list[tuple[str, list[int]]] = [(root, [0] * n)]
     while todo:
         v, row = todo.pop()
@@ -246,9 +258,7 @@ def _walk(
         kids = children.get(v)
         if kids is None:
             row[lo[v]] = s
-            i = rank[v]
-            start = i * n - i * (i - 1) // 2
-            out[start:start + n - i] = pick(row)[i:]
+            yield rank[v], pick(row)
             continue
         a, b = lo[v], hi[v]
         *first, last = kids
@@ -260,6 +270,22 @@ def _walk(
         # The last child's range ends where v's does.
         row[a:lo[last]] = [s] * (lo[last] - a)
         todo.append((last, row))
+
+
+def _walk(
+    root: str,
+    children: Mapping[str, Sequence[str]],
+    leaves: Sequence[str],
+    stamp: Mapping[str, int],
+) -> tuple[int, ...]:
+    """The integer upper triangle of the tree below ``root`` over ``leaves``,
+    written row by row as the row walk yields them, so no n x n table is
+    ever held."""
+    n = len(leaves)
+    out: list[int] = [0] * (n * (n + 1) // 2)
+    for i, row in _rows(root, children, leaves, stamp):
+        start = i * n - i * (i - 1) // 2
+        out[start:start + n - i] = row[i:]
     return tuple(out)
 
 
@@ -460,12 +486,14 @@ class NetworkFactors:
     of each factor of ``decompose(view)``, but no factor graph is built: a
     factor differs from its network only in that each detached edge ends at
     its cut leaf ``cut:<edge>``.  Once per network come the checks
-    ``decompose`` makes, the children table, the sorted original taxa,
-    every candidate cut leaf sorted once, and the stamps, which every factor
-    shares (each merge leaves a cut leaf at its level in every factor, and
-    no cut changes an out-degree).  Once per choice come the factor's cut
-    leaves, filtered out of the sorted candidates, the children of the
-    detached edges' upper ends, and the row walk ``cophenetic_vector`` runs.
+    ``decompose`` makes (the cut-id check once per arriving edge), the
+    children table, the sorted taxa, the stamps, which every factor shares
+    (each merge leaves a cut leaf at its level in every factor, and no cut
+    changes an out-degree), and the row walk ``cophenetic_vector`` runs, for
+    the first choice only.  The other choices follow in reflected Gray-code
+    order, each one merge's kept edge moving to the next or previous edge;
+    each costs one subtree swap in the full table of stamps, and its vector
+    is placed at its ``enumerate_choices`` index.
     """
 
     view: DagView
@@ -490,7 +518,7 @@ def _factor_vectors(
     graph = view.graph
     _require_trivial_orders(graph)
     options = cut_options(view)
-    detached = [_detached(graph, options, c) for c in enumerate_choices(view)]
+    _check_cut_ids(graph, options)
     _check_time_mode(time_mode)
     root = _root(graph)
 
@@ -499,29 +527,133 @@ def _factor_vectors(
     level_of = {**graph.vertex_level, **{c: graph.vertex_level[m] for c, m in merge_of.items()}}
     sinks = [v for v in graph.vertex_ids() if v not in graph.below_edges]
     originals, cuts = _sorted_taxa([*sinks, *merge_of], ranks, level_of, merge_of)
-    # Cut leaf -> (upper end of its edge, the edge's place among that end's children).
-    slot = {}
-    for _, edges in options:
-        for e in edges:
-            v = graph.up_maps[graph.edge_gap[e]][e]
-            slot[RESERVED_VERTEX_PREFIX + e] = (v, graph.below_edges[v].index(e))
     children = _children(graph)
     stampers = [*originals, *cuts, *(v for v, kids in children.items() if len(kids) > 1)]
     scale, stamp, back = _stamps(graph.levels, level_of, stampers, time_mode)
+    # Arriving edge of a merge -> (its upper end, its place among that end's children).
+    hook = {}
+    for _, edges in options:
+        for e in edges:
+            v = graph.up_maps[graph.edge_gap[e]][e]
+            hook[e] = (v, graph.below_edges[v].index(e))
 
-    vectors = []
-    for pairs in detached:
-        cut = {RESERVED_VERTEX_PREFIX + e for _, e in pairs}
-        # A network sink may carry the prefix too; it is in every factor.
-        leaves = (*originals, *(c for c in cuts if c in cut or c not in merge_of))
-        kids = dict(children)
-        for c in cut:
-            v, i = slot[c]
-            if kids[v] is children[v]:
-                kids[v] = children[v].copy()
-            kids[v][i] = c
-        vectors.append(_vector(leaves, _walk(root, kids, leaves, stamp), scale, back, time_mode))
+    # The first choice keeps every merge's first edge; each other edge ends
+    # at its cut leaf.  A network sink may carry the prefix too; it is in
+    # every factor.
+    first = {RESERVED_VERTEX_PREFIX + e for _, edges in options for e in edges[1:]}
+    names = [*originals, *(c for c in cuts if c in first or c not in merge_of)]
+    for _, edges in options:
+        for e in edges[1:]:
+            v, i = hook[e]
+            children[v][i] = RESERVED_VERTEX_PREFIX + e
+    if not options:
+        scaled = _walk(root, children, names, stamp)
+        return (_vector(tuple(names), scaled, scale, back, time_mode),)
+
+    n = len(names)
+    rows: list[list[int]] = [[]] * n
+    for i, row in _rows(root, children, names, stamp):
+        rows[i] = list(row)
+    tails = [slice(i, None) for i in range(n)]
+    radices = [len(edges) for _, edges in options]
+    weights = [math.prod(radices[j + 1:]) for j in range(len(radices))]
+    vectors: list = [None] * math.prod(radices)
+    vectors[0] = _vector(tuple(names), _pack(rows, tails), scale, back, time_mode)
+    place = {v: i for i, v in enumerate(names)}
+    # A merge's cut leaves are consecutive taxa.  While it keeps edges[k],
+    # its t-th cut leaf is cut:edges[t] for t < k and cut:edges[t + 1]
+    # otherwise, so a move to a neighbouring edge renames one cut leaf in
+    # place: the one at min(k, new k).
+    base = [place[RESERVED_VERTEX_PREFIX + edges[1]] for _, edges in options]
+    index = 0
+    for j, k, new in _gray_code(radices):
+        m, edges = options[j]
+        kept, cut = edges[new], RESERVED_VERTEX_PREFIX + edges[k]
+        c = base[j] + min(k, new)
+        v, i = hook[edges[k]]
+        children[v][i] = cut
+        v, i = hook[kept]
+        children[v][i] = m
+        names[c] = cut
+        place[cut] = c
+        _swap(rows, _taxa_below(m, children, place), c)
+        index += (new - k) * weights[j]
+        vectors[index] = _vector(tuple(names), _pack(rows, tails), scale, back, time_mode)
     return tuple(vectors)
+
+
+def _gray_code(radices: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """The moves of the reflected mixed-radix Gray code over digits with
+    ``radices`` (each at least 2), from all zeros: (digit, old value, new
+    value), one digit moving by one each time, digit 0 fastest, until every
+    word has been reached once.  Knuth, TAOCP 7.2.1.1, Algorithm H."""
+    k = len(radices)
+    word = [0] * k
+    step = [1] * k
+    focus = list(range(k + 1))
+    while True:
+        j = focus[0]
+        focus[0] = 0
+        if j == k:
+            return
+        word[j] += step[j]
+        yield j, word[j] - step[j], word[j]
+        if word[j] == 0 or word[j] == radices[j] - 1:
+            step[j] = -step[j]
+            focus[j] = focus[j + 1]
+            focus[j + 1] = j + 1
+
+
+def _taxa_below(
+    v: str, children: Mapping[str, Sequence[str]], place: Mapping[str, int]
+) -> list[int]:
+    """The places of the taxa of the tree below ``v`` (``v`` itself if it is one)."""
+    out = []
+    stack = [v]
+    while stack:
+        v = stack.pop()
+        kids = children.get(v)
+        if kids is None:
+            out.append(place[v])
+        else:
+            stack.extend(kids)
+    return out
+
+
+def _swap(rows: list[list[int]], below: Sequence[int], c: int) -> None:
+    """Update the full stamp table ``rows`` of a tree in which the subtree
+    whose taxa sit at ``below`` and the taxon at ``c`` trade places.
+
+    Stamps among ``below`` and ``c`` stay.  Against every other taxon, each
+    taxon of ``below`` takes the stamps ``c`` had, and ``c`` those the
+    subtree had, which all its taxa share.
+    """
+    rc = rows[c]
+    rx = rows[below[0]]
+    inside = {*below, c}
+    for y, r in enumerate(rows):
+        if y not in inside:
+            b = r[c]
+            r[c] = r[below[0]]
+            for x in below:
+                r[x] = b
+    for x in below:
+        own = rows[x]
+        r = rc.copy()
+        for y in below:
+            r[y] = own[y]
+        r[c] = own[c]
+        rows[x] = r
+    r = rx.copy()
+    for x in below:
+        r[x] = rc[x]
+    r[c] = rc[c]
+    rows[c] = r
+
+
+def _pack(rows: list[list[int]], tails: list[slice]) -> tuple[int, ...]:
+    """The upper triangle of a full table; ``tails[i]`` is ``slice(i, None)``."""
+    return tuple(chain.from_iterable(map(getitem, rows, tails)))
 
 
 def network_factors(

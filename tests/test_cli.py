@@ -11,6 +11,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,24 @@ def write_graph(tmp_path, name, graph, **kw):
     path = tmp_path / name
     path.write_text(dump_text(graph, **kw))
     return str(path)
+
+
+def run_module(module, *args, timeout=60, **kw):
+    """``python -m module args`` in a child process that imports this
+    source tree."""
+    src = str(Path(reebtrees.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    return subprocess.run(
+        [sys.executable, "-m", module, *args],
+        capture_output=True, text=True, env=env, timeout=timeout, **kw,
+    )
+
+
+def cap_memory():
+    """Cap a child process's address space at 1 GiB."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 def three_leaf_tree():
@@ -285,14 +304,7 @@ class TestIso:
         graph = deep_ordered_path(600)
         a = write_graph(tmp_path, "a.json", graph)
         b = write_graph(tmp_path, "b.json", rename_graph(graph))
-        src = str(Path(reebtrees.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-        )}
-        done = subprocess.run(
-            [sys.executable, "-m", "reebtrees", "iso", a, b],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        done = run_module("reebtrees", "iso", a, b, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "isomorphic\n"
 
@@ -476,6 +488,23 @@ class TestDist:
         assert captured.out == ""
         assert captured.err == message + "\n"
 
+    @pytest.mark.parametrize("matrix", [False, True], ids=["pair", "matrix"])
+    def test_edge_id_in_two_gaps_is_an_input_error(self, tmp_path, net_a, matrix):
+        # Joined into one children table, the two edges would make a cycle
+        # that the row walk never leaves; the child process runs under a
+        # timeout and a memory cap, so that such a regression fails.
+        fixture = DATA / "duplicate_edge_id.json"
+        if matrix:
+            write_graph(tmp_path, "a.json", net_a)
+            (tmp_path / "b.json").write_text(fixture.read_text())
+            args = ["--matrix", str(tmp_path)]
+        else:
+            args = [str(fixture), str(fixture)]
+        done = run_module("reebtrees", "dist", *args, timeout=30, preexec_fn=cap_memory)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == "error: duplicate edge id 'e0' at gaps 0 and 1\n"
+
     def test_matrix_takes_every_suffix_pair_mode_reads(self, capsys, tmp_path):
         texts = {
             "a.nwk": "((A:1,B:1):1,C:2);",
@@ -575,14 +604,7 @@ class TestPlumbing:
     @pytest.mark.parametrize("module", ["reebtrees", "reebtrees.cli"])
     def test_python_dash_m(self, tmp_path, cycle_graph, module):
         path = write_graph(tmp_path, "g.json", cycle_graph)
-        src = str(Path(reebtrees.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-        )}
-        done = subprocess.run(
-            [sys.executable, "-m", module, "betti", path],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        done = run_module(module, "betti", path)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "euler: 1\nmerges: 1\nagree: yes\n"
 

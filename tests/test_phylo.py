@@ -37,7 +37,7 @@ from reebtrees import (
 from reebtrees.core import ReebGraph
 from reebtrees.dag import DagView, betti_euler
 from reebtrees.decomposition import Factor, cut_options
-from reebtrees.phylo import NetworkFactors, network_factors
+from reebtrees.phylo import NetworkFactors, _gray_code, network_factors
 
 from conftest import SAFE_SHAPES, chain_with_bigons, corpus
 
@@ -401,6 +401,29 @@ def clashing_network(edge: str):
     )
 
 
+def nested_bigon_network():
+    """Three merges of in-degree 2: the taxon z on level 0, m1 on level 1,
+    whose two edges b1 and b2 both come from M on level 2, and M itself."""
+    return make_graph(
+        [0, 1, 2, 3, 4],
+        [["a", "b", "c", "z"], ["m1", "y"], ["M", "x"], ["p", "q"], ["t"]],
+        [
+            [("c1", "a", "m1"), ("c2", "b", "m1"), ("c3", "c", "y"),
+             ("c4", "z", "m1"), ("c5", "z", "y")],
+            [("b1", "m1", "M"), ("b2", "m1", "M"), ("k1", "y", "x")],
+            [("h1", "M", "p"), ("h2", "M", "q"), ("h3", "x", "q")],
+            [("t1", "p", "t"), ("t2", "q", "t")],
+        ],
+    )
+
+
+def rankings(graph):
+    """Full, partial and no ranks for the taxa of ``graph``."""
+    taxa = sorted(v for v in graph.vertex_ids() if graph.outdeg(v) == 0)
+    full = {v: (7 * i) % 5 - 2 for i, v in enumerate(taxa)}
+    return full, dict(list(full.items())[::2]), None
+
+
 def renamed_vertices(graph, names):
     """``graph`` with the vertices in ``names`` renamed."""
     def f(v):
@@ -474,6 +497,41 @@ class TestNetworkVectorsMatchFactorRoute:
         assert_factor_route(g, None, time_mode)
         assert_factor_route(g, {"a0": 3}, time_mode)
 
+    @pytest.mark.parametrize("time_mode", ["f", "-f"])
+    def test_radix_three_digits_reflect(self, time_mode):
+        # Factors come in Gray-code order, one merge's kept edge moving at a
+        # time; merges of in-degree 3 make digits that run 0, 1, 2 and back.
+        networks = 0
+        for g in corpus([(6, 7, 6), (6, 8, 6), (7, 9, 6)], range(3), 3):
+            assert 3 in {g.indeg(v) for v in g.vertex_level}
+            for ranks in rankings(g):
+                assert_factor_route(g, ranks, time_mode)
+            networks += 1
+        assert networks == 9
+
+    @pytest.mark.parametrize("time_mode", ["f", "-f"])
+    def test_nested_bigon_and_reticulate_leaf(self, time_mode):
+        # The bigon's swap moves m1's subtree between two children of M,
+        # which itself moves; the swap at z moves a taxon, not a subtree.
+        g = nested_bigon_network()
+        assert cut_options(build_dag_view(g)) == (
+            ("z", ("c4", "c5")), ("m1", ("b1", "b2")), ("M", ("h1", "h2"))
+        )
+        for ranks in rankings(g):
+            assert_factor_route(g, ranks, time_mode)
+
+
+class TestGrayCode:
+    @pytest.mark.parametrize("radices", [[], [2], [3], [2, 3, 2], [3, 3, 2, 4]])
+    def test_every_word_once_one_digit_step_apart(self, radices):
+        word = [0] * len(radices)
+        seen = {tuple(word)}
+        for j, old, new in _gray_code(radices):
+            assert word[j] == old and abs(new - old) == 1 and 0 <= new < radices[j]
+            word[j] = new
+            seen.add(tuple(word))
+        assert len(seen) == math.prod(radices)
+
 
 class TestNetworkVectorsRaiseLikeDecompose:
     @pytest.mark.parametrize("where", [{"vertex_level": 0}, {"edge_gap": 0}])
@@ -542,6 +600,16 @@ class TestNetworkVectorsRaiseLikeDecompose:
                     networks += 1
         assert networks == 210
         assert min(seen.values()) >= 100, seen
+
+    def test_cut_ids_held_on_first_edges_only(self):
+        # The first choice keeps every first edge, so no clash shows there;
+        # the first choice that detaches a held id keeps M's second edge.
+        g = renamed_vertices(nested_bigon_network(), {"a": "cut:c4", "c": "cut:h1"})
+        with pytest.raises(ValueError) as want:
+            decompose(build_dag_view(g))
+        with pytest.raises(ValueError) as got:
+            network_factors(g).vectors
+        assert str(got.value) == str(want.value) == "cut vertex id 'cut:h1' already present"
 
     def test_bad_time_mode(self, net_a):
         with pytest.raises(ValueError, match="time_mode must be 'f' or '-f', not 'g'"):
