@@ -219,7 +219,46 @@ class ReebGraph:
 
     @cached_property
     def _skeleton(self) -> _Skeleton:
-        return _Skeleton.of(self)
+        # network_to_reeb leaves a recipe that reads the skeleton off the
+        # network it embeds; it returns None where that reading would differ.
+        recipe = self.__dict__.pop("_skeleton_recipe", None)
+        return (recipe and recipe(self)) or _Skeleton.of(self)
+
+    @cached_property
+    def _checked_skeleton(self) -> _Skeleton:
+        """``_skeleton``, after the checks that building it and walking down
+        it need.  A vertex id on two levels or an edge id in two gaps, which
+        the skeleton would join, raises ValueError in validate's wording; so
+        does an edge of gap i whose lower end is no vertex on a level up to
+        i, or whose upper end is no vertex on a level above i, since a long
+        edge could then lead back up, and a walk from the root miss the
+        vertices it leads to or never leave them.  An edge may skip levels.
+        Each check is one count, or one subset test per map against the
+        vertices of the levels so far; ids are sorted only to name a fault."""
+        vertices = set().union(*self.vertex_sets)
+        for what, where, sets, union in (
+            ("vertex", "levels", self.vertex_sets, vertices),
+            ("edge", "gaps", self.edge_sets, set().union(*self.edge_sets)),
+        ):
+            if sum(map(len, sets)) > len(union):
+                first: dict[str, int] = {}
+                for i, xs in enumerate(sets):
+                    for x in sorted(xs):
+                        if x in first:
+                            raise ValueError(
+                                f"duplicate {what} id {x!r} at {where} {first[x]} and {i}"
+                            )
+                        first[x] = i
+        below: set[str] = set()
+        for i, (vs, dn, up) in enumerate(zip(self.vertex_sets, self.down_maps, self.up_maps)):
+            below |= vs
+            if not below.issuperset(dn.values()):
+                e = min(e for e, v in dn.items() if v not in below)
+                raise ValueError(_dangling("down_map", dn, e, i))
+            if not (below.isdisjoint(up.values()) and vertices.issuperset(up.values())):
+                e = min(e for e, v in up.items() if v in below or v not in vertices)
+                raise ValueError(_dangling("up_map", up, e, i + 1))
+        return self._skeleton
 
 
 @dataclass(frozen=True)
@@ -296,6 +335,10 @@ class _Skeleton:
             up={v: tuple(sorted(ps, key=itemgetter(1))) for v, ps in up.items()},
             chains=chains,
         )
+
+
+def _dangling(name: str, mp: Mapping[str, str], e: str, level: int) -> str:
+    return f"dangling {name} target {mp[e]!r} for edge {e!r} (expected a vertex at level {level})"
 
 
 def _once(ends: Iterable[str]) -> set[str]:
@@ -410,12 +453,11 @@ def validate(graph: ReebGraph, *, allow_cut_ids: bool = False) -> list[str]:
                 report.append(f"duplicate edge id {e!r} at gaps {seen_e[e]} and {i}")
             else:
                 seen_e[e] = i
-    for shared in sorted(set(seen_v) & set(seen_e)):
+    for shared in sorted(seen_v.keys() & seen_e.keys()):
         report.append(f"id {shared!r} used as both vertex and edge")
     if not allow_cut_ids:
-        for x in sorted(set(seen_v) | set(seen_e)):
-            if x.startswith(RESERVED_VERTEX_PREFIX):
-                report.append(f"reserved id prefix {RESERVED_VERTEX_PREFIX!r} on {x!r}")
+        for x in sorted({x for x in chain(seen_v, seen_e) if x.startswith(RESERVED_VERTEX_PREFIX)}):
+            report.append(f"reserved id prefix {RESERVED_VERTEX_PREFIX!r} on {x!r}")
 
     for i in range(graph.gap_count):
         es = graph.edge_sets[i]
@@ -427,10 +469,7 @@ def validate(graph: ReebGraph, *, allow_cut_ids: bool = False) -> list[str]:
                 report.append(f"{name} domain mismatch at gap {i}")
             dangling = [e for e in es if e in mp and mp[e] not in targets]
             for e in sorted(dangling):
-                report.append(
-                    f"dangling {name} target {mp[e]!r} for edge {e!r} "
-                    f"(expected a vertex at level {lvl})"
-                )
+                report.append(_dangling(name, mp, e, lvl))
 
     def check_order(poset: LevelPoset, carrier: frozenset[str], what: str, i: int):
         if poset.elements != carrier:

@@ -81,11 +81,10 @@ class DagView:
 
     build_dag_view gives a view only to graphs whose two cycle-rank
     computations agree, which is equivalent to having exactly one source
-    vertex; decompose, classify and the distances rely on that.  reeb_iso
-    builds its views directly, with the Euler count, also for graphs with
-    several sources: cutting every merge down to one arriving edge leaves a
-    forest with one tree per source.  The vertex classes, merge vertices,
-    leaves and root are computed when first read.
+    vertex; decompose and classify rely on that.  network_factors makes the
+    same check on the graph's skeleton (_skeleton_betti) and builds its view
+    directly.  The vertex classes, merge vertices, leaves and root are
+    computed when first read.
     """
 
     graph: ReebGraph
@@ -127,3 +126,15 @@ def build_dag_view(graph: ReebGraph) -> DagView:
             f"({len(sources)} source vertices: {', '.join(sources)})"
         )
     return DagView(graph=graph, betti=b_euler)
+
+
+def _skeleton_betti(graph: ReebGraph) -> int:
+    """The cycle rank, read off the graph's skeleton, whose long edges and
+    critical vertices have the graph's Euler count and merges.  Where the
+    two counts disagree, build_dag_view decides, and raises
+    ReticulationConflict."""
+    sk = graph._skeleton
+    b_euler = sum(map(len, sk.down.values())) - len(sk.vertex_level) + 1
+    if b_euler != sum(len(ups) - 1 for ups in sk.up.values() if ups):
+        return build_dag_view(graph).betti
+    return b_euler

@@ -72,6 +72,14 @@ def cut_options(view: DagView) -> tuple[tuple[str, tuple[str, ...]], ...]:
     return tuple((c.vertex, view.graph.above_edges[c.vertex]) for c in view.reticulations)
 
 
+def _cut_options(graph: ReebGraph) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """cut_options read off the skeleton: per merge vertex, by (level, id),
+    the long edges arriving at it, named by their edges arriving there."""
+    sk = graph._skeleton
+    merges = sorted((sk.vertex_level[v], v) for v, ups in sk.up.items() if len(ups) > 1)
+    return tuple((v, tuple(e for _, e in sk.up[v])) for _, v in merges)
+
+
 def factor_count(view: DagView) -> int:
     return math.prod(len(edges) for _, edges in cut_options(view))
 

@@ -20,10 +20,12 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from functools import partial
+from operator import itemgetter
+from typing import Mapping, Sequence
 
-from .core import ReebGraph, _is_regular, format_level, make_graph
-from .dag import build_dag_view
+from .core import ReebGraph, _Skeleton, format_level, make_graph
+from .dag import _skeleton_betti
 from .errors import (
     HybridArityError,
     NewickSyntaxError,
@@ -256,7 +258,9 @@ def _resolve(top: _Occ, text: str) -> PhyloNetwork:
 def network_to_reeb(net: PhyloNetwork) -> ReebGraph:
     """Embed a network as a leveled graph with the level function set to the
     negated time, so the root is the unique vertex at the top level.  A branch
-    spanning several levels is subdivided by pass-through vertices."""
+    spanning several levels is subdivided by pass-through vertices.  The
+    graph's skeleton is read off the network when first asked for (see
+    _recorded_skeleton)."""
     # Nodes grouped by time, each time hashed once per node; the distinct
     # times are sorted as integers over their least common denominator.
     at: dict[Fraction, list[str]] = {}
@@ -274,6 +278,8 @@ def network_to_reeb(net: PhyloNetwork) -> ReebGraph:
     names = [format_level(x) for x in levels]
     gaps: list[list[tuple[str, str, str]]] = [[] for _ in range(len(levels) - 1)]
 
+    # (parent, child, the branch's edge ids, lowest first), one per branch.
+    branches: list[tuple[str, str, list[str]]] = []
     pair_seen: dict[tuple[str, str], int] = {}
     for parent, child in net.edges:
         n = pair_seen.get((parent, child), 0)
@@ -283,14 +289,56 @@ def network_to_reeb(net: PhyloNetwork) -> ReebGraph:
         hi = level_of[parent]
         if hi <= lo:
             raise ValueError(f"edge {parent!r} -> {child!r} does not go down in level")
+        chain = [base] if hi == lo + 1 else [f"{base}:{g}" for g in range(lo, hi)]
         prev = child
         for g in range(lo, hi - 1):
             upper = f"{base}@{names[g + 1]}"
             vertices[g + 1].append(upper)
-            gaps[g].append((f"{base}:{g}", prev, upper))
+            gaps[g].append((chain[g - lo], prev, upper))
             prev = upper
-        gaps[hi - 1].append((base if hi == lo + 1 else f"{base}:{hi - 1}", prev, parent))
-    return make_graph(levels, [sorted(vs) for vs in vertices], gaps)
+        gaps[hi - 1].append((chain[-1], prev, parent))
+        branches.append((parent, child, chain))
+    graph = make_graph(levels, [sorted(vs) for vs in vertices], gaps)
+    object.__setattr__(graph, "_skeleton_recipe", partial(_recorded_skeleton, level_of, branches))
+    return graph
+
+
+def _recorded_skeleton(
+    level_of: dict[str, int],
+    branches: Sequence[tuple[str, str, list[str]]],
+    graph: ReebGraph,
+) -> _Skeleton | None:
+    """The skeleton of ``graph``, network_to_reeb's embedding of a network
+    whose nodes sit at ``level_of`` and whose branches are ``branches``,
+    read off the network: the nodes are the critical vertices, every level
+    holds one, and each branch is one long edge, named by its lowest edge.
+    None, so that the graph finds its skeleton itself, when that reading
+    would be wrong: a node with one parent and one child is regular, and a
+    generated id that another id repeats joins what should stay apart."""
+    second = itemgetter(1)
+    down: dict[str, list[tuple[str, str]]] = {v: [] for v in level_of}
+    up: dict[str, list[tuple[str, str]]] = {v: [] for v in level_of}
+    for parent, child, chain in branches:
+        down[parent].append((child, chain[0]))
+        up[child].append((parent, chain[0]))
+    if any(len(a) == 1 == len(b) for a, b in zip(up.values(), down.values())):
+        return None
+    passing = sum(len(chain) - 1 for _, _, chain in branches)
+    if (
+        len(set().union(*graph.vertex_sets)) != len(level_of) + passing
+        or len(set().union(*graph.edge_sets)) != len(branches) + passing
+    ):
+        return None
+    return _Skeleton(
+        levels=graph.levels,
+        graph_level=tuple(range(graph.level_count)),
+        vertex_level=level_of,
+        down={v: tuple(sorted(ps, key=second)) if len(ps) > 1 else tuple(ps)
+              for v, ps in down.items()},
+        up={v: tuple(sorted(ps, key=second)) if len(ps) > 1 else tuple(ps)
+            for v, ps in up.items()},
+        chains={chain[0]: chain for _, _, chain in branches},
+    )
 
 
 def enewick_to_reeb(text: str) -> ReebGraph:
@@ -298,23 +346,23 @@ def enewick_to_reeb(text: str) -> ReebGraph:
 
 
 def reeb_to_network(graph: ReebGraph) -> PhyloNetwork:
-    """Contract away pass-through vertices and report times counted down from
-    the single source vertex.  Multi-source graphs are rejected by the
-    classification step."""
-    view = build_dag_view(graph)
-    root = view.root
-    f_root = graph.levels[graph.vertex_level[root]]
-
-    nodes = [v for v in graph.vertex_ids() if not _is_regular(graph, v)]
-    level_time = [f_root - x for x in graph.levels]
-    times = {v: level_time[graph.vertex_level[v]] for v in nodes}
+    """The graph's skeleton as a network: its long edges, with times counted
+    down from the single source vertex.  Ids used twice and edge ends off
+    their levels raise ValueError, and multi-source graphs are rejected by
+    the classification step.  A regular vertex is critical only for a
+    level-order relation, and is contracted too."""
+    sk = graph._checked_skeleton
+    _skeleton_betti(graph)
+    root = next(v for v, above in sk.up.items() if not above)
+    f_root = sk.levels[sk.vertex_level[root]]
+    level_time = [f_root - x for x in sk.levels]
+    regular = {v for v, above in sk.up.items() if len(above) == 1 and len(sk.down[v]) == 1}
+    times = {v: level_time[i] for v, i in sk.vertex_level.items() if v not in regular}
     edges: list[tuple[str, str]] = []
-    for c in nodes:
-        for e in graph.above_edges.get(c, ()):
-            w = graph.up_maps[graph.edge_gap[e]][e]
-            while _is_regular(graph, w):
-                e2 = graph.above_edges[w][0]
-                w = graph.up_maps[graph.edge_gap[e2]][e2]
+    for c in times:
+        for w, _ in sk.up[c]:
+            while w in regular:
+                w = sk.up[w][0][0]
             edges.append((w, c))
     return PhyloNetwork(root=root, times=times, edges=tuple(sorted(edges)))
 

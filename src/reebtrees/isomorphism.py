@@ -43,7 +43,7 @@ from .core import (
     refine_to_levels,
 )
 from .dag import DagView
-from .decomposition import CutChoice, _choices, _detached, decompose
+from .decomposition import CutChoice, _choices, _cut_options, _detached, decompose
 from .errors import LabelMismatch, MissingLabels, NotATree, SizeLimitExceeded
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
@@ -630,14 +630,6 @@ def _stable_colours(
                 classes[i], split[i] = n, clock
         if max(split) <= start:
             return cols[0], cols[1]
-
-
-def _cut_options(graph: ReebGraph) -> tuple[tuple[str, tuple[str, ...]], ...]:
-    """cut_options read off the skeleton: per merge vertex, by (level, id),
-    the long edges arriving at it, named by their edges arriving there."""
-    sk = graph._skeleton
-    merges = sorted((sk.vertex_level[v], v) for v, ups in sk.up.items() if len(ups) > 1)
-    return tuple((v, tuple(e for _, e in sk.up[v])) for _, v in merges)
 
 
 def _factor_match(

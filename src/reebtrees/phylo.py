@@ -8,7 +8,11 @@ Distances between vectors stay exact for the 1- and sup-norms; other p-norms
 return a certified decimal approximation.  Whole networks are compared by the
 Hausdorff distance between the vector sets of their tree factors.
 
-A vector is built top-down in O(taxa^2) slice work and O(vertices)
+Vectors are read off a graph's critical skeleton (core._Skeleton): its
+sources, sinks, merge and branching vertices, joined by long edges through
+the pass-through vertices, which stamp nothing.  A graph that
+network_to_reeb embeds gets that skeleton from the network itself.  A
+vector is built top-down in O(taxa^2) slice work and O(critical vertices)
 interpreted steps, which matches its size: each child gets a copy of its
 parent's row of stamps against every taxon, filled in where the parent is
 the lowest common ancestor.  Stamps are computed once per level, also in
@@ -16,16 +20,17 @@ integer form (times the LCM of their denominators), so every vector carries
 an exact integer copy of its entries.
 
 A network's factor vectors need no factor graph: a factor differs from its
-network only in that each detached edge ends at its own cut leaf, and every
-factor has the same stamp levels.  The walk runs once, for the first cut
-choice, over tables built once per network, and keeps full rows.  The other
-choices follow in reflected mixed-radix Gray-code order (Knuth, TAOCP
-7.2.1.1), so each moves one merge's kept edge e to its neighbour e' in the
-merge's sorted edge list.  Then the merge's subtree S moves under the upper
-end of e', and the cut leaf c under that of e; c keeps its place in the
-taxon order.  Stamps within S and between S and c stay, and against every
-other taxon S takes c's old stamps and c the old stamps of S.  So a factor
-after the first costs O(|S| * taxa) list updates and one packing.
+network only in that each detached long edge ends at its own cut leaf, and
+every factor has the same stamp levels.  The walk runs once, for the first
+cut choice, over tables read off the skeleton once per network, and keeps
+full rows.  The other choices follow in reflected mixed-radix Gray-code
+order (Knuth, TAOCP 7.2.1.1), so each moves one merge's kept edge e to its
+neighbour e' in the merge's sorted edge list.  Then the merge's subtree S
+moves under the upper end of e', and the cut leaf c under that of e; c
+keeps its place in the taxon order.  Stamps within S and between S and c
+stay, and against every other taxon S takes c's old stamps and c the old
+stamps of S.  So a factor after the first costs O(|S| * taxa) list updates
+and one packing.
 
 The Hausdorff kernel works on those integers: both sets are brought to the
 least common multiple of their vectors' scales and stripped of duplicate
@@ -46,14 +51,9 @@ from itertools import chain, repeat
 from operator import getitem, itemgetter, mul, sub
 from typing import Iterator, Mapping, Sequence
 
-from .core import RESERVED_VERTEX_PREFIX, ReebGraph
-from .dag import DagView, build_dag_view
-from .decomposition import (
-    Factor,
-    _check_cut_ids,
-    _require_trivial_orders,
-    cut_options,
-)
+from .core import RESERVED_VERTEX_PREFIX, ReebGraph, _Skeleton
+from .dag import DagView, _skeleton_betti
+from .decomposition import Factor, _check_cut_ids, _cut_options, _require_trivial_orders
 from .errors import (
     DimensionMismatch,
     EmptySet,
@@ -79,14 +79,14 @@ def leaf_order(
     agree on positions.
     """
     graph = _graph_of(source)
-    sinks = [v for v in graph.vertex_ids() if v not in graph.below_edges]
+    sk = graph._checked_skeleton
+    sinks = [v for v, below in sk.down.items() if not below]
     # Each cut leaf's merge vertex: the one its level's order puts above it.
+    cut_levels = {sk.vertex_level[v] for v in sinks if v.startswith(RESERVED_VERTEX_PREFIX)}
     merge_of = {
-        b: a
-        for level in {graph.vertex_level[v] for v in sinks if v.startswith(RESERVED_VERTEX_PREFIX)}
-        for a, b in graph.vertex_orders[level].covers
+        b: a for i in cut_levels for a, b in graph.vertex_orders[sk.graph_level[i]].covers
     }
-    originals, cuts = _sorted_taxa(sinks, ranks, graph.vertex_level, merge_of)
+    originals, cuts = _sorted_taxa(sinks, ranks, sk.vertex_level, merge_of)
     return (*originals, *cuts)
 
 
@@ -97,12 +97,13 @@ def _sorted_taxa(
     merge_of: Mapping[str, str],
 ) -> tuple[list[str], list[str]]:
     """The originals and the cut leaves among ``sinks``, each sorted in
-    leaf_order's order; ``merge_of`` sends a cut leaf to its merge vertex."""
+    leaf_order's order, whatever the order of ``sinks``; ``merge_of`` sends a
+    cut leaf to its merge vertex.  Taxa of one rank keep (level, id) order."""
     ranks = ranks or {}
 
     def original_key(v: str):
         if v in ranks:
-            return (0, ranks[v], "")
+            return (0, ranks[v], level_of[v], v)
         return (1, level_of[v], v)
 
     def cut_key(v: str):
@@ -153,27 +154,32 @@ def cophenetic_vector(
     level value itself, "-f" with its negation (useful when levels encode a
     countdown to the present, so that stamps read as ages again).
 
-    One depth-first pass numbers the taxa so that every vertex covers a
-    contiguous range of them.  A top-down pass then hands each child a copy
-    of its parent's row, with the parent's range outside the child's filled
-    by the parent's stamp; at a taxon the row holds its stamp against every
-    taxon, and is reordered into ``leaf_order`` by one ``itemgetter``.  That
-    is O(taxa^2) work inside slice copies and O(vertices) interpreted steps.
+    Both passes run on the graph's skeleton, its critical vertices joined
+    by long edges.  One depth-first pass numbers the taxa so that every
+    vertex covers a contiguous range of them.  A top-down pass then hands
+    each child a copy of its parent's row, with the parent's range outside
+    the child's filled by the parent's stamp; at a taxon the row holds its
+    stamp against every taxon, and is reordered into ``leaf_order`` by one
+    ``itemgetter``.  That is O(taxa^2) work inside slice copies and
+    O(critical vertices) interpreted steps.
     Stamps are taken once per level, in Fraction and in integer form (times
     the LCM of the denominators of the levels that occur as stamps), so the
     vector's integer form for the Hausdorff kernel comes out of the same pass.
     """
     _check_time_mode(time_mode)
     graph = _graph_of(source)
-    for v, es in graph.above_edges.items():
-        if len(es) > 1:
-            raise NotATree(f"vertex {v!r} has {len(es)} edges arriving from above")
-    root = _root(graph)
+    sk = graph._checked_skeleton
+    merges = {v for v, above in sk.up.items() if len(above) > 1}
+    if merges:
+        # The first merge the down maps reach, gap by gap.
+        v = next(d for dn in graph.down_maps for d in dn.values() if d in merges)
+        raise NotATree(f"vertex {v!r} has {len(sk.up[v])} edges arriving from above")
+    root = _root(sk)
     leaves = leaf_order(source, ranks=ranks)
-    children = _children(graph)
+    children = _children(sk)
     # Only taxa and branching vertices stamp a pair.
     stampers = [*leaves, *(v for v, kids in children.items() if len(kids) > 1)]
-    scale, stamp, back = _stamps(graph.levels, graph.vertex_level, stampers, time_mode)
+    scale, stamp, back = _stamps(sk.levels, sk.vertex_level, stampers, time_mode)
     return _vector(leaves, _walk(root, children, leaves, stamp), scale, back, time_mode)
 
 
@@ -182,26 +188,17 @@ def _check_time_mode(time_mode: str) -> None:
         raise ValueError(f"time_mode must be 'f' or '-f', not {time_mode!r}")
 
 
-def _root(graph: ReebGraph) -> str:
-    sources = [v for v in graph.vertex_level if v not in graph.above_edges]
+def _root(sk: _Skeleton) -> str:
+    sources = [v for v, above in sk.up.items() if not above]
     if len(sources) != 1:
         raise NotRooted(f"{len(sources)} source vertices, expected exactly 1")
     return sources[0]
 
 
-def _children(graph: ReebGraph) -> dict[str, list[str]]:
-    """Vertex -> the lower ends of its edges into the gap below, in edge
-    order; taxa have no entry.  An edge id used in two gaps raises
-    ValueError, since the table would join them, possibly into a cycle."""
-    down = {e: v for dn in graph.down_maps for e, v in dn.items()}
-    if len(down) < sum(map(len, graph.down_maps)):
-        gap_of: dict[str, int] = {}
-        for i, dn in enumerate(graph.down_maps):
-            for e in sorted(dn):
-                if e in gap_of:
-                    raise ValueError(f"duplicate edge id {e!r} at gaps {gap_of[e]} and {i}")
-                gap_of[e] = i
-    return {v: [down[e] for e in es] for v, es in graph.below_edges.items()}
+def _children(sk: _Skeleton) -> dict[str, list[str]]:
+    """Critical vertex -> the lower ends of its long edges, in long-edge
+    order; taxa have no entry."""
+    return {v: [w for w, _ in below] for v, below in sk.down.items() if below}
 
 
 def _stamps(
@@ -487,13 +484,14 @@ class NetworkFactors:
     factor differs from its network only in that each detached edge ends at
     its cut leaf ``cut:<edge>``.  Once per network come the checks
     ``decompose`` makes (the cut-id check once per arriving edge), the
-    children table, the sorted taxa, the stamps, which every factor shares
-    (each merge leaves a cut leaf at its level in every factor, and no cut
-    changes an out-degree), and the row walk ``cophenetic_vector`` runs, for
-    the first choice only.  The other choices follow in reflected Gray-code
-    order, each one merge's kept edge moving to the next or previous edge;
-    each costs one subtree swap in the full table of stamps, and its vector
-    is placed at its ``enumerate_choices`` index.
+    skeleton's children table, the sorted taxa, the stamps, which every
+    factor shares (each merge leaves a cut leaf at its level in every
+    factor, and no cut changes an out-degree), and the row walk
+    ``cophenetic_vector`` runs, for the first choice only.  The other
+    choices follow in reflected Gray-code order, each one merge's kept edge
+    moving to the next or previous edge; each costs one subtree swap in the
+    full table of stamps, and its vector is placed at its
+    ``enumerate_choices`` index.
     """
 
     view: DagView
@@ -517,25 +515,26 @@ def _factor_vectors(
     order, raising what that would raise first."""
     graph = view.graph
     _require_trivial_orders(graph)
-    options = cut_options(view)
+    sk = graph._checked_skeleton
+    options = _cut_options(graph)
     _check_cut_ids(graph, options)
     _check_time_mode(time_mode)
-    root = _root(graph)
+    root = _root(sk)
 
     # Every cut leaf any factor has: one per arriving edge of every merge.
     merge_of = {RESERVED_VERTEX_PREFIX + e: m for m, edges in options for e in edges}
-    level_of = {**graph.vertex_level, **{c: graph.vertex_level[m] for c, m in merge_of.items()}}
-    sinks = [v for v in graph.vertex_ids() if v not in graph.below_edges]
+    level_of = {**sk.vertex_level, **{c: sk.vertex_level[m] for c, m in merge_of.items()}}
+    sinks = [v for v, below in sk.down.items() if not below]
     originals, cuts = _sorted_taxa([*sinks, *merge_of], ranks, level_of, merge_of)
-    children = _children(graph)
+    children = _children(sk)
     stampers = [*originals, *cuts, *(v for v, kids in children.items() if len(kids) > 1)]
-    scale, stamp, back = _stamps(graph.levels, level_of, stampers, time_mode)
-    # Arriving edge of a merge -> (its upper end, its place among that end's children).
+    scale, stamp, back = _stamps(sk.levels, level_of, stampers, time_mode)
+    # Arriving long edge of a merge -> (its upper end, its place among that
+    # end's children).
     hook = {}
-    for _, edges in options:
-        for e in edges:
-            v = graph.up_maps[graph.edge_gap[e]][e]
-            hook[e] = (v, graph.below_edges[v].index(e))
+    for m, _ in options:
+        for v, e in sk.up[m]:
+            hook[e] = (v, [f for _, f in sk.down[v]].index(e))
 
     # The first choice keeps every merge's first edge; each other edge ends
     # at its cut leaf.  A network sink may carry the prefix too; it is in
@@ -662,11 +661,13 @@ def network_factors(
     ranks: Mapping[str, int] | None = None,
     time_mode: str = "f",
 ) -> NetworkFactors:
-    """Classify ``graph`` (a multi-source graph raises ReticulationConflict
-    here) and count its taxa; its factor vectors follow on first use."""
-    view = build_dag_view(graph)
-    taxa = sum(1 for v in graph.vertex_level if v not in graph.below_edges)
-    return NetworkFactors(view, taxa, ranks, time_mode)
+    """Count the taxa and the cycle rank of ``graph`` on its checked
+    skeleton (ids used twice and edge ends off their levels raise
+    ValueError, a multi-source graph ReticulationConflict); its factor
+    vectors follow on first use."""
+    sk = graph._checked_skeleton
+    taxa = sum(1 for below in sk.down.values() if not below)
+    return NetworkFactors(DagView(graph, _skeleton_betti(graph)), taxa, ranks, time_mode)
 
 
 def network_distance(

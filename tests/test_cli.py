@@ -491,19 +491,30 @@ class TestDist:
     @pytest.mark.parametrize("matrix", [False, True], ids=["pair", "matrix"])
     def test_edge_id_in_two_gaps_is_an_input_error(self, tmp_path, net_a, matrix):
         # Joined into one children table, the two edges would make a cycle
-        # that the row walk never leaves; the child process runs under a
-        # timeout and a memory cap, so that such a regression fails.
-        fixture = DATA / "duplicate_edge_id.json"
-        if matrix:
-            write_graph(tmp_path, "a.json", net_a)
-            (tmp_path / "b.json").write_text(fixture.read_text())
-            args = ["--matrix", str(tmp_path)]
-        else:
-            args = [str(fixture), str(fixture)]
-        done = run_module("reebtrees", "dist", *args, timeout=30, preexec_fn=cap_memory)
-        assert done.returncode == 2
-        assert done.stdout == ""
-        assert done.stderr == "error: duplicate edge id 'e0' at gaps 0 and 1\n"
+        # that the row walk never leaves; so would an edge whose upper end
+        # sits on its own lower level, once a factor keeps it.  The child
+        # process runs under a timeout and a memory cap, so that such a
+        # regression fails.
+        for name, message in (
+            ("duplicate_edge_id.json", "duplicate edge id 'e0' at gaps 0 and 1"),
+            (
+                "self_targeted_edge.json",
+                "dangling up_map target 'v5' for edge 'e9' (expected a vertex at level 2)",
+            ),
+        ):
+            fixture = DATA / name
+            if matrix:
+                folder = tmp_path / fixture.stem
+                folder.mkdir()
+                write_graph(folder, "a.json", net_a)
+                (folder / "b.json").write_text(fixture.read_text())
+                args = ["--matrix", str(folder)]
+            else:
+                args = [str(fixture), str(fixture)]
+            done = run_module("reebtrees", "dist", *args, timeout=30, preexec_fn=cap_memory)
+            assert done.returncode == 2
+            assert done.stdout == ""
+            assert done.stderr == f"error: {message}\n"
 
     def test_matrix_takes_every_suffix_pair_mode_reads(self, capsys, tmp_path):
         texts = {

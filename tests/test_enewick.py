@@ -31,8 +31,10 @@ from reebtrees import (
     reeb_to_network,
     write_enewick,
 )
+from reebtrees.core import LevelPoset, _Skeleton
 from reebtrees.enewick import NAME_CHARS
 
+from conftest import dated_caterpillar
 from test_acceptance import deep_caterpillar, long_comb
 
 F = Fraction
@@ -302,6 +304,111 @@ class TestContraction:
     def test_multiple_sources_rejected(self, twin_peaks):
         with pytest.raises(ReticulationConflict):
             reeb_to_network(twin_peaks)
+
+
+def reference_reeb_to_network(graph):
+    """reeb_to_network as it walked the whole graph, before it read the
+    skeleton: every chain of regular vertices followed edge by edge."""
+    root = next(v for v in graph.vertex_ids() if graph.indeg(v) == 0)
+    build_dag_view(graph)
+    f_root = graph.levels[graph.vertex_level[root]]
+
+    def regular(v):
+        return graph.indeg(v) == 1 and graph.outdeg(v) == 1
+
+    nodes = [v for v in graph.vertex_ids() if not regular(v)]
+    level_time = [f_root - x for x in graph.levels]
+    times = {v: level_time[graph.vertex_level[v]] for v in nodes}
+    edges = []
+    for c in nodes:
+        for e in graph.above_edges.get(c, ()):
+            w = graph.up_maps[graph.edge_gap[e]][e]
+            while regular(w):
+                e2 = graph.above_edges[w][0]
+                w = graph.up_maps[graph.edge_gap[e2]][e2]
+            edges.append((w, c))
+    return PhyloNetwork(root=root, times=times, edges=tuple(sorted(edges)))
+
+
+def embedded_networks():
+    """Graphs from the eNewick corpus, from the seeded dated networks (with
+    hybrids, parallel branches and nodes of one parent and one child) and
+    two dated caterpillars."""
+    texts = [p.read_text() for p in sorted(CORPUS.glob("*.enwk"))]
+    nets = [parse_enewick(t) for t in texts]
+    nets += [o for o in map(lambda t: outcome(parse_enewick, t), dated_texts(7, 600))
+             if isinstance(o, PhyloNetwork)]
+    return [network_to_reeb(n) for n in nets] + [dated_caterpillar(40), dated_caterpillar(400)]
+
+
+class TestRecordedSkeleton:
+    def test_equals_the_graphs_own(self):
+        kinds = Counter()
+        for g in embedded_networks():
+            recorded = g.__dict__["_skeleton_recipe"](g)
+            kinds["recorded" if recorded else "fallback"] += 1
+            if recorded:
+                kinds["parallel"] += any("~" in e for e in recorded.chains)
+                kinds["hybrid"] += any(len(above) > 1 for above in recorded.up.values())
+            assert g._skeleton == _Skeleton.of(g)
+            assert recorded in (None, g._skeleton)
+        # Nodes of one parent and one child send the graph to its own pass.
+        assert kinds["recorded"] >= 200 and kinds["fallback"] >= 100, kinds
+        assert kinds["parallel"] >= 100 and kinds["hybrid"] >= 100, kinds
+
+    def test_clashing_ids_fall_back(self):
+        # A node named like a pass-through vertex shares its id, on its
+        # level or on another, and a node whose name holds '<' repeats
+        # another branch's edge id.
+        for net in (
+            PhyloNetwork(
+                root="r",
+                times={"r": F(0), "c": F(2), "c<r@-1": F(1)},
+                edges=(("r", "c"), ("r", "c<r@-1")),
+            ),
+            PhyloNetwork(
+                root="r",
+                times={"r": F(0), "x": F(1), "c": F(2), "c<r@-1": F(2)},
+                edges=(("r", "c"), ("r", "x"), ("x", "c<r@-1")),
+            ),
+            PhyloNetwork(
+                root="r",
+                times={"r": F(0), "b": F(1), "c": F(1), "a": F(2), "a<b": F(2)},
+                edges=(("r", "b"), ("r", "c"), ("b", "a"), ("c", "a<b"), ("c", "a")),
+            ),
+        ):
+            g = network_to_reeb(net)
+            assert g.__dict__["_skeleton_recipe"](g) is None
+            assert g._skeleton == _Skeleton.of(g)
+
+    def test_graphs_compare_without_it(self):
+        text = "((A:2,(C:1)#H1:1)x:1,(#H1:1,B:2)y:1)r;"
+        a, b = enewick_to_reeb(text), enewick_to_reeb(text)
+        a._skeleton
+        assert a == b and "_skeleton_recipe" in b.__dict__
+        assert "_skeleton_recipe" not in dataclasses.replace(b).__dict__
+
+
+class TestExportMatchesReference:
+    def test_embedded_networks(self):
+        for g in embedded_networks():
+            got = reeb_to_network(g)
+            want = reference_reeb_to_network(g)
+            assert got == want
+            assert write_enewick(got) == write_enewick(want)
+
+    def test_orders_contract_their_regular_vertices(self):
+        # A vertex cover between two pass-through vertices keeps them
+        # critical in the skeleton; export contracts them all the same.
+        g = dated_caterpillar(6)
+        level = next(i for i, vs in enumerate(g.vertex_sets) if sum("@" in v for v in vs) > 1)
+        lo, hi = sorted(v for v in g.vertex_sets[level] if "@" in v)[:2]
+        orders = list(g.vertex_orders)
+        orders[level] = LevelPoset(g.vertex_sets[level], frozenset({(lo, hi)}))
+        ordered = dataclasses.replace(g, vertex_orders=tuple(orders))
+        assert {lo, hi} <= set(ordered._skeleton.vertex_level)
+        assert reeb_to_network(ordered) == reference_reeb_to_network(ordered)
+        assert write_enewick(reeb_to_network(ordered)) == write_enewick(reeb_to_network(g))
 
 
 # The reader as it was before it read by offsets, kept verbatim (apart from

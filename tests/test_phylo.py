@@ -6,6 +6,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
@@ -22,24 +23,47 @@ from reebtrees import (
     NotATree,
     NotRooted,
     OrderConflict,
+    ReebError,
     build_dag_view,
     cophenetic_vector,
     decompose,
     enewick_to_reeb,
     hausdorff_distance,
     leaf_order,
+    load_text,
     lp_distance,
     make_graph,
     network_distance,
     nth_root_fraction,
     random_graph,
+    validate,
 )
-from reebtrees.core import ReebGraph
+from reebtrees.core import RESERVED_VERTEX_PREFIX, ReebGraph
 from reebtrees.dag import DagView, betti_euler
-from reebtrees.decomposition import Factor, cut_options
-from reebtrees.phylo import NetworkFactors, _gray_code, network_factors
+from reebtrees.decomposition import (
+    Factor,
+    _check_cut_ids,
+    _require_trivial_orders,
+    cut_options,
+)
+from reebtrees.phylo import (
+    NetworkFactors,
+    _check_time_mode,
+    _gray_code,
+    _pack,
+    _rows,
+    _stamps,
+    _swap,
+    _taxa_below,
+    _vector,
+    _walk,
+    network_factors,
+)
 
-from conftest import SAFE_SHAPES, chain_with_bigons, corpus
+from conftest import SAFE_SHAPES, chain_with_bigons, corpus, dated_caterpillar
+from test_enewick import CORPUS, dated_texts
+
+DATA = Path(__file__).parent / "data"
 
 F = Fraction
 
@@ -343,6 +367,22 @@ class TestTopDownMatchesReference:
                 [v.entries for v in a], [v.entries for v in b], p
             )
 
+    def test_factor_skeleton_keeps_merge_vertices(self, net_a, ranks_a):
+        # r keeps one of its two arriving edges and has one child, so it is
+        # regular in each factor; the (r, cut leaf) cover keeps it critical.
+        for factor in decompose(build_dag_view(net_a)).factors:
+            g = factor.graph
+            assert g.indeg("r") == g.outdeg("r") == 1
+            assert "r" in g._skeleton.vertex_level
+            got = cophenetic_vector(factor, ranks=ranks_a)
+            assert got == reference_cophenetic_vector(factor, ranks=ranks_a)
+        # The generator factors, compared above, hold many such merges.
+        regular = sum(
+            f.graph.indeg(m) == f.graph.outdeg(m) == 1
+            for f, _ in seeded_factors() for m, _ in f.choice.kept
+        )
+        assert regular >= 100, regular
+
     def test_equality_hash_and_repr_ignore_integer_form(self):
         graph, ranks = seeded_trees()[5]
         one = cophenetic_vector(graph, ranks=ranks)
@@ -519,6 +559,189 @@ class TestNetworkVectorsMatchFactorRoute:
         )
         for ranks in rankings(g):
             assert_factor_route(g, ranks, time_mode)
+
+
+def reference_sorted_taxa(sinks, ranks, level_of, merge_of):
+    """The taxon sort as it was before it broke rank ties itself: ties keep
+    the order of ``sinks``, which came in (level, id) order."""
+    ranks = ranks or {}
+
+    def original_key(v: str):
+        if v in ranks:
+            return (0, ranks[v], "")
+        return (1, level_of[v], v)
+
+    def cut_key(v: str):
+        edge = v[len(RESERVED_VERTEX_PREFIX):]
+        retic = merge_of.get(v)
+        if retic is None:
+            return (level_of[v], "", edge)
+        return (level_of[retic], retic, edge)
+
+    originals = [v for v in sinks if not v.startswith(RESERVED_VERTEX_PREFIX)]
+    cuts = [v for v in sinks if v.startswith(RESERVED_VERTEX_PREFIX)]
+    return sorted(originals, key=original_key), sorted(cuts, key=cut_key)
+
+
+def reference_factor_vectors(view, ranks, time_mode):
+    """The factor vectors as they were read off the whole graph, before they
+    read its skeleton: a children table over every edge, the sinks among
+    every vertex id, and each detached edge hooked at its own upper end,
+    pass-through vertices included.  The walk, the swaps and the Gray code
+    are the library's own."""
+    graph = view.graph
+    _require_trivial_orders(graph)
+    options = cut_options(view)
+    _check_cut_ids(graph, options)
+    _check_time_mode(time_mode)
+    sources = [v for v in graph.vertex_level if v not in graph.above_edges]
+    if len(sources) != 1:
+        raise NotRooted(f"{len(sources)} source vertices, expected exactly 1")
+    root = sources[0]
+
+    merge_of = {RESERVED_VERTEX_PREFIX + e: m for m, edges in options for e in edges}
+    level_of = {**graph.vertex_level, **{c: graph.vertex_level[m] for c, m in merge_of.items()}}
+    sinks = [v for v in graph.vertex_ids() if v not in graph.below_edges]
+    originals, cuts = reference_sorted_taxa([*sinks, *merge_of], ranks, level_of, merge_of)
+    down = {e: v for dn in graph.down_maps for e, v in dn.items()}
+    children = {v: [down[e] for e in es] for v, es in graph.below_edges.items()}
+    stampers = [*originals, *cuts, *(v for v, kids in children.items() if len(kids) > 1)]
+    scale, stamp, back = _stamps(graph.levels, level_of, stampers, time_mode)
+    hook = {}
+    for _, edges in options:
+        for e in edges:
+            v = graph.up_maps[graph.edge_gap[e]][e]
+            hook[e] = (v, graph.below_edges[v].index(e))
+
+    first = {RESERVED_VERTEX_PREFIX + e for _, edges in options for e in edges[1:]}
+    names = [*originals, *(c for c in cuts if c in first or c not in merge_of)]
+    for _, edges in options:
+        for e in edges[1:]:
+            v, i = hook[e]
+            children[v][i] = RESERVED_VERTEX_PREFIX + e
+    if not options:
+        scaled = _walk(root, children, names, stamp)
+        return (_vector(tuple(names), scaled, scale, back, time_mode),)
+
+    n = len(names)
+    rows: list[list[int]] = [[]] * n
+    for i, row in _rows(root, children, names, stamp):
+        rows[i] = list(row)
+    tails = [slice(i, None) for i in range(n)]
+    radices = [len(edges) for _, edges in options]
+    weights = [math.prod(radices[j + 1:]) for j in range(len(radices))]
+    vectors: list = [None] * math.prod(radices)
+    vectors[0] = _vector(tuple(names), _pack(rows, tails), scale, back, time_mode)
+    place = {v: i for i, v in enumerate(names)}
+    base = [place[RESERVED_VERTEX_PREFIX + edges[1]] for _, edges in options]
+    index = 0
+    for j, k, new in _gray_code(radices):
+        m, edges = options[j]
+        kept, cut = edges[new], RESERVED_VERTEX_PREFIX + edges[k]
+        c = base[j] + min(k, new)
+        v, i = hook[edges[k]]
+        children[v][i] = cut
+        v, i = hook[kept]
+        children[v][i] = m
+        names[c] = cut
+        place[cut] = c
+        _swap(rows, _taxa_below(m, children, place), c)
+        index += (new - k) * weights[j]
+        vectors[index] = _vector(tuple(names), _pack(rows, tails), scale, back, time_mode)
+    return tuple(vectors)
+
+
+def assert_reference_vectors(graph, ranks, time_mode):
+    got = network_factors(graph, ranks=ranks, time_mode=time_mode).vectors
+    want = reference_factor_vectors(build_dag_view(graph), ranks, time_mode)
+    assert got == want
+    assert [v._integer for v in got] == [v._integer for v in want]
+
+
+def rankings_with_ties(graph):
+    """Full ranks, ranks shared by pairs of taxa, and none."""
+    taxa = sorted(v for v in graph.vertex_ids() if graph.outdeg(v) == 0)
+    full = {v: (7 * i) % 5 - 2 for i, v in enumerate(taxa)}
+    return full, {v: i // 2 for i, v in enumerate(reversed(taxa))}, None
+
+
+class TestSkeletonVectorsMatchReference:
+    """The vectors, read off the skeleton, equal those the whole graph gave:
+    leaves, entries, integer forms and order."""
+
+    @pytest.mark.parametrize("time_mode", ["f", "-f"])
+    def test_newick_corpus(self, time_mode):
+        paths = sorted(CORPUS.glob("*.enwk"))
+        assert len(paths) >= 40
+        for path in paths:
+            graph = enewick_to_reeb(path.read_text())
+            for ranks in rankings_with_ties(graph):
+                assert_reference_vectors(graph, ranks, time_mode)
+
+    def test_dated_networks(self):
+        networks = 0
+        for text in dated_texts(7, 600):
+            try:
+                graph = enewick_to_reeb(text)
+            except ReebError:  # the sample holds every time error of the reader
+                continue
+            assert_reference_vectors(graph, rankings_with_ties(graph)[networks % 3], "-f")
+            networks += 1
+        assert networks >= 300
+
+    @pytest.mark.parametrize("taxa", [2, 3, 40, 300])
+    def test_dated_caterpillars(self, taxa):
+        graph = dated_caterpillar(taxa)
+        for ranks in rankings_with_ties(graph):
+            assert_reference_vectors(graph, ranks, "-f")
+
+    def test_generator_networks(self):
+        # In-degree-3 merges and cycle ranks up to 9, so up to 512 factors.
+        shapes = [
+            (1, 1, 2), (2, 1, 3), (3, 2, 4), (4, 2, 2), (3, 3, 4), (4, 3, 5),
+            (5, 4, 6), (4, 5, 6), (5, 6, 7), (6, 7, 6), (6, 8, 6), (7, 9, 6),
+        ]
+        networks, top = 0, 0
+        for seed in range(112):
+            for n, s, levels in shapes[: 12 if seed < 8 else 9]:
+                for max_indeg in (2, 3):
+                    try:
+                        g = random_graph(GeneratorSpec(
+                            seed=seed, n_leaves=n, betti=s, levels=levels, max_indeg=max_indeg
+                        ))
+                    except InfeasibleSpec:
+                        continue
+                    assert_reference_vectors(g, rankings_with_ties(g)[seed % 3], "f")
+                    networks += 1
+                    top = max(top, s)
+        assert networks >= 2000 and top == 9, (networks, top)
+
+
+class TestSkeletonInputChecks:
+    def test_vertex_id_on_two_levels(self):
+        # vertex_level keeps the first level only, so the root looked like
+        # an edge's lower end and the walk found no source.
+        g = make_graph(
+            [0, 1, 2], [["a"], ["b"], ["a"]], [[("e0", "a", "b")], [("e1", "b", "a")]]
+        )
+        message = "duplicate vertex id 'a' at levels 0 and 2"
+        assert validate(g)[0] == message
+        for call in (network_factors, cophenetic_vector, leaf_order):
+            with pytest.raises(ValueError) as info:
+                call(g)
+            assert str(info.value) == message
+
+    def test_edge_end_off_its_level(self):
+        # With the edge renamed to sort before v5's other arriving edges,
+        # the first factor keeps it, and the walk missed every taxon below
+        # v5 (a bare KeyError); under its own name a later swap looped.
+        text = (DATA / "self_targeted_edge.json").read_text().replace('"e9"', '"e10"')
+        g, _ = load_text(text)
+        message = "dangling up_map target 'v5' for edge 'e10' (expected a vertex at level 2)"
+        assert message in validate(g)
+        with pytest.raises(ValueError) as info:
+            network_distance(g, g)
+        assert str(info.value) == message
 
 
 class TestGrayCode:
