@@ -1,9 +1,10 @@
 """Leveled graphs of real-valued functions, their tree decompositions, and
 phylogenetic distances built on top.
 
-The model and its structural operations live in core; dag classifies vertices
-and checks the two cycle-rank computations against each other; decomposition
-splits a single-source graph into trees and glues them back; isomorphism
+The model, its structural operations and its critical skeleton live in core;
+dag classifies vertices and checks the two cycle-rank computations, counted on
+the skeleton, against each other; decomposition splits a single-source graph
+into trees at the skeleton's merge vertices and glues them back; isomorphism
 decides equivalence three different ways; phylo turns trees into cophenetic
 vectors and compares networks by Hausdorff distance; enewick and serialize
 read and write the supported text formats; generator produces seeded random

@@ -540,24 +540,24 @@ def validate(graph: ReebGraph, *, allow_cut_ids: bool = False) -> list[str]:
     return report
 
 
-def _is_regular(graph: ReebGraph, v: str) -> bool:
-    return graph.indeg(v) == 1 and graph.outdeg(v) == 1
-
-
 def minimize_critical_set(graph: ReebGraph) -> ReebGraph:
     """Splice out interior levels on which every vertex is regular.
 
-    The result has the same geometry with the smallest level set: every
-    interior level keeps at least one non-regular vertex.  Raises
-    OrderConflict when splicing would discard covers, since a merged chain
-    cannot carry the per-gap order data.  Labels of merged gaps are dropped.
+    The result has the same geometry with the smallest level set: it keeps
+    the bottom and top levels and every level holding a vertex of the
+    checked skeleton (_Skeleton) without exactly one long edge above and
+    one below, so ids used twice and edge ends off their levels raise
+    ValueError.  Raises OrderConflict when splicing would discard covers,
+    since a merged chain cannot carry the per-gap order data.  Labels of
+    merged gaps are dropped.
     """
+    sk = graph._checked_skeleton
     k = graph.level_count
-    keep = [0]
-    for i in range(1, k - 1):
-        if any(not _is_regular(graph, v) for v in graph.vertex_sets[i]):
-            keep.append(i)
-    keep.append(k - 1)
+    keep = sorted({0, k - 1}.union(
+        sk.graph_level[sk.vertex_level[v]]
+        for v, above in sk.up.items()
+        if len(above) != 1 or len(sk.down[v]) != 1
+    ))
     if len(keep) == k:
         return graph
 
@@ -582,6 +582,7 @@ def minimize_critical_set(graph: ReebGraph) -> ReebGraph:
     new_eorders: list[LevelPoset] = []
     had_labels = graph.edge_labels is not None
     new_labels: list[Mapping[str, str] | None] = []
+    place = {e: (chain, n) for chain in sk.chains.values() for n, e in enumerate(chain)}
 
     for a, b in zip(keep, keep[1:]):
         if b - a == 1:
@@ -593,16 +594,13 @@ def minimize_critical_set(graph: ReebGraph) -> ReebGraph:
             new_eorders.append(graph.edge_orders[a])
             new_labels.append(graph.gap_labels(a))
             continue
+        # Every vertex strictly between a and b is regular and critical for
+        # no relation, so each edge of gap a runs up its long edge to gap b - 1.
         triples = []
         for e in sorted(graph.edge_sets[a]):
-            cur = e
-            gap = a
-            while gap < b - 1:
-                mid = graph.up_maps[gap][cur]
-                nxt = graph.above_edges[mid]
-                cur = nxt[0]
-                gap += 1
-            triples.append((e, graph.down_maps[a][e], graph.up_maps[b - 1][cur]))
+            chain, n = place[e]
+            top = chain[n + b - 1 - a]
+            triples.append((e, graph.down_maps[a][e], graph.up_maps[b - 1][top]))
         new_edges.append(triples)
         new_eorders.append(LevelPoset.trivial(t[0] for t in triples))
         new_labels.append(None)

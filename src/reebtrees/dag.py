@@ -2,7 +2,9 @@
 
 Edges are oriented downward (top endpoint to bottom endpoint), so a vertex's
 in-degree counts edges arriving from the gap above and its out-degree counts
-edges leaving into the gap below.
+edges leaving into the gap below.  A view's cycle rank is counted on the
+graph's critical skeleton (core._Skeleton), the one source of merge vertices
+that decompose, the distances and reeb_iso read.
 """
 
 from __future__ import annotations
@@ -81,10 +83,9 @@ class DagView:
 
     build_dag_view gives a view only to graphs whose two cycle-rank
     computations agree, which is equivalent to having exactly one source
-    vertex; decompose and classify rely on that.  network_factors makes the
-    same check on the graph's skeleton (_skeleton_betti) and builds its view
-    directly.  The vertex classes, merge vertices, leaves and root are
-    computed when first read.
+    vertex; decompose, classify and the distances rely on that.  The
+    merge vertices and their arriving edges are decomposition.cut_options;
+    the vertex classes and leaves are computed when first read.
     """
 
     graph: ReebGraph
@@ -95,30 +96,23 @@ class DagView:
         return tuple(classify_vertex(self.graph, v) for v in self.graph.vertex_ids())
 
     @cached_property
-    def reticulations(self) -> tuple[VertexClass, ...]:
-        """Merge vertices, ordered by (level index, id)."""
-        g = self.graph
-        merges = sorted((i, v) for v, i in g.vertex_level.items() if g.indeg(v) > 1)
-        return tuple(classify_vertex(g, v) for _, v in merges)
-
-    @cached_property
     def leaves(self) -> tuple[VertexClass, ...]:
         return tuple(c for c in self.classes if c.is_leaf)
-
-    @cached_property
-    def root(self) -> str:
-        return next(v for v in self.graph.vertex_ids() if self.graph.indeg(v) == 0)
 
 
 def build_dag_view(graph: ReebGraph) -> DagView:
     """Cross-check the two Betti computations; classify nothing yet.
 
-    When the counts disagree the graph has multiple sources (several local
-    maxima of the level function), the decomposition theory does not apply,
-    and ReticulationConflict is raised carrying both values.
+    Both are counted on the graph's checked skeleton, whose long edges and
+    critical vertices have the graph's Euler count and merges: ids used
+    twice and edge ends off their levels raise ValueError in validate's
+    wording.  When the counts disagree the graph has multiple sources
+    (several local maxima of the level function), the decomposition theory
+    does not apply, and ReticulationConflict is raised carrying both values.
     """
-    b_euler = betti_euler(graph)
-    b_retic = betti_reticulation(graph)
+    sk = graph._checked_skeleton
+    b_euler = sum(map(len, sk.down.values())) - len(sk.vertex_level) + 1
+    b_retic = sum(len(ups) - 1 for ups in sk.up.values() if ups)
     if b_euler != b_retic:
         sources = source_vertices(graph)
         raise ReticulationConflict(
@@ -126,15 +120,3 @@ def build_dag_view(graph: ReebGraph) -> DagView:
             f"({len(sources)} source vertices: {', '.join(sources)})"
         )
     return DagView(graph=graph, betti=b_euler)
-
-
-def _skeleton_betti(graph: ReebGraph) -> int:
-    """The cycle rank, read off the graph's skeleton, whose long edges and
-    critical vertices have the graph's Euler count and merges.  Where the
-    two counts disagree, build_dag_view decides, and raises
-    ReticulationConflict."""
-    sk = graph._skeleton
-    b_euler = sum(map(len, sk.down.values())) - len(sk.vertex_level) + 1
-    if b_euler != sum(len(ups) - 1 for ups in sk.up.values() if ups):
-        return build_dag_view(graph).betti
-    return b_euler

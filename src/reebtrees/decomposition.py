@@ -6,6 +6,9 @@ detaches the rest onto fresh leaf vertices at the same level.  Detached edges
 remember their origin, so gluing is exact and id-for-id.  The leaf that edge
 ``e`` is detached onto is named ``cut:<e>``, an id that must be new to the
 whole network: ``apply_choice`` and the factor vectors check it alike.
+The merge vertices and their arriving edges are read off the graph's
+critical skeleton (cut_options), the one table that decompose, the factor
+vectors and reeb_iso share.
 
 Every factor has n + s leaves, where n is the number of sinks of the graph and
 s = sum(d - 1) over its merge vertices: each detached edge adds one cut leaf.
@@ -64,17 +67,14 @@ class Decomposition:
     factors: tuple[Factor, ...]
 
 
-def cut_options(view: DagView) -> tuple[tuple[str, tuple[str, ...]], ...]:
+def cut_options(source: ReebGraph | DagView) -> tuple[tuple[str, tuple[str, ...]], ...]:
     """Per merge vertex, the arriving edges one of which must be kept.
 
-    Merge vertices are ordered by (level index, id); candidate edges by id.
+    Read off the graph's skeleton: merge vertices are ordered by (level
+    index, id), and each lists the long edges arriving at it, named by
+    their edges arriving there, by id.  Accepts a graph, as decompose does.
     """
-    return tuple((c.vertex, view.graph.above_edges[c.vertex]) for c in view.reticulations)
-
-
-def _cut_options(graph: ReebGraph) -> tuple[tuple[str, tuple[str, ...]], ...]:
-    """cut_options read off the skeleton: per merge vertex, by (level, id),
-    the long edges arriving at it, named by their edges arriving there."""
+    graph = source.graph if isinstance(source, DagView) else source
     sk = graph._skeleton
     merges = sorted((sk.vertex_level[v], v) for v, ups in sk.up.items() if len(ups) > 1)
     return tuple((v, tuple(e for _, e in sk.up[v])) for _, v in merges)
@@ -109,9 +109,7 @@ def make_choice(view: DagView, kept: Mapping[str, str]) -> CutChoice:
     for v, e in kept.items():
         if e not in options[v]:
             raise InvalidChoice(f"edge {e!r} does not arrive at {v!r}")
-    order = {v: i for i, (v, _) in enumerate(cut_options(view))}
-    pairs = tuple(sorted(kept.items(), key=lambda kv: order[kv[0]]))
-    return CutChoice(kept=pairs)
+    return CutChoice(kept=tuple((v, kept[v]) for v in options))
 
 
 def _require_trivial_orders(graph: ReebGraph) -> None:

@@ -25,7 +25,7 @@ from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .core import ReebGraph, _Skeleton, format_level, make_graph
-from .dag import _skeleton_betti
+from .dag import build_dag_view
 from .errors import (
     HybridArityError,
     NewickSyntaxError,
@@ -351,8 +351,8 @@ def reeb_to_network(graph: ReebGraph) -> PhyloNetwork:
     their levels raise ValueError, and multi-source graphs are rejected by
     the classification step.  A regular vertex is critical only for a
     level-order relation, and is contracted too."""
-    sk = graph._checked_skeleton
-    _skeleton_betti(graph)
+    build_dag_view(graph)
+    sk = graph._skeleton
     root = next(v for v, above in sk.up.items() if not above)
     f_root = sk.levels[sk.vertex_level[root]]
     level_time = [f_root - x for x in sk.levels]

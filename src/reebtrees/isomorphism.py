@@ -43,7 +43,7 @@ from .core import (
     refine_to_levels,
 )
 from .dag import DagView
-from .decomposition import CutChoice, _choices, _cut_options, _detached, decompose
+from .decomposition import CutChoice, _choices, _detached, cut_options, decompose
 from .errors import LabelMismatch, MissingLabels, NotATree, SizeLimitExceeded
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
@@ -674,7 +674,7 @@ def _factor_match(
     whole_a, whole_b = (
         _skeleton_view(g, g._skeleton.levels, g._skeleton.vertex_level) for g in pre[:2]
     )
-    options_a, options_b = _cut_options(a), _cut_options(b)
+    options_a, options_b = cut_options(a), cut_options(b)
     choice_a = next(_choices(options_a))
     kept_a = sorted(map(joins(a, colours[0], options_a).__getitem__, choice_a.kept))
     view_a, form_a = form(a, whole_a, options_a, choice_a, leaf_ranks_a)

@@ -52,8 +52,8 @@ from operator import getitem, itemgetter, mul, sub
 from typing import Iterator, Mapping, Sequence
 
 from .core import RESERVED_VERTEX_PREFIX, ReebGraph, _Skeleton
-from .dag import DagView, _skeleton_betti
-from .decomposition import Factor, _check_cut_ids, _cut_options, _require_trivial_orders
+from .dag import DagView, build_dag_view
+from .decomposition import Factor, _check_cut_ids, _require_trivial_orders, cut_options
 from .errors import (
     DimensionMismatch,
     EmptySet,
@@ -516,7 +516,7 @@ def _factor_vectors(
     graph = view.graph
     _require_trivial_orders(graph)
     sk = graph._checked_skeleton
-    options = _cut_options(graph)
+    options = cut_options(view)
     _check_cut_ids(graph, options)
     _check_time_mode(time_mode)
     root = _root(sk)
@@ -665,9 +665,9 @@ def network_factors(
     skeleton (ids used twice and edge ends off their levels raise
     ValueError, a multi-source graph ReticulationConflict); its factor
     vectors follow on first use."""
-    sk = graph._checked_skeleton
-    taxa = sum(1 for below in sk.down.values() if not below)
-    return NetworkFactors(DagView(graph, _skeleton_betti(graph)), taxa, ranks, time_mode)
+    view = build_dag_view(graph)
+    taxa = sum(1 for below in graph._skeleton.down.values() if not below)
+    return NetworkFactors(view, taxa, ranks, time_mode)
 
 
 def network_distance(

@@ -23,8 +23,10 @@ from reebtrees import (
     GeneratorSpec,
     IncompatibleShape,
     OrderConflict,
+    ReebError,
     decompose,
     dump_text,
+    enewick_to_reeb,
     format_level,
     load_text,
     make_graph,
@@ -251,6 +253,51 @@ class TestDecompose:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
         assert not target.exists()
+
+
+    def test_matches_the_library_on_every_fixture(self, capsys, tmp_path):
+        # The same factors, cut sets and factor files, or the same error with
+        # exit 2, no output and no factor directory.
+        fixtures = [*sorted(DATA.glob("*.json")), *sorted((DATA / "newick_corpus").glob("*"))]
+        outcomes = {"factors": 0, "errors": 0}
+        for n, path in enumerate(fixtures):
+            text = path.read_text()
+            graph = enewick_to_reeb(text) if path.suffix == ".enwk" else load_text(text)[0]
+            target = tmp_path / f"factors{n}"
+            code = main(["decompose", str(path), "--out-dir", str(target)])
+            captured = capsys.readouterr()
+            try:
+                dec = decompose(graph)
+            except (ReebError, ValueError) as exc:
+                assert (code, captured.out, captured.err) == (2, "", f"error: {exc}\n"), path
+                assert not target.exists()
+                outcomes["errors"] += 1
+                continue
+            assert (code, captured.err) == (0, ""), path
+            lines = [f"factors: {len(dec.factors)}"]
+            for k, f in enumerate(dec.factors):
+                kept = " ".join(f"{v}<-{e}" for v, e in f.choice.kept) or "-"
+                cut = ",".join(sorted(f.detached)) or "-"
+                lines.append(f"factor {k}: keep [{kept}] cut [{cut}]")
+                assert (target / f"factor_{k:04d}.json").read_text() == dump_text(f.graph)
+            assert captured.out.splitlines() == lines, path
+            assert len(list(target.iterdir())) == len(dec.factors)
+            outcomes["factors"] += len(dec.factors)
+        assert outcomes["errors"] >= 3 and outcomes["factors"] >= 60, outcomes
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("command", ["decompose", "classify", "minimize"])
+    @pytest.mark.parametrize("name", ["duplicate_edge_id", "self_targeted_edge"])
+    def test_reported_in_validates_words(self, capsys, command, name):
+        # An id used twice or an edge end off its level is an input error:
+        # validate's first line, exit 2 and nothing on stdout.
+        path = DATA / f"{name}.json"
+        graph, _ = load_text(path.read_text())
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {validate(graph)[0]}\n"
 
 
 class TestIso:

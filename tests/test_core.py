@@ -13,7 +13,7 @@ from dataclasses import replace
 from math import gcd
 from pathlib import Path
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import pytest
 from hypothesis import given
@@ -26,10 +26,12 @@ from reebtrees import (
     InfeasibleSpec,
     LevelPoset,
     OrderConflict,
+    ReebError,
     ReebGraph,
     as_level,
     common_refinement,
     dump_text,
+    enewick_to_reeb,
     format_level,
     load_text,
     make_graph,
@@ -43,7 +45,9 @@ from reebtrees import (
 from reebtrees.core import _refined_counts
 from reebtrees.isomorphism import _prefilter
 
-from conftest import rename_graph
+from conftest import corpus, dated_caterpillar, rename_graph
+from test_enewick import dated_texts
+from test_isomorphism import random_covers
 
 
 class TestLevels:
@@ -831,3 +835,140 @@ def test_public_names():
     for name in reebtrees.__all__:
         assert not isinstance(getattr(reebtrees, name), types.ModuleType), name
     assert {"reeb_iso", "hausdorff_distance"} <= set(reebtrees.__all__)
+
+
+# minimize_critical_set as it was before it read the skeleton, kept verbatim
+# apart from its name (and its regularity test's) as the reference for the
+# differential below.
+def _reference_is_regular(graph: ReebGraph, v: str) -> bool:
+    return graph.indeg(v) == 1 and graph.outdeg(v) == 1
+
+
+def reference_minimize_critical_set(graph: ReebGraph) -> ReebGraph:
+    k = graph.level_count
+    keep = [0]
+    for i in range(1, k - 1):
+        if any(not _reference_is_regular(graph, v) for v in graph.vertex_sets[i]):
+            keep.append(i)
+    keep.append(k - 1)
+    if len(keep) == k:
+        return graph
+
+    for a, b in zip(keep, keep[1:]):
+        if b - a == 1:
+            continue
+        for lvl in range(a + 1, b):
+            if not graph.vertex_orders[lvl].is_trivial:
+                raise OrderConflict(
+                    f"removable level {lvl} carries nontrivial order relations"
+                )
+        for gap in range(a, b):
+            if not graph.edge_orders[gap].is_trivial:
+                raise OrderConflict(
+                    f"gap {gap} inside a spliced run carries nontrivial order relations"
+                )
+
+    new_levels = [graph.levels[i] for i in keep]
+    new_vsets = [graph.vertex_sets[i] for i in keep]
+    new_vorders = [graph.vertex_orders[i] for i in keep]
+    new_edges: list[list[tuple[str, str, str]]] = []
+    new_eorders: list[LevelPoset] = []
+    had_labels = graph.edge_labels is not None
+    new_labels: list[Mapping[str, str] | None] = []
+
+    for a, b in zip(keep, keep[1:]):
+        if b - a == 1:
+            triples = [
+                (e, graph.down_maps[a][e], graph.up_maps[a][e])
+                for e in sorted(graph.edge_sets[a])
+            ]
+            new_edges.append(triples)
+            new_eorders.append(graph.edge_orders[a])
+            new_labels.append(graph.gap_labels(a))
+            continue
+        triples = []
+        for e in sorted(graph.edge_sets[a]):
+            cur = e
+            gap = a
+            while gap < b - 1:
+                mid = graph.up_maps[gap][cur]
+                nxt = graph.above_edges[mid]
+                cur = nxt[0]
+                gap += 1
+            triples.append((e, graph.down_maps[a][e], graph.up_maps[b - 1][cur]))
+        new_edges.append(triples)
+        new_eorders.append(LevelPoset.trivial(t[0] for t in triples))
+        new_labels.append(None)
+
+    out = make_graph(
+        new_levels,
+        new_vsets,
+        new_edges,
+        labels=new_labels if had_labels else None,
+    )
+    return replace(
+        out,
+        vertex_orders=tuple(new_vorders),
+        edge_orders=tuple(new_eorders),
+    )
+
+
+def minimize_outcome(minimize, graph):
+    try:
+        return minimize(graph)
+    except OrderConflict as exc:
+        return str(exc)
+
+
+def with_spare_levels(graph: ReebGraph, rng: random.Random) -> ReebGraph:
+    """``graph`` refined at one to four new values inside its range."""
+    lo, hi = graph.levels[0], graph.levels[-1]
+    values = set(graph.levels)
+    count = graph.level_count + rng.randint(1, 4)
+    while len(values) < count:
+        values.add(lo + (hi - lo) * Fraction(rng.randrange(1, 64), 64))
+    return refine_to_levels(graph, sorted(values))
+
+
+def test_minimize_matches_the_degree_rule():
+    # Generator graphs (merges of in-degree 2 and 3) with spare levels, and
+    # dated trees and networks built from eNewick, whose graphs carry the
+    # skeleton their networks record.
+    rng = random.Random(20261019)
+    shapes = [(2, 0, 3), (3, 1, 3), (3, 2, 4), (4, 3, 5), (5, 4, 6), (4, 2, 2)]
+    graphs = []
+    for max_indeg in (2, 3):
+        for g in corpus(shapes, range(30), max_indeg=max_indeg):
+            graphs += [g, with_spare_levels(g, rng)]
+    graphs += [dated_caterpillar(taxa, moved) for taxa in (3, 8, 20) for moved in (None, 1)]
+    for text in dated_texts(20261019, 200):
+        try:
+            graphs.append(enewick_to_reeb(text))
+        except ReebError:
+            pass
+    spliced = 0
+    for g in graphs:
+        want = reference_minimize_critical_set(g)
+        got = minimize_critical_set(g)
+        assert got == want
+        assert (got is g) == (want is g)
+        spliced += got is not g
+    assert spliced >= 400, spliced
+
+
+def test_minimize_refuses_orders_as_the_degree_rule_did():
+    # Random vertex and edge covers on generator graphs with and without
+    # spare levels, and the same edge covers alone: the same OrderConflict,
+    # or the same graph.
+    rng = random.Random(7)
+    shapes = [(3, 1, 3), (3, 2, 4), (4, 3, 5)]
+    kinds = Counter()
+    for max_indeg in (2, 3):
+        for g in corpus(shapes, range(40), max_indeg=max_indeg):
+            for h in (g, with_spare_levels(g, rng)):
+                ordered = random_covers(h, rng)
+                for x in (ordered, replace(ordered, vertex_orders=h.vertex_orders)):
+                    want = minimize_outcome(reference_minimize_critical_set, x)
+                    assert minimize_outcome(minimize_critical_set, x) == want
+                    kinds[want.split()[0] if isinstance(want, str) else "graph"] += 1
+    assert kinds["removable"] >= 50 and kinds["gap"] >= 10 and kinds["graph"] >= 50, kinds

@@ -16,6 +16,7 @@ from reebtrees import (
     build_dag_view,
     cut_options,
     decompose,
+    enewick_to_reeb,
     enumerate_choices,
     factor_count,
     glue_back,
@@ -25,6 +26,7 @@ from reebtrees import (
     validate,
 )
 from conftest import SAFE_SHAPES, corpus, cut_id_clash
+from test_enewick import CORPUS
 
 
 def test_cut_options_single_merge(cycle_graph):
@@ -203,7 +205,7 @@ def test_factors_share_untouched_levels():
             )
             before = copy.deepcopy(g)
             view = build_dag_view(g)
-            cut_levels = {c.level_index for c in view.reticulations}
+            cut_levels = {g.vertex_level[v] for v, _ in cut_options(view)}
             for f in decompose(view).factors:
                 fg = f.graph
                 assert validate(fg, allow_cut_ids=True) == []
@@ -228,3 +230,33 @@ def test_a_tree_is_its_own_factor():
         assert factor.graph is tree
         assert factor.detached == frozenset() and factor.reattach == ()
         assert glue_back(factor) == tree
+
+
+# cut_options as it was before it read the skeleton: merge vertices found by
+# their in-degree in the full graph, each with its arriving edges; kept (apart
+# from its name and taking a graph) as the reference for the differential below.
+def reference_cut_options(graph):
+    merges = sorted((i, v) for v, i in graph.vertex_level.items() if graph.indeg(v) > 1)
+    return tuple((v, graph.above_edges[v]) for _, v in merges)
+
+
+def test_cut_options_match_the_degree_table():
+    # Generator graphs with merges of in-degree 2 and 3 and s up to 6, every
+    # factor of each, and the eNewick corpus, whose graphs carry the skeleton
+    # their networks record.
+    shapes = [
+        (2, 1, 3), (3, 0, 4), (3, 2, 4), (4, 3, 5), (5, 4, 6), (5, 5, 6), (4, 6, 5), (6, 6, 6)
+    ]
+    graphs = [*corpus(shapes, range(57)), *corpus(shapes, range(57), max_indeg=3)]
+    assert len(graphs) >= 900
+    assert max(betti_euler(g) for g in graphs) == 6
+    assert any(len(edges) == 3 for g in graphs for _, edges in cut_options(g))
+    graphs += [enewick_to_reeb(f.read_text()) for f in sorted(CORPUS.glob("*.enwk"))]
+    factors = 0
+    for g in graphs:
+        view = build_dag_view(g)
+        assert cut_options(view) == cut_options(g) == reference_cut_options(g)
+        for f in decompose(view).factors:
+            assert cut_options(f.graph) == reference_cut_options(f.graph) == ()
+            factors += 1
+    assert factors >= 10_000
