@@ -13,16 +13,18 @@ order relation or end an edge that does) joined by long edges.  An
 isomorphism of the pair refined to common levels maps critical vertices to
 critical vertices and long edges to long edges, and is fixed by what it does
 there, so nothing is refined and no pass-through vertex is read.  Its
-prefilter compares the level range, the critical vertices and long edges
-keyed by level values, and their colours.  The fingerprint route then rests
-on the paper's glue-back argument: one factor of a, with its (merge vertex,
-cut leaf) covers and its cut leaves tagged, matches some factor of b exactly
-when a and b are isomorphic.  A factor is a view of the skeleton, with each
-detached long edge ending at its cut leaf; no factor graph is built.  a's
-first factor is fingerprinted once, then b's factors, skipping those a shared
-colour refinement of the pair rules out, until the first match.  Fingerprints
-of views list the skeleton's level values only, so their bytes differ from
-those of the factors' graphs.  brute_force_iso is a plain backtracking
+prefilter is one colour refinement of the two skeletons, after the level
+range and the skeletons' level values are compared.  The fingerprint route
+then rests on the paper's glue-back argument: one factor of a, with its
+(merge vertex, cut leaf) covers and its cut leaves tagged, matches some
+factor of b exactly when a and b are isomorphic.  A factor is a view of the
+skeleton, with each detached long edge ending at its cut leaf; no factor
+graph is built.  a's first factor is fingerprinted once, then b's factors,
+skipping those the refined colours rule out, until the first match.
+decomposition_invariant fingerprints every factor view of one graph the
+same way.  Fingerprints of views list the skeleton's level values only, so
+their bytes differ from those of the factors' graphs, and the invariant is
+equal across pass-through levels.  brute_force_iso is a plain backtracking
 matcher on the refined pair, kept as an independent oracle on anything small.
 """
 
@@ -42,8 +44,10 @@ from .core import (
     common_refinement,
     refine_to_levels,
 )
-from .dag import DagView
-from .decomposition import CutChoice, _choices, _detached, cut_options, decompose
+from .dag import DagView, build_dag_view
+from .decomposition import (
+    CutChoice, _check_cut_ids, _choices, _detached, _require_trivial_orders, cut_options
+)
 from .errors import LabelMismatch, MissingLabels, NotATree, SizeLimitExceeded
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
@@ -138,54 +142,90 @@ def _skeleton_prefilter(
     b: ReebGraph,
     tags_a: Mapping[str, int] | None,
     tags_b: Mapping[str, int] | None,
-) -> tuple[ReebGraph, ReebGraph, dict[str, tuple], dict[str, tuple]] | None:
-    """reeb_iso's prefilter, on the two skeletons.  Checks the level range,
-    then compares the critical vertices per level value, the long edges
-    keyed by the values of their ends (and their edge-order counts), and the
-    critical vertices' colours: (skeleton level, indegree, outdegree,
-    elements below, elements above, sink tag).  Returns (a, b, colours_a,
-    colours_b), or None when the pair cannot be isomorphic.
+) -> tuple[ReebGraph, ReebGraph, dict[str, object], dict[str, object]] | None:
+    """reeb_iso's prefilter: one colour refinement of the two skeletons, in
+    one palette.  Returns (a, b, colours_a, colours_b), the stable colours
+    of the critical vertices, or None once the pair cannot be isomorphic.
 
-    Refinement copies an edge's order onto every level it inserts into the
-    edge's gap, as a vertex order, so those levels hold critical vertices;
-    a pair on different level sets whose edge orders are not all trivial is
-    refined to the union of its levels first, and returned refined."""
+    After the level range, a pair on different level sets whose edge orders
+    are not all trivial is refined to the union of its levels (refinement
+    copies an edge's order onto the levels it inserts, which so hold
+    critical vertices) and returned refined; the skeletons' level values
+    must then agree.  A critical vertex starts from (skeleton level,
+    indegree, outdegree, elements below, elements above, sink tag); the two
+    sides' multisets of these are compared at once, which ends most negative
+    pairs before any sweep.  Sweeps run up the levels, each vertex taking
+    the colours of the lower ends of its long edges, each paired with the
+    edge's (elements below, elements above) in the generated edge order,
+    then down the levels with the upper ends, until a round splits no class.
+    Isomorphisms keep every sweep's colours, so None is returned once a
+    swept level's colour counts differ; the first round so compares the
+    critical vertices per level and the long edges by the levels of their
+    ends."""
     if (a.levels[0], a.levels[-1]) != (b.levels[0], b.levels[-1]):
         return None
     if any(o.covers for g in (a, b) for o in g.edge_orders) and a.levels != b.levels:
         union = sorted(set(a.levels) | set(b.levels))
         a, b = refine_to_levels(a, union), refine_to_levels(b, union)
-    sa, sb = a._skeleton, b._skeleton
-    if sa.levels != sb.levels:
+    skeletons = a._skeleton, b._skeleton
+    k = len(skeletons[0].levels)
+    if skeletons[1].levels != skeletons[0].levels:
         return None
-    if Counter(sa.vertex_level.values()) != Counter(sb.vertex_level.values()):
+    cols: list[dict[str, object]] = []
+    rels, rows = [], []  # per side, edge-order counts and each level's vertices
+    for graph, sk, tags in zip((a, b), skeletons, (tags_a or {}, tags_b or {})):
+        rel, col, row = _order_counts(graph.vertex_orders), {}, [[] for _ in range(k)]
+        for v, i in sk.vertex_level.items():
+            tag = -1 if sk.down[v] else tags.get(v, -1)
+            col[v] = (i, len(sk.up[v]), len(sk.down[v]), *rel.get(v, (0, 0)), tag)
+            row[i].append(v)
+        cols.append(col)
+        rels.append(_order_counts(graph.edge_orders))
+        rows.append(row)
+    if sorted(cols[0].values()) != sorted(cols[1].values()):
         return None
 
-    def long_edges(graph: ReebGraph) -> list[tuple[int, ...]]:
-        sk = graph._skeleton
-        rel, lvl = _order_counts(graph.edge_orders), sk.vertex_level
-        return sorted(
-            (lvl[u], lvl[w], *rel.get(e, (0, 0))) for u, ds in sk.down.items() for w, e in ds
-        )
+    def sweep(i: int, lower: bool) -> int | None:
+        """Recolour level i on both sides; return its number of classes, or
+        None when the two sides' colour counts there differ.  A colour is
+        (level, class), so colours of different levels never meet."""
+        sigs = []
+        for sk, col, rel, row in zip(skeletons, cols, rels, rows):
+            ends = sk.down if lower else sk.up
+            sigs.append({
+                v: (col[v], tuple(sorted([(col[w], rel.get(e, (0, 0))) for w, e in ends[v]])))
+                for v in row[i]
+            })
+        rank = {c: (i, n) for n, c in enumerate(sorted({*sigs[0].values(), *sigs[1].values()}))}
+        for col, sig in zip(cols, sigs):
+            for v, c in sig.items():
+                col[v] = rank[c]
+        count_a, count_b = (sorted(map(rank.__getitem__, sig.values())) for sig in sigs)
+        return len(rank) if count_a == count_b else None
 
-    if long_edges(a) != long_edges(b):
-        return None
-
-    def colours(graph: ReebGraph, tags: Mapping[str, int] | None) -> dict[str, tuple]:
-        sk, tags = graph._skeleton, tags or {}
-        rel = _order_counts(graph.vertex_orders)
-        return {
-            v: (
-                i, len(sk.up[v]), len(sk.down[v]), *rel.get(v, (0, 0)),
-                -1 if sk.down[v] else tags.get(v, -1),
-            )
-            for v, i in sk.vertex_level.items()
-        }
-
-    ca, cb = colours(a, tags_a), colours(b, tags_b)
-    if sorted(ca.values()) != sorted(cb.values()):
-        return None
-    return a, b, ca, cb
+    # A sweep reads its own level and the levels on one side of it, and
+    # refinement only adds classes, so a sweep is skipped when no level it
+    # reads has split since it last ran (its own split at that run needs no
+    # second run); the colours are stable once a round splits no level.
+    order = [(i, True) for i in range(k)] + [(i, False) for i in range(k - 1, -1, -1)]
+    classes = [0] * k
+    split = [0] * k  # when each level last gained classes
+    ran: dict[tuple[int, bool], int] = {}
+    clock = 0
+    while True:
+        start = clock
+        for i, lower in order:
+            if ran.get((i, lower), -1) >= max(split[: i + 1] if lower else split[i:]):
+                continue
+            clock += 1
+            n = sweep(i, lower)
+            if n is None:
+                return None
+            ran[i, lower] = clock
+            if n != classes[i]:
+                classes[i], split[i] = n, clock
+        if max(split) <= start:
+            return a, b, cols[0], cols[1]
 
 
 @dataclass(frozen=True, order=True)
@@ -454,7 +494,7 @@ def canonical_form(
     vertices (out-degree zero) with an integer, making the fingerprint
     sensitive to leaf identity; unranked leaves take -1.  Edge labels are
     deliberately ignored.  Accepts a graph, or a factor view that reeb_iso
-    builds on a skeleton, as decompose accepts a graph or a view.
+    and decomposition_invariant build on a skeleton.
 
     The tree is read as its skeleton: a bijection of critical vertices and
     long edges that keeps levels fixes the rest.  It is rooted at its unique
@@ -554,92 +594,54 @@ def decomposition_invariant(
     budget: int | None = None,
 ) -> tuple[CanonicalForm, ...]:
     """Sorted multiset of factor fingerprints; a complete isomorphism
-    invariant for single-source graphs with trivial level orders.  Accepts an
-    already built view, as decompose does.  It fingerprints every factor;
-    reeb_iso does not call it, since one factor of a checked against b's
-    factors decides (see _factor_match).  Its fingerprints differ in bytes
-    from those of releases before the source-rooted codes (see
-    canonical_form)."""
-    dec = decompose(graph)
+    invariant, up to refinement to common levels, for single-source graphs
+    with trivial level orders.  Accepts an already built view, and checks
+    what decompose checks, in its order.  Every factor is a view cut from
+    the graph's skeleton (see _factor_form), its cut leaves unranked, as in
+    apply_choice's factor graphs.  The fingerprints list the skeleton's
+    level values, so the invariant is equal across pass-through levels, and
+    its bytes differ from those of releases that fingerprinted factor
+    graphs.  reeb_iso does not call it: one factor of a decides."""
+    view = graph if isinstance(graph, DagView) else build_dag_view(graph)
+    g = view.graph
+    _require_trivial_orders(g)
+    options = cut_options(g)
+    _check_cut_ids(g, options)
+    whole = _skeleton_view(g, g._skeleton.levels, g._skeleton.vertex_level)
     return tuple(
         sorted(
-            canonical_form(f.graph, leaf_ranks=leaf_ranks, budget=budget)
-            for f in dec.factors
+            _factor_form(g, whole, options, choice, leaf_ranks, -1, budget)[1]
+            for choice in _choices(options)
         )
     )
 
 
-def _stable_colours(
-    pre: tuple[ReebGraph, ReebGraph, dict[str, tuple], dict[str, tuple]]
-) -> tuple[dict[str, object], dict[str, object]] | None:
-    """Colour refinement of a prefiltered pair's skeletons, one palette for
-    both sides.
-
-    Starting from the prefilter's colours, sweeps run up the skeleton's
-    levels, each critical vertex taking the colours of the lower ends of its
-    long edges, then down the levels with the upper ends, until a round
-    splits no class; the order of sweeps does not change the stable
-    partition.  Every isomorphism preserves the colours after each sweep, so
-    None is returned as soon as a swept level's colour counts differ between
-    the sides; otherwise the colours of both sides' critical vertices."""
-    skeletons = [g._skeleton for g in pre[:2]]
-    cols: list[dict[str, object]] = [dict(c) for c in pre[2:]]
-    k = len(skeletons[0].levels)
-    rows = []  # per side, the critical vertices of each skeleton level
-    for sk in skeletons:
-        row: list[list[str]] = [[] for _ in range(k)]
-        for v, i in sk.vertex_level.items():
-            row[i].append(v)
-        rows.append(row)
-
-    def sweep(i: int, lower: bool) -> int | None:
-        """Recolour level i on both sides; return its number of classes, or
-        None when the two sides' colour counts there differ.  A colour is
-        (level, class), so colours of different levels never meet."""
-        sigs = []
-        for sk, col, row in zip(skeletons, cols, rows):
-            ends = sk.down if lower else sk.up
-            sigs.append({v: (col[v], tuple(sorted([col[w] for w, _ in ends[v]]))) for v in row[i]})
-        rank = {c: (i, n) for n, c in enumerate(sorted({*sigs[0].values(), *sigs[1].values()}))}
-        for col, sig in zip(cols, sigs):
-            for v, c in sig.items():
-                col[v] = rank[c]
-        count_a, count_b = (sorted(map(rank.__getitem__, sig.values())) for sig in sigs)
-        return len(rank) if count_a == count_b else None
-
-    # A sweep reads its own level and the levels on one side of it, and
-    # refinement only adds classes, so a sweep is skipped when no level it
-    # reads has split since it last ran (its own split at that run needs no
-    # second run); the colours are stable once a round splits no level.
-    order = [(i, True) for i in range(k)] + [(i, False) for i in range(k - 1, -1, -1)]
-    classes = [0] * k
-    split = [0] * k  # when each level last gained classes
-    ran: dict[tuple[int, bool], int] = {}
-    clock = 0
-    while True:
-        start = clock
-        for i, lower in order:
-            if ran.get((i, lower), -1) >= max(split[: i + 1] if lower else split[i:]):
-                continue
-            clock += 1
-            n = sweep(i, lower)
-            if n is None:
-                return None
-            ran[i, lower] = clock
-            if n != classes[i]:
-                classes[i], split[i] = n, clock
-        if max(split) <= start:
-            return cols[0], cols[1]
+def _factor_form(
+    graph: ReebGraph,
+    whole: _FactorView,
+    options: Sequence[tuple[str, Sequence[str]]],
+    choice: CutChoice,
+    leaf_ranks: Mapping[str, int] | None,
+    cut_rank: int,
+    budget: int | None,
+) -> tuple[_FactorView, CanonicalForm]:
+    """The factor ``choice`` of ``graph`` as a view cut from ``whole``, the
+    view of its skeleton, and its fingerprint with ``leaf_ranks`` on the
+    sinks and ``cut_rank`` on the cut leaves (-1 leaves them unranked)."""
+    detached = _detached(graph, options, choice)
+    view = _cut(whole, graph, detached)
+    cuts = {RESERVED_VERTEX_PREFIX + e: cut_rank for _, e in detached}
+    return view, canonical_form(view, leaf_ranks={**(leaf_ranks or {}), **cuts}, budget=budget)
 
 
 def _factor_match(
-    pre: tuple[ReebGraph, ReebGraph, dict[str, tuple], dict[str, tuple]],
+    pre: tuple[ReebGraph, ReebGraph, dict[str, object], dict[str, object]],
     leaf_ranks_a: Mapping[str, int] | None,
     leaf_ranks_b: Mapping[str, int] | None,
     budget: int | None,
 ) -> tuple[_FactorView, _FactorView, CanonicalForm, CanonicalForm] | None:
     """The fingerprint route on a pair ``pre`` that passed
-    _skeleton_prefilter.
+    _skeleton_prefilter, with its stable colours.
 
     Glue-back: a level-, cover- and rank-preserving bijection between one
     factor of a and one factor of b that sends cut leaves to cut leaves
@@ -654,9 +656,7 @@ def _factor_match(
     Factors are views of the skeletons (see _FactorView), numbered by the
     skeleton levels the two sides share.  Returns the two matching views
     and their fingerprints, or None when no factor of b matches."""
-    colours = _stable_colours(pre)
-    if colours is None:
-        return None
+    a, b, col_a, col_b = pre
     cut_rank = min([-1, *(leaf_ranks_a or {}).values(), *(leaf_ranks_b or {}).values()]) - 1
 
     def joins(graph: ReebGraph, col: Mapping[str, object], options) -> dict:
@@ -664,33 +664,28 @@ def _factor_match(
         up = graph._skeleton.up
         return {(v, e): (col[v], col[u]) for v, _ in options for u, e in up[v]}
 
-    def form(graph: ReebGraph, whole: _FactorView, options, choice: CutChoice, ranks):
-        detached = _detached(graph, options, choice)
-        view = _cut(whole, graph, detached)
-        cuts = {RESERVED_VERTEX_PREFIX + e: cut_rank for _, e in detached}
-        return view, canonical_form(view, leaf_ranks={**(ranks or {}), **cuts}, budget=budget)
-
-    a, b = pre[:2]
     whole_a, whole_b = (
-        _skeleton_view(g, g._skeleton.levels, g._skeleton.vertex_level) for g in pre[:2]
+        _skeleton_view(g, g._skeleton.levels, g._skeleton.vertex_level) for g in (a, b)
     )
     options_a, options_b = cut_options(a), cut_options(b)
     choice_a = next(_choices(options_a))
-    kept_a = sorted(map(joins(a, colours[0], options_a).__getitem__, choice_a.kept))
-    view_a, form_a = form(a, whole_a, options_a, choice_a, leaf_ranks_a)
+    kept_a = sorted(map(joins(a, col_a, options_a).__getitem__, choice_a.kept))
+    view_a, form_a = _factor_form(a, whole_a, options_a, choice_a, leaf_ranks_a, cut_rank, budget)
     # b keeps only edges whose ends' colours a kept edge joins.
-    join_b, pairs_a = joins(b, colours[1], options_b), set(kept_a)
+    join_b, pairs_a = joins(b, col_b, options_b), set(kept_a)
     allowed = [(v, [e for e in es if join_b[v, e] in pairs_a]) for v, es in options_b]
     for choice in _choices(allowed):
         if sorted(map(join_b.__getitem__, choice.kept)) == kept_a:
-            view_b, form_b = form(b, whole_b, options_b, choice, leaf_ranks_b)
+            view_b, form_b = _factor_form(
+                b, whole_b, options_b, choice, leaf_ranks_b, cut_rank, budget
+            )
             if form_b == form_a:
                 return view_a, view_b, form_a, form_b
     return None
 
 
 def _witness(
-    pre: tuple[ReebGraph, ReebGraph, dict[str, tuple], dict[str, tuple]],
+    pre: tuple[ReebGraph, ReebGraph, dict[str, object], dict[str, object]],
     match: tuple[_FactorView, _FactorView, CanonicalForm, CanonicalForm],
 ) -> MorphismWitness:
     """Expand a match of _factor_match on ``pre`` into an isomorphism of the
@@ -741,18 +736,19 @@ def reeb_iso(
 
     Both graphs are read as their cached skeletons (critical vertices and
     long edges; see core._Skeleton), so nothing is refined and the cost
-    follows the critical vertices, not the levels.  The skeleton prefilter
-    compares level range, critical vertices and long edges by level value,
-    and colours.  The fingerprint route then decides (see _factor_match), on
-    every input: single-source or not, with level orders or without.  The
-    pair's colours are refined further, a's first factor is fingerprinted,
-    and b's factors that the colours allow are fingerprinted one at a time
-    until one matches.  So a decision builds at most 1 + (number of factors
-    of b) fingerprints, and 2 when the first allowed factor of b matches; it
-    builds no factor graph and no witness.  Optional leaf ranks constrain
-    the bijection to respect the given integer on bottom vertices (unranked
-    ones must map to unranked ones).  ``budget`` bounds the fingerprints'
-    tie-breaking (see canonical_form).
+    follows the critical vertices, not the levels.  The prefilter checks the
+    level range and the skeletons' level values, then refines the critical
+    vertices' colours in one palette for both sides, and answers False as
+    soon as a level's colours differ (see _skeleton_prefilter).  The
+    fingerprint route then decides (see _factor_match), on every input:
+    single-source or not, with level orders or without.  a's first factor
+    is fingerprinted, and b's factors that the refined colours allow are
+    fingerprinted one at a time until one matches.  So a decision builds at
+    most 1 + (number of factors of b) fingerprints, and 2 when the first
+    allowed factor of b matches; it builds no factor graph and no witness.
+    Optional leaf ranks constrain the bijection to respect the given integer
+    on bottom vertices (unranked ones must map to unranked ones).
+    ``budget`` bounds the fingerprints' tie-breaking (see canonical_form).
     """
     pre = _skeleton_prefilter(a, b, leaf_ranks_a, leaf_ranks_b)
     return pre is not None and _factor_match(pre, leaf_ranks_a, leaf_ranks_b, budget) is not None

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
+from typing import Mapping
 
 import pytest
 
@@ -23,7 +24,9 @@ from reebtrees import (
     apply_choice,
     betti_euler,
     brute_force_iso,
+    build_dag_view,
     canonical_form,
+    cut_options,
     decompose,
     decomposition_invariant,
     enumerate_choices,
@@ -37,6 +40,7 @@ from reebtrees import (
     verify_witness,
 )
 from reebtrees import decomposition, isomorphism
+from reebtrees.isomorphism import _order_counts
 from conftest import (
     SAFE_SHAPES,
     chain_with_bigons,
@@ -892,9 +896,9 @@ def test_reeb_iso_matches_oracle_on_ordered_and_multi_source_pairs(monkeypatch):
                     pairs += 1
                     positive += want
     assert oracle_calls == []
-    # The skeleton prefilter compares long edges by the levels of both ends,
-    # so 18 swaps that the per-gap counts passed never reach the factors.
-    assert (pairs, positive, verified, matched) == (900, 442, 442, 639)
+    # The skeleton prefilter's colour refinement ends every negative pair
+    # but one, so only one pair reaches the factors and finds no match.
+    assert (pairs, positive, verified, matched) == (900, 442, 442, 443)
 
 
 def retarget_lower_end(g, rng):
@@ -1095,11 +1099,11 @@ def test_ordered_cherries_need_no_search(k):
     assert reeb_iso(inside, cherries(k, ("x1", "y1")), budget=100)
 
 
-def test_cut_leaves_match_only_cut_leaves(monkeypatch):
+def test_cut_leaves_match_only_cut_leaves():
     """In a, merge vertex m's cut leaf sits above t in m's cover (m, t); in b
-    the edge from q to t is a real edge.  With colour refinement switched
-    off, only the cut leaves' tag keeps the input cover (m, t) from passing
-    for a cut."""
+    the edge from q to t is a real edge.  On uniform colours, which rule no
+    factor out, only the cut leaves' tag keeps the input cover (m, t) from
+    passing for a cut."""
     def graph(edges):
         return make_graph(
             [0, 1, 2],
@@ -1115,12 +1119,8 @@ def test_cut_leaves_match_only_cut_leaves(monkeypatch):
     b = graph([("m", "k"), ("m", "p"), ("t", "q"), ("u", "p")])
     assert validate(a) == validate(b) == []
     assert not brute_force_iso(a, b)
-    monkeypatch.setattr(
-        isomorphism,
-        "_stable_colours",
-        lambda pre: tuple(dict.fromkeys(g.vertex_level, 0) for g in pre[:2]),
-    )
-    assert not reeb_iso(a, b)
+    uniform = [dict.fromkeys(g.vertex_level, 0) for g in (a, b)]
+    assert isomorphism._factor_match((a, b, *uniform), None, None, None) is None
 
 
 def test_refined_count_mismatch_refines_nothing(monkeypatch):
@@ -1314,3 +1314,260 @@ def reference_search(pre: tuple[ReebGraph, ReebGraph, tuple, tuple], budget: int
         return False
 
     return run_slot(0)
+
+
+def reference_skeleton_prefilter(
+    a: ReebGraph,
+    b: ReebGraph,
+    tags_a: Mapping[str, int] | None,
+    tags_b: Mapping[str, int] | None,
+) -> tuple[ReebGraph, ReebGraph, dict[str, tuple], dict[str, tuple]] | None:
+    """reeb_iso's prefilter, on the two skeletons.  Checks the level range,
+    then compares the critical vertices per level value, the long edges
+    keyed by the values of their ends (and their edge-order counts), and the
+    critical vertices' colours: (skeleton level, indegree, outdegree,
+    elements below, elements above, sink tag).  Returns (a, b, colours_a,
+    colours_b), or None when the pair cannot be isomorphic.
+
+    Refinement copies an edge's order onto every level it inserts into the
+    edge's gap, as a vertex order, so those levels hold critical vertices;
+    a pair on different level sets whose edge orders are not all trivial is
+    refined to the union of its levels first, and returned refined."""
+    if (a.levels[0], a.levels[-1]) != (b.levels[0], b.levels[-1]):
+        return None
+    if any(o.covers for g in (a, b) for o in g.edge_orders) and a.levels != b.levels:
+        union = sorted(set(a.levels) | set(b.levels))
+        a, b = refine_to_levels(a, union), refine_to_levels(b, union)
+    sa, sb = a._skeleton, b._skeleton
+    if sa.levels != sb.levels:
+        return None
+    if Counter(sa.vertex_level.values()) != Counter(sb.vertex_level.values()):
+        return None
+
+    def long_edges(graph: ReebGraph) -> list[tuple[int, ...]]:
+        sk = graph._skeleton
+        rel, lvl = _order_counts(graph.edge_orders), sk.vertex_level
+        return sorted(
+            (lvl[u], lvl[w], *rel.get(e, (0, 0))) for u, ds in sk.down.items() for w, e in ds
+        )
+
+    if long_edges(a) != long_edges(b):
+        return None
+
+    def colours(graph: ReebGraph, tags: Mapping[str, int] | None) -> dict[str, tuple]:
+        sk, tags = graph._skeleton, tags or {}
+        rel = _order_counts(graph.vertex_orders)
+        return {
+            v: (
+                i, len(sk.up[v]), len(sk.down[v]), *rel.get(v, (0, 0)),
+                -1 if sk.down[v] else tags.get(v, -1),
+            )
+            for v, i in sk.vertex_level.items()
+        }
+
+    ca, cb = colours(a, tags_a), colours(b, tags_b)
+    if sorted(ca.values()) != sorted(cb.values()):
+        return None
+    return a, b, ca, cb
+
+
+def reference_stable_colours(
+    pre: tuple[ReebGraph, ReebGraph, dict[str, tuple], dict[str, tuple]]
+) -> tuple[dict[str, object], dict[str, object]] | None:
+    """Colour refinement of a prefiltered pair's skeletons, one palette for
+    both sides.
+
+    Starting from the prefilter's colours, sweeps run up the skeleton's
+    levels, each critical vertex taking the colours of the lower ends of its
+    long edges, then down the levels with the upper ends, until a round
+    splits no class; the order of sweeps does not change the stable
+    partition.  Every isomorphism preserves the colours after each sweep, so
+    None is returned as soon as a swept level's colour counts differ between
+    the sides; otherwise the colours of both sides' critical vertices."""
+    skeletons = [g._skeleton for g in pre[:2]]
+    cols: list[dict[str, object]] = [dict(c) for c in pre[2:]]
+    k = len(skeletons[0].levels)
+    rows = []  # per side, the critical vertices of each skeleton level
+    for sk in skeletons:
+        row: list[list[str]] = [[] for _ in range(k)]
+        for v, i in sk.vertex_level.items():
+            row[i].append(v)
+        rows.append(row)
+
+    def sweep(i: int, lower: bool) -> int | None:
+        """Recolour level i on both sides; return its number of classes, or
+        None when the two sides' colour counts there differ.  A colour is
+        (level, class), so colours of different levels never meet."""
+        sigs = []
+        for sk, col, row in zip(skeletons, cols, rows):
+            ends = sk.down if lower else sk.up
+            sigs.append({v: (col[v], tuple(sorted([col[w] for w, _ in ends[v]]))) for v in row[i]})
+        rank = {c: (i, n) for n, c in enumerate(sorted({*sigs[0].values(), *sigs[1].values()}))}
+        for col, sig in zip(cols, sigs):
+            for v, c in sig.items():
+                col[v] = rank[c]
+        count_a, count_b = (sorted(map(rank.__getitem__, sig.values())) for sig in sigs)
+        return len(rank) if count_a == count_b else None
+
+    # A sweep reads its own level and the levels on one side of it, and
+    # refinement only adds classes, so a sweep is skipped when no level it
+    # reads has split since it last ran (its own split at that run needs no
+    # second run); the colours are stable once a round splits no level.
+    order = [(i, True) for i in range(k)] + [(i, False) for i in range(k - 1, -1, -1)]
+    classes = [0] * k
+    split = [0] * k  # when each level last gained classes
+    ran: dict[tuple[int, bool], int] = {}
+    clock = 0
+    while True:
+        start = clock
+        for i, lower in order:
+            if ran.get((i, lower), -1) >= max(split[: i + 1] if lower else split[i:]):
+                continue
+            clock += 1
+            n = sweep(i, lower)
+            if n is None:
+                return None
+            ran[i, lower] = clock
+            if n != classes[i]:
+                classes[i], split[i] = n, clock
+        if max(split) <= start:
+            return cols[0], cols[1]
+
+
+def one_level_refinement(g, rng):
+    """``g`` refined at one new value strictly inside its level range."""
+    lo, hi = g.levels[0], g.levels[-1]
+    while True:
+        value = lo + (hi - lo) * Fraction(rng.randrange(1, 16), 16)
+        if value not in g.levels:
+            return refine_to_levels(g, sorted([*g.levels, value]))
+
+
+def test_skeleton_prefilter_matches_the_two_stage_reference():
+    """The one colour refinement rejects exactly the pairs that the former
+    prefilter (per-level counts, long edges, colours) and colour refinement
+    rejected between them.  Generator graphs (s = 0..3, merges of in-degree
+    2 and 3), ordered copies and copies with extra sources, sinks ranked on
+    every other graph; partners are renamed copies, copies with covers
+    drawn afresh and degree-preserving swaps, each also refined at one new
+    level."""
+    shapes = [
+        (2, 0, 3, 2),
+        (3, 0, 4, 3),
+        (2, 1, 3, 2),
+        (3, 1, 4, 3),
+        (3, 2, 4, 2),
+        (3, 2, 4, 3),
+        (4, 3, 5, 3),
+        (2, 3, 4, 3),
+    ]
+    rng = random.Random(2424)
+    pairs = rejected = graphs = 0
+    for seed in range(20):
+        for n, s, lv, d in shapes:
+            spec = GeneratorSpec(seed=seed, n_leaves=n, betti=s, levels=lv, max_indeg=d)
+            base = random_graph(spec)
+            for kind in ("plain", "covers", "sources"):
+                g = {
+                    "plain": base,
+                    "covers": random_covers(base, rng),
+                    "sources": add_sources(base, rng, rng.randint(1, 2)),
+                }[kind]
+                graphs += 1
+                ranks = None
+                if graphs % 2:
+                    ranks = {v: rng.randrange(-1, 2) for v in g.vertex_ids() if g.outdeg(v) == 0}
+                partners = [g, swap_lower_ends(g, rng)]
+                if kind == "covers":
+                    partners.append(random_covers(base, rng))
+                for partner in filter(None, partners):
+                    for b in (partner, one_level_refinement(partner, rng)):
+                        b = rename_graph(b)
+                        for x, y, tx, ty in ((g, b, ranks, renamed_ranks(ranks)),
+                                             (b, g, renamed_ranks(ranks), ranks)):
+                            ref = reference_skeleton_prefilter(x, y, tx, ty)
+                            want = ref is None or reference_stable_colours(ref) is None
+                            got = isomorphism._skeleton_prefilter(x, y, tx, ty) is None
+                            assert got == want, (seed, n, s, kind)
+                            pairs += 1
+                            rejected += got
+    assert (pairs, rejected) == (4044, 1580)
+
+
+def test_decomposition_invariant_agrees_with_reeb_iso():
+    """The invariant lists the skeleton's level values, so it is equal
+    exactly where reeb_iso finds an isomorphism of the pair refined to
+    common levels.  Generator graphs (merges of in-degree 2 and 3, some
+    with levels to spare) against renamed copies, renamed copies minimized
+    or refined at one to three new levels, degree-preserving swaps and the
+    graph of another seed; sinks ranked on every other graph."""
+    shapes = [
+        (2, 1, 3, 2),
+        (3, 2, 4, 2),
+        (3, 2, 4, 3),
+        (2, 3, 4, 3),
+        (4, 2, 4, 3),
+        (3, 3, 4, 2),
+        (2, 1, 5, 2),
+        (2, 2, 6, 2),
+        (3, 2, 6, 3),
+    ]
+    rng = random.Random(2525)
+    pairs = positive = refined = 0
+    for seed in range(27):
+        for n, s, lv, d in shapes:
+            g, other = (
+                random_graph(GeneratorSpec(seed=x, n_leaves=n, betti=s, levels=lv, max_indeg=d))
+                for x in (seed, seed + 100)
+            )
+            ranks = ranks_other = None
+            if (seed + n) % 2:
+                sinks = [v for v in g.vertex_ids() if g.outdeg(v) == 0]
+                ranks = {v: rng.randrange(len(sinks)) for v in sinks}
+                ranks_other = {
+                    v: rng.randrange(len(sinks)) for v in other.vertex_ids() if other.outdeg(v) == 0
+                }
+            copy = rename_graph(g)
+            partners = [
+                (copy, renamed_ranks(ranks)),
+                (coarsened_or_refined(copy, rng), renamed_ranks(ranks)),
+                (swap_lower_ends(g, rng), ranks),
+                (other, ranks_other),
+            ]
+            invariant = decomposition_invariant(g, leaf_ranks=ranks)
+            for b, ranks_b in partners:
+                if b is None:
+                    continue
+                same = decomposition_invariant(b, leaf_ranks=ranks_b) == invariant
+                want = reeb_iso(g, b, leaf_ranks_a=ranks, leaf_ranks_b=ranks_b)
+                assert same == want, (seed, n, s)
+                pairs += 1
+                positive += want
+                refined += want and b.levels != g.levels
+    assert (pairs, positive, refined) == (928, 552, 201)
+
+
+def test_cut_views_give_cut_leaves_the_factor_graphs_order_pairs():
+    """A factor of an ordered graph cut as a view of the skeleton gives each
+    cut leaf the generated order pairs that apply_choice's factor graph gives
+    it, on every factor of ordered generator graphs."""
+    rng = random.Random(909)
+    factors = leaves = 0
+    for seed in range(150):
+        for n, s, lv, d in [(3, 1, 3, 2), (3, 2, 4, 3), (4, 2, 4, 2), (4, 3, 5, 3)]:
+            spec = GeneratorSpec(seed=seed, n_leaves=n, betti=s, levels=lv, max_indeg=d)
+            g = random_covers(random_graph(spec), rng)
+            view = build_dag_view(g)
+            sk = g._skeleton
+            whole = isomorphism._skeleton_view(g, sk.levels, sk.vertex_level)
+            options = cut_options(g)
+            for choice in enumerate_choices(view):
+                factor = apply_choice(view, choice)
+                cut = isomorphism._cut(whole, g, decomposition._detached(g, options, choice))
+                for leaf in factor.cut_vertices:
+                    order = factor.graph.vertex_orders[factor.graph.vertex_level[leaf]]
+                    want = {p for p in isomorphism._strict_pairs(order) if leaf in p}
+                    assert {p for p in cut.vertex_pairs if leaf in p} == want, (seed, n, s)
+                    leaves += 1
+                factors += 1
+    assert (factors, leaves) == (2413, 5508)
