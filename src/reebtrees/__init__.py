@@ -4,11 +4,11 @@ phylogenetic distances built on top.
 The model, its structural operations and its critical skeleton live in core;
 dag classifies vertices and checks the two cycle-rank computations, counted on
 the skeleton, against each other; decomposition splits a single-source graph
-into trees at the skeleton's merge vertices and glues them back; isomorphism
-decides equivalence three different ways; phylo turns trees into cophenetic
-vectors and compares networks by Hausdorff distance; enewick and serialize
-read and write the supported text formats; generator produces seeded random
-instances.
+into trees at the skeleton's merge vertices, by the one cut rule that
+isomorphism and phylo also read, and glues them back; isomorphism decides
+equivalence three different ways; phylo turns trees into cophenetic vectors
+and compares networks by Hausdorff distance; enewick and serialize read and
+write the supported text formats; generator produces seeded random instances.
 """
 
 import types
@@ -27,7 +27,6 @@ from .core import (
     validate,
 )
 from .dag import (
-    DagView,
     VertexClass,
     VertexKind,
     betti_euler,

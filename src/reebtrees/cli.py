@@ -14,7 +14,7 @@ from functools import cache
 from pathlib import Path
 
 from .core import format_level, minimize_critical_set, validate
-from .dag import betti_euler, betti_reticulation, build_dag_view
+from .dag import betti_euler, betti_reticulation, build_dag_view, classify_vertex
 from .decomposition import (
     _require_trivial_orders,
     apply_choice,
@@ -105,7 +105,9 @@ def cmd_betti(args) -> int:
 
 def cmd_classify(args) -> int:
     graph, _ = _load_graph(args.graph, args.format)
-    for c in build_dag_view(graph).classes:
+    build_dag_view(graph)
+    for v in graph.vertex_ids():
+        c = classify_vertex(graph, v)
         level = format_level(graph.levels[c.level_index])
         tail = "\tleaf" if c.is_leaf else ""
         print(
@@ -122,9 +124,9 @@ def cmd_minimize(args) -> int:
 
 def cmd_decompose(args) -> int:
     graph, _ = _load_graph(args.graph, args.format)
-    view = build_dag_view(graph)
+    build_dag_view(graph)
     _require_trivial_orders(graph)  # the library decompose's rule
-    total = factor_count(view)
+    total = factor_count(graph)
     if total > args.max_factors:
         print(
             f"error: {total} factors exceed the cap of {args.max_factors}",
@@ -135,8 +137,8 @@ def cmd_decompose(args) -> int:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     print(f"factors: {total}")
-    for n, choice in enumerate(enumerate_choices(view)):
-        factor = apply_choice(view, choice)
+    for n, choice in enumerate(enumerate_choices(graph)):
+        factor = apply_choice(graph, choice)
         kept = " ".join(f"{v}<-{e}" for v, e in choice.kept)
         cut = ",".join(sorted(factor.detached)) or "-"
         print(f"factor {n}: keep [{kept or '-'}] cut [{cut}]")

@@ -1,17 +1,18 @@
-"""Directed view of a leveled graph and the vertex classification built on it.
+"""Vertex classes and cycle ranks of a leveled graph, read as a directed graph.
 
 Edges are oriented downward (top endpoint to bottom endpoint), so a vertex's
 in-degree counts edges arriving from the gap above and its out-degree counts
-edges leaving into the gap below.  A view's cycle rank is counted on the
-graph's critical skeleton (core._Skeleton), the one source of merge vertices
-that decompose, the distances and reeb_iso read.
+edges leaving into the gap below.  build_dag_view is the single-source check
+that decompose, classify and the distances run first: it counts the cycle
+rank twice on the graph's critical skeleton (core._Skeleton), the one source
+of merge vertices that decompose, the distances and reeb_iso read, and
+returns it once the counts agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 from .core import ReebGraph
 from .errors import ReticulationConflict
@@ -77,31 +78,8 @@ def source_vertices(graph: ReebGraph) -> tuple[str, ...]:
     return tuple(v for v in graph.vertex_ids() if graph.indeg(v) == 0)
 
 
-@dataclass(frozen=True)
-class DagView:
-    """A leveled graph and its cycle rank.
-
-    build_dag_view gives a view only to graphs whose two cycle-rank
-    computations agree, which is equivalent to having exactly one source
-    vertex; decompose, classify and the distances rely on that.  The
-    merge vertices and their arriving edges are decomposition.cut_options;
-    the vertex classes and leaves are computed when first read.
-    """
-
-    graph: ReebGraph
-    betti: int
-
-    @cached_property
-    def classes(self) -> tuple[VertexClass, ...]:
-        return tuple(classify_vertex(self.graph, v) for v in self.graph.vertex_ids())
-
-    @cached_property
-    def leaves(self) -> tuple[VertexClass, ...]:
-        return tuple(c for c in self.classes if c.is_leaf)
-
-
-def build_dag_view(graph: ReebGraph) -> DagView:
-    """Cross-check the two Betti computations; classify nothing yet.
+def build_dag_view(graph: ReebGraph) -> int:
+    """The graph's cycle rank, once its two Betti computations agree.
 
     Both are counted on the graph's checked skeleton, whose long edges and
     critical vertices have the graph's Euler count and merges: ids used
@@ -119,4 +97,4 @@ def build_dag_view(graph: ReebGraph) -> DagView:
             f"cycle-rank mismatch: euler count {b_euler} vs merge count {b_retic} "
             f"({len(sources)} source vertices: {', '.join(sources)})"
         )
-    return DagView(graph=graph, betti=b_euler)
+    return b_euler

@@ -3,12 +3,13 @@
 Every vertex where d >= 2 edges arrive from above contributes a factor of d to
 the decomposition: each factor keeps exactly one arriving edge attached and
 detaches the rest onto fresh leaf vertices at the same level.  Detached edges
-remember their origin, so gluing is exact and id-for-id.  The leaf that edge
-``e`` is detached onto is named ``cut:<e>``, an id that must be new to the
-whole network: ``apply_choice`` and the factor vectors check it alike.
-The merge vertices and their arriving edges are read off the graph's
-critical skeleton (cut_options), the one table that decompose, the factor
-vectors and reeb_iso share.
+remember their origin, so gluing is exact and id-for-id.  One rule (_cuts)
+places the leaf that edge ``e`` is detached onto, for factor graphs, reeb_iso's
+factor views and the factor vectors alike: ``cut:<e>``, an id that must be new
+to the whole network, on the merge vertex's level, under the cover (merge
+vertex, cut leaf).  The merge vertices and their arriving edges are read off
+the graph's critical skeleton (cut_options), and one list of checks
+(_factor_options) comes before any factor is cut.
 
 Every factor has n + s leaves, where n is the number of sinks of the graph and
 s = sum(d - 1) over its merge vertices: each detached edge adds one cut leaf.
@@ -28,7 +29,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import RESERVED_VERTEX_PREFIX, LevelPoset, ReebGraph
-from .dag import DagView, build_dag_view
+from .dag import build_dag_view
 from .errors import InvalidChoice, OrderConflict
 
 
@@ -58,35 +59,35 @@ class Factor:
 
     @cached_property
     def cut_vertices(self) -> tuple[str, ...]:
-        return tuple(sorted(RESERVED_VERTEX_PREFIX + e for e in self.detached))
+        cuts = _cuts([(m, (e,)) for e, m in self.reattach], {})
+        return tuple(sorted(leaf for _, _, leaf in cuts))
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    view: DagView
+    graph: ReebGraph
     factors: tuple[Factor, ...]
 
 
-def cut_options(source: ReebGraph | DagView) -> tuple[tuple[str, tuple[str, ...]], ...]:
+def cut_options(graph: ReebGraph) -> tuple[tuple[str, tuple[str, ...]], ...]:
     """Per merge vertex, the arriving edges one of which must be kept.
 
     Read off the graph's skeleton: merge vertices are ordered by (level
     index, id), and each lists the long edges arriving at it, named by
-    their edges arriving there, by id.  Accepts a graph, as decompose does.
+    their edges arriving there, by id.
     """
-    graph = source.graph if isinstance(source, DagView) else source
     sk = graph._skeleton
     merges = sorted((sk.vertex_level[v], v) for v, ups in sk.up.items() if len(ups) > 1)
     return tuple((v, tuple(e for _, e in sk.up[v])) for _, v in merges)
 
 
-def factor_count(view: DagView) -> int:
-    return math.prod(len(edges) for _, edges in cut_options(view))
+def factor_count(graph: ReebGraph) -> int:
+    return math.prod(len(edges) for _, edges in cut_options(graph))
 
 
-def enumerate_choices(view: DagView) -> Iterator[CutChoice]:
+def enumerate_choices(graph: ReebGraph) -> Iterator[CutChoice]:
     """All cut choices in lexicographic order over the option table."""
-    return _choices(cut_options(view))
+    return _choices(cut_options(graph))
 
 
 def _choices(options: Sequence[tuple[str, Sequence[str]]]) -> Iterator[CutChoice]:
@@ -96,10 +97,10 @@ def _choices(options: Sequence[tuple[str, Sequence[str]]]) -> Iterator[CutChoice
         yield CutChoice(kept=tuple(zip(vertices, picked)))
 
 
-def make_choice(view: DagView, kept: Mapping[str, str]) -> CutChoice:
+def make_choice(graph: ReebGraph, kept: Mapping[str, str]) -> CutChoice:
     """Build a choice from a {merge_vertex: kept_edge} mapping, rejecting
     anything that does not match the graph."""
-    options = dict(cut_options(view))
+    options = dict(cut_options(graph))
     extra = sorted(set(kept) - set(options))
     if extra:
         raise InvalidChoice(f"not merge vertices: {', '.join(extra)}")
@@ -125,16 +126,27 @@ def _require_trivial_orders(graph: ReebGraph) -> None:
             )
 
 
+def _cuts(
+    options: Iterable[tuple[str, Sequence[str]]], kept: Mapping[str, str]
+) -> list[tuple[str, str, str]]:
+    """The cut rule: (merge vertex, detached edge, cut leaf) for every arriving
+    edge but the one ``kept`` maps its merge vertex to, in option order; with
+    an empty ``kept``, every cut leaf any factor has."""
+    return [
+        (m, e, RESERVED_VERTEX_PREFIX + e) for m, edges in options for e in edges if e != kept.get(m)
+    ]
+
+
 def _detached(
     graph: ReebGraph, options: Iterable[tuple[str, Sequence[str]]], choice: CutChoice
-) -> list[tuple[str, str]]:
-    """The (merge vertex, detached edge) pairs of ``choice``, in option order.
-    Raises if the network holds a detached edge's cut leaf id on any level."""
-    pairs = [(v, e) for v, edges in options for e in edges if e != choice.kept_map[v]]
-    for _, e in pairs:
-        if RESERVED_VERTEX_PREFIX + e in graph.vertex_level:
-            raise ValueError(f"cut vertex id {RESERVED_VERTEX_PREFIX + e!r} already present")
-    return pairs
+) -> list[tuple[str, str, str]]:
+    """The _cuts of ``choice``.  Raises if the network holds a cut leaf's id
+    on any level."""
+    cuts = _cuts(options, choice.kept_map)
+    for _, _, leaf in cuts:
+        if leaf in graph.vertex_level:
+            raise ValueError(f"cut vertex id {leaf!r} already present")
+    return cuts
 
 
 def _check_cut_ids(graph: ReebGraph, options: Sequence[tuple[str, Sequence[str]]]) -> None:
@@ -147,9 +159,10 @@ def _check_cut_ids(graph: ReebGraph, options: Sequence[tuple[str, Sequence[str]]
     clashing choice keeps the first edge everywhere but at the last merge
     whose first edge is held, which keeps its second.
     """
+    leaf = {e: c for _, e, c in _cuts(options, {})}
     held = [
         (j, i) for j, (_, edges) in enumerate(options)
-        for i, e in enumerate(edges) if RESERVED_VERTEX_PREFIX + e in graph.vertex_level
+        for i, e in enumerate(edges) if leaf[e] in graph.vertex_level
     ]
     if not held:
         return
@@ -161,44 +174,52 @@ def _check_cut_ids(graph: ReebGraph, options: Sequence[tuple[str, Sequence[str]]
     ))
 
 
-def apply_choice(view: DagView, choice: CutChoice) -> Factor:
-    """Detach every non-kept arriving edge onto a fresh leaf ``cut:<edge>`` at
-    the merge vertex's level, recording (kept leaf below merge vertex) in
-    that level's order.  A cut leaf's id must be new to the whole network:
-    a choice that detaches an edge whose cut leaf id the network already
-    holds, on any level, raises ValueError.
+def _factor_options(graph: ReebGraph) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """cut_options of a graph that passes what decompose checks after the
+    cycle rank, in its order: trivial level orders, then the cut leaf ids
+    of every choice."""
+    _require_trivial_orders(graph)
+    options = cut_options(graph)
+    _check_cut_ids(graph, options)
+    return options
+
+
+def apply_choice(graph: ReebGraph, choice: CutChoice) -> Factor:
+    """Detach every non-kept arriving edge onto its cut leaf (see _cuts),
+    adding the cover (merge vertex, cut leaf) to that level's order.  A cut
+    leaf's id must be new to the whole network: a choice that detaches an
+    edge whose cut leaf id the network already holds, on any level, raises
+    ValueError.
 
     Only the levels that receive a cut leaf get a new vertex set, down map
     and order; every other level of the factor is the network's own object,
     and a graph with no merge vertex is its factor's graph itself.
     """
-    graph = view.graph
-    options = dict(cut_options(view))
+    options = dict(cut_options(graph))
     if set(choice.kept_map) != set(options):
         raise InvalidChoice("choice does not cover exactly the merge vertices")
     vsets = list(graph.vertex_sets)
     downs = list(graph.down_maps)
     orders = list(graph.vertex_orders)
-    # Level -> (merge vertex, detached edge) pairs cut there.
-    cuts: dict[int, list[tuple[str, str]]] = {}
+    # Level -> (merge vertex, detached edge, cut leaf) triples cut there.
+    cuts: dict[int, list[tuple[str, str, str]]] = {}
     for retic, keep_edge in choice.kept:
         if keep_edge not in options[retic]:
             raise InvalidChoice(f"edge {keep_edge!r} does not arrive at {retic!r}")
-    for retic, e in _detached(graph, options.items(), choice):
-        cuts.setdefault(graph.vertex_level[retic], []).append((retic, e))
-    for lvl, pairs in cuts.items():
-        leaves = {e: RESERVED_VERTEX_PREFIX + e for _, e in pairs}
+    for cut in _detached(graph, options.items(), choice):
+        cuts.setdefault(graph.vertex_level[cut[0]], []).append(cut)
+    for lvl, level_cuts in cuts.items():
+        leaves = {e: leaf for _, e, leaf in level_cuts}
         vsets[lvl] = vsets[lvl].union(leaves.values())
         downs[lvl] = {**downs[lvl], **leaves}
         orders[lvl] = LevelPoset(
-            vsets[lvl],
-            orders[lvl].covers.union((retic, leaves[e]) for retic, e in pairs),
+            vsets[lvl], orders[lvl].covers.union((m, leaf) for m, _, leaf in level_cuts)
         )
     # A tree has nothing to cut and is its own single factor.
     fgraph = graph if not cuts else replace(
         graph, vertex_sets=tuple(vsets), down_maps=tuple(downs), vertex_orders=tuple(orders)
     )
-    reattach = sorted((e, retic) for pairs in cuts.values() for retic, e in pairs)
+    reattach = sorted((e, m) for level_cuts in cuts.values() for m, e, _ in level_cuts)
     return Factor(
         graph=fgraph,
         choice=choice,
@@ -207,16 +228,16 @@ def apply_choice(view: DagView, choice: CutChoice) -> Factor:
     )
 
 
-def decompose(source: ReebGraph | DagView) -> Decomposition:
+def decompose(graph: ReebGraph) -> Decomposition:
     """Full decomposition: one factor per cut choice, in enumeration order.
 
     The input must classify cleanly (single source) and carry trivial level
     orders, since the factors populate the orders themselves.
     """
-    view = source if isinstance(source, DagView) else build_dag_view(source)
-    _require_trivial_orders(view.graph)
+    build_dag_view(graph)
+    options = _factor_options(graph)
     return Decomposition(
-        view=view, factors=tuple(apply_choice(view, c) for c in enumerate_choices(view))
+        graph=graph, factors=tuple(apply_choice(graph, c) for c in _choices(options))
     )
 
 

@@ -37,17 +37,14 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
-    RESERVED_VERTEX_PREFIX,
     LevelPoset,
     ReebGraph,
     _refined_counts,
     common_refinement,
     refine_to_levels,
 )
-from .dag import DagView, build_dag_view
-from .decomposition import (
-    CutChoice, _check_cut_ids, _choices, _detached, _require_trivial_orders, cut_options
-)
+from .dag import build_dag_view
+from .decomposition import CutChoice, _choices, _detached, _factor_options, cut_options
 from .errors import LabelMismatch, MissingLabels, NotATree, SizeLimitExceeded
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
@@ -242,9 +239,8 @@ class CanonicalForm:
 class _FactorView:
     """A tree or forest as canonical_form reads it, built on a skeleton (see
     core._Skeleton) and never as a graph.  A factor of a network is the
-    network's skeleton with each detached long edge ending at its cut leaf
-    ``cut:<edge>`` on the merge vertex's level, and (merge vertex, cut leaf)
-    in that level's order, as apply_choice makes them.
+    network's skeleton with each detached long edge ending at its cut leaf,
+    placed by decomposition._cuts as apply_choice places it.
 
     ``level`` numbers each vertex's level, an index into ``levels``, the
     values the fingerprint lists; ``down`` and ``up`` give each vertex's
@@ -274,17 +270,16 @@ def _skeleton_view(
     )
 
 
-def _cut(view: _FactorView, graph: ReebGraph, detached: Sequence[tuple[str, str]]) -> _FactorView:
+def _cut(view: _FactorView, graph: ReebGraph, detached: Sequence[tuple[str, ...]]) -> _FactorView:
     """``view`` of ``graph``'s skeleton with each detached (merge vertex,
-    long edge) ending at the edge's cut leaf; only the lists of the ends
-    that change are new."""
+    long edge, cut leaf) of decomposition._detached cut there; only the
+    lists of the ends that change are new."""
     if not detached:
         return view
     sk = graph._skeleton
     level, down, up = dict(view.level), dict(view.down), dict(view.up)
     vertex_pairs = list(view.vertex_pairs)
-    for m, e in detached:
-        cut = RESERVED_VERTEX_PREFIX + e
+    for m, e, cut in detached:
         (u,) = [w for w, f in up[m] if f == e]
         up[m] = tuple(p for p in up[m] if p[1] != e)
         down[u] = tuple((cut, f) if f == e else (w, f) for w, f in down[u])
@@ -588,29 +583,26 @@ def canonical_form(
 
 
 def decomposition_invariant(
-    graph: ReebGraph | DagView,
+    graph: ReebGraph,
     *,
     leaf_ranks: Mapping[str, int] | None = None,
     budget: int | None = None,
 ) -> tuple[CanonicalForm, ...]:
     """Sorted multiset of factor fingerprints; a complete isomorphism
     invariant, up to refinement to common levels, for single-source graphs
-    with trivial level orders.  Accepts an already built view, and checks
-    what decompose checks, in its order.  Every factor is a view cut from
-    the graph's skeleton (see _factor_form), its cut leaves unranked, as in
-    apply_choice's factor graphs.  The fingerprints list the skeleton's
-    level values, so the invariant is equal across pass-through levels, and
-    its bytes differ from those of releases that fingerprinted factor
-    graphs.  reeb_iso does not call it: one factor of a decides."""
-    view = graph if isinstance(graph, DagView) else build_dag_view(graph)
-    g = view.graph
-    _require_trivial_orders(g)
-    options = cut_options(g)
-    _check_cut_ids(g, options)
-    whole = _skeleton_view(g, g._skeleton.levels, g._skeleton.vertex_level)
+    with trivial level orders.  Checks what decompose checks, in its order.
+    Every factor is a view cut from the graph's skeleton (see _factor_form),
+    its cut leaves unranked, as in apply_choice's factor graphs.  The
+    fingerprints list the skeleton's level values, so the invariant is equal
+    across pass-through levels, and its bytes differ from those of releases
+    that fingerprinted factor graphs.  reeb_iso does not call it: one factor of a decides."""
+    build_dag_view(graph)
+    options = _factor_options(graph)
+    sk = graph._skeleton
+    whole = _skeleton_view(graph, sk.levels, sk.vertex_level)
     return tuple(
         sorted(
-            _factor_form(g, whole, options, choice, leaf_ranks, -1, budget)[1]
+            _factor_form(graph, whole, options, choice, leaf_ranks, -1, budget)[1]
             for choice in _choices(options)
         )
     )
@@ -630,7 +622,7 @@ def _factor_form(
     sinks and ``cut_rank`` on the cut leaves (-1 leaves them unranked)."""
     detached = _detached(graph, options, choice)
     view = _cut(whole, graph, detached)
-    cuts = {RESERVED_VERTEX_PREFIX + e: cut_rank for _, e in detached}
+    cuts = {leaf: cut_rank for *_, leaf in detached}
     return view, canonical_form(view, leaf_ranks={**(leaf_ranks or {}), **cuts}, budget=budget)
 
 

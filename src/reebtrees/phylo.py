@@ -52,8 +52,8 @@ from operator import getitem, itemgetter, mul, sub
 from typing import Iterator, Mapping, Sequence
 
 from .core import RESERVED_VERTEX_PREFIX, ReebGraph, _Skeleton
-from .dag import DagView, build_dag_view
-from .decomposition import Factor, _check_cut_ids, _require_trivial_orders, cut_options
+from .dag import build_dag_view
+from .decomposition import Factor, _cuts, _factor_options
 from .errors import (
     DimensionMismatch,
     EmptySet,
@@ -475,15 +475,15 @@ def hausdorff_distance(
 
 @dataclass(frozen=True)
 class NetworkFactors:
-    """A network's taxon count and cycle rank, and the cophenetic vectors of
-    its tree factors, in ``enumerate_choices`` order.
+    """A network, its cycle rank and taxon count, and the cophenetic vectors
+    of its tree factors, in ``enumerate_choices`` order.
 
     The vectors are computed when first read, so two networks' shapes can be
     compared before any vector is built.  They equal ``cophenetic_vector``
-    of each factor of ``decompose(view)``, but no factor graph is built: a
+    of each factor of ``decompose(graph)``, but no factor graph is built: a
     factor differs from its network only in that each detached edge ends at
-    its cut leaf ``cut:<edge>``.  Once per network come the checks
-    ``decompose`` makes (the cut-id check once per arriving edge), the
+    its cut leaf.  Once per network come the checks ``decompose`` makes
+    (``_factor_options``: the cut-id check once per arriving edge), the
     skeleton's children table, the sorted taxa, the stamps, which every
     factor shares (each merge leaves a cut leaf at its level in every
     factor, and no cut changes an out-degree), and the row walk
@@ -494,35 +494,32 @@ class NetworkFactors:
     ``enumerate_choices`` index.
     """
 
-    view: DagView
+    graph: ReebGraph
+    betti: int
     taxa: int
     ranks: Mapping[str, int] | None
     time_mode: str
 
-    @property
-    def betti(self) -> int:
-        return self.view.betti
-
     @cached_property
     def vectors(self) -> tuple[CopheneticVector, ...]:
-        return _factor_vectors(self.view, self.ranks, self.time_mode)
+        return _factor_vectors(self.graph, self.ranks, self.time_mode)
 
 
 def _factor_vectors(
-    view: DagView, ranks: Mapping[str, int] | None, time_mode: str
+    graph: ReebGraph, ranks: Mapping[str, int] | None, time_mode: str
 ) -> tuple[CopheneticVector, ...]:
-    """``cophenetic_vector`` of every factor of ``decompose(view)``, in its
-    order, raising what that would raise first."""
-    graph = view.graph
-    _require_trivial_orders(graph)
+    """``cophenetic_vector`` of every factor of ``decompose(graph)``, in its
+    order, raising what that would raise first; network_factors has made
+    the cycle-rank check."""
     sk = graph._checked_skeleton
-    options = cut_options(view)
-    _check_cut_ids(graph, options)
+    options = _factor_options(graph)
     _check_time_mode(time_mode)
     root = _root(sk)
 
     # Every cut leaf any factor has: one per arriving edge of every merge.
-    merge_of = {RESERVED_VERTEX_PREFIX + e: m for m, edges in options for e in edges}
+    every = _cuts(options, {})
+    leaf_of = {e: c for _, e, c in every}
+    merge_of = {c: m for m, _, c in every}
     level_of = {**sk.vertex_level, **{c: sk.vertex_level[m] for c, m in merge_of.items()}}
     sinks = [v for v, below in sk.down.items() if not below]
     originals, cuts = _sorted_taxa([*sinks, *merge_of], ranks, level_of, merge_of)
@@ -539,12 +536,12 @@ def _factor_vectors(
     # The first choice keeps every merge's first edge; each other edge ends
     # at its cut leaf.  A network sink may carry the prefix too; it is in
     # every factor.
-    first = {RESERVED_VERTEX_PREFIX + e for _, edges in options for e in edges[1:]}
-    names = [*originals, *(c for c in cuts if c in first or c not in merge_of)]
-    for _, edges in options:
-        for e in edges[1:]:
-            v, i = hook[e]
-            children[v][i] = RESERVED_VERTEX_PREFIX + e
+    first = _cuts(options, {m: edges[0] for m, edges in options})
+    held = {c for *_, c in first}
+    names = [*originals, *(c for c in cuts if c in held or c not in merge_of)]
+    for _, e, c in first:
+        v, i = hook[e]
+        children[v][i] = c
     if not options:
         scaled = _walk(root, children, names, stamp)
         return (_vector(tuple(names), scaled, scale, back, time_mode),)
@@ -563,11 +560,11 @@ def _factor_vectors(
     # its t-th cut leaf is cut:edges[t] for t < k and cut:edges[t + 1]
     # otherwise, so a move to a neighbouring edge renames one cut leaf in
     # place: the one at min(k, new k).
-    base = [place[RESERVED_VERTEX_PREFIX + edges[1]] for _, edges in options]
+    base = [place[leaf_of[edges[1]]] for _, edges in options]
     index = 0
     for j, k, new in _gray_code(radices):
         m, edges = options[j]
-        kept, cut = edges[new], RESERVED_VERTEX_PREFIX + edges[k]
+        kept, cut = edges[new], leaf_of[edges[k]]
         c = base[j] + min(k, new)
         v, i = hook[edges[k]]
         children[v][i] = cut
@@ -665,9 +662,9 @@ def network_factors(
     skeleton (ids used twice and edge ends off their levels raise
     ValueError, a multi-source graph ReticulationConflict); its factor
     vectors follow on first use."""
-    view = build_dag_view(graph)
+    betti = build_dag_view(graph)
     taxa = sum(1 for below in graph._skeleton.down.values() if not below)
-    return NetworkFactors(view, taxa, ranks, time_mode)
+    return NetworkFactors(graph, betti, taxa, ranks, time_mode)
 
 
 def network_distance(

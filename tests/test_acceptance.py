@@ -108,8 +108,8 @@ def timed(fn, repeats=5):
 
 def test_criterion_01_one_cycle_splits_into_two_five_leaf_trees():
     g = four_leaf_cycle()
-    decompose(build_dag_view(g))  # warm caches before timing
-    dec, seconds = timed(lambda: decompose(build_dag_view(four_leaf_cycle())))
+    decompose(g)  # warm caches before timing
+    dec, seconds = timed(lambda: decompose(four_leaf_cycle()))
     assert len(dec.factors) == 2
     for f in dec.factors:
         assert leaf_count(f.graph) == 5
@@ -121,8 +121,8 @@ def test_criterion_01_one_cycle_splits_into_two_five_leaf_trees():
 
 def test_criterion_02_two_cycle_bouquet_factor_shape():
     g = bottom_merge_leaf()
-    decompose(build_dag_view(g))
-    dec, seconds = timed(lambda: decompose(build_dag_view(bottom_merge_leaf())))
+    decompose(g)
+    dec, seconds = timed(lambda: decompose(bottom_merge_leaf()))
     assert len(dec.factors) == 3
     assert seconds < 0.010
     # The paper's n + s leaves per factor: n sinks by leaf_count, s by betti_euler.
@@ -147,7 +147,7 @@ def test_criterion_03_cycle_rank_formulas_agree_on_corpus():
 def test_criterion_04_factor_count_is_indegree_product():
     checked = 0
     for g in corpus_graphs():
-        view = build_dag_view(g)
+        betti = build_dag_view(g)
         product = 1
         merges = 0
         for v in g.vertex_ids():
@@ -155,10 +155,10 @@ def test_criterion_04_factor_count_is_indegree_product():
             if d >= 2:
                 product *= d
                 merges += d - 1
-        assert factor_count(view) == product
+        assert factor_count(g) == product
         # The corpus is generated with merge width 2, so the product
         # collapses to a power of two with exponent the cycle rank.
-        assert product == 2 ** view.betti
+        assert product == 2 ** betti
         checked += 1
     assert checked >= 1000
     note(4, f"{checked} graphs, counts match the in-degree product")
@@ -167,7 +167,7 @@ def test_criterion_04_factor_count_is_indegree_product():
 def test_criterion_05_every_factor_glues_back_exactly():
     factors = 0
     for g in corpus_graphs():
-        for f in decompose(build_dag_view(g)).factors:
+        for f in decompose(g).factors:
             assert glue_back(f) == g
             factors += 1
     assert factors >= 1000
@@ -235,13 +235,13 @@ def test_criterion_06_decision_procedure_matches_oracle():
 
 
 def _work(g):
-    view = build_dag_view(g)
-    first_choice = next(iter(enumerate_choices(view)))
-    factor = apply_choice(view, first_choice)
+    build_dag_view(g)
+    first_choice = next(iter(enumerate_choices(g)))
+    factor = apply_choice(g, first_choice)
     size = sum(len(vs) for vs in factor.graph.vertex_sets) + sum(
         len(es) for es in factor.graph.edge_sets
     )
-    return factor_count(view) * size
+    return factor_count(g) * size
 
 
 def test_criterion_07_work_scales_with_two_power_s_and_size():
@@ -270,8 +270,8 @@ def test_criterion_07_work_scales_with_two_power_s_and_size():
 
 
 def test_criterion_08_dated_example_distances(net_a, net_b, ranks_a, ranks_b):
-    dec_a = decompose(build_dag_view(net_a))
-    dec_b = decompose(build_dag_view(net_b))
+    dec_a = decompose(net_a)
+    dec_b = decompose(net_b)
     t1, t2 = (
         cophenetic_vector(f, ranks=ranks_a, time_mode="-f") for f in dec_a.factors
     )

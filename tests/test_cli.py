@@ -24,6 +24,8 @@ from reebtrees import (
     IncompatibleShape,
     OrderConflict,
     ReebError,
+    build_dag_view,
+    classify_vertex,
     decompose,
     dump_text,
     enewick_to_reeb,
@@ -145,17 +147,47 @@ class TestClassify:
         graph = random_graph(GeneratorSpec(seed=3, n_leaves=5, betti=4, levels=5, max_indeg=3))
         path = write_graph(tmp_path, "g.json", graph)
         calls = []
-        original = reebtrees.dag.classify_vertex
+        original = reebtrees.cli.classify_vertex
 
         def counting(graph, v):
             calls.append(v)
             return original(graph, v)
 
-        monkeypatch.setattr(reebtrees.dag, "classify_vertex", counting)
+        monkeypatch.setattr(reebtrees.cli, "classify_vertex", counting)
         assert main(["classify", path]) == 0
         vertices = sorted(graph.vertex_level)
         assert sorted(calls) == vertices
         assert len(capsys.readouterr().out.splitlines()) == len(vertices)
+
+    def test_matches_the_library_on_every_fixture(self, capsys):
+        # One line per vertex, in vertex_ids() order, as classify_vertex
+        # classifies it; or the cycle-rank check's error with exit 2 and no
+        # output.
+        fixtures = [*sorted(DATA.glob("*.json")), *sorted((DATA / "newick_corpus").glob("*"))]
+        outcomes = {"vertices": 0, "errors": 0}
+        for path in fixtures:
+            text = path.read_text()
+            graph = enewick_to_reeb(text) if path.suffix == ".enwk" else load_text(text)[0]
+            code = main(["classify", str(path)])
+            captured = capsys.readouterr()
+            try:
+                build_dag_view(graph)
+            except (ReebError, ValueError) as exc:
+                assert (code, captured.out, captured.err) == (2, "", f"error: {exc}\n"), path
+                outcomes["errors"] += 1
+                continue
+            lines = []
+            for v in graph.vertex_ids():
+                c = classify_vertex(graph, v)
+                level = format_level(graph.levels[c.level_index])
+                tail = "\tleaf" if c.is_leaf else ""
+                lines.append(
+                    f"{v}\t{level}\t{c.kind.value}\tin={c.indegree}\tout={c.outdegree}{tail}"
+                )
+            assert (code, captured.err) == (0, ""), path
+            assert captured.out.splitlines() == lines, path
+            outcomes["vertices"] += len(lines)
+        assert outcomes["errors"] >= 2 and outcomes["vertices"] >= 500, outcomes
 
 
 class TestMinimize:

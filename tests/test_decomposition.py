@@ -4,40 +4,47 @@ from __future__ import annotations
 
 import copy
 import math
+import random
+from dataclasses import replace
 
 import pytest
 
 from reebtrees import (
+    CutChoice,
+    Factor,
     GeneratorSpec,
     InvalidChoice,
+    LevelPoset,
     OrderConflict,
     apply_choice,
     betti_euler,
     build_dag_view,
+    classify_vertex,
     cut_options,
     decompose,
     enewick_to_reeb,
     enumerate_choices,
     factor_count,
     glue_back,
+    load_text,
     make_choice,
     make_graph,
     random_graph,
     validate,
 )
+from reebtrees.core import RESERVED_VERTEX_PREFIX
 from conftest import SAFE_SHAPES, corpus, cut_id_clash
 from test_enewick import CORPUS
+from test_isomorphism import add_sources, random_covers
 
 
 def test_cut_options_single_merge(cycle_graph):
-    view = build_dag_view(cycle_graph)
-    assert cut_options(view) == (("r", ("e5", "e6")),)
-    assert factor_count(view) == 2
+    assert cut_options(cycle_graph) == (("r", ("e5", "e6")),)
+    assert factor_count(cycle_graph) == 2
 
 
 def test_choice_enumeration_order(triple_edge):
-    view = build_dag_view(triple_edge)
-    choices = list(enumerate_choices(view))
+    choices = list(enumerate_choices(triple_edge))
     assert [c.kept for c in choices] == [
         (("r", "e1"),),
         (("r", "e2"),),
@@ -46,20 +53,18 @@ def test_choice_enumeration_order(triple_edge):
 
 
 def test_make_choice_rejections(cycle_graph):
-    view = build_dag_view(cycle_graph)
     with pytest.raises(InvalidChoice, match="not merge vertices: w"):
-        make_choice(view, {"r": "e5", "w": "e7"})
+        make_choice(cycle_graph, {"r": "e5", "w": "e7"})
     with pytest.raises(InvalidChoice, match="no kept edge for: r"):
-        make_choice(view, {})
+        make_choice(cycle_graph, {})
     with pytest.raises(InvalidChoice, match="does not arrive"):
-        make_choice(view, {"r": "e1"})
-    choice = make_choice(view, {"r": "e6"})
+        make_choice(cycle_graph, {"r": "e1"})
+    choice = make_choice(cycle_graph, {"r": "e6"})
     assert choice.kept == (("r", "e6"),)
 
 
 def test_apply_choice_details(cycle_graph):
-    view = build_dag_view(cycle_graph)
-    factor = apply_choice(view, make_choice(view, {"r": "e5"}))
+    factor = apply_choice(cycle_graph, make_choice(cycle_graph, {"r": "e5"}))
     assert factor.detached == frozenset({"e6"})
     assert factor.cut_vertices == ("cut:e6",)
     assert dict(factor.reattach) == {"e6": "r"}
@@ -78,14 +83,13 @@ def test_cut_id_held_off_the_merge_level(edge):
     # Only the choice that detaches ``edge`` clashes with the network's
     # cut:<edge> on level 1; the choice that keeps it yields a valid tree.
     g = cut_id_clash(edge)
-    view = build_dag_view(g)
     with pytest.raises(ValueError, match=f"^cut vertex id 'cut:{edge}' already present$"):
-        apply_choice(view, make_choice(view, {"r": "e1" if edge == "e2" else "e2"}))
-    factor = apply_choice(view, make_choice(view, {"r": edge}))
+        apply_choice(g, make_choice(g, {"r": "e1" if edge == "e2" else "e2"}))
+    factor = apply_choice(g, make_choice(g, {"r": edge}))
     assert validate(factor.graph, allow_cut_ids=True) == []
     assert glue_back(factor) == g
     with pytest.raises(ValueError, match=f"^cut vertex id 'cut:{edge}' already present$"):
-        decompose(view)
+        decompose(g)
 
 
 def test_decomposition_factors(cycle_graph):
@@ -100,8 +104,8 @@ def test_decomposition_factors(cycle_graph):
 
 
 def test_decompose_accepts_view_or_graph(triple_edge):
-    view = build_dag_view(triple_edge)
-    assert len(decompose(view).factors) == len(decompose(triple_edge).factors) == 3
+    dec = decompose(triple_edge)
+    assert dec.graph is triple_edge and len(dec.factors) == 3
 
 
 def test_triple_edge_factors(triple_edge):
@@ -147,9 +151,9 @@ def test_factor_leaf_count_law():
     for n, s, lv in SAFE_SHAPES:
         g = random_graph(GeneratorSpec(seed=11, n_leaves=n, betti=s, levels=lv))
         for f in decompose(g).factors:
-            fview = build_dag_view(f.graph)
-            assert len(fview.leaves) == n + s
-            assert fview.betti == 0
+            leaves = [v for v in f.graph.vertex_ids() if classify_vertex(f.graph, v).is_leaf]
+            assert len(leaves) == n + s
+            assert build_dag_view(f.graph) == 0
 
 
 def test_factor_count_product_with_wide_merges():
@@ -157,9 +161,8 @@ def test_factor_count_product_with_wide_merges():
         g = random_graph(
             GeneratorSpec(seed=seed, n_leaves=4, betti=4, levels=5, max_indeg=3)
         )
-        view = build_dag_view(g)
-        expected = math.prod(len(edges) for _, edges in cut_options(view))
-        assert len(decompose(view).factors) == factor_count(view) == expected
+        expected = math.prod(len(edges) for _, edges in cut_options(g))
+        assert len(decompose(g).factors) == factor_count(g) == expected
 
 
 def test_glue_back_on_corpus_sample():
@@ -188,9 +191,8 @@ def test_choices_cover_option_product():
             [("c1", "m1", "t"), ("c2", "m2", "t")],
         ],
     )
-    view = build_dag_view(g)
-    assert factor_count(view) == 4
-    kept_sets = {c.kept for c in enumerate_choices(view)}
+    assert factor_count(g) == 4
+    kept_sets = {c.kept for c in enumerate_choices(g)}
     assert len(kept_sets) == 4
 
 
@@ -204,9 +206,8 @@ def test_factors_share_untouched_levels():
                 GeneratorSpec(seed=seed, n_leaves=n, betti=s, levels=lv, max_indeg=3)
             )
             before = copy.deepcopy(g)
-            view = build_dag_view(g)
-            cut_levels = {g.vertex_level[v] for v, _ in cut_options(view)}
-            for f in decompose(view).factors:
+            cut_levels = {g.vertex_level[v] for v, _ in cut_options(g)}
+            for f in decompose(g).factors:
                 fg = f.graph
                 assert validate(fg, allow_cut_ids=True) == []
                 for name in ("levels", "edge_sets", "up_maps", "edge_orders", "edge_labels"):
@@ -254,9 +255,111 @@ def test_cut_options_match_the_degree_table():
     graphs += [enewick_to_reeb(f.read_text()) for f in sorted(CORPUS.glob("*.enwk"))]
     factors = 0
     for g in graphs:
-        view = build_dag_view(g)
-        assert cut_options(view) == cut_options(g) == reference_cut_options(g)
-        for f in decompose(view).factors:
+        assert cut_options(g) == reference_cut_options(g)
+        for f in decompose(g).factors:
             assert cut_options(f.graph) == reference_cut_options(f.graph) == ()
             factors += 1
     assert factors >= 10_000
+
+
+# _detached and apply_choice as they were when every caller passed a view of
+# the graph, apart from their names and apply_choice taking the graph itself;
+# kept as the reference for the differential below.
+def reference_detached(graph, options, choice):
+    pairs = [(v, e) for v, edges in options for e in edges if e != choice.kept_map[v]]
+    for _, e in pairs:
+        if RESERVED_VERTEX_PREFIX + e in graph.vertex_level:
+            raise ValueError(f"cut vertex id {RESERVED_VERTEX_PREFIX + e!r} already present")
+    return pairs
+
+
+def reference_apply_choice(graph, choice):
+    options = dict(cut_options(graph))
+    if set(choice.kept_map) != set(options):
+        raise InvalidChoice("choice does not cover exactly the merge vertices")
+    vsets = list(graph.vertex_sets)
+    downs = list(graph.down_maps)
+    orders = list(graph.vertex_orders)
+    # Level -> (merge vertex, detached edge) pairs cut there.
+    cuts = {}
+    for retic, keep_edge in choice.kept:
+        if keep_edge not in options[retic]:
+            raise InvalidChoice(f"edge {keep_edge!r} does not arrive at {retic!r}")
+    for retic, e in reference_detached(graph, options.items(), choice):
+        cuts.setdefault(graph.vertex_level[retic], []).append((retic, e))
+    for lvl, pairs in cuts.items():
+        leaves = {e: RESERVED_VERTEX_PREFIX + e for _, e in pairs}
+        vsets[lvl] = vsets[lvl].union(leaves.values())
+        downs[lvl] = {**downs[lvl], **leaves}
+        orders[lvl] = LevelPoset(
+            vsets[lvl],
+            orders[lvl].covers.union((retic, leaves[e]) for retic, e in pairs),
+        )
+    # A tree has nothing to cut and is its own single factor.
+    fgraph = graph if not cuts else replace(
+        graph, vertex_sets=tuple(vsets), down_maps=tuple(downs), vertex_orders=tuple(orders)
+    )
+    reattach = sorted((e, retic) for pairs in cuts.values() for retic, e in pairs)
+    return Factor(
+        graph=fgraph,
+        choice=choice,
+        detached=frozenset(e for e, _ in reattach),
+        reattach=tuple(reattach),
+    )
+
+
+def test_apply_choice_matches_the_reference():
+    """The same factor graphs, reattach lists and exceptions as the
+    reference, on every fixture and corpus file, on generator graphs with
+    merges of in-degree 2 and 3, on ordered and multi-source copies of them,
+    and on graphs holding cut leaf ids; for up to 16 choices of each, and
+    for choices that miss a merge, name a foreign edge or add a merge."""
+    data = CORPUS.parent
+    graphs = [load_text(f.read_text())[0] for f in sorted(data.glob("*.json"))]
+    graphs += [enewick_to_reeb(f.read_text()) for f in sorted(CORPUS.glob("*.enwk"))]
+    graphs += [cut_id_clash("e1"), cut_id_clash("e2")]
+    shapes = [
+        (2, 1, 3), (3, 0, 4), (3, 2, 4), (4, 3, 5), (5, 4, 6), (5, 5, 6), (4, 6, 5), (6, 6, 6)
+    ]
+    generated = [*corpus(shapes, range(57)), *corpus(shapes, range(57), max_indeg=3)]
+    assert len(generated) >= 900
+    rng = random.Random(26)
+    graphs += generated
+    graphs += [random_covers(g, rng) for g in generated[::4]]
+    graphs += [add_sources(g, rng, rng.randint(1, 2)) for g in generated[1::4]]
+
+    def outcome(apply, g, choice):
+        try:
+            return apply(g, choice)
+        except Exception as exc:  # noqa: BLE001 - compared with the reference's
+            return type(exc), str(exc)
+
+    seen = {"factors": 0, "InvalidChoice": 0, "ValueError": 0, "other": 0}
+    for g in graphs:
+        try:
+            choices = list(enumerate_choices(g))
+        except KeyError:  # an edge id used in two gaps; both sides raise it
+            choices = [CutChoice(kept=())]
+        tried = choices[:12] + choices[12:][-4:]
+        if choices[0].kept:
+            (v, edges), *_ = cut_options(g)
+            tried += [
+                CutChoice(kept=choices[0].kept[1:]),
+                CutChoice(kept=((v, "no such edge"), *choices[0].kept[1:])),
+                CutChoice(kept=(*choices[0].kept, ("no such vertex", edges[0]))),
+            ]
+        for choice in tried:
+            want = outcome(reference_apply_choice, g, choice)
+            got = outcome(apply_choice, g, choice)
+            if isinstance(want, Factor):
+                assert isinstance(got, Factor)
+                assert got.graph == want.graph
+                assert got.reattach == want.reattach
+                assert got == want
+                assert got.cut_vertices == tuple(sorted(f"cut:{e}" for e in want.detached))
+                seen["factors"] += 1
+            else:
+                assert got == want
+                name = want[0].__name__
+                seen[name if name in seen else "other"] += 1
+    assert seen == {"factors": 12822, "InvalidChoice": 3882, "ValueError": 2, "other": 1}

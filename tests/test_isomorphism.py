@@ -11,7 +11,6 @@ from typing import Mapping
 import pytest
 
 from reebtrees import (
-    DagView,
     GeneratorSpec,
     LabelMismatch,
     LevelPoset,
@@ -22,9 +21,7 @@ from reebtrees import (
     ReebGraph,
     SizeLimitExceeded,
     apply_choice,
-    betti_euler,
     brute_force_iso,
-    build_dag_view,
     canonical_form,
     cut_options,
     decompose,
@@ -1056,8 +1053,7 @@ def test_forest_fingerprints_match_oracle():
         for n, s, lv, d in [(2, 1, 3, 2), (3, 2, 4, 3), (3, 2, 3, 2), (4, 3, 5, 3)]:
             spec = GeneratorSpec(seed=seed, n_leaves=n, betti=s, levels=lv, max_indeg=d)
             g = add_sources(random_graph(spec), rng, rng.randint(1, 2))
-            view = DagView(g, betti_euler(g))
-            factors = [apply_choice(view, c) for c in enumerate_choices(view)][:4]
+            factors = [apply_choice(g, c) for c in enumerate_choices(g)][:4]
             renamed = [
                 (rename_graph(h.graph), renamed_ranks(dict.fromkeys(h.cut_vertices, -2)))
                 for h in factors
@@ -1557,12 +1553,11 @@ def test_cut_views_give_cut_leaves_the_factor_graphs_order_pairs():
         for n, s, lv, d in [(3, 1, 3, 2), (3, 2, 4, 3), (4, 2, 4, 2), (4, 3, 5, 3)]:
             spec = GeneratorSpec(seed=seed, n_leaves=n, betti=s, levels=lv, max_indeg=d)
             g = random_covers(random_graph(spec), rng)
-            view = build_dag_view(g)
             sk = g._skeleton
             whole = isomorphism._skeleton_view(g, sk.levels, sk.vertex_level)
             options = cut_options(g)
-            for choice in enumerate_choices(view):
-                factor = apply_choice(view, choice)
+            for choice in enumerate_choices(g):
+                factor = apply_choice(g, choice)
                 cut = isomorphism._cut(whole, g, decomposition._detached(g, options, choice))
                 for leaf in factor.cut_vertices:
                     order = factor.graph.vertex_orders[factor.graph.vertex_level[leaf]]
