@@ -9,18 +9,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from functools import cache
 from pathlib import Path
 
 from .core import format_level, minimize_critical_set, validate
 from .dag import betti_euler, betti_reticulation, build_dag_view, classify_vertex
-from .decomposition import (
-    _require_trivial_orders,
-    apply_choice,
-    enumerate_choices,
-    factor_count,
-)
+from .decomposition import _apply_choice, _choices, _require_trivial_orders, cut_options
 from .enewick import enewick_to_reeb, reeb_to_network, write_enewick
 from .errors import IncompatibleShape, ReebError
 from .generator import GeneratorSpec, random_graph
@@ -126,7 +122,8 @@ def cmd_decompose(args) -> int:
     graph, _ = _load_graph(args.graph, args.format)
     build_dag_view(graph)
     _require_trivial_orders(graph)  # the library decompose's rule
-    total = factor_count(graph)
+    options = cut_options(graph)
+    total = math.prod(len(edges) for _, edges in options)
     if total > args.max_factors:
         print(
             f"error: {total} factors exceed the cap of {args.max_factors}",
@@ -137,8 +134,8 @@ def cmd_decompose(args) -> int:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     print(f"factors: {total}")
-    for n, choice in enumerate(enumerate_choices(graph)):
-        factor = apply_choice(graph, choice)
+    for n, choice in enumerate(_choices(options)):
+        factor = _apply_choice(graph, options, choice)
         kept = " ".join(f"{v}<-{e}" for v, e in choice.kept)
         cut = ",".join(sorted(factor.detached)) or "-"
         print(f"factor {n}: keep [{kept or '-'}] cut [{cut}]")

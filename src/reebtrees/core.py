@@ -9,12 +9,13 @@ covering relations.  Everything is immutable after construction.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import attrgetter, eq, itemgetter, lt, methodcaller
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BadLevelSet, OrderConflict
@@ -47,20 +48,19 @@ def parse_level(text: str) -> Fraction:
 def format_level(value: Fraction) -> str:
     """Exact textual form: a decimal when the denominator is 2^a * 5^b,
     otherwise "p/q"."""
-    den = value.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
+    num, den = value.numerator, value.denominator
+    if den == 1:
+        return str(num)
+    twos = (den & -den).bit_length() - 1
+    rest = den >> twos
+    fives = 0
+    while rest % 5 == 0:
+        rest //= 5
         fives += 1
-    if den != 1:
-        return f"{value.numerator}/{value.denominator}"
+    if rest != 1:
+        return f"{num}/{den}"
     shift = max(twos, fives)
-    if shift == 0:
-        return str(value.numerator)
-    scaled = value.numerator * 10**shift // value.denominator
+    scaled = num * 10**shift // den
     sign = "-" if scaled < 0 else ""
     digits = str(abs(scaled)).rjust(shift + 1, "0")
     return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
@@ -178,6 +178,13 @@ class ReebGraph:
         return out
 
     @cached_property
+    def _ids(self) -> tuple[frozenset[str], frozenset[str]]:
+        """The distinct vertex ids and the distinct edge ids, the one id
+        pass that validate and the skeleton's checks share: an id used twice
+        shows as a count above the set's size."""
+        return frozenset().union(*self.vertex_sets), frozenset().union(*self.edge_sets)
+
+    @cached_property
     def above_edges(self) -> dict[str, tuple[str, ...]]:
         """Vertex id -> edges attached to it from the gap above (down-map
         preimage), sorted for determinism."""
@@ -235,12 +242,12 @@ class ReebGraph:
         vertices it leads to or never leave them.  An edge may skip levels.
         Each check is one count, or one subset test per map against the
         vertices of the levels so far; ids are sorted only to name a fault."""
-        vertices = set().union(*self.vertex_sets)
-        for what, where, sets, union in (
+        vertices, edges = self._ids
+        for what, where, sets, ids in (
             ("vertex", "levels", self.vertex_sets, vertices),
-            ("edge", "gaps", self.edge_sets, set().union(*self.edge_sets)),
+            ("edge", "gaps", self.edge_sets, edges),
         ):
-            if sum(map(len, sets)) > len(union):
+            if sum(map(len, sets)) > len(ids):
                 first: dict[str, int] = {}
                 for i, xs in enumerate(sets):
                     for x in sorted(xs):
@@ -363,13 +370,13 @@ def make_graph(
     Shape errors (wrong list lengths, repeated edge id within a gap) raise
     ValueError; content-level problems are left for validate().
     """
-    lv = tuple(as_level(x) for x in levels)
+    lv = tuple(map(as_level, levels))
     k = len(lv)
     if len(vertices) != k:
         raise ValueError(f"expected {k} vertex sets, got {len(vertices)}")
     if len(edges) != k - 1:
         raise ValueError(f"expected {k - 1} edge sets, got {len(edges)}")
-    vsets = tuple(frozenset(str(v) for v in vs) for vs in vertices)
+    vsets = tuple(map(frozenset, map(map, repeat(str), vertices)))  # str of every id
     esets: list[frozenset[str]] = []
     downs: list[dict[str, str]] = []
     ups: list[dict[str, str]] = []
@@ -388,7 +395,7 @@ def make_graph(
 
     def build_orders(covers, carriers, what):
         if covers is None:
-            return tuple(LevelPoset.trivial(c) for c in carriers)
+            return tuple(map(LevelPoset, carriers, repeat(frozenset())))
         if len(covers) != len(carriers):
             raise ValueError(f"expected {len(carriers)} {what} cover lists")
         return tuple(
@@ -421,55 +428,77 @@ def validate(graph: ReebGraph, *, allow_cut_ids: bool = False) -> list[str]:
     An empty list means the graph is valid.  ``allow_cut_ids`` is used when
     re-checking decomposition output, which legitimately carries vertices with
     the reserved "cut:" prefix.
+
+    Each group of checks first asks, in a few passes of C-level set, map
+    and count operations, whether it has anything to report; only a group
+    that does walks its ids one by one, in the order that fixes the order
+    of its lines.
     """
     report: list[str] = []
     k = graph.level_count
+    vsets, esets = graph.vertex_sets, graph.edge_sets
+    downs, ups = graph.down_maps, graph.up_maps
     if k < 2:
         report.append(f"fewer than 2 levels ({k})")
-    for i in range(k - 1):
-        if graph.levels[i] >= graph.levels[i + 1]:
-            report.append(
-                f"levels not strictly increasing at index {i} "
-                f"({format_level(graph.levels[i])} >= {format_level(graph.levels[i + 1])})"
-            )
-    for i, vs in enumerate(graph.vertex_sets):
-        if not vs:
-            report.append(f"empty vertex set at level {i}")
-    for i, es in enumerate(graph.edge_sets):
-        if not es:
-            report.append(f"empty edge set at gap {i}")
+    if not _increasing(graph.levels):
+        for i in range(k - 1):
+            if graph.levels[i] >= graph.levels[i + 1]:
+                report.append(
+                    f"levels not strictly increasing at index {i} "
+                    f"({format_level(graph.levels[i])} >= {format_level(graph.levels[i + 1])})"
+                )
+    if not all(vsets):
+        for i, vs in enumerate(vsets):
+            if not vs:
+                report.append(f"empty vertex set at level {i}")
+    if not all(esets):
+        for i, es in enumerate(esets):
+            if not es:
+                report.append(f"empty edge set at gap {i}")
 
-    seen_v: dict[str, int] = {}
-    for i, vs in enumerate(graph.vertex_sets):
-        for v in vs:
-            if v in seen_v:
-                report.append(f"duplicate vertex id {v!r} at levels {seen_v[v]} and {i}")
-            else:
-                seen_v[v] = i
-    seen_e: dict[str, int] = {}
-    for i, es in enumerate(graph.edge_sets):
-        for e in es:
-            if e in seen_e:
-                report.append(f"duplicate edge id {e!r} at gaps {seen_e[e]} and {i}")
-            else:
-                seen_e[e] = i
-    for shared in sorted(seen_v.keys() & seen_e.keys()):
+    # An id met again is reported in the order the sets list their ids.
+    seen_v, seen_e = graph._ids
+    unique = True
+    for what, where, sets, seen in (
+        ("vertex", "levels", vsets, seen_v), ("edge", "gaps", esets, seen_e)
+    ):
+        if sum(map(len, sets)) > len(seen):
+            unique = False
+            first: dict[str, int] = {}
+            for i, xs in enumerate(sets):
+                for x in xs:
+                    if x in first:
+                        report.append(f"duplicate {what} id {x!r} at {where} {first[x]} and {i}")
+                    else:
+                        first[x] = i
+    for shared in sorted(seen_v & seen_e):
         report.append(f"id {shared!r} used as both vertex and edge")
-    if not allow_cut_ids:
+    # One search of the ids joined finds every id with the prefix, and ids
+    # that hold it further in, which the exact filter drops.
+    if not allow_cut_ids and RESERVED_VERTEX_PREFIX in "\n".join(chain(seen_v, seen_e)):
         for x in sorted({x for x in chain(seen_v, seen_e) if x.startswith(RESERVED_VERTEX_PREFIX)}):
             report.append(f"reserved id prefix {RESERVED_VERTEX_PREFIX!r} on {x!r}")
 
-    for i in range(graph.gap_count):
-        es = graph.edge_sets[i]
-        for name, mp, targets, lvl in (
-            ("down_map", graph.down_maps[i], graph.vertex_sets[i], i),
-            ("up_map", graph.up_maps[i], graph.vertex_sets[i + 1], i + 1),
-        ):
-            if mp.keys() != es:
-                report.append(f"{name} domain mismatch at gap {i}")
-            dangling = [e for e in es if e in mp and mp[e] not in targets]
-            for e in sorted(dangling):
-                report.append(_dangling(name, mp, e, lvl))
+    # Each map's domain is its gap's edges and its values lie on its level.
+    attached = (
+        len(downs) == len(ups) == len(esets) == len(vsets) - 1
+        and all(map(eq, map(methodcaller("keys"), downs), esets))
+        and all(map(eq, map(methodcaller("keys"), ups), esets))
+        and all(vs.issuperset(dn.values()) for vs, dn in zip(vsets, downs))
+        and all(vs.issuperset(up.values()) for vs, up in zip(vsets[1:], ups))
+    )
+    if not attached:
+        for i in range(graph.gap_count):
+            es = esets[i]
+            for name, mp, targets, lvl in (
+                ("down_map", downs[i], vsets[i], i),
+                ("up_map", ups[i], vsets[i + 1], i + 1),
+            ):
+                if mp.keys() != es:
+                    report.append(f"{name} domain mismatch at gap {i}")
+                dangling = [e for e in es if e in mp and mp[e] not in targets]
+                for e in sorted(dangling):
+                    report.append(_dangling(name, mp, e, lvl))
 
     def check_order(poset: LevelPoset, carrier: frozenset[str], what: str, i: int):
         if poset.elements != carrier:
@@ -484,23 +513,35 @@ def validate(graph: ReebGraph, *, allow_cut_ids: bool = False) -> list[str]:
         if poset.has_cycle:
             report.append(f"non-poset {what} order at index {i} (cycle in covers)")
 
-    for i, poset in enumerate(graph.vertex_orders):
-        check_order(poset, graph.vertex_sets[i], "vertex", i)
-    for i, poset in enumerate(graph.edge_orders):
-        check_order(poset, graph.edge_sets[i], "edge", i)
+    # Trivial orders on exactly their level's ids or gap's edges, the common
+    # case, have nothing to report here or in the map checks below.
+    vorders, eorders = graph.vertex_orders, graph.edge_orders
+    elements, covers = attrgetter("elements"), attrgetter("covers")
+    if not (
+        len(vorders) == len(vsets)
+        and len(eorders) == len(esets)
+        and all(map(eq, map(elements, vorders), vsets))
+        and all(map(eq, map(elements, eorders), esets))
+        and not any(map(covers, vorders))
+        and not any(map(covers, eorders))
+    ):
+        for i, poset in enumerate(vorders):
+            check_order(poset, vsets[i], "vertex", i)
+        for i, poset in enumerate(eorders):
+            check_order(poset, esets[i], "edge", i)
 
-    for i in range(graph.gap_count):
-        eo, below, above = graph.edge_orders[i], *graph.vertex_orders[i:i + 2]
-        # A cycle at either end leaves no order for a map to respect.
-        if not eo.covers or eo.has_cycle or below.has_cycle or above.has_cycle:
-            continue
-        for lo, hi in sorted(eo.covers):
-            dn = graph.down_maps[i]
-            up = graph.up_maps[i]
-            if lo in dn and hi in dn and not below.leq(dn[lo], dn[hi]):
-                report.append(f"non-monotone down_map at gap {i}: cover ({lo!r}, {hi!r})")
-            if lo in up and hi in up and not above.leq(up[lo], up[hi]):
-                report.append(f"non-monotone up_map at gap {i}: cover ({lo!r}, {hi!r})")
+        for i in range(graph.gap_count):
+            eo, below, above = eorders[i], *vorders[i:i + 2]
+            # A cycle at either end leaves no order for a map to respect.
+            if not eo.covers or eo.has_cycle or below.has_cycle or above.has_cycle:
+                continue
+            for lo, hi in sorted(eo.covers):
+                dn = downs[i]
+                up = ups[i]
+                if lo in dn and hi in dn and not below.leq(dn[lo], dn[hi]):
+                    report.append(f"non-monotone down_map at gap {i}: cover ({lo!r}, {hi!r})")
+                if lo in up and hi in up and not above.leq(up[lo], up[hi]):
+                    report.append(f"non-monotone up_map at gap {i}: cover ({lo!r}, {hi!r})")
 
     if graph.edge_labels is not None:
         if len(graph.edge_labels) != graph.gap_count:
@@ -509,15 +550,21 @@ def validate(graph: ReebGraph, *, allow_cut_ids: bool = False) -> list[str]:
             for i, m in enumerate(graph.edge_labels):
                 if m is None:
                     continue
-                if set(m) != graph.edge_sets[i]:
+                if set(m) != esets[i]:
                     report.append(f"label domain mismatch at gap {i}")
                 if len(set(m.values())) != len(m):
                     report.append(f"non-bijective labels at gap {i}")
 
-    # Connectivity over the incidence structure, using only well-formed links:
-    # a union-find over one integer per id (an id used as both vertex and
-    # edge is one node), merging components as links join them.
-    index = {x: n for n, x in enumerate(dict.fromkeys(chain(seen_v, seen_e)))}
+    # Connectivity over the incidence structure, using only well-formed
+    # links.  Where ids are unique and every edge joins its gap's two
+    # levels, each component holds a source (its highest vertex is no
+    # edge's lower end), so a graph with one source is connected and needs
+    # no further pass.
+    if unique and attached and len(seen_v) - len(set().union(*map(methodcaller("values"), downs))) == 1:
+        return report
+    # Otherwise a union-find over one integer per id (an id used as both
+    # vertex and edge is one node), merging components as links join them.
+    index = {x: n for n, x in enumerate(seen_v | seen_e)}
     parent = list(range(len(index)))
 
     def find(a: int) -> int:
@@ -527,7 +574,7 @@ def validate(graph: ReebGraph, *, allow_cut_ids: bool = False) -> list[str]:
         return a
 
     components = len(index)
-    for dn, up, es in zip(graph.down_maps, graph.up_maps, graph.edge_sets):
+    for dn, up, es in zip(downs, ups, esets):
         for e in es:
             for end in (dn.get(e), up.get(e)):
                 if end in seen_v:
@@ -538,6 +585,17 @@ def validate(graph: ReebGraph, *, allow_cut_ids: bool = False) -> list[str]:
     if components > 1:
         report.append(f"disconnected graph ({components} components)")
     return report
+
+
+def _increasing(levels: Sequence[Fraction]) -> bool:
+    """Whether ``levels`` strictly increase, compared as integers over the
+    least common denominator when they are all rational."""
+    try:
+        scale = math.lcm(*{x.denominator for x in levels})
+        ints = [x.numerator * (scale // x.denominator) for x in levels]
+    except AttributeError:
+        ints = levels
+    return all(map(lt, ints, ints[1:]))
 
 
 def minimize_critical_set(graph: ReebGraph) -> ReebGraph:

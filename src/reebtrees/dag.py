@@ -90,7 +90,9 @@ def build_dag_view(graph: ReebGraph) -> int:
     """
     sk = graph._checked_skeleton
     b_euler = sum(map(len, sk.down.values())) - len(sk.vertex_level) + 1
-    b_retic = sum(len(ups) - 1 for ups in sk.up.values() if ups)
+    # Each vertex with an edge above adds that edge count less one.
+    arriving = list(map(len, sk.up.values()))
+    b_retic = sum(arriving) - len(arriving) + arriving.count(0)
     if b_euler != b_retic:
         sources = source_vertices(graph)
         raise ReticulationConflict(

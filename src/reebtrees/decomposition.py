@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import attrgetter, lt
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -77,7 +78,9 @@ def cut_options(graph: ReebGraph) -> tuple[tuple[str, tuple[str, ...]], ...]:
     their edges arriving there, by id.
     """
     sk = graph._skeleton
-    merges = sorted((sk.vertex_level[v], v) for v, ups in sk.up.items() if len(ups) > 1)
+    # Vertices with two or more long edges arriving, picked out in C.
+    merging = itertools.compress(sk.up, map(lt, itertools.repeat(1), map(len, sk.up.values())))
+    merges = sorted((sk.vertex_level[v], v) for v in merging)
     return tuple((v, tuple(e for _, e in sk.up[v])) for _, v in merges)
 
 
@@ -114,6 +117,9 @@ def make_choice(graph: ReebGraph, kept: Mapping[str, str]) -> CutChoice:
 
 
 def _require_trivial_orders(graph: ReebGraph) -> None:
+    covers = attrgetter("covers")
+    if not (any(map(covers, graph.vertex_orders)) or any(map(covers, graph.edge_orders))):
+        return
     for i, poset in enumerate(graph.vertex_orders):
         if not poset.is_trivial:
             raise OrderConflict(
@@ -195,18 +201,27 @@ def apply_choice(graph: ReebGraph, choice: CutChoice) -> Factor:
     and order; every other level of the factor is the network's own object,
     and a graph with no merge vertex is its factor's graph itself.
     """
-    options = dict(cut_options(graph))
-    if set(choice.kept_map) != set(options):
+    options = cut_options(graph)
+    table = dict(options)
+    if set(choice.kept_map) != set(table):
         raise InvalidChoice("choice does not cover exactly the merge vertices")
+    for retic, keep_edge in choice.kept:
+        if keep_edge not in table[retic]:
+            raise InvalidChoice(f"edge {keep_edge!r} does not arrive at {retic!r}")
+    return _apply_choice(graph, options, choice)
+
+
+def _apply_choice(
+    graph: ReebGraph, options: Sequence[tuple[str, Sequence[str]]], choice: CutChoice
+) -> Factor:
+    """apply_choice of a choice that matches ``options``, the graph's
+    cut_options, which the caller computed once for all its choices."""
     vsets = list(graph.vertex_sets)
     downs = list(graph.down_maps)
     orders = list(graph.vertex_orders)
     # Level -> (merge vertex, detached edge, cut leaf) triples cut there.
     cuts: dict[int, list[tuple[str, str, str]]] = {}
-    for retic, keep_edge in choice.kept:
-        if keep_edge not in options[retic]:
-            raise InvalidChoice(f"edge {keep_edge!r} does not arrive at {retic!r}")
-    for cut in _detached(graph, options.items(), choice):
+    for cut in _detached(graph, options, choice):
         cuts.setdefault(graph.vertex_level[cut[0]], []).append(cut)
     for lvl, level_cuts in cuts.items():
         leaves = {e: leaf for _, e, leaf in level_cuts}
@@ -232,12 +247,14 @@ def decompose(graph: ReebGraph) -> Decomposition:
     """Full decomposition: one factor per cut choice, in enumeration order.
 
     The input must classify cleanly (single source) and carry trivial level
-    orders, since the factors populate the orders themselves.
+    orders, since the factors populate the orders themselves.  The option
+    table is built once, not once per factor.
     """
     build_dag_view(graph)
     options = _factor_options(graph)
     return Decomposition(
-        graph=graph, factors=tuple(apply_choice(graph, c) for c in _choices(options))
+        graph=graph,
+        factors=tuple(_apply_choice(graph, options, c) for c in _choices(options)),
     )
 
 

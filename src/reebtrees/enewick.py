@@ -4,24 +4,27 @@ The accepted grammar is the classic parenthesized tree with mandatory branch
 lengths, where a node carrying ``#H<digits>`` may occur several times and all
 its occurrences denote one network node.  At most one occurrence may carry
 children (the defining site); lengths are unsigned ASCII decimals and tags
-ASCII digits.  The reader matches anchored patterns at integer offsets into
-the text and keeps offsets, not lines and columns; only a rejection converts
-its offset to the line and column of its cause.  Times are exact: the root
-sits at time zero and each branch adds its length, and all copies of a
-hybrid node must land on exactly the same time.  Lengths are read as
-integers over one power-of-ten scale per text, ``10**d`` where ``d`` is the
-most fraction digits any length has, and times are summed and compared as
-such integers; each distinct time becomes one ``Fraction`` at the end.
+ASCII digits.  The reader makes one match of one pattern per node and per
+opening parenthesis (a node's label together with the branch above it),
+records each node in flat lists, numbered as nodes end, and keeps offsets,
+not lines and columns; only a rejection converts its offset to the line and
+column of its cause.  Times are exact: the root sits at time zero and each
+branch adds its length, and all copies of a hybrid node must land on
+exactly the same time.  Lengths are read as integers over one power-of-ten
+scale per text, ``10**d`` where ``d`` is the most fraction digits any
+length has, and times are summed and compared as such integers; each
+distinct time becomes one ``Fraction`` at the end, shared by its nodes.
+network_to_reeb reads each distinct time object once, so it sorts and
+groups a parsed network's nodes by integers, not Fractions.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .core import ReebGraph, _Skeleton, format_level, make_graph
@@ -46,16 +49,21 @@ class PhyloNetwork:
     edges: tuple[tuple[str, str], ...]
 
 
-# White space, then a node's name and its "#H" hybrid tag; the name may be
-# empty, and the groups after "#" are empty where the tag breaks off.
-_LABEL = re.compile(rf"[ \t\r\n]*({NAME_CHARS.pattern}*)(?:#(H?)([0-9]*))?")
-# White space, ':', white space, an unsigned decimal, white space and the
-# character after it; a group is empty where the input breaks off, and a
-# decimal that breaks off after its '.' ends in '.'.
-_BRANCH = re.compile(
-    r"[ \t\r\n]*(:?)[ \t\r\n]*((?:[0-9]+(?:\.[0-9]*)?)?)[ \t\r\n]*(.?)"
+# One node of the text per match: white space, then either an opening
+# parenthesis (group 1) or a node's label and the branch above it: the name
+# (2), which may be empty, the "H" (3) and the digits (4) of a "#H" tag,
+# white space, ':' (5), white space, an unsigned decimal (6), white space
+# and the character after it (7).  The groups after "#" are empty where the
+# tag breaks off, the later ones where the input does, and a decimal that
+# breaks off after its '.' ends in '.'.
+_NODE = re.compile(
+    rf"[ \t\r\n]*(?:(\()|({NAME_CHARS.pattern}*)(?:#(H?)([0-9]*))?"
+    r"[ \t\r\n]*(:?)[ \t\r\n]*((?:[0-9]+(?:\.[0-9]*)?)?)[ \t\r\n]*(.?))"
 )
-_SPACE = re.compile(r"[ \t\r\n]*")
+_WHITE = " \t\r\n"
+# What write_enewick leaves unnamed, and the characters it replaces.
+_HYBRID_ID = re.compile(r"#H\d+")
+_UNWRITABLE = re.compile(r"[^A-Za-z0-9_.\-]")
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -63,83 +71,76 @@ def _position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-@dataclass
-class _Occ:
-    pos: int
-    name: str | None = None
-    tag: str | None = None
-    # (child, branch length as written, offset of the length)
-    children: list[tuple["_Occ", str, int]] = field(default_factory=list)
-    time: int = 0  # in units of the text's scale
-
-
-def _parse_label(text: str, i: int, pos: int, children: list) -> tuple[_Occ, int]:
-    """The name and hybrid tag at offset ``i``, after a node's children if
-    any, for the node that starts at offset ``pos``."""
-    m = _LABEL.match(text, i)
-    name, h, tag = m.groups()
-    if h == "":
-        raise NewickSyntaxError("expected 'H' after '#'", *_position(text, m.start(2)))
-    if tag == "":
-        raise NewickSyntaxError(
-            "expected digits after '#H'", *_position(text, m.start(3))
-        )
-    if not (children or name or tag):
-        raise NewickSyntaxError("empty subtree", *_position(text, pos))
-    return _Occ(pos=pos, name=name or None, tag=tag, children=children), m.end()
-
-
-def _parse_subtree(text: str, i: int) -> tuple[_Occ, int]:
-    """The subtree at offset ``i`` and the offset after it, read with an
-    explicit stack of open parentheses, so the nesting depth is bounded by
-    memory only."""
-    open_nodes: list[tuple[int, list]] = []
-    while True:
-        i = _SPACE.match(text, i).end()
-        if text.startswith("(", i):
-            open_nodes.append((i, []))
-            i += 1
-            continue
-        occ, i = _parse_label(text, i, i, [])
-        # Attach the finished node to its parent, closing parents as ')' come.
-        while open_nodes:
-            m = _BRANCH.match(text, i)
-            colon, length, ch = m.groups()
-            if not colon:
-                raise NewickSyntaxError(
-                    "missing branch length", *_position(text, m.start(1))
-                )
-            if not length or length[-1] == ".":
-                raise NewickSyntaxError(
-                    "invalid branch length", *_position(text, m.start(2))
-                )
-            ppos, siblings = open_nodes[-1]
-            siblings.append((occ, length, m.start(2)))
-            i = m.end()
-            if ch == ",":
-                break
-            if ch == ")":
-                open_nodes.pop()
-                occ, i = _parse_label(text, i, ppos, siblings)
-                continue
-            if ch == "":
-                raise UnbalancedParens("unclosed parenthesis", *_position(text, i))
-            raise NewickSyntaxError(
-                f"expected ',' or ')', found {ch!r}", *_position(text, m.start(3))
-            )
-        else:
-            return occ, i
-
-
 def parse_enewick(text: str) -> PhyloNetwork:
     """Parse one network string.  Raises positioned errors on bad syntax,
     unmatched parentheses, single-use hybrid tags, nonpositive lengths, or
-    inconsistent hybrid times."""
-    i = _SPACE.match(text).end()
-    if i == len(text):
-        raise NewickSyntaxError("empty input", *_position(text, i))
-    top, i = _parse_subtree(text, i)
-    i = _SPACE.match(text, i).end()
+    inconsistent hybrid times.
+
+    One pattern match per node and per opening parenthesis, with an
+    explicit stack of open parentheses, so the nesting depth is bounded by
+    memory only.  Nodes are numbered as they end, children before their
+    parent, so the root is the last; each node's entries in the lists below
+    sit at its number."""
+    if not text.strip(_WHITE):
+        raise NewickSyntaxError("empty input", *_position(text, len(text)))
+    names: list[str] = []  # as written, "" for none
+    places: list[int] = []  # offset of the node's '(', or of its label
+    kids: list[Sequence[int]] = []
+    lengths: list[str] = []  # the branch above the node, as written
+    length_places: list[int] = []
+    tags: dict[int, str] = {}
+    open_nodes: list[tuple[int, list[int]]] = []  # (offset of '(', children)
+    closed: tuple[int, list[int]] | None = None  # the node whose ')' was just read
+    # Each match starts where the one before it ended, since the pattern
+    # matches at every offset; only the last can be empty.
+    for m in _NODE.finditer(text):
+        opening, name, h, tag, colon, length, ch = m.groups()
+        if opening:
+            if closed is None:
+                open_nodes.append((m.start(1), []))
+                continue
+            # A label cannot start with '(': the closed node's branch or the
+            # end of the input is missing.
+            if open_nodes:
+                raise NewickSyntaxError("missing branch length", *_position(text, m.start(1)))
+            raise NewickSyntaxError("expected ';', found '('", *_position(text, m.start(1)))
+        if h == "":
+            raise NewickSyntaxError("expected 'H' after '#'", *_position(text, m.start(3)))
+        if tag == "":
+            raise NewickSyntaxError("expected digits after '#H'", *_position(text, m.start(4)))
+        if tag is not None:
+            tags[len(names)] = tag
+        names.append(name)
+        if closed is None:
+            if not (name or tag):
+                raise NewickSyntaxError("empty subtree", *_position(text, m.start(2)))
+            places.append(m.start(2))
+            kids.append(())
+        else:
+            places.append(closed[0])
+            kids.append(closed[1])
+            closed = None
+        if not open_nodes:
+            break
+        if not colon:
+            raise NewickSyntaxError("missing branch length", *_position(text, m.start(5)))
+        if not length or length[-1] == ".":
+            raise NewickSyntaxError("invalid branch length", *_position(text, m.start(6)))
+        open_nodes[-1][1].append(len(lengths))
+        lengths.append(length)
+        length_places.append(m.start(6))
+        if ch == ",":
+            continue
+        if ch == ")":
+            closed = open_nodes.pop()
+            continue
+        if ch == "":
+            raise UnbalancedParens("unclosed parenthesis", *_position(text, m.end()))
+        raise NewickSyntaxError(
+            f"expected ',' or ')', found {ch!r}", *_position(text, m.start(7))
+        )
+    # The root's label is read; what follows it must be ';' and white space.
+    i = m.start(5)
     ch = text[i:i + 1]
     if ch == ")":
         raise UnbalancedParens("unmatched closing parenthesis", *_position(text, i))
@@ -147,112 +148,116 @@ def parse_enewick(text: str) -> PhyloNetwork:
         raise NewickSyntaxError("expected ';' at end of input", *_position(text, i))
     if ch != ";":
         raise NewickSyntaxError(f"expected ';', found {ch!r}", *_position(text, i))
-    i = _SPACE.match(text, i + 1).end()
-    if i != len(text):
-        raise NewickSyntaxError("trailing characters after ';'", *_position(text, i))
-    return _resolve(top, text)
+    rest = text[i + 1:].lstrip(_WHITE)
+    if rest:
+        raise NewickSyntaxError(
+            "trailing characters after ';'", *_position(text, len(text) - len(rest))
+        )
+    return _resolve(text, names, places, kids, lengths, length_places, tags)
 
 
-def _resolve(top: _Occ, text: str) -> PhyloNetwork:
-    occs: list[_Occ] = []
-    written: set[str] = set()
-    stack = [top]
-    while stack:
-        occ = stack.pop()
-        occs.append(occ)
-        for child, length, _lpos in occ.children:
-            written.add(length)
-            stack.append(child)
+def _resolve(
+    text: str,
+    names: list[str],
+    places: list[int],
+    kids: list[Sequence[int]],
+    lengths: list[str],
+    length_places: list[int],
+    tags: dict[int, str],
+) -> PhyloNetwork:
+    """The network of the nodes parse_enewick read, raising what no single
+    node shows: a zero length, a hybrid tag's faults, a name used twice.
+    Rejections are searched for in the order of a walk from the root that
+    takes children last to first (``reversed(range(n))``), each node's
+    branches first to last; the network's times and edges come in that
+    order too."""
+    n = len(names)
+    walk = range(n - 1, -1, -1)
     # One scale for the whole text: every length becomes an integer count of
     # 10**-digits, where digits is the most fraction digits of any length.
+    written = set(lengths)
     digits = max((len(x) - x.find(".") - 1 for x in written if "." in x), default=0)
     scaled = {}
     for x in written:
         whole, _, frac = x.partition(".")
         scaled[x] = int(whole + frac.ljust(digits, "0"))
     scale = 10**digits
-    for occ in occs:
-        for child, length, lpos in occ.children:
-            n = scaled[length]
-            if n <= 0:
-                raise TimeInconsistency(
-                    "branch length must be positive", *_position(text, lpos)
-                )
-            child.time = occ.time + n
+    if 0 in scaled.values():
+        c = next(c for k in walk for c in kids[k] if not scaled[lengths[c]])
+        raise TimeInconsistency(
+            "branch length must be positive", *_position(text, length_places[c])
+        )
+    step = list(map(scaled.__getitem__, lengths))
+    time = [0] * n
+    for k in walk:
+        t = time[k]
+        for c in kids[k]:
+            time[c] = t + step[c]
 
-    by_tag: dict[str, list[_Occ]] = {}
-    for occ in occs:
-        if occ.tag is not None:
-            by_tag.setdefault(occ.tag, []).append(occ)
-
-    node_of: dict[int, str] = {}
+    by_tag: dict[str, list[int]] = {}
+    for k in sorted(tags, reverse=True):
+        by_tag.setdefault(tags[k], []).append(k)
+    ids = names.copy()
     hybrid_id: dict[str, str] = {}
     for tag in sorted(by_tag):
         group = by_tag[tag]
         if len(group) == 1:
             raise HybridArityError(
-                f"hybrid tag #H{tag} appears only once", *_position(text, group[0].pos)
+                f"hybrid tag #H{tag} appears only once", *_position(text, places[group[0]])
             )
-        defs = [o for o in group if o.children]
+        defs = [k for k in group if kids[k]]
         if len(defs) > 1:
             raise NewickSyntaxError(
-                f"hybrid #H{tag} defined more than once", *_position(text, defs[1].pos)
+                f"hybrid #H{tag} defined more than once", *_position(text, places[defs[1]])
             )
-        names = sorted({o.name for o in group if o.name})
-        if len(names) > 1:
+        hybrid_names = sorted({names[k] for k in group if names[k]})
+        if len(hybrid_names) > 1:
             raise NewickSyntaxError(
-                f"conflicting names for hybrid #H{tag}: {', '.join(names)}",
-                *_position(text, group[0].pos),
+                f"conflicting names for hybrid #H{tag}: {', '.join(hybrid_names)}",
+                *_position(text, places[group[0]]),
             )
-        t0 = group[0].time
-        for o in group[1:]:
-            if o.time != t0:
+        t0 = time[group[0]]
+        for k in group[1:]:
+            if time[k] != t0:
                 raise TimeInconsistency(
                     f"hybrid #H{tag} occurs at times {Fraction(t0, scale)} "
-                    f"and {Fraction(o.time, scale)}",
-                    *_position(text, o.pos),
+                    f"and {Fraction(time[k], scale)}",
+                    *_position(text, places[k]),
                 )
-        hybrid_id[tag] = names[0] if names else f"#H{tag}"
-        for o in group:
-            node_of[id(o)] = hybrid_id[tag]
+        hybrid_id[tag] = hybrid_names[0] if hybrid_names else f"#H{tag}"
+        for k in group:
+            ids[k] = hybrid_id[tag]
 
-    counter = 0
-    declared: set[str] = set()
-    for occ in occs:
-        if occ.tag is not None:
-            continue
-        if occ.name:
-            node = occ.name
-        else:
-            node = f"@n{counter}"
-            counter += 1
-        node_of[id(occ)] = node
-        if node in declared:
-            raise NewickSyntaxError(
-                f"duplicate node name {node!r}", *_position(text, occ.pos)
-            )
-        declared.add(node)
+    # Unnamed nodes get "@n0", "@n1", ... in walk order.
+    plain = [k for k in walk if k not in tags] if tags else walk
+    if "" in names:
+        counter = 0
+        for k in plain:
+            if not ids[k]:
+                ids[k] = f"@n{counter}"
+                counter += 1
+    declared = {ids[k] for k in plain} if tags else set(ids)
+    if len(declared) < len(plain):
+        seen: set[str] = set()
+        for k in plain:
+            if ids[k] in seen:
+                raise NewickSyntaxError(
+                    f"duplicate node name {ids[k]!r}", *_position(text, places[k])
+                )
+            seen.add(ids[k])
     for tag, node in hybrid_id.items():
         if node in declared:
             raise NewickSyntaxError(
-                f"duplicate node name {node!r}", *_position(text, by_tag[tag][0].pos)
+                f"duplicate node name {node!r}", *_position(text, places[by_tag[tag][0]])
             )
         declared.add(node)
 
     # One Fraction per distinct time, shared by every node at that time.
-    at: dict[int, Fraction] = {}
-    times: dict[str, Fraction] = {}
-    edges: list[tuple[str, str]] = []
-    for occ in occs:
-        node = node_of[id(occ)]
-        t = at.get(occ.time)
-        if t is None:
-            t = at[occ.time] = Fraction(occ.time, scale)
-        times[node] = t
-        for child, _length, _lpos in occ.children:
-            edges.append((node, node_of[id(child)]))
+    at = {t: Fraction(t, scale) for t in set(time)}
+    times = dict(zip(ids[::-1], map(at.__getitem__, time[::-1])))
+    edges = [(ids[k], ids[c]) for k in walk for c in kids[k]]
     # No ancestry cycle can form: lengths are positive and hybrid copies share one time.
-    return PhyloNetwork(root=node_of[id(top)], times=times, edges=tuple(edges))
+    return PhyloNetwork(root=ids[-1], times=times, edges=tuple(edges))
 
 
 def network_to_reeb(net: PhyloNetwork) -> ReebGraph:
@@ -261,46 +266,77 @@ def network_to_reeb(net: PhyloNetwork) -> ReebGraph:
     spanning several levels is subdivided by pass-through vertices.  The
     graph's skeleton is read off the network when first asked for (see
     _recorded_skeleton)."""
-    # Nodes grouped by time, each time hashed once per node; the distinct
-    # times are sorted as integers over their least common denominator.
-    at: dict[Fraction, list[str]] = {}
-    for v, t in net.times.items():
-        at.setdefault(t, []).append(v)
-    if len(at) < 2:
+    _, ticks = _ticks(net.times)
+    # Level i holds the i-th latest time.
+    order = sorted(set(ticks), reverse=True)
+    if len(order) < 2:
         raise ValueError("need at least two distinct time values to build levels")
-    scale = math.lcm(*(t.denominator for t in at))
-    by_level = sorted(
-        at.items(), key=lambda kv: kv[0].numerator * (scale // kv[0].denominator), reverse=True
-    )
-    levels = [-t for t, _ in by_level]
-    vertices = [vs for _, vs in by_level]
-    level_of = {v: i for i, vs in enumerate(vertices) for v in vs}
-    names = [format_level(x) for x in levels]
-    gaps: list[list[tuple[str, str, str]]] = [[] for _ in range(len(levels) - 1)]
+    time_of = dict(zip(ticks, net.times.values()))
+    levels = [-time_of[x] for x in order]
+    index = {x: i for i, x in enumerate(order)}
+    level_of = dict(zip(net.times, map(index.__getitem__, ticks)))
+    vertices: list[list[str]] = [[] for _ in order]
+    for v, i in level_of.items():
+        vertices[i].append(v)
+    # Suffixes of generated ids: "@" and the level's format_level for a
+    # pass-through vertex, made where first needed, and ":" and the gap's
+    # index for a subdivided branch's edge.
+    at_level: list[str | None] = [None] * len(levels)
+    in_gap = [f":{g}" for g in range(len(levels) - 1)]
+    gaps: list[list[tuple[str, str, str]]] = [[] for _ in in_gap]
 
     # (parent, child, the branch's edge ids, lowest first), one per branch.
     branches: list[tuple[str, str, list[str]]] = []
-    pair_seen: dict[tuple[str, str], int] = {}
+    pair_seen: dict[tuple[str, str], int] | None = None
+    if len(set(net.edges)) < len(net.edges):
+        pair_seen = {}
     for parent, child in net.edges:
-        n = pair_seen.get((parent, child), 0)
-        pair_seen[(parent, child)] = n + 1
-        base = f"{child}<{parent}" if n == 0 else f"{child}<{parent}~{n}"
+        base = f"{child}<{parent}"
+        if pair_seen is not None:
+            n = pair_seen.get((parent, child), 0)
+            pair_seen[(parent, child)] = n + 1
+            if n:
+                base = f"{base}~{n}"
         lo = level_of[child]
         hi = level_of[parent]
-        if hi <= lo:
-            raise ValueError(f"edge {parent!r} -> {child!r} does not go down in level")
-        chain = [base] if hi == lo + 1 else [f"{base}:{g}" for g in range(lo, hi)]
+        if hi <= lo + 1:
+            if hi <= lo:
+                raise ValueError(f"edge {parent!r} -> {child!r} does not go down in level")
+            gaps[lo].append((base, child, parent))
+            branches.append((parent, child, [base]))
+            continue
+        chain = []
         prev = child
-        for g in range(lo, hi - 1):
-            upper = f"{base}@{names[g + 1]}"
-            vertices[g + 1].append(upper)
-            gaps[g].append((chain[g - lo], prev, upper))
+        for g in range(lo + 1, hi):
+            suffix = at_level[g]
+            if suffix is None:
+                suffix = at_level[g] = "@" + format_level(levels[g])
+            upper = base + suffix
+            vertices[g].append(upper)
+            edge = base + in_gap[g - 1]
+            chain.append(edge)
+            gaps[g - 1].append((edge, prev, upper))
             prev = upper
-        gaps[hi - 1].append((chain[-1], prev, parent))
+        edge = base + in_gap[hi - 1]
+        chain.append(edge)
+        gaps[hi - 1].append((edge, prev, parent))
         branches.append((parent, child, chain))
     graph = make_graph(levels, [sorted(vs) for vs in vertices], gaps)
     object.__setattr__(graph, "_skeleton_recipe", partial(_recorded_skeleton, level_of, branches))
     return graph
+
+
+def _ticks(times: Mapping[str, Fraction]) -> tuple[int, list[int]]:
+    """(scale, ticks): the least common denominator of ``times`` and every
+    time times it, in the mapping's order.  Each distinct time object is
+    converted once, and parse_enewick and reeb_to_network share one
+    Fraction among the nodes at a time, so theirs cost one conversion per
+    level, not per node."""
+    values = times.values()
+    distinct = dict(zip(map(id, values), values))
+    scale = math.lcm(*(t.denominator for t in distinct.values()))
+    of = {k: t.numerator * (scale // t.denominator) for k, t in distinct.items()}
+    return scale, list(map(of.__getitem__, map(id, values)))
 
 
 def _recorded_skeleton(
@@ -315,29 +351,26 @@ def _recorded_skeleton(
     None, so that the graph finds its skeleton itself, when that reading
     would be wrong: a node with one parent and one child is regular, and a
     generated id that another id repeats joins what should stay apart."""
-    second = itemgetter(1)
     down: dict[str, list[tuple[str, str]]] = {v: [] for v in level_of}
     up: dict[str, list[tuple[str, str]]] = {v: [] for v in level_of}
-    for parent, child, chain in branches:
-        down[parent].append((child, chain[0]))
-        up[child].append((parent, chain[0]))
+    # Branches by long edge, so that every node's lists come out sorted.
+    for lowest, parent, child in sorted((chain[0], p, c) for p, c, chain in branches):
+        down[parent].append((child, lowest))
+        up[child].append((parent, lowest))
     if any(len(a) == 1 == len(b) for a, b in zip(up.values(), down.values())):
         return None
-    passing = sum(len(chain) - 1 for _, _, chain in branches)
-    if (
-        len(set().union(*graph.vertex_sets)) != len(level_of) + passing
-        or len(set().union(*graph.edge_sets)) != len(branches) + passing
-    ):
+    chains = [chain for _, _, chain in branches]
+    passing = sum(map(len, chains)) - len(chains)
+    vertices, edges = graph._ids
+    if len(vertices) != len(level_of) + passing or len(edges) != len(branches) + passing:
         return None
     return _Skeleton(
         levels=graph.levels,
         graph_level=tuple(range(graph.level_count)),
         vertex_level=level_of,
-        down={v: tuple(sorted(ps, key=second)) if len(ps) > 1 else tuple(ps)
-              for v, ps in down.items()},
-        up={v: tuple(sorted(ps, key=second)) if len(ps) > 1 else tuple(ps)
-            for v, ps in up.items()},
-        chains={chain[0]: chain for _, _, chain in branches},
+        down={v: tuple(ps) for v, ps in down.items()},
+        up={v: tuple(ps) for v, ps in up.items()},
+        chains={chain[0]: chain for chain in chains},
     )
 
 
@@ -388,12 +421,10 @@ def write_enewick(net: PhyloNetwork) -> str:
     for v in sorted(net.times):
         # Ids synthesized by the parser for unnamed nodes stay unnamed,
         # except for plain leaves, which need some name to be readable back.
-        if (v.startswith("@") or re.fullmatch(r"#H\d+", v)) and (
-            children[v] or v in tag_of
-        ):
+        if (children[v] or v in tag_of) and (v.startswith("@") or _HYBRID_ID.fullmatch(v)):
             safe[v] = ""
             continue
-        name = re.sub(r"[^A-Za-z0-9_.\-]", "_", v)
+        name = v if _UNWRITABLE.search(v) is None else _UNWRITABLE.sub("_", v)
         candidate = name
         n = 2
         while candidate in taken:
@@ -404,8 +435,8 @@ def write_enewick(net: PhyloNetwork) -> str:
 
     # Lengths as integer differences of times over one scale, the least
     # common denominator of the times; each distinct length is formatted once.
-    scale = math.lcm(*{t.denominator for t in net.times.values()})
-    ticks = {v: t.numerator * (scale // t.denominator) for v, t in net.times.items()}
+    scale, ticks_in_order = _ticks(net.times)
+    ticks = dict(zip(net.times, ticks_in_order))
     branch: dict[int, str] = {}
 
     def fmt_length(n: int) -> str:

@@ -15,9 +15,11 @@ network_to_reeb embeds gets that skeleton from the network itself.  A
 vector is built top-down in O(taxa^2) slice work and O(critical vertices)
 interpreted steps, which matches its size: each child gets a copy of its
 parent's row of stamps against every taxon, filled in where the parent is
-the lowest common ancestor.  Stamps are computed once per level, also in
-integer form (times the LCM of their denominators), so every vector carries
-an exact integer copy of its entries.
+the lowest common ancestor.  Stamps are computed once per level in
+integer form (times the LCM of their denominators), and a vector keeps its
+entries once, in that form; its Fractions are made when ``entries`` is
+read.  Each taxon's row is gathered from its own place in the taxon order
+on, so a vector costs one gather per entry.
 
 A network's factor vectors need no factor graph: a factor differs from its
 network only in that each detached long edge ends at its own cut leaf, and
@@ -118,16 +120,41 @@ def _sorted_taxa(
     return sorted(originals, key=original_key), sorted(cuts, key=cut_key)
 
 
+class _Entries:
+    """The ``entries`` field of CopheneticVector.  A vector that the
+    constructor builds holds the entries it is given.  One that
+    cophenetic_vector or network_factors builds holds its stamps once, as
+    integers over one scale (``_integer``), and makes its Fractions, one
+    per distinct stamp, each time they are read."""
+
+    def __get__(self, vec, owner=None):
+        if vec is None:
+            raise AttributeError("entries")  # the field has no default
+        if "_entries" in vec.__dict__:
+            return vec.__dict__["_entries"]
+        scale, ints = vec._integer
+        back = {x: Fraction(x, scale) for x in set(ints)}
+        return tuple(map(back.__getitem__, ints))
+
+    def __set__(self, vec, entries) -> None:
+        vec.__dict__["_entries"] = entries
+
+
 @dataclass(frozen=True)
 class CopheneticVector:
     """Upper-triangle stamps, pairs (i, j) with i <= j in lexicographic
-    order over the stored leaf order."""
+    order over the stored leaf order.
+
+    Equality, hash and repr read ``entries``, however the vector stores
+    them.  Two vectors with equal entries have the same integer form, since
+    every stamp's level occurs on the diagonal or as some pair's lowest
+    common ancestor, and so fixes the scale."""
 
     leaves: tuple[str, ...]
-    entries: tuple[Fraction, ...]
+    entries: tuple[Fraction, ...] = _Entries()
     time_mode: str
-    # (scale, ints): the entries times the LCM of their denominators, set by
-    # cophenetic_vector and read by the Hausdorff kernel; None otherwise.
+    # (scale, ints): the entries times the LCM of their denominators, the
+    # only copy of them in a vector from cophenetic_vector; None otherwise.
     _integer: tuple[int, tuple[int, ...]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -139,7 +166,10 @@ class CopheneticVector:
         if i > j:
             i, j = j, i
         offset = i * m - i * (i - 1) // 2 + (j - i)
-        return self.entries[offset]
+        if self._integer is None:
+            return self.entries[offset]
+        scale, ints = self._integer
+        return Fraction(ints[offset], scale)
 
 
 def cophenetic_vector(
@@ -159,12 +189,13 @@ def cophenetic_vector(
     vertex covers a contiguous range of them.  A top-down pass then hands
     each child a copy of its parent's row, with the parent's range outside
     the child's filled by the parent's stamp; at a taxon the row holds its
-    stamp against every taxon, and is reordered into ``leaf_order`` by one
-    ``itemgetter``.  That is O(taxa^2) work inside slice copies and
-    O(critical vertices) interpreted steps.
-    Stamps are taken once per level, in Fraction and in integer form (times
-    the LCM of the denominators of the levels that occur as stamps), so the
-    vector's integer form for the Hausdorff kernel comes out of the same pass.
+    stamp against every taxon, and its part from the taxon's own place in
+    ``leaf_order`` on is gathered by one ``itemgetter``.  That is
+    O(taxa^2) work inside slice copies and O(critical vertices) interpreted
+    steps.  Stamps are taken once per level in integer form (times the LCM
+    of the denominators of the levels that occur as stamps); the vector
+    keeps that form, which the Hausdorff kernel reads, as its only copy of
+    its entries.
     """
     _check_time_mode(time_mode)
     graph = _graph_of(source)
@@ -179,8 +210,8 @@ def cophenetic_vector(
     children = _children(sk)
     # Only taxa and branching vertices stamp a pair.
     stampers = [*leaves, *(v for v, kids in children.items() if len(kids) > 1)]
-    scale, stamp, back = _stamps(sk.levels, sk.vertex_level, stampers, time_mode)
-    return _vector(leaves, _walk(root, children, leaves, stamp), scale, back, time_mode)
+    scale, stamp = _stamps(sk.levels, sk.vertex_level, stampers, time_mode)
+    return _vector(leaves, _walk(root, children, leaves, stamp), scale, time_mode)
 
 
 def _check_time_mode(time_mode: str) -> None:
@@ -203,16 +234,14 @@ def _children(sk: _Skeleton) -> dict[str, list[str]]:
 
 def _stamps(
     levels: Sequence[Fraction], level_of: Mapping[str, int], stampers, time_mode: str
-) -> tuple[int, dict[str, int], dict[int, Fraction]]:
-    """(scale, stamp, back): the LCM of the denominators of the stampers'
-    levels, each stamper's integer stamp at that scale, and each integer
-    stamp's Fraction.  One stamp per level."""
+) -> tuple[int, dict[str, int]]:
+    """(scale, stamp): the LCM of the denominators of the stampers' levels,
+    and each stamper's integer stamp at that scale.  One stamp per level."""
     used = {level_of[v] for v in stampers}
     values = {i: levels[i] if time_mode == "f" else -levels[i] for i in used}
     scale = math.lcm(*(x.denominator for x in values.values()))
     ints = {i: x.numerator * (scale // x.denominator) for i, x in values.items()}
-    stamp = {v: ints[level_of[v]] for v in stampers}
-    return scale, stamp, {ints[i]: x for i, x in values.items()}
+    return scale, {v: ints[level_of[v]] for v in stampers}
 
 
 def _rows(
@@ -221,11 +250,27 @@ def _rows(
     leaves: Sequence[str],
     stamp: Mapping[str, int],
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """The row walk: (i, row) for every taxon of the tree below ``root``,
-    where ``i`` is its place in ``leaves`` (the comparison order) and
-    ``row`` its integer stamps against every taxon in that order; ``stamp``
-    holds the integer stamp of every taxon and branching vertex."""
-    n = len(leaves)
+    """(i, row) for every taxon of the tree below ``root``, where ``i`` is
+    its place in ``leaves`` (the comparison order) and ``row`` its integer
+    stamps against every taxon in that order; ``stamp`` holds the integer
+    stamp of every taxon and branching vertex."""
+    at, rows = _walk_rows(root, children, leaves, stamp)
+    # (itemgetter of a single index returns the item, not a 1-tuple.)
+    pick = itemgetter(*at) if len(leaves) > 1 else tuple
+    for i, row in rows:
+        yield i, pick(row)
+
+
+def _walk_rows(
+    root: str,
+    children: Mapping[str, Sequence[str]],
+    leaves: Sequence[str],
+    stamp: Mapping[str, int],
+) -> tuple[list[int], Iterator[tuple[int, list[int]]]]:
+    """The row walk: (at, rows), where rows yields (i, row) for every
+    taxon as _rows does, but ``row`` in walk order, the taxon at place j of
+    ``leaves`` at ``row[at[j]]``.  A row is the caller's until it draws the
+    next one."""
     # Pre-order numbers the taxa; then each vertex covers [lo, hi) of them.
     lo: dict[str, int] = {}
     order: list[str] = []
@@ -242,31 +287,33 @@ def _rows(
     hi: dict[str, int] = {}
     for v in reversed(order):
         hi[v] = hi[children[v][-1]] if v in children else lo[v] + 1
-
-    # A row holds, at each taxon position outside the vertex's range, the
-    # stamp of the lowest common ancestor; the last child takes the row over.
-    # (itemgetter of a single index returns the item, not a 1-tuple.)
-    pick = itemgetter(*(lo[v] for v in leaves)) if n > 1 else tuple
     rank = {v: i for i, v in enumerate(leaves)}
-    todo: list[tuple[str, list[int]]] = [(root, [0] * n)]
-    while todo:
-        v, row = todo.pop()
-        s = stamp.get(v)
-        kids = children.get(v)
-        if kids is None:
-            row[lo[v]] = s
-            yield rank[v], pick(row)
-            continue
-        a, b = lo[v], hi[v]
-        *first, last = kids
-        for c in first:
-            r = row.copy()
-            r[a:lo[c]] = [s] * (lo[c] - a)
-            r[hi[c]:b] = [s] * (b - hi[c])
-            todo.append((c, r))
-        # The last child's range ends where v's does.
-        row[a:lo[last]] = [s] * (lo[last] - a)
-        todo.append((last, row))
+
+    def rows() -> Iterator[tuple[int, list[int]]]:
+        # A row holds, at each taxon position outside the vertex's range,
+        # the stamp of the lowest common ancestor; the last child takes the
+        # row over.
+        todo: list[tuple[str, list[int]]] = [(root, [0] * len(leaves))]
+        while todo:
+            v, row = todo.pop()
+            s = stamp.get(v)
+            kids = children.get(v)
+            if kids is None:
+                row[lo[v]] = s
+                yield rank[v], row
+                continue
+            a, b = lo[v], hi[v]
+            *first, last = kids
+            for c in first:
+                r = row.copy()
+                r[a:lo[c]] = [s] * (lo[c] - a)
+                r[hi[c]:b] = [s] * (b - hi[c])
+                todo.append((c, r))
+            # The last child's range ends where v's does.
+            row[a:lo[last]] = [s] * (lo[last] - a)
+            todo.append((last, row))
+
+    return [lo[v] for v in leaves], rows()
 
 
 def _walk(
@@ -276,27 +323,26 @@ def _walk(
     stamp: Mapping[str, int],
 ) -> tuple[int, ...]:
     """The integer upper triangle of the tree below ``root`` over ``leaves``,
-    written row by row as the row walk yields them, so no n x n table is
-    ever held."""
+    written row by row as the row walk yields them, each row gathered from
+    the taxon's own place on, so no n x n table is ever held."""
     n = len(leaves)
     out: list[int] = [0] * (n * (n + 1) // 2)
-    for i, row in _rows(root, children, leaves, stamp):
+    at, rows = _walk_rows(root, children, leaves, stamp)
+    for i, row in rows:
         start = i * n - i * (i - 1) // 2
-        out[start:start + n - i] = row[i:]
+        if i < n - 1:
+            out[start:start + n - i] = itemgetter(*at[i:])(row)
+        else:
+            out[start] = row[at[i]]
     return tuple(out)
 
 
 def _vector(
-    leaves: tuple[str, ...],
-    scaled: tuple[int, ...],
-    scale: int,
-    back: Mapping[int, Fraction],
-    time_mode: str,
+    leaves: tuple[str, ...], scaled: tuple[int, ...], scale: int, time_mode: str
 ) -> CopheneticVector:
-    vec = CopheneticVector(
-        leaves=leaves, entries=tuple(map(back.__getitem__, scaled)), time_mode=time_mode
-    )
-    object.__setattr__(vec, "_integer", (scale, scaled))
+    """A vector that holds its entries only as ``scaled`` over ``scale``."""
+    vec = object.__new__(CopheneticVector)
+    vec.__dict__.update(leaves=leaves, time_mode=time_mode, _integer=(scale, scaled))
     return vec
 
 
@@ -525,7 +571,7 @@ def _factor_vectors(
     originals, cuts = _sorted_taxa([*sinks, *merge_of], ranks, level_of, merge_of)
     children = _children(sk)
     stampers = [*originals, *cuts, *(v for v, kids in children.items() if len(kids) > 1)]
-    scale, stamp, back = _stamps(sk.levels, level_of, stampers, time_mode)
+    scale, stamp = _stamps(sk.levels, level_of, stampers, time_mode)
     # Arriving long edge of a merge -> (its upper end, its place among that
     # end's children).
     hook = {}
@@ -544,7 +590,7 @@ def _factor_vectors(
         children[v][i] = c
     if not options:
         scaled = _walk(root, children, names, stamp)
-        return (_vector(tuple(names), scaled, scale, back, time_mode),)
+        return (_vector(tuple(names), scaled, scale, time_mode),)
 
     n = len(names)
     rows: list[list[int]] = [[]] * n
@@ -554,7 +600,7 @@ def _factor_vectors(
     radices = [len(edges) for _, edges in options]
     weights = [math.prod(radices[j + 1:]) for j in range(len(radices))]
     vectors: list = [None] * math.prod(radices)
-    vectors[0] = _vector(tuple(names), _pack(rows, tails), scale, back, time_mode)
+    vectors[0] = _vector(tuple(names), _pack(rows, tails), scale, time_mode)
     place = {v: i for i, v in enumerate(names)}
     # A merge's cut leaves are consecutive taxa.  While it keeps edges[k],
     # its t-th cut leaf is cut:edges[t] for t < k and cut:edges[t + 1]
@@ -574,7 +620,7 @@ def _factor_vectors(
         place[cut] = c
         _swap(rows, _taxa_below(m, children, place), c)
         index += (new - k) * weights[j]
-        vectors[index] = _vector(tuple(names), _pack(rows, tails), scale, back, time_mode)
+        vectors[index] = _vector(tuple(names), _pack(rows, tails), scale, time_mode)
     return tuple(vectors)
 
 

@@ -10,6 +10,7 @@ import tracemalloc
 import types
 from collections import Counter
 from dataclasses import replace
+from itertools import chain
 from math import gcd
 from pathlib import Path
 from fractions import Fraction
@@ -42,7 +43,7 @@ from reebtrees import (
     validate,
 )
 
-from reebtrees.core import _refined_counts
+from reebtrees.core import RESERVED_VERTEX_PREFIX, _dangling, _refined_counts
 from reebtrees.isomorphism import _prefilter
 
 from conftest import corpus, dated_caterpillar, rename_graph
@@ -972,3 +973,469 @@ def test_minimize_refuses_orders_as_the_degree_rule_did():
                     assert minimize_outcome(minimize_critical_set, x) == want
                     kinds[want.split()[0] if isinstance(want, str) else "graph"] += 1
     assert kinds["removable"] >= 50 and kinds["gap"] >= 10 and kinds["graph"] >= 50, kinds
+
+
+# validate as it was before its checks asked C-level questions first, kept
+# verbatim (apart from its name) as the reference for the differential below.
+def reference_validate(graph: ReebGraph, *, allow_cut_ids: bool = False) -> list[str]:
+    """Check every structural invariant; return a list of violations.
+
+    An empty list means the graph is valid.  ``allow_cut_ids`` is used when
+    re-checking decomposition output, which legitimately carries vertices with
+    the reserved "cut:" prefix.
+    """
+    report: list[str] = []
+    k = graph.level_count
+    if k < 2:
+        report.append(f"fewer than 2 levels ({k})")
+    for i in range(k - 1):
+        if graph.levels[i] >= graph.levels[i + 1]:
+            report.append(
+                f"levels not strictly increasing at index {i} "
+                f"({format_level(graph.levels[i])} >= {format_level(graph.levels[i + 1])})"
+            )
+    for i, vs in enumerate(graph.vertex_sets):
+        if not vs:
+            report.append(f"empty vertex set at level {i}")
+    for i, es in enumerate(graph.edge_sets):
+        if not es:
+            report.append(f"empty edge set at gap {i}")
+
+    seen_v: dict[str, int] = {}
+    for i, vs in enumerate(graph.vertex_sets):
+        for v in vs:
+            if v in seen_v:
+                report.append(f"duplicate vertex id {v!r} at levels {seen_v[v]} and {i}")
+            else:
+                seen_v[v] = i
+    seen_e: dict[str, int] = {}
+    for i, es in enumerate(graph.edge_sets):
+        for e in es:
+            if e in seen_e:
+                report.append(f"duplicate edge id {e!r} at gaps {seen_e[e]} and {i}")
+            else:
+                seen_e[e] = i
+    for shared in sorted(seen_v.keys() & seen_e.keys()):
+        report.append(f"id {shared!r} used as both vertex and edge")
+    if not allow_cut_ids:
+        for x in sorted({x for x in chain(seen_v, seen_e) if x.startswith(RESERVED_VERTEX_PREFIX)}):
+            report.append(f"reserved id prefix {RESERVED_VERTEX_PREFIX!r} on {x!r}")
+
+    for i in range(graph.gap_count):
+        es = graph.edge_sets[i]
+        for name, mp, targets, lvl in (
+            ("down_map", graph.down_maps[i], graph.vertex_sets[i], i),
+            ("up_map", graph.up_maps[i], graph.vertex_sets[i + 1], i + 1),
+        ):
+            if mp.keys() != es:
+                report.append(f"{name} domain mismatch at gap {i}")
+            dangling = [e for e in es if e in mp and mp[e] not in targets]
+            for e in sorted(dangling):
+                report.append(_dangling(name, mp, e, lvl))
+
+    def check_order(poset: LevelPoset, carrier: frozenset[str], what: str, i: int):
+        if poset.elements != carrier:
+            report.append(f"{what} order elements mismatch at index {i}")
+        if not poset.covers:
+            return
+        for lo, hi in sorted(poset.covers):
+            if lo not in carrier or hi not in carrier:
+                report.append(
+                    f"{what} order cover ({lo!r}, {hi!r}) references unknown id at index {i}"
+                )
+        if poset.has_cycle:
+            report.append(f"non-poset {what} order at index {i} (cycle in covers)")
+
+    for i, poset in enumerate(graph.vertex_orders):
+        check_order(poset, graph.vertex_sets[i], "vertex", i)
+    for i, poset in enumerate(graph.edge_orders):
+        check_order(poset, graph.edge_sets[i], "edge", i)
+
+    for i in range(graph.gap_count):
+        eo, below, above = graph.edge_orders[i], *graph.vertex_orders[i:i + 2]
+        # A cycle at either end leaves no order for a map to respect.
+        if not eo.covers or eo.has_cycle or below.has_cycle or above.has_cycle:
+            continue
+        for lo, hi in sorted(eo.covers):
+            dn = graph.down_maps[i]
+            up = graph.up_maps[i]
+            if lo in dn and hi in dn and not below.leq(dn[lo], dn[hi]):
+                report.append(f"non-monotone down_map at gap {i}: cover ({lo!r}, {hi!r})")
+            if lo in up and hi in up and not above.leq(up[lo], up[hi]):
+                report.append(f"non-monotone up_map at gap {i}: cover ({lo!r}, {hi!r})")
+
+    if graph.edge_labels is not None:
+        if len(graph.edge_labels) != graph.gap_count:
+            report.append("label list length mismatch")
+        else:
+            for i, m in enumerate(graph.edge_labels):
+                if m is None:
+                    continue
+                if set(m) != graph.edge_sets[i]:
+                    report.append(f"label domain mismatch at gap {i}")
+                if len(set(m.values())) != len(m):
+                    report.append(f"non-bijective labels at gap {i}")
+
+    # Connectivity over the incidence structure, using only well-formed links:
+    # a union-find over one integer per id (an id used as both vertex and
+    # edge is one node), merging components as links join them.
+    index = {x: n for n, x in enumerate(dict.fromkeys(chain(seen_v, seen_e)))}
+    parent = list(range(len(index)))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    components = len(index)
+    for dn, up, es in zip(graph.down_maps, graph.up_maps, graph.edge_sets):
+        for e in es:
+            for end in (dn.get(e), up.get(e)):
+                if end in seen_v:
+                    ra, rb = find(index[e]), find(index[end])
+                    if ra != rb:
+                        parent[ra] = rb
+                        components -= 1
+    if components > 1:
+        report.append(f"disconnected graph ({components} components)")
+    return report
+
+
+
+# ReebGraph._checked_skeleton as it was before it counted ids on the graph's
+# id index, kept verbatim apart from reading ``graph`` for ``self``.
+def reference_checked_skeleton(graph: ReebGraph):
+    """``_skeleton``, after the checks that building it and walking down
+    it need.  A vertex id on two levels or an edge id in two gaps, which
+    the skeleton would join, raises ValueError in validate's wording; so
+    does an edge of gap i whose lower end is no vertex on a level up to
+    i, or whose upper end is no vertex on a level above i, since a long
+    edge could then lead back up, and a walk from the root miss the
+    vertices it leads to or never leave them.  An edge may skip levels.
+    Each check is one count, or one subset test per map against the
+    vertices of the levels so far; ids are sorted only to name a fault."""
+    vertices = set().union(*graph.vertex_sets)
+    for what, where, sets, union in (
+        ("vertex", "levels", graph.vertex_sets, vertices),
+        ("edge", "gaps", graph.edge_sets, set().union(*graph.edge_sets)),
+    ):
+        if sum(map(len, sets)) > len(union):
+            first: dict[str, int] = {}
+            for i, xs in enumerate(sets):
+                for x in sorted(xs):
+                    if x in first:
+                        raise ValueError(
+                            f"duplicate {what} id {x!r} at {where} {first[x]} and {i}"
+                        )
+                    first[x] = i
+    below: set[str] = set()
+    for i, (vs, dn, up) in enumerate(zip(graph.vertex_sets, graph.down_maps, graph.up_maps)):
+        below |= vs
+        if not below.issuperset(dn.values()):
+            e = min(e for e, v in dn.items() if v not in below)
+            raise ValueError(_dangling("down_map", dn, e, i))
+        if not (below.isdisjoint(up.values()) and vertices.issuperset(up.values())):
+            e = min(e for e, v in up.items() if v in below or v not in vertices)
+            raise ValueError(_dangling("up_map", up, e, i + 1))
+    return graph._skeleton
+
+
+def raised(f, graph):
+    """``f(graph)``, or the class and message it raised."""
+    try:
+        return f(graph)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def tree_scale_text(rng: random.Random, kind: str, n: int) -> str:
+    """A tree like the benchmark's: caterpillar, balanced or random binary,
+    taxa t0..t{n-1}, internal nodes named, lengths in halves or whole."""
+    fractional = rng.random() < 0.5
+    subtrees = [f"t{k}" for k in range(n)]
+    counter = 0
+
+    def join(a: str, b: str) -> str:
+        nonlocal counter
+        counter += 1
+        la, lb = (rng.choice(("0.5", "1", "1.5", "2", "2.5")) if fractional
+                  else str(rng.randint(1, 4)) for _ in range(2))
+        return f"({a}:{la},{b}:{lb})i{counter}"
+
+    if kind == "caterpillar":
+        node = subtrees[0]
+        for leaf in subtrees[1:]:
+            node = join(node, leaf)
+        return node + ";"
+    while len(subtrees) > 1:
+        if kind == "random":
+            i, j = sorted(rng.sample(range(len(subtrees)), 2))
+            b = subtrees.pop(j)
+            a = subtrees.pop(i)
+            subtrees.append(join(a, b))
+        else:
+            paired = [join(subtrees[k], subtrees[k + 1]) for k in range(0, len(subtrees) - 1, 2)]
+            subtrees = paired + subtrees[len(subtrees) - len(subtrees) % 2:]
+    return subtrees[0] + ";"
+
+
+def validate_bases() -> list[ReebGraph]:
+    """Unmutated inputs: the fixtures under tests/data, the eNewick corpus,
+    seeded dated networks, benchmark-shaped trees of 50-300 taxa and
+    generator graphs."""
+    data = Path(__file__).parent / "data"
+    out = []
+    for path in sorted(data.glob("*.json")):
+        try:
+            out.append(load_text(path.read_text())[0])
+        except ReebError:
+            pass
+    out += [enewick_to_reeb(p.read_text()) for p in sorted((data / "newick_corpus").glob("*.enwk"))]
+    for text in dated_texts(7, 600):
+        try:
+            out.append(enewick_to_reeb(text))
+        except (ReebError, ValueError):
+            pass
+    rng = random.Random(4242)
+    for kind in ("caterpillar", "balanced", "random"):
+        for n in (50, 120, 300):
+            out.append(enewick_to_reeb(tree_scale_text(rng, kind, n)))
+    shapes = [(3, 1, 3), (4, 2, 4), (5, 3, 5), (3, 0, 3), (6, 4, 6), (4, 3, 8)]
+    for seed in range(10):
+        for n, s, lv in shapes:
+            try:
+                out.append(random_graph(GeneratorSpec(
+                    seed=seed, n_leaves=n, betti=s, levels=lv, max_indeg=3
+                )))
+            except InfeasibleSpec:
+                pass
+    return out
+
+
+def _retarget(g: ReebGraph, rng: random.Random, far: bool) -> ReebGraph:
+    """One edge end moved to another vertex; ``far`` moves an up end two
+    levels up where there is one."""
+    i = rng.choice([i for i in range(g.gap_count) if g.edge_sets[i]])
+    e = rng.choice(sorted(g.edge_sets[i]))
+    if far and i + 2 < g.level_count:
+        side, target = "up_maps", rng.choice(sorted(g.vertex_sets[i + 2]))
+    else:
+        side, target = rng.choice(("down_maps", "up_maps")), rng.choice(sorted(g.vertex_level))
+    maps = list(getattr(g, side))
+    maps[i] = {**maps[i], e: target}
+    return replace(g, **{side: tuple(maps)})
+
+
+def _dangle(g: ReebGraph, rng: random.Random) -> ReebGraph:
+    i = rng.randrange(g.gap_count)
+    es = sorted(g.edge_sets[i])
+    if not es:
+        return g
+    e = rng.choice(es)
+    if rng.random() < 0.5:
+        downs = list(g.down_maps)
+        downs[i] = {**downs[i], e: "zz"}
+        return replace(g, down_maps=tuple(downs))
+    ups = list(g.up_maps)
+    ups[i] = {**ups[i], e: "zz"}
+    return replace(g, up_maps=tuple(ups))
+
+
+def _reuse_vertex(g: ReebGraph, rng: random.Random) -> ReebGraph:
+    i = rng.randrange(g.level_count)
+    v = rng.choice(sorted(g.vertex_level))
+    vsets = list(g.vertex_sets)
+    vsets[i] = vsets[i] | {v}
+    orders = list(g.vertex_orders)
+    orders[i] = LevelPoset(vsets[i], orders[i].covers)
+    return replace(g, vertex_sets=tuple(vsets), vertex_orders=tuple(orders))
+
+
+def _reuse_edge(g: ReebGraph, rng: random.Random) -> ReebGraph:
+    """An edge id of one gap added to another, joining that gap's levels."""
+    e = rng.choice(sorted(g.edge_gap))
+    i = rng.randrange(g.gap_count)
+    if not (g.vertex_sets[i] and g.vertex_sets[i + 1]):
+        return g
+    lo, hi = rng.choice(sorted(g.vertex_sets[i])), rng.choice(sorted(g.vertex_sets[i + 1]))
+    esets, downs, ups, orders = (list(x) for x in (g.edge_sets, g.down_maps, g.up_maps, g.edge_orders))
+    esets[i] = esets[i] | {e}
+    downs[i] = {**downs[i], e: lo}
+    ups[i] = {**ups[i], e: hi}
+    orders[i] = LevelPoset(esets[i], orders[i].covers)
+    labels = g.edge_labels
+    if labels is not None and labels[i] is not None:
+        labels = (*labels[:i], {**labels[i], e: "again"}, *labels[i + 1:])
+    return replace(g, edge_sets=tuple(esets), down_maps=tuple(downs), up_maps=tuple(ups),
+                   edge_orders=tuple(orders), edge_labels=labels)
+
+
+def _renamed(g: ReebGraph, old: str, new: str) -> ReebGraph:
+    return renamed(g, {old: new})
+
+
+def _both_kinds(g: ReebGraph, rng: random.Random) -> ReebGraph:
+    return _renamed(g, rng.choice(sorted(g.edge_gap)), rng.choice(sorted(g.vertex_level)))
+
+
+def _cut_id(g: ReebGraph, rng: random.Random) -> ReebGraph:
+    old = rng.choice(sorted(g.vertex_level) + sorted(g.edge_gap))
+    return _renamed(g, old, "cut:" + old)
+
+
+def _drop(g: ReebGraph, rng: random.Random) -> ReebGraph:
+    """A vertex or an edge left out of its set (its order and maps keep it),
+    or an edge left out of its set, maps and order alike."""
+    if rng.random() < 0.4:
+        i = rng.randrange(g.level_count)
+        if not g.vertex_sets[i]:
+            return g
+        v = rng.choice(sorted(g.vertex_sets[i]))
+        vsets = list(g.vertex_sets)
+        vsets[i] = vsets[i] - {v}
+        return replace(g, vertex_sets=tuple(vsets))
+    i = rng.randrange(g.gap_count)
+    if not g.edge_sets[i]:
+        return g
+    e = rng.choice(sorted(g.edge_sets[i]))
+    esets = list(g.edge_sets)
+    esets[i] = esets[i] - {e}
+    if rng.random() < 0.5:
+        return replace(g, edge_sets=tuple(esets))
+    downs, ups, orders = list(g.down_maps), list(g.up_maps), list(g.edge_orders)
+    downs[i] = {x: v for x, v in downs[i].items() if x != e}
+    ups[i] = {x: v for x, v in ups[i].items() if x != e}
+    orders[i] = LevelPoset(esets[i], frozenset(c for c in orders[i].covers if e not in c))
+    labels = g.edge_labels
+    if labels is not None and labels[i] is not None:
+        labels = (*labels[:i], {x: y for x, y in labels[i].items() if x != e}, *labels[i + 1:])
+    return replace(g, edge_sets=tuple(esets), down_maps=tuple(downs), up_maps=tuple(ups),
+                   edge_orders=tuple(orders), edge_labels=labels)
+
+
+def _order_cycle(g: ReebGraph, rng: random.Random) -> ReebGraph:
+    """Covers around a cycle on a level or a gap, now and then with an
+    unknown id."""
+    which = "vertex_orders" if rng.random() < 0.5 else "edge_orders"
+    orders = list(getattr(g, which))
+    i = rng.randrange(len(orders))
+    xs = sorted(orders[i].elements)
+    if len(xs) < 2:
+        xs.append("ghost")
+    ring = rng.sample(xs, min(len(xs), rng.randint(2, 4)))
+    covers = set(zip(ring, ring[1:] + ring[:1]))
+    if rng.random() < 0.2:
+        covers.add((ring[0], "ghost"))
+    orders[i] = LevelPoset(orders[i].elements, orders[i].covers | covers)
+    return replace(g, **{which: tuple(orders)})
+
+
+def _non_monotone(g: ReebGraph, rng: random.Random) -> ReebGraph:
+    """Random covers on a level and its gaps; the edge covers often go
+    against the vertex order."""
+    return random_covers(g, rng) if rng.random() < 0.3 else decorated(g, rng)
+
+
+def _second_component(g: ReebGraph, rng: random.Random) -> ReebGraph:
+    """A separate path over the two lowest levels, or a vertex on its own."""
+    vsets, esets = list(g.vertex_sets), list(g.edge_sets)
+    downs, ups = list(g.down_maps), list(g.up_maps)
+    vorders, eorders = list(g.vertex_orders), list(g.edge_orders)
+    i = rng.randrange(g.level_count)
+    vsets[i] = vsets[i] | {"lone0"}
+    vorders[i] = LevelPoset(vsets[i], vorders[i].covers)
+    if i + 1 < g.level_count and rng.random() < 0.6:
+        vsets[i + 1] = vsets[i + 1] | {"lone1"}
+        vorders[i + 1] = LevelPoset(vsets[i + 1], vorders[i + 1].covers)
+        esets[i] = esets[i] | {"lonely"}
+        downs[i] = {**downs[i], "lonely": "lone0"}
+        ups[i] = {**ups[i], "lonely": "lone1"}
+        eorders[i] = LevelPoset(esets[i], eorders[i].covers)
+    return replace(g, vertex_sets=tuple(vsets), edge_sets=tuple(esets), down_maps=tuple(downs),
+                   up_maps=tuple(ups), vertex_orders=tuple(vorders), edge_orders=tuple(eorders))
+
+
+def _bad_labels(g: ReebGraph, rng: random.Random) -> ReebGraph:
+    labels = [None if rng.random() < 0.2 else {e: "L" + e for e in es} for es in g.edge_sets]
+    i = rng.randrange(g.gap_count)
+    roll = rng.random()
+    if roll < 0.3:
+        labels = labels[:-1]
+    elif roll < 0.6 or not g.edge_sets[i]:
+        labels[i] = {**(labels[i] or {}), "stranger": "L?"}
+    else:
+        labels[i] = {e: "same" for e in g.edge_sets[i]}
+    return replace(g, edge_labels=tuple(labels))
+
+
+def _level_faults(g: ReebGraph, rng: random.Random) -> ReebGraph:
+    """Two levels swapped or equal, or a level's vertices or a gap's edges
+    emptied."""
+    roll = rng.random()
+    if roll < 0.5 and g.level_count > 1:
+        levels = list(g.levels)
+        i = rng.randrange(g.level_count - 1)
+        levels[i + 1] = levels[i] if roll < 0.2 else levels[i] - 1
+        return replace(g, levels=tuple(levels))
+    if roll < 0.75:
+        i = rng.randrange(g.level_count)
+        vsets = list(g.vertex_sets)
+        vsets[i] = frozenset()
+        return replace(g, vertex_sets=tuple(vsets))
+    i = rng.randrange(g.gap_count)
+    esets = list(g.edge_sets)
+    esets[i] = frozenset()
+    return replace(g, edge_sets=tuple(esets))
+
+
+MUTATIONS = (
+    lambda g, rng: _retarget(g, rng, far=False),
+    lambda g, rng: _retarget(g, rng, far=True),
+    _dangle,
+    _reuse_vertex,
+    _reuse_edge,
+    _both_kinds,
+    _cut_id,
+    _drop,
+    _order_cycle,
+    _non_monotone,
+    _second_component,
+    _bad_labels,
+    _level_faults,
+)
+
+
+class TestValidateMatchesReference:
+    def test_seeded_graphs_and_their_mutations(self):
+        rng = random.Random(20261019)
+        kinds: Counter = Counter()
+        graphs = 0
+        for base in validate_bases():
+            small = sum(map(len, base.vertex_sets)) < 400
+            inputs = [base]
+            if base.gap_count:
+                for _ in range(4 if small else 1):
+                    g = base
+                    for _ in range(rng.choice((1, 1, 1, 2, 3))):
+                        try:
+                            g = rng.choice(MUTATIONS)(g, rng)
+                        except IndexError:  # an earlier mutation emptied what it picks from
+                            pass
+                    inputs.append(g)
+            for g in inputs:
+                for allow in (True, False):
+                    want = raised(lambda x: reference_validate(x, allow_cut_ids=allow), g)
+                    assert raised(lambda x: validate(x, allow_cut_ids=allow), g) == want
+                kinds.update(line.split()[0] for line in want)
+                kinds["ok" if not want else "reported"] += 1
+                # A fresh copy for each, so neither reads the other's caches.
+                want = raised(reference_checked_skeleton, replace(g))
+                got = raised(lambda x: x._checked_skeleton, replace(g))
+                assert got == want
+                graphs += 1
+        assert graphs >= 2000, graphs
+        for kind in ("ok", "duplicate", "id", "reserved", "dangling", "down_map", "up_map",
+                     "vertex", "edge", "non-poset", "non-monotone", "label", "non-bijective",
+                     "disconnected", "levels", "empty"):
+            assert kinds[kind] >= 10, (kind, kinds)

@@ -22,6 +22,7 @@ from reebtrees import (
     classify_vertex,
     cut_options,
     decompose,
+    dump_text,
     enewick_to_reeb,
     enumerate_choices,
     factor_count,
@@ -363,3 +364,27 @@ def test_apply_choice_matches_the_reference():
                 name = want[0].__name__
                 seen[name if name in seen else "other"] += 1
     assert seen == {"factors": 12822, "InvalidChoice": 3882, "ValueError": 2, "other": 1}
+
+
+def test_decompose_builds_its_option_table_once(monkeypatch, tmp_path, capsys):
+    """decompose and CLI decompose read cut_options once, not once per factor."""
+    from reebtrees import cli, decomposition
+
+    g = random_graph(GeneratorSpec(seed=3, n_leaves=5, betti=6, levels=6, max_indeg=2))
+    calls = []
+    real = decomposition.cut_options
+
+    def counting(graph):
+        calls.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(decomposition, "cut_options", counting)
+    monkeypatch.setattr(cli, "cut_options", counting)
+    assert len(decompose(g).factors) == 64
+    assert len(calls) == 1
+    path = tmp_path / "g.json"
+    path.write_text(dump_text(g))
+    calls.clear()
+    assert cli.main(["decompose", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("factors: 64\n")
+    assert len(calls) == 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,7 +36,9 @@ from reebtrees import (
     lp_distance,
     make_graph,
     network_distance,
+    network_to_reeb,
     nth_root_fraction,
+    parse_enewick,
     random_graph,
     validate,
 )
@@ -606,7 +609,7 @@ def reference_factor_vectors(graph, ranks, time_mode):
     down = {e: v for dn in graph.down_maps for e, v in dn.items()}
     children = {v: [down[e] for e in es] for v, es in graph.below_edges.items()}
     stampers = [*originals, *cuts, *(v for v, kids in children.items() if len(kids) > 1)]
-    scale, stamp, back = _stamps(graph.levels, level_of, stampers, time_mode)
+    scale, stamp = _stamps(graph.levels, level_of, stampers, time_mode)
     hook = {}
     for _, edges in options:
         for e in edges:
@@ -621,7 +624,7 @@ def reference_factor_vectors(graph, ranks, time_mode):
             children[v][i] = RESERVED_VERTEX_PREFIX + e
     if not options:
         scaled = _walk(root, children, names, stamp)
-        return (_vector(tuple(names), scaled, scale, back, time_mode),)
+        return (_vector(tuple(names), scaled, scale, time_mode),)
 
     n = len(names)
     rows: list[list[int]] = [[]] * n
@@ -631,7 +634,7 @@ def reference_factor_vectors(graph, ranks, time_mode):
     radices = [len(edges) for _, edges in options]
     weights = [math.prod(radices[j + 1:]) for j in range(len(radices))]
     vectors: list = [None] * math.prod(radices)
-    vectors[0] = _vector(tuple(names), _pack(rows, tails), scale, back, time_mode)
+    vectors[0] = _vector(tuple(names), _pack(rows, tails), scale, time_mode)
     place = {v: i for i, v in enumerate(names)}
     base = [place[RESERVED_VERTEX_PREFIX + edges[1]] for _, edges in options]
     index = 0
@@ -647,7 +650,7 @@ def reference_factor_vectors(graph, ranks, time_mode):
         place[cut] = c
         _swap(rows, _taxa_below(m, children, place), c)
         index += (new - k) * weights[j]
-        vectors[index] = _vector(tuple(names), _pack(rows, tails), scale, back, time_mode)
+        vectors[index] = _vector(tuple(names), _pack(rows, tails), scale, time_mode)
     return tuple(vectors)
 
 
@@ -715,6 +718,80 @@ class TestSkeletonVectorsMatchReference:
                     networks += 1
                     top = max(top, s)
         assert networks >= 2000 and top == 9, (networks, top)
+
+
+def assert_public_form(vec: CopheneticVector, entries) -> None:
+    """``vec`` equals, hashes, prints and reads entry by entry like the
+    vector the public constructor builds from ``entries``."""
+    want = CopheneticVector(leaves=vec.leaves, entries=tuple(entries), time_mode=vec.time_mode)
+    assert vec == want and want == vec
+    assert hash(vec) == hash(want)
+    assert repr(vec) == repr(want)
+    assert vec.entries == want.entries
+    m = len(vec.leaves)
+    pairs = [(i, j) for i in range(m) for j in range(m)]
+    if len(pairs) > 400:
+        pairs = random.Random(m).sample(pairs, 400)
+    for i, j in pairs:
+        assert vec.entry(i, j) == want.entry(i, j)
+        assert type(vec.entry(i, j)) is Fraction
+
+
+class TestSingleCopyVectors:
+    """A vector from the row walk keeps its entries once, as integers over
+    one scale, and still behaves as one built from its Fractions."""
+
+    @pytest.mark.parametrize("time_mode", ["f", "-f"])
+    def test_trees_and_factors(self, time_mode):
+        sources = [*seeded_trees(), *seeded_factors()]
+        scales = set()
+        for source, ranks in sources:
+            vec = cophenetic_vector(source, ranks=ranks, time_mode=time_mode)
+            want = reference_cophenetic_vector(source, ranks=ranks, time_mode=time_mode)
+            assert_public_form(vec, want.entries)
+            scales.add(vec._integer[0])
+        assert len(sources) >= 100 and {1, 2, 4} <= scales, scales
+
+    @pytest.mark.parametrize("time_mode", ["f", "-f"])
+    def test_network_factors(self, time_mode):
+        # Corpus networks, also at times in thirds and sevenths.
+        graphs = [enewick_to_reeb(p.read_text()) for p in sorted(CORPUS.glob("*.enwk"))]
+        graphs += [
+            network_to_reeb(dataclasses.replace(n, times={v: t / 3 + Fraction(1, 7) for v, t in n.times.items()}))
+            for n in map(parse_enewick, (p.read_text() for p in sorted(CORPUS.glob("*.enwk"))[::5]))
+        ]
+        graphs += list(corpus([(3, 2, 4), (4, 3, 5)], range(4), max_indeg=3))
+        scales = set()
+        for g in graphs:
+            ranks = rankings_with_ties(g)[0]
+            got = network_factors(g, ranks=ranks, time_mode=time_mode).vectors
+            factors = decompose(g).factors
+            assert len(got) == len(factors)
+            for vec, f in zip(got, factors):
+                want = reference_cophenetic_vector(f, ranks=ranks, time_mode=time_mode)
+                assert_public_form(vec, want.entries)
+                scales.add(vec._integer[0])
+        assert 21 in scales and 1 in scales, scales
+
+    def test_retained_size(self):
+        """A 1000-taxon caterpillar's vector (500,500 entries) keeps one
+        pointer per entry: at most 9 bytes an entry, where a second copy of
+        the entries would take about 16."""
+        n = 1000
+        text = "t0"
+        for k in range(1, n):
+            text = f"({text}:1,t{k}:{k})i{k}"
+        graph = enewick_to_reeb(text + ";")
+        cophenetic_vector(graph)  # the graph's own caches are not the vector's
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            vec = cophenetic_vector(graph)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(vec._integer[1]) == n * (n + 1) // 2 == 500_500
+        assert retained <= 9 * 500_500, retained / 500_500
 
 
 class TestSkeletonInputChecks:
