@@ -14,18 +14,23 @@ isomorphism of the pair refined to common levels maps critical vertices to
 critical vertices and long edges to long edges, and is fixed by what it does
 there, so nothing is refined and no pass-through vertex is read.  Its
 prefilter is one colour refinement of the two skeletons, after the level
-range and the skeletons' level values are compared.  The fingerprint route
-then rests on the paper's glue-back argument: one factor of a, with its
-(merge vertex, cut leaf) covers and its cut leaves tagged, matches some
-factor of b exactly when a and b are isomorphic.  A factor is a view of the
-skeleton, with each detached long edge ending at its cut leaf; no factor
-graph is built.  a's first factor is fingerprinted once, then b's factors,
-skipping those the refined colours rule out, until the first match.
-decomposition_invariant fingerprints every factor view of one graph the
-same way.  Fingerprints of views list the skeleton's level values only, so
-their bytes differ from those of the factors' graphs, and the invariant is
-equal across pass-through levels.  brute_force_iso is a plain backtracking
-matcher on the refined pair, kept as an independent oracle on anything small.
+range and the skeletons' level values are compared.  Every isomorphism
+keeps the refined colours, so when each colour holds one critical vertex
+per side, the map from colour to colour is the one candidate, and checking
+it decides.  The fingerprint route decides the other pairs: where colours
+tie, where an ordered long edge has a parallel twin, and where a graph
+holds a cut leaf's id.  It rests on the paper's glue-back argument: one
+factor of a, with its (merge vertex, cut leaf) covers and its cut leaves
+tagged, matches some factor of b exactly when a and b are isomorphic.  A
+factor is a view of the skeleton, with each detached long edge ending at
+its cut leaf; no factor graph is built.  a's first factor is fingerprinted
+once, then b's factors, skipping those the refined colours rule out, until
+the first match.  decomposition_invariant fingerprints every factor view of
+one graph the same way.  Fingerprints of views list the skeleton's level
+values only, so their bytes differ from those of the factors' graphs, and
+the invariant is equal across pass-through levels.  brute_force_iso is a
+plain backtracking matcher on the refined pair, kept as an independent
+oracle on anything small.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
+    RESERVED_VERTEX_PREFIX,
     LevelPoset,
     ReebGraph,
     _refined_counts,
@@ -64,15 +70,20 @@ def _strict_pairs(poset: LevelPoset) -> list[tuple[str, str]]:
     return [(x, y) for x in sorted(poset.elements) for y in sorted(poset.strictly_above(x))]
 
 
+def _order_pairs(orders: Iterable[LevelPoset]) -> list[tuple[str, str]]:
+    """The _strict_pairs of every nontrivial order in ``orders``."""
+    return [p for o in orders if o.covers for p in _strict_pairs(o)]
+
+
 def _order_counts(orders: Iterable[LevelPoset]) -> dict[str, tuple[int, int]]:
     """(elements below, elements above) in the generated order, for every
-    element of a nontrivial order."""
+    element that carries a relation; every other element has (0, 0)."""
     out: dict[str, tuple[int, int]] = {}
     for poset in orders:
         if poset.covers:
             above = {x: poset.strictly_above(x) for x in poset.elements}
             below = Counter(y for ups in above.values() for y in ups)
-            out.update((x, (below[x], len(ups))) for x, ups in above.items())
+            out.update((x, (below[x], len(ups))) for x, ups in above.items() if ups or below[x])
     return out
 
 
@@ -139,10 +150,11 @@ def _skeleton_prefilter(
     b: ReebGraph,
     tags_a: Mapping[str, int] | None,
     tags_b: Mapping[str, int] | None,
-) -> tuple[ReebGraph, ReebGraph, dict[str, object], dict[str, object]] | None:
+) -> tuple | None:
     """reeb_iso's prefilter: one colour refinement of the two skeletons, in
-    one palette.  Returns (a, b, colours_a, colours_b), the stable colours
-    of the critical vertices, or None once the pair cannot be isomorphic.
+    one palette.  Returns (a, b, colours_a, colours_b, counts_a, counts_b):
+    the stable colours of the critical vertices and each side's edge-order
+    counts, or None once the pair cannot be isomorphic.
 
     After the level range, a pair on different level sets whose edge orders
     are not all trivial is refined to the union of its levels (refinement
@@ -222,7 +234,7 @@ def _skeleton_prefilter(
             if n != classes[i]:
                 classes[i], split[i] = n, clock
         if max(split) <= start:
-            return a, b, cols[0], cols[1]
+            return a, b, cols[0], cols[1], rels[0], rels[1]
 
 
 @dataclass(frozen=True, order=True)
@@ -261,13 +273,8 @@ def _skeleton_view(
     """The graph's skeleton as a view with nothing cut, its levels numbered
     by ``level`` into ``levels``."""
     sk = graph._skeleton
-
-    def pairs(orders: Iterable[LevelPoset]) -> list[tuple[str, str]]:
-        return [p for o in orders if o.covers for p in _strict_pairs(o)]
-
-    return _FactorView(
-        tuple(levels), level, sk.down, sk.up, pairs(graph.vertex_orders), pairs(graph.edge_orders)
-    )
+    vertex_pairs, edge_pairs = _order_pairs(graph.vertex_orders), _order_pairs(graph.edge_orders)
+    return _FactorView(tuple(levels), level, sk.down, sk.up, vertex_pairs, edge_pairs)
 
 
 def _cut(view: _FactorView, graph: ReebGraph, detached: Sequence[tuple[str, ...]]) -> _FactorView:
@@ -627,11 +634,11 @@ def _factor_form(
 
 
 def _factor_match(
-    pre: tuple[ReebGraph, ReebGraph, dict[str, object], dict[str, object]],
+    pre: tuple,
     leaf_ranks_a: Mapping[str, int] | None,
     leaf_ranks_b: Mapping[str, int] | None,
     budget: int | None,
-) -> tuple[_FactorView, _FactorView, CanonicalForm, CanonicalForm] | None:
+) -> tuple[dict[str, str], dict[str, str]] | None:
     """The fingerprint route on a pair ``pre`` that passed
     _skeleton_prefilter, with its stable colours.
 
@@ -646,9 +653,10 @@ def _factor_match(
     first factor is fingerprinted once, and b's factors whose kept edges
     join the same colours are fingerprinted one at a time until one matches.
     Factors are views of the skeletons (see _FactorView), numbered by the
-    skeleton levels the two sides share.  Returns the two matching views
-    and their fingerprints, or None when no factor of b matches."""
-    a, b, col_a, col_b = pre
+    skeleton levels the two sides share.  Returns the pairing of the two
+    matching views' canonical numberings, as vertex and long-edge maps (see
+    _witness), or None when no factor of b matches."""
+    a, b, col_a, col_b, *_ = pre
     cut_rank = min([-1, *(leaf_ranks_a or {}).values(), *(leaf_ranks_b or {}).values()]) - 1
 
     def joins(graph: ReebGraph, col: Mapping[str, object], options) -> dict:
@@ -672,26 +680,71 @@ def _factor_match(
                 b, whole_b, options_b, choice, leaf_ranks_b, cut_rank, budget
             )
             if form_b == form_a:
-                return view_a, view_b, form_a, form_b
+                # In a factor each vertex has at most one long edge arriving
+                # from above, so each long edge goes where its lower end goes.
+                vmap = dict(zip(form_a._vertices, form_b._vertices))
+                ups = view_a.up.items()
+                return vmap, {e: view_b.up[vmap[w]][0][1] for w, es in ups for _, e in es}
     return None
 
 
-def _witness(
-    pre: tuple[ReebGraph, ReebGraph, dict[str, object], dict[str, object]],
-    match: tuple[_FactorView, _FactorView, CanonicalForm, CanonicalForm],
-) -> MorphismWitness:
-    """Expand a match of _factor_match on ``pre`` into an isomorphism of the
-    pair refined to common levels, level by level along each long edge.
+def _colour_map(pre: tuple) -> dict[str, str] | None:
+    """The one candidate isomorphism of a pair ``pre`` that passed
+    _skeleton_prefilter: each critical vertex of a to the vertex of b with
+    its colour.  Every isomorphism keeps the colours, so when they are
+    discrete it is this map.  None when a colour holds two vertices, when a
+    long edge of a that carries an edge-order relation has a parallel long
+    edge, or when either graph holds the cut leaf id of an arriving long
+    edge; _factor_match then decides (and names that clash)."""
+    a, b, col_a, col_b, rel_a, _ = pre
+    by_colour = {c: w for w, c in col_b.items()}
+    if len(by_colour) < len(col_b):
+        return None
+    for g in (a, b):
+        vertex_level = g.vertex_level
+        for es in g._skeleton.up.values():
+            if len(es) > 1 and any(RESERVED_VERTEX_PREFIX + e in vertex_level for _, e in es):
+                return None
+    for ends in a._skeleton.down.values() if rel_a else ():
+        if any(e in rel_a and sum(x == u for x, _ in ends) > 1 for u, e in ends):
+            return None
+    return {v: by_colour[c] for v, c in col_a.items()}
 
-    The two canonical numberings pair the critical vertices and cut leaves.
-    In a factor each vertex has at most one long edge arriving from above,
-    so each long edge goes where its lower end goes; that pairs the edges
-    that carry an order relation, whose ids refinement keeps.  Long edges
-    with no relation and the same ends are interchangeable, so those are
-    paired by their ends."""
-    view_a, view_b, form_a, form_b = match
-    vmap = dict(zip(form_a._vertices, form_b._vertices))
-    emap = {e: view_b.up[vmap[w]][0][1] for w, ups in view_a.up.items() for _, e in ups}
+
+def _colour_check(pre: tuple, phi: Mapping[str, str]) -> dict[str, str] | None:
+    """Whether _colour_map's ``phi`` is an isomorphism of the pair ``pre``
+    refined to common levels.  phi keeps levels, degrees and sink ranks; so
+    it is one when each vertex's long edges below, as (image of the lower
+    end, edge-order counts), are those of its image, and the generated
+    vertex and edge orders map onto b's.  (Stable colours already imply
+    the first part; it is checked so that the check stands alone.)  Returns
+    psi, which sends each long edge of a that carries a relation to the one
+    long edge of b between the images of its ends, or None when phi is not
+    an isomorphism."""
+    a, b, _, _, rel_a, rel_b = pre
+    down_a, down_b = a._skeleton.down, b._skeleton.down
+    for v, ends in down_a.items():
+        mine = sorted([(phi[u], rel_a.get(e, (0, 0))) for u, e in ends])
+        if mine != sorted([(u, rel_b.get(f, (0, 0))) for u, f in down_b[phi[v]]]):
+            return None
+    psi = {
+        e: next(f for x, f in down_b[phi[w]] if x == phi[u])
+        for w, ends in down_a.items() for u, e in ends if e in rel_a
+    }
+    for m, orders in ((phi, "vertex_orders"), (psi, "edge_orders")):
+        mine, theirs = (_order_pairs(getattr(g, orders)) for g in (a, b))
+        if {(m[x], m[y]) for x, y in mine} != set(theirs):
+            return None
+    return psi
+
+
+def _witness(pre: tuple, vertex_map: Mapping, edge_map: Mapping) -> MorphismWitness:
+    """Expand the maps that either route of reeb_iso yields on ``pre`` into an
+    isomorphism of the pair refined to common levels, level by level along
+    each long edge: ``vertex_map`` pairs the critical vertices, and
+    ``edge_map`` at least the long edges that carry an order relation, whose
+    ids refinement keeps.  Long edges with no relation and the same ends are
+    interchangeable, so those are paired by their ends."""
     ra, rb = common_refinement(*pre[:2])
     sa, sb = ra._skeleton, rb._skeleton
     related = [{e for o in g.edge_orders for cover in o.covers for e in cover} for g in (ra, rb)]
@@ -703,11 +756,11 @@ def _witness(
     vertex_maps: list[dict[str, str]] = [{} for _ in ra.levels]
     edge_maps: list[dict[str, str]] = [{} for _ in ra.edge_sets]
     for v, i in sa.vertex_level.items():
-        vertex_maps[sa.graph_level[i]][v] = vmap[v]
+        vertex_maps[sa.graph_level[i]][v] = vertex_map[v]
     for w, ups in sa.up.items():
         gap = sa.graph_level[sa.vertex_level[w]]
         for u, e in ups:
-            f = emap[e] if e in related[0] else spare[vmap[u], vmap[w]].pop()
+            f = edge_map[e] if e in related[0] else spare[vertex_map[u], vertex_map[w]].pop()
             for j, (x, y) in enumerate(zip(sa.chains[e], sb.chains[f])):
                 edge_maps[gap + j][x] = y
                 if j:
@@ -731,8 +784,12 @@ def reeb_iso(
     follows the critical vertices, not the levels.  The prefilter checks the
     level range and the skeletons' level values, then refines the critical
     vertices' colours in one palette for both sides, and answers False as
-    soon as a level's colours differ (see _skeleton_prefilter).  The
-    fingerprint route then decides (see _factor_match), on every input:
+    soon as a level's colours differ (see _skeleton_prefilter).  When every
+    colour holds one critical vertex on each side, the map from colour to
+    colour is the only candidate, and checking it decides (see _colour_map
+    and _colour_check); no fingerprint is built.  Otherwise, and when an
+    ordered long edge has a parallel one or a graph holds a cut leaf's id,
+    the fingerprint route decides (see _factor_match), on every input:
     single-source or not, with level orders or without.  a's first factor
     is fingerprinted, and b's factors that the refined colours allow are
     fingerprinted one at a time until one matches.  So a decision builds at
@@ -740,10 +797,17 @@ def reeb_iso(
     allowed factor of b matches; it builds no factor graph and no witness.
     Optional leaf ranks constrain the bijection to respect the given integer
     on bottom vertices (unranked ones must map to unranked ones).
-    ``budget`` bounds the fingerprints' tie-breaking (see canonical_form).
+    ``budget`` bounds the fingerprints' tie-breaking (see canonical_form);
+    the colour route takes no branches, so it never raises
+    SizeLimitExceeded.
     """
     pre = _skeleton_prefilter(a, b, leaf_ranks_a, leaf_ranks_b)
-    return pre is not None and _factor_match(pre, leaf_ranks_a, leaf_ranks_b, budget) is not None
+    if pre is None:
+        return False
+    phi = _colour_map(pre)
+    if phi is None:
+        return _factor_match(pre, leaf_ranks_a, leaf_ranks_b, budget) is not None
+    return _colour_check(pre, phi) is not None
 
 
 @dataclass(frozen=True)

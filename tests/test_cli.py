@@ -345,6 +345,14 @@ class TestIso:
         assert main(["iso", a, b]) == 1
         assert capsys.readouterr().out == "not isomorphic\n"
 
+    @pytest.mark.parametrize("flags", [[], ["--oracle"]], ids=["plain", "oracle"])
+    def test_crossed_covers_are_not_isomorphic(self, capsys, flags):
+        # Ranked leaves, the same order counts, crossed covers: the pair
+        # passes the prefilter with discrete colours and fails the map check.
+        pair = [str(DATA / f"crossed_covers_{side}.json") for side in "ab"]
+        assert main(["iso", *flags, *pair]) == 1
+        assert capsys.readouterr().out == "not isomorphic\n"
+
     def test_oracle_agrees(self, capsys, tmp_path, cycle_graph):
         a = write_graph(tmp_path, "a.json", cycle_graph)
         assert main(["iso", "--oracle", a, a]) == 0

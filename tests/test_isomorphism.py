@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from collections import Counter, defaultdict
 from fractions import Fraction
+from pathlib import Path
 from typing import Mapping
 
 import pytest
@@ -28,6 +30,7 @@ from reebtrees import (
     decomposition_invariant,
     enumerate_choices,
     labelled_iso,
+    load_text,
     make_graph,
     minimize_critical_set,
     random_graph,
@@ -540,12 +543,15 @@ class TestRoute:
         assert not reeb_iso(late, early)
         assert calls == {"canonical_form": 0, "brute_force_iso": 0, "apply_choice": 0}
 
-    def test_renamed_chain_fingerprints_two_factors(self, calls):
+    def test_renamed_chain_builds_no_fingerprint(self, calls):
+        # One critical vertex per level: the colours are discrete, so the
+        # one candidate map is checked and no factor is fingerprinted.
         g = chain_with_bigons(40, 6)
         assert reeb_iso(g, rename_graph(g))
-        assert calls == {"canonical_form": 2, "brute_force_iso": 0, "apply_choice": 0}
+        assert calls == {"canonical_form": 0, "brute_force_iso": 0, "apply_choice": 0}
 
     def test_multi_source_pair_takes_the_oracle(self, calls, twin_peaks):
+        # Its colours tie, so the fingerprint route decides.
         assert reeb_iso(twin_peaks, rename_graph(twin_peaks))
         assert calls["canonical_form"] == 2
         assert calls["brute_force_iso"] == 0
@@ -570,20 +576,52 @@ def swap_lower_ends(g, rng):
     return None
 
 
+class Routes:
+    """Records, per reeb_iso call, which route decided (colour, for the one
+    candidate map of discrete colours, or fingerprint), with its answer, in
+    ``decided``, and the witness that route's maps expand into; None when it
+    found no isomorphism.  On every pair the colour route decides, the
+    fingerprint route must agree."""
+
+    def __init__(self, monkeypatch):
+        self.decided: Counter = Counter()
+        self.witnesses: list = []
+        self.ranks = (None, None)
+        factor_match, colour_check = isomorphism._factor_match, isomorphism._colour_check
+
+        def fingerprint(pre, *args):
+            maps = factor_match(pre, *args)
+            self._record("fingerprint", pre, maps)
+            return maps
+
+        def colour(pre, phi):
+            psi = colour_check(pre, phi)
+            found = factor_match(pre, *self.ranks, None)
+            assert (found is not None) == (psi is not None)
+            self._record("colour", pre, None if psi is None else (phi, psi))
+            return psi
+
+        monkeypatch.setattr(isomorphism, "_factor_match", fingerprint)
+        monkeypatch.setattr(isomorphism, "_colour_check", colour)
+
+    def _record(self, route, pre, maps):
+        self.decided[route, maps is not None] += 1
+        self.witnesses.append(maps and isomorphism._witness(pre, *maps))
+
+    def decide(self, a, b, ranks_a, ranks_b):
+        """reeb_iso on the pair; its answer and the list of witnesses it
+        recorded (empty when the prefilter decided)."""
+        self.witnesses.clear()
+        self.ranks = (ranks_a, ranks_b)
+        return reeb_iso(a, b, leaf_ranks_a=ranks_a, leaf_ranks_b=ranks_b), list(self.witnesses)
+
+
 def test_reeb_iso_matches_oracle_with_witnesses(monkeypatch):
     """Generator graphs with merges of in-degree 2 and 3 and at most 16
     vertices, against renamed copies (ranks carried over, drawn afresh, or
-    none) and renamed degree-preserving swaps.  Every positive answer of the
-    fingerprint route carries a witness that verifies."""
-    witnesses = []
-    original = isomorphism._factor_match
-
-    def recording(*args):
-        match = original(*args)
-        witnesses.append(match and isomorphism._witness(args[0], match))
-        return match
-
-    monkeypatch.setattr(isomorphism, "_factor_match", recording)
+    none) and renamed degree-preserving swaps.  Every positive answer
+    carries a witness, from whichever route decided, that verifies."""
+    routes = Routes(monkeypatch)
     shapes = [
         (2, 2, 3, 3),
         (3, 2, 4, 3),
@@ -611,9 +649,9 @@ def test_reeb_iso_matches_oracle_with_witnesses(monkeypatch):
                 other = rename_graph(swapped)
                 cases += [(other, None, None), (other, ranks, carried)]
             for b, ranks_a, ranks_b in cases:
-                witnesses.clear()
                 want = brute_force_iso(g, b, vertex_tags_a=ranks_a, vertex_tags_b=ranks_b)
-                assert reeb_iso(g, b, leaf_ranks_a=ranks_a, leaf_ranks_b=ranks_b) == want
+                got, witnesses = routes.decide(g, b, ranks_a, ranks_b)
+                assert got == want
                 if witnesses:
                     (witness,) = witnesses
                     assert (witness is not None) == want
@@ -623,6 +661,7 @@ def test_reeb_iso_matches_oracle_with_witnesses(monkeypatch):
                 pairs += 1
                 positive += want
     assert (pairs, positive, verified) == (2884, 1576, 1576)
+    assert routes.decided == {("colour", True): 1340, ("fingerprint", True): 236}
 
 
 def random_tree_pair(rng):
@@ -828,15 +867,8 @@ def test_reeb_iso_matches_oracle_on_ordered_and_multi_source_pairs(monkeypatch):
     sinks ranked on every other graph.  Partners are renamed copies, copies
     with covers drawn afresh, and degree-preserving swaps.  The answer is
     the oracle's, the oracle is never consulted, and every positive answer
-    carries a witness that verifies."""
-    witnesses = []
-    original = isomorphism._factor_match
-
-    def recording(*args):
-        match = original(*args)
-        witnesses.append(match and isomorphism._witness(args[0], match))
-        return match
-
+    carries a witness, from whichever route decided, that verifies."""
+    routes = Routes(monkeypatch)
     oracle_calls = []
     oracle = isomorphism.brute_force_iso
 
@@ -844,7 +876,6 @@ def test_reeb_iso_matches_oracle_on_ordered_and_multi_source_pairs(monkeypatch):
         oracle_calls.append(args)
         return oracle(*args, **kwargs)
 
-    monkeypatch.setattr(isomorphism, "_factor_match", recording)
     monkeypatch.setattr(isomorphism, "brute_force_iso", counting)
     shapes = [
         (2, 0, 3, 2),
@@ -856,7 +887,7 @@ def test_reeb_iso_matches_oracle_on_ordered_and_multi_source_pairs(monkeypatch):
         (2, 3, 4, 3),
     ]
     rng = random.Random(1212)
-    pairs = positive = verified = matched = 0
+    pairs = positive = verified = 0
     for seed in range(18):
         for n, s, lv, d in shapes:
             spec = GeneratorSpec(seed=seed, n_leaves=n, betti=s, levels=lv, max_indeg=d)
@@ -879,9 +910,8 @@ def test_reeb_iso_matches_oracle_on_ordered_and_multi_source_pairs(monkeypatch):
                 for partner in partners:
                     b = rename_graph(partner)
                     ranks_b = renamed_ranks(ranks)
-                    witnesses.clear()
                     want = brute_force_iso(g, b, vertex_tags_a=ranks, vertex_tags_b=ranks_b)
-                    got = reeb_iso(g, b, leaf_ranks_a=ranks, leaf_ranks_b=ranks_b)
+                    got, witnesses = routes.decide(g, b, ranks, ranks_b)
                     assert got == want, (seed, n, s, kind)
                     if witnesses:
                         (witness,) = witnesses
@@ -889,13 +919,15 @@ def test_reeb_iso_matches_oracle_on_ordered_and_multi_source_pairs(monkeypatch):
                         if want:
                             assert verify_witness(witness)
                             verified += 1
-                        matched += 1
                     pairs += 1
                     positive += want
     assert oracle_calls == []
     # The skeleton prefilter's colour refinement ends every negative pair
-    # but one, so only one pair reaches the factors and finds no match.
-    assert (pairs, positive, verified, matched) == (900, 442, 442, 443)
+    # but one, so only 443 pairs reach a route.
+    assert (pairs, positive, verified) == (900, 442, 442)
+    assert routes.decided == {
+        ("colour", True): 286, ("colour", False): 1, ("fingerprint", True): 156
+    }
 
 
 def retarget_lower_end(g, rng):
@@ -948,16 +980,9 @@ def test_skeleton_decision_matches_oracle_across_level_sets(monkeypatch):
     retargeted edges and copies with one interior level moved, and one side
     or the other is refined at one to three new levels or minimized.  The
     answer is the oracle's on every pair, and every positive answer expands
-    into a witness over the refined pair that verifies."""
-    witnesses = []
-    original = isomorphism._factor_match
-
-    def recording(*args):
-        match = original(*args)
-        witnesses.append(match and isomorphism._witness(args[0], match))
-        return match
-
-    monkeypatch.setattr(isomorphism, "_factor_match", recording)
+    into a witness over the refined pair, from whichever route decided,
+    that verifies."""
+    routes = Routes(monkeypatch)
     shapes = [(2, 1, 3, 2), (3, 2, 4, 2), (3, 2, 4, 3), (2, 3, 4, 3), (4, 2, 4, 3), (3, 3, 4, 2)]
     # Levels to spare leave regular-only levels for minimization to splice.
     shapes += [(2, 1, 5, 2), (2, 2, 6, 2), (3, 2, 6, 3)]
@@ -987,9 +1012,8 @@ def test_skeleton_decision_matches_oracle_across_level_sets(monkeypatch):
                     else:
                         a = coarsened_or_refined(a, rng)
                     ranks_b = renamed_ranks(ranks)
-                    witnesses.clear()
                     want = brute_force_iso(a, b, vertex_tags_a=ranks, vertex_tags_b=ranks_b)
-                    got = reeb_iso(a, b, leaf_ranks_a=ranks, leaf_ranks_b=ranks_b)
+                    got, witnesses = routes.decide(a, b, ranks, ranks_b)
                     assert got == want, (seed, n, s, kind)
                     if want:
                         (witness,) = witnesses
@@ -999,6 +1023,177 @@ def test_skeleton_decision_matches_oracle_across_level_sets(monkeypatch):
                     pairs += 1
                     positive += want
     assert (pairs, positive, verified) == (1577, 570, 570)
+    assert routes.decided == {
+        ("colour", True): 470, ("fingerprint", True): 100, ("fingerprint", False): 1
+    }
+
+
+DATA = Path(__file__).parent / "data"
+STAR_RANKS = {f"x{i}": i for i in range(1, 5)}
+
+
+def ranked_star(covers, on_edges=False):
+    """A root over leaves x1..x4 (ranked 1..4 by STAR_RANKS), with ``covers``
+    (pairs of leaf numbers) among the leaves, or among their edges e1..e4."""
+    tag = "e" if on_edges else "x"
+    order = [(f"{tag}{i}", f"{tag}{j}") for i, j in covers]
+    return make_graph(
+        [0, 1],
+        [list(STAR_RANKS), ["r"]],
+        [[(f"e{i}", f"x{i}", "r") for i in range(1, 5)]],
+        vertex_covers=[[] if on_edges else order, []],
+        edge_covers=[order if on_edges else []],
+    )
+
+
+@pytest.mark.parametrize("on_edges", [False, True])
+def test_crossed_covers_fail_the_colour_check(monkeypatch, on_edges):
+    """Covers {(x1, x2), (x3, x4)} against {(x1, x4), (x3, x2)}: every leaf
+    keeps its rank and its order counts, so the prefilter passes and the
+    colours are discrete, and only the order check of the one candidate
+    map tells the pair apart.  The same covers listed in another order are
+    the same graph."""
+    a = ranked_star([(1, 2), (3, 4)], on_edges)
+    ranks_b = renamed_ranks(STAR_RANKS)
+    routes = Routes(monkeypatch)
+    for covers, want in (([(1, 4), (3, 2)], False), ([(3, 4), (1, 2)], True)):
+        b = rename_graph(ranked_star(covers, on_edges))
+        pre = isomorphism._skeleton_prefilter(a, b, STAR_RANKS, ranks_b)
+        assert pre is not None and isomorphism._colour_map(pre) is not None
+        assert brute_force_iso(a, b, vertex_tags_a=STAR_RANKS, vertex_tags_b=ranks_b) is want
+        got, (witness,) = routes.decide(a, b, STAR_RANKS, ranks_b)
+        assert got is want and (witness is not None) is want
+        assert witness is None or verify_witness(witness)
+    assert routes.decided == {("colour", False): 1, ("colour", True): 1}
+
+
+def test_colour_check_stands_alone():
+    """The check reads nothing of the prefilter but the pair and the edge
+    order counts: a map that keeps every level but exchanges p, below m,
+    and r, below n, breaks two long edges, and fails."""
+    g = make_graph(
+        [0, 1, 2],
+        [["p", "q", "r", "u"], ["m", "n"], ["t"]],
+        [
+            [("e1", "p", "m"), ("e2", "q", "m"), ("e3", "r", "n"), ("e4", "u", "n")],
+            [("f1", "m", "t"), ("f2", "n", "t")],
+        ],
+    )
+    pre = (g, g, {}, {}, {}, {})
+    identity = {v: v for v in g.vertex_level}
+    assert isomorphism._colour_check(pre, identity) == {}
+    assert isomorphism._colour_check(pre, {**identity, "p": "r", "r": "p"}) is None
+
+
+def test_crossed_cover_pair_in_tests_data():
+    """The crossed pair kept for the command line (see test_cli), with its
+    ranks embedded, is the vertex-cover pair above."""
+    (a, ranks_a), (b, ranks_b) = (
+        load_text((DATA / f"crossed_covers_{side}.json").read_text()) for side in "ab"
+    )
+    assert ranks_a == STAR_RANKS and ranks_b == renamed_ranks(STAR_RANKS)
+    assert a == ranked_star([(1, 2), (3, 4)])
+    assert b == rename_graph(ranked_star([(1, 4), (3, 2)]))
+
+
+def test_parallel_ordered_edges_take_the_fingerprint_route(monkeypatch):
+    """Three parallel long edges, two of them ordered: one critical vertex
+    per level leaves the colours discrete, but the ordered edges cannot be
+    told from their parallel twin by their ends, so the pair falls back to
+    the fingerprints, which agree with the oracle."""
+    def bigons(order):
+        return make_graph(
+            [0, 1, 2],
+            [["x"], ["m"], ["t"]],
+            [[("e", "x", "m")], [("f", "m", "t"), ("g", "m", "t"), ("h", "m", "t")]],
+            edge_covers=[[], order],
+        )
+
+    forms = []
+    original = isomorphism.canonical_form
+
+    def recording(*args, **kwargs):
+        forms.append(original(*args, **kwargs))
+        return forms[-1]
+
+    monkeypatch.setattr(isomorphism, "canonical_form", recording)
+    routes = Routes(monkeypatch)
+    a = bigons([("f", "g")])
+    for b in (rename_graph(a), rename_graph(bigons([("h", "f")]))):
+        pre = isomorphism._skeleton_prefilter(a, b, None, None)
+        assert pre is not None and len(set(pre[2].values())) == len(pre[2])
+        assert isomorphism._colour_map(pre) is None
+        got, (witness,) = routes.decide(a, b, None, None)
+        assert got == brute_force_iso(a, b) is True
+        assert verify_witness(witness)
+    assert routes.decided == {("fingerprint", True): 2}
+    assert len(forms) >= 4
+
+
+def crossed_copy(g, rng):
+    """``g`` with two stored covers (x, y) and (x', y') of one vertex or edge
+    order, on four distinct elements, turned into (x, y') and (x', y), where
+    every element keeps its (below, above) counts but the generated order
+    changes.  None when no crossing gives a valid graph."""
+    crossings = [
+        (kind, i, *pair)
+        for kind in ("vertex_orders", "edge_orders")
+        for i, o in enumerate(getattr(g, kind))
+        for pair in itertools.combinations(sorted(o.covers), 2)
+        if len({*pair[0], *pair[1]}) == 4
+    ]
+    rng.shuffle(crossings)
+    for kind, i, (x, y), (u, w) in crossings:
+        orders = getattr(g, kind)
+        covers = orders[i].covers - {(x, y), (u, w)} | {(x, w), (u, y)}
+        crossed = LevelPoset(orders[i].elements, covers)
+        if crossed.has_cycle or _order_counts([crossed]) != _order_counts([orders[i]]):
+            continue
+        if isomorphism._strict_pairs(crossed) == isomorphism._strict_pairs(orders[i]):
+            continue
+        h = dataclasses.replace(g, **{kind: orders[:i] + (crossed,) + orders[i + 1 :]})
+        if not validate(h):
+            return h
+    return None
+
+
+def test_colour_route_matches_oracle_on_fully_ranked_pairs(monkeypatch):
+    """Generator graphs with random vertex and edge covers and every sink
+    ranked apart, so the colours are mostly discrete, against renamed
+    copies, degree-preserving swaps and crossed copies (see crossed_copy).
+    The answer is the oracle's on every pair, every positive carries a
+    verified witness, and the colour route gives both answers."""
+    routes = Routes(monkeypatch)
+    shapes = [(3, 1, 3, 2), (4, 2, 4, 2), (4, 2, 4, 3), (5, 3, 5, 3), (3, 2, 4, 3), (6, 3, 5, 2)]
+    rng = random.Random(3030)
+    pairs = positive = verified = 0
+    for seed in range(200):
+        for n, s, lv, d in shapes:
+            base = random_graph(
+                GeneratorSpec(seed=seed, n_leaves=n, betti=s, levels=lv, max_indeg=d)
+            )
+            if sum(map(len, base.vertex_sets)) > 16:
+                continue
+            g = random_covers(base, rng)
+            sinks = sorted(v for v in g.vertex_ids() if g.outdeg(v) == 0)
+            ranks = dict(zip(sinks, rng.sample(range(len(sinks)), len(sinks))))
+            partners = [g, swap_lower_ends(g, rng), crossed_copy(g, rng)]
+            for partner in filter(None, partners):
+                b, ranks_b = rename_graph(partner), renamed_ranks(ranks)
+                want = brute_force_iso(g, b, vertex_tags_a=ranks, vertex_tags_b=ranks_b)
+                got, witnesses = routes.decide(g, b, ranks, ranks_b)
+                assert got == want, (seed, n, s)
+                if want:
+                    (witness,) = witnesses
+                    assert verify_witness(witness)
+                    verified += 1
+                pairs += 1
+                positive += want
+    assert (pairs, positive, verified) == (2062, 1152, 1152)
+    assert routes.decided == {
+        ("colour", True): 532, ("colour", False): 18, ("fingerprint", True): 620,
+        ("fingerprint", False): 12,
+    }
 
 
 def test_dated_caterpillar_decides_on_its_critical_vertices(monkeypatch):
