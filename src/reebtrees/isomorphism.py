@@ -42,7 +42,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
-    RESERVED_VERTEX_PREFIX,
     LevelPoset,
     ReebGraph,
     _refined_counts,
@@ -50,7 +49,7 @@ from .core import (
     refine_to_levels,
 )
 from .dag import build_dag_view
-from .decomposition import CutChoice, _choices, _detached, _factor_options, cut_options
+from .decomposition import CutChoice, _choices, _cuts, _detached, _factor_options, cut_options
 from .errors import LabelMismatch, MissingLabels, NotATree, SizeLimitExceeded
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
@@ -700,11 +699,8 @@ def _colour_map(pre: tuple) -> dict[str, str] | None:
     by_colour = {c: w for w, c in col_b.items()}
     if len(by_colour) < len(col_b):
         return None
-    for g in (a, b):
-        vertex_level = g.vertex_level
-        for es in g._skeleton.up.values():
-            if len(es) > 1 and any(RESERVED_VERTEX_PREFIX + e in vertex_level for _, e in es):
-                return None
+    if any(leaf in g.vertex_level for g in (a, b) for *_, leaf in _cuts(cut_options(g), {})):
+        return None
     for ends in a._skeleton.down.values() if rel_a else ():
         if any(e in rel_a and sum(x == u for x, _ in ends) > 1 for u, e in ends):
             return None
