@@ -17,13 +17,14 @@ prefilter is one colour refinement of the two skeletons, after the level
 range and the skeletons' level values are compared.  Every isomorphism
 keeps the refined colours, so when each colour holds one critical vertex
 per side, the map from colour to colour is the one candidate, and checking
-it decides.  The fingerprint route decides the other pairs: where colours
-tie, where an ordered long edge has a parallel twin, and where a graph
-holds a cut leaf's id.  It rests on the paper's glue-back argument: one
-factor of a, with its (merge vertex, cut leaf) covers and its cut leaves
-tagged, matches some factor of b exactly when a and b are isomorphic.  A
-factor is a view of the skeleton, with each detached long edge ending at
-its cut leaf; no factor graph is built.  a's first factor is fingerprinted
+it decides; on a network, tied leaves with no order relation are
+interchangeable and are paired first.  The fingerprint route decides the
+other pairs: where other colours tie, where an ordered long edge has a
+parallel twin, and where a graph holds a cut leaf's id.  It rests on the
+paper's glue-back argument: one factor of a, with its (merge vertex, cut
+leaf) covers and its cut leaves tagged, matches some factor of b exactly
+when a and b are isomorphic.  A factor is a view of the skeleton, with
+each detached long edge ending at its cut leaf; no factor graph is built.  a's first factor is fingerprinted
 once, then b's factors, skipping those the refined colours rule out, until
 the first match.  decomposition_invariant fingerprints every factor view of
 one graph the same way.  Fingerprints of views list the skeleton's level
@@ -690,21 +691,29 @@ def _factor_match(
 def _colour_map(pre: tuple) -> dict[str, str] | None:
     """The one candidate isomorphism of a pair ``pre`` that passed
     _skeleton_prefilter: each critical vertex of a to the vertex of b with
-    its colour.  Every isomorphism keeps the colours, so when they are
-    discrete it is this map.  None when a colour holds two vertices, when a
-    long edge of a that carries an edge-order relation has a parallel long
-    edge, or when either graph holds the cut leaf id of an arriving long
-    edge; _factor_match then decides (and names that clash)."""
+    its colour, which every isomorphism keeps.  On a network, tied leaves of
+    a with no order relation, on them or on their edges, share their parents
+    (every other colour is then discrete), so they are interchangeable and
+    are paired in skeleton order.  None on any other tie (a tree's
+    fingerprint breaks its own), when an ordered long edge of a has a
+    parallel one, or when either graph holds the cut leaf id of an arriving
+    long edge; _factor_match then decides (and names that clash)."""
     a, b, col_a, col_b, rel_a, _ = pre
-    by_colour = {c: w for w, c in col_b.items()}
-    if len(by_colour) < len(col_b):
+    classes: dict[object, tuple[list[str], list[str]]] = {}
+    for side, col in enumerate((col_a, col_b)):
+        for v, c in col.items():
+            classes.setdefault(c, ([], []))[side].append(v)
+    options, sk = (cut_options(a), cut_options(b)), a._skeleton
+    ordered = {x for o in a.vertex_orders for cover in o.covers for x in cover}
+    for v in (v for vs, _ in classes.values() if len(vs) > 1 for v in vs):
+        if not options[0] or sk.down[v] or v in ordered or any(e in rel_a for _, e in sk.up[v]):
+            return None
+    if any(leaf in g.vertex_level for g, o in zip((a, b), options) for *_, leaf in _cuts(o, {})):
         return None
-    if any(leaf in g.vertex_level for g in (a, b) for *_, leaf in _cuts(cut_options(g), {})):
-        return None
-    for ends in a._skeleton.down.values() if rel_a else ():
+    for ends in sk.down.values() if rel_a else ():
         if any(e in rel_a and sum(x == u for x, _ in ends) > 1 for u, e in ends):
             return None
-    return {v: by_colour[c] for v, c in col_a.items()}
+    return {v: w for vs, ws in classes.values() for v, w in zip(vs, ws)}
 
 
 def _colour_check(pre: tuple, phi: Mapping[str, str]) -> dict[str, str] | None:
@@ -783,10 +792,12 @@ def reeb_iso(
     soon as a level's colours differ (see _skeleton_prefilter).  When every
     colour holds one critical vertex on each side, the map from colour to
     colour is the only candidate, and checking it decides (see _colour_map
-    and _colour_check); no fingerprint is built.  Otherwise, and when an
-    ordered long edge has a parallel one or a graph holds a cut leaf's id,
-    the fingerprint route decides (see _factor_match), on every input:
-    single-source or not, with level orders or without.  a's first factor
+    and _colour_check), once tied leaves of a network that carry no order
+    relation, which are interchangeable, are paired; no fingerprint is
+    built.  Otherwise, and when an ordered long edge has a parallel one or
+    a graph holds a cut leaf's id, the fingerprint route decides (see
+    _factor_match), on every input: single-source or not, with level
+    orders or without.  a's first factor
     is fingerprinted, and b's factors that the refined colours allow are
     fingerprinted one at a time until one matches.  So a decision builds at
     most 1 + (number of factors of b) fingerprints, and 2 when the first
@@ -794,8 +805,7 @@ def reeb_iso(
     Optional leaf ranks constrain the bijection to respect the given integer
     on bottom vertices (unranked ones must map to unranked ones).
     ``budget`` bounds the fingerprints' tie-breaking (see canonical_form);
-    the colour route takes no branches, so it never raises
-    SizeLimitExceeded.
+    the colour route takes no branches and never raises SizeLimitExceeded.
     """
     pre = _skeleton_prefilter(a, b, leaf_ranks_a, leaf_ranks_b)
     if pre is None:

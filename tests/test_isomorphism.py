@@ -550,6 +550,17 @@ class TestRoute:
         assert reeb_iso(g, rename_graph(g))
         assert calls == {"canonical_form": 0, "brute_force_iso": 0, "apply_choice": 0}
 
+    def test_network_with_tied_leaves_builds_no_fingerprint(self, calls):
+        # Two unranked leaves under one parent of a network tie; they are
+        # paired, and the one candidate map is checked.
+        g = make_graph(
+            [0, 1, 2],
+            [["y1", "y2"], ["r"], ["t"]],
+            [[("c1", "y1", "r"), ("c2", "y2", "r")], [("f", "r", "t"), ("g", "r", "t")]],
+        )
+        assert reeb_iso(g, rename_graph(g))
+        assert calls == {"canonical_form": 0, "brute_force_iso": 0, "apply_choice": 0}
+
     def test_multi_source_pair_takes_the_oracle(self, calls, twin_peaks):
         # Its colours tie, so the fingerprint route decides.
         assert reeb_iso(twin_peaks, rename_graph(twin_peaks))
@@ -661,7 +672,7 @@ def test_reeb_iso_matches_oracle_with_witnesses(monkeypatch):
                 pairs += 1
                 positive += want
     assert (pairs, positive, verified) == (2884, 1576, 1576)
-    assert routes.decided == {("colour", True): 1340, ("fingerprint", True): 236}
+    assert routes.decided == {("colour", True): 1554, ("fingerprint", True): 22}
 
 
 def random_tree_pair(rng):
@@ -926,7 +937,7 @@ def test_reeb_iso_matches_oracle_on_ordered_and_multi_source_pairs(monkeypatch):
     # but one, so only 443 pairs reach a route.
     assert (pairs, positive, verified) == (900, 442, 442)
     assert routes.decided == {
-        ("colour", True): 286, ("colour", False): 1, ("fingerprint", True): 156
+        ("colour", True): 298, ("colour", False): 1, ("fingerprint", True): 144
     }
 
 
@@ -1024,7 +1035,7 @@ def test_skeleton_decision_matches_oracle_across_level_sets(monkeypatch):
                     positive += want
     assert (pairs, positive, verified) == (1577, 570, 570)
     assert routes.decided == {
-        ("colour", True): 470, ("fingerprint", True): 100, ("fingerprint", False): 1
+        ("colour", True): 497, ("fingerprint", True): 73, ("fingerprint", False): 1
     }
 
 
@@ -1128,6 +1139,71 @@ def test_parallel_ordered_edges_take_the_fingerprint_route(monkeypatch):
         assert verify_witness(witness)
     assert routes.decided == {("fingerprint", True): 2}
     assert len(forms) >= 4
+
+
+def star_with_leaves(covers, tied_covers=(), ties=2, bigon=True, on_edges=False):
+    """The ranked star's leaves x1..x4, with ``covers``, and ``ties``
+    unranked leaves y1.. with ``tied_covers`` (among their edges cy1.. with
+    ``on_edges``), all under the root r, which a bigon (or, without
+    ``bigon``, one edge) joins to the top t."""
+    order = [(f"x{i}", f"x{j}") for i, j in covers]
+    tag = "cy" if on_edges else "y"
+    tied_order = [(f"{tag}{i}", f"{tag}{j}") for i, j in tied_covers]
+    ys = [f"y{i}" for i in range(1, ties + 1)]
+    return make_graph(
+        [0, 1, 2],
+        [[*STAR_RANKS, *ys], ["r"], ["t"]],
+        [
+            [(f"e{i}", f"x{i}", "r") for i in range(1, 5)] + [(f"c{y}", y, "r") for y in ys],
+            [("f", "r", "t"), ("g", "r", "t")] if bigon else [("f", "r", "t")],
+        ],
+        vertex_covers=[order + ([] if on_edges else tied_order), [], []],
+        edge_covers=[tied_order if on_edges else [], []],
+    )
+
+
+def test_tied_leaves_of_a_network_take_the_colour_route(monkeypatch):
+    """Unranked leaves y1, y2 under the root of a network: their colours
+    tie, but they hang from the same parent and carry no relation, so
+    exchanging them is an automorphism and the colour route pairs them.  It
+    still tells the crossed covers apart.  Tied leaves that carry covers, on
+    themselves or on their edges, here {(y1, y2), (y3, y4)} against the
+    crossed, isomorphic {(y1, y4), (y3, y2)}, would fail a pairing in
+    skeleton order, and on a
+    tree the fingerprint breaks ties itself: both take the fingerprint
+    route, which agrees with the oracle."""
+    ranks_b = renamed_ranks(STAR_RANKS)
+    a = star_with_leaves([(1, 2), (3, 4)])
+    cases = [
+        (a, star_with_leaves([(3, 4), (1, 2)]), True, True),
+        (a, star_with_leaves([(1, 4), (3, 2)]), True, False),
+        (
+            star_with_leaves([], [(1, 2), (3, 4)], ties=4),
+            star_with_leaves([], [(1, 4), (3, 2)], ties=4),
+            False,
+            True,
+        ),
+        (
+            star_with_leaves([], [(1, 2), (3, 4)], ties=4, on_edges=True),
+            star_with_leaves([], [(1, 4), (3, 2)], ties=4, on_edges=True),
+            False,
+            True,
+        ),
+        (star_with_leaves([], bigon=False), star_with_leaves([], bigon=False), False, True),
+    ]
+    routes = Routes(monkeypatch)
+    for a, b, paired, want in cases:
+        b = rename_graph(b)
+        pre = isomorphism._skeleton_prefilter(a, b, STAR_RANKS, ranks_b)
+        assert pre is not None and len(set(pre[2].values())) < len(pre[2])
+        assert (isomorphism._colour_map(pre) is not None) is paired
+        assert brute_force_iso(a, b, vertex_tags_a=STAR_RANKS, vertex_tags_b=ranks_b) is want
+        got, (witness,) = routes.decide(a, b, STAR_RANKS, ranks_b)
+        assert got is want and (witness is not None) is want
+        assert witness is None or verify_witness(witness)
+    assert routes.decided == {
+        ("colour", True): 1, ("colour", False): 1, ("fingerprint", True): 3
+    }
 
 
 def crossed_copy(g, rng):
