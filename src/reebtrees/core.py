@@ -5,13 +5,44 @@ set on every level, a nonempty edge set over every gap between consecutive
 levels, and total attachment maps sending each edge to its bottom (down) and
 top (up) endpoint.  Vertex and edge sets each carry a partial order stored as
 covering relations.  Everything is immutable after construction.
+
+Compact graphs.  A graph that network_to_reeb embeds stores only its level
+values and a recipe (``_recipe``, an enewick._Embedding): each node's level
+and each branch (parent, child, parallel index).  Its other fields,
+``vertex_sets``, ``edge_sets``, ``down_maps``, ``up_maps``,
+``vertex_orders`` and ``edge_orders``, with every pass-through id, are
+derived: the first read of any of them builds all six (_Derived) from
+finished sets and maps (_fields), and they stay.  ``edge_labels`` is
+None.  A graph built by make_graph or load_text holds all its fields.
+
+- ``==`` compares two compact graphs whose recipes are plain (node ids the
+  eNewick reader makes, one parentless node) by their levels and recipes
+  (nodes' levels, branch counts), which fix every field; any other pair
+  compares fields, building them.  ``hash`` reads the fields, and fails on
+  their maps, as for any graph.
+- ``dataclasses.replace``, ``repr`` and ``dataclasses.asdict`` read every
+  field, so they build them; replace returns a graph that holds all its
+  fields and no recipe.
+- pickle and ``copy`` carry the instance dictionary: a compact graph comes
+  back compact, sharing (copy) or copying (deepcopy, pickle) its recipe.
+- validate, ``_checked_skeleton`` and the decomposition's cut-id check
+  answer a plain compact graph unbuilt, since its recipe proves that
+  validate has nothing to report, that the skeleton's checks pass and that
+  no id has the reserved prefix; the order rule answers any compact graph
+  unbuilt, since none has a relation.  So, unless a node has one parent
+  and one child (see enewick._recorded_skeleton), the skeleton, the
+  vectors, ``network_distance``, ``reeb_to_network`` and ``write_enewick``
+  build nothing.  Any other reader builds the fields and runs as for any graph:
+  ``dump_text``, ``to_dot``, ``refine_to_levels``,
+  ``minimize_critical_set``, ``classify``, ``decompose`` and ``reeb_iso``
+  do.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
@@ -132,6 +163,24 @@ class LevelPoset:
         return self._closure.get(a, frozenset())
 
 
+class _Derived:
+    """A ReebGraph field that a compact graph builds from its recipe, with
+    the other derived fields, when it is first read (see the module's
+    note).  The value an instance holds hides this descriptor, so a graph
+    that make_graph builds reads its fields as plain attributes; to the
+    dataclass the field has no default."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, graph, owner=None):
+        recipe = None if graph is None else graph.__dict__.get("_recipe")
+        if recipe is None:
+            raise AttributeError(self.name)
+        graph.__dict__.update(recipe.fields(graph.levels))
+        return graph.__dict__[self.name]
+
+
 @dataclass(frozen=True)
 class ReebGraph:
     """Immutable leveled graph.
@@ -145,13 +194,36 @@ class ReebGraph:
     """
 
     levels: tuple[Fraction, ...]
-    vertex_sets: tuple[frozenset[str], ...]
-    edge_sets: tuple[frozenset[str], ...]
-    down_maps: tuple[Mapping[str, str], ...]
-    up_maps: tuple[Mapping[str, str], ...]
-    vertex_orders: tuple[LevelPoset, ...]
-    edge_orders: tuple[LevelPoset, ...]
+    vertex_sets: tuple[frozenset[str], ...] = _Derived()
+    edge_sets: tuple[frozenset[str], ...] = _Derived()
+    down_maps: tuple[Mapping[str, str], ...] = _Derived()
+    up_maps: tuple[Mapping[str, str], ...] = _Derived()
+    vertex_orders: tuple[LevelPoset, ...] = _Derived()
+    edge_orders: tuple[LevelPoset, ...] = _Derived()
     edge_labels: tuple[Mapping[str, str] | None, ...] | None = None
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = self.__dict__.get("_recipe"), other.__dict__.get("_recipe")
+        if mine is not None and theirs is not None and mine.plain and theirs.plain:
+            return self.levels == other.levels and mine.key == theirs.key
+        return _field_values(self) == _field_values(other)
+
+    @property
+    def _plain(self) -> bool:
+        """Whether this is a compact graph whose recipe proves it valid."""
+        recipe = self.__dict__.get("_recipe")
+        return recipe is not None and recipe.plain
+
+    @property
+    def _ordered(self) -> bool:
+        """Whether some level's or gap's order has a relation; a compact
+        graph's never has."""
+        if "_recipe" in self.__dict__:
+            return False
+        covers = attrgetter("covers")
+        return any(map(covers, self.vertex_orders)) or any(map(covers, self.edge_orders))
 
     @property
     def level_count(self) -> int:
@@ -241,7 +313,10 @@ class ReebGraph:
         edge could then lead back up, and a walk from the root miss the
         vertices it leads to or never leave them.  An edge may skip levels.
         Each check is one count, or one subset test per map against the
-        vertices of the levels so far; ids are sorted only to name a fault."""
+        vertices of the levels so far; ids are sorted only to name a fault.
+        A plain compact graph passes them unread."""
+        if self._plain:
+            return self._skeleton
         vertices, edges = self._ids
         for what, where, sets, ids in (
             ("vertex", "levels", self.vertex_sets, vertices),
@@ -266,6 +341,36 @@ class ReebGraph:
                 e = min(e for e, v in up.items() if v in below or v not in vertices)
                 raise ValueError(_dangling("up_map", up, e, i + 1))
         return self._skeleton
+
+
+_field_values = attrgetter(*(f.name for f in fields(ReebGraph)))
+
+
+def _compact_graph(levels: tuple[Fraction, ...], recipe) -> ReebGraph:
+    """A graph on ``levels`` without labels whose other fields ``recipe``
+    builds (``recipe.fields(levels)``) when one is first read."""
+    graph = object.__new__(ReebGraph)
+    graph.__dict__.update(levels=levels, edge_labels=None, _recipe=recipe)
+    return graph
+
+
+def _fields(
+    vertex_sets: Sequence[frozenset[str]],
+    down_maps: Sequence[dict[str, str]],
+    up_maps: Sequence[dict[str, str]],
+) -> dict:
+    """The fields of a graph with no order relations, from its finished
+    vertex sets and maps; each gap's edges are its down map's keys."""
+    edge_sets = tuple(map(frozenset, down_maps))
+    none = frozenset()
+    return dict(
+        vertex_sets=tuple(vertex_sets),
+        edge_sets=edge_sets,
+        down_maps=tuple(down_maps),
+        up_maps=tuple(up_maps),
+        vertex_orders=tuple(map(LevelPoset, vertex_sets, repeat(none))),
+        edge_orders=tuple(map(LevelPoset, edge_sets, repeat(none))),
+    )
 
 
 @dataclass(frozen=True)
@@ -293,7 +398,7 @@ class _Skeleton:
     vertex_level: dict[str, int]
     down: dict[str, tuple[tuple[str, str], ...]]
     up: dict[str, tuple[tuple[str, str], ...]]
-    chains: dict[str, list[str]]
+    chains: Mapping[str, list[str]]
 
     @staticmethod
     def of(graph: ReebGraph) -> _Skeleton:
@@ -432,8 +537,11 @@ def validate(graph: ReebGraph, *, allow_cut_ids: bool = False) -> list[str]:
     Each group of checks first asks, in a few passes of C-level set, map
     and count operations, whether it has anything to report; only a group
     that does walks its ids one by one, in the order that fixes the order
-    of its lines.
+    of its lines.  A plain compact graph (see the module's note) has
+    nothing to report, and is not read.
     """
+    if graph._plain:
+        return []
     report: list[str] = []
     k = graph.level_count
     vsets, esets = graph.vertex_sets, graph.edge_sets

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import attrgetter, lt
+from operator import lt
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -117,8 +117,7 @@ def make_choice(graph: ReebGraph, kept: Mapping[str, str]) -> CutChoice:
 
 
 def _require_trivial_orders(graph: ReebGraph) -> None:
-    covers = attrgetter("covers")
-    if not (any(map(covers, graph.vertex_orders)) or any(map(covers, graph.edge_orders))):
+    if not graph._ordered:
         return
     for i, poset in enumerate(graph.vertex_orders):
         if not poset.is_trivial:
@@ -163,8 +162,11 @@ def _check_cut_ids(graph: ReebGraph, options: Sequence[tuple[str, Sequence[str]]
     The first choice keeps every merge's first edge and detaches the rest,
     so a held id on any other edge shows there.  Failing that, the first
     clashing choice keeps the first edge everywhere but at the last merge
-    whose first edge is held, which keeps its second.
+    whose first edge is held, which keeps its second.  No id of a plain
+    compact graph (see core) has the prefix.
     """
+    if graph._plain:
+        return
     leaf = {e: c for _, e, c in _cuts(options, {})}
     held = [
         (j, i) for j, (_, edges) in enumerate(options)

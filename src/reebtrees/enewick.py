@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Mapping, Sequence
+from functools import cached_property, partial
+from operator import itemgetter
 
-from .core import ReebGraph, _Skeleton, format_level, make_graph
+from .core import ReebGraph, _Skeleton, _compact_graph, _fields, as_level, format_level
 from .dag import build_dag_view
 from .errors import (
     HybridArityError,
@@ -263,66 +265,31 @@ def _resolve(
 def network_to_reeb(net: PhyloNetwork) -> ReebGraph:
     """Embed a network as a leveled graph with the level function set to the
     negated time, so the root is the unique vertex at the top level.  A branch
-    spanning several levels is subdivided by pass-through vertices.  The
-    graph's skeleton is read off the network when first asked for (see
-    _recorded_skeleton)."""
+    spanning several levels is subdivided by pass-through vertices.
+
+    The graph is compact (see the core module's note): it holds the level
+    values and an _Embedding, the nodes' levels and the branches, and builds
+    its vertex and edge sets, maps and orders, with every pass-through id,
+    when one of them is first read.  Its skeleton is read off the network
+    when first asked for (see _recorded_skeleton)."""
     _, ticks = _ticks(net.times)
     # Level i holds the i-th latest time.
     order = sorted(set(ticks), reverse=True)
     if len(order) < 2:
         raise ValueError("need at least two distinct time values to build levels")
     time_of = dict(zip(ticks, net.times.values()))
-    levels = [-time_of[x] for x in order]
     index = {x: i for i, x in enumerate(order)}
     level_of = dict(zip(net.times, map(index.__getitem__, ticks)))
-    vertices: list[list[str]] = [[] for _ in order]
-    for v, i in level_of.items():
-        vertices[i].append(v)
-    # Suffixes of generated ids: "@" and the level's format_level for a
-    # pass-through vertex, made where first needed, and ":" and the gap's
-    # index for a subdivided branch's edge.
-    at_level: list[str | None] = [None] * len(levels)
-    in_gap = [f":{g}" for g in range(len(levels) - 1)]
-    gaps: list[list[tuple[str, str, str]]] = [[] for _ in in_gap]
-
-    # (parent, child, the branch's edge ids, lowest first), one per branch.
-    branches: list[tuple[str, str, list[str]]] = []
-    pair_seen: dict[tuple[str, str], int] | None = None
-    if len(set(net.edges)) < len(net.edges):
-        pair_seen = {}
     for parent, child in net.edges:
-        base = f"{child}<{parent}"
-        if pair_seen is not None:
-            n = pair_seen.get((parent, child), 0)
-            pair_seen[(parent, child)] = n + 1
-            if n:
-                base = f"{base}~{n}"
-        lo = level_of[child]
-        hi = level_of[parent]
-        if hi <= lo + 1:
-            if hi <= lo:
-                raise ValueError(f"edge {parent!r} -> {child!r} does not go down in level")
-            gaps[lo].append((base, child, parent))
-            branches.append((parent, child, [base]))
-            continue
-        chain = []
-        prev = child
-        for g in range(lo + 1, hi):
-            suffix = at_level[g]
-            if suffix is None:
-                suffix = at_level[g] = "@" + format_level(levels[g])
-            upper = base + suffix
-            vertices[g].append(upper)
-            edge = base + in_gap[g - 1]
-            chain.append(edge)
-            gaps[g - 1].append((edge, prev, upper))
-            prev = upper
-        edge = base + in_gap[hi - 1]
-        chain.append(edge)
-        gaps[hi - 1].append((edge, prev, parent))
-        branches.append((parent, child, chain))
-    graph = make_graph(levels, [sorted(vs) for vs in vertices], gaps)
-    object.__setattr__(graph, "_skeleton_recipe", partial(_recorded_skeleton, level_of, branches))
+        if level_of[child] >= level_of[parent]:
+            raise ValueError(f"edge {parent!r} -> {child!r} does not go down in level")
+    embedding = _Embedding(level_of, net.edges)
+    graph = _compact_graph(tuple(as_level(-time_of[x]) for x in order), embedding)
+    if not embedding.reader_ids:
+        # Built now, so that an edge id used twice in a gap raises here, as
+        # make_graph does.
+        graph.vertex_sets
+    object.__setattr__(graph, "_skeleton_recipe", partial(_recorded_skeleton, embedding))
     return graph
 
 
@@ -339,39 +306,158 @@ def _ticks(times: Mapping[str, Fraction]) -> tuple[int, list[int]]:
     return scale, list(map(of.__getitem__, map(id, values)))
 
 
-def _recorded_skeleton(
-    level_of: dict[str, int],
-    branches: Sequence[tuple[str, str, list[str]]],
-    graph: ReebGraph,
-) -> _Skeleton | None:
-    """The skeleton of ``graph``, network_to_reeb's embedding of a network
-    whose nodes sit at ``level_of`` and whose branches are ``branches``,
+# The node ids the reader makes, one per line: a name, "@n<k>" for an
+# unnamed node and "#H<k>" for an unnamed hybrid.
+_READER_ID = rf"(?:{NAME_CHARS.pattern}+|@n[0-9]+|#H[0-9]+)"
+_READER_IDS = re.compile(rf"{_READER_ID}(?:\n{_READER_ID})*")
+
+
+class _Embedding:
+    """The compact form of a graph network_to_reeb builds: ``level_of``
+    sends each node to its level index, and ``edges`` lists the branches as
+    (parent, child) pairs, as the network does.  The graph's other fields
+    follow from these and its levels (``fields``).
+
+    Branch names: the branch from child c up to parent p is ``c<p``, and
+    the n-th repeat of the pair ``c<p~n``.  A branch over one gap is one
+    edge of that name; a longer one is cut into edges named by ':' and
+    their gap's index, joined by pass-through vertices named by '@' and
+    their level's format_level."""
+
+    def __init__(self, level_of: dict[str, int], edges: Sequence[tuple[str, str]]):
+        self.level_of = level_of
+        self.edges = edges
+
+    @cached_property
+    def reader_ids(self) -> bool:
+        """Whether every node id is one the reader makes.  Then no node id
+        holds '<', ':' or '~', nor '@' but at the start of '@n<k>', and a
+        generated id is the child's id, '<', then the parent's, read back
+        unambiguously: no generated id repeats another or a node's, and
+        none starts with the reserved prefix."""
+        try:
+            return _READER_IDS.fullmatch("\n".join(self.level_of)) is not None
+        except TypeError:  # an id that is no string
+            return False
+
+    @cached_property
+    def plain(self) -> bool:
+        """Reader-made ids and exactly one node without a parent, which is
+        then on the top level.  Every other node has a branch up across the
+        gap above its level, so every gap has an edge, and the graph is
+        connected with one source: validate has nothing to report and the
+        skeleton's checks pass.  Two plain embeddings on equal levels build
+        equal graphs exactly when their ``key``s are equal."""
+        children = set(map(itemgetter(1), self.edges))
+        return self.reader_ids and len(self.level_of) - len(children) == 1
+
+    @cached_property
+    def key(self) -> tuple[dict[str, int], dict[tuple[str, str], int]]:
+        """The nodes' levels and each branch's count."""
+        return self.level_of, dict(Counter(self.edges))
+
+    def bases(self) -> list[str]:
+        """Each branch's name, in ``edges`` order."""
+        bases = [f"{c}<{p}" for p, c in self.edges]
+        if len(set(self.edges)) < len(self.edges):
+            seen: dict[tuple[str, str], int] = {}
+            for k, pair in enumerate(self.edges):
+                n = seen[pair] = seen.get(pair, -1) + 1
+                if n:
+                    bases[k] += f"~{n}"
+        return bases
+
+    def fields(self, levels: Sequence[Fraction]) -> dict:
+        """The graph's vertex and edge sets, maps and orders.  Each set and
+        map takes its ids in the order make_graph would, and an edge id used
+        twice in a gap raises make_graph's ValueError."""
+        vertices: list[list[str]] = [[] for _ in levels]
+        for v, i in self.level_of.items():
+            vertices[i].append(v)
+        gaps: list[list[tuple[str, str, str]]] = [[] for _ in levels[1:]]
+        at_level = [f"@{format_level(x)}" for x in levels]
+        for (parent, child), base in zip(self.edges, self.bases()):
+            lo = self.level_of[child]
+            hi = self.level_of[parent]
+            if hi == lo + 1:
+                gaps[lo].append((base, child, parent))
+                continue
+            below = child
+            for g in range(lo, hi - 1):
+                above = base + at_level[g + 1]
+                vertices[g + 1].append(above)
+                gaps[g].append((f"{base}:{g}", below, above))
+                below = above
+            gaps[hi - 1].append((f"{base}:{hi - 1}", below, parent))
+        downs = []
+        ups = []
+        for g, gap in enumerate(gaps):
+            downs.append({e: d for e, d, _ in gap})
+            if len(downs[-1]) < len(gap):
+                seen: set[str] = set()
+                e = next(e for e, _, _ in gap if e in seen or seen.add(e))
+                raise ValueError(f"duplicate edge id {e!r} in gap {g}")
+            ups.append({e: u for e, _, u in gap})
+        return _fields([frozenset(sorted(vs)) for vs in vertices], downs, ups)
+
+
+def _recorded_skeleton(embedding: _Embedding, graph: ReebGraph) -> _Skeleton | None:
+    """The skeleton of ``graph``, network_to_reeb's embedding of a network,
     read off the network: the nodes are the critical vertices, every level
-    holds one, and each branch is one long edge, named by its lowest edge.
-    None, so that the graph finds its skeleton itself, when that reading
-    would be wrong: a node with one parent and one child is regular, and a
-    generated id that another id repeats joins what should stay apart."""
+    holds one, and each branch is one long edge, named by its lowest edge;
+    its edge ids are named when read (_Chains).  None, so that the graph
+    finds its skeleton itself, when that reading would be wrong: a node with
+    one parent and one child is regular, and a generated id that another id
+    repeats joins what should stay apart."""
+    level_of = embedding.level_of
     down: dict[str, list[tuple[str, str]]] = {v: [] for v in level_of}
     up: dict[str, list[tuple[str, str]]] = {v: [] for v in level_of}
+    spans: dict[str, tuple[str, int, int]] = {}
+    named = []
+    for (parent, child), base in zip(embedding.edges, embedding.bases()):
+        lo = level_of[child]
+        hi = level_of[parent]
+        lowest = base if hi == lo + 1 else f"{base}:{lo}"
+        spans[lowest] = base, lo, hi
+        named.append((lowest, parent, child))
     # Branches by long edge, so that every node's lists come out sorted.
-    for lowest, parent, child in sorted((chain[0], p, c) for p, c, chain in branches):
+    named.sort()
+    for lowest, parent, child in named:
         down[parent].append((child, lowest))
         up[child].append((parent, lowest))
     if any(len(a) == 1 == len(b) for a, b in zip(up.values(), down.values())):
         return None
-    chains = [chain for _, _, chain in branches]
-    passing = sum(map(len, chains)) - len(chains)
-    vertices, edges = graph._ids
-    if len(vertices) != len(level_of) + passing or len(edges) != len(branches) + passing:
-        return None
+    if not embedding.reader_ids:
+        passing = sum(level_of[p] - level_of[c] - 1 for p, c in embedding.edges)
+        vertices, edges = graph._ids
+        if len(vertices) != len(level_of) + passing or len(edges) != len(named) + passing:
+            return None
     return _Skeleton(
         levels=graph.levels,
         graph_level=tuple(range(graph.level_count)),
         vertex_level=level_of,
         down={v: tuple(ps) for v, ps in down.items()},
         up={v: tuple(ps) for v, ps in up.items()},
-        chains={chain[0]: chain for chain in chains},
+        chains=_Chains(spans),
     )
+
+
+class _Chains(Mapping):
+    """A recorded skeleton's ``chains``: each long edge's edge ids, lowest
+    first, named when read from its branch's name and span of levels."""
+
+    def __init__(self, spans: dict[str, tuple[str, int, int]]):
+        self._spans = spans
+
+    def __getitem__(self, lowest: str) -> list[str]:
+        base, lo, hi = self._spans[lowest]
+        return [base] if hi == lo + 1 else [f"{base}:{g}" for g in range(lo, hi)]
+
+    def __iter__(self):
+        return iter(self._spans)
+
+    def __len__(self) -> int:
+        return len(self._spans)
 
 
 def enewick_to_reeb(text: str) -> ReebGraph:

@@ -12,14 +12,17 @@ Vectors are read off a graph's critical skeleton (core._Skeleton): its
 sources, sinks, merge and branching vertices, joined by long edges through
 the pass-through vertices, which stamp nothing.  A graph that
 network_to_reeb embeds gets that skeleton from the network itself.  A
-vector is built top-down in O(taxa^2) slice work and O(critical vertices)
-interpreted steps, which matches its size: each child gets a copy of its
-parent's row of stamps against every taxon, filled in where the parent is
-the lowest common ancestor.  Stamps are computed once per level in
-integer form (times the LCM of their denominators), and a vector keeps its
-entries once, in that form; its Fractions are made when ``entries`` is
-read.  Each taxon's row is gathered from its own place in the taxon order
-on, so a vector costs one gather per entry.
+vector is built from one row of stamps against every taxon, which goes
+from taxon to taxon in the taxon order: between two taxa only the range of
+their lowest common ancestor changes, and it is filled again top-down along
+the next taxon's ancestors.  That is O(taxa^2) slice work, and one
+interpreted step per vertex on those paths: O(critical vertices) when the
+taxon order follows the tree, at most taxa x depth.  Stamps are computed
+once per level in integer form (times the LCM of their denominators), and
+a vector keeps its entries once, in that form; its Fractions are made when
+``entries`` is read.  Each taxon's row is gathered from its own place in
+the taxon order on, straight into the vector's tuple, so a vector costs
+one gather per entry and holds no second copy while it is built.
 
 A network's factor vectors need no factor graph: a factor differs from its
 network only in that each detached long edge ends at its own cut leaf, and
@@ -186,16 +189,16 @@ def cophenetic_vector(
 
     Both passes run on the graph's skeleton, its critical vertices joined
     by long edges.  One depth-first pass numbers the taxa so that every
-    vertex covers a contiguous range of them.  A top-down pass then hands
-    each child a copy of its parent's row, with the parent's range outside
-    the child's filled by the parent's stamp; at a taxon the row holds its
-    stamp against every taxon, and its part from the taxon's own place in
-    ``leaf_order`` on is gathered by one ``itemgetter``.  That is
-    O(taxa^2) work inside slice copies and O(critical vertices) interpreted
-    steps.  Stamps are taken once per level in integer form (times the LCM
-    of the denominators of the levels that occur as stamps); the vector
-    keeps that form, which the Hausdorff kernel reads, as its only copy of
-    its entries.
+    vertex covers a contiguous range of them.  Then one row visits the
+    taxa in ``leaf_order``: at each, the range of its lowest common
+    ancestor with the taxon before it is filled again, each ancestor's
+    range outside its child's with the ancestor's stamp, and the row's part
+    from the taxon's own place on is gathered by one ``itemgetter`` into
+    the vector's tuple.  That is O(taxa^2) work inside slice copies, and
+    one interpreted step per vertex on those paths.  Stamps are taken once
+    per level in integer form (times the LCM of the denominators of the
+    levels that occur as stamps); the vector keeps that form, which the
+    Hausdorff kernel reads, as its only copy of its entries.
     """
     _check_time_mode(time_mode)
     graph = _graph_of(source)
@@ -267,11 +270,16 @@ def _walk_rows(
     leaves: Sequence[str],
     stamp: Mapping[str, int],
 ) -> tuple[list[int], Iterator[tuple[int, list[int]]]]:
-    """The row walk: (at, rows), where rows yields (i, row) for every
-    taxon as _rows does, but ``row`` in walk order, the taxon at place j of
-    ``leaves`` at ``row[at[j]]``.  A row is the caller's until it draws the
-    next one."""
-    # Pre-order numbers the taxa; then each vertex covers [lo, hi) of them.
+    """The row walk: (at, rows), where rows yields (i, row) for every taxon
+    as _rows does, in the order of ``leaves``, but ``row`` in walk order,
+    the taxon at place j of ``leaves`` at ``row[at[j]]``.
+
+    Pre-order numbers the taxa, so that each vertex covers a range of them.
+    One row goes from taxon to taxon and is the caller's until it draws the
+    next: between two taxa only the range of their lowest common ancestor
+    changes, and it is filled again along the next taxon's ancestors, from
+    the taxon up to that ancestor, each with its stamp outside its child's
+    range."""
     lo: dict[str, int] = {}
     order: list[str] = []
     stack = [root]
@@ -287,31 +295,30 @@ def _walk_rows(
     hi: dict[str, int] = {}
     for v in reversed(order):
         hi[v] = hi[children[v][-1]] if v in children else lo[v] + 1
-    rank = {v: i for i, v in enumerate(leaves)}
+    # Each vertex below the root: its parent, the parent's range and stamp,
+    # the lengths of that range's parts before and after its own, and its own.
+    up = {}
+    for a, kids in children.items():
+        s, la, ha = stamp.get(a), lo[a], hi[a]
+        for c in kids:
+            up[c] = (a, la, ha, s, lo[c] - la, ha - hi[c], lo[c], hi[c])
 
     def rows() -> Iterator[tuple[int, list[int]]]:
-        # A row holds, at each taxon position outside the vertex's range,
-        # the stamp of the lowest common ancestor; the last child takes the
-        # row over.
-        todo: list[tuple[str, list[int]]] = [(root, [0] * len(leaves))]
-        while todo:
-            v, row = todo.pop()
-            s = stamp.get(v)
-            kids = children.get(v)
-            if kids is None:
-                row[lo[v]] = s
-                yield rank[v], row
-                continue
-            a, b = lo[v], hi[v]
-            *first, last = kids
-            for c in first:
-                r = row.copy()
-                r[a:lo[c]] = [s] * (lo[c] - a)
-                r[hi[c]:b] = [s] * (b - hi[c])
-                todo.append((c, r))
-            # The last child's range ends where v's does.
-            row[a:lo[last]] = [s] * (lo[last] - a)
-            todo.append((last, row))
+        row = [0] * len(leaves)
+        last = -1  # the position of the taxon before
+        for i, v in enumerate(leaves):
+            c = v
+            while c != root:
+                c, la, ha, s, before, after, lc, hc = up[c]
+                if before:
+                    row[la:lc] = [s] * before
+                if after:
+                    row[hc:ha] = [s] * after
+                if la <= last < ha:
+                    break
+            last = lo[v]
+            row[last] = stamp[v]
+            yield i, row
 
     return [lo[v] for v in leaves], rows()
 
@@ -322,19 +329,30 @@ def _walk(
     leaves: Sequence[str],
     stamp: Mapping[str, int],
 ) -> tuple[int, ...]:
-    """The integer upper triangle of the tree below ``root`` over ``leaves``,
-    written row by row as the row walk yields them, each row gathered from
-    the taxon's own place on, so no n x n table is ever held."""
+    """The integer upper triangle of the tree below ``root`` over ``leaves``.
+    The row walk yields the rows in that order, and each row's part from the
+    taxon's own place on is gathered straight into the vector's tuple, which
+    is allocated once at its full size: no n x n table and no second copy of
+    the triangle is ever held."""
     n = len(leaves)
-    out: list[int] = [0] * (n * (n + 1) // 2)
     at, rows = _walk_rows(root, children, leaves, stamp)
-    for i, row in rows:
-        start = i * n - i * (i - 1) // 2
-        if i < n - 1:
-            out[start:start + n - i] = itemgetter(*at[i:])(row)
-        else:
-            out[start] = row[at[i]]
-    return tuple(out)
+    tails = (itemgetter(*at[i:])(row) if i < n - 1 else (row[at[i]],) for i, row in rows)
+    return tuple(_Sized(n * (n + 1) // 2, chain.from_iterable(tails)))
+
+
+class _Sized:
+    """``items`` with their ``count`` known, so that ``tuple`` allocates its
+    result once, at full size."""
+
+    def __init__(self, count: int, items: Iterator):
+        self.count = count
+        self.items = items
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator:
+        return self.items
 
 
 def _vector(

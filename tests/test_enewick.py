@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
+import re
 from collections import Counter
 import dataclasses
 from dataclasses import dataclass, field
@@ -12,25 +15,34 @@ from pathlib import Path
 import pytest
 
 from reebtrees import (
+    GeneratorSpec,
     HybridArityError,
     NewickSyntaxError,
     PhyloNetwork,
+    ReebError,
+    ReebGraph,
     ReticulationConflict,
     TimeInconsistency,
     UnbalancedParens,
     betti_euler,
     betti_reticulation,
     build_dag_view,
+    dump_text,
     enewick,
     enewick_to_reeb,
     format_level,
     make_graph,
+    network_distance,
     network_to_reeb,
     parse_enewick,
+    random_graph,
     reeb_iso,
     reeb_to_network,
+    validate,
     write_enewick,
 )
+from reebtrees.cli import main
+from reebtrees.phylo import network_factors
 from reebtrees.core import LevelPoset, _Skeleton
 from reebtrees.enewick import NAME_CHARS
 
@@ -922,3 +934,272 @@ class TestEmbeddingMatchesReference:
                 edges=(("r", "c"), ("r", "x"), ("x", "c<r@-1")),
             ),
         ])
+
+
+# network_to_reeb's compact graphs against the reference embedding above,
+# which builds every field with make_graph.
+
+FIELDS = tuple(f.name for f in dataclasses.fields(ReebGraph))
+DERIVED = ("vertex_sets", "edge_sets", "down_maps", "up_maps", "vertex_orders", "edge_orders")
+
+
+def built(graph) -> bool:
+    """Whether a compact graph has built its derived fields."""
+    return any(name in vars(graph) for name in DERIVED)
+
+
+def net_of(times, edges) -> PhyloNetwork:
+    return PhyloNetwork(
+        root=edges[0][0], times={v: F(t) for v, t in times.items()}, edges=tuple(edges)
+    )
+
+
+def adversarial_networks() -> list[PhyloNetwork]:
+    """Networks that the compact graph's proofs do not cover: ids no reader
+    makes, which may repeat generated ids, and shapes with an isolated
+    node, two parentless nodes, a node of one parent and one child, or
+    parallel branches."""
+    return [
+        # '<': a child's name holds its parent's edge, in one gap and across.
+        net_of({"r": 0, "b": 1, "c": 1, "a": 2, "a<b": 2},
+               [("r", "b"), ("r", "c"), ("b", "a"), ("c", "a<b"), ("c", "a")]),
+        net_of({"r": 0, "a": 2, "b<r": 1, "b": 3}, [("r", "a"), ("r", "b<r"), ("b<r", "b")]),
+        net_of({"r": 0, "x": 1, "y<z": 2}, [("r", "x"), ("x", "y<z")]),
+        # '@': a node named like a pass-through vertex, on its level or another.
+        net_of({"r": 0, "c": 2, "c<r@-1": 1}, [("r", "c"), ("r", "c<r@-1")]),
+        net_of({"r": 0, "x": 1, "c": 2, "c<r@-1": 2}, [("r", "c"), ("r", "x"), ("x", "c<r@-1")]),
+        net_of({"@r": 0, "@x": 1, "y": 2, "z": 1}, [("@r", "@x"), ("@r", "z"), ("@x", "y"), ("z", "y")]),
+        # '~': a name like a parallel branch's.
+        net_of({"r": 0, "a": 1, "b": 1}, [("r", "a"), ("r", "a"), ("r", "b")]),
+        net_of({"r~1": 0, "a": 1, "b": 1}, [("r~1", "a"), ("r~1", "b")]),
+        net_of({"r": 0, "a": 2, "a<r~1": 1}, [("r", "a"), ("r", "a"), ("r", "a<r~1")]),
+        # ':': a name like a subdivided branch's edge.
+        net_of({"r": 0, "a": 2, "a<r:0": 1, "b": 2}, [("r", "a"), ("r", "a<r:0"), ("a<r:0", "b")]),
+        # The reserved prefix, on a node and so on its branch's edge ids.
+        net_of({"r": 0, "cut:a": 2, "b": 1}, [("r", "cut:a"), ("r", "b")]),
+        net_of({"cut:r": 0, "a": 1, "b": 1}, [("cut:r", "a"), ("cut:r", "b")]),
+        net_of({"r": 0, "a": 1, "h": 2, "cut:h<r:0": 2},
+               [("r", "a"), ("r", "h"), ("a", "h"), ("a", "cut:h<r:0")]),
+        # An isolated node: a gap without edges, a second component.
+        net_of({"r": 0, "a": 1, "b": 1, "z": 3}, [("r", "a"), ("r", "b")]),
+        net_of({"r": 0, "a": 2, "b": 2, "z": 1}, [("r", "a"), ("r", "b")]),
+        # Two parentless nodes: joined by a merge, or apart.
+        net_of({"r": 0, "s": 0, "a": 1, "b": 1}, [("r", "a"), ("s", "a"), ("s", "b")]),
+        net_of({"r": 0, "s": 1, "a": 2, "b": 2}, [("r", "a"), ("s", "a"), ("r", "b")]),
+        net_of({"r": 0, "s": 1, "a": 2, "b": 3}, [("r", "a"), ("s", "b")]),
+        # A node of one parent and one child.
+        net_of({"r": 0, "m": 1, "a": 2, "b": 2}, [("r", "m"), ("m", "a"), ("r", "b")]),
+        net_of({"r": 0, "m": 1, "a": 3}, [("r", "m"), ("m", "a")]),
+        # Parallel branches, over one gap and over several.
+        net_of({"r": 0, "h": 1}, [("r", "h"), ("r", "h")]),
+        net_of({"r": 0, "a": 1, "h": 3}, [("r", "h"), ("r", "a"), ("r", "h"), ("a", "h")]),
+        # Names with characters the writer replaces.
+        net_of({"r s": 0, "a/b": 1, "c": 1}, [("r s", "a/b"), ("r s", "c")]),
+    ]
+
+
+def answers(make, net=None):
+    """What a graph answers, read on a fresh graph from ``make`` each time,
+    so that no answer reads another's caches: validate's lines, with and
+    without cut ids, the checked skeleton or what it raises, every field,
+    the JSON text, and the factor vectors and self-distance or what they
+    raise."""
+    from test_core import raised, reference_checked_skeleton, reference_validate
+
+    check = (lambda g: g._checked_skeleton) if net else reference_checked_skeleton
+    lines = validate if net else reference_validate
+    return (
+        [lines(make(), allow_cut_ids=allow) for allow in (False, True)],
+        raised(check, make()),
+        [getattr(make(), name) for name in FIELDS],
+        dump_text(make()),
+        raised(lambda g: [(v.leaves, v._integer) for v in network_factors(g).vectors], make()),
+        raised(lambda g: network_distance(g, make(), p=2), make()),
+    )
+
+
+def assert_compact_answers(net: PhyloNetwork) -> None:
+    """The compact graph of ``net``, and its pickled and copied forms,
+    answer as the reference embedding's graph does."""
+    want = outcome(reference_network_to_reeb, net)
+    if not isinstance(want, ReebGraph):
+        assert outcome(network_to_reeb, net) == want
+        return
+    expected = answers(lambda: dataclasses.replace(want))
+    for copier in (lambda g: g, lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy):
+        assert answers(lambda: copier(network_to_reeb(net)), net) == expected
+        g = copier(network_to_reeb(net))
+        assert g == want and want == g and network_to_reeb(net) == g
+    # Sets and maps take their ids in make_graph's order, which fixes the
+    # order of validate's lines.
+    g = network_to_reeb(net)
+    for name in ("vertex_sets", "edge_sets", "down_maps", "up_maps"):
+        assert list(map(list, getattr(g, name))) == list(map(list, getattr(want, name)))
+
+
+def round_trip_networks() -> list[PhyloNetwork]:
+    """Generator graphs of cycle rank 0 to 3 sent through write_enewick
+    and back."""
+    out = []
+    for seed in range(12):
+        for n, s, lv in [(3, 0, 3), (4, 1, 4), (5, 2, 5), (4, 3, 6), (6, 2, 4)]:
+            try:
+                g = random_graph(GeneratorSpec(seed=seed, n_leaves=n, betti=s, levels=lv, max_indeg=3))
+                out.append(parse_enewick(write_enewick(reeb_to_network(g))))
+            except (ReebError, ValueError):
+                pass
+    return out
+
+
+def swapped(net: PhyloNetwork, rng: random.Random) -> PhyloNetwork:
+    """``net`` with the children of two branches exchanged where the times
+    allow it: the same levels and nodes, mostly other branches."""
+    edges = list(net.edges)
+    for _ in range(20):
+        i, j = rng.sample(range(len(edges)), 2) if len(edges) > 1 else (0, 0)
+        (p, c), (q, d) = edges[i], edges[j]
+        if net.times[p] < net.times[d] and net.times[q] < net.times[c]:
+            edges[i], edges[j] = (p, d), (q, c)
+            break
+    return dataclasses.replace(net, edges=tuple(edges))
+
+
+class TestCompactMatchesReference:
+    def test_adversarial_networks(self):
+        nets = adversarial_networks()
+        for net in nets:
+            assert_compact_answers(net)
+        # Equality on every pair agrees with the built graphs'.
+        refs = [outcome(reference_network_to_reeb, n) for n in nets]
+        for a, ra in zip(nets, refs):
+            for b, rb in zip(nets, refs):
+                if isinstance(ra, ReebGraph) and isinstance(rb, ReebGraph):
+                    assert (network_to_reeb(a) == network_to_reeb(b)) == (ra == rb)
+
+    def test_clashing_ids_raise_when_embedded(self):
+        # Two branches named "a<b<c" in one gap: make_graph's error, at once.
+        net = net_of({"r": 0, "b<c": 1, "c": 1, "a": 2, "a<b": 2},
+                     [("r", "b<c"), ("r", "c"), ("b<c", "a"), ("c", "a<b")])
+        with pytest.raises(ValueError, match="duplicate edge id 'a<b<c' in gap 0"):
+            network_to_reeb(net)
+        with pytest.raises(ValueError, match="duplicate edge id 'a<b<c' in gap 0"):
+            reference_network_to_reeb(net)
+
+    def test_corpus_dated_and_generator_networks(self):
+        nets = [parse_enewick(p.read_text()) for p in sorted(CORPUS.glob("*.enwk"))]
+        nets += [o for o in (outcome(parse_enewick, t) for t in dated_texts(7, 600))
+                 if isinstance(o, PhyloNetwork)]
+        generated = round_trip_networks()
+        assert len(generated) >= 40 and sum(len(set(c for _, c in n.edges)) < len(n.edges) for n in generated) >= 20
+        nets += generated
+        rng = random.Random(31)
+        kinds = Counter()
+        for net in nets:
+            assert_compact_answers(net)
+            # Equal and unequal pairs: a copy with shuffled branches, one
+            # with two branches' children exchanged, one with a branch
+            # doubled, the next network.
+            shuffled = dataclasses.replace(net, edges=tuple(rng.sample(net.edges, len(net.edges))))
+            doubled = dataclasses.replace(net, edges=(*net.edges, rng.choice(net.edges)))
+            for other in (shuffled, swapped(net, rng), doubled, nets[(nets.index(net) + 1) % len(nets)]):
+                same = network_to_reeb(net) == network_to_reeb(other)
+                assert same == (reference_network_to_reeb(net) == reference_network_to_reeb(other))
+                kinds[same] += 1
+            kinds["plain"] += network_to_reeb(net).__dict__["_recipe"].plain
+        assert kinds[True] >= 300 and kinds[False] >= 300 and kinds["plain"] >= 300, kinds
+
+    def test_dated_caterpillars(self):
+        for taxa in (3, 40, 1000):
+            g = dated_caterpillar(taxa)
+            text = write_enewick(reeb_to_network(g))
+            assert not built(g)
+            want = reference_network_to_reeb(parse_enewick(text))
+            assert g == want
+            assert validate(g) == []
+            got = network_to_reeb(parse_enewick(text))
+            for name in FIELDS:
+                assert getattr(got, name) == getattr(want, name)
+            del got, want
+
+    def test_outputs_byte_identical(self):
+        # Vectors and distances against the reference's graphs.
+        nets = [parse_enewick(p.read_text()) for p in sorted(CORPUS.glob("*.enwk"))]
+        nets += round_trip_networks()[::3]
+        for a, b in zip(nets, nets[1:] + nets[:1]):
+            for ga, gb in ((network_to_reeb(a), network_to_reeb(b)),
+                           (reference_network_to_reeb(a), reference_network_to_reeb(b))):
+                got = [outcome(lambda g: [(v.leaves, v._integer) for v in network_factors(g).vectors], ga),
+                       outcome(lambda _: network_distance(ga, gb, p=2), None),
+                       outcome(lambda _: network_distance(ga, ga), None)]
+                if ga.__dict__.get("_recipe"):
+                    compact = got
+                else:
+                    assert got == compact
+
+    def test_cli_outputs_byte_identical(self, tmp_path, monkeypatch, capsys):
+        from reebtrees import cli
+
+        folder = tmp_path / "nets"
+        folder.mkdir()
+        for k, text in enumerate(t for t in dated_texts(11, 60) if isinstance(outcome(parse_enewick, t), PhyloNetwork)):
+            (folder / f"d{k:02d}.enwk").write_text(text)
+        for p in sorted(CORPUS.glob("*.enwk"))[:8]:
+            (folder / p.name).write_text(p.read_text())
+        (folder / "cat.enwk").write_text(write_enewick(reeb_to_network(dated_caterpillar(30))))
+        files = sorted(str(f) for f in folder.iterdir())
+        commands = [["dist", "--matrix", str(folder)], ["dist", "--matrix", str(folder), "--p", "inf"]]
+        for f in files:
+            commands += [["convert", f, "--to", "enwk"], ["convert", f, "--to", "json"],
+                         ["validate", f], ["dist", f, files[0]]]
+
+        def run():
+            out = []
+            for argv in commands:
+                code = main(argv)
+                out.append((code, *capsys.readouterr()))
+            return out
+
+        compact = run()
+        monkeypatch.setattr(cli, "enewick_to_reeb", lambda text: reference_network_to_reeb(parse_enewick(text)))
+        assert run() == compact
+        codes = Counter(code for code, *_ in compact)
+        assert codes[0] >= 150 and codes[1] >= 20, codes
+
+
+class TestTreeScaleStaysCompact:
+    def test_operation_builds_no_field(self):
+        """The benchmark's operation: parse two trees, embed and validate
+        them, take their distance, write the first back and compare it with
+        its re-import.  Neither graph builds its derived fields."""
+        from test_core import tree_scale_text
+
+        rng = random.Random(4243)
+        for kind in ("caterpillar", "balanced", "random"):
+            n = 120
+            text = tree_scale_text(rng, kind, n)
+            other = re.sub(r"\b([ti][0-9]+)", r"r_\1", text)
+            ranks = {f"t{k}": k for k in range(n)}
+            for text_b, ranks_b in ((text, ranks), (other, {f"r_{t}": k for t, k in ranks.items()})):
+                ga = network_to_reeb(parse_enewick(text))
+                gb = network_to_reeb(parse_enewick(text_b))
+                assert validate(ga) + validate(gb) == []
+                assert network_distance(ga, gb, ranks_a=ranks, ranks_b=ranks_b) == 0
+                again = network_to_reeb(parse_enewick(write_enewick(reeb_to_network(ga))))
+                assert not again != ga
+                assert not any(map(built, (ga, gb, again)))
+
+    def test_networks_build_no_field(self):
+        # Hybrids: the factor vectors' cut-id checks read no vertex either.
+        stayed = 0
+        for p in sorted(CORPUS.glob("*.enwk")):
+            g, h = (enewick_to_reeb(p.read_text()) for _ in range(2))
+            assert validate(g) == []
+            assert network_distance(g, h, p=2) == 0
+            want = reference_reeb_to_network(reference_network_to_reeb(parse_enewick(p.read_text())))
+            assert write_enewick(reeb_to_network(g)) == write_enewick(want)
+            # A node of one parent and one child sends the skeleton to its
+            # own pass, which reads the fields.
+            recorded = isinstance(g._skeleton.chains, enewick._Chains)
+            assert built(g) != recorded and built(h) != recorded
+            stayed += recorded and build_dag_view(g) > 0
+        assert stayed >= 10, stayed
