@@ -90,7 +90,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_betti(args) -> int:
-    graph, _ = _load_graph(args.graph, args.format)
+    graph, _ = _load_valid(args.graph, args.format)
     b1 = betti_euler(graph)
     b2 = betti_reticulation(graph)
     print(f"euler: {b1}")
@@ -100,7 +100,7 @@ def cmd_betti(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    graph, _ = _load_graph(args.graph, args.format)
+    graph, _ = _load_valid(args.graph, args.format)
     build_dag_view(graph)
     for v in graph.vertex_ids():
         c = classify_vertex(graph, v)
@@ -113,13 +113,13 @@ def cmd_classify(args) -> int:
 
 
 def cmd_minimize(args) -> int:
-    graph, ranks = _load_graph(args.graph, args.format)
+    graph, ranks = _load_valid(args.graph, args.format)
     _write_out(dump_text(minimize_critical_set(graph), leaf_ranks=ranks), args.out)
     return 0
 
 
 def cmd_decompose(args) -> int:
-    graph, _ = _load_graph(args.graph, args.format)
+    graph, _ = _load_valid(args.graph, args.format)
     build_dag_view(graph)
     _require_trivial_orders(graph)  # the library decompose's rule
     options = cut_options(graph)

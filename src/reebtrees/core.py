@@ -68,8 +68,12 @@ def as_level(value: Fraction | int | str) -> Fraction:
 
 
 def parse_level(text: str) -> Fraction:
-    """Parse "3", "-1.25", or "2/3" into an exact rational."""
+    """Parse "3", "-1.25", or "2/3" into an exact rational.  A plain integer
+    (ASCII digits, an optional minus) skips the Fraction string parser."""
     text = text.strip()
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isdigit() and digits.isascii():
+        return Fraction(int(text))
     if "/" in text:
         num, _, den = text.partition("/")
         return Fraction(int(num), int(den))
@@ -358,18 +362,21 @@ def _fields(
     vertex_sets: Sequence[frozenset[str]],
     down_maps: Sequence[dict[str, str]],
     up_maps: Sequence[dict[str, str]],
+    vertex_covers: Sequence[frozenset[tuple[str, str]]] | None = None,
+    edge_covers: Sequence[frozenset[tuple[str, str]]] | None = None,
 ) -> dict:
-    """The fields of a graph with no order relations, from its finished
-    vertex sets and maps; each gap's edges are its down map's keys."""
+    """The fields of a graph from its finished vertex sets, maps and cover
+    sets (one per level and one per gap; None for no relation anywhere);
+    each gap's edges are its down map's keys."""
     edge_sets = tuple(map(frozenset, down_maps))
-    none = frozenset()
+    none = repeat(frozenset())
     return dict(
         vertex_sets=tuple(vertex_sets),
         edge_sets=edge_sets,
         down_maps=tuple(down_maps),
         up_maps=tuple(up_maps),
-        vertex_orders=tuple(map(LevelPoset, vertex_sets, repeat(none))),
-        edge_orders=tuple(map(LevelPoset, edge_sets, repeat(none))),
+        vertex_orders=tuple(map(LevelPoset, vertex_sets, vertex_covers or none)),
+        edge_orders=tuple(map(LevelPoset, edge_sets, edge_covers or none)),
     )
 
 
@@ -482,7 +489,6 @@ def make_graph(
     if len(edges) != k - 1:
         raise ValueError(f"expected {k - 1} edge sets, got {len(edges)}")
     vsets = tuple(map(frozenset, map(map, repeat(str), vertices)))  # str of every id
-    esets: list[frozenset[str]] = []
     downs: list[dict[str, str]] = []
     ups: list[dict[str, str]] = []
     for i, gap in enumerate(edges):
@@ -494,37 +500,24 @@ def make_graph(
                 raise ValueError(f"duplicate edge id {eid!r} in gap {i}")
             dn[eid] = str(lo)
             up[eid] = str(hi)
-        esets.append(frozenset(dn))
         downs.append(dn)
         ups.append(up)
 
-    def build_orders(covers, carriers, what):
+    def cover_sets(covers, count, what):
         if covers is None:
-            return tuple(map(LevelPoset, carriers, repeat(frozenset())))
-        if len(covers) != len(carriers):
-            raise ValueError(f"expected {len(carriers)} {what} cover lists")
-        return tuple(
-            LevelPoset(carriers[i], frozenset((str(a), str(b)) for a, b in cov))
-            for i, cov in enumerate(covers)
-        )
+            return None
+        if len(covers) != count:
+            raise ValueError(f"expected {count} {what} cover lists")
+        return [frozenset((str(a), str(b)) for a, b in cov) for cov in covers]
 
-    vorders = build_orders(vertex_covers, vsets, "vertex")
-    eorders = build_orders(edge_covers, tuple(esets), "edge")
+    vcovers = cover_sets(vertex_covers, k, "vertex")
+    ecovers = cover_sets(edge_covers, k - 1, "edge")
     lab: tuple[Mapping[str, str] | None, ...] | None = None
     if labels is not None:
         if len(labels) != k - 1:
             raise ValueError(f"expected {k - 1} label maps, got {len(labels)}")
         lab = tuple(dict(m) if m is not None else None for m in labels)
-    return ReebGraph(
-        levels=lv,
-        vertex_sets=vsets,
-        edge_sets=tuple(esets),
-        down_maps=tuple(downs),
-        up_maps=tuple(ups),
-        vertex_orders=vorders,
-        edge_orders=eorders,
-        edge_labels=lab,
-    )
+    return ReebGraph(levels=lv, edge_labels=lab, **_fields(vsets, downs, ups, vcovers, ecovers))
 
 
 def validate(graph: ReebGraph, *, allow_cut_ids: bool = False) -> list[str]:

@@ -69,12 +69,14 @@ def cap_memory():
 
 
 def three_leaf_tree():
+    # Leaf c reaches the root through a pass-through vertex, since an edge
+    # may not skip a level.
     return make_graph(
         [0, 1, 2],
-        [["a", "b", "c"], ["m"], ["t"]],
+        [["a", "b", "c"], ["m", "c1"], ["t"]],
         [
-            [("e1", "a", "m"), ("e2", "b", "m")],
-            [("e3", "m", "t"), ("e4", "c", "t")],
+            [("e1", "a", "m"), ("e2", "b", "m"), ("e5", "c", "c1")],
+            [("e3", "m", "t"), ("e4", "c1", "t")],
         ],
     )
 
@@ -161,8 +163,8 @@ class TestClassify:
 
     def test_matches_the_library_on_every_fixture(self, capsys):
         # One line per vertex, in vertex_ids() order, as classify_vertex
-        # classifies it; or the cycle-rank check's error with exit 2 and no
-        # output.
+        # classifies it; or validate's first line, or else the cycle-rank
+        # check's error, with exit 2 and no output.
         fixtures = [*sorted(DATA.glob("*.json")), *sorted((DATA / "newick_corpus").glob("*"))]
         outcomes = {"vertices": 0, "errors": 0}
         for path in fixtures:
@@ -170,6 +172,13 @@ class TestClassify:
             graph = enewick_to_reeb(text) if path.suffix == ".enwk" else load_text(text)[0]
             code = main(["classify", str(path)])
             captured = capsys.readouterr()
+            problems = validate(graph, allow_cut_ids=True)
+            if problems:
+                # Input that validate rejects is refused with its first line.
+                expected = (2, "", f"error: {path}: {problems[0]}\n")
+                assert (code, captured.out, captured.err) == expected, path
+                outcomes["errors"] += 1
+                continue
             try:
                 build_dag_view(graph)
             except (ReebError, ValueError) as exc:
@@ -289,7 +298,8 @@ class TestDecompose:
 
     def test_matches_the_library_on_every_fixture(self, capsys, tmp_path):
         # The same factors, cut sets and factor files, or the same error with
-        # exit 2, no output and no factor directory.
+        # exit 2, no output and no factor directory; input that validate
+        # rejects exits 2 with validate's first line.
         fixtures = [*sorted(DATA.glob("*.json")), *sorted((DATA / "newick_corpus").glob("*"))]
         outcomes = {"factors": 0, "errors": 0}
         for n, path in enumerate(fixtures):
@@ -298,6 +308,13 @@ class TestDecompose:
             target = tmp_path / f"factors{n}"
             code = main(["decompose", str(path), "--out-dir", str(target)])
             captured = capsys.readouterr()
+            problems = validate(graph, allow_cut_ids=True)
+            if problems:
+                expected = (2, "", f"error: {path}: {problems[0]}\n")
+                assert (code, captured.out, captured.err) == expected, path
+                assert not target.exists()
+                outcomes["errors"] += 1
+                continue
             try:
                 dec = decompose(graph)
             except (ReebError, ValueError) as exc:
@@ -323,13 +340,31 @@ class TestInputErrors:
     @pytest.mark.parametrize("name", ["duplicate_edge_id", "self_targeted_edge"])
     def test_reported_in_validates_words(self, capsys, command, name):
         # An id used twice or an edge end off its level is an input error:
-        # validate's first line, exit 2 and nothing on stdout.
+        # the path and validate's first line, exit 2 and nothing on stdout.
         path = DATA / f"{name}.json"
         graph, _ = load_text(path.read_text())
         assert main([command, str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {validate(graph)[0]}\n"
+        assert captured.err == f"error: {path}: {validate(graph)[0]}\n"
+
+    @pytest.mark.parametrize("command", ["betti", "classify", "minimize", "decompose"])
+    def test_level_skipping_edge_is_refused(self, capsys, tmp_path, command):
+        # The four-level path a-m-n-b with edge lo retargeted from m to n:
+        # lo skips level 1, which validate rejects and the skeleton allows.
+        g = make_graph(
+            [0, 1, 2, 3],
+            [["a"], ["m"], ["n"], ["b"]],
+            [[("lo", "a", "n")], [("mid", "m", "n")], [("hi", "n", "b")]],
+        )
+        path = write_graph(tmp_path, "g.json", g)
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: dangling up_map target 'n' for edge 'lo' "
+            "(expected a vertex at level 1)\n"
+        )
 
 
 class TestIso:
