@@ -321,20 +321,10 @@ class ReebGraph:
         A plain compact graph passes them unread."""
         if self._plain:
             return self._skeleton
-        vertices, edges = self._ids
-        for what, where, sets, ids in (
-            ("vertex", "levels", self.vertex_sets, vertices),
-            ("edge", "gaps", self.edge_sets, edges),
-        ):
-            if sum(map(len, sets)) > len(ids):
-                first: dict[str, int] = {}
-                for i, xs in enumerate(sets):
-                    for x in sorted(xs):
-                        if x in first:
-                            raise ValueError(
-                                f"duplicate {what} id {x!r} at {where} {first[x]} and {i}"
-                            )
-                        first[x] = i
+        repeat = next(_repeated_ids(self), None)
+        if repeat is not None:
+            raise ValueError(repeat)
+        vertices = self._ids[0]
         below: set[str] = set()
         for i, (vs, dn, up) in enumerate(zip(self.vertex_sets, self.down_maps, self.up_maps)):
             below |= vs
@@ -456,6 +446,24 @@ class _Skeleton:
         )
 
 
+def _repeated_ids(graph: ReebGraph) -> Iterator[str]:
+    """validate's line for every vertex id met again on a later level, then
+    every edge id met again in a later gap, by level or gap and then id."""
+    vertices, edges = graph._ids
+    for what, where, sets, ids in (
+        ("vertex", "levels", graph.vertex_sets, vertices),
+        ("edge", "gaps", graph.edge_sets, edges),
+    ):
+        if sum(map(len, sets)) > len(ids):
+            first: dict[str, int] = {}
+            for i, xs in enumerate(sets):
+                for x in sorted(xs):
+                    if x in first:
+                        yield f"duplicate {what} id {x!r} at {where} {first[x]} and {i}"
+                    else:
+                        first[x] = i
+
+
 def _dangling(name: str, mp: Mapping[str, str], e: str, level: int) -> str:
     return f"dangling {name} target {mp[e]!r} for edge {e!r} (expected a vertex at level {level})"
 
@@ -557,21 +565,9 @@ def validate(graph: ReebGraph, *, allow_cut_ids: bool = False) -> list[str]:
             if not es:
                 report.append(f"empty edge set at gap {i}")
 
-    # An id met again is reported in the order the sets list their ids.
     seen_v, seen_e = graph._ids
-    unique = True
-    for what, where, sets, seen in (
-        ("vertex", "levels", vsets, seen_v), ("edge", "gaps", esets, seen_e)
-    ):
-        if sum(map(len, sets)) > len(seen):
-            unique = False
-            first: dict[str, int] = {}
-            for i, xs in enumerate(sets):
-                for x in xs:
-                    if x in first:
-                        report.append(f"duplicate {what} id {x!r} at {where} {first[x]} and {i}")
-                    else:
-                        first[x] = i
+    repeats = list(_repeated_ids(graph))
+    report += repeats
     for shared in sorted(seen_v & seen_e):
         report.append(f"id {shared!r} used as both vertex and edge")
     # One search of the ids joined finds every id with the prefix, and ids
@@ -661,7 +657,7 @@ def validate(graph: ReebGraph, *, allow_cut_ids: bool = False) -> list[str]:
     # levels, each component holds a source (its highest vertex is no
     # edge's lower end), so a graph with one source is connected and needs
     # no further pass.
-    if unique and attached and len(seen_v) - len(set().union(*map(methodcaller("values"), downs))) == 1:
+    if not repeats and attached and len(seen_v) - len(set().union(*map(methodcaller("values"), downs))) == 1:
         return report
     # Otherwise a union-find over one integer per id (an id used as both
     # vertex and edge is one node), merging components as links join them.

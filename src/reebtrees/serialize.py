@@ -9,14 +9,15 @@ reproduces the file byte for byte.
 
 from_jsonable reads a document in one pass, group by group in document
 order: top keys, levels, vertices, edges, vertex orders, edge orders,
-labels, leaf ranks.  Each group is first read plainly: exact types, counts
-and repeated ids are checked with no JSON pointer built, and the group's
-sets and maps are built from its id lists in their order as it goes.  Only
-a group that this refuses is walked item by item in document order, and
-the walk raises the SchemaError of its first fault; the error reported for
-a document is the one an item-by-item check of the whole document meets
-first.  The walk also builds what the plain reading refused only for its
-types (a str subclass, an integer level), with str() of every id.
+labels, leaf ranks.  Each group has one reader.  It tests every item's
+exact type inline (a str id, an edge object of three keys, a pair of strs)
+and builds the group's sets and maps from its id lists in their order as
+it goes, with no JSON pointer built.  An item that fails the test goes to
+a small helper (for vertex and cover lists, the list holding it), which
+raises the SchemaError of the first fault in document order, or returns
+str() of the ids of a str subclass; levels that are not all plain strings
+are read one by one the same way.  So the error reported for a document
+is the one an item-by-item check of the whole document meets first.
 """
 
 from __future__ import annotations
@@ -73,125 +74,121 @@ def dump_text(graph: ReebGraph, *, leaf_ranks: Mapping[str, int] | None = None) 
     return json.dumps(to_jsonable(graph, leaf_ranks=leaf_ranks), indent=2, sort_keys=True) + "\n"
 
 
-def _want(cond: bool, message: str, pointer: str) -> None:
-    if not cond:
-        raise SchemaError(message, pointer)
+def _at(*path: Any) -> str:
+    """The JSON pointer to ``path``; built only for an error."""
+    return "".join(f"/{step}" for step in path)
 
 
-def _check_level(value: Any, pointer: str) -> Fraction:
+def _string(value: Any, *path: Any) -> str:
+    """``value`` as a str: an id or label that is an instance of str, or the
+    error at ``path``."""
+    if not isinstance(value, str):
+        raise SchemaError("expected a string", _at(*path))
+    return str(value)
+
+
+def _check_level(value: Any, i: int) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise SchemaError("level must be a string or integer", pointer)
+        raise SchemaError("level must be a string or integer", _at("levels", i))
     try:
         return parse_level(str(value))
     except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"not a rational number: {exc}", pointer) from None
-
-
-def _check_str(value: Any, pointer: str) -> str:
-    _want(isinstance(value, str), "expected a string", pointer)
-    return value
-
-
-def _check_pairs(value: Any, pointer: str) -> list[tuple[str, str]]:
-    _want(isinstance(value, list), "expected a list of [lower, upper] pairs", pointer)
-    out = []
-    for n, pair in enumerate(value):
-        here = f"{pointer}/{n}"
-        _want(
-            isinstance(pair, list) and len(pair) == 2,
-            "expected a [lower, upper] pair",
-            here,
-        )
-        out.append((_check_str(pair[0], f"{here}/0"), _check_str(pair[1], f"{here}/1")))
-    return out
+        raise SchemaError(f"not a rational number: {exc}", _at("levels", i)) from None
 
 
 def _check_ranks(value: Any, pointer: str) -> dict[str, int]:
     """A leaf rank table: an object mapping ids to integers (not booleans)."""
-    _want(isinstance(value, dict), "expected an object", pointer)
-    if not {int}.issuperset(map(type, value.values())):
-        for key, rank in value.items():
-            _want(
-                isinstance(rank, int) and not isinstance(rank, bool),
-                "rank must be an integer",
-                f"{pointer}/{key}",
-            )
+    if not isinstance(value, dict):
+        raise SchemaError("expected an object", pointer)
+    for key, rank in value.items():
+        if isinstance(rank, bool) or not isinstance(rank, int):
+            raise SchemaError("rank must be an integer", f"{pointer}/{key}")
     return dict(value)
 
 
-# Each group has a plain reader, which returns None at the first thing it
-# does not accept, and a walk (see the module's note).
+def _lists(raw: Any, count: int, what: str, key: str) -> None:
+    if not isinstance(raw, list):
+        raise SchemaError("expected a list", _at(key))
+    if len(raw) != count:
+        raise SchemaError(f"expected {count} {what}", _at(key))
 
 
-def _plain_levels(raw: Any) -> tuple[Fraction, ...] | None:
-    """Each distinct level string is parsed once."""
-    if type(raw) is not list or len(raw) < 2:
-        return None
-    for x in raw:
-        if type(x) is not str:
-            return None
-    try:
-        parsed = {x: parse_level(x) for x in set(raw)}
-    except (ValueError, ZeroDivisionError):
-        return None
-    return tuple(map(parsed.__getitem__, raw))
+def _levels(raw: Any) -> tuple[Fraction, ...]:
+    """Levels increase, so each string of a valid document is parsed once."""
+    if not isinstance(raw, list):
+        raise SchemaError("expected a list", "/levels")
+    if len(raw) < 2:
+        raise SchemaError("need at least two levels", "/levels")
+    if {str}.issuperset(map(type, raw)):
+        try:
+            return tuple(map(parse_level, raw))
+        except (ValueError, ZeroDivisionError):
+            pass
+    return tuple(_check_level(x, i) for i, x in enumerate(raw))
 
 
-def _walk_levels(raw: Any) -> tuple[Fraction, ...]:
-    _want(isinstance(raw, list), "expected a list", "/levels")
-    _want(len(raw) >= 2, "need at least two levels", "/levels")
-    return tuple(_check_level(x, f"/levels/{i}") for i, x in enumerate(raw))
+def _vertex_ids(vs: list, i: int) -> list[str]:
+    """Level i's ids as strs, or the first fault among them."""
+    seen: set[str] = set()
+    for n, v in enumerate(vs):
+        v = _string(v, "vertices", i, n)
+        if v in seen:
+            raise SchemaError(f"duplicate vertex id {v!r}", _at("vertices", i, n))
+        seen.add(v)
+    return list(map(str, vs))
 
 
-def _plain_vertices(raw: Any, k: int) -> list[frozenset[str]] | None:
-    if type(raw) is not list or len(raw) != k:
-        return None
-    sets = []
+def _vertices(raw: Any, k: int) -> list[frozenset[str]]:
+    _lists(raw, k, "vertex lists", "vertices")
+    sets: list[frozenset[str]] = []
     for vs in raw:
-        if type(vs) is not list:
-            return None
+        if not isinstance(vs, list):
+            raise SchemaError("expected a list of ids", _at("vertices", len(sets)))
         for v in vs:
             if type(v) is not str:
-                return None
+                vs = _vertex_ids(vs, len(sets))
+                break
         ids = frozenset(vs)
         if len(ids) < len(vs):
-            return None
+            _vertex_ids(vs, len(sets))  # raises at the first repeat
         sets.append(ids)
     return sets
 
 
-def _walk_vertices(raw: Any, k: int) -> list[frozenset[str]]:
-    _want(isinstance(raw, list), "expected a list", "/vertices")
-    _want(len(raw) == k, f"expected {k} vertex lists", "/vertices")
-    for i, vs in enumerate(raw):
-        _want(isinstance(vs, list), "expected a list of ids", f"/vertices/{i}")
-        ids: set[str] = set()
-        for n, v in enumerate(vs):
-            v = _check_str(v, f"/vertices/{i}/{n}")
-            _want(v not in ids, f"duplicate vertex id {v!r}", f"/vertices/{i}/{n}")
-            ids.add(v)
-    return [frozenset(map(str, vs)) for vs in raw]
+def _edge(item: Any, dn: dict[str, str], i: int, n: int) -> tuple[str, str, str]:
+    """The id and ends of edge n of gap i as strs, or its first fault."""
+    here = ("edges", i, n)
+    if not isinstance(item, dict):
+        raise SchemaError("expected an edge object", _at(*here))
+    if item.keys() != {"id", "down", "up"}:
+        raise SchemaError("edge object needs exactly the keys id, down, up", _at(*here))
+    e = _string(item["id"], *here, "id")
+    if e in dn:
+        raise SchemaError(f"duplicate edge id {e!r}", _at(*here, "id"))
+    return e, _string(item["down"], *here, "down"), _string(item["up"], *here, "up")
 
 
-def _plain_edges(raw: Any, gaps: int) -> tuple[list[dict[str, str]], list[dict[str, str]]] | None:
-    """Each gap's down and up maps, built while its edges are checked."""
-    if type(raw) is not list or len(raw) != gaps:
-        return None
-    downs, ups = [], []
+def _edges(raw: Any, gaps: int) -> tuple[list[dict[str, str]], list[dict[str, str]]]:
+    """Each gap's down and up maps, built while its edges are checked.  An
+    edge's index in its gap is the count of edges taken before it."""
+    _lists(raw, gaps, "edge lists", "edges")
+    downs: list[dict[str, str]] = []
+    ups: list[dict[str, str]] = []
     for es in raw:
-        if type(es) is not list:
-            return None
+        if not isinstance(es, list):
+            raise SchemaError("expected a list of edge objects", _at("edges", len(downs)))
         dn: dict[str, str] = {}
         up: dict[str, str] = {}
         for item in es:
-            if type(item) is not dict or len(item) != 3:
-                return None
             try:
                 e, d, u = item["id"], item["down"], item["up"]
-            except KeyError:
-                return None
-            if type(e) is not str or type(d) is not str or type(u) is not str or e in dn:
-                return None
+            except (KeyError, TypeError):
+                e = d = u = None
+            if not (
+                type(item) is dict and len(item) == 3 and type(e) is str
+                and type(d) is str and type(u) is str and e not in dn
+            ):
+                e, d, u = _edge(item, dn, len(downs), len(dn))
             dn[e] = d
             up[e] = u
         downs.append(dn)
@@ -199,81 +196,46 @@ def _plain_edges(raw: Any, gaps: int) -> tuple[list[dict[str, str]], list[dict[s
     return downs, ups
 
 
-def _walk_edges(raw: Any, gaps: int) -> tuple[list[dict[str, str]], list[dict[str, str]]]:
-    _want(isinstance(raw, list), "expected a list", "/edges")
-    _want(len(raw) == gaps, f"expected {gaps} edge lists", "/edges")
-    downs, ups = [], []
-    for i, es in enumerate(raw):
-        _want(isinstance(es, list), "expected a list of edge objects", f"/edges/{i}")
-        dn: dict[str, str] = {}
-        up: dict[str, str] = {}
-        for n, item in enumerate(es):
-            here = f"/edges/{i}/{n}"
-            _want(isinstance(item, dict), "expected an edge object", here)
-            _want(
-                set(item) == {"id", "down", "up"},
-                "edge object needs exactly the keys id, down, up",
-                here,
-            )
-            e = str(_check_str(item["id"], f"{here}/id"))
-            _want(e not in dn, f"duplicate edge id {e!r}", f"{here}/id")
-            dn[e] = str(_check_str(item["down"], f"{here}/down"))
-            up[e] = str(_check_str(item["up"], f"{here}/up"))
-        downs.append(dn)
-        ups.append(up)
-    return downs, ups
-
-
-def _plain_covers(raw: Any, count: int) -> list[frozenset[tuple[str, str]]] | None:
-    if type(raw) is not list or len(raw) != count:
-        return None
+def _pairs(pairs: list, key: str, i: int) -> list[tuple[str, str]]:
+    """Cover list i's pairs as pairs of strs, or the first fault among them."""
     out = []
+    for n, pair in enumerate(pairs):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise SchemaError("expected a [lower, upper] pair", _at(key, i, n))
+        out.append((_string(pair[0], key, i, n, 0), _string(pair[1], key, i, n, 1)))
+    return out
+
+
+def _covers(raw: Any, count: int, key: str) -> list[frozenset[tuple[str, str]]]:
+    _lists(raw, count, "cover lists", key)
+    out: list[frozenset[tuple[str, str]]] = []
     for pairs in raw:
-        if type(pairs) is not list:
-            return None
+        if not isinstance(pairs, list):
+            raise SchemaError("expected a list of [lower, upper] pairs", _at(key, len(out)))
         for pair in pairs:
-            if type(pair) is not list or len(pair) != 2:
-                return None
-            if type(pair[0]) is not str or type(pair[1]) is not str:
-                return None
+            if not (
+                type(pair) is list and len(pair) == 2
+                and type(pair[0]) is str and type(pair[1]) is str
+            ):
+                pairs = _pairs(pairs, key, len(out))
+                break
         out.append(frozenset(map(tuple, pairs)))
     return out
 
 
-def _walk_covers(raw: Any, count: int, pointer: str) -> list[frozenset[tuple[str, str]]]:
-    _want(isinstance(raw, list), "expected a list", pointer)
-    _want(len(raw) == count, f"expected {count} cover lists", pointer)
-    return [
-        frozenset((str(a), str(b)) for a, b in _check_pairs(item, f"{pointer}/{i}"))
-        for i, item in enumerate(raw)
-    ]
-
-
-def _plain_labels(raw: Any, gaps: int) -> tuple[dict[str, str] | None, ...] | None:
-    if type(raw) is not list or len(raw) != gaps:
-        return None
-    for m in raw:
-        if m is not None:
-            if type(m) is not dict:
-                return None
-            for value in m.values():
-                if type(value) is not str:
-                    return None
-    return tuple(None if m is None else dict(m) for m in raw)
-
-
-def _walk_labels(raw: Any, gaps: int) -> tuple[dict[str, str] | None, ...]:
-    _want(isinstance(raw, list), "expected a list or null", "/labels")
-    _want(len(raw) == gaps, f"expected {gaps} label maps", "/labels")
+def _labels(raw: Any, gaps: int) -> tuple[dict[str, str] | None, ...]:
+    if not isinstance(raw, list):
+        raise SchemaError("expected a list or null", "/labels")
+    if len(raw) != gaps:
+        raise SchemaError(f"expected {gaps} label maps", "/labels")
     for i, m in enumerate(raw):
         if m is not None:
-            _want(isinstance(m, dict), "expected an object or null", f"/labels/{i}")
+            if not isinstance(m, dict):
+                raise SchemaError("expected an object or null", _at("labels", i))
             for key, value in m.items():
-                _check_str(value, f"/labels/{i}/{key}")
+                if not isinstance(value, str):
+                    raise SchemaError("expected a string", _at("labels", i, key))
     return tuple(None if m is None else dict(m) for m in raw)
-
-
-_REQUIRED = ("levels", "vertices", "edges", "vertex_orders", "edge_orders")
 
 
 def from_jsonable(doc: Any) -> tuple[ReebGraph, dict[str, int] | None]:
@@ -281,33 +243,26 @@ def from_jsonable(doc: Any) -> tuple[ReebGraph, dict[str, int] | None]:
     Shape problems raise SchemaError pointing at the offending node; semantic
     soundness is left to validate().  One pass, group by group (see the
     module's note)."""
-    plain = type(doc) is dict and TOP_KEYS.issuperset(doc)
-    if not (plain and all(map(doc.__contains__, _REQUIRED))):
-        _want(isinstance(doc, dict), "expected a JSON object", "")
-        for key in doc:
-            _want(key in TOP_KEYS, f"unexpected key {key!r}", f"/{key}")
-        for key in _REQUIRED:
-            _want(key in doc, f"missing key {key!r}", "")
-
-    raw = doc["levels"]
-    levels = _plain_levels(raw) or _walk_levels(raw)
+    if not isinstance(doc, dict):
+        raise SchemaError("expected a JSON object", "")
+    for key in doc:
+        if key not in TOP_KEYS:
+            raise SchemaError(f"unexpected key {key!r}", _at(key))
+    for key in ("levels", "vertices", "edges", "vertex_orders", "edge_orders"):
+        if key not in doc:
+            raise SchemaError(f"missing key {key!r}", "")
+    levels = _levels(doc["levels"])
     k = len(levels)
-    raw = doc["vertices"]
-    vertex_sets = _plain_vertices(raw, k) or _walk_vertices(raw, k)
-    raw = doc["edges"]
-    downs, ups = _plain_edges(raw, k - 1) or _walk_edges(raw, k - 1)
-    raw = doc["vertex_orders"]
-    vertex_covers = _plain_covers(raw, k) or _walk_covers(raw, k, "/vertex_orders")
-    raw = doc["edge_orders"]
-    edge_covers = _plain_covers(raw, k - 1) or _walk_covers(raw, k - 1, "/edge_orders")
-
+    vertex_sets = _vertices(doc["vertices"], k)
+    downs, ups = _edges(doc["edges"], k - 1)
+    vertex_covers = _covers(doc["vertex_orders"], k, "vertex_orders")
+    edge_covers = _covers(doc["edge_orders"], k - 1, "edge_orders")
     labels = doc.get("labels")
     if labels is not None:
-        labels = _plain_labels(labels, k - 1) or _walk_labels(labels, k - 1)
+        labels = _labels(labels, k - 1)
     leaf_ranks = doc.get("leaf_ranks")
     if leaf_ranks is not None:
         leaf_ranks = _check_ranks(leaf_ranks, "/leaf_ranks")
-
     fields = _fields(vertex_sets, downs, ups, vertex_covers, edge_covers)
     return ReebGraph(levels=levels, edge_labels=labels, **fields), leaf_ranks
 

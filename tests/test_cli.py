@@ -24,11 +24,13 @@ from reebtrees import (
     IncompatibleShape,
     OrderConflict,
     ReebError,
+    apply_choice,
     build_dag_view,
     classify_vertex,
     decompose,
     dump_text,
     enewick_to_reeb,
+    enumerate_choices,
     format_level,
     load_text,
     make_graph,
@@ -50,11 +52,11 @@ def write_graph(tmp_path, name, graph, **kw):
     return str(path)
 
 
-def run_module(module, *args, timeout=60, **kw):
+def run_module(module, *args, timeout=60, env=(), **kw):
     """``python -m module args`` in a child process that imports this
-    source tree."""
+    source tree, with the variables ``env`` added to its environment."""
     src = str(Path(reebtrees.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **dict(env), "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     )}
     return subprocess.run(
@@ -254,18 +256,25 @@ class TestDecompose:
         graph, _ = load_text((target / "factor_0000.json").read_text())
         assert main(["validate", "--allow-cut-ids", str(target / "factor_0000.json")]) == 0
 
-    @pytest.mark.parametrize("edge, written", [("e1", 1), ("e2", 0)])
-    def test_cut_id_held_off_the_merge_level(self, capsys, tmp_path, edge, written):
-        # The first choice that detaches ``edge`` exits 2; every factor
-        # file written before it is a valid tree.
-        path = write_graph(tmp_path, "g.json", cut_id_clash(edge))
+    @pytest.mark.parametrize("edge, first_clash", [("e1", 1), ("e2", 0)])
+    def test_cut_id_held_off_the_merge_level(self, capsys, tmp_path, edge, first_clash):
+        # Factor ``first_clash`` is the first to detach ``edge``, onto a cut
+        # leaf id the network holds; the factors before it are valid trees.
+        # As the library's decompose does, the command refuses the network
+        # before it lists or writes any factor.
+        g = cut_id_clash(edge)
+        choices = list(enumerate_choices(g))
+        for choice in choices[:first_clash]:
+            assert validate(apply_choice(g, choice).graph, allow_cut_ids=True) == []
+        with pytest.raises(ValueError):
+            apply_choice(g, choices[first_clash])
+        path = write_graph(tmp_path, "g.json", g)
         target = tmp_path / "factors"
         assert main(["decompose", path, "--out-dir", str(target)]) == 2
-        assert capsys.readouterr().err == f"error: cut vertex id 'cut:{edge}' already present\n"
-        files = sorted(target.iterdir())
-        assert len(files) == written
-        for f in files:
-            assert main(["validate", "--allow-cut-ids", str(f)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cut vertex id 'cut:{edge}' already present\n"
+        assert not target.exists()
 
     def test_factor_cap(self, capsys, tmp_path, cycle_graph):
         path = write_graph(tmp_path, "g.json", cycle_graph)
@@ -365,6 +374,16 @@ class TestInputErrors:
             f"error: {path}: dangling up_map target 'n' for edge 'lo' "
             "(expected a vertex at level 1)\n"
         )
+
+    def test_repeated_ids_named_whatever_the_hash_seed(self, tmp_path):
+        # a, b, c and d on levels 0 and 1: validate's first line names the
+        # least id of the first level that repeats one, under any hash seed.
+        g = make_graph([0, 1], [["a", "b", "c", "d"]] * 2, [[("e", "a", "b")]])
+        path = write_graph(tmp_path, "dup.json", g)
+        for seed in range(4):
+            done = run_module("reebtrees", "betti", path, env={"PYTHONHASHSEED": str(seed)})
+            assert (done.returncode, done.stdout) == (2, ""), seed
+            assert done.stderr == f"error: {path}: duplicate vertex id 'a' at levels 0 and 1\n"
 
 
 class TestIso:

@@ -379,7 +379,6 @@ def test_decompose_builds_its_option_table_once(monkeypatch, tmp_path, capsys):
         return real(graph)
 
     monkeypatch.setattr(decomposition, "cut_options", counting)
-    monkeypatch.setattr(cli, "cut_options", counting)
     assert len(decompose(g).factors) == 64
     assert len(calls) == 1
     path = tmp_path / "g.json"

@@ -1004,10 +1004,12 @@ def answers(make, net=None):
     without cut ids, the checked skeleton or what it raises, every field,
     the JSON text, and the factor vectors and self-distance or what they
     raise."""
-    from test_core import raised, reference_checked_skeleton, reference_validate
+    from test_core import (
+        in_validates_order, raised, reference_checked_skeleton, reference_validate,
+    )
 
     check = (lambda g: g._checked_skeleton) if net else reference_checked_skeleton
-    lines = validate if net else reference_validate
+    lines = validate if net else (lambda g, **kw: in_validates_order(reference_validate(g, **kw)))
     return (
         [lines(make(), allow_cut_ids=allow) for allow in (False, True)],
         raised(check, make()),

@@ -81,14 +81,18 @@ def two_leaf_tree():
 
 
 def three_leaf_tree():
-    return make_graph(
+    # Leaf c reaches the root through a pass-through vertex, since an edge
+    # may not skip a level.
+    g = make_graph(
         [0, 1, 2],
-        [["a", "b", "c"], ["m"], ["t"]],
+        [["a", "b", "c"], ["m", "c1"], ["t"]],
         [
-            [("e1", "a", "m"), ("e2", "b", "m")],
-            [("e3", "m", "t"), ("e4", "c", "t")],
+            [("e1", "a", "m"), ("e2", "b", "m"), ("e5", "c", "c1")],
+            [("e3", "m", "t"), ("e4", "c1", "t")],
         ],
     )
+    assert validate(g) == []
+    return g
 
 
 class TestLeafOrder:

@@ -561,6 +561,14 @@ class TestLoaderMatchesReference:
         base["leaf_ranks"] = {v: 1 for v in bottom}
         assert outcome(from_jsonable, base)[0] == "graph"
         edge = base["edges"][1][0]
+        vs = base["vertices"][1]
+
+        class Name(str):
+            pass
+
+        class Ids(list):
+            pass
+
         changes = [
             *(("levels", 1, value) for value in LEVEL_STRINGS),
             ("vertices", 1, [7]),
@@ -568,6 +576,7 @@ class TestLoaderMatchesReference:
             ("edges", 1, [{"id": edge["id"], "down": edge["down"]}]),
             ("edges", 1, [{**edge, "extra": "x"}]),
             ("edges", 1, [edge, dict(edge)]),
+            ("edges", 1, [edge, edge]),  # one object listed twice
             ("edges", 1, [{**edge, "down": 1, "up": 2}]),
             ("edges", 1, [{"id": None, "down": 1, "up": "x"}]),
             ("vertices", 2, base["vertices"][2] * 2),
@@ -578,6 +587,9 @@ class TestLoaderMatchesReference:
             ("edge_orders", 0, [["a", None]]),
             ("labels", 0, {edge["id"]: 3}),
             ("leaf_ranks", base["vertices"][0][0], True),
+            ("vertices", 1, [*vs[:-1], Name(vs[-1])]),
+            ("edges", 1, [{**edge, "id": Name(edge["id"])}, *base["edges"][1][1:]]),
+            ("vertices", 1, Ids(vs)),
         ]
         errors = 0
         for group, key, value in changes:
@@ -586,8 +598,9 @@ class TestLoaderMatchesReference:
             ref = outcome(reference_from_jsonable, doc)
             assert outcome(from_jsonable, doc) == ref, (group, key, value)
             errors += ref[0] == "error"
-        # " 3", "+3", "007", "1e3" and "-5" are levels Fraction reads.
-        assert errors == len(changes) - 5
+        # " 3", "+3", "007", "1e3" and "-5" are levels Fraction reads, and
+        # the last three changes keep the document well formed.
+        assert errors == len(changes) - 8
         for key in ("levels", "edges", "extra"):
             doc = copy.deepcopy(base)
             if key in doc:
