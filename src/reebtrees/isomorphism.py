@@ -12,26 +12,28 @@ vertices (sources, sinks, non-regular vertices and those that carry an
 order relation or end an edge that does) joined by long edges.  An
 isomorphism of the pair refined to common levels maps critical vertices to
 critical vertices and long edges to long edges, and is fixed by what it does
-there, so nothing is refined and no pass-through vertex is read.  Its
-prefilter is one colour refinement of the two skeletons, after the level
-range and the skeletons' level values are compared.  Every isomorphism
-keeps the refined colours, so when each colour holds one critical vertex
-per side, the map from colour to colour is the one candidate, and checking
-it decides; on a network, tied leaves with no order relation are
-interchangeable and are paired first.  The fingerprint route decides the
-other pairs: where other colours tie, where an ordered long edge has a
-parallel twin, and where a graph holds a cut leaf's id.  It rests on the
-paper's glue-back argument: one factor of a, with its (merge vertex, cut
-leaf) covers and its cut leaves tagged, matches some factor of b exactly
-when a and b are isomorphic.  A factor is a view of the skeleton, with
-each detached long edge ending at its cut leaf; no factor graph is built.  a's first factor is fingerprinted
-once, then b's factors, skipping those the refined colours rule out, until
-the first match.  decomposition_invariant fingerprints every factor view of
-one graph the same way.  Fingerprints of views list the skeleton's level
-values only, so their bytes differ from those of the factors' graphs, and
-the invariant is equal across pass-through levels.  brute_force_iso is a
-plain backtracking matcher on the refined pair, kept as an independent
-oracle on anything small.
+there, so nothing is refined and no pass-through vertex is read.  After the
+level range and the skeletons' level values are compared, each skeleton
+gets one colour refinement of its own, with names ranked within the graph,
+and the two are run in lockstep until a step differs.  Every isomorphism
+keeps the names, so when each name holds one critical vertex per graph,
+they fix the one candidate map, and comparing the two graphs' certificates
+(their order pairs, named) decides; on a network, tied leaves with no order
+relation are interchangeable and are allowed.  The fingerprint route
+decides the other pairs: where other names tie, where an ordered long edge
+has a parallel twin, and where a graph holds a cut leaf's id.  It rests on
+the paper's glue-back argument: one factor of a, with its (merge vertex,
+cut leaf) covers and its cut leaves tagged, matches some factor of b
+exactly when a and b are isomorphic.  A factor is a view of the skeleton,
+with each detached long edge ending at its cut leaf; no factor graph is
+built.  a's first factor is fingerprinted once, then b's factors, skipping
+those the names rule out, until the first match.
+decomposition_invariant fingerprints every factor view of one graph the
+same way.  Fingerprints of views list the skeleton's level values only, so
+their bytes differ from those of the factors' graphs, and the invariant is
+equal across pass-through levels.  brute_force_iso is a plain backtracking
+matcher on the refined pair, kept as an independent oracle on anything
+small.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import zip_longest
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     LevelPoset,
@@ -145,96 +148,146 @@ def _prefilter(
     return ra, rb, ca, cb
 
 
-def _skeleton_prefilter(
+class _Refinement:
+    """One colour refinement of a graph's skeleton, with its names ranked
+    within the graph, so that they depend only on the graph and ``tags``,
+    not on its ids.
+
+    A critical vertex starts from (skeleton level, indegree, outdegree,
+    elements below, elements above, sink tag).  Sweeps run up the levels,
+    each vertex taking the names of the lower ends of its long edges, each
+    paired with the edge's (elements below, elements above) in the generated
+    edge order, then down the levels with the upper ends, until a round
+    splits no class.  A sweep names each distinct signature of its level
+    (level, rank) in sorted order.  ``steps`` yields the starting multiset,
+    then each sweep's sorted distinct signatures with the multiset of the
+    names they give; every isomorphism keeps them all, and two graphs whose
+    steps are equal get names that correspond level by level."""
+
+    def __init__(self, graph: ReebGraph, tags: Mapping[str, int] | None) -> None:
+        self.graph, self.tags = graph, tags or {}
+        sk = graph._skeleton
+        rel = _order_counts(graph.vertex_orders)
+        self.edge_counts = _order_counts(graph.edge_orders)
+        self.names: dict[str, object] = {}
+        self.rows: list[list[str]] = [[] for _ in sk.levels]  # each level's vertices
+        for v, i in sk.vertex_level.items():
+            tag = -1 if sk.down[v] else self.tags.get(v, -1)
+            self.names[v] = (i, len(sk.up[v]), len(sk.down[v]), *rel.get(v, (0, 0)), tag)
+            self.rows[i].append(v)
+
+    def steps(self) -> Iterator[list]:
+        """The starting multiset, then each sweep's (sorted distinct
+        signatures, sorted new names); the names are stable once it is
+        exhausted."""
+        names, rows, sk = self.names, self.rows, self.graph._skeleton
+        get = self.edge_counts.get
+        yield sorted(names.values())
+        # A sweep reads its own level and the levels on one side of it, and
+        # refinement only adds classes, so a sweep is skipped when no level
+        # it reads has split since it last ran (its own split at that run
+        # needs no second run); the names are stable once a round splits no
+        # level.
+        k = len(rows)
+        order = [(i, True) for i in range(k)] + [(i, False) for i in range(k - 1, -1, -1)]
+        classes = [0] * k
+        split = [0] * k  # when each level last gained classes
+        ran: dict[tuple[int, bool], int] = {}
+        clock = 0
+        while True:
+            start = clock
+            for i, lower in order:
+                if ran.get((i, lower), -1) >= max(split[: i + 1] if lower else split[i:]):
+                    continue
+                clock += 1
+                ends = sk.down if lower else sk.up
+                sigs = [
+                    (names[v], tuple(sorted([(names[w], get(e, (0, 0))) for w, e in ends[v]])))
+                    for v in rows[i]
+                ]
+                distinct = sorted(set(sigs))
+                rank = {s: (i, n) for n, s in enumerate(distinct)}
+                new = list(map(rank.__getitem__, sigs))
+                yield distinct, sorted(new)
+                names.update(zip(rows[i], new))
+                ran[i, lower] = clock
+                if len(distinct) != classes[i]:
+                    classes[i], split[i] = len(distinct), clock
+            if max(split) <= start:
+                return
+
+    @property
+    def certified(self) -> bool:
+        """Whether the stable names fix every isomorphism onto another graph
+        with the same steps: each name holds one critical vertex, except
+        that on a network tied leaves with no order relation, on them or on
+        their edges, share their parents (every other name is then one
+        vertex's) and are interchangeable; no long edge that carries an
+        edge-order relation has a parallel one; and the graph holds no cut
+        leaf's id.  Otherwise _factor_match decides (and names that clash).
+        Read once the steps are exhausted."""
+        graph, sk, rel = self.graph, self.graph._skeleton, self.edge_counts
+        count = Counter(self.names.values())
+        options = cut_options(graph)
+        ordered = {x for o in graph.vertex_orders for cover in o.covers for x in cover}
+        for v, c in self.names.items():
+            if count[c] > 1 and (
+                not options or sk.down[v] or v in ordered or any(e in rel for _, e in sk.up[v])
+            ):
+                return False
+        if any(leaf in graph.vertex_level for *_, leaf in _cuts(options, {})):
+            return False
+        for ends in sk.down.values() if rel else ():
+            if any(e in rel and sum(x == u for x, _ in ends) > 1 for u, e in ends):
+                return False
+        return True
+
+    @property
+    def certificate(self) -> tuple[list, list]:
+        """The generated vertex-order pairs by name, and the generated
+        edge-order pairs, each ordered long edge named by its ends' names.
+        Two certified graphs with equal steps are isomorphic exactly when
+        their certificates are equal: the stable names keep each vertex's
+        long edges below, with their edge-order counts, and on a certified
+        graph every vertex and ordered long edge in a pair has a name of its
+        own."""
+        names, sk, rel = self.names, self.graph._skeleton, self.edge_counts
+        ends = {e: (names[u], names[w]) for w, ds in sk.down.items() for u, e in ds if e in rel}
+        return (
+            sorted((names[x], names[y]) for x, y in _order_pairs(self.graph.vertex_orders)),
+            sorted((ends[e], ends[f]) for e, f in _order_pairs(self.graph.edge_orders)),
+        )
+
+
+def _refinements(
     a: ReebGraph,
     b: ReebGraph,
     tags_a: Mapping[str, int] | None,
     tags_b: Mapping[str, int] | None,
-) -> tuple | None:
-    """reeb_iso's prefilter: one colour refinement of the two skeletons, in
-    one palette.  Returns (a, b, colours_a, colours_b, counts_a, counts_b):
-    the stable colours of the critical vertices and each side's edge-order
-    counts, or None once the pair cannot be isomorphic.
+) -> tuple[_Refinement, _Refinement] | None:
+    """reeb_iso's prefilter: the two graphs' refinements, run in lockstep to
+    their stable names, or None at the first step that differs.
 
     After the level range, a pair on different level sets whose edge orders
     are not all trivial is refined to the union of its levels (refinement
     copies an edge's order onto the levels it inserts, which so hold
-    critical vertices) and returned refined; the skeletons' level values
-    must then agree.  A critical vertex starts from (skeleton level,
-    indegree, outdegree, elements below, elements above, sink tag); the two
-    sides' multisets of these are compared at once, which ends most negative
-    pairs before any sweep.  Sweeps run up the levels, each vertex taking
-    the colours of the lower ends of its long edges, each paired with the
-    edge's (elements below, elements above) in the generated edge order,
-    then down the levels with the upper ends, until a round splits no class.
-    Isomorphisms keep every sweep's colours, so None is returned once a
-    swept level's colour counts differ; the first round so compares the
-    critical vertices per level and the long edges by the levels of their
-    ends."""
+    critical vertices), and the refinements read the refined graphs; the
+    skeletons' level values must then agree.  Most negative pairs end at the
+    starting multisets, before any sweep; the first round of sweeps compares
+    the critical vertices per level and the long edges by the levels of
+    their ends."""
     if (a.levels[0], a.levels[-1]) != (b.levels[0], b.levels[-1]):
         return None
     if any(o.covers for g in (a, b) for o in g.edge_orders) and a.levels != b.levels:
         union = sorted(set(a.levels) | set(b.levels))
         a, b = refine_to_levels(a, union), refine_to_levels(b, union)
-    skeletons = a._skeleton, b._skeleton
-    k = len(skeletons[0].levels)
-    if skeletons[1].levels != skeletons[0].levels:
+    if a._skeleton.levels != b._skeleton.levels:
         return None
-    cols: list[dict[str, object]] = []
-    rels, rows = [], []  # per side, edge-order counts and each level's vertices
-    for graph, sk, tags in zip((a, b), skeletons, (tags_a or {}, tags_b or {})):
-        rel, col, row = _order_counts(graph.vertex_orders), {}, [[] for _ in range(k)]
-        for v, i in sk.vertex_level.items():
-            tag = -1 if sk.down[v] else tags.get(v, -1)
-            col[v] = (i, len(sk.up[v]), len(sk.down[v]), *rel.get(v, (0, 0)), tag)
-            row[i].append(v)
-        cols.append(col)
-        rels.append(_order_counts(graph.edge_orders))
-        rows.append(row)
-    if sorted(cols[0].values()) != sorted(cols[1].values()):
-        return None
-
-    def sweep(i: int, lower: bool) -> int | None:
-        """Recolour level i on both sides; return its number of classes, or
-        None when the two sides' colour counts there differ.  A colour is
-        (level, class), so colours of different levels never meet."""
-        sigs = []
-        for sk, col, rel, row in zip(skeletons, cols, rels, rows):
-            ends = sk.down if lower else sk.up
-            sigs.append({
-                v: (col[v], tuple(sorted([(col[w], rel.get(e, (0, 0))) for w, e in ends[v]])))
-                for v in row[i]
-            })
-        rank = {c: (i, n) for n, c in enumerate(sorted({*sigs[0].values(), *sigs[1].values()}))}
-        for col, sig in zip(cols, sigs):
-            for v, c in sig.items():
-                col[v] = rank[c]
-        count_a, count_b = (sorted(map(rank.__getitem__, sig.values())) for sig in sigs)
-        return len(rank) if count_a == count_b else None
-
-    # A sweep reads its own level and the levels on one side of it, and
-    # refinement only adds classes, so a sweep is skipped when no level it
-    # reads has split since it last ran (its own split at that run needs no
-    # second run); the colours are stable once a round splits no level.
-    order = [(i, True) for i in range(k)] + [(i, False) for i in range(k - 1, -1, -1)]
-    classes = [0] * k
-    split = [0] * k  # when each level last gained classes
-    ran: dict[tuple[int, bool], int] = {}
-    clock = 0
-    while True:
-        start = clock
-        for i, lower in order:
-            if ran.get((i, lower), -1) >= max(split[: i + 1] if lower else split[i:]):
-                continue
-            clock += 1
-            n = sweep(i, lower)
-            if n is None:
-                return None
-            ran[i, lower] = clock
-            if n != classes[i]:
-                classes[i], split[i] = n, clock
-        if max(split) <= start:
-            return a, b, cols[0], cols[1], rels[0], rels[1]
+    ra, rb = _Refinement(a, tags_a), _Refinement(b, tags_b)
+    for x, y in zip_longest(ra.steps(), rb.steps()):
+        if x != y:
+            return None
+    return ra, rb
 
 
 @dataclass(frozen=True, order=True)
@@ -634,51 +687,46 @@ def _factor_form(
 
 
 def _factor_match(
-    pre: tuple,
-    leaf_ranks_a: Mapping[str, int] | None,
-    leaf_ranks_b: Mapping[str, int] | None,
-    budget: int | None,
+    ra: _Refinement, rb: _Refinement, budget: int | None
 ) -> tuple[dict[str, str], dict[str, str]] | None:
-    """The fingerprint route on a pair ``pre`` that passed
-    _skeleton_prefilter, with its stable colours.
+    """The fingerprint route on two refinements that _refinements returned,
+    with their stable names and their graphs' leaf ranks.
 
     Glue-back: a level-, cover- and rank-preserving bijection between one
     factor of a and one factor of b that sends cut leaves to cut leaves
     extends to an isomorphism of a and b, and an isomorphism maps every
-    factor of a onto a factor of b, keeping the colours of each kept edge's
+    factor of a onto a factor of b, keeping the names of each kept edge's
     endpoints.  Every factor keeps the input's level orders, and its cut
     leaves carry one rank below every rank of either side, so an input cover
     from a merge vertex to a sink cannot stand in for a cut.  A graph with
     several sources has forests for factors, one tree per source.  So a's
     first factor is fingerprinted once, and b's factors whose kept edges
-    join the same colours are fingerprinted one at a time until one matches.
+    join the same names are fingerprinted one at a time until one matches.
     Factors are views of the skeletons (see _FactorView), numbered by the
     skeleton levels the two sides share.  Returns the pairing of the two
     matching views' canonical numberings, as vertex and long-edge maps (see
     _witness), or None when no factor of b matches."""
-    a, b, col_a, col_b, *_ = pre
-    cut_rank = min([-1, *(leaf_ranks_a or {}).values(), *(leaf_ranks_b or {}).values()]) - 1
+    a, b = ra.graph, rb.graph
+    cut_rank = min([-1, *ra.tags.values(), *rb.tags.values()]) - 1
 
-    def joins(graph: ReebGraph, col: Mapping[str, object], options) -> dict:
-        """(merge vertex, arriving long edge) -> the colours of its ends."""
+    def joins(graph: ReebGraph, names: Mapping[str, object], options) -> dict:
+        """(merge vertex, arriving long edge) -> the names of its ends."""
         up = graph._skeleton.up
-        return {(v, e): (col[v], col[u]) for v, _ in options for u, e in up[v]}
+        return {(v, e): (names[v], names[u]) for v, _ in options for u, e in up[v]}
 
     whole_a, whole_b = (
         _skeleton_view(g, g._skeleton.levels, g._skeleton.vertex_level) for g in (a, b)
     )
     options_a, options_b = cut_options(a), cut_options(b)
     choice_a = next(_choices(options_a))
-    kept_a = sorted(map(joins(a, col_a, options_a).__getitem__, choice_a.kept))
-    view_a, form_a = _factor_form(a, whole_a, options_a, choice_a, leaf_ranks_a, cut_rank, budget)
-    # b keeps only edges whose ends' colours a kept edge joins.
-    join_b, pairs_a = joins(b, col_b, options_b), set(kept_a)
+    kept_a = sorted(map(joins(a, ra.names, options_a).__getitem__, choice_a.kept))
+    view_a, form_a = _factor_form(a, whole_a, options_a, choice_a, ra.tags, cut_rank, budget)
+    # b keeps only edges whose ends' names a kept edge joins.
+    join_b, pairs_a = joins(b, rb.names, options_b), set(kept_a)
     allowed = [(v, [e for e in es if join_b[v, e] in pairs_a]) for v, es in options_b]
     for choice in _choices(allowed):
         if sorted(map(join_b.__getitem__, choice.kept)) == kept_a:
-            view_b, form_b = _factor_form(
-                b, whole_b, options_b, choice, leaf_ranks_b, cut_rank, budget
-            )
+            view_b, form_b = _factor_form(b, whole_b, options_b, choice, rb.tags, cut_rank, budget)
             if form_b == form_a:
                 # In a factor each vertex has at most one long edge arriving
                 # from above, so each long edge goes where its lower end goes.
@@ -688,69 +736,16 @@ def _factor_match(
     return None
 
 
-def _colour_map(pre: tuple) -> dict[str, str] | None:
-    """The one candidate isomorphism of a pair ``pre`` that passed
-    _skeleton_prefilter: each critical vertex of a to the vertex of b with
-    its colour, which every isomorphism keeps.  On a network, tied leaves of
-    a with no order relation, on them or on their edges, share their parents
-    (every other colour is then discrete), so they are interchangeable and
-    are paired in skeleton order.  None on any other tie (a tree's
-    fingerprint breaks its own), when an ordered long edge of a has a
-    parallel one, or when either graph holds the cut leaf id of an arriving
-    long edge; _factor_match then decides (and names that clash)."""
-    a, b, col_a, col_b, rel_a, _ = pre
-    classes: dict[object, tuple[list[str], list[str]]] = {}
-    for side, col in enumerate((col_a, col_b)):
-        for v, c in col.items():
-            classes.setdefault(c, ([], []))[side].append(v)
-    options, sk = (cut_options(a), cut_options(b)), a._skeleton
-    ordered = {x for o in a.vertex_orders for cover in o.covers for x in cover}
-    for v in (v for vs, _ in classes.values() if len(vs) > 1 for v in vs):
-        if not options[0] or sk.down[v] or v in ordered or any(e in rel_a for _, e in sk.up[v]):
-            return None
-    if any(leaf in g.vertex_level for g, o in zip((a, b), options) for *_, leaf in _cuts(o, {})):
-        return None
-    for ends in sk.down.values() if rel_a else ():
-        if any(e in rel_a and sum(x == u for x, _ in ends) > 1 for u, e in ends):
-            return None
-    return {v: w for vs, ws in classes.values() for v, w in zip(vs, ws)}
-
-
-def _colour_check(pre: tuple, phi: Mapping[str, str]) -> dict[str, str] | None:
-    """Whether _colour_map's ``phi`` is an isomorphism of the pair ``pre``
-    refined to common levels.  phi keeps levels, degrees and sink ranks; so
-    it is one when each vertex's long edges below, as (image of the lower
-    end, edge-order counts), are those of its image, and the generated
-    vertex and edge orders map onto b's.  (Stable colours already imply
-    the first part; it is checked so that the check stands alone.)  Returns
-    psi, which sends each long edge of a that carries a relation to the one
-    long edge of b between the images of its ends, or None when phi is not
-    an isomorphism."""
-    a, b, _, _, rel_a, rel_b = pre
-    down_a, down_b = a._skeleton.down, b._skeleton.down
-    for v, ends in down_a.items():
-        mine = sorted([(phi[u], rel_a.get(e, (0, 0))) for u, e in ends])
-        if mine != sorted([(u, rel_b.get(f, (0, 0))) for u, f in down_b[phi[v]]]):
-            return None
-    psi = {
-        e: next(f for x, f in down_b[phi[w]] if x == phi[u])
-        for w, ends in down_a.items() for u, e in ends if e in rel_a
-    }
-    for m, orders in ((phi, "vertex_orders"), (psi, "edge_orders")):
-        mine, theirs = (_order_pairs(getattr(g, orders)) for g in (a, b))
-        if {(m[x], m[y]) for x, y in mine} != set(theirs):
-            return None
-    return psi
-
-
-def _witness(pre: tuple, vertex_map: Mapping, edge_map: Mapping) -> MorphismWitness:
-    """Expand the maps that either route of reeb_iso yields on ``pre`` into an
-    isomorphism of the pair refined to common levels, level by level along
-    each long edge: ``vertex_map`` pairs the critical vertices, and
-    ``edge_map`` at least the long edges that carry an order relation, whose
-    ids refinement keeps.  Long edges with no relation and the same ends are
-    interchangeable, so those are paired by their ends."""
-    ra, rb = common_refinement(*pre[:2])
+def _witness(
+    a: ReebGraph, b: ReebGraph, vertex_map: Mapping, edge_map: Mapping
+) -> MorphismWitness:
+    """Expand an isomorphism of two graphs' skeletons into one of the pair
+    refined to common levels, level by level along each long edge:
+    ``vertex_map`` pairs the critical vertices, and ``edge_map`` at least
+    the long edges that carry an order relation, whose ids refinement keeps.
+    Long edges with no relation and the same ends are interchangeable, so
+    those are paired by their ends."""
+    ra, rb = common_refinement(a, b)
     sa, sb = ra._skeleton, rb._skeleton
     related = [{e for o in g.edge_orders for cover in o.covers for e in cover} for g in (ra, rb)]
     spare: dict[tuple[str, str], list[str]] = defaultdict(list)
@@ -787,33 +782,34 @@ def reeb_iso(
     Both graphs are read as their cached skeletons (critical vertices and
     long edges; see core._Skeleton), so nothing is refined and the cost
     follows the critical vertices, not the levels.  The prefilter checks the
-    level range and the skeletons' level values, then refines the critical
-    vertices' colours in one palette for both sides, and answers False as
-    soon as a level's colours differ (see _skeleton_prefilter).  When every
-    colour holds one critical vertex on each side, the map from colour to
-    colour is the only candidate, and checking it decides (see _colour_map
-    and _colour_check), once tied leaves of a network that carry no order
-    relation, which are interchangeable, are paired; no fingerprint is
-    built.  Otherwise, and when an ordered long edge has a parallel one or
-    a graph holds a cut leaf's id, the fingerprint route decides (see
-    _factor_match), on every input: single-source or not, with level
-    orders or without.  a's first factor
-    is fingerprinted, and b's factors that the refined colours allow are
-    fingerprinted one at a time until one matches.  So a decision builds at
-    most 1 + (number of factors of b) fingerprints, and 2 when the first
-    allowed factor of b matches; it builds no factor graph and no witness.
-    Optional leaf ranks constrain the bijection to respect the given integer
-    on bottom vertices (unranked ones must map to unranked ones).
-    ``budget`` bounds the fingerprints' tie-breaking (see canonical_form);
-    the colour route takes no branches and never raises SizeLimitExceeded.
+    level range and the skeletons' level values, then refines each graph's
+    critical vertices to names ranked within that graph, the two in
+    lockstep, and answers False at the first step that differs (see
+    _Refinement and _refinements).  When both graphs are certified (each
+    name holds one critical vertex, or, on a network, leaves with no order
+    relation, which are interchangeable), the names fix the one candidate
+    map, and comparing the two graphs' certificates (their order pairs
+    named) decides; no fingerprint is built.  Otherwise, where other names
+    tie, where an ordered long edge has a parallel one, or where a graph
+    holds a cut leaf's id, the fingerprint route decides (see
+    _factor_match), on every input: single-source or not, with level orders
+    or without.  a's first factor is fingerprinted, and b's factors that
+    the names allow are fingerprinted one at a time until one matches.  So
+    a decision builds at most 1 + (number of factors of b) fingerprints,
+    and 2 when the first allowed factor of b matches; it builds no factor
+    graph and no witness.  Optional leaf ranks constrain the bijection to
+    respect the given integer on bottom vertices (unranked ones must map to
+    unranked ones).  ``budget`` bounds the fingerprints' tie-breaking (see
+    canonical_form); the certificate route takes no branches and never
+    raises SizeLimitExceeded.
     """
-    pre = _skeleton_prefilter(a, b, leaf_ranks_a, leaf_ranks_b)
-    if pre is None:
+    pair = _refinements(a, b, leaf_ranks_a, leaf_ranks_b)
+    if pair is None:
         return False
-    phi = _colour_map(pre)
-    if phi is None:
-        return _factor_match(pre, leaf_ranks_a, leaf_ranks_b, budget) is not None
-    return _colour_check(pre, phi) is not None
+    ra, rb = pair
+    if ra.certified and rb.certified:
+        return ra.certificate == rb.certificate
+    return _factor_match(ra, rb, budget) is not None
 
 
 @dataclass(frozen=True)
@@ -893,10 +889,12 @@ def labelled_iso(a: ReebGraph, b: ReebGraph) -> MorphismWitness | None:
     (LabelMismatch otherwise); note refinement rewrites a split edge's label
     with ".lo"/".hi" suffixes, so graphs over identical level sets compare
     with their labels untouched.  Returns a witness over the refined pair, or
-    None when the forced map fails any check.
+    None when the level ranges differ or the forced map fails any check.
     """
     if not a.has_full_labels or not b.has_full_labels:
         raise MissingLabels("labelled comparison needs a full labelling on both sides")
+    if (a.levels[0], a.levels[-1]) != (b.levels[0], b.levels[-1]):
+        return None
     ra, rb = common_refinement(a, b)
     if tuple(len(vs) for vs in ra.vertex_sets) != tuple(len(vs) for vs in rb.vertex_sets):
         return None

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from typing import Callable
+
 import pytest
 
 from reebtrees import (
@@ -23,7 +26,25 @@ def rename_graph(graph: ReebGraph, tag: str = "z") -> ReebGraph:
     def m(x: str) -> str:
         return tag + x[::-1]
 
-    def remap_poset(p: LevelPoset) -> LevelPoset:
+    return relabel(graph, m, m)
+
+
+def shuffle_ids(graph: ReebGraph, rng: random.Random) -> tuple[ReebGraph, dict[str, str]]:
+    """``graph`` under a random id bijection, whose new ids sort in an order
+    unrelated to the old ones, and the bijection on its vertex ids."""
+    vs, es = sorted(graph.vertex_level), sorted(graph.edge_gap)
+    vertex = dict(zip(vs, (f"v{n}" for n in rng.sample(range(len(vs)), len(vs)))))
+    edge = dict(zip(es, (f"e{n}" for n in rng.sample(range(len(es)), len(es)))))
+    return relabel(graph, vertex.__getitem__, edge.__getitem__), vertex
+
+
+def relabel(
+    graph: ReebGraph, vertex: Callable[[str], str], edge: Callable[[str], str]
+) -> ReebGraph:
+    """``graph`` with every vertex id v renamed vertex(v) and every edge id e
+    renamed edge(e); both must be injective."""
+
+    def remap_poset(p: LevelPoset, m: Callable[[str], str]) -> LevelPoset:
         return LevelPoset(
             frozenset(m(x) for x in p.elements),
             frozenset((m(a), m(b)) for a, b in p.covers),
@@ -32,17 +53,17 @@ def rename_graph(graph: ReebGraph, tag: str = "z") -> ReebGraph:
     labels = None
     if graph.edge_labels is not None:
         labels = tuple(
-            None if d is None else {m(e): lab for e, lab in d.items()}
+            None if d is None else {edge(e): lab for e, lab in d.items()}
             for d in graph.edge_labels
         )
     return ReebGraph(
         levels=graph.levels,
-        vertex_sets=tuple(frozenset(m(v) for v in vs) for vs in graph.vertex_sets),
-        edge_sets=tuple(frozenset(m(e) for e in es) for es in graph.edge_sets),
-        down_maps=tuple({m(e): m(v) for e, v in d.items()} for d in graph.down_maps),
-        up_maps=tuple({m(e): m(v) for e, v in d.items()} for d in graph.up_maps),
-        vertex_orders=tuple(remap_poset(p) for p in graph.vertex_orders),
-        edge_orders=tuple(remap_poset(p) for p in graph.edge_orders),
+        vertex_sets=tuple(frozenset(map(vertex, vs)) for vs in graph.vertex_sets),
+        edge_sets=tuple(frozenset(map(edge, es)) for es in graph.edge_sets),
+        down_maps=tuple({edge(e): vertex(v) for e, v in d.items()} for d in graph.down_maps),
+        up_maps=tuple({edge(e): vertex(v) for e, v in d.items()} for d in graph.up_maps),
+        vertex_orders=tuple(remap_poset(p, vertex) for p in graph.vertex_orders),
+        edge_orders=tuple(remap_poset(p, edge) for p in graph.edge_orders),
         edge_labels=labels,
     )
 

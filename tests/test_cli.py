@@ -402,7 +402,8 @@ class TestIso:
     @pytest.mark.parametrize("flags", [[], ["--oracle"]], ids=["plain", "oracle"])
     def test_crossed_covers_are_not_isomorphic(self, capsys, flags):
         # Ranked leaves, the same order counts, crossed covers: the pair
-        # passes the prefilter with discrete colours and fails the map check.
+        # passes the prefilter, both graphs are certified, and their
+        # certificates differ.
         pair = [str(DATA / f"crossed_covers_{side}.json") for side in "ab"]
         assert main(["iso", *flags, *pair]) == 1
         assert capsys.readouterr().out == "not isomorphic\n"
@@ -415,6 +416,18 @@ class TestIso:
         src = str(DATA / "ordered_pair.json")
         assert main(["iso", "--labelled", src, src]) == 0
         assert capsys.readouterr().out == "isomorphic\n"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--oracle"], ["--labelled"], ["--labelled", "--oracle"]],
+        ids=["plain", "oracle", "labelled", "labelled-oracle"],
+    )
+    def test_different_level_ranges_are_not_isomorphic(self, capsys, flags):
+        # One labelled edge spanning [0, 1] and one spanning [0, 2].
+        pair = [str(DATA / "level_ranges" / f"{side}.json") for side in "ab"]
+        assert main(["iso", *flags, *pair]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("not isomorphic\n", "")
 
     def test_enwk_extension_sniffed(self, capsys, tmp_path):
         text = "(((C:1)#H1:1,A:2)x:1,(#H1:1,B:2)y:1)r;\n"

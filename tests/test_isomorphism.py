@@ -49,6 +49,7 @@ from conftest import (
     dated_caterpillar,
     deep_ordered_path,
     rename_graph,
+    shuffle_ids,
 )
 
 
@@ -400,6 +401,16 @@ class TestLabelled:
         witness = labelled_iso(coarse, fine)
         assert witness is not None and verify_witness(witness)
 
+    def test_different_level_ranges_are_not_isomorphic(self):
+        # The other deciders answer no on spans [0, 1] and [0, 2]; refining
+        # to common levels would raise BadLevelSet.
+        a, b = (
+            make_graph([0, top], [["x"], ["t"]], [[("e", "x", "t")]], labels=[{"e": "stem"}])
+            for top in (1, 2)
+        )
+        assert labelled_iso(a, b) is None and labelled_iso(b, a) is None
+        assert not reeb_iso(a, b) and not brute_force_iso(a, b, use_labels=True)
+
     def test_witness_verification_catches_tampering(self):
         a, b = self.labelled_pair()
         witness = labelled_iso(a, b)
@@ -544,15 +555,15 @@ class TestRoute:
         assert calls == {"canonical_form": 0, "brute_force_iso": 0, "apply_choice": 0}
 
     def test_renamed_chain_builds_no_fingerprint(self, calls):
-        # One critical vertex per level: the colours are discrete, so the
-        # one candidate map is checked and no factor is fingerprinted.
+        # One critical vertex per level: each name holds one vertex, so the
+        # certificates decide and no factor is fingerprinted.
         g = chain_with_bigons(40, 6)
         assert reeb_iso(g, rename_graph(g))
         assert calls == {"canonical_form": 0, "brute_force_iso": 0, "apply_choice": 0}
 
     def test_network_with_tied_leaves_builds_no_fingerprint(self, calls):
         # Two unranked leaves under one parent of a network tie; they are
-        # paired, and the one candidate map is checked.
+        # interchangeable, and the certificates decide.
         g = make_graph(
             [0, 1, 2],
             [["y1", "y2"], ["r"], ["t"]],
@@ -587,44 +598,78 @@ def swap_lower_ends(g, rng):
     return None
 
 
+def composed_maps(ra, rb, rng):
+    """The map that two refinements' names compose to, for a pair that
+    _refinements passed with both sides certified: each critical vertex of a
+    to the vertex of b with its name, tied leaves paired in a random order,
+    and each long edge of a that carries an edge-order relation to the one
+    long edge of b between the images of its ends.  Asserts that the map
+    keeps each vertex's long edges below, as (image of lower end,
+    edge-order counts), which the stable names imply."""
+    classes = defaultdict(lambda: ([], []))
+    for side, r in enumerate((ra, rb)):
+        for v, name in r.names.items():
+            classes[name][side].append(v)
+    phi = {}
+    for xs, ys in classes.values():
+        rng.shuffle(ys)
+        phi.update(zip(xs, ys))
+    down_a, down_b = ra.graph._skeleton.down, rb.graph._skeleton.down
+    rel_a, rel_b = ra.edge_counts, rb.edge_counts
+    for v, ends in down_a.items():
+        mine = sorted([(phi[u], rel_a.get(e, (0, 0))) for u, e in ends])
+        assert mine == sorted([(u, rel_b.get(f, (0, 0))) for u, f in down_b[phi[v]]])
+    psi = {
+        e: next(f for x, f in down_b[phi[w]] if x == phi[u])
+        for w, ends in down_a.items() for u, e in ends if e in rel_a
+    }
+    return phi, psi
+
+
 class Routes:
-    """Records, per reeb_iso call, which route decided (colour, for the one
-    candidate map of discrete colours, or fingerprint), with its answer, in
-    ``decided``, and the witness that route's maps expand into; None when it
-    found no isomorphism.  On every pair the colour route decides, the
-    fingerprint route must agree."""
+    """Records, per reeb_iso call, which route decided (colour, when both
+    graphs are certified and their certificates decide, or fingerprint),
+    with its answer, in ``decided``, and the witness that route's maps
+    expand into; None when it found no isomorphism.  On every pair the
+    colour route decides, the fingerprint route must agree, and the map the
+    two namings compose to must keep every vertex's long edges below."""
 
     def __init__(self, monkeypatch):
         self.decided: Counter = Counter()
         self.witnesses: list = []
-        self.ranks = (None, None)
-        factor_match, colour_check = isomorphism._factor_match, isomorphism._colour_check
+        self.pair = None
+        self.rng = random.Random(5)
+        self.factor_match = isomorphism._factor_match
+        refinements = isomorphism._refinements
 
-        def fingerprint(pre, *args):
-            maps = factor_match(pre, *args)
-            self._record("fingerprint", pre, maps)
+        def fingerprint(ra, rb, budget):
+            maps = self.factor_match(ra, rb, budget)
+            self._record("fingerprint", ra, rb, maps)
             return maps
 
-        def colour(pre, phi):
-            psi = colour_check(pre, phi)
-            found = factor_match(pre, *self.ranks, None)
-            assert (found is not None) == (psi is not None)
-            self._record("colour", pre, None if psi is None else (phi, psi))
-            return psi
+        def refine(*args):
+            self.pair = refinements(*args)
+            return self.pair
 
         monkeypatch.setattr(isomorphism, "_factor_match", fingerprint)
-        monkeypatch.setattr(isomorphism, "_colour_check", colour)
+        monkeypatch.setattr(isomorphism, "_refinements", refine)
 
-    def _record(self, route, pre, maps):
+    def _record(self, route, ra, rb, maps):
         self.decided[route, maps is not None] += 1
-        self.witnesses.append(maps and isomorphism._witness(pre, *maps))
+        self.witnesses.append(maps and isomorphism._witness(ra.graph, rb.graph, *maps))
 
     def decide(self, a, b, ranks_a, ranks_b):
         """reeb_iso on the pair; its answer and the list of witnesses it
         recorded (empty when the prefilter decided)."""
         self.witnesses.clear()
-        self.ranks = (ranks_a, ranks_b)
-        return reeb_iso(a, b, leaf_ranks_a=ranks_a, leaf_ranks_b=ranks_b), list(self.witnesses)
+        self.pair = None
+        got = reeb_iso(a, b, leaf_ranks_a=ranks_a, leaf_ranks_b=ranks_b)
+        if self.pair is not None and all(r.certified for r in self.pair):
+            ra, rb = self.pair
+            maps = composed_maps(ra, rb, self.rng)
+            assert (self.factor_match(ra, rb, None) is not None) == got
+            self._record("colour", ra, rb, maps if got else None)
+        return got, list(self.witnesses)
 
 
 def test_reeb_iso_matches_oracle_with_witnesses(monkeypatch):
@@ -933,8 +978,8 @@ def test_reeb_iso_matches_oracle_on_ordered_and_multi_source_pairs(monkeypatch):
                     pairs += 1
                     positive += want
     assert oracle_calls == []
-    # The skeleton prefilter's colour refinement ends every negative pair
-    # but one, so only 443 pairs reach a route.
+    # The lockstep refinements end every negative pair but one, so only 443
+    # pairs reach a route.
     assert (pairs, positive, verified) == (900, 442, 442)
     assert routes.decided == {
         ("colour", True): 298, ("colour", False): 1, ("fingerprint", True): 144
@@ -1060,40 +1105,23 @@ def ranked_star(covers, on_edges=False):
 @pytest.mark.parametrize("on_edges", [False, True])
 def test_crossed_covers_fail_the_colour_check(monkeypatch, on_edges):
     """Covers {(x1, x2), (x3, x4)} against {(x1, x4), (x3, x2)}: every leaf
-    keeps its rank and its order counts, so the prefilter passes and the
-    colours are discrete, and only the order check of the one candidate
-    map tells the pair apart.  The same covers listed in another order are
+    keeps its rank and its order counts, so the prefilter passes and both
+    graphs are certified, and only their certificates, the order pairs by
+    name, tell the pair apart.  The same covers listed in another order are
     the same graph."""
     a = ranked_star([(1, 2), (3, 4)], on_edges)
     ranks_b = renamed_ranks(STAR_RANKS)
     routes = Routes(monkeypatch)
     for covers, want in (([(1, 4), (3, 2)], False), ([(3, 4), (1, 2)], True)):
         b = rename_graph(ranked_star(covers, on_edges))
-        pre = isomorphism._skeleton_prefilter(a, b, STAR_RANKS, ranks_b)
-        assert pre is not None and isomorphism._colour_map(pre) is not None
+        pair = isomorphism._refinements(a, b, STAR_RANKS, ranks_b)
+        assert pair is not None and all(r.certified for r in pair)
+        assert (pair[0].certificate == pair[1].certificate) is want
         assert brute_force_iso(a, b, vertex_tags_a=STAR_RANKS, vertex_tags_b=ranks_b) is want
         got, (witness,) = routes.decide(a, b, STAR_RANKS, ranks_b)
         assert got is want and (witness is not None) is want
         assert witness is None or verify_witness(witness)
     assert routes.decided == {("colour", False): 1, ("colour", True): 1}
-
-
-def test_colour_check_stands_alone():
-    """The check reads nothing of the prefilter but the pair and the edge
-    order counts: a map that keeps every level but exchanges p, below m,
-    and r, below n, breaks two long edges, and fails."""
-    g = make_graph(
-        [0, 1, 2],
-        [["p", "q", "r", "u"], ["m", "n"], ["t"]],
-        [
-            [("e1", "p", "m"), ("e2", "q", "m"), ("e3", "r", "n"), ("e4", "u", "n")],
-            [("f1", "m", "t"), ("f2", "n", "t")],
-        ],
-    )
-    pre = (g, g, {}, {}, {}, {})
-    identity = {v: v for v in g.vertex_level}
-    assert isomorphism._colour_check(pre, identity) == {}
-    assert isomorphism._colour_check(pre, {**identity, "p": "r", "r": "p"}) is None
 
 
 def test_crossed_cover_pair_in_tests_data():
@@ -1109,9 +1137,10 @@ def test_crossed_cover_pair_in_tests_data():
 
 def test_parallel_ordered_edges_take_the_fingerprint_route(monkeypatch):
     """Three parallel long edges, two of them ordered: one critical vertex
-    per level leaves the colours discrete, but the ordered edges cannot be
-    told from their parallel twin by their ends, so the pair falls back to
-    the fingerprints, which agree with the oracle."""
+    per level leaves each name one vertex's, but the ordered edges cannot be
+    told from their parallel twin by their ends, so neither graph is
+    certified and the pair falls back to the fingerprints, which agree with
+    the oracle."""
     def bigons(order):
         return make_graph(
             [0, 1, 2],
@@ -1131,9 +1160,9 @@ def test_parallel_ordered_edges_take_the_fingerprint_route(monkeypatch):
     routes = Routes(monkeypatch)
     a = bigons([("f", "g")])
     for b in (rename_graph(a), rename_graph(bigons([("h", "f")]))):
-        pre = isomorphism._skeleton_prefilter(a, b, None, None)
-        assert pre is not None and len(set(pre[2].values())) == len(pre[2])
-        assert isomorphism._colour_map(pre) is None
+        pair = isomorphism._refinements(a, b, None, None)
+        assert pair is not None and len(set(pair[0].names.values())) == len(pair[0].names)
+        assert not any(r.certified for r in pair)
         got, (witness,) = routes.decide(a, b, None, None)
         assert got == brute_force_iso(a, b) is True
         assert verify_witness(witness)
@@ -1194,9 +1223,9 @@ def test_tied_leaves_of_a_network_take_the_colour_route(monkeypatch):
     routes = Routes(monkeypatch)
     for a, b, paired, want in cases:
         b = rename_graph(b)
-        pre = isomorphism._skeleton_prefilter(a, b, STAR_RANKS, ranks_b)
-        assert pre is not None and len(set(pre[2].values())) < len(pre[2])
-        assert (isomorphism._colour_map(pre) is not None) is paired
+        pair = isomorphism._refinements(a, b, STAR_RANKS, ranks_b)
+        assert pair is not None and len(set(pair[0].names.values())) < len(pair[0].names)
+        assert pair[0].certified is pair[1].certified is paired
         assert brute_force_iso(a, b, vertex_tags_a=STAR_RANKS, vertex_tags_b=ranks_b) is want
         got, (witness,) = routes.decide(a, b, STAR_RANKS, ranks_b)
         assert got is want and (witness is not None) is want
@@ -1386,8 +1415,10 @@ def test_cut_leaves_match_only_cut_leaves():
     b = graph([("m", "k"), ("m", "p"), ("t", "q"), ("u", "p")])
     assert validate(a) == validate(b) == []
     assert not brute_force_iso(a, b)
-    uniform = [dict.fromkeys(g.vertex_level, 0) for g in (a, b)]
-    assert isomorphism._factor_match((a, b, *uniform), None, None, None) is None
+    ra, rb = (isomorphism._Refinement(g, None) for g in (a, b))
+    for r in (ra, rb):
+        r.names = dict.fromkeys(r.names, 0)
+    assert isomorphism._factor_match(ra, rb, None) is None
 
 
 def test_refined_count_mismatch_refines_nothing(monkeypatch):
@@ -1711,13 +1742,13 @@ def one_level_refinement(g, rng):
 
 
 def test_skeleton_prefilter_matches_the_two_stage_reference():
-    """The one colour refinement rejects exactly the pairs that the former
-    prefilter (per-level counts, long edges, colours) and colour refinement
-    rejected between them.  Generator graphs (s = 0..3, merges of in-degree
-    2 and 3), ordered copies and copies with extra sources, sinks ranked on
-    every other graph; partners are renamed copies, copies with covers
-    drawn afresh and degree-preserving swaps, each also refined at one new
-    level."""
+    """The two graphs' refinements, run in lockstep, reject exactly the pairs
+    that the former prefilter (per-level counts, long edges, colours) and
+    the colour refinement in one palette rejected between them.  Generator
+    graphs (s = 0..3, merges of in-degree 2 and 3), ordered copies and
+    copies with extra sources, sinks ranked on every other graph; partners
+    are renamed copies, copies with covers drawn afresh and
+    degree-preserving swaps, each also refined at one new level."""
     shapes = [
         (2, 0, 3, 2),
         (3, 0, 4, 3),
@@ -1754,11 +1785,46 @@ def test_skeleton_prefilter_matches_the_two_stage_reference():
                                              (b, g, renamed_ranks(ranks), ranks)):
                             ref = reference_skeleton_prefilter(x, y, tx, ty)
                             want = ref is None or reference_stable_colours(ref) is None
-                            got = isomorphism._skeleton_prefilter(x, y, tx, ty) is None
+                            got = isomorphism._refinements(x, y, tx, ty) is None
                             assert got == want, (seed, n, s, kind)
                             pairs += 1
                             rejected += got
     assert (pairs, rejected) == (4044, 1580)
+
+
+@pytest.mark.parametrize("style", ["rename_graph", "shuffle_ids"])
+def test_refinement_names_do_not_depend_on_ids(style):
+    """A graph and its renamed copy, under a fixed or a random id bijection,
+    get equal steps, names that correspond through the renaming, and equal
+    certificates.  Generator graphs (s = 0..3, merges of in-degree 2 and 3),
+    with random covers, with extra sources, or with both, sinks ranked on
+    every other graph."""
+    shapes = [(2, 0, 3, 2), (3, 1, 4, 3), (3, 2, 4, 2), (4, 3, 5, 3), (2, 3, 4, 3)]
+    rng, ids_rng = random.Random(4646), random.Random(47)
+    graphs = certified = 0
+    for seed in range(24):
+        for n, s, lv, d in shapes:
+            spec = GeneratorSpec(seed=seed, n_leaves=n, betti=s, levels=lv, max_indeg=d)
+            base = random_graph(spec)
+            for kind in ("covers", "sources", "both"):
+                plain = base if kind == "covers" else add_sources(base, rng, rng.randint(1, 2))
+                g = plain if kind == "sources" else random_covers(plain, rng)
+                ranks = None
+                if graphs % 2:
+                    ranks = {v: rng.randrange(-1, 2) for v in g.vertex_ids() if g.outdeg(v) == 0}
+                if style == "rename_graph":
+                    h, ids = rename_graph(g), {v: "z" + v[::-1] for v in g.vertex_level}
+                else:
+                    h, ids = shuffle_ids(g, ids_rng)
+                ranks_h = ranks and {ids[v]: r for v, r in ranks.items()}
+                ra, rb = isomorphism._Refinement(g, ranks), isomorphism._Refinement(h, ranks_h)
+                assert list(ra.steps()) == list(rb.steps())
+                assert {ids[v]: name for v, name in ra.names.items()} == rb.names
+                assert ra.certified == rb.certified
+                assert ra.certificate == rb.certificate
+                graphs += 1
+                certified += ra.certified
+    assert (graphs, certified) == (360, 243)
 
 
 def test_decomposition_invariant_agrees_with_reeb_iso():
