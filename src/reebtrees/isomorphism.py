@@ -176,7 +176,7 @@ class _Refinement:
             self.names[v] = (i, len(sk.up[v]), len(sk.down[v]), *rel.get(v, (0, 0)), tag)
             self.rows[i].append(v)
 
-    def steps(self) -> Iterator[list]:
+    def steps(self) -> Iterator[Sequence]:
         """The starting multiset, then each sweep's (sorted distinct
         signatures, sorted new names); the names are stable once it is
         exhausted."""
