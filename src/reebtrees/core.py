@@ -2,8 +2,11 @@
 
 A graph here is a finite sequence of exact rational levels, a nonempty vertex
 set on every level, a nonempty edge set over every gap between consecutive
-levels, and total attachment maps sending each edge to its bottom (down) and
-top (up) endpoint.  Vertex and edge sets each carry a partial order stored as
+levels, and total attachment maps sending each edge of gap i to its bottom
+(down) endpoint on level i and its top (up) endpoint on level i + 1; no edge
+skips a level.  validate and ``_checked_skeleton``, which the distances, the
+decomposition and the export read, hold a graph to that rule with one check
+(_unattached).  Vertex and edge sets each carry a partial order stored as
 covering relations.  Everything is immutable after construction.
 
 Compact graphs.  A graph that network_to_reeb embeds stores only its level
@@ -30,7 +33,7 @@ None.  A graph built by make_graph or load_text holds all its fields.
   validate has nothing to report, that the skeleton's checks pass and that
   no id has the reserved prefix; the order rule answers any compact graph
   unbuilt, since none has a relation.  So, unless a node has one parent
-  and one child (see enewick._recorded_skeleton), the skeleton, the
+  and one child (see enewick._Embedding.skeleton), the skeleton, the
   vectors, ``network_distance``, ``reeb_to_network`` and ``write_enewick``
   build nothing.  Any other reader builds the fields and runs as for any graph:
   ``dump_text``, ``to_dot``, ``refine_to_levels``,
@@ -302,38 +305,26 @@ class ReebGraph:
 
     @cached_property
     def _skeleton(self) -> _Skeleton:
-        # network_to_reeb leaves a recipe that reads the skeleton off the
-        # network it embeds; it returns None where that reading would differ.
-        recipe = self.__dict__.pop("_skeleton_recipe", None)
-        return (recipe and recipe(self)) or _Skeleton.of(self)
+        # A compact graph's recipe reads the skeleton off the network it
+        # embeds; it returns None where that reading would differ.
+        recipe = self.__dict__.get("_recipe")
+        return (recipe and recipe.skeleton(self)) or _Skeleton.of(self)
 
     @cached_property
     def _checked_skeleton(self) -> _Skeleton:
         """``_skeleton``, after the checks that building it and walking down
-        it need.  A vertex id on two levels or an edge id in two gaps, which
-        the skeleton would join, raises ValueError in validate's wording; so
-        does an edge of gap i whose lower end is no vertex on a level up to
-        i, or whose upper end is no vertex on a level above i, since a long
-        edge could then lead back up, and a walk from the root miss the
-        vertices it leads to or never leave them.  An edge may skip levels.
-        Each check is one count, or one subset test per map against the
-        vertices of the levels so far; ids are sorted only to name a fault.
-        A plain compact graph passes them unread."""
+        it need: the first of validate's lines for a vertex id on two levels
+        or an edge id in two gaps, which the skeleton would join, and then
+        for a map whose domain is not its gap's edges or an edge end that is
+        no vertex on the level next to its gap, raised as ValueError.  An
+        end off its level could lead back up, and a walk from the root miss
+        the vertices it leads to or never leave them.  A plain compact graph
+        passes them unread."""
         if self._plain:
             return self._skeleton
-        repeat = next(_repeated_ids(self), None)
-        if repeat is not None:
-            raise ValueError(repeat)
-        vertices = self._ids[0]
-        below: set[str] = set()
-        for i, (vs, dn, up) in enumerate(zip(self.vertex_sets, self.down_maps, self.up_maps)):
-            below |= vs
-            if not below.issuperset(dn.values()):
-                e = min(e for e, v in dn.items() if v not in below)
-                raise ValueError(_dangling("down_map", dn, e, i))
-            if not (below.isdisjoint(up.values()) and vertices.issuperset(up.values())):
-                e = min(e for e, v in up.items() if v in below or v not in vertices)
-                raise ValueError(_dangling("up_map", up, e, i + 1))
+        fault = next(chain(_repeated_ids(self), _unattached(self)), None)
+        if fault is not None:
+            raise ValueError(fault)
         return self._skeleton
 
 
@@ -464,6 +455,31 @@ def _repeated_ids(graph: ReebGraph) -> Iterator[str]:
                         first[x] = i
 
 
+def _unattached(graph: ReebGraph) -> Iterator[str]:
+    """validate's line for every map whose domain is not its gap's edges,
+    and for every edge end that is no vertex on the level next to its gap:
+    gap by gap, the down map before the up map, a map's ends by edge id."""
+    vsets, esets = graph.vertex_sets, graph.edge_sets
+    downs, ups = graph.down_maps, graph.up_maps
+    if (
+        len(downs) == len(ups) == len(esets) == len(vsets) - 1
+        and all(map(eq, map(methodcaller("keys"), downs), esets))
+        and all(map(eq, map(methodcaller("keys"), ups), esets))
+        and all(vs.issuperset(dn.values()) for vs, dn in zip(vsets, downs))
+        and all(vs.issuperset(up.values()) for vs, up in zip(vsets[1:], ups))
+    ):
+        return
+    for i, es in enumerate(esets):
+        for name, mp, targets, lvl in (
+            ("down_map", downs[i], vsets[i], i),
+            ("up_map", ups[i], vsets[i + 1], i + 1),
+        ):
+            if mp.keys() != es:
+                yield f"{name} domain mismatch at gap {i}"
+            for e in sorted(e for e in es if e in mp and mp[e] not in targets):
+                yield _dangling(name, mp, e, lvl)
+
+
 def _dangling(name: str, mp: Mapping[str, str], e: str, level: int) -> str:
     return f"dangling {name} target {mp[e]!r} for edge {e!r} (expected a vertex at level {level})"
 
@@ -576,26 +592,8 @@ def validate(graph: ReebGraph, *, allow_cut_ids: bool = False) -> list[str]:
         for x in sorted({x for x in chain(seen_v, seen_e) if x.startswith(RESERVED_VERTEX_PREFIX)}):
             report.append(f"reserved id prefix {RESERVED_VERTEX_PREFIX!r} on {x!r}")
 
-    # Each map's domain is its gap's edges and its values lie on its level.
-    attached = (
-        len(downs) == len(ups) == len(esets) == len(vsets) - 1
-        and all(map(eq, map(methodcaller("keys"), downs), esets))
-        and all(map(eq, map(methodcaller("keys"), ups), esets))
-        and all(vs.issuperset(dn.values()) for vs, dn in zip(vsets, downs))
-        and all(vs.issuperset(up.values()) for vs, up in zip(vsets[1:], ups))
-    )
-    if not attached:
-        for i in range(graph.gap_count):
-            es = esets[i]
-            for name, mp, targets, lvl in (
-                ("down_map", downs[i], vsets[i], i),
-                ("up_map", ups[i], vsets[i + 1], i + 1),
-            ):
-                if mp.keys() != es:
-                    report.append(f"{name} domain mismatch at gap {i}")
-                dangling = [e for e in es if e in mp and mp[e] not in targets]
-                for e in sorted(dangling):
-                    report.append(_dangling(name, mp, e, lvl))
+    unattached = list(_unattached(graph))
+    report += unattached
 
     def check_order(poset: LevelPoset, carrier: frozenset[str], what: str, i: int):
         if poset.elements != carrier:
@@ -654,11 +652,13 @@ def validate(graph: ReebGraph, *, allow_cut_ids: bool = False) -> list[str]:
 
     # Connectivity over the incidence structure, using only well-formed
     # links.  Where ids are unique and every edge joins its gap's two
-    # levels, each component holds a source (its highest vertex is no
-    # edge's lower end), so a graph with one source is connected and needs
-    # no further pass.
-    if not repeats and attached and len(seen_v) - len(set().union(*map(methodcaller("values"), downs))) == 1:
-        return report
+    # levels, each component holds a source (its highest vertex is no lower
+    # end of a gap's edge), so a graph with one source is connected and
+    # needs no further pass.
+    if not (repeats or unattached):
+        lower_ends = set().union(*map(methodcaller("values"), downs[:graph.gap_count]))
+        if len(seen_v) - len(lower_ends) == 1:
+            return report
     # Otherwise a union-find over one integer per id (an id used as both
     # vertex and edge is one node), merging components as links join them.
     index = {x: n for n, x in enumerate(seen_v | seen_e)}
@@ -701,8 +701,10 @@ def minimize_critical_set(graph: ReebGraph) -> ReebGraph:
     The result has the same geometry with the smallest level set: it keeps
     the bottom and top levels and every level holding a vertex of the
     checked skeleton (_Skeleton) without exactly one long edge above and
-    one below, so ids used twice and edge ends off their levels raise
-    ValueError.  Raises OrderConflict when splicing would discard covers,
+    one below.  So an id used twice, a map whose domain is not its gap's
+    edges and an edge end off the level next to its gap, such as that of an
+    edge that skips a level, raise ValueError with validate's first line for
+    them.  Raises OrderConflict when splicing would discard covers,
     since a merged chain cannot carry the per-gap order data.  Labels of
     merged gaps are dropped.
     """
@@ -866,30 +868,6 @@ def refine_to_levels(
         edge_orders=eorders,
         edge_labels=labels if graph.edge_labels is not None else None,
     )
-
-
-def _refined_counts(
-    graph: ReebGraph, levels: Sequence[Fraction]
-) -> tuple[list[int], list[int]]:
-    """Per-level vertex and per-gap edge counts of ``refine_to_levels(graph,
-    levels)`` (``levels`` sorted, a superset of the graph's own over the same
-    range), read off the graph itself: every piece of a gap keeps the gap's
-    edge count, and an inserted level has as many vertices as its gap has
-    edges.  One merge walk over both level sequences, which compares levels
-    and never hashes them."""
-    own, vsets, esets = graph.levels, graph.vertex_sets, graph.edge_sets
-    per_level: list[int] = []
-    per_gap: list[int] = []
-    i = 0  # the graph's next level; the current gap is i - 1
-    for lv in levels[:-1]:
-        if lv == own[i]:
-            per_level.append(len(vsets[i]))
-            i += 1
-        else:
-            per_level.append(len(esets[i - 1]))
-        per_gap.append(len(esets[i - 1]))
-    per_level.append(len(vsets[-1]))
-    return per_level, per_gap
 
 
 def common_refinement(a: ReebGraph, b: ReebGraph) -> tuple[ReebGraph, ReebGraph]:

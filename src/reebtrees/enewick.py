@@ -26,7 +26,7 @@ from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from operator import itemgetter
 
 from .core import ReebGraph, _Skeleton, _compact_graph, _fields, as_level, format_level
@@ -271,7 +271,7 @@ def network_to_reeb(net: PhyloNetwork) -> ReebGraph:
     values and an _Embedding, the nodes' levels and the branches, and builds
     its vertex and edge sets, maps and orders, with every pass-through id,
     when one of them is first read.  Its skeleton is read off the network
-    when first asked for (see _recorded_skeleton)."""
+    when first asked for (see _Embedding.skeleton)."""
     _, ticks = _ticks(net.times)
     # Level i holds the i-th latest time.
     order = sorted(set(ticks), reverse=True)
@@ -289,7 +289,6 @@ def network_to_reeb(net: PhyloNetwork) -> ReebGraph:
         # Built now, so that an edge id used twice in a gap raises here, as
         # make_graph does.
         graph.vertex_sets
-    object.__setattr__(graph, "_skeleton_recipe", partial(_recorded_skeleton, embedding))
     return graph
 
 
@@ -316,7 +315,8 @@ class _Embedding:
     """The compact form of a graph network_to_reeb builds: ``level_of``
     sends each node to its level index, and ``edges`` lists the branches as
     (parent, child) pairs, as the network does.  The graph's other fields
-    follow from these and its levels (``fields``).
+    follow from these and its levels (``fields``); so does its skeleton,
+    except where ``skeleton`` returns None.
 
     Branch names: the branch from child c up to parent p is ``c<p``, and
     the n-th repeat of the pair ``c<p~n``.  A branch over one gap is one
@@ -400,46 +400,45 @@ class _Embedding:
             ups.append({e: u for e, _, u in gap})
         return _fields([frozenset(sorted(vs)) for vs in vertices], downs, ups)
 
-
-def _recorded_skeleton(embedding: _Embedding, graph: ReebGraph) -> _Skeleton | None:
-    """The skeleton of ``graph``, network_to_reeb's embedding of a network,
-    read off the network: the nodes are the critical vertices, every level
-    holds one, and each branch is one long edge, named by its lowest edge;
-    its edge ids are named when read (_Chains).  None, so that the graph
-    finds its skeleton itself, when that reading would be wrong: a node with
-    one parent and one child is regular, and a generated id that another id
-    repeats joins what should stay apart."""
-    level_of = embedding.level_of
-    down: dict[str, list[tuple[str, str]]] = {v: [] for v in level_of}
-    up: dict[str, list[tuple[str, str]]] = {v: [] for v in level_of}
-    spans: dict[str, tuple[str, int, int]] = {}
-    named = []
-    for (parent, child), base in zip(embedding.edges, embedding.bases()):
-        lo = level_of[child]
-        hi = level_of[parent]
-        lowest = base if hi == lo + 1 else f"{base}:{lo}"
-        spans[lowest] = base, lo, hi
-        named.append((lowest, parent, child))
-    # Branches by long edge, so that every node's lists come out sorted.
-    named.sort()
-    for lowest, parent, child in named:
-        down[parent].append((child, lowest))
-        up[child].append((parent, lowest))
-    if any(len(a) == 1 == len(b) for a, b in zip(up.values(), down.values())):
-        return None
-    if not embedding.reader_ids:
-        passing = sum(level_of[p] - level_of[c] - 1 for p, c in embedding.edges)
-        vertices, edges = graph._ids
-        if len(vertices) != len(level_of) + passing or len(edges) != len(named) + passing:
+    def skeleton(self, graph: ReebGraph) -> _Skeleton | None:
+        """The skeleton of ``graph``, the graph this embedding builds, read
+        off the network: the nodes are the critical vertices, every level
+        holds one, and each branch is one long edge, named by its lowest
+        edge; its edge ids are named when read (_Chains).  None, so that the
+        graph finds its skeleton itself, when that reading would be wrong: a
+        node with one parent and one child is regular, and a generated id
+        that another id repeats joins what should stay apart."""
+        level_of = self.level_of
+        down: dict[str, list[tuple[str, str]]] = {v: [] for v in level_of}
+        up: dict[str, list[tuple[str, str]]] = {v: [] for v in level_of}
+        spans: dict[str, tuple[str, int, int]] = {}
+        named = []
+        for (parent, child), base in zip(self.edges, self.bases()):
+            lo = level_of[child]
+            hi = level_of[parent]
+            lowest = base if hi == lo + 1 else f"{base}:{lo}"
+            spans[lowest] = base, lo, hi
+            named.append((lowest, parent, child))
+        # Branches by long edge, so that every node's lists come out sorted.
+        named.sort()
+        for lowest, parent, child in named:
+            down[parent].append((child, lowest))
+            up[child].append((parent, lowest))
+        if any(len(a) == 1 == len(b) for a, b in zip(up.values(), down.values())):
             return None
-    return _Skeleton(
-        levels=graph.levels,
-        graph_level=tuple(range(graph.level_count)),
-        vertex_level=level_of,
-        down={v: tuple(ps) for v, ps in down.items()},
-        up={v: tuple(ps) for v, ps in up.items()},
-        chains=_Chains(spans),
-    )
+        if not self.reader_ids:
+            passing = sum(level_of[p] - level_of[c] - 1 for p, c in self.edges)
+            vertices, edges = graph._ids
+            if len(vertices) != len(level_of) + passing or len(edges) != len(named) + passing:
+                return None
+        return _Skeleton(
+            levels=graph.levels,
+            graph_level=tuple(range(graph.level_count)),
+            vertex_level=level_of,
+            down={v: tuple(ps) for v, ps in down.items()},
+            up={v: tuple(ps) for v, ps in up.items()},
+            chains=_Chains(spans),
+        )
 
 
 class _Chains(Mapping):

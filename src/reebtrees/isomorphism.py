@@ -48,7 +48,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .core import (
     LevelPoset,
     ReebGraph,
-    _refined_counts,
     common_refinement,
     refine_to_levels,
 )
@@ -121,22 +120,19 @@ def _prefilter(
     tags_b: Mapping[str, int] | None,
     use_labels: bool = False,
 ) -> tuple[ReebGraph, ReebGraph, tuple, tuple] | None:
-    """brute_force_iso's prefilter.  Check level range, compare the
-    per-level and per-gap counts of the refined pair (read off the coarse
-    graphs), then refine both to the one sorted union of their levels and
-    compare colour multisets.  Returns (ra, rb, colours_a, colours_b), or
-    None when the pair cannot be isomorphic.  ``use_labels`` needs full
-    labellings on both sides (MissingLabels, raised once the counts agree)."""
+    """brute_force_iso's prefilter.  Check level range, refine both to the
+    union of their levels (common_refinement), compare the refined pair's
+    per-level vertex and per-gap edge counts, then their colour multisets.
+    Returns (ra, rb, colours_a, colours_b), or None when the pair cannot be
+    isomorphic.  ``use_labels`` needs full labellings on both sides
+    (MissingLabels, raised once the counts agree)."""
     if (a.levels[0], a.levels[-1]) != (b.levels[0], b.levels[-1]):
         return None
-    union = a.levels if a.levels == b.levels else sorted(set(a.levels) | set(b.levels))
-    if _refined_counts(a, union) != _refined_counts(b, union):
-        return None
-    ra, rb = a, b
-    if union is not a.levels:
-        ra, rb = refine_to_levels(a, union), refine_to_levels(b, union)
+    ra, rb = common_refinement(a, b)
     sets_a = (ra.vertex_sets, ra.edge_sets)
     sets_b = (rb.vertex_sets, rb.edge_sets)
+    if [list(map(len, xs)) for xs in sets_a] != [list(map(len, ys)) for ys in sets_b]:
+        return None
     if use_labels and not (ra.has_full_labels and rb.has_full_labels):
         raise MissingLabels("use_labels requires full labellings on both sides")
     ca = _colours(ra, tags_a, use_labels)

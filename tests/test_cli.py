@@ -357,23 +357,31 @@ class TestInputErrors:
         assert captured.out == ""
         assert captured.err == f"error: {path}: {validate(graph)[0]}\n"
 
-    @pytest.mark.parametrize("command", ["betti", "classify", "minimize", "decompose"])
-    def test_level_skipping_edge_is_refused(self, capsys, tmp_path, command):
+    @pytest.mark.parametrize(
+        "command", ["betti", "classify", "minimize", "decompose", "dist", "dist --matrix"]
+    )
+    def test_level_skipping_edge_is_refused(self, capsys, tmp_path, net_a, command):
         # The four-level path a-m-n-b with edge lo retargeted from m to n:
-        # lo skips level 1, which validate rejects and the skeleton allows.
+        # lo skips level 1, which validate and the checked skeleton reject.
+        # dist reads the checked skeleton and names no path.
         g = make_graph(
             [0, 1, 2, 3],
             [["a"], ["m"], ["n"], ["b"]],
             [[("lo", "a", "n")], [("mid", "m", "n")], [("hi", "n", "b")]],
         )
         path = write_graph(tmp_path, "g.json", g)
-        assert main([command, path]) == 2
+        fault = "dangling up_map target 'n' for edge 'lo' (expected a vertex at level 1)"
+        if command == "dist":
+            argv, want = ["dist", path, path], f"error: {fault}\n"
+        elif command == "dist --matrix":
+            write_graph(tmp_path, "a.json", net_a)
+            argv, want = ["dist", "--matrix", str(tmp_path)], f"error: {fault}\n"
+        else:
+            argv, want = [command, path], f"error: {path}: {fault}\n"
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"error: {path}: dangling up_map target 'n' for edge 'lo' "
-            "(expected a vertex at level 1)\n"
-        )
+        assert captured.err == want
 
     def test_repeated_ids_named_whatever_the_hash_seed(self, tmp_path):
         # a, b, c and d on levels 0 and 1: validate's first line names the

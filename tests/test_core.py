@@ -45,7 +45,7 @@ from reebtrees import (
     validate,
 )
 
-from reebtrees.core import RESERVED_VERTEX_PREFIX, _dangling, _refined_counts
+from reebtrees.core import RESERVED_VERTEX_PREFIX, _dangling
 from reebtrees.isomorphism import _prefilter
 
 from conftest import corpus, dated_caterpillar, rename_graph
@@ -436,27 +436,14 @@ def counts(graph: ReebGraph) -> tuple[list[int], list[int]]:
 
 
 def edge_structure_cases(cycle_graph):
-    """Pairs over one range whose refined counts agree, then pairs whose
-    counts differ."""
-    agree = [
-        (
-            refine_to_levels(cycle_graph, [0, 1, "3/2", 2, 3]),
-            refine_to_levels(cycle_graph, [0, "1/2", 1, 2, 3]),
-        ),
-        (cycle_graph, rename_graph(cycle_graph)),
-    ]
-    differ = [
+    """Pairs over one range whose refined counts differ."""
+    return [
         (
             make_graph([0, 1], [["a"], ["b"]], [[("e", "a", "b")]]),
             make_graph([0, 1], [["a"], ["b"]], [[("e", "a", "b"), ("f", "a", "b")]]),
         ),
         (cycle_graph, make_graph([0, 3], [["a"], ["b"]], [[("e", "a", "b")]])),
     ]
-    return agree, differ
-
-
-def union_levels(a: ReebGraph, b: ReebGraph) -> list:
-    return sorted(set(a.levels) | set(b.levels))
 
 
 def test_common_refinement_and_edge_structure(cycle_graph):
@@ -464,8 +451,7 @@ def test_common_refinement_and_edge_structure(cycle_graph):
     b = refine_to_levels(cycle_graph, [0, "1/2", 1, 2, 3])
     ra, rb = common_refinement(a, b)
     assert ra.levels == rb.levels == (0, Fraction(1, 2), 1, Fraction(3, 2), 2, 3)
-    union = union_levels(a, b)
-    assert _refined_counts(a, union) == _refined_counts(b, union) == counts(ra) == counts(rb)
+    assert counts(ra) == counts(rb)
 
 
 def test_edge_structure_range_mismatch(cycle_graph):
@@ -476,40 +462,8 @@ def test_edge_structure_range_mismatch(cycle_graph):
 
 
 def test_edge_structure_detects_difference(cycle_graph):
-    for a, b in edge_structure_cases(cycle_graph)[1]:
-        union = union_levels(a, b)
-        assert _refined_counts(a, union) != _refined_counts(b, union)
+    for a, b in edge_structure_cases(cycle_graph):
         assert _prefilter(a, b, None, None) is None
-
-
-def test_refined_counts_match_refinement(cycle_graph):
-    # The counts _prefilter compares, read off the coarse graph, against
-    # the graph refine_to_levels builds.
-    agree, differ = edge_structure_cases(cycle_graph)
-    cases = [(g, union_levels(a, b)) for a, b in agree + differ for g in (a, b)]
-    rng = random.Random(20261019)
-    for seed in range(320):
-        spec = GeneratorSpec(
-            seed=seed,
-            n_leaves=rng.randint(2, 4),
-            betti=rng.randint(0, 3),
-            levels=rng.randint(2, 5),
-            max_indeg=rng.choice([2, 3]),
-        )
-        try:
-            graph = random_graph(spec)
-        except InfeasibleSpec:
-            continue
-        inserted = set()
-        for _ in range(rng.randrange(4)):
-            i = rng.randrange(graph.gap_count)
-            lo, hi = graph.levels[i:i + 2]
-            inserted.add(lo + rng.choice(FRACTIONS) * (hi - lo))
-        cases.append((graph, sorted({*graph.levels, *inserted})))
-    assert len(cases) >= 300 + 8
-    assert {len(levels) - g.level_count for g, levels in cases} == {0, 1, 2, 3}
-    for graph, levels in cases:
-        assert _refined_counts(graph, levels) == counts(refine_to_levels(graph, levels))
 
 
 # The one-pass refinement must match, id for id and message for message, the
@@ -1125,41 +1079,20 @@ def in_validates_order(lines):
     return out
 
 
-# ReebGraph._checked_skeleton as it was before it counted ids on the graph's
-# id index, kept verbatim apart from reading ``graph`` for ``self``.
+# The lines of validate that ReebGraph._checked_skeleton raises: an id used
+# twice, a map whose domain is not its gap's edges, an edge end off its level.
+_SKELETON_FAULT = re.compile(
+    r"duplicate (?:vertex|edge) id |(?:down|up)_map domain mismatch |dangling (?:down|up)_map "
+)
+
+
 def reference_checked_skeleton(graph: ReebGraph):
-    """``_skeleton``, after the checks that building it and walking down
-    it need.  A vertex id on two levels or an edge id in two gaps, which
-    the skeleton would join, raises ValueError in validate's wording; so
-    does an edge of gap i whose lower end is no vertex on a level up to
-    i, or whose upper end is no vertex on a level above i, since a long
-    edge could then lead back up, and a walk from the root miss the
-    vertices it leads to or never leave them.  An edge may skip levels.
-    Each check is one count, or one subset test per map against the
-    vertices of the levels so far; ids are sorted only to name a fault."""
-    vertices = set().union(*graph.vertex_sets)
-    for what, where, sets, union in (
-        ("vertex", "levels", graph.vertex_sets, vertices),
-        ("edge", "gaps", graph.edge_sets, set().union(*graph.edge_sets)),
-    ):
-        if sum(map(len, sets)) > len(union):
-            first: dict[str, int] = {}
-            for i, xs in enumerate(sets):
-                for x in sorted(xs):
-                    if x in first:
-                        raise ValueError(
-                            f"duplicate {what} id {x!r} at {where} {first[x]} and {i}"
-                        )
-                    first[x] = i
-    below: set[str] = set()
-    for i, (vs, dn, up) in enumerate(zip(graph.vertex_sets, graph.down_maps, graph.up_maps)):
-        below |= vs
-        if not below.issuperset(dn.values()):
-            e = min(e for e, v in dn.items() if v not in below)
-            raise ValueError(_dangling("down_map", dn, e, i))
-        if not (below.isdisjoint(up.values()) and vertices.issuperset(up.values())):
-            e = min(e for e, v in up.items() if v in below or v not in vertices)
-            raise ValueError(_dangling("up_map", up, e, i + 1))
+    """The first line of reference_validate, in validate's order, that
+    reports a fault of _SKELETON_FAULT, raised as ValueError; with no such
+    line, ``_skeleton``."""
+    for line in in_validates_order(reference_validate(graph)):
+        if _SKELETON_FAULT.match(line):
+            raise ValueError(line)
     return graph._skeleton
 
 

@@ -356,7 +356,7 @@ class TestRecordedSkeleton:
     def test_equals_the_graphs_own(self):
         kinds = Counter()
         for g in embedded_networks():
-            recorded = g.__dict__["_skeleton_recipe"](g)
+            recorded = g._recipe.skeleton(g)
             kinds["recorded" if recorded else "fallback"] += 1
             if recorded:
                 kinds["parallel"] += any("~" in e for e in recorded.chains)
@@ -389,15 +389,15 @@ class TestRecordedSkeleton:
             ),
         ):
             g = network_to_reeb(net)
-            assert g.__dict__["_skeleton_recipe"](g) is None
+            assert g._recipe.skeleton(g) is None
             assert g._skeleton == _Skeleton.of(g)
 
     def test_graphs_compare_without_it(self):
         text = "((A:2,(C:1)#H1:1)x:1,(#H1:1,B:2)y:1)r;"
         a, b = enewick_to_reeb(text), enewick_to_reeb(text)
         a._skeleton
-        assert a == b and "_skeleton_recipe" in b.__dict__
-        assert "_skeleton_recipe" not in dataclasses.replace(b).__dict__
+        assert a == b and "_skeleton" in a.__dict__ and "_skeleton" not in b.__dict__
+        assert "_recipe" not in dataclasses.replace(b).__dict__
 
 
 class TestExportMatchesReference:

@@ -35,11 +35,13 @@ from reebtrees import (
     load_text,
     lp_distance,
     make_graph,
+    minimize_critical_set,
     network_distance,
     network_to_reeb,
     nth_root_fraction,
     parse_enewick,
     random_graph,
+    reeb_to_network,
     validate,
 )
 from reebtrees.core import RESERVED_VERTEX_PREFIX, ReebGraph
@@ -828,6 +830,27 @@ class TestSkeletonInputChecks:
             network_distance(g, g)
         assert str(info.value) == message
 
+    def test_level_skipping_edge(self):
+        # The four-level path a-m-n-b with edge lo retargeted from m to n:
+        # every reader of the checked skeleton raises validate's line.
+        g = make_graph(
+            [0, 1, 2, 3],
+            [["a"], ["m"], ["n"], ["b"]],
+            [[("lo", "a", "n")], [("mid", "m", "n")], [("hi", "n", "b")]],
+        )
+        message = "dangling up_map target 'n' for edge 'lo' (expected a vertex at level 1)"
+        assert validate(g) == [message]
+        for call in (
+            lambda x: network_distance(x, x),
+            decompose,
+            cophenetic_vector,
+            minimize_critical_set,
+            reeb_to_network,
+        ):
+            with pytest.raises(ValueError) as info:
+                call(dataclasses.replace(g))
+            assert str(info.value) == message
+
 
 class TestGrayCode:
     @pytest.mark.parametrize("radices", [[], [2], [3], [2, 3, 2], [3, 3, 2, 4]])
@@ -866,11 +889,11 @@ class TestNetworkVectorsRaiseLikeDecompose:
         # 0 and 1, and cophenetic_vector would raise NotATree on it.
         g = make_graph(
             [0, 1, 2, 3],
-            [["r"], ["a", "b", "cut:e1"], ["c"], ["t"]],
+            [["r"], ["a", "b", "cut:e1"], ["c", "p"], ["t"]],
             [
                 [("e1", "r", "a"), ("e2", "r", "b")],
-                [("g1", "a", "c"), ("g2", "b", "c"), ("g3", "cut:e1", "t")],
-                [("h1", "c", "t")],
+                [("g1", "a", "c"), ("g2", "b", "c"), ("g3", "cut:e1", "p")],
+                [("h1", "c", "t"), ("h2", "p", "t")],
             ],
         )
         with pytest.raises(ValueError) as want:
