@@ -4,10 +4,12 @@ A graph here is a finite sequence of exact rational levels, a nonempty vertex
 set on every level, a nonempty edge set over every gap between consecutive
 levels, and total attachment maps sending each edge of gap i to its bottom
 (down) endpoint on level i and its top (up) endpoint on level i + 1; no edge
-skips a level.  validate and ``_checked_skeleton``, which the distances, the
-decomposition and the export read, hold a graph to that rule with one check
-(_unattached).  Vertex and edge sets each carry a partial order stored as
-covering relations.  Everything is immutable after construction.
+skips a level.  Vertex and edge sets each carry a partial order stored as
+covering relations, each cover between two ids of its level or gap.
+validate and ``_checked_skeleton``, which the distances, the decomposition
+and the export read, hold a graph to those two rules with one check each
+(_unattached, _unknown_covers).  Everything is immutable after
+construction.
 
 Compact graphs.  A graph that network_to_reeb embeds stores only its level
 values and a recipe (``_recipe``, an enewick._Embedding): each node's level
@@ -48,7 +50,7 @@ from collections import Counter
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, repeat, starmap
 from operator import attrgetter, eq, itemgetter, lt, methodcaller
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -314,15 +316,21 @@ class ReebGraph:
     def _checked_skeleton(self) -> _Skeleton:
         """``_skeleton``, after the checks that building it and walking down
         it need: the first of validate's lines for a vertex id on two levels
-        or an edge id in two gaps, which the skeleton would join, and then
-        for a map whose domain is not its gap's edges or an edge end that is
-        no vertex on the level next to its gap, raised as ValueError.  An
-        end off its level could lead back up, and a walk from the root miss
-        the vertices it leads to or never leave them.  A plain compact graph
-        passes them unread."""
+        or an edge id in two gaps, which the skeleton would join, then for a
+        map whose domain is not its gap's edges or an edge end that is no
+        vertex on the level next to its gap, and then for a cover that names
+        an id outside its level or gap, raised as ValueError.  An end off
+        its level could lead back up, and a walk from the root miss the
+        vertices it leads to or never leave them; the skeleton looks up the
+        ends of every edge a cover names.  Cycles in the covers and maps
+        that break an order are left to the readers that use the orders.  A
+        plain compact graph passes the checks unread."""
         if self._plain:
             return self._skeleton
-        fault = next(chain(_repeated_ids(self), _unattached(self)), None)
+        # A graph with no cover anywhere skips the walk over its orders.
+        orders = _orders(self) if self._ordered else ()
+        strays = chain.from_iterable(starmap(_unknown_covers, orders))
+        fault = next(chain(_repeated_ids(self), _unattached(self), strays), None)
         if fault is not None:
             raise ValueError(fault)
         return self._skeleton
@@ -484,6 +492,28 @@ def _dangling(name: str, mp: Mapping[str, str], e: str, level: int) -> str:
     return f"dangling {name} target {mp[e]!r} for edge {e!r} (expected a vertex at level {level})"
 
 
+def _orders(graph: ReebGraph) -> Iterator[tuple[str, int, LevelPoset, frozenset[str]]]:
+    """Each level's order and vertex set, then each gap's order and edge
+    set, with the kind and the index that validate's order lines name."""
+    for what, orders, carriers in (
+        ("vertex", graph.vertex_orders, graph.vertex_sets),
+        ("edge", graph.edge_orders, graph.edge_sets),
+    ):
+        for i, (poset, carrier) in enumerate(zip(orders, carriers)):
+            yield what, i, poset, carrier
+
+
+def _unknown_covers(
+    what: str, i: int, poset: LevelPoset, carrier: frozenset[str]
+) -> Iterator[str]:
+    """validate's line for every cover of ``poset``, the order of ``what``
+    ``i``, that names an id outside ``carrier``, covers sorted."""
+    if poset.covers and not carrier.issuperset(chain.from_iterable(poset.covers)):
+        for lo, hi in sorted(poset.covers):
+            if lo not in carrier or hi not in carrier:
+                yield f"{what} order cover ({lo!r}, {hi!r}) references unknown id at index {i}"
+
+
 def _once(ends: Iterable[str]) -> set[str]:
     """The ids that occur exactly once among ``ends``."""
     seen: set[str] = set()
@@ -595,19 +625,6 @@ def validate(graph: ReebGraph, *, allow_cut_ids: bool = False) -> list[str]:
     unattached = list(_unattached(graph))
     report += unattached
 
-    def check_order(poset: LevelPoset, carrier: frozenset[str], what: str, i: int):
-        if poset.elements != carrier:
-            report.append(f"{what} order elements mismatch at index {i}")
-        if not poset.covers:
-            return
-        for lo, hi in sorted(poset.covers):
-            if lo not in carrier or hi not in carrier:
-                report.append(
-                    f"{what} order cover ({lo!r}, {hi!r}) references unknown id at index {i}"
-                )
-        if poset.has_cycle:
-            report.append(f"non-poset {what} order at index {i} (cycle in covers)")
-
     # Trivial orders on exactly their level's ids or gap's edges, the common
     # case, have nothing to report here or in the map checks below.
     vorders, eorders = graph.vertex_orders, graph.edge_orders
@@ -620,19 +637,27 @@ def validate(graph: ReebGraph, *, allow_cut_ids: bool = False) -> list[str]:
         and not any(map(covers, vorders))
         and not any(map(covers, eorders))
     ):
-        for i, poset in enumerate(vorders):
-            check_order(poset, vsets[i], "vertex", i)
-        for i, poset in enumerate(eorders):
-            check_order(poset, esets[i], "edge", i)
+        for what, orders, carriers, where in (
+            ("vertex", vorders, vsets, "levels"),
+            ("edge", eorders, esets, "gaps"),
+        ):
+            if len(orders) != len(carriers):
+                report.append(
+                    f"{what} order list length mismatch ({len(orders)} for {len(carriers)} {where})"
+                )
+        for what, i, poset, carrier in _orders(graph):
+            if poset.elements != carrier:
+                report.append(f"{what} order elements mismatch at index {i}")
+            report += _unknown_covers(what, i, poset, carrier)
+            if poset.has_cycle:
+                report.append(f"non-poset {what} order at index {i} (cycle in covers)")
 
-        for i in range(graph.gap_count):
-            eo, below, above = eorders[i], *vorders[i:i + 2]
+        rows = zip(eorders, vorders, vorders[1:], downs, ups)
+        for i, (eo, below, above, dn, up) in enumerate(rows):
             # A cycle at either end leaves no order for a map to respect.
             if not eo.covers or eo.has_cycle or below.has_cycle or above.has_cycle:
                 continue
             for lo, hi in sorted(eo.covers):
-                dn = downs[i]
-                up = ups[i]
                 if lo in dn and hi in dn and not below.leq(dn[lo], dn[hi]):
                     report.append(f"non-monotone down_map at gap {i}: cover ({lo!r}, {hi!r})")
                 if lo in up and hi in up and not above.leq(up[lo], up[hi]):
@@ -702,11 +727,12 @@ def minimize_critical_set(graph: ReebGraph) -> ReebGraph:
     the bottom and top levels and every level holding a vertex of the
     checked skeleton (_Skeleton) without exactly one long edge above and
     one below.  So an id used twice, a map whose domain is not its gap's
-    edges and an edge end off the level next to its gap, such as that of an
-    edge that skips a level, raise ValueError with validate's first line for
-    them.  Raises OrderConflict when splicing would discard covers,
-    since a merged chain cannot carry the per-gap order data.  Labels of
-    merged gaps are dropped.
+    edges, an edge end off the level next to its gap, such as that of an
+    edge that skips a level, and a cover that names an id outside its level
+    or gap raise ValueError with validate's first line for them.  Raises
+    OrderConflict when splicing would discard covers, since a merged chain
+    cannot carry the per-gap order data.  Labels of merged gaps are
+    dropped.
     """
     sk = graph._checked_skeleton
     k = graph.level_count
@@ -786,9 +812,11 @@ def refine_to_levels(
     segments ``e.lo``, ``e.hi.lo``, ... up to ``e.hi...hi``, joined by fresh
     regular vertices ``e@x``, ``e.hi@y``, ...; its label takes the same
     suffixes, and every new gap and level inherits the gap's covers, renamed.
-    A fresh id already in use raises ValueError.  One pass over the gaps
-    builds the result, so the cost is proportional to the refined graph; a
-    call that inserts nothing returns ``graph`` itself.
+    A fresh id already in use, or taken by an earlier fresh id, is extended
+    with ``'`` until it is free (``e.lo'``), and later splits of that
+    segment build on the extended id; so no id collides.  One pass over the
+    gaps builds the result, so the cost is proportional to the refined
+    graph; a call that inserts nothing returns ``graph`` itself.
     """
     target = sorted({as_level(x) for x in new_levels})
     current = set(graph.levels)
@@ -805,11 +833,18 @@ def refine_to_levels(
     if not pending:
         return graph
 
-    # Ids in use, counted: a split frees its segment's old name.
+    # Ids in use, counted: a split frees its segment's old name once its
+    # fresh ids are chosen.
     live = Counter(chain(*graph.vertex_sets, *graph.edge_sets))
     level_rows = zip(graph.levels, graph.vertex_sets, graph.vertex_orders)
     levels = [next(level_rows)]
     gaps = []
+
+    def fresh(name):
+        while live[name]:
+            name += "'"
+        live[name] += 1
+        return name
 
     def renamed(covers, names):
         return frozenset((names[a], names[b]) for a, b in covers)
@@ -840,15 +875,10 @@ def refine_to_levels(
                 value = pending.pop()
                 at = format_level(value)
                 by_name = sorted(names, key=names.__getitem__)
-                mid = {e: f"{names[e]}@{at}" for e in by_name}
-                lo = {e: names[e] + ".lo" for e in by_name}
-                hi = {e: names[e] + ".hi" for e in by_name}
-                fresh = [*mid.values(), *lo.values(), *hi.values()]
-                for x in fresh:
-                    if live[x]:
-                        raise ValueError(f"refinement id collision on {x!r}")
+                mid = {e: fresh(f"{names[e]}@{at}") for e in by_name}
+                lo = {e: fresh(names[e] + ".lo") for e in by_name}
+                hi = {e: fresh(names[e] + ".hi") for e in by_name}
                 live.subtract(names.values())
-                live.update(fresh)
                 gaps.append(segment(lo, bottom, mid, order.covers, label, ".lo"))
                 vs = frozenset(mid.values())
                 levels.append((value, vs, LevelPoset(vs, renamed(order.covers, mid))))

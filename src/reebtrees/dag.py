@@ -83,10 +83,11 @@ def build_dag_view(graph: ReebGraph) -> int:
 
     Both are counted on the graph's checked skeleton, whose long edges and
     critical vertices have the graph's Euler count and merges: ids used
-    twice and edge ends off their levels raise ValueError in validate's
-    wording.  When the counts disagree the graph has multiple sources
-    (several local maxima of the level function), the decomposition theory
-    does not apply, and ReticulationConflict is raised carrying both values.
+    twice, edge ends off their levels and covers that name unknown ids
+    raise ValueError in validate's wording.  When the counts disagree the
+    graph has multiple sources (several local maxima of the level
+    function), the decomposition theory does not apply, and
+    ReticulationConflict is raised carrying both values.
     """
     sk = graph._checked_skeleton
     b_euler = sum(map(len, sk.down.values())) - len(sk.vertex_level) + 1

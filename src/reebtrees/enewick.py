@@ -465,10 +465,11 @@ def enewick_to_reeb(text: str) -> ReebGraph:
 
 def reeb_to_network(graph: ReebGraph) -> PhyloNetwork:
     """The graph's skeleton as a network: its long edges, with times counted
-    down from the single source vertex.  Ids used twice and edge ends off
-    their levels raise ValueError, and multi-source graphs are rejected by
-    the classification step.  A regular vertex is critical only for a
-    level-order relation, and is contracted too."""
+    down from the single source vertex.  Ids used twice, edge ends off
+    their levels and covers that name unknown ids raise ValueError, and
+    multi-source graphs are rejected by the classification step.  A regular
+    vertex is critical only for a level-order relation, and is contracted
+    too."""
     build_dag_view(graph)
     sk = graph._skeleton
     root = next(v for v, above in sk.up.items() if not above)

@@ -723,9 +723,9 @@ def network_factors(
     time_mode: str = "f",
 ) -> NetworkFactors:
     """Count the taxa and the cycle rank of ``graph`` on its checked
-    skeleton (ids used twice and edge ends off their levels raise
-    ValueError, a multi-source graph ReticulationConflict); its factor
-    vectors follow on first use."""
+    skeleton (ids used twice, edge ends off their levels and covers that
+    name unknown ids raise ValueError, a multi-source graph
+    ReticulationConflict); its factor vectors follow on first use."""
     betti = build_dag_view(graph)
     taxa = sum(1 for below in graph._skeleton.down.values() if not below)
     return NetworkFactors(graph, betti, taxa, ranks, time_mode)

@@ -15,6 +15,7 @@ from reebtrees import (
     network_to_reeb,
     parse_enewick,
     random_graph,
+    refine_to_levels,
 )
 
 
@@ -129,6 +130,13 @@ def cut_id_clash(edge: str = "e2") -> ReebGraph:
             [("g1", "a", "t"), ("g2", "b", "t"), ("g3", f"cut:{edge}", "t")],
         ],
     )
+
+
+def taken_refinement_id_pair() -> tuple[ReebGraph, ReebGraph]:
+    """A graph a whose vertex e@0.5 bears the id that splitting its edge e
+    at 1/2 makes, and a renamed copy of a refined to a level at 1/2."""
+    a = make_graph([0, 1], [["x"], ["y", "e@0.5"]], [[("e", "x", "y"), ("g", "x", "e@0.5")]])
+    return a, refine_to_levels(rename_graph(a), [0, "1/2", 1])
 
 
 # Shapes (n_leaves, betti, levels) the seeded generator accepts for any seed:

@@ -14,6 +14,7 @@ import random
 import resource
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -37,11 +38,19 @@ from reebtrees import (
     network_distance,
     random_graph,
     to_dot,
+    to_jsonable,
     validate,
 )
 from reebtrees.cli import main
 
-from conftest import corpus, cut_id_clash, deep_ordered_path, rename_graph
+from conftest import (
+    corpus,
+    cut_id_clash,
+    deep_ordered_path,
+    rename_graph,
+    taken_refinement_id_pair,
+)
+from test_isomorphism import random_covers
 
 DATA = Path(__file__).parent / "data"
 
@@ -81,6 +90,52 @@ def three_leaf_tree():
             [("e3", "m", "t"), ("e4", "c1", "t")],
         ],
     )
+
+
+def mutate(doc: dict, rng: random.Random) -> str:
+    """One fault put into a graph's JSON document ``doc``, in place; returns
+    its kind.  An id reused on another level or gap is not repeated within
+    one list, so that the document still loads."""
+    vertices, edges = doc["vertices"], doc["edges"]
+    gap = rng.randrange(len(edges))
+    edge = rng.choice(edges[gap]) if edges[gap] else None
+    kind = rng.choice(("retarget", "retarget up two", "dangle", "reuse vertex", "reuse edge",
+                       "drop vertex", "drop edge", "unknown vertex cover", "unknown edge cover"))
+    if kind.startswith("retarget") and edge is not None:
+        if kind == "retarget up two" and gap + 2 < len(vertices):
+            edge["up"] = rng.choice(vertices[gap + 2] or ["zz"])
+        else:
+            end = rng.choice(("down", "up"))
+            edge[end] = rng.choice(vertices[gap + (end == "up")] or ["zz"])
+    elif kind == "dangle" and edge is not None:
+        edge[rng.choice(("down", "up"))] = "zz"
+    elif kind == "reuse vertex":
+        i, j = rng.sample(range(len(vertices)), 2)
+        v = rng.choice(vertices[j] or [None])
+        if v is not None and v not in vertices[i]:
+            vertices[i].append(v)
+    elif kind == "reuse edge":
+        i = rng.choice([i for i in range(len(edges)) if i != gap] or [gap])
+        taken = edge is None or any(e["id"] == edge["id"] for e in edges[i])
+        if not taken and vertices[i] and vertices[i + 1]:
+            down, up = rng.choice(vertices[i]), rng.choice(vertices[i + 1])
+            edges[i].append({"id": edge["id"], "down": down, "up": up})
+    elif kind == "drop vertex":
+        # Most often a vertex that a cover names, when one does.
+        named = [(i, x) for i, covers in enumerate(doc["vertex_orders"]) for x in sum(covers, [])]
+        spots = [(i, v) for i, vs in enumerate(vertices) for v in vs]
+        i, v = rng.choice(named if named and rng.random() < 0.7 else spots)
+        if v in vertices[i]:
+            vertices[i].remove(v)
+    elif kind == "drop edge" and edge is not None:
+        edges[gap].remove(edge)
+    elif kind.startswith("unknown"):
+        what = "vertex" if kind == "unknown vertex cover" else "edge"
+        i = rng.randrange(len(doc[f"{what}_orders"]))
+        ids = vertices[i] if what == "vertex" else [e["id"] for e in edges[i]]
+        pair = [rng.choice(ids or ["x"]), "ghost"]
+        doc[f"{what}_orders"][i].append(pair[::rng.choice((1, -1))])
+    return kind
 
 
 class TestValidate:
@@ -383,6 +438,65 @@ class TestInputErrors:
         assert captured.out == ""
         assert captured.err == want
 
+    @pytest.mark.parametrize("command", ["dist", "dist --matrix", "iso", "decompose"])
+    def test_cover_naming_an_unknown_edge_is_refused(self, capsys, tmp_path, net_a, command):
+        # The checked skeleton looks up the ends of every edge a cover
+        # names; dist read this one as a KeyError traceback.
+        path = str(DATA / "unknown_edge_cover.json")
+        fault = "edge order cover ('e', 'ghost') references unknown id at index 0"
+        if command == "dist":
+            argv, want = ["dist", path, path], f"error: {fault}\n"
+        elif command == "dist --matrix":
+            write_graph(tmp_path, "a.json", net_a)
+            (tmp_path / "b.json").write_text(Path(path).read_text())
+            argv, want = ["dist", "--matrix", str(tmp_path)], f"error: {fault}\n"
+        else:
+            argv = [command, path, path] if command == "iso" else [command, path]
+            want = f"error: {path}: {fault}\n"
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == want
+
+    def test_every_command_refuses_what_validate_rejects(
+        self, capsys, tmp_path, monkeypatch, net_a
+    ):
+        # Generator graphs with random covers, mutated in their JSON form.
+        # Every command returns; on an input that validate rejects, each
+        # exits 2 with nothing on stdout, and validate exits 1.
+        monkeypatch.setenv("REEB_SEARCH_BUDGET", "2000")
+        rng = random.Random(36)
+        folder = tmp_path / "matrix"
+        folder.mkdir()
+        write_graph(folder, "a.json", net_a)
+        path = str(folder / "b.json")
+        commands = [
+            ["betti", path], ["classify", path], ["minimize", path], ["decompose", path],
+            ["iso", path, path], ["iso", "--oracle", path, path], ["dist", path, path],
+            ["dist", "--matrix", str(folder)],
+            *(["convert", path, "--to", to] for to in ("json", "enwk", "dot")),
+        ]
+        shapes = [(2, 1, 3), (3, 1, 3), (3, 2, 4), (4, 2, 4), (4, 3, 5), (5, 3, 5)]
+        kinds = Counter()
+        for graph in corpus(shapes, range(70), max_indeg=3):
+            if rng.random() < 0.7:
+                graph = random_covers(graph, rng)
+            doc = to_jsonable(graph)
+            for _ in range(rng.choice((1, 1, 2))):
+                kinds[mutate(doc, rng)] += 1
+            Path(path).write_text(json.dumps(doc))
+            rejected = validate(load_text(json.dumps(doc))[0], allow_cut_ids=True)
+            kinds["rejected" if rejected else "accepted"] += 1
+            assert main(["validate", path]) == (1 if rejected else 0)
+            capsys.readouterr()
+            for argv in commands:
+                code = main(argv)
+                captured = capsys.readouterr()
+                if rejected:
+                    assert (code, captured.out) == (2, ""), (argv, doc, captured.err)
+        assert kinds["rejected"] + kinds["accepted"] >= 400, kinds
+        assert min(kinds.values()) >= 20, kinds
+
     def test_repeated_ids_named_whatever_the_hash_seed(self, tmp_path):
         # a, b, c and d on levels 0 and 1: validate's first line names the
         # least id of the first level that repeats one, under any hash seed.
@@ -436,6 +550,14 @@ class TestIso:
         assert main(["iso", *flags, *pair]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("not isomorphic\n", "")
+
+    @pytest.mark.parametrize("flags", [[], ["--oracle"]], ids=["skeleton", "oracle"])
+    def test_taken_refinement_id_pair(self, capsys, tmp_path, flags):
+        # Refining a to b's level 1/2 makes the id of a's vertex e@0.5.
+        a, b = taken_refinement_id_pair()
+        paths = [write_graph(tmp_path, "a.json", a), write_graph(tmp_path, "b.json", b)]
+        assert main(["iso", *flags, *paths]) == 0
+        assert capsys.readouterr().out == "isomorphic\n"
 
     def test_enwk_extension_sniffed(self, capsys, tmp_path):
         text = "(((C:1)#H1:1,A:2)x:1,(#H1:1,B:2)y:1)r;\n"

@@ -32,6 +32,7 @@ from reebtrees import (
     ReebError,
     ReebGraph,
     as_level,
+    brute_force_iso,
     common_refinement,
     dump_text,
     enewick_to_reeb,
@@ -48,7 +49,7 @@ from reebtrees import (
 from reebtrees.core import RESERVED_VERTEX_PREFIX, _dangling
 from reebtrees.isomorphism import _prefilter
 
-from conftest import corpus, dated_caterpillar, rename_graph
+from conftest import corpus, dated_caterpillar, rename_graph, shuffle_ids
 from test_enewick import dated_texts
 from test_isomorphism import random_covers
 
@@ -165,6 +166,29 @@ def test_validate_reports_domain_mismatch():
     g = make_graph([0, 1], [["a"], ["b"]], [[("e", "a", "b")]])
     broken = replace(g, down_maps=({},))
     assert "down_map domain mismatch at gap 0" in validate(broken)
+
+
+def test_validate_reports_order_list_lengths(cycle_graph):
+    # One order per level and one per gap; a graph built with replace can
+    # hold fewer or more, which validate reports instead of raising.
+    g = replace(
+        cycle_graph,
+        vertex_orders=(LevelPoset(cycle_graph.vertex_sets[0], frozenset({("l2", "l3")})),
+                       *cycle_graph.vertex_orders[1:]),
+    )
+    extra = LevelPoset.trivial(["x"])
+    vs, es = g.vertex_orders, g.edge_orders
+    for change, line in (
+        ({"vertex_orders": vs[:-1]}, "vertex order list length mismatch (3 for 4 levels)"),
+        ({"vertex_orders": (*vs, extra)}, "vertex order list length mismatch (5 for 4 levels)"),
+        ({"edge_orders": es[:-1]}, "edge order list length mismatch (2 for 3 gaps)"),
+        ({"edge_orders": (*es, extra)}, "edge order list length mismatch (4 for 3 gaps)"),
+    ):
+        assert validate(replace(g, **change)) == [line]
+    assert validate(replace(g, vertex_orders=(), edge_orders=())) == [
+        "vertex order list length mismatch (0 for 4 levels)",
+        "edge order list length mismatch (0 for 3 gaps)",
+    ]
 
 
 def test_validate_reports_order_cycle():
@@ -721,13 +745,29 @@ def refinement_cases():
 
 class TestRefineMatchesReference:
     def test_seeded_and_crafted_cases(self):
+        # Where the reference refuses a fresh id already in use, the
+        # refinement extends it instead; its result is checked against the
+        # reference's refinement of a copy whose ids no fresh id can repeat.
+        rng = random.Random(36)
         kinds = Counter()
         for graph, levels in refinement_cases():
             got = outcome(refine_to_levels, graph, levels)
-            assert got == outcome(reference_refine_to_levels, graph, levels), (graph, levels)
-            kinds[got[0].__name__ if isinstance(got[0], type) else "graph"] += 1
+            want = outcome(reference_refine_to_levels, graph, levels)
+            if want[0] is ValueError:
+                assert "refinement id collision" in want[1]
+                out = got[0]
+                assert out.levels == tuple(sorted(set(map(as_level, levels))))
+                if not validate(graph):
+                    assert validate(out) == []
+                    kinds["valid collision"] += 1
+                copy = reference_refine_to_levels(shuffle_ids(graph, rng)[0], levels)
+                assert brute_force_iso(out, copy, use_labels=graph.has_full_labels)
+                kinds["collision"] += 1
+            else:
+                assert got == want, (graph, levels)
+                kinds[got[0].__name__ if isinstance(got[0], type) else "graph"] += 1
         assert sum(kinds.values()) > 1500, kinds
-        assert min(kinds["graph"], kinds["BadLevelSet"], kinds["ValueError"]) >= 20, kinds
+        assert min(kinds["graph"], kinds["BadLevelSet"], kinds["valid collision"]) >= 20, kinds
 
     def test_freed_names_are_legal(self):
         g = make_graph([0, 1], [["b"], ["t"]], [[("x", "b", "t"), ("x.hi.lo", "b", "t")]])
@@ -735,8 +775,9 @@ class TestRefineMatchesReference:
         assert out.edge_sets[1] == {"x.hi.lo", "x.hi.lo.hi.lo"}
         assert validate(out) == []
         taken = make_graph([0, 1], [["b"], ["t"]], [[("x", "b", "t"), ("x.lo", "b", "t")]])
-        with pytest.raises(ValueError, match=r"collision on 'x\.lo'"):
-            refine_to_levels(taken, [0, "1/2", 1])
+        out = refine_to_levels(taken, [0, "1/2", 1])
+        assert out.edge_sets == ({"x.lo'", "x.lo.lo"}, {"x.hi", "x.lo.hi"})
+        assert validate(out) == []
 
 
 class TestRefineWork:
@@ -1080,9 +1121,11 @@ def in_validates_order(lines):
 
 
 # The lines of validate that ReebGraph._checked_skeleton raises: an id used
-# twice, a map whose domain is not its gap's edges, an edge end off its level.
+# twice, a map whose domain is not its gap's edges, an edge end off its
+# level, a cover that names an id outside its level or gap.
 _SKELETON_FAULT = re.compile(
     r"duplicate (?:vertex|edge) id |(?:down|up)_map domain mismatch |dangling (?:down|up)_map "
+    r"|(?:vertex|edge) order cover .* references unknown id "
 )
 
 

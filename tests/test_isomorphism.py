@@ -25,6 +25,7 @@ from reebtrees import (
     apply_choice,
     brute_force_iso,
     canonical_form,
+    common_refinement,
     cut_options,
     decompose,
     decomposition_invariant,
@@ -50,6 +51,7 @@ from conftest import (
     deep_ordered_path,
     rename_graph,
     shuffle_ids,
+    taken_refinement_id_pair,
 )
 
 
@@ -422,6 +424,59 @@ class TestLabelled:
         )
         assert not verify_witness(bad)
 
+    def test_witness_verification_checks_everything(self):
+        # Two branches x-m and y-n joined at t, with every level and gap
+        # ordered and labelled, against a renamed copy: one tampering per
+        # check of verify_witness.
+        a = make_graph(
+            [0, 1, 2],
+            [["x", "y"], ["m", "n"], ["t"]],
+            [[("e", "x", "m"), ("f", "y", "n")], [("g", "m", "t"), ("h", "n", "t")]],
+            vertex_covers=[[("x", "y")], [("m", "n")], []],
+            edge_covers=[[("e", "f")], [("g", "h")]],
+            labels=[{"e": "E", "f": "F"}, {"g": "G", "h": "H"}],
+        )
+        b = rename_graph(a)
+        z = {x: "z" + x for x in "xymntefgh"}
+        good = MorphismWitness(
+            a, b,
+            tuple({v: z[v] for v in vs} for vs in a.vertex_sets),
+            tuple({e: z[e] for e in es} for es in a.edge_sets),
+        )
+        assert verify_witness(good)
+        swap = {"x": "y", "y": "x", "m": "n", "n": "m", "e": "f", "f": "e", "g": "h", "h": "g"}
+
+        def maps(which, i, changes=None, drop=None):
+            ms = list(getattr(good, which))
+            ms[i] = {k: v for k, v in {**ms[i], **(changes or {})}.items() if k != drop}
+            return dataclasses.replace(good, **{which: tuple(ms)})
+
+        def target(**kw):
+            return dataclasses.replace(good, target=dataclasses.replace(b, **kw))
+
+        tampered = {
+            "levels": target(levels=(0, 1, 3)),
+            "vertex map count": dataclasses.replace(good, vertex_maps=good.vertex_maps[:-1]),
+            "edge map count": dataclasses.replace(good, edge_maps=good.edge_maps[:-1]),
+            "vertex map domain": maps("vertex_maps", 0, drop="x"),
+            "vertex map image": maps("vertex_maps", 0, {"x": "zy"}),
+            "edge map domain": maps("edge_maps", 0, drop="e"),
+            "edge map image": maps("edge_maps", 0, {"e": "zf"}),
+            "down end": maps("vertex_maps", 0, {"x": "zy", "y": "zx"}),
+            "up end": maps("vertex_maps", 1, {"m": "zn", "n": "zm"}),
+            # The branches swapped: an automorphism of the graph, not of its orders.
+            "vertex order": dataclasses.replace(
+                good,
+                vertex_maps=tuple({v: "z" + swap.get(v, v) for v in m} for m in good.vertex_maps),
+                edge_maps=tuple({e: "z" + swap[e] for e in m} for m in good.edge_maps),
+            ),
+            "edge order": target(edge_orders=tuple(map(LevelPoset.trivial, b.edge_sets))),
+            "label presence": target(edge_labels=(None, b.edge_labels[1])),
+            "label value": target(edge_labels=({"ze": "F", "zf": "E"}, b.edge_labels[1])),
+        }
+        for check, witness in tampered.items():
+            assert not verify_witness(witness), check
+
 
 class TestBruteForce:
     def test_labels_can_block(self):
@@ -491,6 +546,19 @@ class TestBruteForce:
             brute_force_iso(t, rename_graph(t))
         monkeypatch.setenv("REEB_SEARCH_BUDGET", "100000")
         assert brute_force_iso(t, rename_graph(t))
+
+
+def test_taken_refinement_id_pair_is_decided():
+    # Splitting a's edge e at 1/2 makes the id of a's vertex e@0.5, which
+    # the refinement extends; the oracle then answers as reeb_iso does.
+    a, b = taken_refinement_id_pair()
+    ra, rb = common_refinement(a, b)
+    assert ra.vertex_sets[1] == {"e@0.5'", "g@0.5"} and rb is b
+    assert reeb_iso(a, b) and brute_force_iso(a, b) and brute_force_iso(b, a)
+    path = make_graph(
+        [0, "1/2", 1], [["x"], ["m"], ["y"]], [[("p", "x", "m")], [("q", "m", "y")]]
+    )
+    assert not reeb_iso(a, path) and not brute_force_iso(a, path)
 
 
 def test_decomposition_invariant_separates(cycle_graph):

@@ -45,7 +45,7 @@ from reebtrees import (
     validate,
 )
 from reebtrees.core import RESERVED_VERTEX_PREFIX, ReebGraph
-from reebtrees.dag import betti_euler
+from reebtrees.dag import betti_euler, build_dag_view
 from reebtrees.decomposition import (
     Factor,
     _check_cut_ids,
@@ -850,6 +850,32 @@ class TestSkeletonInputChecks:
             with pytest.raises(ValueError) as info:
                 call(dataclasses.replace(g))
             assert str(info.value) == message
+
+    def test_cover_naming_an_unknown_id(self):
+        # The skeleton looks up both ends of every edge a cover names, so an
+        # edge cover naming no edge of its gap raised a bare KeyError.  A
+        # vertex cover naming no vertex of its level is refused the same way.
+        edge, _ = load_text((DATA / "unknown_edge_cover.json").read_text())
+        vertex = make_graph(
+            [0, 1], [["a"], ["b"]], [[("e", "a", "b")]], vertex_covers=[[], [("ghost", "b")]]
+        )
+        for graph, line in (
+            (edge, "edge order cover ('e', 'ghost') references unknown id at index 0"),
+            (vertex, "vertex order cover ('ghost', 'b') references unknown id at index 1"),
+        ):
+            assert validate(graph) == [line]
+            for call in (
+                lambda x: network_distance(x, x),
+                decompose,
+                cophenetic_vector,
+                leaf_order,
+                minimize_critical_set,
+                reeb_to_network,
+                build_dag_view,
+            ):
+                with pytest.raises(ValueError) as info:
+                    call(dataclasses.replace(graph))
+                assert str(info.value) == line
 
 
 class TestGrayCode:
