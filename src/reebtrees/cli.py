@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .core import format_level, minimize_critical_set, validate
 from .dag import betti_euler, betti_reticulation, build_dag_view, classify_vertex
-from .decomposition import _apply_choice, _choices, _factor_options
+from .decomposition import _apply_choice, _choices, _cuts, _factor_options
 from .enewick import enewick_to_reeb, reeb_to_network, write_enewick
 from .errors import IncompatibleShape, ReebError
 from .generator import GeneratorSpec, random_graph
@@ -121,7 +121,7 @@ def cmd_minimize(args) -> int:
 def cmd_decompose(args) -> int:
     graph, _ = _load_valid(args.graph, args.format)
     build_dag_view(graph)
-    options = _factor_options(graph)  # the library decompose's checks
+    options, leaves = _factor_options(graph)  # the library decompose's checks
     total = math.prod(len(edges) for _, edges in options)
     if total > args.max_factors:
         print(
@@ -134,11 +134,11 @@ def cmd_decompose(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     print(f"factors: {total}")
     for n, choice in enumerate(_choices(options)):
-        factor = _apply_choice(graph, options, choice)
         kept = " ".join(f"{v}<-{e}" for v, e in choice.kept)
-        cut = ",".join(sorted(factor.detached)) or "-"
+        cut = ",".join(sorted(e for _, e, _ in _cuts(leaves, choice.kept_map))) or "-"
         print(f"factor {n}: keep [{kept or '-'}] cut [{cut}]")
         if out_dir is not None:
+            factor = _apply_choice(graph, leaves, choice)
             path = out_dir / f"factor_{n:04d}.json"
             path.write_text(dump_text(factor.graph), encoding="utf-8")
     return 0

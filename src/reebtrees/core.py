@@ -30,7 +30,7 @@ None.  A graph built by make_graph or load_text holds all its fields.
   fields and no recipe.
 - pickle and ``copy`` carry the instance dictionary: a compact graph comes
   back compact, sharing (copy) or copying (deepcopy, pickle) its recipe.
-- validate, ``_checked_skeleton`` and the decomposition's cut-id check
+- validate, ``_checked_skeleton`` and the decomposition's cut leaf names
   answer a plain compact graph unbuilt, since its recipe proves that
   validate has nothing to report, that the skeleton's checks pass and that
   no id has the reserved prefix; the order rule answers any compact graph
@@ -464,23 +464,32 @@ def _repeated_ids(graph: ReebGraph) -> Iterator[str]:
 
 
 def _unattached(graph: ReebGraph) -> Iterator[str]:
-    """validate's line for every map whose domain is not its gap's edges,
-    and for every edge end that is no vertex on the level next to its gap:
-    gap by gap, the down map before the up map, a map's ends by edge id."""
+    """validate's line for a list of vertex sets, down maps or up maps not
+    one per level or gap, then for every map whose domain is not its gap's
+    edges and every edge end that is no vertex on the level next to its gap,
+    over the gaps whose maps and levels pair up: gap by gap, the down map
+    before the up map, a map's ends by edge id."""
     vsets, esets = graph.vertex_sets, graph.edge_sets
     downs, ups = graph.down_maps, graph.up_maps
     if (
-        len(downs) == len(ups) == len(esets) == len(vsets) - 1
+        len(downs) == len(ups) == len(esets) == len(vsets) - 1 == len(graph.levels) - 1
         and all(map(eq, map(methodcaller("keys"), downs), esets))
         and all(map(eq, map(methodcaller("keys"), ups), esets))
         and all(vs.issuperset(dn.values()) for vs, dn in zip(vsets, downs))
         and all(vs.issuperset(up.values()) for vs, up in zip(vsets[1:], ups))
     ):
         return
-    for i, es in enumerate(esets):
+    for what, items, count, where in (
+        ("vertex set", vsets, len(graph.levels), "levels"),
+        ("down map", downs, len(esets), "gaps"),
+        ("up map", ups, len(esets), "gaps"),
+    ):
+        if len(items) != count:
+            yield f"{what} list length mismatch ({len(items)} for {count} {where})"
+    for i, (es, dn, up, below, above) in enumerate(zip(esets, downs, ups, vsets, vsets[1:])):
         for name, mp, targets, lvl in (
-            ("down_map", downs[i], vsets[i], i),
-            ("up_map", ups[i], vsets[i + 1], i + 1),
+            ("down_map", dn, below, i),
+            ("up_map", up, above, i + 1),
         ):
             if mp.keys() != es:
                 yield f"{name} domain mismatch at gap {i}"

@@ -3,13 +3,15 @@
 Every vertex where d >= 2 edges arrive from above contributes a factor of d to
 the decomposition: each factor keeps exactly one arriving edge attached and
 detaches the rest onto fresh leaf vertices at the same level.  Detached edges
-remember their origin, so gluing is exact and id-for-id.  One rule (_cuts)
-places the leaf that edge ``e`` is detached onto, for factor graphs, reeb_iso's
-factor views and the factor vectors alike: ``cut:<e>``, an id that must be new
-to the whole network, on the merge vertex's level, under the cover (merge
-vertex, cut leaf).  The merge vertices and their arriving edges are read off
-the graph's critical skeleton (cut_options), and one list of checks
-(_factor_options) comes before any factor is cut.
+remember their origin, so gluing is exact and id-for-id.  One table per
+graph (_cut_leaves) names the leaf that edge ``e`` is detached onto, for
+factor graphs, reeb_iso's factor views and the factor vectors alike:
+``cut:<e>``, extended with ``'`` until it is free among the graph's ids and
+the leaves named before it, so a cut never collides with an id.  The leaf
+sits on the merge vertex's level, under the cover (merge vertex, cut leaf).
+The merge vertices and their arriving edges are read off the graph's
+checked critical skeleton (cut_options), and one check (_factor_options)
+comes before any factor is cut.
 
 Every factor has n + s leaves, where n is the number of sinks of the graph and
 s = sum(d - 1) over its merge vertices: each detached edge adds one cut leaf.
@@ -29,7 +31,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .core import RESERVED_VERTEX_PREFIX, LevelPoset, ReebGraph
+from .core import RESERVED_VERTEX_PREFIX, LevelPoset, ReebGraph, _Skeleton
 from .dag import build_dag_view
 from .errors import InvalidChoice, OrderConflict
 
@@ -60,8 +62,8 @@ class Factor:
 
     @cached_property
     def cut_vertices(self) -> tuple[str, ...]:
-        cuts = _cuts([(m, (e,)) for e, m in self.reattach], {})
-        return tuple(sorted(leaf for _, _, leaf in cuts))
+        g = self.graph
+        return tuple(sorted(g.down_maps[g.vertex_level[m]][e] for e, m in self.reattach))
 
 
 @dataclass(frozen=True)
@@ -73,11 +75,15 @@ class Decomposition:
 def cut_options(graph: ReebGraph) -> tuple[tuple[str, tuple[str, ...]], ...]:
     """Per merge vertex, the arriving edges one of which must be kept.
 
-    Read off the graph's skeleton: merge vertices are ordered by (level
-    index, id), and each lists the long edges arriving at it, named by
-    their edges arriving there, by id.
+    Read off the graph's checked skeleton: merge vertices are ordered by
+    (level index, id), and each lists the long edges arriving at it, named
+    by their edges arriving there, by id.
     """
-    sk = graph._skeleton
+    return _options(graph._checked_skeleton)
+
+
+def _options(sk: _Skeleton) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """cut_options read off the skeleton ``sk``, checked or not."""
     # Vertices with two or more long edges arriving, picked out in C.
     merging = itertools.compress(sk.up, map(lt, itertools.repeat(1), map(len, sk.up.values())))
     merges = sorted((sk.vertex_level[v], v) for v in merging)
@@ -131,73 +137,50 @@ def _require_trivial_orders(graph: ReebGraph) -> None:
             )
 
 
+def _cut_leaves(
+    graph: ReebGraph, options: Iterable[tuple[str, Sequence[str]]]
+) -> dict[str, tuple[str, str]]:
+    """The naming rule: each arriving edge ``e`` of ``options``, the graph's
+    cut_options, -> (its merge vertex, the id of its cut leaf), in option
+    order.  The id is ``cut:<e>``, extended with ``'`` until it is free
+    among the graph's vertex ids, its edge ids and the leaves named before
+    it, as refine_to_levels names its fresh ids.  No id of a plain compact
+    graph (see core) has the prefix."""
+    vertices, edges = (frozenset(), frozenset()) if graph._plain else graph._ids
+    leaves: dict[str, tuple[str, str]] = {}
+    named: set[str] = set()
+    for m, arriving in options:
+        for e in arriving:
+            leaf = RESERVED_VERTEX_PREFIX + e
+            while leaf in vertices or leaf in edges or leaf in named:
+                leaf += "'"
+            named.add(leaf)
+            leaves[e] = (m, leaf)
+    return leaves
+
+
 def _cuts(
-    options: Iterable[tuple[str, Sequence[str]]], kept: Mapping[str, str]
+    leaves: Mapping[str, tuple[str, str]], kept: Mapping[str, str]
 ) -> list[tuple[str, str, str]]:
-    """The cut rule: (merge vertex, detached edge, cut leaf) for every arriving
-    edge but the one ``kept`` maps its merge vertex to, in option order; with
-    an empty ``kept``, every cut leaf any factor has."""
-    return [
-        (m, e, RESERVED_VERTEX_PREFIX + e) for m, edges in options for e in edges if e != kept.get(m)
-    ]
+    """(merge vertex, detached edge, cut leaf) for every edge of ``leaves``
+    (_cut_leaves) but the one ``kept`` maps its merge vertex to, in option
+    order; with an empty ``kept``, every cut leaf any factor has."""
+    return [(m, e, leaf) for e, (m, leaf) in leaves.items() if e != kept.get(m)]
 
 
-def _detached(
-    graph: ReebGraph, options: Iterable[tuple[str, Sequence[str]]], choice: CutChoice
-) -> list[tuple[str, str, str]]:
-    """The _cuts of ``choice``.  Raises if the network holds a cut leaf's id
-    on any level."""
-    cuts = _cuts(options, choice.kept_map)
-    for _, _, leaf in cuts:
-        if leaf in graph.vertex_level:
-            raise ValueError(f"cut vertex id {leaf!r} already present")
-    return cuts
-
-
-def _check_cut_ids(graph: ReebGraph, options: Sequence[tuple[str, Sequence[str]]]) -> None:
-    """Raise what ``_detached`` raises for the first choice, in enumeration
-    order, that detaches an edge whose cut leaf id the network holds; one
-    lookup per arriving edge.
-
-    The first choice keeps every merge's first edge and detaches the rest,
-    so a held id on any other edge shows there.  Failing that, the first
-    clashing choice keeps the first edge everywhere but at the last merge
-    whose first edge is held, which keeps its second.  No id of a plain
-    compact graph (see core) has the prefix.
-    """
-    if graph._plain:
-        return
-    leaf = {e: c for _, e, c in _cuts(options, {})}
-    held = [
-        (j, i) for j, (_, edges) in enumerate(options)
-        for i, e in enumerate(edges) if leaf[e] in graph.vertex_level
-    ]
-    if not held:
-        return
-    picked = [0] * len(options)
-    if all(i == 0 for _, i in held):
-        picked[held[-1][0]] = 1
-    _detached(graph, options, CutChoice(
-        kept=tuple((v, edges[i]) for (v, edges), i in zip(options, picked))
-    ))
-
-
-def _factor_options(graph: ReebGraph) -> tuple[tuple[str, tuple[str, ...]], ...]:
-    """cut_options of a graph that passes what decompose checks after the
-    cycle rank, in its order: trivial level orders, then the cut leaf ids
-    of every choice."""
+def _factor_options(
+    graph: ReebGraph,
+) -> tuple[tuple[tuple[str, tuple[str, ...]], ...], dict[str, tuple[str, str]]]:
+    """cut_options and _cut_leaves of a graph that passes what decompose
+    checks after the cycle rank: trivial level orders."""
     _require_trivial_orders(graph)
     options = cut_options(graph)
-    _check_cut_ids(graph, options)
-    return options
+    return options, _cut_leaves(graph, options)
 
 
 def apply_choice(graph: ReebGraph, choice: CutChoice) -> Factor:
-    """Detach every non-kept arriving edge onto its cut leaf (see _cuts),
-    adding the cover (merge vertex, cut leaf) to that level's order.  A cut
-    leaf's id must be new to the whole network: a choice that detaches an
-    edge whose cut leaf id the network already holds, on any level, raises
-    ValueError.
+    """Detach every non-kept arriving edge onto its cut leaf (_cut_leaves),
+    adding the cover (merge vertex, cut leaf) to that level's order.
 
     Only the levels that receive a cut leaf get a new vertex set, down map
     and order; every other level of the factor is the network's own object,
@@ -210,25 +193,25 @@ def apply_choice(graph: ReebGraph, choice: CutChoice) -> Factor:
     for retic, keep_edge in choice.kept:
         if keep_edge not in table[retic]:
             raise InvalidChoice(f"edge {keep_edge!r} does not arrive at {retic!r}")
-    return _apply_choice(graph, options, choice)
+    return _apply_choice(graph, _cut_leaves(graph, options), choice)
 
 
 def _apply_choice(
-    graph: ReebGraph, options: Sequence[tuple[str, Sequence[str]]], choice: CutChoice
+    graph: ReebGraph, leaves: Mapping[str, tuple[str, str]], choice: CutChoice
 ) -> Factor:
-    """apply_choice of a choice that matches ``options``, the graph's
-    cut_options, which the caller computed once for all its choices."""
+    """apply_choice of a choice that matches ``leaves``, the graph's
+    _cut_leaves, which the caller computed once for all its choices."""
     vsets = list(graph.vertex_sets)
     downs = list(graph.down_maps)
     orders = list(graph.vertex_orders)
     # Level -> (merge vertex, detached edge, cut leaf) triples cut there.
     cuts: dict[int, list[tuple[str, str, str]]] = {}
-    for cut in _detached(graph, options, choice):
+    for cut in _cuts(leaves, choice.kept_map):
         cuts.setdefault(graph.vertex_level[cut[0]], []).append(cut)
     for lvl, level_cuts in cuts.items():
-        leaves = {e: leaf for _, e, leaf in level_cuts}
-        vsets[lvl] = vsets[lvl].union(leaves.values())
-        downs[lvl] = {**downs[lvl], **leaves}
+        moved = {e: leaf for _, e, leaf in level_cuts}
+        vsets[lvl] = vsets[lvl].union(moved.values())
+        downs[lvl] = {**downs[lvl], **moved}
         orders[lvl] = LevelPoset(
             vsets[lvl], orders[lvl].covers.union((m, leaf) for m, _, leaf in level_cuts)
         )
@@ -253,10 +236,10 @@ def decompose(graph: ReebGraph) -> Decomposition:
     table is built once, not once per factor.
     """
     build_dag_view(graph)
-    options = _factor_options(graph)
+    options, leaves = _factor_options(graph)
     return Decomposition(
         graph=graph,
-        factors=tuple(_apply_choice(graph, options, c) for c in _choices(options)),
+        factors=tuple(_apply_choice(graph, leaves, c) for c in _choices(options)),
     )
 
 

@@ -20,14 +20,14 @@ keeps the names, so when each name holds one critical vertex per graph,
 they fix the one candidate map, and comparing the two graphs' certificates
 (their order pairs, named) decides; on a network, tied leaves with no order
 relation are interchangeable and are allowed.  The fingerprint route
-decides the other pairs: where other names tie, where an ordered long edge
-has a parallel twin, and where a graph holds a cut leaf's id.  It rests on
-the paper's glue-back argument: one factor of a, with its (merge vertex,
-cut leaf) covers and its cut leaves tagged, matches some factor of b
-exactly when a and b are isomorphic.  A factor is a view of the skeleton,
-with each detached long edge ending at its cut leaf; no factor graph is
-built.  a's first factor is fingerprinted once, then b's factors, skipping
-those the names rule out, until the first match.
+decides the other pairs: where other names tie, and where an ordered long
+edge has a parallel twin.  It rests on the paper's glue-back argument: one
+factor of a, with its (merge vertex, cut leaf) covers and its cut leaves
+tagged, matches some factor of b exactly when a and b are isomorphic.  A
+factor is a view of the skeleton, with each detached long edge ending at
+its cut leaf, named as decompose names it; no factor graph is built.  a's
+first factor is fingerprinted once, then b's factors, skipping those the
+names rule out, until the first match.
 decomposition_invariant fingerprints every factor view of one graph the
 same way.  Fingerprints of views list the skeleton's level values only, so
 their bytes differ from those of the factors' graphs, and the invariant is
@@ -52,7 +52,7 @@ from .core import (
     refine_to_levels,
 )
 from .dag import build_dag_view
-from .decomposition import CutChoice, _choices, _cuts, _detached, _factor_options, cut_options
+from .decomposition import CutChoice, _choices, _cut_leaves, _cuts, _factor_options, _options
 from .errors import LabelMismatch, MissingLabels, NotATree, SizeLimitExceeded
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
@@ -218,21 +218,18 @@ class _Refinement:
         with the same steps: each name holds one critical vertex, except
         that on a network tied leaves with no order relation, on them or on
         their edges, share their parents (every other name is then one
-        vertex's) and are interchangeable; no long edge that carries an
-        edge-order relation has a parallel one; and the graph holds no cut
-        leaf's id.  Otherwise _factor_match decides (and names that clash).
-        Read once the steps are exhausted."""
+        vertex's) and are interchangeable; and no long edge that carries an
+        edge-order relation has a parallel one.  Otherwise _factor_match
+        decides.  Read once the steps are exhausted."""
         graph, sk, rel = self.graph, self.graph._skeleton, self.edge_counts
         count = Counter(self.names.values())
-        options = cut_options(graph)
+        network = any(len(above) > 1 for above in sk.up.values())
         ordered = {x for o in graph.vertex_orders for cover in o.covers for x in cover}
         for v, c in self.names.items():
             if count[c] > 1 and (
-                not options or sk.down[v] or v in ordered or any(e in rel for _, e in sk.up[v])
+                not network or sk.down[v] or v in ordered or any(e in rel for _, e in sk.up[v])
             ):
                 return False
-        if any(leaf in graph.vertex_level for *_, leaf in _cuts(options, {})):
-            return False
         for ends in sk.down.values() if rel else ():
             if any(e in rel and sum(x == u for x, _ in ends) > 1 for u, e in ends):
                 return False
@@ -301,7 +298,7 @@ class _FactorView:
     """A tree or forest as canonical_form reads it, built on a skeleton (see
     core._Skeleton) and never as a graph.  A factor of a network is the
     network's skeleton with each detached long edge ending at its cut leaf,
-    placed by decomposition._cuts as apply_choice places it.
+    named by decomposition._cut_leaves and placed as apply_choice places it.
 
     ``level`` numbers each vertex's level, an index into ``levels``, the
     values the fingerprint lists; ``down`` and ``up`` give each vertex's
@@ -328,8 +325,8 @@ def _skeleton_view(
 
 def _cut(view: _FactorView, graph: ReebGraph, detached: Sequence[tuple[str, ...]]) -> _FactorView:
     """``view`` of ``graph``'s skeleton with each detached (merge vertex,
-    long edge, cut leaf) of decomposition._detached cut there; only the
-    lists of the ends that change are new."""
+    long edge, cut leaf) of decomposition._cuts cut there; only the lists of
+    the ends that change are new."""
     if not detached:
         return view
     sk = graph._skeleton
@@ -653,12 +650,12 @@ def decomposition_invariant(
     across pass-through levels, and its bytes differ from those of releases
     that fingerprinted factor graphs.  reeb_iso does not call it: one factor of a decides."""
     build_dag_view(graph)
-    options = _factor_options(graph)
+    options, leaves = _factor_options(graph)
     sk = graph._skeleton
     whole = _skeleton_view(graph, sk.levels, sk.vertex_level)
     return tuple(
         sorted(
-            _factor_form(graph, whole, options, choice, leaf_ranks, -1, budget)[1]
+            _factor_form(graph, whole, leaves, choice, leaf_ranks, -1, budget)[1]
             for choice in _choices(options)
         )
     )
@@ -667,16 +664,17 @@ def decomposition_invariant(
 def _factor_form(
     graph: ReebGraph,
     whole: _FactorView,
-    options: Sequence[tuple[str, Sequence[str]]],
+    leaves: Mapping[str, tuple[str, str]],
     choice: CutChoice,
     leaf_ranks: Mapping[str, int] | None,
     cut_rank: int,
     budget: int | None,
 ) -> tuple[_FactorView, CanonicalForm]:
     """The factor ``choice`` of ``graph`` as a view cut from ``whole``, the
-    view of its skeleton, and its fingerprint with ``leaf_ranks`` on the
-    sinks and ``cut_rank`` on the cut leaves (-1 leaves them unranked)."""
-    detached = _detached(graph, options, choice)
+    view of its skeleton, with ``leaves`` the graph's _cut_leaves, and its
+    fingerprint with ``leaf_ranks`` on the sinks and ``cut_rank`` on the cut
+    leaves (-1 leaves them unranked)."""
+    detached = _cuts(leaves, choice.kept_map)
     view = _cut(whole, graph, detached)
     cuts = {leaf: cut_rank for *_, leaf in detached}
     return view, canonical_form(view, leaf_ranks={**(leaf_ranks or {}), **cuts}, budget=budget)
@@ -713,16 +711,17 @@ def _factor_match(
     whole_a, whole_b = (
         _skeleton_view(g, g._skeleton.levels, g._skeleton.vertex_level) for g in (a, b)
     )
-    options_a, options_b = cut_options(a), cut_options(b)
+    options_a, options_b = _options(a._skeleton), _options(b._skeleton)
+    leaves_a, leaves_b = _cut_leaves(a, options_a), _cut_leaves(b, options_b)
     choice_a = next(_choices(options_a))
     kept_a = sorted(map(joins(a, ra.names, options_a).__getitem__, choice_a.kept))
-    view_a, form_a = _factor_form(a, whole_a, options_a, choice_a, ra.tags, cut_rank, budget)
+    view_a, form_a = _factor_form(a, whole_a, leaves_a, choice_a, ra.tags, cut_rank, budget)
     # b keeps only edges whose ends' names a kept edge joins.
     join_b, pairs_a = joins(b, rb.names, options_b), set(kept_a)
     allowed = [(v, [e for e in es if join_b[v, e] in pairs_a]) for v, es in options_b]
     for choice in _choices(allowed):
         if sorted(map(join_b.__getitem__, choice.kept)) == kept_a:
-            view_b, form_b = _factor_form(b, whole_b, options_b, choice, rb.tags, cut_rank, budget)
+            view_b, form_b = _factor_form(b, whole_b, leaves_b, choice, rb.tags, cut_rank, budget)
             if form_b == form_a:
                 # In a factor each vertex has at most one long edge arriving
                 # from above, so each long edge goes where its lower end goes.
@@ -786,18 +785,17 @@ def reeb_iso(
     relation, which are interchangeable), the names fix the one candidate
     map, and comparing the two graphs' certificates (their order pairs
     named) decides; no fingerprint is built.  Otherwise, where other names
-    tie, where an ordered long edge has a parallel one, or where a graph
-    holds a cut leaf's id, the fingerprint route decides (see
-    _factor_match), on every input: single-source or not, with level orders
-    or without.  a's first factor is fingerprinted, and b's factors that
-    the names allow are fingerprinted one at a time until one matches.  So
-    a decision builds at most 1 + (number of factors of b) fingerprints,
-    and 2 when the first allowed factor of b matches; it builds no factor
-    graph and no witness.  Optional leaf ranks constrain the bijection to
-    respect the given integer on bottom vertices (unranked ones must map to
-    unranked ones).  ``budget`` bounds the fingerprints' tie-breaking (see
-    canonical_form); the certificate route takes no branches and never
-    raises SizeLimitExceeded.
+    tie or where an ordered long edge has a parallel one, the fingerprint
+    route decides (see _factor_match), on every input: single-source or
+    not, with level orders or without.  a's first factor is fingerprinted,
+    and b's factors that the names allow are fingerprinted one at a time
+    until one matches.  So a decision builds at most 1 + (number of factors
+    of b) fingerprints, and 2 when the first allowed factor of b matches; it
+    builds no factor graph and no witness.  Optional leaf ranks constrain
+    the bijection to respect the given integer on bottom vertices (unranked
+    ones must map to unranked ones).  ``budget`` bounds the fingerprints'
+    tie-breaking (see canonical_form); the certificate route takes no
+    branches and never raises SizeLimitExceeded.
     """
     pair = _refinements(a, b, leaf_ranks_a, leaf_ranks_b)
     if pair is None:

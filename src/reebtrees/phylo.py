@@ -81,17 +81,18 @@ def leaf_order(
     Originals sort by caller-supplied rank when present, otherwise by (level,
     id).  Cut leaves introduced by decomposition sort by the merge vertex they
     came from, then by the detached edge, so factors of one decomposition
-    agree on positions.
+    agree on positions; other sinks with the reserved prefix sort by (level,
+    id) among them.
     """
     graph = _graph_of(source)
     sk = graph._checked_skeleton
     sinks = [v for v, below in sk.down.items() if not below]
-    # Each cut leaf's merge vertex: the one its level's order puts above it.
+    # Each cut leaf's merge vertex is the one its level's order puts above
+    # it, and its detached edge names the long edge above it.
     cut_levels = {sk.vertex_level[v] for v in sinks if v.startswith(RESERVED_VERTEX_PREFIX)}
-    merge_of = {
-        b: a for i in cut_levels for a, b in graph.vertex_orders[sk.graph_level[i]].covers
-    }
-    originals, cuts = _sorted_taxa(sinks, ranks, sk.vertex_level, merge_of)
+    covers = (c for i in cut_levels for c in graph.vertex_orders[sk.graph_level[i]].covers)
+    cut_of = {b: (a, e) for a, b in covers for _, e in sk.up[b][:1]}
+    originals, cuts = _sorted_taxa(sinks, ranks, sk.vertex_level, cut_of)
     return (*originals, *cuts)
 
 
@@ -99,11 +100,13 @@ def _sorted_taxa(
     sinks: Sequence[str],
     ranks: Mapping[str, int] | None,
     level_of: Mapping[str, int],
-    merge_of: Mapping[str, str],
+    cut_of: Mapping[str, tuple[str, str]],
 ) -> tuple[list[str], list[str]]:
     """The originals and the cut leaves among ``sinks``, each sorted in
-    leaf_order's order, whatever the order of ``sinks``; ``merge_of`` sends a
-    cut leaf to its merge vertex.  Taxa of one rank keep (level, id) order."""
+    leaf_order's order, whatever the order of ``sinks``; ``cut_of`` sends a
+    cut leaf to its merge vertex and its detached edge, read from the graph:
+    an extended leaf id (see decomposition._cut_leaves) does not sort as its
+    edge does.  Taxa of one rank keep (level, id) order."""
     ranks = ranks or {}
 
     def original_key(v: str):
@@ -112,10 +115,9 @@ def _sorted_taxa(
         return (1, level_of[v], v)
 
     def cut_key(v: str):
-        edge = v[len(RESERVED_VERTEX_PREFIX):]
-        retic = merge_of.get(v)
-        if retic is None:
-            return (level_of[v], "", edge)
+        if v not in cut_of:
+            return (level_of[v], "", v)
+        retic, edge = cut_of[v]
         return (level_of[retic], retic, edge)
 
     originals = [v for v in sinks if not v.startswith(RESERVED_VERTEX_PREFIX)]
@@ -546,11 +548,11 @@ class NetworkFactors:
     compared before any vector is built.  They equal ``cophenetic_vector``
     of each factor of ``decompose(graph)``, but no factor graph is built: a
     factor differs from its network only in that each detached edge ends at
-    its cut leaf.  Once per network come the checks ``decompose`` makes
-    (``_factor_options``: the cut-id check once per arriving edge), the
-    skeleton's children table, the sorted taxa, the stamps, which every
-    factor shares (each merge leaves a cut leaf at its level in every
-    factor, and no cut changes an out-degree), and the row walk
+    its cut leaf.  Once per network come the checks ``decompose`` makes and
+    its table of cut leaves (``_factor_options``), the skeleton's children
+    table, the sorted taxa, the stamps, which every factor shares (each
+    merge leaves a cut leaf at its level in every factor, and no cut changes
+    an out-degree), and the row walk
     ``cophenetic_vector`` runs, for the first choice only.  The other
     choices follow in reflected Gray-code order, each one merge's kept edge
     moving to the next or previous edge; each costs one subtree swap in the
@@ -576,17 +578,15 @@ def _factor_vectors(
     order, raising what that would raise first; network_factors has made
     the cycle-rank check."""
     sk = graph._checked_skeleton
-    options = _factor_options(graph)
+    options, leaves = _factor_options(graph)
     _check_time_mode(time_mode)
     root = _root(sk)
 
     # Every cut leaf any factor has: one per arriving edge of every merge.
-    every = _cuts(options, {})
-    leaf_of = {e: c for _, e, c in every}
-    merge_of = {c: m for m, _, c in every}
-    level_of = {**sk.vertex_level, **{c: sk.vertex_level[m] for c, m in merge_of.items()}}
+    cut_of = {c: (m, e) for e, (m, c) in leaves.items()}
+    level_of = {**sk.vertex_level, **{c: sk.vertex_level[m] for c, (m, _) in cut_of.items()}}
     sinks = [v for v, below in sk.down.items() if not below]
-    originals, cuts = _sorted_taxa([*sinks, *merge_of], ranks, level_of, merge_of)
+    originals, cuts = _sorted_taxa([*sinks, *cut_of], ranks, level_of, cut_of)
     children = _children(sk)
     stampers = [*originals, *cuts, *(v for v, kids in children.items() if len(kids) > 1)]
     scale, stamp = _stamps(sk.levels, level_of, stampers, time_mode)
@@ -600,9 +600,9 @@ def _factor_vectors(
     # The first choice keeps every merge's first edge; each other edge ends
     # at its cut leaf.  A network sink may carry the prefix too; it is in
     # every factor.
-    first = _cuts(options, {m: edges[0] for m, edges in options})
+    first = _cuts(leaves, {m: edges[0] for m, edges in options})
     held = {c for *_, c in first}
-    names = [*originals, *(c for c in cuts if c in held or c not in merge_of)]
+    names = [*originals, *(c for c in cuts if c in held or c not in cut_of)]
     for _, e, c in first:
         v, i = hook[e]
         children[v][i] = c
@@ -620,15 +620,15 @@ def _factor_vectors(
     vectors: list = [None] * math.prod(radices)
     vectors[0] = _vector(tuple(names), _pack(rows, tails), scale, time_mode)
     place = {v: i for i, v in enumerate(names)}
-    # A merge's cut leaves are consecutive taxa.  While it keeps edges[k],
-    # its t-th cut leaf is cut:edges[t] for t < k and cut:edges[t + 1]
-    # otherwise, so a move to a neighbouring edge renames one cut leaf in
-    # place: the one at min(k, new k).
-    base = [place[leaf_of[edges[1]]] for _, edges in options]
+    # A merge's cut leaves are consecutive taxa, in option order.  While it
+    # keeps edges[k], its t-th cut leaf is that of edges[t] for t < k and of
+    # edges[t + 1] otherwise, so a move to a neighbouring edge renames one
+    # cut leaf in place: the one at min(k, new k).
+    base = [place[leaves[edges[1]][1]] for _, edges in options]
     index = 0
     for j, k, new in _gray_code(radices):
         m, edges = options[j]
-        kept, cut = edges[new], leaf_of[edges[k]]
+        kept, (_, cut) = edges[new], leaves[edges[k]]
         c = base[j] + min(k, new)
         v, i = hook[edges[k]]
         children[v][i] = cut

@@ -11,12 +11,19 @@ from reebtrees import (
     GeneratorSpec,
     LevelPoset,
     ReebGraph,
+    brute_force_iso,
+    cophenetic_vector,
+    decompose,
+    glue_back,
     make_graph,
     network_to_reeb,
     parse_enewick,
     random_graph,
+    reeb_iso,
     refine_to_levels,
+    validate,
 )
+from reebtrees.phylo import network_factors
 
 
 def rename_graph(graph: ReebGraph, tag: str = "z") -> ReebGraph:
@@ -120,8 +127,7 @@ def deep_ordered_path(levels: int):
 def cut_id_clash(edge: str = "e2") -> ReebGraph:
     """A merge vertex r on level 0 whose arriving edges are e1 and e2, and a
     taxon on level 1 that already bears the cut leaf id of ``edge``.  The
-    first cut choice keeps e1, so a clash on e2 shows at once and one on e1
-    after a first factor."""
+    first cut choice keeps e1, so it detaches e2, and the second e1."""
     return make_graph(
         [0, 1, 2],
         [["r"], ["a", "b", f"cut:{edge}"], ["t"]],
@@ -130,6 +136,27 @@ def cut_id_clash(edge: str = "e2") -> ReebGraph:
             [("g1", "a", "t"), ("g2", "b", "t"), ("g3", f"cut:{edge}", "t")],
         ],
     )
+
+
+def assert_cuts_take_fresh_ids(graph: ReebGraph) -> None:
+    """What a graph that holds cut leaf ids gets from its cuts: every factor
+    of decompose validates with cut ids allowed, puts its cut leaves on ids
+    the graph does not hold and glues back to the graph exactly; the factor
+    vectors are cophenetic_vector of each factor, in order; and reeb_iso
+    finds the graph isomorphic to a renamed copy, both ways, as
+    brute_force_iso does."""
+    ids = set(graph.vertex_level) | set(graph.edge_gap)
+    assert validate(graph, allow_cut_ids=True) == []
+    factors = decompose(graph).factors
+    for factor in factors:
+        assert validate(factor.graph, allow_cut_ids=True) == []
+        assert ids.isdisjoint(factor.cut_vertices)
+        assert glue_back(factor) == graph
+    vectors = network_factors(graph).vectors
+    assert vectors == tuple(cophenetic_vector(f) for f in factors)
+    renamed = rename_graph(graph)
+    assert reeb_iso(graph, renamed) and reeb_iso(renamed, graph)
+    assert brute_force_iso(graph, renamed)
 
 
 def taken_refinement_id_pair() -> tuple[ReebGraph, ReebGraph]:

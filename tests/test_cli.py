@@ -25,7 +25,6 @@ from reebtrees import (
     IncompatibleShape,
     OrderConflict,
     ReebError,
-    apply_choice,
     build_dag_view,
     classify_vertex,
     decompose,
@@ -311,25 +310,47 @@ class TestDecompose:
         graph, _ = load_text((target / "factor_0000.json").read_text())
         assert main(["validate", "--allow-cut-ids", str(target / "factor_0000.json")]) == 0
 
-    @pytest.mark.parametrize("edge, first_clash", [("e1", 1), ("e2", 0)])
-    def test_cut_id_held_off_the_merge_level(self, capsys, tmp_path, edge, first_clash):
-        # Factor ``first_clash`` is the first to detach ``edge``, onto a cut
-        # leaf id the network holds; the factors before it are valid trees.
-        # As the library's decompose does, the command refuses the network
-        # before it lists or writes any factor.
+    @pytest.mark.parametrize("edge, detaching", [("e1", 1), ("e2", 0)])
+    def test_cut_id_held_off_the_merge_level(self, capsys, tmp_path, edge, detaching):
+        # Factor ``detaching`` detaches ``edge``, whose cut leaf id the
+        # network holds, onto cut:<edge>'; the command lists and writes the
+        # library's factors, each a valid tree.
         g = cut_id_clash(edge)
-        choices = list(enumerate_choices(g))
-        for choice in choices[:first_clash]:
-            assert validate(apply_choice(g, choice).graph, allow_cut_ids=True) == []
-        with pytest.raises(ValueError):
-            apply_choice(g, choices[first_clash])
         path = write_graph(tmp_path, "g.json", g)
         target = tmp_path / "factors"
-        assert main(["decompose", path, "--out-dir", str(target)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: cut vertex id 'cut:{edge}' already present\n"
-        assert not target.exists()
+        assert main(["decompose", path, "--out-dir", str(target)]) == 0
+        assert capsys.readouterr().out == (
+            "factors: 2\nfactor 0: keep [r<-e1] cut [e2]\nfactor 1: keep [r<-e2] cut [e1]\n"
+        )
+        factors = decompose(g).factors
+        assert factors[detaching].cut_vertices == (f"cut:{edge}'",)
+        files = sorted(target.iterdir())
+        assert [f.name for f in files] == ["factor_0000.json", "factor_0001.json"]
+        for file, factor in zip(files, factors):
+            assert load_text(file.read_text())[0] == factor.graph
+            assert main(["validate", "--allow-cut-ids", str(file)]) == 0
+
+    def test_factor_graphs_only_for_out_dir(self, capsys, monkeypatch, tmp_path):
+        # The listing reads the choices and the cut table; a factor graph is
+        # built only to be written.
+        from reebtrees import cli
+
+        calls = []
+        real = cli._apply_choice
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_apply_choice", counting)
+        g = random_graph(GeneratorSpec(seed=3, n_leaves=4, betti=3, levels=5, max_indeg=3))
+        path = write_graph(tmp_path, "g.json", g)
+        assert main(["decompose", path]) == 0
+        listing = capsys.readouterr().out
+        assert calls == []
+        assert main(["decompose", path, "--out-dir", str(tmp_path / "factors")]) == 0
+        assert capsys.readouterr().out == listing
+        assert len(calls) == len(list(enumerate_choices(g))) == len(listing.splitlines()) - 1
 
     def test_factor_cap(self, capsys, tmp_path, cycle_graph):
         path = write_graph(tmp_path, "g.json", cycle_graph)
@@ -619,13 +640,14 @@ class TestIso:
             )
 
     def test_cut_id_held_off_the_merge_level(self, capsys, tmp_path):
+        # The first factor detaches e2 onto cut:e2', beside the held id.
         g = cut_id_clash("e2")
         a = write_graph(tmp_path, "a.json", g)
         b = write_graph(tmp_path, "b.json", rename_graph(g))
-        assert main(["iso", a, b]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: cut vertex id 'cut:e2' already present\n"
+        for flags in ([], ["--oracle"]):
+            assert main(["iso", *flags, a, b]) == 0
+            assert main(["iso", *flags, b, a]) == 0
+        assert capsys.readouterr().out == "isomorphic\n" * 4
 
     def test_factor_files_compare(self, capsys, tmp_path, cycle_graph):
         out = tmp_path / "factors"
@@ -743,20 +765,10 @@ class TestDist:
         assert captured.out == ""
         assert "error: cycle-rank mismatch" in captured.err
 
-    @pytest.mark.parametrize(
-        "covers, message",
-        [
-            (None, "error: cut vertex id 'cut:e2' already present"),
-            ([[("cut:e2", "r")], [], []], "error: decomposition needs trivial orders; "
-             "vertex relations at level 0"),
-        ],
-    )
-    def test_matrix_undecomposable_file_prints_no_csv(
-        self, capsys, tmp_path, net_a, covers, message
-    ):
-        # b.json's merge level already holds the id of a cut leaf, or orders it.
-        write_graph(tmp_path, "a.json", net_a)
-        clash = make_graph(
+    @staticmethod
+    def held_cut_id(covers=None):
+        """A network whose merge level already holds the id of a cut leaf."""
+        return make_graph(
             [0, 1, 2],
             [["r", "cut:e2"], ["a", "b"], ["t"]],
             [
@@ -765,12 +777,36 @@ class TestDist:
             ],
             vertex_covers=covers,
         )
-        write_graph(tmp_path, "b.json", clash)
+
+    @pytest.mark.parametrize(
+        "covers, message",
+        [
+            ([[("cut:e2", "r")], [], []], "error: decomposition needs trivial orders; "
+             "vertex relations at level 0"),
+        ],
+    )
+    def test_matrix_undecomposable_file_prints_no_csv(
+        self, capsys, tmp_path, net_a, covers, message
+    ):
+        # b.json orders its merge level.
+        write_graph(tmp_path, "a.json", net_a)
+        write_graph(tmp_path, "b.json", self.held_cut_id(covers))
         write_graph(tmp_path, "c.json", net_a)
         assert main(["dist", "--matrix", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == message + "\n"
+
+    def test_matrix_file_holding_a_cut_leaf_id(self, capsys, tmp_path):
+        # The factor that detaches e2 puts it on cut:e2', so b.json compares
+        # with its copy c.json at distance 0.
+        g = self.held_cut_id()
+        write_graph(tmp_path, "b.json", g)
+        write_graph(tmp_path, "c.json", g)
+        assert main(["dist", "--matrix", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == ",b.json,c.json\nb.json,0,0\nc.json,0,0\n"
+        assert main(["dist", str(tmp_path / "b.json"), str(tmp_path / "c.json")]) == 0
+        assert capsys.readouterr().out == "0\n"
 
     @pytest.mark.parametrize("matrix", [False, True], ids=["pair", "matrix"])
     def test_edge_id_in_two_gaps_is_an_input_error(self, tmp_path, net_a, matrix):

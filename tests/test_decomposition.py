@@ -34,7 +34,8 @@ from reebtrees import (
     validate,
 )
 from reebtrees.core import RESERVED_VERTEX_PREFIX
-from conftest import SAFE_SHAPES, corpus, cut_id_clash
+from reebtrees.decomposition import _cut_leaves
+from conftest import SAFE_SHAPES, assert_cuts_take_fresh_ids, corpus, cut_id_clash, relabel
 from test_enewick import CORPUS
 from test_isomorphism import add_sources, random_covers
 
@@ -81,16 +82,40 @@ def test_apply_choice_details(cycle_graph):
 
 @pytest.mark.parametrize("edge", ["e1", "e2"])
 def test_cut_id_held_off_the_merge_level(edge):
-    # Only the choice that detaches ``edge`` clashes with the network's
-    # cut:<edge> on level 1; the choice that keeps it yields a valid tree.
+    # The network holds cut:<edge> on level 1, so the choice that detaches
+    # ``edge`` puts it on cut:<edge>', beside the held id; the other edge's
+    # leaf keeps its plain name.
     g = cut_id_clash(edge)
-    with pytest.raises(ValueError, match=f"^cut vertex id 'cut:{edge}' already present$"):
-        apply_choice(g, make_choice(g, {"r": "e1" if edge == "e2" else "e2"}))
-    factor = apply_choice(g, make_choice(g, {"r": edge}))
-    assert validate(factor.graph, allow_cut_ids=True) == []
-    assert glue_back(factor) == g
-    with pytest.raises(ValueError, match=f"^cut vertex id 'cut:{edge}' already present$"):
-        decompose(g)
+    other = "e1" if edge == "e2" else "e2"
+    factor = apply_choice(g, make_choice(g, {"r": other}))
+    assert factor.cut_vertices == (f"cut:{edge}'",)
+    assert factor.graph.down_maps[0][edge] == f"cut:{edge}'"
+    assert {f"cut:{edge}", f"cut:{edge}'"} <= factor.graph.vertex_level.keys()
+    assert apply_choice(g, make_choice(g, {"r": edge})).cut_vertices == (f"cut:{other}",)
+    assert [f.cut_vertices for f in decompose(g).factors] == [
+        (f"cut:{x}'" if x == edge else f"cut:{x}",) for x in ("e2", "e1")
+    ]
+    assert_cuts_take_fresh_ids(g)
+
+
+def test_cut_leaf_naming_rule():
+    # cut:<e>, extended with ' past every vertex id, edge id and leaf named
+    # before it, in option order: a's cut:a is a vertex and cut:a' an edge,
+    # so a gets cut:a'', and a' finds its cut:a' an edge and cut:a'' a's.
+    g = make_graph(
+        [0, 1, 2],
+        [["r", "cut:a"], ["p", "q", "s"], ["t"]],
+        [
+            [("a", "r", "p"), ("a'", "r", "q"), ("b", "r", "s"), ("cut:a'", "cut:a", "s")],
+            [("g1", "p", "t"), ("g2", "q", "t"), ("g3", "s", "t")],
+        ],
+    )
+    options = cut_options(g)
+    assert options == (("r", ("a", "a'", "b")),)
+    assert _cut_leaves(g, options) == {
+        "a": ("r", "cut:a''"), "a'": ("r", "cut:a'''"), "b": ("r", "cut:b")
+    }
+    assert_cuts_take_fresh_ids(g)
 
 
 def test_decomposition_factors(cycle_graph):
@@ -314,7 +339,11 @@ def test_apply_choice_matches_the_reference():
     reference, on every fixture and corpus file, on generator graphs with
     merges of in-degree 2 and 3, on ordered and multi-source copies of them,
     and on graphs holding cut leaf ids; for up to 16 choices of each, and
-    for choices that miss a merge, name a foreign edge or add a merge."""
+    for choices that miss a merge, name a foreign edge or add a merge.
+
+    Where the reference refuses a cut leaf id the graph holds, the factor
+    is the reference's factor of the graph with those ids moved aside, once
+    they and the new leaves are renamed back."""
     data = CORPUS.parent
     graphs = [load_text(f.read_text())[0] for f in sorted(data.glob("*.json"))]
     graphs += [enewick_to_reeb(f.read_text()) for f in sorted(CORPUS.glob("*.enwk"))]
@@ -335,11 +364,15 @@ def test_apply_choice_matches_the_reference():
         except Exception as exc:  # noqa: BLE001 - compared with the reference's
             return type(exc), str(exc)
 
-    seen = {"factors": 0, "InvalidChoice": 0, "ValueError": 0, "other": 0}
+    def moved_aside(g):
+        held = {RESERVED_VERTEX_PREFIX + e for _, edges in cut_options(g) for e in edges}
+        return lambda x: "held " + x if x in held else x
+
+    seen = {"factors": 0, "held": 0, "InvalidChoice": 0, "ValueError": 0, "other": 0}
     for g in graphs:
         try:
             choices = list(enumerate_choices(g))
-        except KeyError:  # an edge id used in two gaps; both sides raise it
+        except ValueError:  # validate's line for a graph that fails the checked skeleton
             choices = [CutChoice(kept=())]
         tried = choices[:12] + choices[12:][-4:]
         if choices[0].kept:
@@ -359,11 +392,21 @@ def test_apply_choice_matches_the_reference():
                 assert got == want
                 assert got.cut_vertices == tuple(sorted(f"cut:{e}" for e in want.detached))
                 seen["factors"] += 1
+            elif want[1].endswith("already present"):
+                move = moved_aside(g)
+                aside = reference_apply_choice(relabel(g, move, move), choice)
+                leaf = {got.graph.down_maps[g.vertex_level[m]][e]: e for e, m in got.reattach}
+                back = relabel(got.graph, lambda x: RESERVED_VERTEX_PREFIX + leaf[x]
+                               if x in leaf else move(x), move)
+                assert back == aside.graph
+                assert got.reattach == aside.reattach
+                assert not leaf.keys() & g.vertex_level.keys()
+                seen["held"] += 1
             else:
                 assert got == want
                 name = want[0].__name__
                 seen[name if name in seen else "other"] += 1
-    assert seen == {"factors": 12824, "InvalidChoice": 3882, "ValueError": 2, "other": 2}
+    assert seen == {"factors": 12821, "held": 5, "InvalidChoice": 3882, "ValueError": 3, "other": 0}
 
 
 def test_decompose_builds_its_option_table_once(monkeypatch, tmp_path, capsys):

@@ -44,6 +44,7 @@ from reebtrees import decomposition, isomorphism
 from reebtrees.isomorphism import _order_counts
 from conftest import (
     SAFE_SHAPES,
+    assert_cuts_take_fresh_ids,
     chain_with_bigons,
     corpus,
     cut_id_clash,
@@ -172,16 +173,15 @@ class TestReebIso:
             assert reeb_iso(g, rename_graph(g))
 
     def test_cut_id_held_off_the_merge_level(self):
-        # The first factor detaches e2 onto cut:e2, an id the network holds
-        # on level 1: the clash is named, whichever side holds it, not a
-        # broken tree.
-        g = cut_id_clash("e2")
-        for a, b in ((g, rename_graph(g)), (rename_graph(g), g)):
-            with pytest.raises(ValueError, match="^cut vertex id 'cut:e2' already present$"):
-                reeb_iso(a, b)
-        # A clash on e1 spares the first factor, whose match decides.
-        g = cut_id_clash("e1")
-        assert reeb_iso(g, rename_graph(g)) and reeb_iso(rename_graph(g), g)
+        # The network holds cut:e1 or cut:e2 on level 1, where the first
+        # factor would detach e2: its cut leaf takes a fresh id either way,
+        # and the decision does not depend on which edge's id is held.
+        for edge in ("e1", "e2"):
+            g = cut_id_clash(edge)
+            assert_cuts_take_fresh_ids(g)
+            copy = rename_graph(g)
+            assert reeb_iso(g, copy) and reeb_iso(copy, g)
+            assert decomposition_invariant(g) == decomposition_invariant(copy)
 
     def test_range_mismatch_is_not_iso(self, cycle_graph):
         other = make_graph([0, 1], [["a"], ["b"]], [[("e", "a", "b")]])
@@ -1962,9 +1962,11 @@ def test_cut_views_give_cut_leaves_the_factor_graphs_order_pairs():
             sk = g._skeleton
             whole = isomorphism._skeleton_view(g, sk.levels, sk.vertex_level)
             options = cut_options(g)
+            names = decomposition._cut_leaves(g, options)
             for choice in enumerate_choices(g):
                 factor = apply_choice(g, choice)
-                cut = isomorphism._cut(whole, g, decomposition._detached(g, options, choice))
+                detached = decomposition._cuts(names, choice.kept_map)
+                cut = isomorphism._cut(whole, g, detached)
                 for leaf in factor.cut_vertices:
                     order = factor.graph.vertex_orders[factor.graph.vertex_level[leaf]]
                     want = {p for p in isomorphism._strict_pairs(order) if leaf in p}

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from reebtrees import (
     CopheneticVector,
+    CutChoice,
     DimensionMismatch,
     EmptySet,
     GeneratorSpec,
@@ -30,10 +31,12 @@ from reebtrees import (
     decompose,
     enewick_to_reeb,
     enumerate_choices,
+    factor_count,
     hausdorff_distance,
     leaf_order,
     load_text,
     lp_distance,
+    make_choice,
     make_graph,
     minimize_critical_set,
     network_distance,
@@ -48,7 +51,6 @@ from reebtrees.core import RESERVED_VERTEX_PREFIX, ReebGraph
 from reebtrees.dag import betti_euler, build_dag_view
 from reebtrees.decomposition import (
     Factor,
-    _check_cut_ids,
     _require_trivial_orders,
     cut_options,
 )
@@ -66,7 +68,13 @@ from reebtrees.phylo import (
     network_factors,
 )
 
-from conftest import SAFE_SHAPES, chain_with_bigons, corpus, dated_caterpillar
+from conftest import (
+    SAFE_SHAPES,
+    assert_cuts_take_fresh_ids,
+    chain_with_bigons,
+    corpus,
+    dated_caterpillar,
+)
 from test_enewick import CORPUS, dated_texts
 
 DATA = Path(__file__).parent / "data"
@@ -137,6 +145,18 @@ class TestLeafOrder:
             [[("e", "cut:q", "t"), ("f", "a", "t")]],
         )
         assert leaf_order(g) == ("a", "cut:q")
+
+    def test_cut_leaves_sort_by_their_detached_edge(self):
+        # Edges a < a! < b arrive at r, and the network holds cut:a and
+        # cut:b, so a's leaf is cut:a', which sorts after cut:a! as an id.
+        g, _ = load_text((DATA / "cut_id_clash.json").read_text())
+        factor = decompose(g).factors[2]
+        assert factor.choice.kept == (("r", "b"),)
+        assert factor.cut_vertices == ("cut:a!", "cut:a'")
+        order = ("r", "cut:b", "cut:a'", "cut:a!", "cut:a")
+        assert leaf_order(factor) == leaf_order(factor.graph) == order
+        assert network_factors(g).vectors[2].leaves == order
+        assert_cuts_take_fresh_ids(g)
 
 
 class TestCopheneticVector:
@@ -601,7 +621,6 @@ def reference_factor_vectors(graph, ranks, time_mode):
     are the library's own."""
     _require_trivial_orders(graph)
     options = cut_options(graph)
-    _check_cut_ids(graph, options)
     _check_time_mode(time_mode)
     sources = [v for v in graph.vertex_level if v not in graph.above_edges]
     if len(sources) != 1:
@@ -855,6 +874,7 @@ class TestSkeletonInputChecks:
         # The skeleton looks up both ends of every edge a cover names, so an
         # edge cover naming no edge of its gap raised a bare KeyError.  A
         # vertex cover naming no vertex of its level is refused the same way.
+        # The decomposition's entry points read it through cut_options.
         edge, _ = load_text((DATA / "unknown_edge_cover.json").read_text())
         vertex = make_graph(
             [0, 1], [["a"], ["b"]], [[("e", "a", "b")]], vertex_covers=[[], [("ghost", "b")]]
@@ -872,6 +892,11 @@ class TestSkeletonInputChecks:
                 minimize_critical_set,
                 reeb_to_network,
                 build_dag_view,
+                cut_options,
+                enumerate_choices,
+                factor_count,
+                lambda x: make_choice(x, {}),
+                lambda x: apply_choice(x, CutChoice(kept=())),
             ):
                 with pytest.raises(ValueError) as info:
                     call(dataclasses.replace(graph))
@@ -902,17 +927,20 @@ class TestNetworkVectorsRaiseLikeDecompose:
 
     @pytest.mark.parametrize("edge", ["e1", "e2"])
     def test_cut_id_already_on_the_merge_level(self, edge):
-        # The first choice keeps e1, so a clash on e1 shows in the second.
+        # The factor that detaches ``edge`` puts it on cut:<edge>', beside
+        # the held id on its merge level, and the vectors agree with
+        # decompose's factors.
         g = clashing_network(edge)
-        with pytest.raises(ValueError) as want:
-            decompose(g)
-        with pytest.raises(ValueError) as got:
-            network_factors(g).vectors
-        assert str(got.value) == str(want.value) == f"cut vertex id 'cut:{edge}' already present"
+        assert_cuts_take_fresh_ids(g)
+        assert [v.leaves for v in network_factors(g).vectors] == [
+            ("r", f"cut:{edge}", f"cut:{x}'" if x == edge else f"cut:{x}")
+            for x in ("e2", "e1")
+        ]
 
     def test_cut_id_on_another_level(self):
-        # Without the check, the second factor would hold cut:e1 on levels
-        # 0 and 1, and cophenetic_vector would raise NotATree on it.
+        # A second leaf named cut:e1 would stand on levels 0 and 1, and
+        # cophenetic_vector would raise NotATree on the factor; the leaf is
+        # cut:e1' instead.
         g = make_graph(
             [0, 1, 2, 3],
             [["r"], ["a", "b", "cut:e1"], ["c", "p"], ["t"]],
@@ -922,16 +950,13 @@ class TestNetworkVectorsRaiseLikeDecompose:
                 [("h1", "c", "t"), ("h2", "p", "t")],
             ],
         )
-        with pytest.raises(ValueError) as want:
-            decompose(g)
-        with pytest.raises(ValueError) as got:
-            network_factors(g).vectors
-        assert str(got.value) == str(want.value) == "cut vertex id 'cut:e1' already present"
+        assert_cuts_take_fresh_ids(g)
+        assert [f.cut_vertices for f in decompose(g).factors] == [("cut:e2",), ("cut:e1'",)]
 
     def test_cut_ids_on_every_level(self):
         # Generator networks with one or two vertices renamed to cut leaf
-        # ids, on their merge's level or another; the first choice that
-        # detaches a held id raises, in decompose and in the vectors alike.
+        # ids, on their merge's level or another; every factor takes fresh
+        # leaf ids, in decompose and in the vectors alike.
         rng = random.Random(15)
         shapes = [(SAFE_SHAPES, 2), ([(2, 2, 3), (3, 2, 4), (4, 3, 5), (3, 4, 5)], 3)]
         seen = {True: 0, False: 0}
@@ -947,26 +972,18 @@ class TestNetworkVectorsRaiseLikeDecompose:
                     ))
                     for v, cut in names.items():
                         seen[g.vertex_level[v] == level[cut[4:]]] += 1
-                    h = renamed_vertices(g, names)
-                    with pytest.raises(ValueError) as want:
-                        decompose(h)
-                    with pytest.raises(ValueError) as got:
-                        network_factors(h).vectors
-                    assert str(got.value) == str(want.value)
-                    assert str(got.value).startswith("cut vertex id 'cut:")
+                    assert_cuts_take_fresh_ids(renamed_vertices(g, names))
                     networks += 1
         assert networks == 210
         assert min(seen.values()) >= 100, seen
 
     def test_cut_ids_held_on_first_edges_only(self):
-        # The first choice keeps every first edge, so no clash shows there;
-        # the first choice that detaches a held id keeps M's second edge.
+        # The first choice keeps every first edge, so it names no held id;
+        # the choices that detach c4 or h1 put them on cut:c4' and cut:h1'.
         g = renamed_vertices(nested_bigon_network(), {"a": "cut:c4", "c": "cut:h1"})
-        with pytest.raises(ValueError) as want:
-            decompose(g)
-        with pytest.raises(ValueError) as got:
-            network_factors(g).vectors
-        assert str(got.value) == str(want.value) == "cut vertex id 'cut:h1' already present"
+        assert_cuts_take_fresh_ids(g)
+        leaves = {c for f in decompose(g).factors for c in f.cut_vertices}
+        assert leaves == {"cut:c4'", "cut:c5", "cut:b1", "cut:b2", "cut:h1'", "cut:h2"}
 
     def test_bad_time_mode(self, net_a):
         with pytest.raises(ValueError, match="time_mode must be 'f' or '-f', not 'g'"):
