@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .core import format_level, minimize_critical_set, validate
 from .dag import betti_euler, betti_reticulation, build_dag_view, classify_vertex
-from .decomposition import _apply_choice, _choices, _cuts, _factor_options
+from .decomposition import _apply_choice, _choices, _cuts, _factor_table
 from .enewick import enewick_to_reeb, reeb_to_network, write_enewick
 from .errors import IncompatibleShape, ReebError
 from .generator import GeneratorSpec, random_graph
@@ -120,8 +120,7 @@ def cmd_minimize(args) -> int:
 
 def cmd_decompose(args) -> int:
     graph, _ = _load_valid(args.graph, args.format)
-    build_dag_view(graph)
-    options, leaves = _factor_options(graph)  # the library decompose's checks
+    _, (options, leaves) = _factor_table(graph)  # the library decompose's gate
     total = math.prod(len(edges) for _, edges in options)
     if total > args.max_factors:
         print(

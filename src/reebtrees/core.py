@@ -464,11 +464,12 @@ def _repeated_ids(graph: ReebGraph) -> Iterator[str]:
 
 
 def _unattached(graph: ReebGraph) -> Iterator[str]:
-    """validate's line for a list of vertex sets, down maps or up maps not
-    one per level or gap, then for every map whose domain is not its gap's
-    edges and every edge end that is no vertex on the level next to its gap,
-    over the gaps whose maps and levels pair up: gap by gap, the down map
-    before the up map, a map's ends by edge id."""
+    """validate's line for a list of vertex sets, edge sets, down maps or up
+    maps not one per level or gap, both counted from the levels, then for
+    every map whose domain is not its gap's edges and every edge end that
+    is no vertex on the level next to its gap, over the gaps whose maps and
+    levels pair up: gap by gap, the down map before the up map, a map's
+    ends by edge id."""
     vsets, esets = graph.vertex_sets, graph.edge_sets
     downs, ups = graph.down_maps, graph.up_maps
     if (
@@ -479,10 +480,12 @@ def _unattached(graph: ReebGraph) -> Iterator[str]:
         and all(vs.issuperset(up.values()) for vs, up in zip(vsets[1:], ups))
     ):
         return
+    gaps = max(len(graph.levels) - 1, 0)
     for what, items, count, where in (
         ("vertex set", vsets, len(graph.levels), "levels"),
-        ("down map", downs, len(esets), "gaps"),
-        ("up map", ups, len(esets), "gaps"),
+        ("edge set", esets, gaps, "gaps"),
+        ("down map", downs, gaps, "gaps"),
+        ("up map", ups, gaps, "gaps"),
     ):
         if len(items) != count:
             yield f"{what} list length mismatch ({len(items)} for {count} {where})"
@@ -638,21 +641,22 @@ def validate(graph: ReebGraph, *, allow_cut_ids: bool = False) -> list[str]:
     # case, have nothing to report here or in the map checks below.
     vorders, eorders = graph.vertex_orders, graph.edge_orders
     elements, covers = attrgetter("elements"), attrgetter("covers")
+    gaps = max(k - 1, 0)
     if not (
-        len(vorders) == len(vsets)
-        and len(eorders) == len(esets)
+        len(vorders) == len(vsets) == k
+        and len(eorders) == len(esets) == gaps
         and all(map(eq, map(elements, vorders), vsets))
         and all(map(eq, map(elements, eorders), esets))
         and not any(map(covers, vorders))
         and not any(map(covers, eorders))
     ):
-        for what, orders, carriers, where in (
-            ("vertex", vorders, vsets, "levels"),
-            ("edge", eorders, esets, "gaps"),
+        for what, orders, count, where in (
+            ("vertex", vorders, k, "levels"),
+            ("edge", eorders, gaps, "gaps"),
         ):
-            if len(orders) != len(carriers):
+            if len(orders) != count:
                 report.append(
-                    f"{what} order list length mismatch ({len(orders)} for {len(carriers)} {where})"
+                    f"{what} order list length mismatch ({len(orders)} for {count} {where})"
                 )
         for what, i, poset, carrier in _orders(graph):
             if poset.elements != carrier:

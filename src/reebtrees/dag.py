@@ -2,11 +2,12 @@
 
 Edges are oriented downward (top endpoint to bottom endpoint), so a vertex's
 in-degree counts edges arriving from the gap above and its out-degree counts
-edges leaving into the gap below.  build_dag_view is the single-source check
-that decompose, classify and the distances run first: it counts the cycle
-rank twice on the graph's critical skeleton (core._Skeleton), the one source
-of merge vertices that decompose, the distances and reeb_iso read, and
-returns it once the counts agree.
+edges leaving into the gap below.  build_dag_view is the single-source check:
+it counts the cycle rank twice on the graph's critical skeleton
+(core._Skeleton), the one source of merge vertices that decompose, the
+distances and reeb_iso read, and returns it once the counts agree.  classify
+and reeb_to_network call it; every factor path goes through decomposition's
+one gate (_factor_table), which calls it before it checks the level orders.
 """
 
 from __future__ import annotations

@@ -10,8 +10,11 @@ factor graphs, reeb_iso's factor views and the factor vectors alike:
 the leaves named before it, so a cut never collides with an id.  The leaf
 sits on the merge vertex's level, under the cover (merge vertex, cut leaf).
 The merge vertices and their arriving edges are read off the graph's
-checked critical skeleton (cut_options), and one check (_factor_options)
-comes before any factor is cut.
+critical skeleton (cut_options).  One gate, _factor_table, runs first in
+decompose, CLI decompose, decomposition_invariant and network_factors:
+build_dag_view's single-source check, then trivial level orders.
+apply_choice and reeb_iso's factor views, which take graphs with level
+orders or several sources, read the same table without it (_cut_table).
 
 Every factor has n + s leaves, where n is the number of sinks of the graph and
 s = sum(d - 1) over its merge vertices: each detached edge adds one cut leaf.
@@ -72,7 +75,12 @@ class Decomposition:
     factors: tuple[Factor, ...]
 
 
-def cut_options(graph: ReebGraph) -> tuple[tuple[str, tuple[str, ...]], ...]:
+# A factor table: merge vertex -> arriving edges; edge -> (merge vertex, cut leaf).
+_Options = tuple[tuple[str, tuple[str, ...]], ...]
+_Leaves = dict[str, tuple[str, str]]
+
+
+def cut_options(graph: ReebGraph) -> _Options:
     """Per merge vertex, the arriving edges one of which must be kept.
 
     Read off the graph's checked skeleton: merge vertices are ordered by
@@ -82,7 +90,7 @@ def cut_options(graph: ReebGraph) -> tuple[tuple[str, tuple[str, ...]], ...]:
     return _options(graph._checked_skeleton)
 
 
-def _options(sk: _Skeleton) -> tuple[tuple[str, tuple[str, ...]], ...]:
+def _options(sk: _Skeleton) -> _Options:
     """cut_options read off the skeleton ``sk``, checked or not."""
     # Vertices with two or more long edges arriving, picked out in C.
     merging = itertools.compress(sk.up, map(lt, itertools.repeat(1), map(len, sk.up.values())))
@@ -125,21 +133,16 @@ def make_choice(graph: ReebGraph, kept: Mapping[str, str]) -> CutChoice:
 def _require_trivial_orders(graph: ReebGraph) -> None:
     if not graph._ordered:
         return
-    for i, poset in enumerate(graph.vertex_orders):
-        if not poset.is_trivial:
-            raise OrderConflict(
-                f"decomposition needs trivial orders; vertex relations at level {i}"
-            )
-    for i, poset in enumerate(graph.edge_orders):
-        if not poset.is_trivial:
-            raise OrderConflict(
-                f"decomposition needs trivial orders; edge relations at gap {i}"
-            )
+    for where, orders in (
+        ("vertex relations at level", graph.vertex_orders),
+        ("edge relations at gap", graph.edge_orders),
+    ):
+        for i, poset in enumerate(orders):
+            if not poset.is_trivial:
+                raise OrderConflict(f"decomposition needs trivial orders; {where} {i}")
 
 
-def _cut_leaves(
-    graph: ReebGraph, options: Iterable[tuple[str, Sequence[str]]]
-) -> dict[str, tuple[str, str]]:
+def _cut_leaves(graph: ReebGraph, options: Iterable[tuple[str, Sequence[str]]]) -> _Leaves:
     """The naming rule: each arriving edge ``e`` of ``options``, the graph's
     cut_options, -> (its merge vertex, the id of its cut leaf), in option
     order.  The id is ``cut:<e>``, extended with ``'`` until it is free
@@ -147,7 +150,7 @@ def _cut_leaves(
     it, as refine_to_levels names its fresh ids.  No id of a plain compact
     graph (see core) has the prefix."""
     vertices, edges = (frozenset(), frozenset()) if graph._plain else graph._ids
-    leaves: dict[str, tuple[str, str]] = {}
+    leaves: _Leaves = {}
     named: set[str] = set()
     for m, arriving in options:
         for e in arriving:
@@ -159,22 +162,26 @@ def _cut_leaves(
     return leaves
 
 
-def _cuts(
-    leaves: Mapping[str, tuple[str, str]], kept: Mapping[str, str]
-) -> list[tuple[str, str, str]]:
+def _cuts(leaves: _Leaves, kept: Mapping[str, str]) -> list[tuple[str, str, str]]:
     """(merge vertex, detached edge, cut leaf) for every edge of ``leaves``
     (_cut_leaves) but the one ``kept`` maps its merge vertex to, in option
     order; with an empty ``kept``, every cut leaf any factor has."""
     return [(m, e, leaf) for e, (m, leaf) in leaves.items() if e != kept.get(m)]
 
 
-def _factor_options(
-    graph: ReebGraph,
-) -> tuple[tuple[tuple[str, tuple[str, ...]], ...], dict[str, tuple[str, str]]]:
-    """cut_options and _cut_leaves of a graph that passes what decompose
-    checks after the cycle rank: trivial level orders."""
+def _factor_table(graph: ReebGraph) -> tuple[int, tuple[_Options, _Leaves]]:
+    """The gate of every factor path, build_dag_view then trivial level
+    orders; returns the cycle rank with the graph's _cut_table."""
+    betti = build_dag_view(graph)
     _require_trivial_orders(graph)
-    options = cut_options(graph)
+    return betti, _cut_table(graph, graph._skeleton)
+
+
+def _cut_table(graph: ReebGraph, sk: _Skeleton) -> tuple[_Options, _Leaves]:
+    """The options read off ``sk``, a skeleton of ``graph``, checked or not,
+    and the cut leaves they name; no gate: level orders and several
+    sources pass."""
+    options = _options(sk)
     return options, _cut_leaves(graph, options)
 
 
@@ -186,19 +193,17 @@ def apply_choice(graph: ReebGraph, choice: CutChoice) -> Factor:
     and order; every other level of the factor is the network's own object,
     and a graph with no merge vertex is its factor's graph itself.
     """
-    options = cut_options(graph)
+    options, leaves = _cut_table(graph, graph._checked_skeleton)
     table = dict(options)
     if set(choice.kept_map) != set(table):
         raise InvalidChoice("choice does not cover exactly the merge vertices")
     for retic, keep_edge in choice.kept:
         if keep_edge not in table[retic]:
             raise InvalidChoice(f"edge {keep_edge!r} does not arrive at {retic!r}")
-    return _apply_choice(graph, _cut_leaves(graph, options), choice)
+    return _apply_choice(graph, leaves, choice)
 
 
-def _apply_choice(
-    graph: ReebGraph, leaves: Mapping[str, tuple[str, str]], choice: CutChoice
-) -> Factor:
+def _apply_choice(graph: ReebGraph, leaves: _Leaves, choice: CutChoice) -> Factor:
     """apply_choice of a choice that matches ``leaves``, the graph's
     _cut_leaves, which the caller computed once for all its choices."""
     vsets = list(graph.vertex_sets)
@@ -235,8 +240,7 @@ def decompose(graph: ReebGraph) -> Decomposition:
     orders, since the factors populate the orders themselves.  The option
     table is built once, not once per factor.
     """
-    build_dag_view(graph)
-    options, leaves = _factor_options(graph)
+    _, (options, leaves) = _factor_table(graph)
     return Decomposition(
         graph=graph,
         factors=tuple(_apply_choice(graph, leaves, c) for c in _choices(options)),

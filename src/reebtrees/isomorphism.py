@@ -51,8 +51,7 @@ from .core import (
     common_refinement,
     refine_to_levels,
 )
-from .dag import build_dag_view
-from .decomposition import CutChoice, _choices, _cut_leaves, _cuts, _factor_options, _options
+from .decomposition import CutChoice, _choices, _cut_table, _cuts, _factor_table
 from .errors import LabelMismatch, MissingLabels, NotATree, SizeLimitExceeded
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
@@ -298,7 +297,7 @@ class _FactorView:
     """A tree or forest as canonical_form reads it, built on a skeleton (see
     core._Skeleton) and never as a graph.  A factor of a network is the
     network's skeleton with each detached long edge ending at its cut leaf,
-    named by decomposition._cut_leaves and placed as apply_choice places it.
+    named by decomposition's cut table and placed as apply_choice places it.
 
     ``level`` numbers each vertex's level, an index into ``levels``, the
     values the fingerprint lists; ``down`` and ``up`` give each vertex's
@@ -649,8 +648,7 @@ def decomposition_invariant(
     fingerprints list the skeleton's level values, so the invariant is equal
     across pass-through levels, and its bytes differ from those of releases
     that fingerprinted factor graphs.  reeb_iso does not call it: one factor of a decides."""
-    build_dag_view(graph)
-    options, leaves = _factor_options(graph)
+    _, (options, leaves) = _factor_table(graph)
     sk = graph._skeleton
     whole = _skeleton_view(graph, sk.levels, sk.vertex_level)
     return tuple(
@@ -671,7 +669,7 @@ def _factor_form(
     budget: int | None,
 ) -> tuple[_FactorView, CanonicalForm]:
     """The factor ``choice`` of ``graph`` as a view cut from ``whole``, the
-    view of its skeleton, with ``leaves`` the graph's _cut_leaves, and its
+    view of its skeleton, with ``leaves`` the graph's cut leaves, and its
     fingerprint with ``leaf_ranks`` on the sinks and ``cut_rank`` on the cut
     leaves (-1 leaves them unranked)."""
     detached = _cuts(leaves, choice.kept_map)
@@ -711,8 +709,8 @@ def _factor_match(
     whole_a, whole_b = (
         _skeleton_view(g, g._skeleton.levels, g._skeleton.vertex_level) for g in (a, b)
     )
-    options_a, options_b = _options(a._skeleton), _options(b._skeleton)
-    leaves_a, leaves_b = _cut_leaves(a, options_a), _cut_leaves(b, options_b)
+    options_a, leaves_a = _cut_table(a, a._skeleton)
+    options_b, leaves_b = _cut_table(b, b._skeleton)
     choice_a = next(_choices(options_a))
     kept_a = sorted(map(joins(a, ra.names, options_a).__getitem__, choice_a.kept))
     view_a, form_a = _factor_form(a, whole_a, leaves_a, choice_a, ra.tags, cut_rank, budget)

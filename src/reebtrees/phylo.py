@@ -57,8 +57,7 @@ from operator import getitem, itemgetter, mul, sub
 from typing import Iterator, Mapping, Sequence
 
 from .core import RESERVED_VERTEX_PREFIX, ReebGraph, _Skeleton
-from .dag import build_dag_view
-from .decomposition import Factor, _cuts, _factor_options
+from .decomposition import Factor, _cuts, _factor_table
 from .errors import (
     DimensionMismatch,
     EmptySet,
@@ -82,16 +81,19 @@ def leaf_order(
     id).  Cut leaves introduced by decomposition sort by the merge vertex they
     came from, then by the detached edge, so factors of one decomposition
     agree on positions; other sinks with the reserved prefix sort by (level,
-    id) among them.
+    id) among them.  A cut leaf's merge vertex is the vertex its level's
+    order covers it with; of several, the least id, whatever the hash seed
+    or the order the covers are given in.
     """
     graph = _graph_of(source)
     sk = graph._checked_skeleton
     sinks = [v for v, below in sk.down.items() if not below]
-    # Each cut leaf's merge vertex is the one its level's order puts above
-    # it, and its detached edge names the long edge above it.
+    # Each cut leaf's merge vertex is the one its level's order puts below
+    # it (of several, the least id: covers run in descending order, so it
+    # comes last), and its detached edge names the long edge above it.
     cut_levels = {sk.vertex_level[v] for v in sinks if v.startswith(RESERVED_VERTEX_PREFIX)}
     covers = (c for i in cut_levels for c in graph.vertex_orders[sk.graph_level[i]].covers)
-    cut_of = {b: (a, e) for a, b in covers for _, e in sk.up[b][:1]}
+    cut_of = {b: (a, e) for a, b in sorted(covers, reverse=True) for _, e in sk.up[b][:1]}
     originals, cuts = _sorted_taxa(sinks, ranks, sk.vertex_level, cut_of)
     return (*originals, *cuts)
 
@@ -105,7 +107,7 @@ def _sorted_taxa(
     """The originals and the cut leaves among ``sinks``, each sorted in
     leaf_order's order, whatever the order of ``sinks``; ``cut_of`` sends a
     cut leaf to its merge vertex and its detached edge, read from the graph:
-    an extended leaf id (see decomposition._cut_leaves) does not sort as its
+    an extended leaf id (see decomposition's naming rule) does not sort as its
     edge does.  Taxa of one rank keep (level, id) order."""
     ranks = ranks or {}
 
@@ -548,8 +550,8 @@ class NetworkFactors:
     compared before any vector is built.  They equal ``cophenetic_vector``
     of each factor of ``decompose(graph)``, but no factor graph is built: a
     factor differs from its network only in that each detached edge ends at
-    its cut leaf.  Once per network come the checks ``decompose`` makes and
-    its table of cut leaves (``_factor_options``), the skeleton's children
+    its cut leaf.  Once per network come ``decompose``'s gate and factor
+    table, which ``network_factors`` reads, then the skeleton's children
     table, the sorted taxa, the stamps, which every factor shares (each
     merge leaves a cut leaf at its level in every factor, and no cut changes
     an out-degree), and the row walk
@@ -565,20 +567,18 @@ class NetworkFactors:
     taxa: int
     ranks: Mapping[str, int] | None
     time_mode: str
+    _table: tuple = field(repr=False)  # read with the gate, see network_factors
 
     @cached_property
     def vectors(self) -> tuple[CopheneticVector, ...]:
-        return _factor_vectors(self.graph, self.ranks, self.time_mode)
+        return _factor_vectors(self)
 
 
-def _factor_vectors(
-    graph: ReebGraph, ranks: Mapping[str, int] | None, time_mode: str
-) -> tuple[CopheneticVector, ...]:
-    """``cophenetic_vector`` of every factor of ``decompose(graph)``, in its
-    order, raising what that would raise first; network_factors has made
-    the cycle-rank check."""
+def _factor_vectors(net: NetworkFactors) -> tuple[CopheneticVector, ...]:
+    """``cophenetic_vector`` of every factor of ``decompose(net.graph)``, in
+    its order, raising what that would raise first after the gate."""
+    graph, (options, leaves), ranks, time_mode = net.graph, net._table, net.ranks, net.time_mode
     sk = graph._checked_skeleton
-    options, leaves = _factor_options(graph)
     _check_time_mode(time_mode)
     root = _root(sk)
 
@@ -722,13 +722,14 @@ def network_factors(
     ranks: Mapping[str, int] | None = None,
     time_mode: str = "f",
 ) -> NetworkFactors:
-    """Count the taxa and the cycle rank of ``graph`` on its checked
-    skeleton (ids used twice, edge ends off their levels and covers that
-    name unknown ids raise ValueError, a multi-source graph
-    ReticulationConflict); its factor vectors follow on first use."""
-    betti = build_dag_view(graph)
+    """The cycle rank and factor table of ``graph`` behind the gate that
+    ``decompose`` runs (ids used twice, edge ends off their levels and
+    covers that name unknown ids raise ValueError, a multi-source graph
+    ReticulationConflict, a level order OrderConflict), and its taxon
+    count; its factor vectors follow on first use."""
+    betti, table = _factor_table(graph)
     taxa = sum(1 for below in graph._skeleton.down.values() if not below)
-    return NetworkFactors(graph, betti, taxa, ranks, time_mode)
+    return NetworkFactors(graph, betti, taxa, ranks, time_mode, table)
 
 
 def network_distance(

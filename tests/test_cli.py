@@ -699,6 +699,23 @@ class TestDist:
         assert main(["dist", a, c]) == 1
         assert "incomparable: taxon counts differ: 2 vs 3" in capsys.readouterr().out
 
+    def test_level_order_refused_before_the_partner_is_read(self, capsys, tmp_path):
+        # network_factors runs decompose's whole gate, level orders
+        # included, on the first network before it reads the second: a
+        # partner of another shape (3 taxa, not 2) is not compared, and a
+        # partner that fails its own checks is not read.
+        ordered = str(DATA / "ordered_pair.json")
+        tree = write_graph(tmp_path, "c.json", three_leaf_tree())
+        broken = str(DATA / "duplicate_edge_id.json")
+        message = "decomposition needs trivial orders; vertex relations at level 0"
+        for pair in ((ordered, tree), (tree, ordered), (ordered, broken)):
+            assert main(["dist", *pair]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+            with pytest.raises(OrderConflict, match=message):
+                network_distance(*(load_text(Path(f).read_text())[0] for f in pair))
+        assert main(["dist", broken, ordered]) == 2
+        assert capsys.readouterr() == ("", "error: duplicate edge id 'e0' at gaps 0 and 1\n")
+
     def test_matrix(self, capsys, tmp_path, net_a, net_b):
         self.fixture_files(tmp_path, net_a, net_b)
         write_graph(tmp_path, "c.json", three_leaf_tree())
@@ -748,14 +765,14 @@ class TestDist:
         calls = []
         original = reebtrees.phylo._factor_vectors
 
-        def counting(view, ranks, time_mode):
-            calls.append(view)
-            return original(view, ranks, time_mode)
+        def counting(net):
+            calls.append(net)
+            return original(net)
 
         monkeypatch.setattr(reebtrees.phylo, "_factor_vectors", counting)
         assert main(["dist", "--matrix", str(tmp_path)]) == 0
         assert len(calls) == 4
-        assert len({id(view) for view in calls}) == 4
+        assert len({id(net.graph) for net in calls}) == 4
 
     def test_matrix_bad_file_prints_no_csv(self, capsys, tmp_path, net_a, twin_peaks):
         write_graph(tmp_path, "a.json", net_a)

@@ -189,8 +189,8 @@ def test_validate_reports_order_list_lengths(cycle_graph):
         "vertex order list length mismatch (0 for 4 levels)",
         "edge order list length mismatch (0 for 3 gaps)",
     ]
-    # So are the vertex sets, one per level, and the maps, one of each per
-    # gap; the checked skeleton raises the line.  A short list raised an
+    # So are the vertex sets, one per level, and the edge sets and maps, one
+    # of each per gap; the checked skeleton raises the line.  A short list raised an
     # IndexError, and an extra up map went unread.
     g = random_graph(GeneratorSpec(seed=1, n_leaves=3, betti=1, levels=3))
     for change, line in (
@@ -198,12 +198,36 @@ def test_validate_reports_order_list_lengths(cycle_graph):
         ({"up_maps": g.up_maps[:-1]}, "up map list length mismatch (1 for 2 gaps)"),
         ({"vertex_sets": g.vertex_sets[:-1]}, "vertex set list length mismatch (2 for 3 levels)"),
         ({"up_maps": (*g.up_maps, {})}, "up map list length mismatch (3 for 2 gaps)"),
+        ({"edge_sets": g.edge_sets[:-1]}, "edge set list length mismatch (1 for 2 gaps)"),
+        ({"edge_sets": (*g.edge_sets, {"x"})}, "edge set list length mismatch (3 for 2 gaps)"),
     ):
         h = replace(g, **change)
         assert validate(h)[0] == line
         with pytest.raises(ValueError) as info:
             replace(h)._checked_skeleton
         assert str(info.value) == line
+    # Levels and gaps are counted from the levels alone: a short vertex set
+    # list blames no order list, and a short edge set list no map list.
+    for change, lines in (
+        ({"vertex_sets": g.vertex_sets[:-1]}, ["vertex set list length mismatch (2 for 3 levels)"]),
+        (
+            {"vertex_sets": g.vertex_sets[:-1], "vertex_orders": g.vertex_orders[:-1]},
+            [
+                "vertex set list length mismatch (2 for 3 levels)",
+                "vertex order list length mismatch (2 for 3 levels)",
+            ],
+        ),
+        ({"edge_sets": g.edge_sets[:-1]}, ["edge set list length mismatch (1 for 2 gaps)"]),
+        (
+            {"edge_sets": g.edge_sets[:-1], "edge_orders": g.edge_orders[:-1]},
+            [
+                "edge set list length mismatch (1 for 2 gaps)",
+                "edge order list length mismatch (1 for 2 gaps)",
+            ],
+        ),
+    ):
+        report = validate(replace(g, **change))
+        assert [x for x in report if "list length" in x] == lines
 
 
 def test_validate_reports_order_cycle():

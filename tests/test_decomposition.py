@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -16,12 +17,14 @@ from reebtrees import (
     InvalidChoice,
     LevelPoset,
     OrderConflict,
+    ReticulationConflict,
     apply_choice,
     betti_euler,
     build_dag_view,
     classify_vertex,
     cut_options,
     decompose,
+    decomposition_invariant,
     dump_text,
     enewick_to_reeb,
     enumerate_choices,
@@ -30,11 +33,13 @@ from reebtrees import (
     load_text,
     make_choice,
     make_graph,
+    network_distance,
     random_graph,
     validate,
 )
 from reebtrees.core import RESERVED_VERTEX_PREFIX
 from reebtrees.decomposition import _cut_leaves
+from reebtrees.phylo import network_factors
 from conftest import SAFE_SHAPES, assert_cuts_take_fresh_ids, corpus, cut_id_clash, relabel
 from test_enewick import CORPUS
 from test_isomorphism import add_sources, random_covers
@@ -410,23 +415,67 @@ def test_apply_choice_matches_the_reference():
 
 
 def test_decompose_builds_its_option_table_once(monkeypatch, tmp_path, capsys):
-    """decompose and CLI decompose read cut_options once, not once per factor."""
+    """decompose, decomposition_invariant, network_distance, CLI decompose
+    and dist --matrix run the gate (build_dag_view) and name the cut leaves
+    (_cut_leaves) once per input graph, not once per factor: each count is
+    read through decomposition's binding, the only one the gate uses."""
     from reebtrees import cli, decomposition
 
-    g = random_graph(GeneratorSpec(seed=3, n_leaves=5, betti=6, levels=6, max_indeg=2))
-    calls = []
-    real = decomposition.cut_options
+    graphs = [
+        random_graph(GeneratorSpec(seed=3, n_leaves=5, betti=6, levels=6, max_indeg=2)),
+        random_graph(GeneratorSpec(seed=4, n_leaves=5, betti=6, levels=6, max_indeg=2)),
+    ]
+    calls = Counter()
 
-    def counting(graph):
-        calls.append(graph)
-        return real(graph)
+    def counting(name):
+        real = getattr(decomposition, name)
 
-    monkeypatch.setattr(decomposition, "cut_options", counting)
-    assert len(decompose(g).factors) == 64
-    assert len(calls) == 1
-    path = tmp_path / "g.json"
-    path.write_text(dump_text(g))
-    calls.clear()
-    assert cli.main(["decompose", str(path)]) == 0
+        def wrapper(graph, *rest):
+            calls[name, id(graph)] += 1
+            return real(graph, *rest)
+
+        monkeypatch.setattr(decomposition, name, wrapper)
+
+    counting("build_dag_view")
+    counting("_cut_leaves")
+    paths = [tmp_path / f"g{n}.json" for n in range(len(graphs))]
+    for path, g in zip(paths, graphs):
+        path.write_text(dump_text(g))
+
+    def once_each(*used):
+        assert sorted(calls.values()) == [1] * 2 * len(used), calls
+        assert {key for _, key in calls} == {id(g) for g in used}
+        calls.clear()
+
+    assert len(decompose(graphs[0]).factors) == 64
+    once_each(graphs[0])
+    assert len(decomposition_invariant(graphs[0])) == 64
+    once_each(graphs[0])
+    network_distance(*graphs)
+    once_each(*graphs)
+    # The CLI loads its own graphs; each file's is counted once.
+    assert cli.main(["decompose", str(paths[0])]) == 0
     assert capsys.readouterr().out.startswith("factors: 64\n")
-    assert len(calls) == 1
+    assert sorted(calls.values()) == [1, 1] and len({key for _, key in calls}) == 1
+    calls.clear()
+    assert cli.main(["dist", "--matrix", str(tmp_path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert sorted(calls.values()) == [1] * 4 and len({key for _, key in calls}) == 2
+
+
+def test_two_gates_of_the_decomposition_api():
+    """A graph with two sources has factors, which cut_options,
+    factor_count, enumerate_choices and apply_choice give; decompose,
+    decomposition_invariant and network_factors run the single-source gate
+    and refuse it."""
+    g = make_graph([0, 1], [["x"], ["p", "q"]], [[("e", "x", "p"), ("f", "x", "q")]])
+    assert cut_options(g) == (("x", ("e", "f")),)
+    assert factor_count(g) == 2
+    choices = list(enumerate_choices(g))
+    assert [c.kept for c in choices] == [(("x", "e"),), (("x", "f"),)]
+    factors = [apply_choice(g, c) for c in choices]
+    assert [f.cut_vertices for f in factors] == [("cut:f",), ("cut:e",)]
+    assert all(glue_back(f) == g for f in factors)
+    for call in (decompose, decomposition_invariant, network_factors):
+        with pytest.raises(ReticulationConflict, match="2 source vertices: p, q"):
+            call(g)

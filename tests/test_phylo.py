@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import reebtrees
 from reebtrees import (
     CopheneticVector,
     CutChoice,
@@ -51,6 +55,7 @@ from reebtrees.core import RESERVED_VERTEX_PREFIX, ReebGraph
 from reebtrees.dag import betti_euler, build_dag_view
 from reebtrees.decomposition import (
     Factor,
+    _cut_table,
     _require_trivial_orders,
     cut_options,
 )
@@ -135,6 +140,34 @@ class TestLeafOrder:
         via_factor = leaf_order(factor, ranks=ranks_a)
         via_graph = leaf_order(factor.graph, ranks=ranks_a)
         assert via_factor == via_graph
+
+    def test_cut_leaf_under_two_covers_whatever_the_hash_seed(self):
+        # cut:x is covered with a and with c, cut:y with b: cut:x takes the
+        # least, a, and sorts first, under every hash seed and either order
+        # of the covers.
+        code = """if True:
+            from reebtrees import cophenetic_vector, leaf_order, make_graph
+            for covers in (["a", "c"], ["c", "a"]):
+                g = make_graph(
+                    [0, 1, 2],
+                    [["cut:x", "cut:y", "a", "b", "c"], ["m", "n"], ["t"]],
+                    [
+                        [("e1", "cut:x", "m"), ("e2", "cut:y", "m"), ("e3", "a", "n"),
+                         ("e4", "b", "n"), ("e5", "c", "n")],
+                        [("g1", "m", "t"), ("g2", "n", "t")],
+                    ],
+                    vertex_covers=[[*((v, "cut:x") for v in covers), ("b", "cut:y")], [], []],
+                )
+                print(leaf_order(g), cophenetic_vector(g).leaves)
+        """
+        src = str(Path(reebtrees.__file__).resolve().parents[1])
+        want = "('a', 'b', 'c', 'cut:x', 'cut:y') ('a', 'b', 'c', 'cut:x', 'cut:y')\n" * 2
+        for hash_seed in range(8):
+            env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": src}
+            done = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+            )
+            assert (done.returncode, done.stdout, done.stderr) == (0, want, ""), hash_seed
 
     def test_cut_leaf_without_provenance(self):
         # A hand-built graph may use the reserved prefix with no cover at
@@ -990,15 +1023,17 @@ class TestNetworkVectorsRaiseLikeDecompose:
             network_factors(net_a, time_mode="g").vectors
 
     def test_two_roots(self, twin_peaks):
-        # decompose runs the cycle-rank check first, so the reference cuts
-        # each choice itself.
+        # decompose and network_factors run the cycle-rank check first, so
+        # the reference cuts each choice itself, and the vectors are read
+        # from a table built without the gate.
         with pytest.raises(NotRooted) as want:
             tuple(
                 cophenetic_vector(apply_choice(twin_peaks, c), ranks=None, time_mode="f")
                 for c in enumerate_choices(twin_peaks)
             )
         with pytest.raises(NotRooted) as got:
-            NetworkFactors(twin_peaks, betti_euler(twin_peaks), 1, None, "f").vectors
+            table = _cut_table(twin_peaks, twin_peaks._skeleton)
+            NetworkFactors(twin_peaks, betti_euler(twin_peaks), 1, None, "f", table).vectors
         assert str(got.value) == str(want.value) == "2 source vertices, expected exactly 1"
 
 
