@@ -308,7 +308,9 @@ class ReebGraph:
     @cached_property
     def _skeleton(self) -> _Skeleton:
         # A compact graph's recipe reads the skeleton off the network it
-        # embeds; it returns None where that reading would differ.
+        # embeds; it returns None where that reading could differ: a node
+        # of one parent and one child, or ids the eNewick reader did not
+        # make.
         recipe = self.__dict__.get("_recipe")
         return (recipe and recipe.skeleton(self)) or _Skeleton.of(self)
 
@@ -317,14 +319,15 @@ class ReebGraph:
         """``_skeleton``, after the checks that building it and walking down
         it need: the first of validate's lines for a vertex id on two levels
         or an edge id in two gaps, which the skeleton would join, then for a
-        map whose domain is not its gap's edges or an edge end that is no
-        vertex on the level next to its gap, and then for a cover that names
-        an id outside its level or gap, raised as ValueError.  An end off
-        its level could lead back up, and a walk from the root miss the
-        vertices it leads to or never leave them; the skeleton looks up the
-        ends of every edge a cover names.  Cycles in the covers and maps
-        that break an order are left to the readers that use the orders.  A
-        plain compact graph passes the checks unread."""
+        list of sets or maps not one per level or gap, a map whose domain is
+        not its gap's edges or an edge end that is no vertex on the level
+        next to its gap, and then for a cover that names an id outside its
+        level or gap, raised as ValueError.  An end off its level could
+        lead back up, and a walk from the root miss the vertices it leads
+        to or never leave them; the skeleton looks up the ends of every
+        edge a cover names.  Cycles in the covers and maps that break an
+        order are left to the readers that use the orders.  A plain compact
+        graph passes the checks unread."""
         if self._plain:
             return self._skeleton
         # A graph with no cover anywhere skips the walk over its orders.
@@ -385,8 +388,7 @@ class _Skeleton:
     increasing, and ``graph_level`` their indices in the graph;
     ``vertex_level`` sends a critical vertex to an index into ``levels``.
     ``down`` and ``up`` send every critical vertex to its (lower end, long
-    edge) and (upper end, long edge) pairs, sorted by long edge; ``chains``
-    sends a long edge to its edge ids, lowest first.
+    edge) and (upper end, long edge) pairs, sorted by long edge.
     """
 
     levels: tuple[Fraction, ...]
@@ -394,7 +396,6 @@ class _Skeleton:
     vertex_level: dict[str, int]
     down: dict[str, tuple[tuple[str, str], ...]]
     up: dict[str, tuple[tuple[str, str], ...]]
-    chains: Mapping[str, list[str]]
 
     @staticmethod
     def of(graph: ReebGraph) -> _Skeleton:
@@ -417,32 +418,33 @@ class _Skeleton:
                 graph_level.append(i)
         down: dict[str, list[tuple[str, str]]] = {v: [] for v in vertex_level}
         up: dict[str, list[tuple[str, str]]] = {v: [] for v in vertex_level}
-        chains: dict[str, list[str]] = {}
-        lower: dict[str, str] = {}
-        through: dict[str, str] = {}  # non-critical vertex -> long edge below it
+        through: dict[str, tuple[str, str]] = {}  # non-critical vertex -> (lower end, long edge)
         for dn, upm in zip(graph.down_maps, graph.up_maps):
             for e, d in dn.items():
                 # A critical lower end is in no entry of ``through``.
-                long_edge = through.pop(d, e)
-                if long_edge == e:
-                    chains[e] = [e]
-                    lower[e] = d
-                else:
-                    chains[long_edge].append(e)
+                pair = through.pop(d, None) or (d, e)
                 u = upm[e]
                 if u in vertex_level:
-                    down[u].append((lower[long_edge], long_edge))
-                    up[lower[long_edge]].append((u, long_edge))
+                    down[u].append(pair)
+                    up[pair[0]].append((u, pair[1]))
                 else:
-                    through[u] = long_edge
+                    through[u] = pair
         return _Skeleton(
             levels=tuple(graph.levels[i] for i in graph_level),
             graph_level=tuple(graph_level),
             vertex_level=vertex_level,
             down={v: tuple(sorted(ps, key=itemgetter(1))) for v, ps in down.items()},
             up={v: tuple(sorted(ps, key=itemgetter(1))) for v, ps in up.items()},
-            chains=chains,
         )
+
+
+def _path_up(graph: ReebGraph, e: str, lo: int, hi: int) -> list[str]:
+    """Edge ``e`` of gap ``lo``, then the one edge above each upper end in
+    turn, up to gap ``hi - 1``; the ends between are regular vertices."""
+    path = [e]
+    for g in range(lo, hi - 1):
+        path.append(graph.above_edges[graph.up_maps[g][path[-1]]][0])
+    return path
 
 
 def _repeated_ids(graph: ReebGraph) -> Iterator[str]:
@@ -677,16 +679,15 @@ def validate(graph: ReebGraph, *, allow_cut_ids: bool = False) -> list[str]:
                     report.append(f"non-monotone up_map at gap {i}: cover ({lo!r}, {hi!r})")
 
     if graph.edge_labels is not None:
-        if len(graph.edge_labels) != graph.gap_count:
-            report.append("label list length mismatch")
-        else:
-            for i, m in enumerate(graph.edge_labels):
-                if m is None:
-                    continue
-                if set(m) != esets[i]:
-                    report.append(f"label domain mismatch at gap {i}")
-                if len(set(m.values())) != len(m):
-                    report.append(f"non-bijective labels at gap {i}")
+        if len(graph.edge_labels) != gaps:
+            report.append(f"label list length mismatch ({len(graph.edge_labels)} for {gaps} gaps)")
+        for i, (m, es) in enumerate(zip(graph.edge_labels, esets)):
+            if m is None:
+                continue
+            if set(m) != es:
+                report.append(f"label domain mismatch at gap {i}")
+            if len(set(m.values())) != len(m):
+                report.append(f"non-bijective labels at gap {i}")
 
     # Connectivity over the incidence structure, using only well-formed
     # links.  Where ids are unique and every edge joins its gap's two
@@ -778,7 +779,6 @@ def minimize_critical_set(graph: ReebGraph) -> ReebGraph:
     new_eorders: list[LevelPoset] = []
     had_labels = graph.edge_labels is not None
     new_labels: list[Mapping[str, str] | None] = []
-    place = {e: (chain, n) for chain in sk.chains.values() for n, e in enumerate(chain)}
 
     for a, b in zip(keep, keep[1:]):
         if b - a == 1:
@@ -794,8 +794,7 @@ def minimize_critical_set(graph: ReebGraph) -> ReebGraph:
         # no relation, so each edge of gap a runs up its long edge to gap b - 1.
         triples = []
         for e in sorted(graph.edge_sets[a]):
-            chain, n = place[e]
-            top = chain[n + b - 1 - a]
+            top = _path_up(graph, e, a, b)[-1]
             triples.append((e, graph.down_maps[a][e], graph.up_maps[b - 1][top]))
         new_edges.append(triples)
         new_eorders.append(LevelPoset.trivial(t[0] for t in triples))

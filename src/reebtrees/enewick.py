@@ -404,20 +404,19 @@ class _Embedding:
         """The skeleton of ``graph``, the graph this embedding builds, read
         off the network: the nodes are the critical vertices, every level
         holds one, and each branch is one long edge, named by its lowest
-        edge; its edge ids are named when read (_Chains).  None, so that the
-        graph finds its skeleton itself, when that reading would be wrong: a
-        node with one parent and one child is regular, and a generated id
-        that another id repeats joins what should stay apart."""
+        edge.  None, so that the graph finds its skeleton itself, when that
+        reading could be wrong: a node with one parent and one child is
+        regular, and among ids the eNewick reader did not make one may
+        repeat a generated id and join what should stay apart."""
+        if not self.reader_ids:
+            return None
         level_of = self.level_of
         down: dict[str, list[tuple[str, str]]] = {v: [] for v in level_of}
         up: dict[str, list[tuple[str, str]]] = {v: [] for v in level_of}
-        spans: dict[str, tuple[str, int, int]] = {}
         named = []
         for (parent, child), base in zip(self.edges, self.bases()):
             lo = level_of[child]
-            hi = level_of[parent]
-            lowest = base if hi == lo + 1 else f"{base}:{lo}"
-            spans[lowest] = base, lo, hi
+            lowest = base if level_of[parent] == lo + 1 else f"{base}:{lo}"
             named.append((lowest, parent, child))
         # Branches by long edge, so that every node's lists come out sorted.
         named.sort()
@@ -426,37 +425,13 @@ class _Embedding:
             up[child].append((parent, lowest))
         if any(len(a) == 1 == len(b) for a, b in zip(up.values(), down.values())):
             return None
-        if not self.reader_ids:
-            passing = sum(level_of[p] - level_of[c] - 1 for p, c in self.edges)
-            vertices, edges = graph._ids
-            if len(vertices) != len(level_of) + passing or len(edges) != len(named) + passing:
-                return None
         return _Skeleton(
             levels=graph.levels,
             graph_level=tuple(range(graph.level_count)),
             vertex_level=level_of,
             down={v: tuple(ps) for v, ps in down.items()},
             up={v: tuple(ps) for v, ps in up.items()},
-            chains=_Chains(spans),
         )
-
-
-class _Chains(Mapping):
-    """A recorded skeleton's ``chains``: each long edge's edge ids, lowest
-    first, named when read from its branch's name and span of levels."""
-
-    def __init__(self, spans: dict[str, tuple[str, int, int]]):
-        self._spans = spans
-
-    def __getitem__(self, lowest: str) -> list[str]:
-        base, lo, hi = self._spans[lowest]
-        return [base] if hi == lo + 1 else [f"{base}:{g}" for g in range(lo, hi)]
-
-    def __iter__(self):
-        return iter(self._spans)
-
-    def __len__(self) -> int:
-        return len(self._spans)
 
 
 def enewick_to_reeb(text: str) -> ReebGraph:

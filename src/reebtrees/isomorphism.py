@@ -48,6 +48,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .core import (
     LevelPoset,
     ReebGraph,
+    _path_up,
     common_refinement,
     refine_to_levels,
 )
@@ -754,7 +755,9 @@ def _witness(
         gap = sa.graph_level[sa.vertex_level[w]]
         for u, e in ups:
             f = edge_map[e] if e in related[0] else spare[vertex_map[u], vertex_map[w]].pop()
-            for j, (x, y) in enumerate(zip(sa.chains[e], sb.chains[f])):
+            top = sa.graph_level[sa.vertex_level[u]]
+            path_a, path_b = _path_up(ra, e, gap, top), _path_up(rb, f, gap, top)
+            for j, (x, y) in enumerate(zip(path_a, path_b)):
                 edge_maps[gap + j][x] = y
                 if j:
                     vertex_maps[gap + j][ra.down_maps[gap + j][x]] = rb.down_maps[gap + j][y]

@@ -230,6 +230,30 @@ def test_validate_reports_order_list_lengths(cycle_graph):
         assert [x for x in report if "list length" in x] == lines
 
 
+def test_validate_counts_label_maps_from_the_levels():
+    # A correctly labelled graph with one edge set too few or too many gets
+    # the edge set line alone, and no IndexError from the label maps; a
+    # label list one too short or too long names both counts.
+    g = make_graph(
+        [0, 1, 2],
+        [["a", "b"], ["c"], ["d"]],
+        [[("e", "a", "c"), ("f", "b", "c")], [("h", "c", "d")]],
+        labels=[{"e": "x", "f": "y"}, {"h": "z"}],
+    )
+    assert validate(g) == []
+    for edge_sets, line in (
+        (g.edge_sets[:-1], "edge set list length mismatch (1 for 2 gaps)"),
+        ((*g.edge_sets, frozenset({"x"})), "edge set list length mismatch (3 for 2 gaps)"),
+    ):
+        report = validate(replace(g, edge_sets=edge_sets))
+        assert line in report and not [x for x in report if "label" in x], report
+    for labels, line in (
+        (g.edge_labels[:-1], "label list length mismatch (1 for 2 gaps)"),
+        ((*g.edge_labels, {"x": "w"}), "label list length mismatch (3 for 2 gaps)"),
+    ):
+        assert validate(replace(g, edge_labels=labels)) == [line]
+
+
 def test_validate_reports_order_cycle():
     g = make_graph(
         [0, 1],
@@ -983,14 +1007,22 @@ def test_minimize_matches_the_degree_rule():
             graphs.append(enewick_to_reeb(text))
         except ReebError:
             pass
-    spliced = 0
+    # Edges of a gap that opens a spliced run whose lower end is a
+    # pass-through vertex: their long edges start below the run.
+    spliced = below = 0
     for g in graphs:
         want = reference_minimize_critical_set(g)
         got = minimize_critical_set(g)
         assert got == want
         assert (got is g) == (want is g)
         spliced += got is not g
+        keep = [g.levels.index(x) for x in got.levels]
+        for a, b in zip(keep, keep[1:]):
+            if b - a > 1:
+                dn = g.down_maps[a]
+                below += sum(dn[e] not in g._skeleton.vertex_level for e in g.edge_sets[a])
     assert spliced >= 400, spliced
+    assert below >= 600, below
 
 
 def test_minimize_refuses_orders_as_the_degree_rule_did():
@@ -1184,6 +1216,27 @@ def raised(f, graph):
         return f(graph)
     except Exception as exc:
         return type(exc), str(exc)
+
+
+def reference_report(graph: ReebGraph, allow_cut_ids: bool):
+    """reference_validate's lines in validate's order, or what it raised,
+    under validate's label rule: a label list not one map per gap (counted
+    from the levels) is reported with both counts, and the maps that pair
+    with a gap are still checked, as reference_validate checks the list
+    cut or padded with None to one map per gap."""
+    gaps = graph.level_count - 1
+    labels = graph.edge_labels
+    fitted = graph
+    if labels is not None and len(labels) != gaps:
+        fitted = replace(graph, edge_labels=(*labels, *[None] * gaps)[:gaps])
+    lines = in_validates_order(
+        raised(lambda x: reference_validate(x, allow_cut_ids=allow_cut_ids), fitted)
+    )
+    if fitted is not graph and isinstance(lines, list):
+        later = ("label", "non-bijective", "disconnected")
+        at = next((n for n, x in enumerate(lines) if x.startswith(later)), len(lines))
+        lines.insert(at, f"label list length mismatch ({len(labels)} for {gaps} gaps)")
+    return lines
 
 
 def tree_scale_text(rng: random.Random, kind: str, n: int) -> str:
@@ -1462,9 +1515,7 @@ class TestValidateMatchesReference:
                     inputs.append(g)
             for g in inputs:
                 for allow in (True, False):
-                    want = in_validates_order(
-                        raised(lambda x: reference_validate(x, allow_cut_ids=allow), g)
-                    )
+                    want = reference_report(g, allow)
                     assert raised(lambda x: validate(x, allow_cut_ids=allow), g) == want
                 kinds.update(line.split()[0] for line in want)
                 kinds["ok" if not want else "reported"] += 1

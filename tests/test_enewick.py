@@ -359,7 +359,7 @@ class TestRecordedSkeleton:
             recorded = g._recipe.skeleton(g)
             kinds["recorded" if recorded else "fallback"] += 1
             if recorded:
-                kinds["parallel"] += any("~" in e for e in recorded.chains)
+                kinds["parallel"] += any("~" in e for ups in recorded.up.values() for _, e in ups)
                 kinds["hybrid"] += any(len(above) > 1 for above in recorded.up.values())
             assert g._skeleton == _Skeleton.of(g)
             assert recorded in (None, g._skeleton)
@@ -370,7 +370,8 @@ class TestRecordedSkeleton:
     def test_clashing_ids_fall_back(self):
         # A node named like a pass-through vertex shares its id, on its
         # level or on another, and a node whose name holds '<' repeats
-        # another branch's edge id.
+        # another branch's edge id.  Ids the reader did not make fall back
+        # even where none clashes.
         for net in (
             PhyloNetwork(
                 root="r",
@@ -386,6 +387,11 @@ class TestRecordedSkeleton:
                 root="r",
                 times={"r": F(0), "b": F(1), "c": F(1), "a": F(2), "a<b": F(2)},
                 edges=(("r", "b"), ("r", "c"), ("b", "a"), ("c", "a<b"), ("c", "a")),
+            ),
+            PhyloNetwork(
+                root="x y",
+                times={"x y": F(0), "a:1": F(1), "b": F(2), "c": F(2)},
+                edges=(("x y", "a:1"), ("x y", "b"), ("a:1", "b"), ("a:1", "c")),
             ),
         ):
             g = network_to_reeb(net)
@@ -1201,7 +1207,7 @@ class TestTreeScaleStaysCompact:
             assert write_enewick(reeb_to_network(g)) == write_enewick(want)
             # A node of one parent and one child sends the skeleton to its
             # own pass, which reads the fields.
-            recorded = isinstance(g._skeleton.chains, enewick._Chains)
+            recorded = g._recipe.skeleton(g) is not None
             assert built(g) != recorded and built(h) != recorded
             stayed += recorded and build_dag_view(g) > 0
         assert stayed >= 10, stayed
