@@ -44,6 +44,20 @@ neighbour once that vector cannot raise the maximum (the exact early break
 of Taha & Hanbury, IEEE TPAMI 2015), and the scale is divided out once at
 the end.  Plain sequences are converted once per call.  The lp distance is
 its case of two singletons.
+
+network_distance of two trees (cycle rank 0 on both sides) reads no
+vector: each tree is its own one factor, so the distance is the lp
+distance of their two vectors, a sum or a maximum over unordered pairs of
+taxa that any order of the pairs gives alike.  Both trees are stamped at
+the LCM of their scales.  The first walks its rows in its own pre-order,
+where a row's part from its taxon on is a plain slice; the second walks
+the partners of those taxa (the taxa at the same place of its taxon order)
+in the same sequence and gathers each row's part once; each pair of parts
+adds to the sum, the sum of p-th powers or the maximum, unless they are
+equal, as the Hausdorff kernel skips an equal vector.  That holds one row
+per tree, O(taxa) memory.  Networks with cycle rank 1 or more, and the
+matrix of the command line, which compares each network with every other,
+read the factor vectors.
 """
 
 from __future__ import annotations
@@ -87,15 +101,26 @@ def leaf_order(
     """
     graph = _graph_of(source)
     sk = graph._checked_skeleton
-    sinks = [v for v, below in sk.down.items() if not below]
-    # Each cut leaf's merge vertex is the one its level's order puts below
-    # it (of several, the least id: covers run in descending order, so it
-    # comes last), and its detached edge names the long edge above it.
+    sinks = _sinks(sk)
+    originals, cuts = _sorted_taxa(sinks, ranks, sk.vertex_level, _covered_cuts(graph, sk, sinks))
+    return (*originals, *cuts)
+
+
+def _sinks(sk: _Skeleton) -> list[str]:
+    return [v for v, below in sk.down.items() if not below]
+
+
+def _covered_cuts(
+    graph: ReebGraph, sk: _Skeleton, sinks: Sequence[str]
+) -> dict[str, tuple[str, str]]:
+    """Each cut leaf among ``sinks`` -> its merge vertex and detached edge,
+    as the graph's covers give them: its merge vertex is the one its level's
+    order puts below it (of several, the least id: covers run in descending
+    order, so it comes last), and its detached edge names the long edge
+    above it."""
     cut_levels = {sk.vertex_level[v] for v in sinks if v.startswith(RESERVED_VERTEX_PREFIX)}
     covers = (c for i in cut_levels for c in graph.vertex_orders[sk.graph_level[i]].covers)
-    cut_of = {b: (a, e) for a, b in sorted(covers, reverse=True) for _, e in sk.up[b][:1]}
-    originals, cuts = _sorted_taxa(sinks, ranks, sk.vertex_level, cut_of)
-    return (*originals, *cuts)
+    return {b: (a, e) for a, b in sorted(covers, reverse=True) for _, e in sk.up[b][:1]}
 
 
 def _sorted_taxa(
@@ -212,18 +237,38 @@ def cophenetic_vector(
         # The first merge the down maps reach, gap by gap.
         v = next(d for dn in graph.down_maps for d in dn.values() if d in merges)
         raise NotATree(f"vertex {v!r} has {len(sk.up[v])} edges arriving from above")
-    root = _root(sk)
-    leaves = leaf_order(source, ranks=ranks)
-    children = _children(sk)
-    # Only taxa and branching vertices stamp a pair.
-    stampers = [*leaves, *(v for v, kids in children.items() if len(kids) > 1)]
-    scale, stamp = _stamps(sk.levels, sk.vertex_level, stampers, time_mode)
+    sinks = _sinks(sk)
+    root, originals, cuts, children, scale, stamp = _tree_table(
+        sk, sinks, ranks, sk.vertex_level, _covered_cuts(graph, sk, sinks), time_mode
+    )
+    leaves = (*originals, *cuts)
     return _vector(leaves, _walk(root, children, leaves, stamp), scale, time_mode)
 
 
 def _check_time_mode(time_mode: str) -> None:
     if time_mode not in ("f", "-f"):
         raise ValueError(f"time_mode must be 'f' or '-f', not {time_mode!r}")
+
+
+def _tree_table(
+    sk: _Skeleton,
+    taxa: Sequence[str],
+    ranks: Mapping[str, int] | None,
+    level_of: Mapping[str, int],
+    cut_of: Mapping[str, tuple[str, str]],
+    time_mode: str,
+) -> tuple[str, list[str], list[str], dict[str, list[str]], int, dict[str, int]]:
+    """What every row walk over ``sk`` reads: (root, originals, cuts,
+    children, scale, stamp), the taxa sorted by _sorted_taxa, and the
+    integer stamps (_stamps) of every taxon and branching vertex, the only
+    vertices that stamp a pair.  ``taxa`` and ``level_of`` may hold cut
+    leaves that ``sk`` lacks; ``cut_of`` is _sorted_taxa's."""
+    root = _root(sk)
+    originals, cuts = _sorted_taxa(taxa, ranks, level_of, cut_of)
+    children = _children(sk)
+    stampers = [*originals, *cuts, *(v for v, kids in children.items() if len(kids) > 1)]
+    scale, stamp = _stamps(sk.levels, level_of, stampers, time_mode)
+    return root, originals, cuts, children, scale, stamp
 
 
 def _root(sk: _Skeleton) -> str:
@@ -502,7 +547,12 @@ def _hausdorff(set_a: Sequence, set_b: Sequence, p, digits: int) -> Fraction:
     scale = math.lcm(*{own for own, _ in forms_a + forms_b})
     a, b = _rescaled(forms_a, scale), _rescaled(forms_b, scale)
     cost = _cost(q)
-    raw = _directed(b, a, cost, _directed(a, b, cost, 0))
+    return _norm(_directed(b, a, cost, _directed(a, b, cost, 0)), scale, q, digits)
+
+
+def _norm(raw: int, scale: int, q: int | None, digits: int) -> Fraction:
+    """The distance whose integer cost at ``scale`` is ``raw``: the sup or
+    1-norm, or for q >= 2 the certified root of a sum of q-th powers."""
     if q is None or q == 1:
         return Fraction(raw, scale)
     return nth_root_fraction(Fraction(raw, scale**q), q, digits)
@@ -577,19 +627,9 @@ class NetworkFactors:
 def _factor_vectors(net: NetworkFactors) -> tuple[CopheneticVector, ...]:
     """``cophenetic_vector`` of every factor of ``decompose(net.graph)``, in
     its order, raising what that would raise first after the gate."""
-    graph, (options, leaves), ranks, time_mode = net.graph, net._table, net.ranks, net.time_mode
-    sk = graph._checked_skeleton
-    _check_time_mode(time_mode)
-    root = _root(sk)
-
-    # Every cut leaf any factor has: one per arriving edge of every merge.
-    cut_of = {c: (m, e) for e, (m, c) in leaves.items()}
-    level_of = {**sk.vertex_level, **{c: sk.vertex_level[m] for c, (m, _) in cut_of.items()}}
-    sinks = [v for v, below in sk.down.items() if not below]
-    originals, cuts = _sorted_taxa([*sinks, *cut_of], ranks, level_of, cut_of)
-    children = _children(sk)
-    stampers = [*originals, *cuts, *(v for v, kids in children.items() if len(kids) > 1)]
-    scale, stamp = _stamps(sk.levels, level_of, stampers, time_mode)
+    (options, leaves), time_mode = net._table, net.time_mode
+    sk = net.graph._checked_skeleton
+    cut_of, (root, originals, cuts, children, scale, stamp) = _network_table(net)
     # Arriving long edge of a merge -> (its upper end, its place among that
     # end's children).
     hook = {}
@@ -640,6 +680,19 @@ def _factor_vectors(net: NetworkFactors) -> tuple[CopheneticVector, ...]:
         index += (new - k) * weights[j]
         vectors[index] = _vector(tuple(names), _pack(rows, tails), scale, time_mode)
     return tuple(vectors)
+
+
+def _network_table(net: NetworkFactors) -> tuple[dict[str, tuple[str, str]], tuple]:
+    """(cut_of, _tree_table) of a network behind its gate, raising what
+    cophenetic_vector of its first factor would raise first; the taxa are
+    the network's sinks and every cut leaf any factor has, one per arriving
+    edge of every merge, which cut_of sends to (merge vertex, edge)."""
+    sk = net.graph._checked_skeleton
+    _check_time_mode(net.time_mode)
+    cut_of = {c: (m, e) for e, (m, c) in net._table[1].items()}
+    level_of = {**sk.vertex_level, **{c: sk.vertex_level[m] for c, (m, _) in cut_of.items()}}
+    taxa = [*_sinks(sk), *cut_of]
+    return cut_of, _tree_table(sk, taxa, net.ranks, level_of, cut_of, net.time_mode)
 
 
 def _gray_code(radices: Sequence[int]) -> Iterator[tuple[int, int, int]]:
@@ -747,7 +800,12 @@ def network_distance(
 
     Both networks must expose the same number of taxa and the same cycle
     rank; anything else raises IncompatibleShape, since their vectors would
-    not even share a dimension.
+    not even share a dimension.  Two trees are compared row by row in
+    O(taxa) memory, with no vector built; networks of cycle rank 1 or more
+    read their factor vectors (NetworkFactors.vectors) and the Hausdorff
+    kernel.  Either way the same Fraction comes back, and the same errors
+    are raised in the same order: the gate's of ``a``, then of ``b``, the
+    shape checks, a bad ``time_mode``, then a bad ``p`` or ``digits``.
     """
     na = network_factors(a, ranks=ranks_a, time_mode=time_mode)
     nb = network_factors(b, ranks=ranks_b, time_mode=time_mode)
@@ -755,4 +813,50 @@ def network_distance(
         raise IncompatibleShape(f"taxon counts differ: {na.taxa} vs {nb.taxa}")
     if na.betti != nb.betti:
         raise IncompatibleShape(f"cycle ranks differ: {na.betti} vs {nb.betti}")
+    if na.betti == 0:
+        return _tree_distance(na, nb, p, digits)
     return hausdorff_distance(na.vectors, nb.vectors, p, digits=digits)
+
+
+def _tree_distance(na: NetworkFactors, nb: NetworkFactors, p, digits: int) -> Fraction:
+    """network_distance of two trees, row by row (see the module's
+    docstring), raising what their factor vectors and the Hausdorff kernel
+    would, in that order."""
+    _, (root_a, originals_a, cuts_a, children_a, scale_a, stamp_a) = _network_table(na)
+    _, (root_b, originals_b, cuts_b, children_b, scale_b, stamp_b) = _network_table(nb)
+    q = _check_norm(p, digits)
+    scale = math.lcm(scale_a, scale_b)
+    stamp_a = _scaled(stamp_a, scale // scale_a)
+    stamp_b = _scaled(stamp_b, scale // scale_b)
+    partner = dict(zip([*originals_a, *cuts_a], [*originals_b, *cuts_b]))
+    walk = _preorder_taxa(root_a, children_a)
+    _, rows_a = _walk_rows(root_a, children_a, walk, stamp_a)
+    at, rows_b = _walk_rows(root_b, children_b, [partner[v] for v in walk], stamp_b)
+    cost = _cost(q)
+    raw = 0
+    last = len(walk) - 1
+    for (i, row_a), (_, row_b) in zip(rows_a, rows_b):
+        part = row_a[i:]
+        # (itemgetter of a single index returns the item, not a 1-tuple.)
+        other = [*itemgetter(*at[i:])(row_b)] if i < last else [row_b[at[i]]]
+        if part != other:
+            c = cost(part, other)
+            raw = max(raw, c) if q is None else raw + c
+    return _norm(raw, scale, q, digits)
+
+
+def _scaled(stamp: dict[str, int], k: int) -> dict[str, int]:
+    return stamp if k == 1 else {v: x * k for v, x in stamp.items()}
+
+
+def _preorder_taxa(root: str, children: Mapping[str, Sequence[str]]) -> list[str]:
+    """The taxa below ``root`` in the pre-order _walk_rows numbers them in."""
+    out = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        if v in children:
+            stack.extend(reversed(children[v]))
+        else:
+            out.append(v)
+    return out

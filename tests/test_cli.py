@@ -60,15 +60,20 @@ def write_graph(tmp_path, name, graph, **kw):
     return str(path)
 
 
-def run_module(module, *args, timeout=60, env=(), **kw):
-    """``python -m module args`` in a child process that imports this
-    source tree, with the variables ``env`` added to its environment."""
+def run_module(module, *args, **kw):
+    """``python -m module args`` in a child process, as run_python runs it."""
+    return run_python("-m", module, *args, **kw)
+
+
+def run_python(*args, timeout=60, env=(), **kw):
+    """``python args`` in a child process that imports this source tree,
+    with the variables ``env`` added to its environment."""
     src = str(Path(reebtrees.__file__).resolve().parents[1])
     env = {**os.environ, **dict(env), "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     )}
     return subprocess.run(
-        [sys.executable, "-m", module, *args],
+        [sys.executable, *args],
         capture_output=True, text=True, env=env, timeout=timeout, **kw,
     )
 
@@ -89,6 +94,37 @@ def three_leaf_tree():
             [("e3", "m", "t"), ("e4", "c1", "t")],
         ],
     )
+
+
+# Runs ``dist`` on the files it is given and prints its own peak RSS in MiB
+# to stderr.  Linux carries a process's peak over exec, so that ru_maxrss
+# starts at the size of the process that started it; the child reads the
+# peak of its own address space (VmHWM) where /proc has it.
+DIST_PEAK_RSS = """
+import resource, sys
+from reebtrees.cli import main
+code = main(["dist", *sys.argv[1:]])
+try:
+    with open("/proc/self/status") as status:
+        kib = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    kib /= 1024 if sys.platform == "darwin" else 1
+print(kib / 1024, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def random_binary_tree(rng: random.Random, taxa: int) -> str:
+    """eNewick text of a random binary tree over taxa t0..t<taxa - 1>: two
+    subtrees picked at random are joined until one is left, on branches of
+    1 to 3 units."""
+    subtrees = [f"t{k}" for k in range(taxa)]
+    for k in range(1, taxa):
+        i, j = sorted(rng.sample(range(len(subtrees)), 2))
+        b, a = subtrees.pop(j), subtrees.pop(i)
+        subtrees.append(f"({a}:{rng.randint(1, 3)},{b}:{rng.randint(1, 3)})i{k}")
+    return subtrees[0] + ";"
 
 
 def mutate(doc: dict, rng: random.Random) -> str:
@@ -869,6 +905,22 @@ class TestDist:
         assert all(len(row) == 4 for row in rows)
         assert main(["dist", str(tmp_path / "a.nwk"), str(tmp_path / "b.newick")]) == 0
         assert capsys.readouterr().out == rows[1][2] + "\n"
+
+    def test_two_large_trees_stream(self, tmp_path):
+        # Pair dist on two trees walks one row per tree, so its peak stays
+        # near the interpreter's own; the two 4000-taxon vectors it built
+        # before peaked at 150 MiB.
+        rng = random.Random(4000)
+        files = []
+        for name in ("a.enwk", "b.enwk"):
+            (tmp_path / name).write_text(random_binary_tree(rng, 4000))
+            files.append(str(tmp_path / name))
+        done = run_python("-c", DIST_PEAK_RSS, *files, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) > 0
+        peak = float(done.stderr)
+        print(f"dist of two 4000-taxon random binary trees: peak RSS {peak:.1f} MiB")
+        assert peak < 50, peak
 
     def test_empty_matrix_dir(self, capsys, tmp_path):
         empty = tmp_path / "none"

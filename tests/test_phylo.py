@@ -30,6 +30,7 @@ from reebtrees import (
     NotRooted,
     OrderConflict,
     ReebError,
+    ReticulationConflict,
     apply_choice,
     cophenetic_vector,
     decompose,
@@ -1262,3 +1263,154 @@ class TestNetworkDistance:
         # Trees are their own single factor, so this is just an lp distance.
         d = network_distance(two_leaf_tree(), two_leaf_tree(), p=1)
         assert d == F(0)
+
+
+def reference_network_distance(
+    a, b, *, p=1, digits=12, ranks_a=None, ranks_b=None, time_mode="f"
+):
+    """network_distance as it was before trees were compared row by row:
+    the Hausdorff distance between the two factor vector sets, trees too."""
+    na = network_factors(a, ranks=ranks_a, time_mode=time_mode)
+    nb = network_factors(b, ranks=ranks_b, time_mode=time_mode)
+    if na.taxa != nb.taxa:
+        raise IncompatibleShape(f"taxon counts differ: {na.taxa} vs {nb.taxa}")
+    if na.betti != nb.betti:
+        raise IncompatibleShape(f"cycle ranks differ: {na.betti} vs {nb.betti}")
+    return hausdorff_distance(na.vectors, nb.vectors, p, digits=digits)
+
+
+def outcome_of(call, *args, **kw):
+    """The value ``call`` returns, or the type and message of what it raises."""
+    try:
+        return call(*args, **kw)
+    except Exception as err:
+        return type(err), str(err)
+
+
+def rank_choices(graph):
+    """Full, partial, tied and no ranks for the taxa of ``graph``."""
+    full, partial, _ = rankings(graph)
+    _, tied, _ = rankings_with_ties(graph)
+    return full, partial, tied, None
+
+
+def seeded_tree_pairs():
+    """(a, b) pairs of trees with one taxon count each: seeded eNewick trees
+    whose two sides take decimal or whole lengths on their own, so that
+    their scales often differ; dated caterpillars against copies with one
+    internal node moved half a unit; every pair of the newick corpus trees
+    with one taxon count, each tree with itself too."""
+    rng = random.Random(20261020)
+    pairs = []
+    for k in range(420):
+        n = rng.randint(2, 30)
+        a, b = (
+            enewick_to_reeb(random_enewick_tree(
+                rng, rng.choice(("caterpillar", "balanced", "random")), n,
+                rng.choice((DECIMAL_LENGTHS, WHOLE_LENGTHS)),
+            ))
+            for _ in range(2)
+        )
+        pairs.append((a, b))
+    for taxa in (2, 3, 7, 20, 41):
+        for moved in (None, 0, taxa // 2, taxa - 2):
+            pairs.append((dated_caterpillar(taxa), dated_caterpillar(taxa, moved)))
+    by_taxa: dict[int, list] = {}
+    for path in sorted(CORPUS.glob("*.enwk")):
+        graph = enewick_to_reeb(path.read_text())
+        net = network_factors(graph)
+        if net.betti == 0:
+            by_taxa.setdefault(net.taxa, []).append(graph)
+    pairs.extend((a, b) for group in by_taxa.values() for a in group for b in group)
+    return pairs
+
+
+NORMS = [1, 2, 3, "inf"]
+
+
+class TestTreeDistanceMatchesReference:
+    """Two trees are compared row by row, with no vector built; the answer
+    is the Fraction the vector sets gave."""
+
+    def test_seeded_tree_pairs(self):
+        rng = random.Random(41)
+        pairs = seeded_tree_pairs()
+        assert len(pairs) >= 500
+        scales_differ = 0
+        for k, (a, b) in enumerate(pairs):
+            ranks_a, ranks_b = rng.choice(rank_choices(a)), rng.choice(rank_choices(b))
+            time_mode, digits = ("f", "-f")[k % 2], (0, 12)[k // 2 % 2]
+            for p in NORMS:
+                kw = dict(p=p, digits=digits, ranks_a=ranks_a, ranks_b=ranks_b,
+                          time_mode=time_mode)
+                got = network_distance(a, b, **kw)
+                want = reference_network_distance(a, b, **kw)
+                assert type(got) is F
+                assert got == want, (k, kw)
+            scale_a = cophenetic_vector(a)._integer[0]
+            scales_differ += scale_a != cophenetic_vector(b)._integer[0]
+        assert scales_differ >= 100, scales_differ
+
+    def test_networks_keep_the_vector_sets(self):
+        networks = [g for g in corpus(SAFE_SHAPES, range(3)) if network_factors(g).betti]
+        networks += [
+            g for g in (enewick_to_reeb(p.read_text()) for p in sorted(CORPUS.glob("*.enwk")))
+            if network_factors(g).betti
+        ]
+        shapes: dict[tuple[int, int], list] = {}
+        for g in networks:
+            net = network_factors(g)
+            shapes.setdefault((net.taxa, net.betti), []).append(g)
+        compared = 0
+        for group in shapes.values():
+            for a, b in zip(group, group[1:] + group[:1]):
+                for p in NORMS:
+                    got = network_distance(a, b, p=p, time_mode="-f")
+                    assert str(got) == str(reference_network_distance(a, b, p=p, time_mode="-f"))
+                compared += 1
+        assert compared >= 40, compared
+
+    def test_raise_order(self, net_a):
+        # Each case holds a fault at every later step too, so the first one
+        # raised is pinned to the reference's.
+        two = two_leaf_tree()
+        duplicate_id = make_graph(
+            [0, 1, 2], [["a"], ["b"], ["a"]], [[("e0", "a", "b")], [("e1", "b", "a")]]
+        )
+        two_sources = make_graph(
+            [0, 1], [["p", "q"], ["s", "t"]], [[("ep", "p", "s"), ("eq", "q", "t")]]
+        )
+        bad = dict(p=0, digits=-1, time_mode="g")
+        cases = [
+            (duplicate_id, two_sources, bad, ValueError),
+            (two, two_sources, bad, ReticulationConflict),
+            (two, ordered(two, vertex_level=0), bad, OrderConflict),
+            (two, three_leaf_tree(), bad, IncompatibleShape),
+            (two, net_a, bad, IncompatibleShape),
+            (two, two, bad, ValueError),
+            (two, two, dict(bad, time_mode="f", ranks_a={"x": 1, "y": "z"},
+                            ranks_b={"x": (1,), "y": 1}), TypeError),
+            (two, two, dict(p=0, ranks_b={"x": (1,), "y": 1}), TypeError),
+            (two, two, dict(p=0, digits=-1), ValueError),
+            (two, two, dict(p=0), ValueError),
+            (two, two, dict(p="2.5", digits=12), ValueError),
+            (two, two, dict(p=2, digits=-3), ValueError),
+        ]
+        messages = set()
+        for a, b, kw, error in cases:
+            got = outcome_of(network_distance, a, b, **kw)
+            assert got == outcome_of(reference_network_distance, a, b, **kw)
+            assert got[0] is error
+            messages.add(got[1])
+        assert len(messages) == len(cases)
+
+    def test_trees_read_no_factor_vector(self, monkeypatch, net_a, net_b, ranks_a, ranks_b):
+        def refuse(net):
+            raise AssertionError("factor vectors read")
+
+        monkeypatch.setattr(reebtrees.phylo, "_factor_vectors", refuse)
+        graph, ranks = seeded_trees()[5]
+        assert network_distance(graph, graph, p=3, ranks_a=ranks, ranks_b=ranks) == 0
+        assert network_distance(two_leaf_tree(), two_leaf_tree(), p="inf") == 0
+        with pytest.raises(AssertionError, match="factor vectors read"):
+            network_distance(net_a, net_b, ranks_a=ranks_a, ranks_b=ranks_b)
