@@ -12,10 +12,13 @@ column of its cause.  Times are exact: the root sits at time zero and each
 branch adds its length, and all copies of a hybrid node must land on
 exactly the same time.  Lengths are read as integers over one power-of-ten
 scale per text, ``10**d`` where ``d`` is the most fraction digits any
-length has, and times are summed and compared as such integers; each
-distinct time becomes one ``Fraction`` at the end, shared by its nodes.
-network_to_reeb reads each distinct time object once, so it sorts and
-groups a parsed network's nodes by integers, not Fractions.
+length has, and times are summed and compared as such integers.  The
+network keeps them so: each distinct time becomes one ``Fraction``, shared
+by its nodes, only when ``times`` is first read.  network_to_reeb and
+write_enewick read the integers, and reeb_to_network counts times in
+integer ticks of the graph's levels.  So none of the four makes a Fraction
+per node: embedding makes one per level, the graph's levels, and writing
+one per distinct branch length, to format it.
 """
 
 from __future__ import annotations
@@ -23,13 +26,14 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
+from itertools import groupby, islice, repeat
+from operator import ge, itemgetter
 
-from .core import ReebGraph, _Skeleton, _compact_graph, _fields, as_level, format_level
+from .core import ReebGraph, _Skeleton, _compact_graph, _fields, format_level
 from .dag import build_dag_view
 from .errors import (
     HybridArityError,
@@ -41,14 +45,47 @@ from .errors import (
 NAME_CHARS = re.compile(r"[A-Za-z0-9_.\-]")
 
 
+class _Times:
+    """The ``times`` field of PhyloNetwork.  A network that the constructor
+    builds holds the mapping it is given.  One that parse_enewick or
+    reeb_to_network builds holds its times as integer ticks over one scale
+    (``_ticks``, see _network) and makes their Fractions, one per distinct
+    time, shared by its nodes, when ``times`` is first read."""
+
+    def __get__(self, net, owner=None):
+        if net is None:
+            raise AttributeError("times")  # the field has no default
+        held = net.__dict__
+        if "times" in held:  # unpickled from a version that held times only
+            held["_times"] = held.pop("times")
+        if "_times" not in held:
+            scale, ticks = held["_ticks"]
+            at = {t: Fraction(t, scale) for t in set(ticks.values())}
+            held["_times"] = dict(zip(ticks, map(at.__getitem__, ticks.values())))
+        return held["_times"]
+
+    def __set__(self, net, times) -> None:
+        net.__dict__["_times"] = times
+
+
 @dataclass(frozen=True)
 class PhyloNetwork:
     """Merged network: exact node times (root at 0) and parent-to-child
     edges.  Parallel edges are kept as repeated pairs."""
 
     root: str
-    times: Mapping[str, Fraction]
+    times: Mapping[str, Fraction] = _Times()
     edges: tuple[tuple[str, str], ...]
+
+
+def _network(
+    root: str, edges: tuple[tuple[str, str], ...], scale: int, ticks: dict[str, int]
+) -> PhyloNetwork:
+    """The network whose node times are ``ticks`` over ``scale``, in that
+    mapping's order; it makes no Fraction until its times are read."""
+    net = object.__new__(PhyloNetwork)
+    net.__dict__.update(root=root, edges=edges, _ticks=(scale, ticks))
+    return net
 
 
 # One node of the text per match: white space, then either an opening
@@ -254,12 +291,9 @@ def _resolve(
             )
         declared.add(node)
 
-    # One Fraction per distinct time, shared by every node at that time.
-    at = {t: Fraction(t, scale) for t in set(time)}
-    times = dict(zip(ids[::-1], map(at.__getitem__, time[::-1])))
     edges = [(ids[k], ids[c]) for k in walk for c in kids[k]]
     # No ancestry cycle can form: lengths are positive and hybrid copies share one time.
-    return PhyloNetwork(root=ids[-1], times=times, edges=tuple(edges))
+    return _network(ids[-1], tuple(edges), scale, dict(zip(ids[::-1], time[::-1])))
 
 
 def network_to_reeb(net: PhyloNetwork) -> ReebGraph:
@@ -272,19 +306,19 @@ def network_to_reeb(net: PhyloNetwork) -> ReebGraph:
     its vertex and edge sets, maps and orders, with every pass-through id,
     when one of them is first read.  Its skeleton is read off the network
     when first asked for (see _Embedding.skeleton)."""
-    _, ticks = _ticks(net.times)
+    scale, ticks = _ticks(net)
     # Level i holds the i-th latest time.
-    order = sorted(set(ticks), reverse=True)
+    order = sorted(set(ticks.values()), reverse=True)
     if len(order) < 2:
         raise ValueError("need at least two distinct time values to build levels")
-    time_of = dict(zip(ticks, net.times.values()))
     index = {x: i for i, x in enumerate(order)}
-    level_of = dict(zip(net.times, map(index.__getitem__, ticks)))
-    for parent, child in net.edges:
-        if level_of[child] >= level_of[parent]:
-            raise ValueError(f"edge {parent!r} -> {child!r} does not go down in level")
+    level_of = dict(zip(ticks, map(index.__getitem__, ticks.values())))
+    lows = map(level_of.__getitem__, map(_SECOND, net.edges))
+    if any(map(ge, lows, map(level_of.__getitem__, map(_FIRST, net.edges)))):
+        parent, child = next(e for e in net.edges if level_of[e[1]] >= level_of[e[0]])
+        raise ValueError(f"edge {parent!r} -> {child!r} does not go down in level")
     embedding = _Embedding(level_of, net.edges)
-    graph = _compact_graph(tuple(as_level(-time_of[x]) for x in order), embedding)
+    graph = _compact_graph(tuple(Fraction(-x, scale) for x in order), embedding)
     if not embedding.reader_ids:
         # Built now, so that an edge id used twice in a gap raises here, as
         # make_graph does.
@@ -292,23 +326,32 @@ def network_to_reeb(net: PhyloNetwork) -> ReebGraph:
     return graph
 
 
-def _ticks(times: Mapping[str, Fraction]) -> tuple[int, list[int]]:
-    """(scale, ticks): the least common denominator of ``times`` and every
-    time times it, in the mapping's order.  Each distinct time object is
-    converted once, and parse_enewick and reeb_to_network share one
-    Fraction among the nodes at a time, so theirs cost one conversion per
-    level, not per node."""
+def _ticks(net: PhyloNetwork) -> tuple[int, dict[str, int]]:
+    """(scale, ticks): a common denominator of the network's times and each
+    node's time times it, in the order of ``times``.  A network from
+    parse_enewick or reeb_to_network holds them.  For any other, scale is
+    the least common denominator, and each distinct time object is read
+    once, as one integer pair."""
+    held = net.__dict__.get("_ticks")
+    if held is not None:
+        return held
+    times = net.times
     values = times.values()
     distinct = dict(zip(map(id, values), values))
-    scale = math.lcm(*(t.denominator for t in distinct.values()))
-    of = {k: t.numerator * (scale // t.denominator) for k, t in distinct.items()}
-    return scale, list(map(of.__getitem__, map(id, values)))
+    # numerator and denominator, which a float lacks: times are exact.
+    pairs = {k: (t.numerator, t.denominator) for k, t in distinct.items()}
+    scale = math.lcm(*(d for _, d in pairs.values()))
+    of = {k: n * (scale // d) for k, (n, d) in pairs.items()}
+    return scale, dict(zip(times, map(of.__getitem__, map(id, values))))
 
 
 # The node ids the reader makes, one per line: a name, "@n<k>" for an
 # unnamed node and "#H<k>" for an unnamed hybrid.
 _READER_ID = rf"(?:{NAME_CHARS.pattern}+|@n[0-9]+|#H[0-9]+)"
 _READER_IDS = re.compile(rf"{_READER_ID}(?:\n{_READER_ID})*")
+_FIRST, _SECOND, _THIRD = itemgetter(0), itemgetter(1), itemgetter(2)
+# Of a (long edge, parent, child) row: (parent, long edge), (child, long edge).
+_UPPER_END, _LOWER_END = itemgetter(1, 0), itemgetter(2, 0)
 
 
 class _Embedding:
@@ -348,7 +391,7 @@ class _Embedding:
         connected with one source: validate has nothing to report and the
         skeleton's checks pass.  Two plain embeddings on equal levels build
         equal graphs exactly when their ``key``s are equal."""
-        children = set(map(itemgetter(1), self.edges))
+        children = set(map(_SECOND, self.edges))
         return self.reader_ids and len(self.level_of) - len(children) == 1
 
     @cached_property
@@ -411,27 +454,42 @@ class _Embedding:
         if not self.reader_ids:
             return None
         level_of = self.level_of
-        down: dict[str, list[tuple[str, str]]] = {v: [] for v in level_of}
-        up: dict[str, list[tuple[str, str]]] = {v: [] for v in level_of}
-        named = []
-        for (parent, child), base in zip(self.edges, self.bases()):
-            lo = level_of[child]
-            lowest = base if level_of[parent] == lo + 1 else f"{base}:{lo}"
-            named.append((lowest, parent, child))
-        # Branches by long edge, so that every node's lists come out sorted.
+        # (long edge, parent, child) for every branch, by long edge.  A long
+        # edge's name starts with its child's id and '<', which no reader id
+        # holds, so each child's branches are consecutive; a stable sort by
+        # parent then makes each parent's consecutive too, in the same order.
+        named = [
+            (base if level_of[p] == level_of[c] + 1 else f"{base}:{level_of[c]}", p, c)
+            for (p, c), base in zip(self.edges, self.bases())
+        ]
         named.sort()
-        for lowest, parent, child in named:
-            down[parent].append((child, lowest))
-            up[child].append((parent, lowest))
-        if any(len(a) == 1 == len(b) for a, b in zip(up.values(), down.values())):
+        up = dict.fromkeys(level_of, ())
+        up.update(_runs(list(map(_THIRD, named)), map(_UPPER_END, named)))
+        named.sort(key=_SECOND)
+        down = dict.fromkeys(level_of, ())
+        down.update(_runs(list(map(_SECOND, named)), map(_LOWER_END, named)))
+        # A node of one branch above and one below is regular.
+        if (1, 1) in zip(map(len, up.values()), map(len, down.values())):
             return None
         return _Skeleton(
             levels=graph.levels,
             graph_level=tuple(range(graph.level_count)),
             vertex_level=level_of,
-            down={v: tuple(ps) for v, ps in down.items()},
-            up={v: tuple(ps) for v, ps in up.items()},
+            down=down,
+            up=up,
         )
+
+
+def _runs(keys: list, items: Iterator) -> Iterator[tuple]:
+    """(key, run) for each distinct key of ``keys``, in order, where equal
+    keys must stand together and ``run`` is the tuple of the ``items`` that
+    stand beside them.  Each tuple is filled straight from ``items``: each
+    ``islice`` takes the next run from the one iterator, and ``tuple``
+    consumes it before the next is made."""
+    counts = Counter(keys)
+    if len(counts) == len(keys):  # every run is one item long
+        return zip(keys, zip(items))
+    return zip(counts, map(tuple, map(islice, repeat(items), counts.values())))
 
 
 def enewick_to_reeb(text: str) -> ReebGraph:
@@ -448,8 +506,12 @@ def reeb_to_network(graph: ReebGraph) -> PhyloNetwork:
     build_dag_view(graph)
     sk = graph._skeleton
     root = next(v for v, above in sk.up.items() if not above)
-    f_root = sk.levels[sk.vertex_level[root]]
-    level_time = [f_root - x for x in sk.levels]
+    # Times as integer ticks below the root's level, each level read once.
+    pairs = [x.as_integer_ratio() for x in sk.levels]
+    scale = math.lcm(*(d for _, d in pairs))
+    ticks = [n * (scale // d) for n, d in pairs]
+    top = ticks[sk.vertex_level[root]]
+    level_time = [top - t for t in ticks]
     regular = {v for v, above in sk.up.items() if len(above) == 1 and len(sk.down[v]) == 1}
     times = {v: level_time[i] for v, i in sk.vertex_level.items() if v not in regular}
     edges: list[tuple[str, str]] = []
@@ -458,46 +520,51 @@ def reeb_to_network(graph: ReebGraph) -> PhyloNetwork:
             while w in regular:
                 w = sk.up[w][0][0]
             edges.append((w, c))
-    return PhyloNetwork(root=root, times=times, edges=tuple(sorted(edges)))
+    return _network(root, tuple(sorted(edges)), scale, times)
 
 
 def write_enewick(net: PhyloNetwork) -> str:
     """Serialize a network.  Node names outside the writable character set
     are replaced deterministically; branch lengths must admit a finite
-    decimal form."""
-    children: dict[str, list[str]] = {v: [] for v in net.times}
-    parent_count: dict[str, int] = {v: 0 for v in net.times}
-    for p, c in sorted(net.edges):
-        children[p].append(c)
-        parent_count[c] += 1
+    decimal form.
 
+    Every id of writable characters is written as it is.  Ids the parser
+    synthesized for unnamed nodes stay unnamed, except for plain leaves,
+    which need some name to be readable back; any other id, in sorted
+    order, has each unwritable character replaced by '_' and then, while
+    another node is written with that name, '_2', '_3', ... appended."""
+    # Times as integer ticks over one scale (see _ticks), so lengths are
+    # integer differences; each distinct length is formatted once.
+    scale, ticks = _ticks(net)
+    edges = sorted(net.edges)
+    children = {p: tuple(map(_SECOND, run)) for p, run in groupby(edges, _FIRST)}
+    parent_count = Counter(map(_SECOND, edges))
     hybrids = sorted(
         (v for v, n in parent_count.items() if n >= 2),
-        key=lambda v: (net.times[v], v),
+        key=lambda v: (ticks[v], v),
     )
     tag_of = {v: str(i + 1) for i, v in enumerate(hybrids)}
 
-    safe: dict[str, str] = {}
-    taken: set[str] = set()
-    for v in sorted(net.times):
-        # Ids synthesized by the parser for unnamed nodes stay unnamed,
-        # except for plain leaves, which need some name to be readable back.
-        if (children[v] or v in tag_of) and (v.startswith("@") or _HYBRID_ID.fullmatch(v)):
-            safe[v] = ""
-            continue
-        name = v if _UNWRITABLE.search(v) is None else _UNWRITABLE.sub("_", v)
-        candidate = name
-        n = 2
-        while candidate in taken:
-            candidate = f"{name}_{n}"
-            n += 1
-        taken.add(candidate)
-        safe[v] = candidate
+    # Each node's label where it is not its id.  One search over all the
+    # ids tells whether any holds an unwritable character.
+    label: dict[str, str] = {}
+    if _UNWRITABLE.search("".join(ticks)) is not None:
+        unwritable = sorted(v for v in ticks if _UNWRITABLE.search(v))
+        taken = set(ticks).difference(unwritable)
+        for v in unwritable:
+            if (v in children or v in tag_of) and (v.startswith("@") or _HYBRID_ID.fullmatch(v)):
+                label[v] = ""
+                continue
+            name = candidate = _UNWRITABLE.sub("_", v)
+            n = 2
+            while candidate in taken:
+                candidate = f"{name}_{n}"
+                n += 1
+            taken.add(candidate)
+            label[v] = candidate
+    for v, tag in tag_of.items():
+        label[v] = f"{label.get(v, v)}#H{tag}"
 
-    # Lengths as integer differences of times over one scale, the least
-    # common denominator of the times; each distinct length is formatted once.
-    scale, ticks_in_order = _ticks(net.times)
-    ticks = dict(zip(net.times, ticks_in_order))
     branch: dict[int, str] = {}
 
     def fmt_length(n: int) -> str:
@@ -512,32 +579,36 @@ def write_enewick(net: PhyloNetwork) -> str:
             branch[n] = text = ":" + text
         return text
 
-    # Pre-order with an explicit stack of (kind, x, parent): a "node" x, a
-    # "text" x, or the "length" of branch parent -> x, formatted after x.
+    # Pre-order, with a stack of the open nodes, each with an iterator over
+    # its children.  A hybrid's children are written where it is first met.
+    # A branch's length follows its child's subtree.
     defined: set[str] = set()
     out: list[str] = []
-    stack: list[tuple[str, str, str]] = [("node", net.root, "")]
-    while stack:
-        kind, v, parent = stack.pop()
-        if kind == "text":
-            out.append(v)
+    stack: list[tuple[str, Iterator[str]]] = []
+    v = net.root
+    while True:
+        kids = children.get(v)
+        if kids and v in tag_of:
+            if v in defined:
+                kids = None
+            defined.add(v)
+        if kids:
+            out.append("(")
+            rest = iter(kids)
+            stack.append((v, rest))
+            v = next(rest)
             continue
-        if kind == "length":
+        out.append(label.get(v, v))
+        # v's subtree is written: close each open node it was the last child of.
+        while stack:
+            parent, rest = stack[-1]
             out.append(fmt_length(ticks[v] - ticks[parent]))
-            continue
-        tag = f"#H{tag_of[v]}" if v in tag_of else ""
-        if tag and v in defined:
-            out.append(safe[v] + tag)
-            continue
-        defined.add(v)
-        if not children[v]:
-            out.append(safe[v] + tag)
-            continue
-        out.append("(")
-        stack.append(("text", ")" + safe[v] + tag, ""))
-        for k, c in enumerate(reversed(children[v])):
-            if k:
-                stack.append(("text", ",", ""))
-            stack.append(("length", c, v))
-            stack.append(("node", c, ""))
-    return "".join(out) + ";"
+            v = next(rest, None)
+            if v is not None:
+                out.append(",")
+                break
+            stack.pop()
+            out.append(")" + label.get(parent, parent))
+            v = parent
+        else:
+            return "".join(out) + ";"

@@ -66,8 +66,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
-from operator import getitem, itemgetter, mul, sub
+from itertools import chain, filterfalse, repeat
+from operator import countOf, getitem, itemgetter, methodcaller, mul, sub
 from typing import Iterator, Mapping, Sequence
 
 from .core import RESERVED_VERTEX_PREFIX, ReebGraph, _Skeleton
@@ -79,6 +79,10 @@ from .errors import (
     NotATree,
     NotRooted,
 )
+
+
+_FIRST = itemgetter(0)
+_IS_CUT = methodcaller("startswith", RESERVED_VERTEX_PREFIX)
 
 
 def _graph_of(source: ReebGraph | Factor) -> ReebGraph:
@@ -135,11 +139,15 @@ def _sorted_taxa(
     an extended leaf id (see decomposition's naming rule) does not sort as its
     edge does.  Taxa of one rank keep (level, id) order."""
     ranks = ranks or {}
-
-    def original_key(v: str):
-        if v in ranks:
-            return (0, ranks[v], level_of[v], v)
-        return (1, level_of[v], v)
+    cuts = list(filter(_IS_CUT, sinks))
+    originals = list(filterfalse(_IS_CUT, sinks)) if cuts else list(sinks)
+    # Ranked taxa by (rank, level, id), then the rest by (level, id): stable
+    # sorts by id, then by level, then the ranked ones by rank.
+    originals.sort()
+    originals.sort(key=level_of.__getitem__)
+    ranked = list(filter(ranks.__contains__, originals))
+    ranked.sort(key=ranks.__getitem__)
+    ranked += filterfalse(ranks.__contains__, originals)
 
     def cut_key(v: str):
         if v not in cut_of:
@@ -147,9 +155,7 @@ def _sorted_taxa(
         retic, edge = cut_of[v]
         return (level_of[retic], retic, edge)
 
-    originals = [v for v in sinks if not v.startswith(RESERVED_VERTEX_PREFIX)]
-    cuts = [v for v in sinks if v.startswith(RESERVED_VERTEX_PREFIX)]
-    return sorted(originals, key=original_key), sorted(cuts, key=cut_key)
+    return ranked, sorted(cuts, key=cut_key)
 
 
 class _Entries:
@@ -257,16 +263,18 @@ def _tree_table(
     level_of: Mapping[str, int],
     cut_of: Mapping[str, tuple[str, str]],
     time_mode: str,
-) -> tuple[str, list[str], list[str], dict[str, list[str]], int, dict[str, int]]:
+) -> tuple[str, list[str], list[str], Mapping[str, Sequence[tuple]], int, dict[str, int]]:
     """What every row walk over ``sk`` reads: (root, originals, cuts,
-    children, scale, stamp), the taxa sorted by _sorted_taxa, and the
+    children, scale, stamp), the taxa sorted by _sorted_taxa, the
+    skeleton's own ``down`` table as ``children`` (see _layout), and the
     integer stamps (_stamps) of every taxon and branching vertex, the only
     vertices that stamp a pair.  ``taxa`` and ``level_of`` may hold cut
     leaves that ``sk`` lacks; ``cut_of`` is _sorted_taxa's."""
     root = _root(sk)
     originals, cuts = _sorted_taxa(taxa, ranks, level_of, cut_of)
-    children = _children(sk)
-    stampers = [*originals, *cuts, *(v for v, kids in children.items() if len(kids) > 1)]
+    children = sk.down
+    branching = [v for v, kids in children.items() if len(kids) > 1]
+    stampers = [*originals, *cuts, *branching]
     scale, stamp = _stamps(sk.levels, level_of, stampers, time_mode)
     return root, originals, cuts, children, scale, stamp
 
@@ -278,27 +286,23 @@ def _root(sk: _Skeleton) -> str:
     return sources[0]
 
 
-def _children(sk: _Skeleton) -> dict[str, list[str]]:
-    """Critical vertex -> the lower ends of its long edges, in long-edge
-    order; taxa have no entry."""
-    return {v: [w for w, _ in below] for v, below in sk.down.items() if below}
-
-
 def _stamps(
     levels: Sequence[Fraction], level_of: Mapping[str, int], stampers, time_mode: str
 ) -> tuple[int, dict[str, int]]:
     """(scale, stamp): the LCM of the denominators of the stampers' levels,
-    and each stamper's integer stamp at that scale.  One stamp per level."""
-    used = {level_of[v] for v in stampers}
-    values = {i: levels[i] if time_mode == "f" else -levels[i] for i in used}
-    scale = math.lcm(*(x.denominator for x in values.values()))
-    ints = {i: x.numerator * (scale // x.denominator) for i, x in values.items()}
-    return scale, {v: ints[level_of[v]] for v in stampers}
+    and each stamper's integer stamp at that scale.  Each level is read
+    once, as one integer pair."""
+    at = list(map(level_of.__getitem__, stampers))
+    pairs = {i: levels[i].as_integer_ratio() for i in set(at)}
+    scale = math.lcm(*(d for _, d in pairs.values()))
+    sign = 1 if time_mode == "f" else -1
+    ints = {i: sign * n * (scale // d) for i, (n, d) in pairs.items()}
+    return scale, dict(zip(stampers, map(ints.__getitem__, at)))
 
 
 def _rows(
     root: str,
-    children: Mapping[str, Sequence[str]],
+    children: Mapping[str, Sequence[tuple[str, str]]],
     leaves: Sequence[str],
     stamp: Mapping[str, int],
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -313,68 +317,90 @@ def _rows(
         yield i, pick(row)
 
 
+def _layout(
+    root: str, children: Mapping[str, Sequence[tuple[str, str]]], stamp: Mapping[str, int]
+) -> tuple[list[str], dict[str, int], dict[str, tuple]]:
+    """One pre-order pass over the tree below ``root``: (taxa, lo, up).
+    ``children`` sends a vertex to its (child, long edge) pairs, in order,
+    and has no or an empty entry for a taxon.  ``taxa`` lists the taxa in
+    pre-order and ``lo`` sends each vertex to the place of its first taxon
+    there, so that each vertex covers a range of places.  ``up`` sends each
+    vertex below the root to its parent link: the parent, the parent's
+    range and stamp, the lengths of that range's parts before and after
+    the vertex's own, and its own range."""
+    lo: dict[str, int] = {}
+    hi: dict[str, int] = {}
+    taxa: list[str] = []
+    inner: list[str] = []
+    stack = [(root, None)]
+    while stack:
+        v, _ = stack.pop()
+        lo[v] = len(taxa)
+        kids = children.get(v)
+        if kids:
+            inner.append(v)
+            stack.extend(reversed(kids))
+        else:
+            taxa.append(v)
+            hi[v] = len(taxa)
+    # Reversed pre-order reaches every vertex after all the vertices below it.
+    up = {}
+    for a in reversed(inner):
+        kids = children[a]
+        s, la = stamp.get(a), lo[a]
+        ha = hi[a] = hi[kids[-1][0]]
+        for c, _ in kids:
+            lc, hc = lo[c], hi[c]
+            up[c] = (a, la, ha, s, lc - la, ha - hc, lc, hc)
+    return taxa, lo, up
+
+
 def _walk_rows(
     root: str,
-    children: Mapping[str, Sequence[str]],
+    children: Mapping[str, Sequence[tuple[str, str]]],
     leaves: Sequence[str],
     stamp: Mapping[str, int],
 ) -> tuple[list[int], Iterator[tuple[int, list[int]]]]:
     """The row walk: (at, rows), where rows yields (i, row) for every taxon
     as _rows does, in the order of ``leaves``, but ``row`` in walk order,
-    the taxon at place j of ``leaves`` at ``row[at[j]]``.
+    the taxon at place j of ``leaves`` at ``row[at[j]]``."""
+    _, lo, up = _layout(root, children, stamp)
+    return [lo[v] for v in leaves], _fill(root, lo, up, leaves, stamp)
 
-    Pre-order numbers the taxa, so that each vertex covers a range of them.
-    One row goes from taxon to taxon and is the caller's until it draws the
-    next: between two taxa only the range of their lowest common ancestor
-    changes, and it is filled again along the next taxon's ancestors, from
-    the taxon up to that ancestor, each with its stamp outside its child's
-    range."""
-    lo: dict[str, int] = {}
-    order: list[str] = []
-    stack = [root]
-    taken = 0
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        lo[v] = taken
-        if v in children:
-            stack.extend(reversed(children[v]))
-        else:
-            taken += 1
-    hi: dict[str, int] = {}
-    for v in reversed(order):
-        hi[v] = hi[children[v][-1]] if v in children else lo[v] + 1
-    # Each vertex below the root: its parent, the parent's range and stamp,
-    # the lengths of that range's parts before and after its own, and its own.
-    up = {}
-    for a, kids in children.items():
-        s, la, ha = stamp.get(a), lo[a], hi[a]
-        for c in kids:
-            up[c] = (a, la, ha, s, lo[c] - la, ha - hi[c], lo[c], hi[c])
 
-    def rows() -> Iterator[tuple[int, list[int]]]:
-        row = [0] * len(leaves)
-        last = -1  # the position of the taxon before
-        for i, v in enumerate(leaves):
-            c = v
-            while c != root:
-                c, la, ha, s, before, after, lc, hc = up[c]
-                if before:
-                    row[la:lc] = [s] * before
-                if after:
-                    row[hc:ha] = [s] * after
-                if la <= last < ha:
-                    break
-            last = lo[v]
-            row[last] = stamp[v]
-            yield i, row
-
-    return [lo[v] for v in leaves], rows()
+def _fill(
+    root: str,
+    lo: Mapping[str, int],
+    up: Mapping[str, tuple],
+    leaves: Sequence[str],
+    stamp: Mapping[str, int],
+) -> Iterator[tuple[int, list[int]]]:
+    """(i, row) for the taxon at each place i of ``leaves``, its row in the
+    walk order of _layout, which gave ``lo`` and ``up``.  One row goes from
+    taxon to taxon and is the caller's until it draws the next: between two
+    taxa only the range of their lowest common ancestor changes, and it is
+    filled again along the next taxon's ancestors, from the taxon up to
+    that ancestor, each with its stamp outside its child's range."""
+    row = [0] * len(leaves)
+    last = -1  # the position of the taxon before
+    for i, v in enumerate(leaves):
+        c = v
+        while c != root:
+            c, la, ha, s, before, after, lc, hc = up[c]
+            if before:
+                row[la:lc] = [s] * before
+            if after:
+                row[hc:ha] = [s] * after
+            if la <= last < ha:
+                break
+        last = lo[v]
+        row[last] = stamp[v]
+        yield i, row
 
 
 def _walk(
     root: str,
-    children: Mapping[str, Sequence[str]],
+    children: Mapping[str, Sequence[tuple[str, str]]],
     leaves: Sequence[str],
     stamp: Mapping[str, int],
 ) -> tuple[int, ...]:
@@ -629,13 +655,16 @@ def _factor_vectors(net: NetworkFactors) -> tuple[CopheneticVector, ...]:
     its order, raising what that would raise first after the gate."""
     (options, leaves), time_mode = net._table, net.time_mode
     sk = net.graph._checked_skeleton
-    cut_of, (root, originals, cuts, children, scale, stamp) = _network_table(net)
+    cut_of, (root, originals, cuts, down, scale, stamp) = _network_table(net)
     # Arriving long edge of a merge -> (its upper end, its place among that
-    # end's children).
+    # end's children).  Only those ends' children change from factor to
+    # factor, so only theirs are copied.
     hook = {}
+    children = dict(down)
     for m, _ in options:
         for v, e in sk.up[m]:
-            hook[e] = (v, [f for _, f in sk.down[v]].index(e))
+            hook[e] = (v, [f for _, f in down[v]].index(e))
+            children[v] = list(down[v])
 
     # The first choice keeps every merge's first edge; each other edge ends
     # at its cut leaf.  A network sink may carry the prefix too; it is in
@@ -645,7 +674,7 @@ def _factor_vectors(net: NetworkFactors) -> tuple[CopheneticVector, ...]:
     names = [*originals, *(c for c in cuts if c in held or c not in cut_of)]
     for _, e, c in first:
         v, i = hook[e]
-        children[v][i] = c
+        children[v][i] = (c, e)
     if not options:
         scaled = _walk(root, children, names, stamp)
         return (_vector(tuple(names), scaled, scale, time_mode),)
@@ -671,9 +700,9 @@ def _factor_vectors(net: NetworkFactors) -> tuple[CopheneticVector, ...]:
         kept, (_, cut) = edges[new], leaves[edges[k]]
         c = base[j] + min(k, new)
         v, i = hook[edges[k]]
-        children[v][i] = cut
+        children[v][i] = (cut, edges[k])
         v, i = hook[kept]
-        children[v][i] = m
+        children[v][i] = (m, kept)
         names[c] = cut
         place[cut] = c
         _swap(rows, _taxa_below(m, children, place), c)
@@ -690,7 +719,9 @@ def _network_table(net: NetworkFactors) -> tuple[dict[str, tuple[str, str]], tup
     sk = net.graph._checked_skeleton
     _check_time_mode(net.time_mode)
     cut_of = {c: (m, e) for e, (m, c) in net._table[1].items()}
-    level_of = {**sk.vertex_level, **{c: sk.vertex_level[m] for c, (m, _) in cut_of.items()}}
+    level_of = sk.vertex_level
+    if cut_of:
+        level_of = {**level_of, **{c: level_of[m] for c, (m, _) in cut_of.items()}}
     taxa = [*_sinks(sk), *cut_of]
     return cut_of, _tree_table(sk, taxa, net.ranks, level_of, cut_of, net.time_mode)
 
@@ -718,18 +749,19 @@ def _gray_code(radices: Sequence[int]) -> Iterator[tuple[int, int, int]]:
 
 
 def _taxa_below(
-    v: str, children: Mapping[str, Sequence[str]], place: Mapping[str, int]
+    v: str, children: Mapping[str, Sequence[tuple[str, str]]], place: Mapping[str, int]
 ) -> list[int]:
-    """The places of the taxa of the tree below ``v`` (``v`` itself if it is one)."""
+    """The places of the taxa of the tree below ``v`` (``v`` itself if it is
+    one); ``children`` is _layout's."""
     out = []
     stack = [v]
     while stack:
         v = stack.pop()
         kids = children.get(v)
-        if kids is None:
-            out.append(place[v])
+        if kids:
+            stack.extend(map(_FIRST, kids))
         else:
-            stack.extend(kids)
+            out.append(place[v])
     return out
 
 
@@ -781,7 +813,7 @@ def network_factors(
     ReticulationConflict, a level order OrderConflict), and its taxon
     count; its factor vectors follow on first use."""
     betti, table = _factor_table(graph)
-    taxa = sum(1 for below in graph._skeleton.down.values() if not below)
+    taxa = countOf(graph._skeleton.down.values(), ())
     return NetworkFactors(graph, betti, taxa, ranks, time_mode, table)
 
 
@@ -829,9 +861,10 @@ def _tree_distance(na: NetworkFactors, nb: NetworkFactors, p, digits: int) -> Fr
     stamp_a = _scaled(stamp_a, scale // scale_a)
     stamp_b = _scaled(stamp_b, scale // scale_b)
     partner = dict(zip([*originals_a, *cuts_a], [*originals_b, *cuts_b]))
-    walk = _preorder_taxa(root_a, children_a)
-    _, rows_a = _walk_rows(root_a, children_a, walk, stamp_a)
-    at, rows_b = _walk_rows(root_b, children_b, [partner[v] for v in walk], stamp_b)
+    # Tree a's rows in its own pre-order, where taxon i's row starts at i.
+    walk, lo_a, up_a = _layout(root_a, children_a, stamp_a)
+    rows_a = _fill(root_a, lo_a, up_a, walk, stamp_a)
+    at, rows_b = _walk_rows(root_b, children_b, list(map(partner.__getitem__, walk)), stamp_b)
     cost = _cost(q)
     raw = 0
     last = len(walk) - 1
@@ -847,16 +880,3 @@ def _tree_distance(na: NetworkFactors, nb: NetworkFactors, p, digits: int) -> Fr
 
 def _scaled(stamp: dict[str, int], k: int) -> dict[str, int]:
     return stamp if k == 1 else {v: x * k for v, x in stamp.items()}
-
-
-def _preorder_taxa(root: str, children: Mapping[str, Sequence[str]]) -> list[str]:
-    """The taxa below ``root`` in the pre-order _walk_rows numbers them in."""
-    out = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        if v in children:
-            stack.extend(reversed(children[v]))
-        else:
-            out.append(v)
-    return out

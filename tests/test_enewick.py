@@ -6,6 +6,7 @@ import copy
 import pickle
 import random
 import re
+import time
 from collections import Counter
 import dataclasses
 from dataclasses import dataclass, field
@@ -27,6 +28,7 @@ from reebtrees import (
     betti_euler,
     betti_reticulation,
     build_dag_view,
+    cophenetic_vector,
     dump_text,
     enewick,
     enewick_to_reeb,
@@ -90,6 +92,20 @@ class TestParse:
     def test_parallel_edges_through_hybrid(self):
         net = parse_enewick("(#H1:1,#H1:1)u;")
         assert net.edges == (("u", "#H1"), ("u", "#H1"))
+
+    def test_times_made_when_read(self):
+        # The network holds integer ticks; pickle and copy keep them, and a
+        # network pickled when it held its times (pickle restores the
+        # instance dict as saved) still reads them.
+        net = parse_enewick("((A:0.5,B:1.25)x:1,C:2.25)r;")
+        assert "_times" not in net.__dict__
+        for copied in (pickle.loads(pickle.dumps(net)), copy.copy(net), copy.deepcopy(net)):
+            assert copied == net and write_enewick(copied) == write_enewick(net)
+        assert net.times == {"r": F(0), "x": F(1), "A": F(3, 2), "B": F(9, 4), "C": F(9, 4)}
+        assert net.times["B"] is net.times["C"]  # one Fraction per distinct time
+        old = object.__new__(PhyloNetwork)
+        old.__dict__.update(root=net.root, times=dict(net.times), edges=net.edges)
+        assert old == net and write_enewick(old) == write_enewick(net)
 
 
 def expect(exc_type, text, message, line, col):
@@ -233,9 +249,20 @@ class TestWrite:
             times={"r": F(0), "a b": F(1), "a_b": F(1)},
             edges=(("r", "a b"), ("r", "a_b")),
         )
+        # A writable name is never renamed: only the replaced one takes "_2".
         out = write_enewick(net)
-        assert out == "(a_b:1,a_b_2:1)r;"
-        parse_enewick(out)
+        assert out == "(a_b_2:1,a_b:1)r;"
+        back = parse_enewick(out)
+        assert back.times.keys() == {"r", "a_b", "a_b_2"}
+        assert ("r", "a_b") in back.edges and ("r", "a_b_2") in back.edges
+
+    def test_replaced_names_skip_every_writable_name(self):
+        net = PhyloNetwork(
+            root="r",
+            times={"r": F(0), "a b": F(1), "a:b": F(1), "a_b": F(1), "a_b_2": F(1)},
+            edges=(("r", "a b"), ("r", "a:b"), ("r", "a_b"), ("r", "a_b_2")),
+        )
+        assert write_enewick(net) == "(a_b_3:1,a_b_4:1,a_b:1,a_b_2:1)r;"
 
     def test_corpus_sample_fixed_points(self):
         for name in ("net_00.enwk", "net_07.enwk", "net_23.enwk", "net_49.enwk"):
@@ -319,7 +346,9 @@ class TestContraction:
 
 def reference_reeb_to_network(graph):
     """reeb_to_network as it walked the whole graph, before it read the
-    skeleton: every chain of regular vertices followed edge by edge."""
+    skeleton: every chain of regular vertices followed edge by edge.  Its
+    times are Fraction differences, one subtraction per level, as before
+    reeb_to_network counted integer ticks."""
     root = next(v for v in graph.vertex_ids() if graph.indeg(v) == 0)
     build_dag_view(graph)
     f_root = graph.levels[graph.vertex_level[root]]
@@ -352,10 +381,56 @@ def embedded_networks():
     return [network_to_reeb(n) for n in nets] + [dated_caterpillar(40), dated_caterpillar(400)]
 
 
+def shuffled_copy(net: PhyloNetwork, rng: random.Random, prefix: str) -> str:
+    """The eNewick text of the tree ``net`` with every node renamed by
+    ``prefix`` and each node's children in a shuffled order."""
+    children: dict[str, list[str]] = {}
+    for parent, child in net.edges:
+        children.setdefault(parent, []).append(child)
+    out: list[str] = []
+    stack: list = [("node", net.root)]
+    while stack:
+        kind, v = stack.pop()
+        if kind == "text":
+            out.append(v)
+            continue
+        kids = children.get(v, [])
+        rng.shuffle(kids)
+        if kids:
+            out.append("(")
+            stack.append(("text", f"){prefix}{v}"))
+        else:
+            out.append(prefix + v)
+        for k, c in enumerate(reversed(kids)):
+            stack.append(("text", f":{format_level(net.times[c] - net.times[v])}"))
+            stack.append(("node", c))
+            if k < len(kids) - 1:
+                stack.append(("text", ","))
+    return "".join(out) + ";"
+
+
+def tree_scale_shapes():
+    """Trees shaped like the tree_scale benchmark's: caterpillars, balanced
+    and random trees (joining two to four subtrees) of 240 to 280 taxa,
+    with fractional or whole lengths, each with a renamed copy whose
+    children are shuffled."""
+    # (test_phylo imports this module.)
+    from test_phylo import DECIMAL_LENGTHS, WHOLE_LENGTHS, random_enewick_tree
+
+    rng = random.Random(20261020)
+    graphs = []
+    for k, shape in enumerate(("caterpillar", "balanced", "random") * 2):
+        lengths = DECIMAL_LENGTHS if k < 3 else WHOLE_LENGTHS
+        net = parse_enewick(random_enewick_tree(rng, shape, rng.randint(240, 280), lengths))
+        graphs.append(network_to_reeb(net))
+        graphs.append(enewick_to_reeb(shuffled_copy(net, rng, f"k{k}_")))
+    return graphs
+
+
 class TestRecordedSkeleton:
     def test_equals_the_graphs_own(self):
         kinds = Counter()
-        for g in embedded_networks():
+        for g in embedded_networks() + tree_scale_shapes():
             recorded = g._recipe.skeleton(g)
             kinds["recorded" if recorded else "fallback"] += 1
             if recorded:
@@ -364,8 +439,23 @@ class TestRecordedSkeleton:
             assert g._skeleton == _Skeleton.of(g)
             assert recorded in (None, g._skeleton)
         # Nodes of one parent and one child send the graph to its own pass.
-        assert kinds["recorded"] >= 200 and kinds["fallback"] >= 100, kinds
+        assert kinds["recorded"] >= 240 and kinds["fallback"] >= 100, kinds
         assert kinds["parallel"] >= 100 and kinds["hybrid"] >= 100, kinds
+
+    def test_polytomies_stay_linear(self):
+        # A 40,000-taxon star whose leaves sit on three levels, so that its
+        # root has 40,000 long edges below it, of one to three gaps each.
+        text = "(" + ",".join(f"t{k}:{1 + k % 3}" for k in range(40_000)) + ")r;"
+        start = time.perf_counter()
+        net = parse_enewick(text)
+        g = network_to_reeb(net)
+        recorded = g._skeleton
+        out = write_enewick(reeb_to_network(g))
+        assert time.perf_counter() - start < 2.0
+        # The skeleton was read off the network: no field of the graph was built.
+        assert not built(g) and len(recorded.down["r"]) == 40_000
+        assert recorded == _Skeleton.of(g)
+        assert enewick_to_reeb(out) == g
 
     def test_clashing_ids_fall_back(self):
         # A node named like a pass-through vertex shares its id, on its
@@ -404,6 +494,80 @@ class TestRecordedSkeleton:
         a._skeleton
         assert a == b and "_skeleton" in a.__dict__ and "_skeleton" not in b.__dict__
         assert "_recipe" not in dataclasses.replace(b).__dict__
+
+
+def mixed_time_networks(seed: int, count: int) -> list[PhyloNetwork]:
+    """Seeded networks whose times mix denominators: each node sits at a
+    level drawn from -7/3, -1/2, 5/7, 0 and decimals of one to four
+    fraction digits, and its time is the root's level minus its own.  Each
+    has up to 10 nodes; about half have a hybrid (a node with a second
+    parent, which may be its first one again)."""
+    rng = random.Random(seed)
+    nets = []
+    for _ in range(count):
+        pool = {F(-7, 3), F(-1, 2), F(5, 7), F(0)}
+        while len(pool) < 12:
+            digits = rng.randint(1, 4)
+            pool.add(F(rng.randint(-3 * 10**digits, 3 * 10**digits), 10**digits))
+        levels = sorted(rng.sample(sorted(pool), rng.randint(3, 8)), reverse=True)
+        level = {"r": levels[0]}
+        edges = []
+        for k in range(1, rng.randint(3, 10)):
+            parent = rng.choice([v for v in level if level[v] > levels[-1]])
+            below = [x for x in levels if x < level[parent]]
+            level[f"n{k}"] = rng.choice(below)
+            edges.append((parent, f"n{k}"))
+        if rng.random() < 0.5:
+            child = rng.choice(sorted(level.keys() - {"r"}))
+            above = [v for v in level if level[v] > level[child]]
+            edges.append((rng.choice(above), child))
+        nets.append(PhyloNetwork(
+            root="r", times={v: levels[0] - x for v, x in level.items()}, edges=tuple(edges)
+        ))
+    return nets
+
+
+class TestIntegerTimesMatchFractions:
+    """reeb_to_network counts times in integer ticks, and write_enewick,
+    network_to_reeb and the stamps read integer pairs; they give what the
+    Fraction arithmetic they replaced gives (reference_reeb_to_network
+    keeps it: one subtraction per level)."""
+
+    def test_export(self):
+        outcomes = Counter()
+        for net in mixed_time_networks(20261020, 400):
+            g = network_to_reeb(net)
+            got, want = reeb_to_network(g), reference_reeb_to_network(g)
+            assert got == want and all(type(t) is F for t in got.times.values())
+            text = outcome(write_enewick, got)
+            assert text == outcome(write_enewick, want)
+            if isinstance(text, tuple):
+                assert "no finite decimal form" in text[1], text
+            outcomes["raised" if isinstance(text, tuple) else "written"] += 1
+            outcomes["hybrid"] += len(set(c for _, c in net.edges)) < len(net.edges)
+        assert min(outcomes.values()) >= 100, outcomes
+
+    def test_stamps(self):
+        # (test_phylo imports this module.)
+        from test_phylo import reference_cophenetic_vector
+
+        by_taxa: dict[int, list[ReebGraph]] = {}
+        for net in mixed_time_networks(7, 300):
+            if len(set(c for _, c in net.edges)) == len(net.edges):
+                g = network_to_reeb(net)
+                by_taxa.setdefault(len(cophenetic_vector(g).leaves), []).append(g)
+        compared = 0
+        for group in by_taxa.values():
+            for ga, gb in zip(group, group[1:]):
+                for mode in ("f", "-f"):
+                    ref = reference_cophenetic_vector(ga, time_mode=mode).entries
+                    assert cophenetic_vector(ga, time_mode=mode).entries == ref
+                    other = reference_cophenetic_vector(gb, time_mode=mode).entries
+                    diffs = [abs(x - y) for x, y in zip(ref, other)]
+                    assert network_distance(ga, gb, time_mode=mode) == sum(diffs)
+                    assert network_distance(ga, gb, p="inf", time_mode=mode) == max(diffs)
+                compared += 1
+        assert compared >= 100, compared
 
 
 class TestExportMatchesReference:

@@ -666,7 +666,7 @@ def reference_factor_vectors(graph, ranks, time_mode):
     sinks = [v for v in graph.vertex_ids() if v not in graph.below_edges]
     originals, cuts = reference_sorted_taxa([*sinks, *merge_of], ranks, level_of, merge_of)
     down = {e: v for dn in graph.down_maps for e, v in dn.items()}
-    children = {v: [down[e] for e in es] for v, es in graph.below_edges.items()}
+    children = {v: [(down[e], e) for e in es] for v, es in graph.below_edges.items()}
     stampers = [*originals, *cuts, *(v for v, kids in children.items() if len(kids) > 1)]
     scale, stamp = _stamps(graph.levels, level_of, stampers, time_mode)
     hook = {}
@@ -680,7 +680,7 @@ def reference_factor_vectors(graph, ranks, time_mode):
     for _, edges in options:
         for e in edges[1:]:
             v, i = hook[e]
-            children[v][i] = RESERVED_VERTEX_PREFIX + e
+            children[v][i] = (RESERVED_VERTEX_PREFIX + e, e)
     if not options:
         scaled = _walk(root, children, names, stamp)
         return (_vector(tuple(names), scaled, scale, time_mode),)
@@ -702,9 +702,9 @@ def reference_factor_vectors(graph, ranks, time_mode):
         kept, cut = edges[new], RESERVED_VERTEX_PREFIX + edges[k]
         c = base[j] + min(k, new)
         v, i = hook[edges[k]]
-        children[v][i] = cut
+        children[v][i] = (cut, edges[k])
         v, i = hook[kept]
-        children[v][i] = m
+        children[v][i] = (m, kept)
         names[c] = cut
         place[cut] = c
         _swap(rows, _taxa_below(m, children, place), c)
