@@ -7,8 +7,9 @@ levels, and total attachment maps sending each edge of gap i to its bottom
 skips a level.  Vertex and edge sets each carry a partial order stored as
 covering relations, each cover between two ids of its level or gap.
 validate and ``_checked_skeleton``, which the distances, the decomposition
-and the export read, hold a graph to those two rules with one check each
-(_unattached, _unknown_covers).  Everything is immutable after
+and the export read, hold a graph to increasing levels and to those two
+rules with one check each (_unordered_levels, _unattached,
+_unknown_covers).  Everything is immutable after
 construction.
 
 Compact graphs.  A graph that network_to_reeb embeds stores only its level
@@ -317,12 +318,14 @@ class ReebGraph:
     @cached_property
     def _checked_skeleton(self) -> _Skeleton:
         """``_skeleton``, after the checks that building it and walking down
-        it need: the first of validate's lines for a vertex id on two levels
-        or an edge id in two gaps, which the skeleton would join, then for a
-        list of sets or maps not one per level or gap, a map whose domain is
-        not its gap's edges or an edge end that is no vertex on the level
-        next to its gap, and then for a cover that names an id outside its
-        level or gap, raised as ValueError.  An end off its level could
+        it need: the first of validate's lines for levels that do not
+        strictly increase, which every reader of the skeleton's levels
+        assumes, then for a vertex id on two levels or an edge id in two
+        gaps, which the skeleton would join, then for a list of sets or
+        maps not one per level or gap, a map whose domain is not its gap's
+        edges or an edge end that is no vertex on the level next to its
+        gap, and then for a cover that names an id outside its level or
+        gap, raised as ValueError.  An end off its level could
         lead back up, and a walk from the root miss the vertices it leads
         to or never leave them; the skeleton looks up the ends of every
         edge a cover names.  Cycles in the covers and maps that break an
@@ -333,7 +336,8 @@ class ReebGraph:
         # A graph with no cover anywhere skips the walk over its orders.
         orders = _orders(self) if self._ordered else ()
         strays = chain.from_iterable(starmap(_unknown_covers, orders))
-        fault = next(chain(_repeated_ids(self), _unattached(self), strays), None)
+        faults = chain(_unordered_levels(self), _repeated_ids(self), _unattached(self), strays)
+        fault = next(faults, None)
         if fault is not None:
             raise ValueError(fault)
         return self._skeleton
@@ -463,6 +467,18 @@ def _repeated_ids(graph: ReebGraph) -> Iterator[str]:
                         yield f"duplicate {what} id {x!r} at {where} {first[x]} and {i}"
                     else:
                         first[x] = i
+
+
+def _unordered_levels(graph: ReebGraph) -> Iterator[str]:
+    """validate's line for every level not below the next, by index."""
+    levels = graph.levels
+    if not _increasing(levels):
+        for i, (lo, hi) in enumerate(zip(levels, levels[1:])):
+            if lo >= hi:
+                yield (
+                    f"levels not strictly increasing at index {i} "
+                    f"({format_level(lo)} >= {format_level(hi)})"
+                )
 
 
 def _unattached(graph: ReebGraph) -> Iterator[str]:
@@ -609,13 +625,7 @@ def validate(graph: ReebGraph, *, allow_cut_ids: bool = False) -> list[str]:
     downs, ups = graph.down_maps, graph.up_maps
     if k < 2:
         report.append(f"fewer than 2 levels ({k})")
-    if not _increasing(graph.levels):
-        for i in range(k - 1):
-            if graph.levels[i] >= graph.levels[i + 1]:
-                report.append(
-                    f"levels not strictly increasing at index {i} "
-                    f"({format_level(graph.levels[i])} >= {format_level(graph.levels[i + 1])})"
-                )
+    report += _unordered_levels(graph)
     if not all(vsets):
         for i, vs in enumerate(vsets):
             if not vs:

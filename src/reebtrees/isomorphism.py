@@ -18,12 +18,13 @@ gets one colour refinement of its own, with names ranked within the graph,
 and the two are run in lockstep until a step differs.  Every isomorphism
 keeps the names, so when each name holds one critical vertex per graph,
 they fix the one candidate map, and comparing the two graphs' certificates
-(their order pairs, named) decides; on a network, tied leaves with no order
-relation are interchangeable and are allowed.  The fingerprint route
-decides the other pairs: where other names tie, and where an ordered long
-edge has a parallel twin.  It rests on the paper's glue-back argument: one
-factor of a, with its (merge vertex, cut leaf) covers and its cut leaves
-tagged, matches some factor of b exactly when a and b are isomorphic.  A
+(their order pairs, named) decides; tied leaves with no order relation are
+interchangeable, on a tree as on a network, and are allowed.  The
+fingerprint route decides the other pairs: where other names tie, and where
+an ordered long edge has a parallel twin.  It rests on the paper's glue-back
+argument: one factor of a, with its (merge vertex, cut leaf) covers and its
+cut leaves tagged, matches some factor of b exactly when a and b are
+isomorphic.  A
 factor is a view of the skeleton, with each detached long edge ending at
 its cut leaf, named as decompose names it; no factor graph is built.  a's
 first factor is fingerprinted once, then b's factors, skipping those the
@@ -216,19 +217,16 @@ class _Refinement:
     def certified(self) -> bool:
         """Whether the stable names fix every isomorphism onto another graph
         with the same steps: each name holds one critical vertex, except
-        that on a network tied leaves with no order relation, on them or on
-        their edges, share their parents (every other name is then one
-        vertex's) and are interchangeable; and no long edge that carries an
-        edge-order relation has a parallel one.  Otherwise _factor_match
-        decides.  Read once the steps are exhausted."""
+        that tied leaves with no order relation, on them or on their edges,
+        share their parents (every other name is then one vertex's) and are
+        interchangeable, on a tree as on a network; and no long edge that
+        carries an edge-order relation has a parallel one.  Otherwise
+        _factor_match decides.  Read once the steps are exhausted."""
         graph, sk, rel = self.graph, self.graph._skeleton, self.edge_counts
         count = Counter(self.names.values())
-        network = any(len(above) > 1 for above in sk.up.values())
         ordered = {x for o in graph.vertex_orders for cover in o.covers for x in cover}
         for v, c in self.names.items():
-            if count[c] > 1 and (
-                not network or sk.down[v] or v in ordered or any(e in rel for _, e in sk.up[v])
-            ):
+            if count[c] > 1 and (sk.down[v] or v in ordered or any(e in rel for _, e in sk.up[v])):
                 return False
         for ends in sk.down.values() if rel else ():
             if any(e in rel and sum(x == u for x, _ in ends) > 1 for u, e in ends):
@@ -782,10 +780,10 @@ def reeb_iso(
     critical vertices to names ranked within that graph, the two in
     lockstep, and answers False at the first step that differs (see
     _Refinement and _refinements).  When both graphs are certified (each
-    name holds one critical vertex, or, on a network, leaves with no order
-    relation, which are interchangeable), the names fix the one candidate
-    map, and comparing the two graphs' certificates (their order pairs
-    named) decides; no fingerprint is built.  Otherwise, where other names
+    name holds one critical vertex, or leaves with no order relation, which
+    are interchangeable), the names fix the one candidate map, and
+    comparing the two graphs' certificates (their order pairs named)
+    decides; no fingerprint is built.  Otherwise, where other names
     tie or where an ordered long edge has a parallel one, the fingerprint
     route decides (see _factor_match), on every input: single-source or
     not, with level orders or without.  a's first factor is fingerprinted,

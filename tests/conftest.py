@@ -138,6 +138,26 @@ def cut_id_clash(edge: str = "e2") -> ReebGraph:
     )
 
 
+def two_cover_cut_leaf(covers: list[str]) -> ReebGraph:
+    """Leaves a, b, c, cut:x and cut:y: cut:x is covered with each of
+    ``covers`` (from a, b and c) in that order, and cut:y with b."""
+    return make_graph(
+        [0, 1, 2],
+        [["cut:x", "cut:y", "a", "b", "c"], ["m", "n"], ["t"]],
+        [
+            [("e1", "cut:x", "m"), ("e2", "cut:y", "m"), ("e3", "a", "n"),
+             ("e4", "b", "n"), ("e5", "c", "n")],
+            [("g1", "m", "t"), ("g2", "n", "t")],
+        ],
+        vertex_covers=[[*((v, "cut:x") for v in covers), ("b", "cut:y")], [], []],
+    )
+
+
+def repeated_ids_graph() -> ReebGraph:
+    """a, b, c and d on both of two levels, joined by one edge."""
+    return make_graph([0, 1], [["a", "b", "c", "d"]] * 2, [[("e", "a", "b")]])
+
+
 def assert_cuts_take_fresh_ids(graph: ReebGraph) -> None:
     """What a graph that holds cut leaf ids gets from its cuts: every factor
     of decompose validates with cut ids allowed, puts its cut leaves on ids

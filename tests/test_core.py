@@ -1191,11 +1191,13 @@ def in_validates_order(lines):
     return out
 
 
-# The lines of validate that ReebGraph._checked_skeleton raises: an id used
-# twice, a map whose domain is not its gap's edges, an edge end off its
-# level, a cover that names an id outside its level or gap.
+# The lines of validate that ReebGraph._checked_skeleton raises: levels that
+# do not strictly increase, an id used twice, a map whose domain is not its
+# gap's edges, an edge end off its level, a cover that names an id outside
+# its level or gap.
 _SKELETON_FAULT = re.compile(
-    r"duplicate (?:vertex|edge) id |(?:down|up)_map domain mismatch |dangling (?:down|up)_map "
+    r"levels not strictly increasing |duplicate (?:vertex|edge) id "
+    r"|(?:down|up)_map domain mismatch |dangling (?:down|up)_map "
     r"|(?:vertex|edge) order cover .* references unknown id "
 )
 
