@@ -6,11 +6,11 @@ levels, and total attachment maps sending each edge of gap i to its bottom
 (down) endpoint on level i and its top (up) endpoint on level i + 1; no edge
 skips a level.  Vertex and edge sets each carry a partial order stored as
 covering relations, each cover between two ids of its level or gap.
-validate and ``_checked_skeleton``, which the distances, the decomposition
-and the export read, hold a graph to increasing levels and to those two
-rules with one check each (_unordered_levels, _unattached,
-_unknown_covers).  Everything is immutable after
-construction.
+Every rule that validate and ``_checked_skeleton`` (which the distances,
+the decomposition and the export read) share is one generator of
+validate's lines (_unordered_levels, _empty, _repeated_ids, _shared_ids,
+_unattached, _unknown_covers, _mislabelled).  Everything is immutable
+after construction.
 
 Compact graphs.  A graph that network_to_reeb embeds stores only its level
 values and a recipe (``_recipe``, an enewick._Embedding): each node's level
@@ -317,26 +317,24 @@ class ReebGraph:
 
     @cached_property
     def _checked_skeleton(self) -> _Skeleton:
-        """``_skeleton``, after the checks that building it and walking down
-        it need: the first of validate's lines for levels that do not
-        strictly increase, which every reader of the skeleton's levels
-        assumes, then for a vertex id on two levels or an edge id in two
-        gaps, which the skeleton would join, then for a list of sets or
-        maps not one per level or gap, a map whose domain is not its gap's
-        edges or an edge end that is no vertex on the level next to its
-        gap, and then for a cover that names an id outside its level or
-        gap, raised as ValueError.  An end off its level could
-        lead back up, and a walk from the root miss the vertices it leads
-        to or never leave them; the skeleton looks up the ends of every
-        edge a cover names.  Cycles in the covers and maps that break an
-        order are left to the readers that use the orders.  A plain compact
-        graph passes the checks unread."""
+        """``_skeleton``, once validate reports nothing but three kinds of
+        line; else validate's first other line, raised as ValueError.  The
+        three are ids with the reserved prefix, which factor graphs carry;
+        the level orders' own structure (list lengths, elements, cycles,
+        maps that break an order), which the readers that use the orders
+        refuse with OrderConflict; and disconnection, which leaves several
+        sources, which the readers that need one refuse with
+        ReticulationConflict or NotRooted.  A plain compact graph passes
+        unread."""
         if self._plain:
             return self._skeleton
         # A graph with no cover anywhere skips the walk over its orders.
         orders = _orders(self) if self._ordered else ()
         strays = chain.from_iterable(starmap(_unknown_covers, orders))
-        faults = chain(_unordered_levels(self), _repeated_ids(self), _unattached(self), strays)
+        faults = chain(
+            _unordered_levels(self), _empty(self), _repeated_ids(self), _shared_ids(self),
+            _unattached(self), strays, _mislabelled(self),
+        )
         fault = next(faults, None)
         if fault is not None:
             raise ValueError(fault)
@@ -481,6 +479,28 @@ def _unordered_levels(graph: ReebGraph) -> Iterator[str]:
                 )
 
 
+def _empty(graph: ReebGraph) -> Iterator[str]:
+    """validate's line for fewer than two levels, then for every empty
+    vertex set and every empty edge set, by index."""
+    if graph.level_count < 2:
+        yield f"fewer than 2 levels ({graph.level_count})"
+    for what, where, sets in (
+        ("vertex", "level", graph.vertex_sets),
+        ("edge", "gap", graph.edge_sets),
+    ):
+        if not all(sets):
+            for i, xs in enumerate(sets):
+                if not xs:
+                    yield f"empty {what} set at {where} {i}"
+
+
+def _shared_ids(graph: ReebGraph) -> Iterator[str]:
+    """validate's line for every id used as both vertex and edge, by id."""
+    vertices, edges = graph._ids
+    for x in sorted(vertices & edges):
+        yield f"id {x!r} used as both vertex and edge"
+
+
 def _unattached(graph: ReebGraph) -> Iterator[str]:
     """validate's line for a list of vertex sets, edge sets, down maps or up
     maps not one per level or gap, both counted from the levels, then for
@@ -542,6 +562,25 @@ def _unknown_covers(
         for lo, hi in sorted(poset.covers):
             if lo not in carrier or hi not in carrier:
                 yield f"{what} order cover ({lo!r}, {hi!r}) references unknown id at index {i}"
+
+
+def _mislabelled(graph: ReebGraph) -> Iterator[str]:
+    """validate's line for a label list not one map per gap, counted from
+    the levels, then, gap by gap, for a map whose keys are not its gap's
+    edges and for one that gives two edges one label."""
+    labels = graph.edge_labels
+    if labels is None:
+        return
+    gaps = max(graph.level_count - 1, 0)
+    if len(labels) != gaps:
+        yield f"label list length mismatch ({len(labels)} for {gaps} gaps)"
+    for i, (m, es) in enumerate(zip(labels, graph.edge_sets)):
+        if m is None:
+            continue
+        if m.keys() != es:
+            yield f"label domain mismatch at gap {i}"
+        if len(set(m.values())) != len(m):
+            yield f"non-bijective labels at gap {i}"
 
 
 def _once(ends: Iterable[str]) -> set[str]:
@@ -623,23 +662,15 @@ def validate(graph: ReebGraph, *, allow_cut_ids: bool = False) -> list[str]:
     k = graph.level_count
     vsets, esets = graph.vertex_sets, graph.edge_sets
     downs, ups = graph.down_maps, graph.up_maps
-    if k < 2:
-        report.append(f"fewer than 2 levels ({k})")
+    # With fewer than two levels no level is out of order, so _empty's line
+    # for that still comes first.
     report += _unordered_levels(graph)
-    if not all(vsets):
-        for i, vs in enumerate(vsets):
-            if not vs:
-                report.append(f"empty vertex set at level {i}")
-    if not all(esets):
-        for i, es in enumerate(esets):
-            if not es:
-                report.append(f"empty edge set at gap {i}")
+    report += _empty(graph)
 
     seen_v, seen_e = graph._ids
     repeats = list(_repeated_ids(graph))
     report += repeats
-    for shared in sorted(seen_v & seen_e):
-        report.append(f"id {shared!r} used as both vertex and edge")
+    report += _shared_ids(graph)
     # One search of the ids joined finds every id with the prefix, and ids
     # that hold it further in, which the exact filter drops.
     if not allow_cut_ids and RESERVED_VERTEX_PREFIX in "\n".join(chain(seen_v, seen_e)):
@@ -688,16 +719,7 @@ def validate(graph: ReebGraph, *, allow_cut_ids: bool = False) -> list[str]:
                 if lo in up and hi in up and not above.leq(up[lo], up[hi]):
                     report.append(f"non-monotone up_map at gap {i}: cover ({lo!r}, {hi!r})")
 
-    if graph.edge_labels is not None:
-        if len(graph.edge_labels) != gaps:
-            report.append(f"label list length mismatch ({len(graph.edge_labels)} for {gaps} gaps)")
-        for i, (m, es) in enumerate(zip(graph.edge_labels, esets)):
-            if m is None:
-                continue
-            if set(m) != es:
-                report.append(f"label domain mismatch at gap {i}")
-            if len(set(m.values())) != len(m):
-                report.append(f"non-bijective labels at gap {i}")
+    report += _mislabelled(graph)
 
     # Connectivity over the incidence structure, using only well-formed
     # links.  Where ids are unique and every edge joins its gap's two
@@ -750,13 +772,10 @@ def minimize_critical_set(graph: ReebGraph) -> ReebGraph:
     The result has the same geometry with the smallest level set: it keeps
     the bottom and top levels and every level holding a vertex of the
     checked skeleton (_Skeleton) without exactly one long edge above and
-    one below.  So an id used twice, a map whose domain is not its gap's
-    edges, an edge end off the level next to its gap, such as that of an
-    edge that skips a level, and a cover that names an id outside its level
-    or gap raise ValueError with validate's first line for them.  Raises
-    OrderConflict when splicing would discard covers, since a merged chain
-    cannot carry the per-gap order data.  Labels of merged gaps are
-    dropped.
+    one below, so a graph that ``_checked_skeleton`` refuses raises
+    ValueError with validate's line.  Raises OrderConflict when splicing
+    would discard covers, since a merged chain cannot carry the per-gap
+    order data.  Labels of merged gaps are dropped.
     """
     sk = graph._checked_skeleton
     k = graph.level_count

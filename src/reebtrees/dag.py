@@ -3,17 +3,19 @@
 Edges are oriented downward (top endpoint to bottom endpoint), so a vertex's
 in-degree counts edges arriving from the gap above and its out-degree counts
 edges leaving into the gap below.  build_dag_view is the single-source check:
-it counts the cycle rank twice on the graph's critical skeleton
-(core._Skeleton), the one source of merge vertices that decompose, the
-distances and reeb_iso read, and returns it once the counts agree.  classify
-and reeb_to_network call it; every factor path goes through decomposition's
-one gate (_factor_table), which calls it before it checks the level orders.
+it counts the cycle rank on the graph's critical skeleton (core._Skeleton),
+the one source of merge vertices that decompose, the distances and reeb_iso
+read, and returns it once the merge count, read off the sources, agrees.
+classify and reeb_to_network call it; every factor path goes through
+decomposition's one gate (_factor_table), which calls it before it checks
+the level orders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import countOf
 
 from .core import ReebGraph
 from .errors import ReticulationConflict
@@ -82,23 +84,22 @@ def source_vertices(graph: ReebGraph) -> tuple[str, ...]:
 def build_dag_view(graph: ReebGraph) -> int:
     """The graph's cycle rank, once its two Betti computations agree.
 
-    Both are counted on the graph's checked skeleton, whose long edges and
-    critical vertices have the graph's Euler count and merges: ids used
-    twice, edge ends off their levels and covers that name unknown ids
-    raise ValueError in validate's wording.  When the counts disagree the
-    graph has multiple sources (several local maxima of the level
-    function), the decomposition theory does not apply, and
+    Both are read off the graph's checked skeleton, whose long edges and
+    critical vertices have the graph's Euler count and merges; a graph that
+    ``_checked_skeleton`` refuses raises its ValueError.  Each vertex adds
+    its edges above less one to the merge count, and a source adds nothing,
+    so that count is the Euler count plus the sources less one.  When the
+    counts disagree the graph has multiple sources (several local maxima of
+    the level function), the decomposition theory does not apply, and
     ReticulationConflict is raised carrying both values.
     """
     sk = graph._checked_skeleton
     b_euler = sum(map(len, sk.down.values())) - len(sk.vertex_level) + 1
-    # Each vertex with an edge above adds that edge count less one.
-    arriving = list(map(len, sk.up.values()))
-    b_retic = sum(arriving) - len(arriving) + arriving.count(0)
-    if b_euler != b_retic:
+    extra = countOf(sk.up.values(), ()) - 1
+    if extra:
         sources = source_vertices(graph)
         raise ReticulationConflict(
-            f"cycle-rank mismatch: euler count {b_euler} vs merge count {b_retic} "
+            f"cycle-rank mismatch: euler count {b_euler} vs merge count {b_euler + extra} "
             f"({len(sources)} source vertices: {', '.join(sources)})"
         )
     return b_euler

@@ -498,8 +498,8 @@ def enewick_to_reeb(text: str) -> ReebGraph:
 
 def reeb_to_network(graph: ReebGraph) -> PhyloNetwork:
     """The graph's skeleton as a network: its long edges, with times counted
-    down from the single source vertex.  Ids used twice, edge ends off
-    their levels and covers that name unknown ids raise ValueError, and
+    down from the single source vertex.  A graph that the checked skeleton
+    refuses (see core.ReebGraph._checked_skeleton) raises ValueError, and
     multi-source graphs are rejected by the classification step.  A regular
     vertex is critical only for a level-order relation, and is contracted
     too."""

@@ -51,7 +51,6 @@ from .core import (
     ReebGraph,
     _path_up,
     common_refinement,
-    refine_to_levels,
 )
 from .decomposition import CutChoice, _choices, _cut_table, _cuts, _factor_table
 from .errors import LabelMismatch, MissingLabels, NotATree, SizeLimitExceeded
@@ -259,19 +258,18 @@ def _refinements(
     """reeb_iso's prefilter: the two graphs' refinements, run in lockstep to
     their stable names, or None at the first step that differs.
 
-    After the level range, a pair on different level sets whose edge orders
-    are not all trivial is refined to the union of its levels (refinement
-    copies an edge's order onto the levels it inserts, which so hold
-    critical vertices), and the refinements read the refined graphs; the
-    skeletons' level values must then agree.  Most negative pairs end at the
+    After the level range, a pair whose edge orders are not all trivial is
+    refined to the union of its levels (common_refinement, which copies an
+    edge's order onto the levels it inserts, which so hold critical
+    vertices), and the refinements read the refined graphs; the skeletons'
+    level values must then agree.  Most negative pairs end at the
     starting multisets, before any sweep; the first round of sweeps compares
     the critical vertices per level and the long edges by the levels of
     their ends."""
     if (a.levels[0], a.levels[-1]) != (b.levels[0], b.levels[-1]):
         return None
-    if any(o.covers for g in (a, b) for o in g.edge_orders) and a.levels != b.levels:
-        union = sorted(set(a.levels) | set(b.levels))
-        a, b = refine_to_levels(a, union), refine_to_levels(b, union)
+    if any(o.covers for g in (a, b) for o in g.edge_orders):
+        a, b = common_refinement(a, b)
     if a._skeleton.levels != b._skeleton.levels:
         return None
     ra, rb = _Refinement(a, tags_a), _Refinement(b, tags_b)
@@ -497,22 +495,14 @@ class _RootedTree:
 
 
 def _centres(adj: Mapping[str, list[tuple[str, str]]], n_v: int) -> list[str]:
-    """The one or two centre vertices of a tree, by leaf peeling."""
-    start = next(iter(adj))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w, _ in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != n_v:
-        raise NotATree("underlying graph is not connected")
+    """The one or two centre vertices of a tree, by leaf peeling.  A graph
+    that is no tree stalls the peeling on its cycles; the vertices left
+    then root a numbering that misses some, which canonical_form refuses."""
     deg = {v: len(adj[v]) for v in adj}
     removed: set[str] = set()
     layer = [v for v in adj if deg[v] <= 1]
     remaining = n_v
-    while remaining > 2:
+    while remaining > 2 and layer:
         nxt = []
         for v in layer:
             removed.add(v)

@@ -808,10 +808,10 @@ def network_factors(
     time_mode: str = "f",
 ) -> NetworkFactors:
     """The cycle rank and factor table of ``graph`` behind the gate that
-    ``decompose`` runs (ids used twice, edge ends off their levels and
-    covers that name unknown ids raise ValueError, a multi-source graph
-    ReticulationConflict, a level order OrderConflict), and its taxon
-    count; its factor vectors follow on first use."""
+    ``decompose`` runs (a graph that core.ReebGraph._checked_skeleton
+    refuses raises ValueError, a multi-source graph ReticulationConflict, a
+    level order OrderConflict), and its taxon count; its factor vectors
+    follow on first use."""
     betti, table = _factor_table(graph)
     taxa = countOf(graph._skeleton.down.values(), ())
     return NetworkFactors(graph, betti, taxa, ranks, time_mode, table)

@@ -158,6 +158,25 @@ def repeated_ids_graph() -> ReebGraph:
     return make_graph([0, 1], [["a", "b", "c", "d"]] * 2, [[("e", "a", "b")]])
 
 
+def gate_fault_graphs() -> dict[str, ReebGraph]:
+    """Graphs that validate rejects for a fault that dist once answered
+    (it printed 0), by name: an id used as both vertex and edge, an empty
+    top level and its gap, and label maps, one that repeats a label and one
+    that misses a key and holds a foreign one."""
+    return {
+        "shared-id": make_graph(
+            [0, 1], [["a", "b"], ["t"]], [[("a2", "a", "t"), ("b", "b", "t")]]
+        ),
+        "empty-top": make_graph([0, 1, 2], [["a"], ["b"], []], [[("e", "a", "b")], []]),
+        "bad-labels": make_graph(
+            [0, 1, 2],
+            [["a", "b"], ["m"], ["t"]],
+            [[("e1", "a", "m"), ("e2", "b", "m")], [("g", "m", "t")]],
+            labels=[{"e1": "x", "e2": "x"}, {"h": "y"}],
+        ),
+    }
+
+
 def assert_cuts_take_fresh_ids(graph: ReebGraph) -> None:
     """What a graph that holds cut leaf ids gets from its cuts: every factor
     of decompose validates with cut ids allowed, puts its cut leaves on ids

@@ -28,6 +28,7 @@ from reebtrees import (
     ReebError,
     build_dag_view,
     classify_vertex,
+    cophenetic_vector,
     decompose,
     dump_text,
     enewick_to_reeb,
@@ -48,6 +49,7 @@ from conftest import (
     corpus,
     cut_id_clash,
     deep_ordered_path,
+    gate_fault_graphs,
     rename_graph,
     repeated_ids_graph,
     taken_refinement_id_pair,
@@ -152,7 +154,7 @@ def mutate(doc: dict, rng: random.Random) -> str:
     edge = rng.choice(edges[gap]) if edges[gap] else None
     kind = rng.choice(("retarget", "retarget up two", "dangle", "reuse vertex", "reuse edge",
                        "drop vertex", "drop edge", "unknown vertex cover", "unknown edge cover",
-                       "swap levels"))
+                       "swap levels", "edge id as vertex id", "empty top level", "bad labels"))
     if kind.startswith("retarget") and edge is not None:
         if kind == "retarget up two" and gap + 2 < len(vertices):
             edge["up"] = rng.choice(vertices[gap + 2] or ["zz"])
@@ -191,6 +193,26 @@ def mutate(doc: dict, rng: random.Random) -> str:
         levels = doc["levels"]
         i = rng.randrange(len(levels) - 1)
         levels[i], levels[i + 1] = levels[i + 1], levels[i]
+    elif kind == "edge id as vertex id" and edge is not None:
+        v = rng.choice(sum(vertices, []) or ["a"])
+        if all(e["id"] != v for e in edges[gap]):
+            old, edge["id"] = edge["id"], v
+            covers = doc["edge_orders"][gap]
+            doc["edge_orders"][gap] = [[v if x == old else x for x in c] for c in covers]
+    elif kind == "empty top level":
+        vertices[-1], edges[-1] = [], []
+        doc["vertex_orders"][-1], doc["edge_orders"][-1] = [], []
+    elif kind == "bad labels":
+        labels = [{e["id"]: "L" + e["id"] for e in es} for es in edges]
+        ids = sorted(labels[gap])
+        roll = rng.random()
+        if roll < 0.4 and len(ids) > 1:
+            labels[gap] = dict.fromkeys(ids, "same")
+        elif roll < 0.7 and ids:
+            del labels[gap][rng.choice(ids)]
+        else:
+            labels[gap]["stranger"] = "L?"
+        doc["labels"] = labels
     return kind
 
 
@@ -540,6 +562,25 @@ class TestInputErrors:
         for read in (lambda x: network_distance(x, g), decompose, minimize_critical_set):
             with pytest.raises(ValueError, match=re.escape(fault)):
                 read(swapped)
+
+    @pytest.mark.parametrize("name, fault", [
+        ("shared-id", "id 'b' used as both vertex and edge"),
+        ("empty-top", "empty vertex set at level 2"),
+        ("bad-labels", "non-bijective labels at gap 0"),
+    ], ids=["shared-id", "empty-top", "bad-labels"])
+    def test_what_validate_rejects_dist_refuses(self, capsys, tmp_path, net_a, name, fault):
+        # dist printed 0 and exited 0 on each: the checked skeleton raises
+        # validate's first line, for dist as for the library readers.
+        g = gate_fault_graphs()[name]
+        assert validate(g)[0] == fault
+        path = write_graph(tmp_path, "g.json", g)
+        write_graph(tmp_path, "a.json", net_a)
+        for argv in (["dist", path, path], ["dist", "--matrix", str(tmp_path)]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {fault}\n"), argv
+        for read in (lambda x: network_distance(x, x), cophenetic_vector, decompose):
+            with pytest.raises(ValueError, match=re.escape(fault)):
+                read(g)
 
     @pytest.mark.parametrize("command", ["dist", "dist --matrix", "iso", "decompose"])
     def test_cover_naming_an_unknown_edge_is_refused(self, capsys, tmp_path, net_a, command):

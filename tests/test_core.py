@@ -1191,22 +1191,23 @@ def in_validates_order(lines):
     return out
 
 
-# The lines of validate that ReebGraph._checked_skeleton raises: levels that
-# do not strictly increase, an id used twice, a map whose domain is not its
-# gap's edges, an edge end off its level, a cover that names an id outside
-# its level or gap.
+# The lines of validate that ReebGraph._checked_skeleton raises: all but a
+# reserved prefix, the orders' own structure and disconnection.
 _SKELETON_FAULT = re.compile(
-    r"levels not strictly increasing |duplicate (?:vertex|edge) id "
+    r"fewer than 2 levels |levels not strictly increasing |empty (?:vertex|edge) set "
+    r"|duplicate (?:vertex|edge) id |id .* used as both vertex and edge$"
+    r"|(?:vertex set|edge set|down map|up map) list length mismatch "
     r"|(?:down|up)_map domain mismatch |dangling (?:down|up)_map "
     r"|(?:vertex|edge) order cover .* references unknown id "
+    r"|label list length mismatch |label domain mismatch |non-bijective labels "
 )
 
 
 def reference_checked_skeleton(graph: ReebGraph):
-    """The first line of reference_validate, in validate's order, that
+    """The first line of reference_lines, in validate's order, that
     reports a fault of _SKELETON_FAULT, raised as ValueError; with no such
     line, ``_skeleton``."""
-    for line in in_validates_order(reference_validate(graph)):
+    for line in reference_lines(graph, allow_cut_ids=False):
         if _SKELETON_FAULT.match(line):
             raise ValueError(line)
     return graph._skeleton
@@ -1220,25 +1221,28 @@ def raised(f, graph):
         return type(exc), str(exc)
 
 
-def reference_report(graph: ReebGraph, allow_cut_ids: bool):
-    """reference_validate's lines in validate's order, or what it raised,
-    under validate's label rule: a label list not one map per gap (counted
-    from the levels) is reported with both counts, and the maps that pair
-    with a gap are still checked, as reference_validate checks the list
-    cut or padded with None to one map per gap."""
+def reference_lines(graph: ReebGraph, allow_cut_ids: bool) -> list[str]:
+    """reference_validate's lines in validate's order, under validate's
+    label rule: a label list not one map per gap (counted from the levels)
+    is reported with both counts, and the maps that pair with a gap are
+    still checked, as reference_validate checks the list cut or padded with
+    None to one map per gap."""
     gaps = graph.level_count - 1
     labels = graph.edge_labels
     fitted = graph
     if labels is not None and len(labels) != gaps:
         fitted = replace(graph, edge_labels=(*labels, *[None] * gaps)[:gaps])
-    lines = in_validates_order(
-        raised(lambda x: reference_validate(x, allow_cut_ids=allow_cut_ids), fitted)
-    )
-    if fitted is not graph and isinstance(lines, list):
+    lines = in_validates_order(reference_validate(fitted, allow_cut_ids=allow_cut_ids))
+    if fitted is not graph:
         later = ("label", "non-bijective", "disconnected")
         at = next((n for n, x in enumerate(lines) if x.startswith(later)), len(lines))
         lines.insert(at, f"label list length mismatch ({len(labels)} for {gaps} gaps)")
     return lines
+
+
+def reference_report(graph: ReebGraph, allow_cut_ids: bool):
+    """reference_lines, or what it raised."""
+    return raised(lambda x: reference_lines(x, allow_cut_ids), graph)
 
 
 def tree_scale_text(rng: random.Random, kind: str, n: int) -> str:

@@ -11,6 +11,7 @@ from reebtrees import (
     betti_reticulation,
     build_dag_view,
     classify_vertex,
+    make_graph,
     source_vertices,
 )
 from conftest import SAFE_SHAPES, corpus
@@ -45,8 +46,6 @@ def test_merge_leaf_is_both(triple_edge):
 
 
 def test_lone_stem_counts_as_leaf():
-    from reebtrees import make_graph
-
     g = make_graph([0, 1], [["a"], ["b"]], [[("e", "a", "b")]])
     c = classify_vertex(g, "b")
     assert c.is_leaf and c.indegree == 0 and c.outdegree == 1
@@ -68,7 +67,7 @@ def test_view_summary(cycle_graph):
 def test_betti_ignores_missing_down_targets():
     # Edges e2 and e3 end at "ghost", which is no vertex; validate reports
     # them, and the merge count leaves them out.
-    from reebtrees import make_graph, validate
+    from reebtrees import validate
 
     g = make_graph(
         [0, 1, 2],
@@ -87,6 +86,22 @@ def test_multiple_sources_rejected(twin_peaks):
     assert str(err.value) == (
         "cycle-rank mismatch: euler count 0 vs merge count 1 "
         "(2 source vertices: s1, s2)"
+    )
+    # Three sources over a bigon: the merge count is the Euler count plus
+    # the sources less one.
+    three = make_graph(
+        [0, 1, 2],
+        [["x", "y"], ["m"], ["s1", "s2", "s3"]],
+        [
+            [("f1", "x", "m"), ("f2", "y", "m")],
+            [("g1", "m", "s1"), ("g2", "m", "s1"), ("g3", "m", "s2"), ("g4", "m", "s3")],
+        ],
+    )
+    with pytest.raises(ReticulationConflict) as err:
+        build_dag_view(three)
+    assert str(err.value) == (
+        "cycle-rank mismatch: euler count 1 vs merge count 3 "
+        "(3 source vertices: s1, s2, s3)"
     )
 
 

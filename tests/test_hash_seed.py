@@ -15,7 +15,7 @@ the hash seed adds the input that showed it here.
 Seeds 1-3 must match seed 0 line by line.  Seed 0's lines must also keep
 two invariants: iso and iso --oracle answer alike on every pair, and where
 validate --allow-cut-ids rejects an input, every command that validates its
-input exits 2 with nothing on stdout.
+input, and pair dist, exits 2 with nothing on stdout.
 
 One child runs by hand as ``python tests/test_hash_seed.py``, with ``src``
 on PYTHONPATH; PYTHONHASHSEED picks its seed.
@@ -40,13 +40,17 @@ from reebtrees import GeneratorSpec, ReebError, dump_text, make_graph, random_gr
 from reebtrees.cli import _load_graph, main
 from reebtrees.phylo import network_factors
 
-from conftest import rename_graph, repeated_ids_graph, shuffle_ids, two_cover_cut_leaf
+from conftest import (
+    gate_fault_graphs, rename_graph, repeated_ids_graph, shuffle_ids, two_cover_cut_leaf,
+)
 from test_cli import SHAPE_FAULTS, shape_fault_doc
 from test_isomorphism import random_covers
 
 DATA = Path(__file__).parent / "data"
 EMPTY = hashlib.sha256(b"").hexdigest()
-VALIDATING = {"betti", "classify", "minimize", "decompose", "convert", "iso"}
+# The commands that validate their input, and dist, which reads the checked
+# skeleton: each refuses every input that validate --allow-cut-ids rejects.
+REFUSING = {"betti", "classify", "minimize", "decompose", "convert", "iso", "dist"}
 SHAPES = [(2, 0, 3, 2), (3, 1, 4, 2), (4, 2, 5, 3), (3, 3, 5, 3), (5, 2, 6, 2), (4, 1, 6, 3)]
 
 
@@ -133,9 +137,11 @@ def inputs(sweep: Sweep) -> tuple[list[tuple[str, str]], list[str]]:
                 )),
             ))
     # A cut leaf under two covers, in both orders; ids repeated on two
-    # levels; levels that do not increase; shape faults.
+    # levels; an id used as both vertex and edge, an empty top level and bad
+    # label maps; levels that do not increase; shape faults.
     made = {f"two-covers-{c}": two_cover_cut_leaf(list(c)) for c in ("ac", "ca")}
     made["dup"] = repeated_ids_graph()
+    made.update(gate_fault_graphs())
     made["skip"] = make_graph(  # edge lo skips level 1
         [0, 1, 2, 3],
         [["a"], ["m"], ["n"], ["b"]],
@@ -253,7 +259,7 @@ def test_outputs_do_not_depend_on_the_hash_seed():
         if call == ("validate", "--allow-cut-ids") and code
     }
     for (call, inputs), (code, out, _) in answers.items():
-        if call[0] in VALIDATING and rejected.intersection(inputs):
+        if call[0] in REFUSING and rejected.intersection(inputs):
             assert (code, out) == (2, EMPTY), (call, inputs)
     assert len(answers) > 2200 and len(rejected) >= 10, (len(answers), len(rejected))
 

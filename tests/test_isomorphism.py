@@ -71,6 +71,9 @@ class TestCanonicalForm:
             canonical_form(cycle_graph)
 
     def test_requires_connectivity(self):
+        # Edges one fewer than vertices, three sources: the two bigons
+        # stall _centres' leaf peel, and the numbering from the first
+        # centre left misses vertices.
         g = make_graph(
             [0, 1],
             [["a", "b", "x"], ["c", "d", "y"]],
