@@ -49,26 +49,36 @@ network_distance of two trees (cycle rank 0 on both sides) reads no
 vector: each tree is its own one factor, so the distance is the lp
 distance of their two vectors, a sum or a maximum over unordered pairs of
 taxa that any order of the pairs gives alike.  Both trees are stamped at
-the LCM of their scales.  The first walks its rows in its own pre-order,
-where a row's part from its taxon on is a plain slice; the second walks
-the partners of those taxa (the taxa at the same place of its taxon order)
-in the same sequence and gathers each row's part once; each pair of parts
-adds to the sum, the sum of p-th powers or the maximum, unless they are
-equal, as the Hausdorff kernel skips an equal vector.  That holds one row
-per tree, O(taxa) memory.  Networks with cycle rank 1 or more, and the
-matrix of the command line, which compares each network with every other,
-read the factor vectors.
+the LCM of their scales, and a taxon pairs with the taxon at the same
+place of the other tree's taxon order.  For p = 1 and inf, one sweep runs
+upward over both trees' branching vertices, read as merge trees, in
+O(taxa log taxa) time and O(taxa) memory.  The 1-norm counts, at each
+merge, the pairs it joins that the other tree has joined already, through
+contingency tables merged smaller into larger (the pair counting behind
+the Rand index).  The sup norm asks, at each merge, the other tree's
+largest stamp over the pairs it joins: one range maximum over that tree's
+adjacent-taxon ancestors, which makes it the labelled interleaving
+distance of the two merge trees (Gasparovic, Munch, Oudot, Turner, Wang &
+Wang 2019).  Other p walk rows, in O(taxa^2) time: the first tree walks
+its rows in its own pre-order, where a row's part from its taxon on is a
+plain slice; the second walks the partners of those taxa in the same
+sequence and gathers each row's part once; each pair of parts adds its
+sum of p-th powers, unless they are equal, as the Hausdorff kernel skips
+an equal vector.  That holds one row per tree, O(taxa) memory.  Networks
+with cycle rank 1 or more, and the matrix of the command line, which
+compares each network with every other, read the factor vectors.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, filterfalse, repeat
 from operator import countOf, getitem, itemgetter, methodcaller, mul, sub
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .core import RESERVED_VERTEX_PREFIX, ReebGraph, _Skeleton
 from .decomposition import Factor, _cuts, _factor_table
@@ -264,12 +274,12 @@ def _tree_table(
     cut_of: Mapping[str, tuple[str, str]],
     time_mode: str,
 ) -> tuple[str, list[str], list[str], Mapping[str, Sequence[tuple]], int, dict[str, int]]:
-    """What every row walk over ``sk`` reads: (root, originals, cuts,
-    children, scale, stamp), the taxa sorted by _sorted_taxa, the
-    skeleton's own ``down`` table as ``children`` (see _layout), and the
-    integer stamps (_stamps) of every taxon and branching vertex, the only
-    vertices that stamp a pair.  ``taxa`` and ``level_of`` may hold cut
-    leaves that ``sk`` lacks; ``cut_of`` is _sorted_taxa's."""
+    """What every row walk and merge sweep over ``sk`` reads: (root,
+    originals, cuts, children, scale, stamp), the taxa sorted by
+    _sorted_taxa, the skeleton's own ``down`` table as ``children`` (see
+    _layout), and the integer stamps (_stamps) of every taxon and branching
+    vertex, the only vertices that stamp a pair.  ``taxa`` and ``level_of``
+    may hold cut leaves that ``sk`` lacks; ``cut_of`` is _sorted_taxa's."""
     root = _root(sk)
     originals, cuts = _sorted_taxa(taxa, ranks, level_of, cut_of)
     children = sk.down
@@ -832,12 +842,14 @@ def network_distance(
 
     Both networks must expose the same number of taxa and the same cycle
     rank; anything else raises IncompatibleShape, since their vectors would
-    not even share a dimension.  Two trees are compared row by row in
-    O(taxa) memory, with no vector built; networks of cycle rank 1 or more
-    read their factor vectors (NetworkFactors.vectors) and the Hausdorff
-    kernel.  Either way the same Fraction comes back, and the same errors
-    are raised in the same order: the gate's of ``a``, then of ``b``, the
-    shape checks, a bad ``time_mode``, then a bad ``p`` or ``digits``.
+    not even share a dimension.  Two trees build no vector: for p = 1 and
+    inf one merge sweep compares them in O(taxa log taxa) time and O(taxa)
+    memory, and for p >= 2 they are compared row by row in O(taxa^2) time
+    and O(taxa) memory.  Networks of cycle rank 1 or more read their factor
+    vectors (NetworkFactors.vectors) and the Hausdorff kernel.  Either way
+    the same Fraction comes back, and the same errors are raised in the
+    same order: the gate's of ``a``, then of ``b``, the shape checks, a bad
+    ``time_mode``, then a bad ``p`` or ``digits``.
     """
     na = network_factors(a, ranks=ranks_a, time_mode=time_mode)
     nb = network_factors(b, ranks=ranks_b, time_mode=time_mode)
@@ -851,13 +863,21 @@ def network_distance(
 
 
 def _tree_distance(na: NetworkFactors, nb: NetworkFactors, p, digits: int) -> Fraction:
-    """network_distance of two trees, row by row (see the module's
-    docstring), raising what their factor vectors and the Hausdorff kernel
-    would, in that order."""
+    """network_distance of two trees, by the merge sweep for p = 1 and inf
+    and row by row otherwise (see the module's docstring), raising what
+    their factor vectors and the Hausdorff kernel would, in that order."""
     _, (root_a, originals_a, cuts_a, children_a, scale_a, stamp_a) = _network_table(na)
     _, (root_b, originals_b, cuts_b, children_b, scale_b, stamp_b) = _network_table(nb)
     q = _check_norm(p, digits)
     scale = math.lcm(scale_a, scale_b)
+    if q is None or q == 1:
+        # Keys: the stamps at the common scale, made to grow toward the root
+        # in both time modes, which changes no |a - b|.
+        sign = 1 if na.time_mode == "f" else -1
+        a = _Keyed(root_a, [*originals_a, *cuts_a], children_a, stamp_a, sign * (scale // scale_a))
+        b = _Keyed(root_b, [*originals_b, *cuts_b], children_b, stamp_b, sign * (scale // scale_b))
+        raw = _sweep_sum(a, b) if q == 1 else _sweep_max(a, b)
+        return Fraction(raw, scale)
     stamp_a = _scaled(stamp_a, scale // scale_a)
     stamp_b = _scaled(stamp_b, scale // scale_b)
     partner = dict(zip([*originals_a, *cuts_a], [*originals_b, *cuts_b]))
@@ -873,10 +893,170 @@ def _tree_distance(na: NetworkFactors, nb: NetworkFactors, p, digits: int) -> Fr
         # (itemgetter of a single index returns the item, not a 1-tuple.)
         other = [*itemgetter(*at[i:])(row_b)] if i < last else [row_b[at[i]]]
         if part != other:
-            c = cost(part, other)
-            raw = max(raw, c) if q is None else raw + c
+            raw += cost(part, other)
     return _norm(raw, scale, q, digits)
 
 
 def _scaled(stamp: dict[str, int], k: int) -> dict[str, int]:
     return stamp if k == 1 else {v: x * k for v, x in stamp.items()}
+
+
+class _Keyed(NamedTuple):
+    """A tree as the merge sweep reads it: its root, its taxa in comparison
+    order (the taxon at place i pairs with the other tree's at place i),
+    the skeleton's ``down`` table, and the integer stamps of its taxa and
+    branching vertices, which times ``k`` are the keys: the stamps at the
+    two trees' common scale, growing toward the root."""
+
+    root: str
+    taxa: list[str]
+    children: Mapping[str, Sequence[tuple[str, str]]]
+    stamp: Mapping[str, int]
+    k: int
+
+
+def _sweep_sum(a: _Keyed, b: _Keyed) -> int:
+    """The sum of |a_ij - b_ij| over the two trees' vectors, in keys.
+
+    Off the diagonal |a - b| = 2 max(a, b) - a - b, and max(a_ij, b_ij) is
+    the key at which taxa i and j are first joined in both trees.  So one
+    sweep runs over both trees' branching vertices by key, from the taxa
+    up: a merge at key k adds -k for each pair across its children and 2k
+    for each such pair that the other tree has joined already.  Those are
+    counted by contingency tables: each component, on each side, maps the
+    other side's components it meets to the number of taxa they share, so
+    the pairs across X and Y joined in the other tree number the sum over
+    its components Z of |X & Z| |Y & Z|.  The smaller table merges into
+    the larger, each of its entries re-keying its component's entry on the
+    other side, so a merge costs at most the taxa of its smaller part and
+    the sweep O(taxa log taxa).  Merges at one key may run in any order: a
+    pair that both trees join at k adds 2k at whichever comes second.
+    """
+    n = len(a.taxa)
+    # A component's id is the place of one of its taxa; tables[id] is its
+    # table, keyed by the other side's ids.  Taxon i starts alone, on both
+    # sides, as component i.
+    tables_a = [{i: 1} for i in range(n)]
+    tables_b = [{i: 1} for i in range(n)]
+    events = []
+    for t, own, other in ((a, tables_a, tables_b), (b, tables_b, tables_a)):
+        stamp, k, size, at = t.stamp, t.k, [1] * n, dict(zip(t.taxa, range(n)))
+        events += [
+            (stamp[v] * k, kids, v, own, other, size, at)
+            for v, kids in t.children.items()
+            if len(kids) > 1
+        ]
+    events.sort(key=_FIRST)
+    raw = sum(abs(a.stamp[x] * a.k - b.stamp[y] * b.k) for x, y in zip(a.taxa, b.taxa))
+    for key, kids, v, own, other, size, at in events:
+        kids = iter(kids)
+        x = at[next(kids)[0]]
+        big = own[x]
+        pairs = joint = 0
+        for c, _ in kids:
+            y = at[c]
+            small = own[y]
+            if len(small) > len(big):
+                x, y, big, small = y, x, small, big
+            pairs += size[x] * size[y]
+            size[x] += size[y]
+            for z, m in small.items():
+                row = other[z]
+                del row[y]
+                j = big.get(z)
+                if j is None:
+                    big[z] = row[x] = m
+                else:
+                    joint += j * m
+                    big[z] = row[x] = j + m
+            own[y] = None
+        at[v] = x
+        raw += key * (2 * joint - pairs)
+    return raw
+
+
+def _sweep_max(a: _Keyed, b: _Keyed) -> int:
+    """The largest |a_ij - b_ij| over the two trees' vectors, in keys.
+
+    Off the diagonal every pair crosses two children of its lowest common
+    ancestor v in tree a, where a_ij is v's key.  By the ultrametric
+    inequality the largest b-entry over those pairs is b's over all pairs
+    below v: the key of the lowest common ancestor in b of their partners,
+    the largest among b's adjacent-taxon ancestors between the first and
+    the last of them in b's pre-order.  So the largest b - a is one range
+    maximum per branching vertex of a, and the largest a - b the same with
+    the trees swapped.  That is the labelled interleaving distance of the
+    two merge trees (Gasparovic, Munch, Oudot, Turner, Wang & Wang, 2019).
+    """
+    (place_a, gaps_a, inner_a), (place_b, gaps_b, inner_b) = _preorder(a), _preorder(b)
+    worst = max(abs(a.stamp[x] * a.k - b.stamp[y] * b.k) for x, y in zip(a.taxa, b.taxa))
+    directions = ((a, b, inner_a, place_b, gaps_b), (b, a, inner_b, place_a, gaps_a))
+    for t, u, inner, place, gaps in directions:
+        # Each vertex of t, from the taxa up -> the first and last places in
+        # u of the partners of its taxa.
+        ends = {x: (place[y],) * 2 for x, y in zip(t.taxa, u.taxa)}
+        children, stamp, k = t.children, t.stamp, t.k
+        spans = []
+        for v in reversed(inner):
+            kids = iter(children[v])
+            first, last = ends[next(kids)[0]]
+            for c, _ in kids:
+                f, h = ends[c]
+                if f < first:
+                    first = f
+                if h > last:
+                    last = h
+            ends[v] = first, last
+            spans.append((first, last, stamp[v] * k))
+        worst = max(worst, _excess(gaps, spans))
+    return worst
+
+
+def _preorder(t: _Keyed) -> tuple[dict[str, int], list[int], list[str]]:
+    """(place, gaps, inner), read in one pre-order pass over tree ``t``:
+    each taxon's place, the key of the lowest common ancestor of the taxa
+    at places i and i + 1 as ``gaps[i]``, and the branching vertices."""
+    children, stamp, k = t.children, t.stamp, t.k
+    place: dict[str, int] = {}
+    gaps: list[int] = []
+    inner: list[str] = []
+    stack = [(t.root, None)]
+    while stack:
+        v, gap = stack.pop()
+        if gap is not None:
+            # The taxon before is the last below v's left sibling.
+            gaps.append(gap)
+        kids = children[v]
+        if not kids:
+            place[v] = len(place)
+        elif len(kids) == 1:
+            stack.append((kids[0][0], None))
+        else:
+            inner.append(v)
+            key = stamp[v] * k
+            stack += [(c, key) for c, _ in kids[:0:-1]]
+            stack.append((kids[0][0], None))
+    return place, gaps, inner
+
+
+def _excess(gaps: Sequence[int], spans: Sequence[tuple[int, int, int]]) -> int:
+    """The largest max(gaps[first:last]) - key over (first, last, key) in
+    ``spans`` (first < last), or 0: one pass over ``gaps`` keeps the
+    places of its suffix maxima, whose values decrease, and answers each
+    span at its last place by bisection.  O((gaps + spans) log gaps)
+    time and O(gaps + spans) memory."""
+    ending: list[list[tuple[int, int, int]]] = [[] for _ in range(len(gaps) + 1)]
+    for span in spans:
+        ending[span[1]].append(span)
+    worst = 0
+    places: list[int] = []
+    tops: list[int] = []
+    for last, x in enumerate(gaps, 1):
+        while tops and tops[-1] <= x:
+            tops.pop()
+            places.pop()
+        places.append(last - 1)
+        tops.append(x)
+        for first, _, key in ending[last]:
+            worst = max(worst, tops[bisect_left(places, first)] - key)
+    return worst

@@ -994,9 +994,10 @@ class TestDist:
         assert capsys.readouterr().out == rows[1][2] + "\n"
 
     def test_two_large_trees_stream(self, tmp_path):
-        # Pair dist on two trees walks one row per tree, so its peak stays
-        # near the interpreter's own; the two 4000-taxon vectors it built
-        # before peaked at 150 MiB.
+        # Pair dist on two trees builds no vector: at the default p = 1 one
+        # merge sweep holds O(taxa) tables, so its peak stays near that of
+        # parsing the two files (about 30 MiB); the two 4000-taxon vectors
+        # it once built peaked at 150 MiB.
         rng = random.Random(4000)
         files = []
         for name in ("a.enwk", "b.enwk"):

@@ -154,6 +154,12 @@ def inputs(sweep: Sweep) -> tuple[list[tuple[str, str]], list[str]]:
     swapped = dataclasses.replace(g, levels=(g.levels[1], g.levels[0], *g.levels[2:]))
     pairs.append((sweep.write("swapped.json", dump_text(swapped)),
                   sweep.write("unswapped.json", dump_text(g))))
+    # Two trees whose merges all tie, within each and across the two, over
+    # unranked taxa tied at one level: the sweep's order at one key.
+    pairs.append((
+        sweep.write("ties/a.enwk", "((A:1,B:1,C:1)x:1,(D:1,E:1)y:1,(F:1,G:1)z:1)r;\n"),
+        sweep.write("ties/b.enwk", "((A:1,D:1)u:1,(B:1,F:1,G:1)v:1,(C:1,E:1)w:1)r;\n"),
+    ))
     # A bad network beside a valid tree.
     ghost = (DATA / "unknown_edge_cover.json").read_text()
     for folder, text in (("skip", texts["skip"]), ("ghost", ghost)):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -1393,3 +1394,101 @@ class TestTreeDistanceMatchesReference:
         assert network_distance(two_leaf_tree(), two_leaf_tree(), p="inf") == 0
         with pytest.raises(AssertionError, match="factor vectors read"):
             network_distance(net_a, net_b, ranks_a=ranks_a, ranks_b=ranks_b)
+
+
+# Length alphabets whose decimal scales differ (1, 2, 4 and 5); with ("1",)
+# every merge of one depth ties, within a tree and across the two.
+SWEEP_LENGTHS = (("1",), ("1", "2"), ("0.5", "1", "1.5"), ("0.25", "0.5", "1"), ("0.2", "0.6", "1"))
+
+
+def merge_levels(graph) -> list[Fraction]:
+    """The level of every branching vertex of a tree's skeleton but its
+    root, whose level both trees of a pair share."""
+    sk = graph._checked_skeleton
+    return [
+        sk.levels[sk.vertex_level[v]]
+        for v, kids in sk.down.items()
+        if len(kids) > 1 and sk.up[v]
+    ]
+
+
+def sweep_tree_pairs():
+    """(a, b) pairs of seeded trees with one taxon count: two to four
+    subtrees joined at a time, lengths from SWEEP_LENGTHS drawn per side, so
+    that taxa sit on many levels; b is either a tree of its own or a's text
+    with about a third of its lengths drawn again and, half the time, its
+    taxa renamed among themselves, so that many merges tie across the two."""
+    rng = random.Random(20261022)
+    pairs = []
+    for k in range(320):
+        n = rng.randint(2, 24)
+        lengths_a, lengths_b = rng.choice(SWEEP_LENGTHS), rng.choice(SWEEP_LENGTHS)
+        text_a = random_enewick_tree(rng, "random", n, lengths_a)
+        if k % 2:
+            text_b = random_enewick_tree(rng, rng.choice(("random", "caterpillar")), n, lengths_b)
+        else:
+            text_b = re.sub(
+                r":[0-9.]+",
+                lambda m: f":{rng.choice(lengths_b)}" if rng.random() < 0.35 else m.group(0),
+                text_a,
+            )
+            if k % 4:
+                perm = rng.sample(range(n), n)
+                text_b = re.sub(r"\bt([0-9]+)\b", lambda m: f"t{perm[int(m.group(1))]}", text_b)
+        pairs.append((enewick_to_reeb(text_a), enewick_to_reeb(text_b)))
+    return pairs
+
+
+class TestMergeSweepMatchesReference:
+    """p = 1 and inf of two trees come from one merge sweep; each answer is
+    the Fraction that the two vectors give."""
+
+    def test_seeded_pairs(self):
+        rng = random.Random(50)
+        kinds = ("full ranks", "partial ranks", "tied ranks", "no ranks")
+        seen = dict.fromkeys(
+            ("polytomy", "many levels", "scales differ", "tie within", "tie across", *kinds), 0
+        )
+        compared = 0
+        for k, (a, b) in enumerate(sweep_tree_pairs()):
+            levels_a, levels_b = merge_levels(a), merge_levels(b)
+            down = a._checked_skeleton.down
+            seen["polytomy"] += any(len(kids) > 2 for kids in down.values())
+            taxon_levels = {a._checked_skeleton.vertex_level[v] for v, x in down.items() if not x}
+            seen["many levels"] += len(taxon_levels) > 2
+            seen["scales differ"] += (
+                cophenetic_vector(a)._integer[0] != cophenetic_vector(b)._integer[0]
+            )
+            seen["tie within"] += len(set(levels_a)) < len(levels_a)
+            seen["tie across"] += bool(set(levels_a) & set(levels_b))
+            i, j = rng.randrange(4), rng.randrange(4)
+            ranks_a, ranks_b = rank_choices(a)[i], rank_choices(b)[j]
+            seen[kinds[i]] += 1
+            seen[kinds[j]] += 1
+            for time_mode in ("f", "-f"):
+                for p in (1, "inf"):
+                    kw = dict(p=p, ranks_a=ranks_a, ranks_b=ranks_b, time_mode=time_mode)
+                    got = network_distance(a, b, **kw)
+                    assert type(got) is F
+                    assert got == reference_network_distance(a, b, **kw), (k, kw)
+                    compared += 1
+        assert compared >= 1000, compared
+        assert min(seen.values()) >= 60, seen
+
+    def test_sweep_walks_no_row(self, monkeypatch):
+        # The row walk serves p >= 2 only.
+        def refuse(*args):
+            raise AssertionError("rows walked")
+
+        a, b = sweep_tree_pairs()[1]
+        want = [reference_network_distance(a, b, p=p) for p in (1, "inf")]
+        monkeypatch.setattr(reebtrees.phylo, "_layout", refuse)
+        assert [network_distance(a, b, p=p) for p in (1, "inf")] == want
+        with pytest.raises(AssertionError, match="rows walked"):
+            network_distance(a, b, p=2)
+
+    @pytest.mark.parametrize("p", [1, "inf"])
+    def test_one_taxon(self, p):
+        a, b = enewick_to_reeb("(t0:1.5)r;"), enewick_to_reeb("(t0:0.2)r;")
+        assert network_distance(a, b, p=p) == F(13, 10)
+        assert network_distance(a, b, p=p, time_mode="-f") == F(13, 10)
